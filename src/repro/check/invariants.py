@@ -711,9 +711,11 @@ class FluidConservationChecker(InvariantChecker):
 
     Laws, re-verified at every fluid epoch record and at teardown:
 
-    * per flow: ``offered == served + lost`` (bytes, within relative
-      slack), every ledger non-negative, ``served_share`` in [0, 1],
-      and the offered rate never exceeds the flow's nominal rate;
+    * per flow (the ledgers of one cohort member): ``offered == served
+      + lost`` (bytes, within relative slack), every ledger
+      non-negative, ``served_share`` in [0, 1], the offered rate never
+      above the flow's nominal rate, and at least one member — a
+      memberless cohort would keep ledgers no link ever books;
     * per link: the same byte conservation, class shares in [0, 1],
       the served fluid aggregate within link capacity, and the hybrid
       residual exported to packet transmitters strictly positive
@@ -734,6 +736,11 @@ class FluidConservationChecker(InvariantChecker):
         if engine is None:
             return
         for flow in engine.flows():
+            self.require(
+                flow.members >= 1,
+                "fluid flow stands for no stream", flow=flow.name,
+                members=flow.members,
+            )
             self.require(
                 min(flow.offered_bytes, flow.served_bytes,
                     flow.lost_bytes, flow.shed_bytes) >= 0.0,

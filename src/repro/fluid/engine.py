@@ -41,6 +41,12 @@ TickCoalescer` grid so a burst of 100 000 admissions at one simulated
 instant costs **one** share recompute, not 100 000.  All float ledgers
 follow the :mod:`repro.sim.quantize` policy.
 
+A flow may stand for a **cohort** of ``members`` identical streams.
+Its own fields stay per member; every accumulator flows share books it
+as ``members`` single flows added in a row would, bit for bit
+(:func:`~repro.sim.quantize.add_repeated`), so replacing 10^5 equal
+flows by one cohort changes no output anywhere.
+
 Determinism: the engine schedules only through the coalescer, never
 consumes random numbers, and iterates flows/links in insertion order,
 so a hybrid run is bit-reproducible from its seed like any other.
@@ -52,7 +58,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.sim.coalesce import TickCoalescer
 from repro.sim.kernel import Kernel
-from repro.sim.quantize import EPSILON, clamp
+from repro.sim.quantize import EPSILON, add_repeated, clamp
 
 __all__ = ["FluidFlow", "FluidLink", "FluidEngine"]
 
@@ -65,10 +71,15 @@ _SHARE_EPS = 1e-6
 
 
 class FluidFlow:
-    """One fluid traffic flow: a piecewise-constant rate along a path."""
+    """A cohort of ``members`` identical fluid streams on one path.
+
+    Every per-flow field (rates, shares, latency, byte ledgers) is the
+    value of *one* member; the engine books the cohort on the shared
+    link accumulators as ``members`` single flows added in a row.
+    """
 
     __slots__ = (
-        "name", "reserved", "adaptive", "tenant", "links",
+        "name", "reserved", "adaptive", "members", "links",
         "rate_bps", "nominal_bps", "deadline",
         "served_share", "latency",
         "offered_bytes", "served_bytes", "lost_bytes", "shed_bytes",
@@ -77,13 +88,14 @@ class FluidFlow:
 
     def __init__(self, name: str, rate_bps: float,
                  links: Sequence["FluidLink"], reserved: bool = False,
-                 adaptive: bool = False, tenant: Optional[str] = None,
+                 adaptive: bool = False, members: int = 1,
                  nominal_bps: Optional[float] = None,
                  deadline: Optional[float] = None) -> None:
         self.name = name
         self.reserved = bool(reserved)
         self.adaptive = bool(adaptive)
-        self.tenant = tenant
+        #: Identical streams this flow stands for (1 = a plain flow).
+        self.members = int(members)
         self.links: List["FluidLink"] = list(links)
         #: Offered on-wire rate right now (piecewise constant).
         self.rate_bps = float(rate_bps)
@@ -126,7 +138,7 @@ class FluidFlow:
 
     def __repr__(self) -> str:  # pragma: no cover
         cls = "res" if self.reserved else "be"
-        return (f"<FluidFlow {self.name!r} {cls} "
+        return (f"<FluidFlow {self.name!r} {cls} x{self.members} "
                 f"{self.rate_bps / 1e6:.2f}Mbps share={self.served_share:.3f}>")
 
 
@@ -339,7 +351,7 @@ class FluidEngine:
 
     def add_flow(self, name: str, rate_bps: float,
                  links: Sequence[FluidLink], reserved: bool = False,
-                 adaptive: bool = False, tenant: Optional[str] = None,
+                 adaptive: bool = False, members: int = 1,
                  nominal_bps: Optional[float] = None,
                  deadline: Optional[float] = None) -> FluidFlow:
         if name in self._flows:
@@ -348,9 +360,12 @@ class FluidEngine:
             raise ValueError(f"negative rate: {rate_bps}")
         if not links:
             raise ValueError(f"fluid flow {name!r} needs at least one link")
+        if members < 1:
+            raise ValueError(f"fluid flow {name!r} needs at least one "
+                             f"member, got {members}")
         self._sync()
         flow = FluidFlow(name, rate_bps, links, reserved=reserved,
-                         adaptive=adaptive, tenant=tenant,
+                         adaptive=adaptive, members=members,
                          nominal_bps=nominal_bps, deadline=deadline)
         self._flows[name] = flow
         self._mark_dirty()
@@ -370,7 +385,12 @@ class FluidEngine:
         if rate_bps < 0:
             raise ValueError(f"negative rate: {rate_bps}")
         self._sync()
-        self._flows[name].rate_bps = float(rate_bps)
+        flow = self._flows[name]
+        flow.rate_bps = float(rate_bps)
+        if flow.rate_bps > flow.nominal_bps:
+            # The application now wants more: shedding is measured from
+            # (and the governor recovers toward) the new rate.
+            flow.nominal_bps = flow.rate_bps
         self._mark_dirty()
 
     # ------------------------------------------------------------------
@@ -417,16 +437,26 @@ class FluidEngine:
         # because rates were piecewise constant over the interval).
         for flow in self._flows.values():
             rate = flow.rate_bps
+            reserved = flow.reserved
+            members = flow.members
             for hop in flow.links:
                 if not hop.up:
                     break
-                share = (hop.reserved_share if flow.reserved
-                         else hop.be_share)
+                share = hop.reserved_share if reserved else hop.be_share
                 offered = rate * dt / 8.0
                 served = offered * share
-                hop.offered_bytes += offered
-                hop.served_bytes += served
-                hop.lost_bytes += clamp(offered - served, 0.0, offered)
+                lost = clamp(offered - served, 0.0, offered)
+                if members == 1:
+                    hop.offered_bytes += offered
+                    hop.served_bytes += served
+                    hop.lost_bytes += lost
+                else:
+                    hop.offered_bytes = add_repeated(
+                        hop.offered_bytes, offered, members)
+                    hop.served_bytes = add_repeated(
+                        hop.served_bytes, served, members)
+                    hop.lost_bytes = add_repeated(
+                        hop.lost_bytes, lost, members)
                 rate *= share
 
     def _recompute(self) -> None:
@@ -443,7 +473,7 @@ class FluidEngine:
             # Immediate governor (delay 0): relax in-place this epoch.
             for flow, new_rate in shed_requests:
                 flow.rate_bps = new_rate
-                self.governor_transitions += 1
+                self.governor_transitions += flow.members
             shed_requests = []
         if shed_requests and not self._governor_pending:
             self._governor_pending = True
@@ -469,14 +499,18 @@ class FluidEngine:
             be_in = {link: link.packet_be_bps for link in links}
             for flow in flows:
                 rate = flow.rate_bps
-                bucket = res_in if flow.reserved else be_in
+                reserved = flow.reserved
+                members = flow.members
+                bucket = res_in if reserved else be_in
                 for hop in flow.links:
                     if not hop.up:
                         rate = 0.0
                         break
-                    bucket[hop] += rate
-                    rate *= (hop.reserved_share if flow.reserved
-                             else hop.be_share)
+                    if members == 1:
+                        bucket[hop] += rate
+                    else:
+                        bucket[hop] = add_repeated(bucket[hop], rate, members)
+                    rate *= hop.reserved_share if reserved else hop.be_share
             worst = 0.0
             for link in links:
                 cap = capacities[link]
@@ -510,22 +544,36 @@ class FluidEngine:
         # Final pass: per-link served aggregates + per-flow end-to-end
         # shares and latency estimates from the converged fixed point.
         fluid_served = {link: 0.0 for link in links}
+        res_served = {link: 0.0 for link in links}
         fluid_be_in = {link: 0.0 for link in links}
         for flow in flows:
-            rate = flow.rate_bps
+            offered = rate = flow.rate_bps
+            reserved = flow.reserved
+            members = flow.members
             for hop in flow.links:
                 if not hop.up:
                     rate = 0.0
                     break
-                if not flow.reserved:
-                    fluid_be_in[hop] += rate
-                share = (hop.reserved_share if flow.reserved
-                         else hop.be_share)
-                fluid_served[hop] += rate * share
+                share = hop.reserved_share if reserved else hop.be_share
+                served = rate * share
+                if members == 1:
+                    if reserved:
+                        res_served[hop] += served
+                    else:
+                        fluid_be_in[hop] += rate
+                    fluid_served[hop] += served
+                else:
+                    if reserved:
+                        res_served[hop] = add_repeated(
+                            res_served[hop], served, members)
+                    else:
+                        fluid_be_in[hop] = add_repeated(
+                            fluid_be_in[hop], rate, members)
+                    fluid_served[hop] = add_repeated(
+                        fluid_served[hop], served, members)
                 rate *= share
-            flow.served_share = (rate / flow.rate_bps
-                                 if flow.rate_bps > EPSILON else
-                                 (1.0 if flow.rate_bps == 0.0 else 0.0))
+            flow.served_share = (rate / offered if offered > EPSILON else
+                                 (1.0 if offered == 0.0 else 0.0))
         for link in links:
             cap = capacities[link]
             served = min(fluid_served[link], cap)
@@ -542,23 +590,8 @@ class FluidEngine:
                 # backlog bound drained at the class service rate
                 # (capacity left after the strict-priority reserved
                 # class, fluid and packet alike).
-                res_served = 0.0
-                for flow in flows:
-                    if not flow.reserved:
-                        continue
-                    rate = flow.rate_bps
-                    for hop in flow.links:
-                        if not hop.up:
-                            rate = 0.0
-                            break
-                        if hop is link:
-                            break
-                        rate *= hop.reserved_share
-                    else:
-                        rate = 0.0
-                    res_served += rate * link.reserved_share
                 be_service = max(
-                    cap - link.packet_reserved_bps - res_served,
+                    cap - link.packet_reserved_bps - res_served[link],
                     cap * MIN_RESIDUAL_FRACTION)
                 link.be_queue_delay = link.queue_bytes * 8.0 / be_service
             else:
@@ -597,7 +630,7 @@ class FluidEngine:
         for flow, new_rate in self._governor_candidates(
                 list(self._flows.values())):
             flow.rate_bps = new_rate
-            self.governor_transitions += 1
+            self.governor_transitions += flow.members
             changed = True
         if changed:
             self._mark_dirty()

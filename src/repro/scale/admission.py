@@ -347,6 +347,22 @@ class AdmissionController:
         self.requests_rejected += 1
         return AdmissionDecision(stream_id, False, reason)
 
+    def reject_repeats(self, count: int) -> None:
+        """Book ``count`` repeats of requests already rejected.
+
+        Every admission test compares a book that only grows between
+        revokes against a fixed bound, so a request identical (route,
+        rate, tenant, CPU demand) to one rejected since the last revoke
+        would be rejected again, and all a rejection leaves behind is
+        these two counters.  A caller holding a long run of identical
+        requests therefore evaluates each distinct one until it is
+        rejected and books the rest of the run here.
+        """
+        if count < 0:
+            raise ValueError(f"negative repeat count: {count}")
+        self.requests_seen += count
+        self.requests_rejected += count
+
     def revoke(self, stream_id: str) -> bool:
         """Release a grant; unknown ids are a no-op (returns False)."""
         if self._grants.pop(stream_id, None) is None:

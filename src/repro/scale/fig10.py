@@ -14,6 +14,9 @@ question at "millions of users" scale by splitting the workload:
   become :class:`~repro.fluid.engine.FluidFlow` aggregates, costing one
   share recompute per rate-change epoch instead of millions of packet
   events, with byte/loss/latency ledgers integrated analytically.
+  Unmeasured streams of one class are identical, so each maximal
+  index-ordered run of them is *one* cohort flow with that many
+  members: an arm builds a handful of flows whatever N is.
 
 The two halves are coupled through the bottleneck's hybrid service
 model (fluid residual capacity + shared qdisc budget), and the hybrid
@@ -49,10 +52,12 @@ link the only contended resource.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
+from repro.sim.quantize import add_repeated
 from repro.sim.rng import RngRegistry
 from repro.oskernel.host import Host
 from repro.net.diffserv import Dscp
@@ -162,15 +167,80 @@ ScaleClassStats = namedtuple("ScaleClassStats", [
 ])
 
 
-def _tenant_of(arm: ScaleArm, index: int, streams: int, tenants: int) -> str:
+def _stream_name(index: int) -> str:
+    return f"s{index:05d}"
+
+
+def _tenant_segments(arm: ScaleArm, streams: int,
+                     tenants: int) -> List[Tuple[int, int, List[str]]]:
+    """``(start, stop, cycle)`` runs covering streams ``0..N-1``:
+    stream ``i`` of a run belongs to tenant ``cycle[i % len(cycle)]``."""
     if tenants <= 1:
-        return "t0"
-    if arm.overload and index < streams // 2:
-        # The storm: tenant 0 floods half the offered load.
-        return "t0"
+        return [(0, streams, ["t0"])]
     if arm.overload:
-        return f"t{1 + index % (tenants - 1)}"
-    return f"t{index % tenants}"
+        # The storm: tenant 0 floods half the offered load.
+        storm = streams // 2
+        others = [f"t{j}" for j in range(1, tenants)]
+        return [(0, storm, ["t0"]), (storm, streams, others)]
+    return [(0, streams, [f"t{j}" for j in range(tenants)])]
+
+
+def _admit_population(controller: AdmissionController, arm: ScaleArm,
+                      streams: int, tenants: int) -> List[int]:
+    """Indices admitted when streams ``0..N-1`` ask in index order.
+
+    Every request has the same route and rate, so once a tenant has
+    been rejected all its later requests are rejected too (see
+    :meth:`AdmissionController.reject_repeats`): each segment is walked
+    only until all of its tenants have been turned away once — by
+    their pool or by the link — and the remainder is booked in one
+    call.  The cost is O(admitted), not O(offered).
+    """
+    admitted: List[int] = []
+    for start, stop, cycle in _tenant_segments(arm, streams, tenants):
+        still_open = set(cycle)
+        i = start
+        while i < stop and still_open:
+            tenant = cycle[i % len(cycle)]
+            decision = controller.request(
+                _stream_name(i), src="src", dst="dst", rate_bps=RESERVE_BPS,
+                tenant=tenant)
+            if decision.admitted:
+                admitted.append(i)
+            else:
+                still_open.discard(tenant)
+            i += 1
+        controller.reject_repeats(stop - i)
+    return admitted
+
+
+def _class_runs(streams: int, admitted: List[int],
+                measured: Set[int]) -> List[Tuple[int, bool, int]]:
+    """Maximal index-ordered ``(first, reserved, members)`` runs of one
+    class over the unmeasured streams; ``admitted`` is ascending.
+
+    Index order is kept because both classes feed the same link
+    accumulators and float addition does not commute across a
+    reordering; within a run every stream is identical.
+    """
+    runs: List[Tuple[int, bool, int]] = []
+
+    def extend(first: int, reserved: bool, members: int) -> None:
+        if members <= 0:
+            return
+        if runs and runs[-1][1] == reserved:
+            first, _, before = runs.pop()
+            members += before
+        runs.append((first, reserved, members))
+
+    position = 0
+    for index in sorted(measured.union(admitted)):
+        extend(position, False, index - position)
+        if index not in measured:
+            extend(index, True, 1)
+        position = index + 1
+    extend(position, False, streams - position)
+    return runs
 
 
 class ScaleResult:
@@ -296,56 +366,44 @@ def run_scale_experiment(
     for j in range(max(1, tenants)):
         controller.set_tenant_pool(f"t{j}", pool)
 
-    plans = []  # (name, tenant, corba, admitted)
-    for i in range(n):
-        name = f"s{i:05d}"
-        tenant = _tenant_of(arm, i, n, max(1, tenants))
-        admitted = False
-        corba = None
-        if arm.admission:
-            decision = controller.request(
-                name, src="src", dst="dst", rate_bps=RESERVE_BPS,
-                tenant=tenant)
-            admitted = decision.admitted
-            if admitted:
-                corba = BASE_CORBA_PRIORITY - (i % 1024) * (LANE_STEP // 5)
-        plans.append((name, tenant, corba, admitted))
+    admitted_idx = (_admit_population(controller, arm, n, max(1, tenants))
+                    if arm.admission else [])
+    admitted_set = set(admitted_idx)
+
+    def plan_of(i: int) -> Tuple[str, Optional[int], bool]:
+        """``(name, corba, admitted)`` of stream ``i``."""
+        admitted = i in admitted_set
+        corba = (BASE_CORBA_PRIORITY - (i % 1024) * (LANE_STEP // 5)
+                 if admitted else None)
+        return _stream_name(i), corba, admitted
 
     # --- split the population: measured packet cohort vs fluid bulk ---
-    measured_idx = []
     if fluid:
-        admitted_taken = 0
-        rejected_taken = 0
-        for i, (_nm, _tn, _cp, admitted) in enumerate(plans):
-            if admitted and admitted_taken < measured_per_class:
-                measured_idx.append(i)
-                admitted_taken += 1
-            elif not admitted and rejected_taken < measured_per_class:
-                measured_idx.append(i)
-                rejected_taken += 1
-            if (admitted_taken >= measured_per_class
-                    and rejected_taken >= measured_per_class):
-                break
+        first_rejected = islice(
+            (i for i in range(n) if i not in admitted_set),
+            measured_per_class)
+        measured_idx = sorted(
+            admitted_idx[:measured_per_class] + list(first_rejected))
     else:
         measured_idx = list(range(n))
-    measured = set(measured_idx)
+    measured_plan = [plan_of(i) for i in measured_idx]
 
-    # --- fluid engine + aggregate flows -------------------------------
+    # --- fluid engine: one cohort flow per run of one class -----------
     engine: Optional[FluidEngine] = None
     if fluid:
         engine = FluidEngine(kernel, quantum=1e-3)
         fl_bott = engine.attach_interface(
             "router->dst", bottleneck.a,
             queue_bytes=BAND_CAPACITY * MEAN_FRAGMENT_BYTES)
-        for i, (name, tenant, _corba, admitted) in enumerate(plans):
-            if i in measured:
-                fl_bott.register_packet_load(WIRE_RATE_BPS,
-                                             reserved=admitted)
-                continue
+        for _name, _corba, admitted in measured_plan:
+            fl_bott.register_packet_load(WIRE_RATE_BPS, reserved=admitted)
+        for first, reserved, members in _class_runs(
+                n, admitted_idx, set(measured_idx)):
             engine.add_flow(
-                name, WIRE_RATE_BPS, [fl_bott], reserved=admitted,
-                adaptive=arm.adaptation and not admitted, tenant=tenant,
-                deadline=deadline)
+                f"{_stream_name(first)}x{members}", WIRE_RATE_BPS, [fl_bott],
+                reserved=reserved,
+                adaptive=arm.adaptation and not reserved,
+                members=members, deadline=deadline)
         if cross_traffic_bps > 0:
             engine.add_flow("cross", cross_traffic_bps, [fl_bott])
     elif cross_traffic_bps > 0:
@@ -361,10 +419,9 @@ def run_scale_experiment(
     dscp_mapping = DscpMapping()
     senders: List[FarmStreamSender] = []
     receivers: List[FarmStreamReceiver] = []
-    measured_plan = [plans[i] for i in measured_idx]
 
     def driver():
-        for name, _tenant, corba, admitted in measured_plan:
+        for name, corba, admitted in measured_plan:
             if admitted:
                 dscp = dscp_mapping.to_dscp(
                     corba if corba is not None else BASE_CORBA_PRIORITY)
@@ -415,8 +472,7 @@ def run_scale_experiment(
 
     # --- capture: measured rows ---------------------------------------
     window = duration - result.measure_start
-    admitted_flags = {}
-    for sender, receiver, (name, _tenant, corba, admitted) in zip(
+    for sender, receiver, (name, corba, admitted) in zip(
             senders, receivers, measured_plan):
         sender.stop()
         delivered = receiver.frames_delivered
@@ -437,13 +493,15 @@ def run_scale_experiment(
             mean_latency=(receiver.latency.stats().mean
                           if delivered else 0.0),
         ))
-        admitted_flags[name] = admitted
 
     # --- capture: per-class aggregates over the whole population ------
+    # A cohort's per-member values are booked ``members`` times in a
+    # row, which is the sum one flow per stream would have produced.
     wire_frame_bytes = WIRE_RATE_BPS / 8.0 / VIDEO_FPS
     for admitted in (True, False):
         count = 0
-        fps_values: List[float] = []
+        fps_sum = 0.0
+        fps_min = float("inf")
         offered = served = lost = on_time_generated = generated_total = 0.0
         latency_sum = 0.0
         latencies: List[float] = []
@@ -451,7 +509,8 @@ def run_scale_experiment(
             if row.admitted != admitted:
                 continue
             count += 1
-            fps_values.append(row.fps)
+            fps_sum += row.fps
+            fps_min = min(fps_min, row.fps)
             offered += row.sent
             served += row.delivered
             lost += row.sent - row.delivered
@@ -465,28 +524,39 @@ def run_scale_experiment(
             for flow in engine.flows():
                 if flow.name == "cross" or flow.reserved != admitted:
                     continue
-                count += 1
+                members = flow.members
+                count += members
                 active = flow.active_seconds or duration
-                fps_values.append(
-                    flow.served_bytes / wire_frame_bytes / active
-                    if active > 0 else 0.0)
+                fps = (flow.served_bytes / wire_frame_bytes / active
+                       if active > 0 else 0.0)
+                fps_sum = add_repeated(fps_sum, fps, members)
+                fps_min = min(fps_min, fps)
                 if flow.offered_bytes > 0:
-                    offered += flow.offered_bytes / wire_frame_bytes
-                    served += flow.served_bytes / wire_frame_bytes
-                    lost += flow.lost_bytes / wire_frame_bytes
+                    offered = add_repeated(
+                        offered, flow.offered_bytes / wire_frame_bytes,
+                        members)
+                    served = add_repeated(
+                        served, flow.served_bytes / wire_frame_bytes,
+                        members)
+                    lost = add_repeated(
+                        lost, flow.lost_bytes / wire_frame_bytes, members)
                     nominal = flow.offered_bytes + flow.shed_bytes
-                    generated_total += nominal / wire_frame_bytes
-                    on_time_generated += (flow.served_on_time_bytes
-                                          / wire_frame_bytes)
-                latency_sum += flow.mean_latency
+                    generated_total = add_repeated(
+                        generated_total, nominal / wire_frame_bytes, members)
+                    on_time_generated = add_repeated(
+                        on_time_generated,
+                        flow.served_on_time_bytes / wire_frame_bytes,
+                        members)
+                latency_sum = add_repeated(
+                    latency_sum, flow.mean_latency, members)
         if count == 0:
             stats = None
         else:
             stats = ScaleClassStats(
                 count=count,
                 measured=measured_count,
-                mean_fps=sum(fps_values) / count,
-                min_fps=min(fps_values),
+                mean_fps=fps_sum / count,
+                min_fps=fps_min,
                 loss_rate=lost / offered if offered > 0 else 0.0,
                 miss_rate=(1.0 - on_time_generated / generated_total
                            if generated_total > 0 else 0.0),
@@ -498,8 +568,7 @@ def run_scale_experiment(
         else:
             result.best_effort_stats = stats
 
-    result.admitted_count = sum(
-        1 for (_n, _t, _c, admitted) in plans if admitted)
+    result.admitted_count = len(admitted_idx)
     for j in range(max(1, tenants)):
         tenant = f"t{j}"
         result.tenant_books[tenant] = (

@@ -36,6 +36,7 @@ from repro.check import (
     World,
     default_suite,
 )
+from repro.check.invariants import FluidConservationChecker
 
 
 def rec(time, layer, kind, flow=None, **fields):
@@ -401,6 +402,37 @@ def test_thread_state_catches_running_non_current_thread():
     checker.attach(world)
     with pytest.raises(InvariantViolation, match="not the CPU's current"):
         checker.final_check()
+
+
+# ----------------------------------------------------------------------
+# Fluid conservation
+# ----------------------------------------------------------------------
+def fluid_world(members):
+    from repro.fluid.engine import FluidEngine
+    kernel = Kernel()
+    engine = FluidEngine(kernel)
+    link = engine.add_link("l", 10e6)
+    flow = engine.add_flow("cohort", 1e6, [link], members=members)
+    checker = FluidConservationChecker()
+    checker.attach(World(kernel, fluid=engine))
+    kernel.run(until=1.0)
+    engine.finalize()
+    return flow, checker
+
+
+def test_fluid_conservation_passes_on_a_congested_cohort():
+    _flow, checker = fluid_world(members=40)
+    checker.final_check()
+
+
+def test_fluid_conservation_catches_a_memberless_cohort():
+    flow, checker = fluid_world(members=3)
+    flow.members = 0  # hand-corrupted: ledgers no link books any more
+    with pytest.raises(InvariantViolation) as err:
+        checker.final_check()
+    assert err.value.checker == "fluid-conservation"
+    assert err.value.context["flow"] == "cohort"
+    assert err.value.context["members"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ the packet plane is validated end to end in
 
 import pytest
 
+from repro.check import World, default_suite
 from repro.fluid.engine import FluidEngine, MIN_RESIDUAL_FRACTION
 from repro.sim.kernel import Kernel
 
@@ -196,6 +197,82 @@ def test_duplicate_and_invalid_arguments_raise():
     with pytest.raises(ValueError):
         engine.add_flow("g", 1e6, [])
     with pytest.raises(ValueError):
+        engine.add_flow("g", 1e6, [link], members=0)
+    with pytest.raises(ValueError):
         engine.set_rate("f", -2.0)
     with pytest.raises(ValueError):
         engine.add_link("bad", 0.0)
+
+
+def test_cohort_books_every_member_on_the_link():
+    """1000 x 1.2 Mbps into 100 Mbps as one flow: the flow's own
+    ledgers are one member's, the link's are all thousand."""
+    kernel, engine = make_engine()
+    link = engine.add_link("l", 100e6)
+    cohort = engine.add_flow("c", 1.2e6, [link], members=1000)
+    kernel.run(until=2.0)
+    engine.finalize()
+    assert len(engine.flows()) == 1
+    assert link.be_share == pytest.approx(100e6 / 1200e6)
+    assert cohort.served_share == pytest.approx(1.0 / 12.0)
+    assert cohort.offered_bytes == pytest.approx(1.2e6 * 2.0 / 8.0)
+    assert link.offered_bytes == pytest.approx(1000 * cohort.offered_bytes)
+    assert link.served_bytes == pytest.approx(100e6 * 2.0 / 8.0, rel=1e-9)
+    assert link.fluid_be_in_bps == 1000 * 1.2e6
+    assert link.fluid_served_bps == pytest.approx(100e6)
+
+
+def test_governor_counts_one_transition_per_member():
+    kernel, engine = make_engine(governor_delay=0.0)
+    link = engine.add_link("l", 10e6)
+    engine.add_flow("c", 4e6, [link], adaptive=True, members=5)
+    kernel.run(until=1.0)
+    engine.finalize()
+    assert engine.governor_transitions % 5 == 0
+    assert engine.governor_transitions >= 5
+    assert engine.flow("c").rate_bps == pytest.approx(2e6, rel=0.05)
+
+
+# ----------------------------------------------------------------------
+# set_rate above the nominal (regression, under the full checker suite)
+# ----------------------------------------------------------------------
+def checked_engine(governor_delay=None):
+    kernel, engine = make_engine(governor_delay=governor_delay)
+    suite = default_suite().install(World(kernel, fluid=engine))
+    return kernel, engine, suite
+
+
+def test_set_rate_above_nominal_raises_the_nominal():
+    """``set_rate`` used to leave ``nominal_bps`` at the admission-time
+    rate, so the t=1 epoch of this program raised ``InvariantViolation
+    [fluid-conservation] fluid flow offering above its nominal rate``."""
+    kernel, engine, suite = checked_engine()
+    link = engine.add_link("l", 100e6)
+    flow = engine.add_flow("f", 4e6, [link])
+    kernel.schedule_at(1.0, engine.set_rate, "f", 20e6)
+    kernel.schedule_at(2.0, engine.set_rate, "f", 5e6)
+    kernel.run(until=3.0)
+    engine.finalize()
+    suite.final_check()
+    assert suite.events_dispatched >= 3
+    # Raised with the rate, and not lowered again: the last second at
+    # 5 Mbps is booked as 15 Mbps shed from the 20 Mbps the app wants.
+    assert flow.nominal_bps == 20e6
+    assert flow.shed_bytes == pytest.approx(15e6 * 1.0 / 8.0)
+
+
+def test_adaptive_flow_sheds_from_its_raised_nominal():
+    """The same staleness made the governor clamp a raised adaptive
+    flow back to its *old* nominal and book no shed bytes at all."""
+    kernel, engine, suite = checked_engine(governor_delay=0.0)
+    link = engine.add_link("l", 10e6)
+    flow = engine.add_flow("f", 4e6, [link], adaptive=True)
+    kernel.schedule_at(1.0, engine.set_rate, "f", 20e6)
+    kernel.run(until=3.0)
+    engine.finalize()
+    suite.final_check()
+    assert flow.nominal_bps == 20e6
+    # Shed to what the 10 Mbps link carries, not to the stale 4 Mbps.
+    assert flow.rate_bps == pytest.approx(10e6, rel=0.05)
+    assert flow.shed_bytes == pytest.approx(
+        (20e6 - flow.rate_bps) * 2.0 / 8.0, rel=1e-6)
