@@ -20,11 +20,20 @@ after ``kernel.run`` returns.
 Checkers never mutate simulation state and never consume random
 numbers, so a checked run produces bit-identical results to an
 unchecked one.
+
+Two rules keep a checked run affordable (DESIGN §12):
+
+* a checker *declares* the record kinds it acts on (``kinds``); the
+  suite routes by ``(layer, kind)``, so ``on_event`` never re-tests the
+  kind and is never called for a record it would ignore;
+* a law evaluated per record is written ``if <violated>: self.fail(...)``
+  so its context is only built when it is about to be raised;
+  :meth:`InvariantChecker.require` is for ``final_check`` paths.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sim.quantize import EPSILON
 from repro.obs.trace import TraceRecord, Tracer
@@ -61,6 +70,7 @@ class InvariantViolation(AssertionError):
     def __init__(self, checker: str, message: str,
                  context: Optional[dict] = None) -> None:
         self.checker = checker
+        self.message = message
         self.context = dict(context or {})
         detail = ""
         if self.context:
@@ -79,24 +89,28 @@ class InvariantChecker:
     name:
         Short identifier used in violation messages.
     layers:
-        Trace layers this checker wants (``None`` = every layer).  The
-        suite fans records out by layer so uninterested checkers never
-        see them.
+        Trace layers this checker wants (``None`` = every layer).
+    kinds:
+        Record kinds within those layers that :meth:`on_event` acts on
+        (``None`` = every kind).  This is the only place interest is
+        stated: the suite never hands over any other record, so
+        ``on_event`` bodies do not test ``record.kind`` to bail out.
     """
 
     name = "invariant"
     layers: Optional[tuple] = None
+    kinds: Optional[FrozenSet[str]] = None
 
     def __init__(self) -> None:
         self.world: Optional[World] = None
-        #: Records this checker inspected (observability).
+        #: Records the suite handed to this checker (observability).
         self.events_seen = 0
 
     def attach(self, world: World) -> None:
         self.world = world
 
     def on_event(self, record: TraceRecord) -> None:  # pragma: no cover
-        """Called for every record in this checker's layers."""
+        """Called for every record of this checker's layers and kinds."""
 
     def final_check(self) -> None:  # pragma: no cover
         """Called once after the run; assert teardown laws."""
@@ -108,8 +122,16 @@ class InvariantChecker:
         raise InvariantViolation(self.name, message, context)
 
     def require(self, condition: bool, message: str, **context) -> None:
+        """``fail`` unless ``condition``.  The context is built on every
+        call, so this is for ``final_check`` paths; per-record laws test
+        first and call :meth:`fail` inside the failing branch."""
         if not condition:
             self.fail(message, **context)
+
+
+#: One dispatch-table entry: (the record's layer has a subscriber, so it
+#: counts toward ``events_dispatched``; the checkers handed the record).
+_Route = Tuple[bool, Tuple[InvariantChecker, ...]]
 
 
 class CheckSuite:
@@ -132,9 +154,9 @@ class CheckSuite:
         self.world: Optional[World] = None
         self._tracer: Optional[Tracer] = None
         self._owns_tracer = False
-        self._by_layer: Dict[str, List[InvariantChecker]] = {}
-        self._all_layers: List[InvariantChecker] = []
-        #: Records fanned out to at least one checker.
+        #: layer -> kind -> route, filled on first sight of each pair.
+        self._routes: Dict[str, Dict[str, _Route]] = {}
+        #: Records whose layer has a subscribing checker.
         self.events_dispatched = 0
 
     # ------------------------------------------------------------------
@@ -143,15 +165,9 @@ class CheckSuite:
     def install(self, world: World, tracer: Optional[Tracer] = None) -> "CheckSuite":
         """Attach every checker to ``world`` and start watching traces."""
         self.world = world
-        self._by_layer = {}
-        self._all_layers = []
+        self._routes = {}
         for checker in self.checkers:
             checker.attach(world)
-            if checker.layers is None:
-                self._all_layers.append(checker)
-            else:
-                for layer in checker.layers:
-                    self._by_layer.setdefault(layer, []).append(checker)
         kernel = world.kernel
         if tracer is None:
             tracer = kernel.tracer
@@ -179,16 +195,29 @@ class CheckSuite:
     # TraceSink protocol
     # ------------------------------------------------------------------
     def emit(self, record: TraceRecord) -> None:
-        interested = self._by_layer.get(record.layer)
-        if interested:
+        try:
+            subscribed, checkers = self._routes[record.layer][record.kind]
+        except KeyError:
+            subscribed, checkers = self._route(record.layer, record.kind)
+        if subscribed:
             self.events_dispatched += 1
-            for checker in interested:
-                checker.events_seen += 1
-                checker.on_event(record)
-        if self._all_layers:
-            for checker in self._all_layers:
-                checker.events_seen += 1
-                checker.on_event(record)
+        for checker in checkers:
+            checker.events_seen += 1
+            checker.on_event(record)
+
+    def _route(self, layer: str, kind: str) -> _Route:
+        """Resolve (and remember) who is handed ``(layer, kind)`` records:
+        the layer's subscribers, then the every-layer checkers, each only
+        if it declared ``kind`` (or declared no ``kinds`` at all)."""
+        subscribers = [c for c in self.checkers
+                       if c.layers is not None and layer in c.layers]
+        every_layer = [c for c in self.checkers if c.layers is None]
+        route = (bool(subscribers), tuple(
+            checker for checker in subscribers + every_layer
+            if checker.kinds is None or kind in checker.kinds
+        ))
+        self._routes.setdefault(layer, {})[kind] = route
+        return route
 
     def close(self) -> None:
         """TraceSink protocol; nothing to flush."""
@@ -218,18 +247,20 @@ class TimeMonotonicityChecker(InvariantChecker):
     def __init__(self) -> None:
         super().__init__()
         self._last = float("-inf")
-        self._last_kind = None
+        self._last_record: Optional[TraceRecord] = None
 
     def on_event(self, record: TraceRecord) -> None:
         if record.time < self._last:
+            previous = self._last_record
             self.fail(
                 "event time ran backwards",
                 event=f"{record.layer}.{record.kind}",
                 event_time=record.time, previous_time=self._last,
-                previous_event=self._last_kind,
+                previous_event=(None if previous is None
+                                else f"{previous.layer}.{previous.kind}"),
             )
         self._last = record.time
-        self._last_kind = f"{record.layer}.{record.kind}"
+        self._last_record = record
 
     def final_check(self) -> None:
         if self._last == float("-inf"):
@@ -253,6 +284,9 @@ class QdiscAccountingChecker(InvariantChecker):
 
     name = "qdisc-accounting"
     layers = ("net",)
+    #: Every ``hop.*`` kind an :class:`~repro.net.link.Interface` emits.
+    kinds = frozenset(("hop.enqueue", "hop.drop", "hop.dequeue",
+                       "hop.loss", "hop.rx"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -264,43 +298,42 @@ class QdiscAccountingChecker(InvariantChecker):
 
     def _check_one(self, label: str, qdisc) -> None:
         held = len(qdisc)
-        expected = qdisc.enqueued - qdisc.dequeued
-        self.require(
-            held == expected,
-            "queue length disagrees with enqueue/dequeue books",
-            qdisc=label, len=held, enqueued=qdisc.enqueued,
-            dequeued=qdisc.dequeued, dropped=qdisc.dropped,
-        )
-        self.require(
-            qdisc.enqueued >= 0 and qdisc.dequeued >= 0 and qdisc.dropped >= 0,
-            "negative queue counter", qdisc=label,
-            enqueued=qdisc.enqueued, dequeued=qdisc.dequeued,
-            dropped=qdisc.dropped,
-        )
+        if not held == qdisc.enqueued - qdisc.dequeued:
+            self.fail(
+                "queue length disagrees with enqueue/dequeue books",
+                qdisc=label, len=held, enqueued=qdisc.enqueued,
+                dequeued=qdisc.dequeued, dropped=qdisc.dropped,
+            )
+        if not (qdisc.enqueued >= 0 and qdisc.dequeued >= 0
+                and qdisc.dropped >= 0):
+            self.fail(
+                "negative queue counter", qdisc=label,
+                enqueued=qdisc.enqueued, dequeued=qdisc.dequeued,
+                dropped=qdisc.dropped,
+            )
         flow_drops = sum(qdisc.drops_by_flow.values())
-        self.require(
-            flow_drops == qdisc.dropped,
-            "per-flow drop ledger disagrees with the drop counter",
-            qdisc=label, dropped=qdisc.dropped, by_flow=flow_drops,
-        )
+        if not flow_drops == qdisc.dropped:
+            self.fail(
+                "per-flow drop ledger disagrees with the drop counter",
+                qdisc=label, dropped=qdisc.dropped, by_flow=flow_drops,
+            )
         base = getattr(qdisc, "_base", None)
         if base is not None:
-            self.require(
-                len(base) == base.enqueued - base.dequeued,
-                "inner base queue books do not balance",
-                qdisc=label, base_len=len(base),
-                base_enqueued=base.enqueued, base_dequeued=base.dequeued,
-            )
-            self.require(
-                base.dropped <= qdisc.dropped,
-                "inner base drops not mirrored into the outer queue",
-                qdisc=label, base_dropped=base.dropped,
-                outer_dropped=qdisc.dropped,
-            )
+            base_len = len(base)
+            if not base_len == base.enqueued - base.dequeued:
+                self.fail(
+                    "inner base queue books do not balance",
+                    qdisc=label, base_len=base_len,
+                    base_enqueued=base.enqueued, base_dequeued=base.dequeued,
+                )
+            if not base.dropped <= qdisc.dropped:
+                self.fail(
+                    "inner base drops not mirrored into the outer queue",
+                    qdisc=label, base_dropped=base.dropped,
+                    outer_dropped=qdisc.dropped,
+                )
 
     def on_event(self, record: TraceRecord) -> None:
-        if not record.kind.startswith("hop."):
-            return
         fields = record.fields or {}
         label = fields.get("iface")
         if label is None:
@@ -325,6 +358,7 @@ class TokenBucketChecker(InvariantChecker):
 
     name = "token-bucket"
     layers = ("net",)
+    kinds = frozenset(("hop.enqueue",))
 
     def __init__(self) -> None:
         super().__init__()
@@ -340,16 +374,14 @@ class TokenBucketChecker(InvariantChecker):
     def _check_one(self, label: str, qdisc) -> None:
         for flow_id, bucket in qdisc._buckets.items():
             tokens = bucket._tokens
-            self.require(
-                0.0 <= tokens <= bucket.depth_bytes,
-                "token count escaped [0, depth]",
-                qdisc=label, flow=flow_id, tokens=tokens,
-                depth=bucket.depth_bytes,
-            )
+            if not 0.0 <= tokens <= bucket.depth_bytes:
+                self.fail(
+                    "token count escaped [0, depth]",
+                    qdisc=label, flow=flow_id, tokens=tokens,
+                    depth=bucket.depth_bytes,
+                )
 
     def on_event(self, record: TraceRecord) -> None:
-        if record.kind != "hop.enqueue":
-            return
         fields = record.fields or {}
         qdisc = self._grqs.get(fields.get("iface"))
         if qdisc is not None:
@@ -374,32 +406,35 @@ class ReserveLedgerChecker(InvariantChecker):
 
     name = "reserve-ledger"
     layers = ("os", "net")
-
-    _OS_KINDS = frozenset(("reserve.replenish", "reserve.deplete"))
+    #: ``os`` records that move a CPU-reserve budget, ``net`` records
+    #: that move an RSVP table; :meth:`on_event` tells them by layer.
+    kinds = frozenset(("reserve.replenish", "reserve.deplete",
+                       "rsvp.expire", "rsvp.release"))
 
     def _check_cpu_ledgers(self) -> None:
         for manager in self.world.reserve_managers():
             total = 0.0
             for reserve in manager._reserves:
                 total += reserve.compute / reserve.period
-                self.require(
-                    -_LEDGER_SLACK <= reserve.budget_remaining
-                    <= reserve.compute + _LEDGER_SLACK,
-                    "reserve budget escaped [0, C]",
-                    reserve=reserve.reserve_id,
-                    budget=reserve.budget_remaining, compute=reserve.compute,
+                if not (-_LEDGER_SLACK <= reserve.budget_remaining
+                        <= reserve.compute + _LEDGER_SLACK):
+                    self.fail(
+                        "reserve budget escaped [0, C]",
+                        reserve=reserve.reserve_id,
+                        budget=reserve.budget_remaining,
+                        compute=reserve.compute,
+                    )
+                if not reserve.active:
+                    self.fail(
+                        "cancelled reserve still on the manager's books",
+                        reserve=reserve.reserve_id,
+                    )
+            if not total <= manager.utilization_bound + _LEDGER_SLACK:
+                self.fail(
+                    "admitted CPU utilization exceeds the bound",
+                    cpu=manager.cpu.name, total=total,
+                    bound=manager.utilization_bound,
                 )
-                self.require(
-                    reserve.active,
-                    "cancelled reserve still on the manager's books",
-                    reserve=reserve.reserve_id,
-                )
-            self.require(
-                total <= manager.utilization_bound + _LEDGER_SLACK,
-                "admitted CPU utilization exceeds the bound",
-                cpu=manager.cpu.name, total=total,
-                bound=manager.utilization_bound,
-            )
 
     def _check_rsvp_ledgers(self) -> None:
         for agent in self.world.rsvp_agents():
@@ -415,27 +450,23 @@ class ReserveLedgerChecker(InvariantChecker):
                 )
                 reserved = 0.0
                 for flow_id, rate in table.items():
-                    self.require(
-                        rate > 0.0,
-                        "non-positive reserved rate installed",
-                        iface=f"{interface.owner.name}.{interface.name}",
-                        flow=flow_id, rate=rate,
-                    )
+                    if not rate > 0.0:
+                        self.fail(
+                            "non-positive reserved rate installed",
+                            iface=interface.label, flow=flow_id, rate=rate,
+                        )
                     reserved += rate
-                self.require(
-                    reserved <= capacity + _LEDGER_SLACK,
-                    "RSVP reservations exceed the link budget",
-                    iface=f"{interface.owner.name}.{interface.name}",
-                    reserved=reserved, capacity=capacity,
-                )
-
-    _NET_KINDS = frozenset(("rsvp.expire", "rsvp.release"))
+                if not reserved <= capacity + _LEDGER_SLACK:
+                    self.fail(
+                        "RSVP reservations exceed the link budget",
+                        iface=interface.label,
+                        reserved=reserved, capacity=capacity,
+                    )
 
     def on_event(self, record: TraceRecord) -> None:
         if record.layer == "os":
-            if record.kind in self._OS_KINDS:
-                self._check_cpu_ledgers()
-        elif record.kind in self._NET_KINDS:
+            self._check_cpu_ledgers()
+        else:
             self._check_rsvp_ledgers()
 
     def final_check(self) -> None:
@@ -491,6 +522,8 @@ class PacketConservationChecker(InvariantChecker):
         "nic.undeliverable": (frozenset((None, DEVICE)), UNDELIVERABLE),
     }
 
+    kinds = frozenset(_TRANSITIONS) | {"route.forward"}
+
     def __init__(self) -> None:
         super().__init__()
         self._state: Dict[int, str] = {}
@@ -511,16 +544,13 @@ class PacketConservationChecker(InvariantChecker):
             return
         previous = self._state.get(packet_id)
         if record.kind == "route.forward":
-            self.require(
-                previous == self.DEVICE,
-                "packet routed while not held by a device",
-                packet=packet_id, flow=record.flow, state=previous,
-            )
+            if not previous == self.DEVICE:
+                self.fail(
+                    "packet routed while not held by a device",
+                    packet=packet_id, flow=record.flow, state=previous,
+                )
             return
-        rule = self._TRANSITIONS.get(record.kind)
-        if rule is None:
-            return
-        allowed, nxt = rule
+        allowed, nxt = self._TRANSITIONS[record.kind]
         if previous in self._TERMINAL:
             self.fail(
                 "packet resurrected after a terminal fate",
@@ -581,31 +611,30 @@ class ContractChecker(InvariantChecker):
 
     name = "contract"
     layers = ("quo",)
+    kinds = frozenset(("region.transition",))
 
     def __init__(self) -> None:
         super().__init__()
         self._last_region: Dict[str, Optional[str]] = {}
 
     def on_event(self, record: TraceRecord) -> None:
-        if record.kind != "region.transition":
-            return
         fields = record.fields or {}
         contract = fields.get("contract")
         from_region = fields.get("from_region")
         to_region = fields.get("to_region")
         if contract in self._last_region:
             expected = self._last_region[contract]
-            self.require(
-                from_region == expected,
-                "transition chain broken (nested or lost evaluation)",
-                contract=contract, from_region=from_region,
-                expected=expected, to_region=to_region,
+            if not from_region == expected:
+                self.fail(
+                    "transition chain broken (nested or lost evaluation)",
+                    contract=contract, from_region=from_region,
+                    expected=expected, to_region=to_region,
+                )
+        if not from_region != to_region:
+            self.fail(
+                "self-transition recorded",
+                contract=contract, region=to_region,
             )
-        self.require(
-            from_region != to_region,
-            "self-transition recorded",
-            contract=contract, region=to_region,
-        )
         self._last_region[contract] = to_region
 
     def final_check(self) -> None:
@@ -650,8 +679,7 @@ class ThreadStateChecker(InvariantChecker):
 
     name = "thread-state"
     layers = ("os",)
-
-    _KINDS = frozenset(("cpu.dispatch", "thread.kill"))
+    kinds = frozenset(("cpu.dispatch", "thread.kill"))
 
     def _check_all(self) -> None:
         from repro.oskernel.thread import ThreadState
@@ -660,12 +688,12 @@ class ThreadStateChecker(InvariantChecker):
         for cpu in self.world.cpus():
             current = cpu._current
             if current is not None:
-                self.require(
-                    current.state is ThreadState.RUNNING,
-                    "current thread is not in RUNNING state",
-                    cpu=cpu.name, thread=current.name,
-                    state=current.state.value,
-                )
+                if current.state is not ThreadState.RUNNING:
+                    self.fail(
+                        "current thread is not in RUNNING state",
+                        cpu=cpu.name, thread=current.name,
+                        state=current.state.value,
+                    )
                 if current.tid in running_on:
                     self.fail(
                         "thread current on two CPUs",
@@ -675,32 +703,31 @@ class ThreadStateChecker(InvariantChecker):
                 running_on[current.tid] = cpu.name
             for thread in cpu._threads:
                 if thread.state is ThreadState.RUNNING:
-                    self.require(
-                        thread is current,
-                        "RUNNING thread is not the CPU's current thread",
-                        cpu=cpu.name, thread=thread.name,
-                    )
+                    if thread is not current:
+                        self.fail(
+                            "RUNNING thread is not the CPU's current thread",
+                            cpu=cpu.name, thread=thread.name,
+                        )
                 if thread.state is ThreadState.DEAD:
-                    self.require(
-                        thread is not current,
-                        "dead thread holds the CPU",
-                        cpu=cpu.name, thread=thread.name,
-                    )
-                    self.require(
-                        not cpu._queues[thread.tid],
-                        "dead thread still has queued work",
-                        cpu=cpu.name, thread=thread.name,
-                        pending=len(cpu._queues[thread.tid]),
-                    )
-                    self.require(
-                        thread.tid not in cpu._ready_order,
-                        "dead thread still holds a ready episode",
-                        cpu=cpu.name, thread=thread.name,
-                    )
+                    if thread is current:
+                        self.fail(
+                            "dead thread holds the CPU",
+                            cpu=cpu.name, thread=thread.name,
+                        )
+                    if cpu._queues[thread.tid]:
+                        self.fail(
+                            "dead thread still has queued work",
+                            cpu=cpu.name, thread=thread.name,
+                            pending=len(cpu._queues[thread.tid]),
+                        )
+                    if thread.tid in cpu._ready_order:
+                        self.fail(
+                            "dead thread still holds a ready episode",
+                            cpu=cpu.name, thread=thread.name,
+                        )
 
     def on_event(self, record: TraceRecord) -> None:
-        if record.kind in self._KINDS:
-            self._check_all()
+        self._check_all()
 
     def final_check(self) -> None:
         self._check_all()
@@ -724,6 +751,7 @@ class FluidConservationChecker(InvariantChecker):
 
     name = "fluid-conservation"
     layers = ("fluid",)
+    kinds = frozenset(("epoch",))
 
     @staticmethod
     def _balanced(offered: float, served: float, lost: float) -> bool:
@@ -736,74 +764,73 @@ class FluidConservationChecker(InvariantChecker):
         if engine is None:
             return
         for flow in engine.flows():
-            self.require(
-                flow.members >= 1,
-                "fluid flow stands for no stream", flow=flow.name,
-                members=flow.members,
-            )
-            self.require(
-                min(flow.offered_bytes, flow.served_bytes,
-                    flow.lost_bytes, flow.shed_bytes) >= 0.0,
-                "negative fluid flow ledger", flow=flow.name,
-                offered=flow.offered_bytes, served=flow.served_bytes,
-                lost=flow.lost_bytes, shed=flow.shed_bytes,
-            )
-            self.require(
-                self._balanced(flow.offered_bytes, flow.served_bytes,
-                               flow.lost_bytes),
-                "fluid flow bytes not conserved", flow=flow.name,
-                offered=flow.offered_bytes, served=flow.served_bytes,
-                lost=flow.lost_bytes,
-            )
-            self.require(
-                -EPSILON <= flow.served_share <= 1.0 + EPSILON,
-                "fluid flow share outside [0, 1]", flow=flow.name,
-                share=flow.served_share,
-            )
-            self.require(
-                flow.rate_bps <= flow.nominal_bps + EPSILON,
-                "fluid flow offering above its nominal rate",
-                flow=flow.name, rate=flow.rate_bps,
-                nominal=flow.nominal_bps,
-            )
+            if not flow.members >= 1:
+                self.fail(
+                    "fluid flow stands for no stream", flow=flow.name,
+                    members=flow.members,
+                )
+            if not min(flow.offered_bytes, flow.served_bytes,
+                       flow.lost_bytes, flow.shed_bytes) >= 0.0:
+                self.fail(
+                    "negative fluid flow ledger", flow=flow.name,
+                    offered=flow.offered_bytes, served=flow.served_bytes,
+                    lost=flow.lost_bytes, shed=flow.shed_bytes,
+                )
+            if not self._balanced(flow.offered_bytes, flow.served_bytes,
+                                  flow.lost_bytes):
+                self.fail(
+                    "fluid flow bytes not conserved", flow=flow.name,
+                    offered=flow.offered_bytes, served=flow.served_bytes,
+                    lost=flow.lost_bytes,
+                )
+            if not -EPSILON <= flow.served_share <= 1.0 + EPSILON:
+                self.fail(
+                    "fluid flow share outside [0, 1]", flow=flow.name,
+                    share=flow.served_share,
+                )
+            if not flow.rate_bps <= flow.nominal_bps + EPSILON:
+                self.fail(
+                    "fluid flow offering above its nominal rate",
+                    flow=flow.name, rate=flow.rate_bps,
+                    nominal=flow.nominal_bps,
+                )
         for link in engine.links():
-            self.require(
-                min(link.offered_bytes, link.served_bytes,
-                    link.lost_bytes) >= 0.0,
-                "negative fluid link ledger", link=link.name,
-                offered=link.offered_bytes, served=link.served_bytes,
-                lost=link.lost_bytes,
-            )
-            self.require(
-                self._balanced(link.offered_bytes, link.served_bytes,
-                               link.lost_bytes),
-                "fluid link bytes not conserved", link=link.name,
-                offered=link.offered_bytes, served=link.served_bytes,
-                lost=link.lost_bytes,
-            )
+            if not min(link.offered_bytes, link.served_bytes,
+                       link.lost_bytes) >= 0.0:
+                self.fail(
+                    "negative fluid link ledger", link=link.name,
+                    offered=link.offered_bytes, served=link.served_bytes,
+                    lost=link.lost_bytes,
+                )
+            if not self._balanced(link.offered_bytes, link.served_bytes,
+                                  link.lost_bytes):
+                self.fail(
+                    "fluid link bytes not conserved", link=link.name,
+                    offered=link.offered_bytes, served=link.served_bytes,
+                    lost=link.lost_bytes,
+                )
             for label, share in (("reserved", link.reserved_share),
                                  ("best-effort", link.be_share)):
-                self.require(
-                    -EPSILON <= share <= 1.0 + EPSILON,
-                    f"fluid link {label} share outside [0, 1]",
-                    link=link.name, share=share,
-                )
+                if not -EPSILON <= share <= 1.0 + EPSILON:
+                    self.fail(
+                        f"fluid link {label} share outside [0, 1]",
+                        link=link.name, share=share,
+                    )
             capacity = link.capacity_bps
-            self.require(
-                link.fluid_served_bps <= capacity * (1.0 + 1e-9),
-                "fluid aggregate served above link capacity",
-                link=link.name, served=link.fluid_served_bps,
-                capacity=capacity,
-            )
-            self.require(
-                link.packet_residual_bps > 0.0,
-                "hybrid packet residual is not positive",
-                link=link.name, residual=link.packet_residual_bps,
-            )
+            if not link.fluid_served_bps <= capacity * (1.0 + 1e-9):
+                self.fail(
+                    "fluid aggregate served above link capacity",
+                    link=link.name, served=link.fluid_served_bps,
+                    capacity=capacity,
+                )
+            if not link.packet_residual_bps > 0.0:
+                self.fail(
+                    "hybrid packet residual is not positive",
+                    link=link.name, residual=link.packet_residual_bps,
+                )
 
     def on_event(self, record: TraceRecord) -> None:
-        if record.kind == "epoch":
-            self._check_all()
+        self._check_all()
 
     def final_check(self) -> None:
         self._check_all()
@@ -834,24 +861,22 @@ class RoutingChecker(InvariantChecker):
 
     name = "routing"
     layers = ("net",)
+    kinds = frozenset(("spf.install",))
 
     def _check_installed(self, router) -> None:
         for dst, egress in router.routes.items():
-            label = f"{egress.owner.name}.{egress.name}"
-            self.require(
-                egress.owner is router,
-                "route egress belongs to another device",
-                router=router.name, dst=dst, iface=label,
-            )
-            self.require(
-                egress.link is not None and egress.link.up,
-                "route installed onto a dead link",
-                router=router.name, dst=dst, iface=label,
-            )
+            if egress.owner is not router:
+                self.fail(
+                    "route egress belongs to another device",
+                    router=router.name, dst=dst, iface=egress.label,
+                )
+            if not (egress.link is not None and egress.link.up):
+                self.fail(
+                    "route installed onto a dead link",
+                    router=router.name, dst=dst, iface=egress.label,
+                )
 
     def on_event(self, record: TraceRecord) -> None:
-        if record.kind != "spf.install":
-            return
         network = self.world.network if self.world is not None else None
         if network is None:
             return
@@ -981,6 +1006,8 @@ class PubSubChecker(InvariantChecker):
 
     name = "pubsub"
     layers = ("pubsub",)
+    kinds = frozenset(("liveliness.lost", "liveliness.revived",
+                       "ownership.failover"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -990,19 +1017,19 @@ class PubSubChecker(InvariantChecker):
         return getattr(self.world, "pubsub", None) if self.world else None
 
     def on_event(self, record: TraceRecord) -> None:
-        self.events_seen += 1
         fields = record.fields or {}
-        if record.kind in ("liveliness.lost", "liveliness.revived"):
+        if record.kind != "ownership.failover":
+            # liveliness.lost / liveliness.revived
             writer = fields.get("writer")
             state = record.kind.split(".")[1]
-            self.require(
-                self._last_liveliness.get(writer) != state,
-                "liveliness flapped: repeated transition without "
-                "the opposite in between",
-                writer=writer, transition=state,
-            )
+            if not self._last_liveliness.get(writer) != state:
+                self.fail(
+                    "liveliness flapped: repeated transition without "
+                    "the opposite in between",
+                    writer=writer, transition=state,
+                )
             self._last_liveliness[writer] = state
-        elif record.kind == "ownership.failover":
+        else:
             broker = self._broker()
             new = fields.get("new")
             if broker is None or new is None:
@@ -1024,12 +1051,12 @@ class PubSubChecker(InvariantChecker):
                     ok = parts.get(writer.host_name) == pid
                 else:
                     ok = broker.writer_alive(new)
-            self.require(
-                ok,
-                "ownership handed to a dead, unknown or unreachable "
-                "writer",
-                topic=fields.get("topic"), new=new,
-            )
+            if not ok:
+                self.fail(
+                    "ownership handed to a dead, unknown or unreachable "
+                    "writer",
+                    topic=fields.get("topic"), new=new,
+                )
 
     def final_check(self) -> None:
         broker = self._broker()

@@ -84,7 +84,7 @@ class World:
             return out
         for link in self.network.links:
             for iface in (link.a, link.b):
-                out[f"{iface.owner.name}.{iface.name}"] = iface.qdisc
+                out[iface.label] = iface.qdisc
         return out
 
     def cpus(self) -> List["CPU"]:

@@ -22,9 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Interface:
     """A device port: egress qdisc + transmitter onto one link direction."""
 
-    __slots__ = ("kernel", "owner", "name", "qdisc", "link", "peer",
-                 "_busy", "bits_sent", "packets_received", "_tx_event",
-                 "fluid")
+    __slots__ = ("kernel", "owner", "name", "label", "qdisc", "link",
+                 "peer", "_busy", "bits_sent", "packets_received",
+                 "_tx_event", "fluid")
 
     def __init__(
         self,
@@ -36,6 +36,9 @@ class Interface:
         self.kernel = kernel
         self.owner = owner
         self.name = name
+        #: ``"device.iface"``: how trace records, ``World.qdiscs()`` and
+        #: checker messages name this port (the one definition).
+        self.label = f"{owner.name}.{name}"
         self.qdisc = qdisc if qdisc is not None else FifoQueue()
         self.link: Optional["Link"] = None
         self.peer: Optional["Interface"] = None
@@ -66,8 +69,8 @@ class Interface:
             tracer.instant(
                 "net", "hop.enqueue" if accepted else "hop.drop",
                 flow=packet.flow_id, packet=packet.packet_id,
-                iface=f"{self.owner.name}.{self.name}",
-                dscp=packet.dscp.name, depth=len(self.qdisc),
+                iface=self.label,
+                dscp=packet.dscp._name_, depth=len(self.qdisc),
             )
         if accepted:
             self._kick()
@@ -94,8 +97,8 @@ class Interface:
             tracer.instant(
                 "net", "hop.dequeue",
                 flow=packet.flow_id, packet=packet.packet_id,
-                iface=f"{self.owner.name}.{self.name}",
-                dscp=packet.dscp.name, tx=tx_seconds,
+                iface=self.label,
+                dscp=packet.dscp._name_, tx=tx_seconds,
             )
         event = self._tx_event
         if (event is not None and not event.cancelled
@@ -116,7 +119,7 @@ class Interface:
                 tracer.instant(
                     "net", "hop.loss",
                     flow=packet.flow_id, packet=packet.packet_id,
-                    iface=f"{self.owner.name}.{self.name}",
+                    iface=self.label,
                 )
             self._kick()
             return
@@ -130,7 +133,7 @@ class Interface:
                 tracer.instant(
                     "net", "hop.loss",
                     flow=packet.flow_id, packet=packet.packet_id,
-                    iface=f"{self.owner.name}.{self.name}",
+                    iface=self.label,
                     reason="burst",
                 )
             self._kick()
@@ -147,8 +150,8 @@ class Interface:
             tracer.instant(
                 "net", "hop.rx",
                 flow=packet.flow_id, packet=packet.packet_id,
-                iface=f"{self.owner.name}.{self.name}",
-                dscp=packet.dscp.name, hops=packet.hops,
+                iface=self.label,
+                dscp=packet.dscp._name_, hops=packet.hops,
             )
         self.owner.receive(packet, self)
 
@@ -157,7 +160,7 @@ class Interface:
         return len(self.qdisc)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Interface {self.owner.name}.{self.name}>"
+        return f"<Interface {self.label}>"
 
 
 class Link:

@@ -209,7 +209,9 @@ class DiffServQueue(QueueDiscipline):
         return len(self._bands[phb])
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._bands.values())
+        # Counted from the deques themselves, never from the books: the
+        # invariant checker verifies ``len(q) == enqueued - dequeued``.
+        return sum(map(len, self._band_order))
 
 
 class GuaranteedRateQueue(QueueDiscipline):

@@ -85,7 +85,7 @@ class Router:
         if tracer is not None:
             tracer.instant("net", "route.forward", router=self.name,
                            dst=packet.dst, flow=packet.flow_id,
-                           packet=packet.packet_id, dscp=packet.dscp.name)
+                           packet=packet.packet_id, dscp=packet.dscp._name_)
         egress.send(packet)
 
     def _drop(self, packet: Packet, reason: str) -> None:

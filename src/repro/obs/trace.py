@@ -181,6 +181,7 @@ class Tracer:
         request: Optional[int] = None,
         **fields,
     ) -> None:
+        """The one path every record takes: filter, build, count, fan out."""
         if self._layers is not None and layer not in self._layers:
             return
         record = TraceRecord(
@@ -193,14 +194,20 @@ class Tracer:
         for sink in self.sinks:
             sink.emit(record)
 
-    def begin(self, layer: str, kind: str, span: str, **kw) -> None:
-        self.emit(layer, kind, PHASE_BEGIN, span=span, **kw)
+    #: An instant is ``emit`` at its default phase.  The same function,
+    #: not a wrapper: nine records in ten are instants, and a wrapper
+    #: would pack and unpack every call site's keywords a second time.
+    instant = emit
 
-    def end(self, layer: str, kind: str, span: str, **kw) -> None:
-        self.emit(layer, kind, PHASE_END, span=span, **kw)
+    def begin(self, layer: str, kind: str, span: str,
+              flow: Optional[str] = None, request: Optional[int] = None,
+              **fields) -> None:
+        self.emit(layer, kind, PHASE_BEGIN, span, flow, request, **fields)
 
-    def instant(self, layer: str, kind: str, **kw) -> None:
-        self.emit(layer, kind, PHASE_INSTANT, **kw)
+    def end(self, layer: str, kind: str, span: str,
+            flow: Optional[str] = None, request: Optional[int] = None,
+            **fields) -> None:
+        self.emit(layer, kind, PHASE_END, span, flow, request, **fields)
 
     # ------------------------------------------------------------------
     # Convenience

@@ -36,7 +36,7 @@ from repro.check import (
     World,
     default_suite,
 )
-from repro.check.invariants import FluidConservationChecker
+from repro.check.invariants import FluidConservationChecker, PubSubChecker
 
 
 def rec(time, layer, kind, flow=None, **fields):
@@ -220,18 +220,22 @@ def test_reserve_ledger_catches_overcommitted_utilization():
 def test_rsvp_ledger_catches_oversubscribed_link():
     world = bare_world()
     iface = Bag(owner=Bag(name="router"), name="router->dst",
+                label="router.router->dst",
                 link=Bag(bandwidth_bps=1e6, nominal_bandwidth_bps=1e6))
     agent = Bag(utilization_bound=0.9, _reserved={iface: {"f:1->d:2": 2e6}})
     world.rsvp_agents = lambda: [agent]
     checker = ReserveLedgerChecker()
     checker.attach(world)
-    with pytest.raises(InvariantViolation, match="exceed the link budget"):
+    with pytest.raises(InvariantViolation,
+                       match="exceed the link budget") as err:
         checker.final_check()
+    assert err.value.context["iface"] == "router.router->dst"
 
 
 def test_rsvp_ledger_catches_non_positive_rate():
     world = bare_world()
     iface = Bag(owner=Bag(name="router"), name="router->dst",
+                label="router.router->dst",
                 link=Bag(bandwidth_bps=1e6, nominal_bandwidth_bps=1e6))
     agent = Bag(utilization_bound=0.9, _reserved={iface: {"f:1->d:2": 0.0}})
     world.rsvp_agents = lambda: [agent]
@@ -469,6 +473,25 @@ def test_suite_fans_out_by_layer():
     suite.emit(rec(0.0, "net", "hop.enqueue", flow="f", iface="?", packet=1))
     assert qdisc_only.events_seen == 1
     assert suite.events_dispatched == 1
+
+
+def test_suite_counts_a_pubsub_record_once():
+    """``PubSubChecker.on_event`` used to bump ``events_seen`` on top of
+    the suite's own increment, doubling its row in ``summary()``."""
+    suite = CheckSuite([PubSubChecker()]).install(bare_world())
+    suite.emit(rec(1.0, "pubsub", "liveliness.lost", writer="w"))
+    suite.emit(rec(2.0, "pubsub", "liveliness.revived", writer="w"))
+    assert suite.summary()["pubsub"] == 2
+    assert suite.events_dispatched == 2
+
+
+def test_suite_hands_a_checker_only_the_kinds_it_declared():
+    suite = CheckSuite([PubSubChecker(), TimeMonotonicityChecker()])
+    suite.install(bare_world())
+    suite.emit(rec(0.0, "pubsub", "sample.unmatched", reader="r"))
+    # Dispatched (the layer has a subscriber) but not the checker's kind.
+    assert suite.events_dispatched == 1
+    assert suite.summary() == {"pubsub": 0, "time-monotonic": 1}
 
 
 def test_suite_propagates_violations_fail_fast():
