@@ -278,8 +278,10 @@ class QdiscAccountingChecker(InvariantChecker):
 
     (Dropped packets never enter the queue, so they do not appear in
     the length identity; ``dropped`` is separately required to be
-    non-negative and, for :class:`GuaranteedRateQueue`, to cover every
-    drop of the inner DiffServ base exactly once.)
+    non-negative, to equal the per-flow drop ledger, and to have grown
+    by exactly one per ``hop.drop`` record the interface emitted since
+    attach: a rejection that bypasses the books is caught on any
+    discipline.)
     """
 
     name = "qdisc-accounting"
@@ -291,10 +293,14 @@ class QdiscAccountingChecker(InvariantChecker):
     def __init__(self) -> None:
         super().__init__()
         self._qdiscs: Dict[str, object] = {}
+        #: label -> ``qdisc.dropped`` at attach + hop.drop records since.
+        self._drops_expected: Dict[str, int] = {}
 
     def attach(self, world: World) -> None:
         super().attach(world)
         self._qdiscs = world.qdiscs()
+        self._drops_expected = {
+            label: qdisc.dropped for label, qdisc in self._qdiscs.items()}
 
     def _check_one(self, label: str, qdisc) -> None:
         held = len(qdisc)
@@ -317,21 +323,13 @@ class QdiscAccountingChecker(InvariantChecker):
                 "per-flow drop ledger disagrees with the drop counter",
                 qdisc=label, dropped=qdisc.dropped, by_flow=flow_drops,
             )
-        base = getattr(qdisc, "_base", None)
-        if base is not None:
-            base_len = len(base)
-            if not base_len == base.enqueued - base.dequeued:
-                self.fail(
-                    "inner base queue books do not balance",
-                    qdisc=label, base_len=base_len,
-                    base_enqueued=base.enqueued, base_dequeued=base.dequeued,
-                )
-            if not base.dropped <= qdisc.dropped:
-                self.fail(
-                    "inner base drops not mirrored into the outer queue",
-                    qdisc=label, base_dropped=base.dropped,
-                    outer_dropped=qdisc.dropped,
-                )
+
+    def _check_drops_booked(self, label: str, qdisc) -> None:
+        if not qdisc.dropped == self._drops_expected[label]:
+            self.fail(
+                "drop not booked", qdisc=label, dropped=qdisc.dropped,
+                expected=self._drops_expected[label],
+            )
 
     def on_event(self, record: TraceRecord) -> None:
         fields = record.fields or {}
@@ -341,10 +339,14 @@ class QdiscAccountingChecker(InvariantChecker):
         qdisc = self._qdiscs.get(label)
         if qdisc is not None:
             self._check_one(label, qdisc)
+            if record.kind == "hop.drop":
+                self._drops_expected[label] += 1
+                self._check_drops_booked(label, qdisc)
 
     def final_check(self) -> None:
         for label, qdisc in self._qdiscs.items():
             self._check_one(label, qdisc)
+            self._check_drops_booked(label, qdisc)
 
 
 class TokenBucketChecker(InvariantChecker):

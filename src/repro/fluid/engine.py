@@ -168,7 +168,7 @@ class FluidLink:
         "name", "engine", "iface", "delay", "queue_bytes", "up",
         "_capacity_bps", "packet_reserved_bps", "packet_be_bps",
         "reserved_share", "be_share", "fluid_served_bps", "fluid_be_in_bps",
-        "packet_residual_bps", "be_queue_delay", "_be_band_base",
+        "packet_residual_bps", "be_queue_delay", "_be_band_nominal",
         "offered_bytes", "served_bytes", "lost_bytes",
     )
 
@@ -198,7 +198,7 @@ class FluidLink:
         self.be_queue_delay = 0.0
         #: The attached qdisc's native BE band capacity, captured the
         #: first time the fluid aggregate claims its share of it.
-        self._be_band_base: Optional[int] = None
+        self._be_band_nominal: Optional[int] = None
         # -- integrated ledgers (fluid bytes only) ----------------------
         self.offered_bytes = 0.0
         self.served_bytes = 0.0
@@ -238,21 +238,20 @@ class FluidLink:
         if iface is None:
             return
         from repro.net.diffserv import PhbClass
+        from repro.net.queues import DiffServQueue
         qdisc = iface.qdisc
-        base = getattr(qdisc, "_base", qdisc)  # GRQ wraps a DiffServ base
-        capacities = getattr(base, "_capacities", None)
-        if capacities is None:
+        if not isinstance(qdisc, DiffServQueue):
             return  # plain FIFO etc.: no band budget to share
-        if self._be_band_base is None:
-            self._be_band_base = capacities[PhbClass.DEFAULT]
+        if self._be_band_nominal is None:
+            self._be_band_nominal = qdisc.band_capacity(PhbClass.DEFAULT)
         fluid_be = self.fluid_be_in_bps
         if fluid_be <= EPSILON:
             share = 1.0
         else:
             total = self.packet_be_bps + fluid_be
             share = self.packet_be_bps / total if total > EPSILON else 1.0
-        capacities[PhbClass.DEFAULT] = max(
-            1, int(round(self._be_band_base * share)))
+        qdisc.set_band_capacity(
+            PhbClass.DEFAULT, max(1, int(round(self._be_band_nominal * share))))
 
     def on_link_state(self, up: bool) -> None:
         """Fault-layer notification: the underlying link failed/restored."""

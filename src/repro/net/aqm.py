@@ -117,11 +117,14 @@ class RedQueue(QueueDiscipline):
             if not self._signal(packet):
                 return self._drop(packet)
         self._queue.append(packet)
-        return self._accept(packet)
+        self.enqueued += 1
+        return True
 
     def dequeue(self) -> Optional[Packet]:
-        packet = self._queue.popleft() if self._queue else None
-        return self._record_dequeue(packet)
+        if not self._queue:
+            return None
+        self.dequeued += 1
+        return self._queue.popleft()
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -74,18 +74,33 @@ def _classify(dscp: Dscp) -> PhbClass:
     return PhbClass.DEFAULT
 
 
-def _drop_precedence(dscp: Dscp) -> int:
+def drop_precedence(dscp: Dscp) -> int:
+    """AF drop precedence (1..3); non-AF codepoints get the lowest (1)."""
     value = int(dscp)
     if 10 <= value <= 38 and value not in (16, 24, 32):
         return ((value >> 1) & 0x3)
     return 1
 
 
+#: RFC 2597 drop precedence -> the band-fill fraction above which it is
+#: rejected (precedence 1 only drops when the band is full).
+DROP_PRECEDENCE_THRESHOLDS = {1: 1.0, 2: 2.0 / 3.0, 3: 1.0 / 3.0}
+
+
+def band_of(dscp: Dscp) -> tuple:
+    """``(band, AF drop-precedence fill fraction | None)``, computed."""
+    phb = _classify(dscp)
+    if PhbClass.ASSURED4 <= phb <= PhbClass.ASSURED1:
+        return phb, DROP_PRECEDENCE_THRESHOLDS[drop_precedence(dscp)]
+    return phb, None
+
+
 # Classification runs once per enqueue on every hop — the hottest
-# per-packet code in the simulator — so both mappings are precomputed
-# over the (closed) codepoint set and served by dict lookup.
-_PHB_OF: dict = {dscp: _classify(dscp) for dscp in Dscp}
-_PRECEDENCE_OF: dict = {dscp: _drop_precedence(dscp) for dscp in Dscp}
+# per-packet code in the simulator — so it is precomputed over the
+# (closed) codepoint set into the one table every queue shares (a queue
+# keeps only its band capacities): codepoint -> :func:`band_of`, which
+# is also the fallback for codepoints outside the set.
+BAND_OF: dict = {dscp: band_of(dscp) for dscp in Dscp}
 
 
 def classify(dscp: Dscp) -> PhbClass:
@@ -94,11 +109,5 @@ def classify(dscp: Dscp) -> PhbClass:
     EF and CS5..CS7 land in the expedited class; AF classes keep their
     relative ordering; everything else is best effort.
     """
-    phb = _PHB_OF.get(dscp)
-    return phb if phb is not None else _classify(dscp)
-
-
-def drop_precedence(dscp: Dscp) -> int:
-    """AF drop precedence (1..3); non-AF codepoints get the lowest (1)."""
-    precedence = _PRECEDENCE_OF.get(dscp)
-    return precedence if precedence is not None else _drop_precedence(dscp)
+    entry = BAND_OF.get(dscp)
+    return entry[0] if entry is not None else _classify(dscp)

@@ -24,7 +24,7 @@ class Interface:
 
     __slots__ = ("kernel", "owner", "name", "label", "qdisc", "link",
                  "peer", "_busy", "bits_sent", "packets_received",
-                 "_tx_event", "fluid")
+                 "_tx_event", "_rx_event", "fluid")
 
     def __init__(
         self,
@@ -47,6 +47,10 @@ class Interface:
         #: most one transmission is in flight per interface, so the
         #: handle is reusable the moment it has fired).
         self._tx_event = None
+        #: Likewise the peer's delivery event: reusable whenever the
+        #: previous frame has already crossed the wire (always, on a
+        #: link whose delay is shorter than a transmission).
+        self._rx_event = None
         #: Bits pushed onto the wire (observability).
         self.bits_sent = 0
         #: Packets fully received from the wire.
@@ -72,15 +76,16 @@ class Interface:
                 iface=self.label,
                 dscp=packet.dscp._name_, depth=len(self.qdisc),
             )
-        if accepted:
+        if accepted and not self._busy:
             self._kick()
         return accepted
 
     def _kick(self) -> None:
         if self._busy:
             return
-        assert self.link is not None
-        if not self.link.up:
+        link = self.link
+        assert link is not None
+        if not link.up:
             # The transmitter idles while the link is down; restore()
             # kicks it again.  Queued packets survive the outage.
             return
@@ -91,7 +96,7 @@ class Interface:
         if self.fluid is not None:
             tx_seconds = packet.size_bits / self.fluid.packet_residual_bps
         else:
-            tx_seconds = packet.size_bits / self.link.bandwidth_bps
+            tx_seconds = packet.size_bits / link.bandwidth_bps
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant(
@@ -110,37 +115,41 @@ class Interface:
 
     def _transmit_done(self, packet: Packet) -> None:
         self._busy = False
-        assert self.link is not None and self.peer is not None
-        if not self.link.up:
-            # The link died mid-transmission: the frame is lost.
-            self.link.packets_lost += 1
-            tracer = self.kernel.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "net", "hop.loss",
-                    flow=packet.flow_id, packet=packet.packet_id,
-                    iface=self.label,
-                )
-            self._kick()
-            return
-        if self.link.loss_probability > 0.0 and self.link.loss_rng is not None \
-                and self.link.loss_rng.random() < self.link.loss_probability:
-            # Injected correlated loss (e.g. a fault-plan loss burst):
-            # the frame made it onto the wire but not across it.
-            self.link.packets_lost += 1
-            tracer = self.kernel.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "net", "hop.loss",
-                    flow=packet.flow_id, packet=packet.packet_id,
-                    iface=self.label,
-                    reason="burst",
-                )
-            self._kick()
-            return
-        self.bits_sent += packet.size_bits
-        self.kernel.schedule(self.link.delay, self.peer._deliver, packet)
+        link = self.link
+        assert link is not None and self.peer is not None
+        # Common case first: link up, no injected loss.
+        faulty = not link.up or link.loss_probability > 0.0
+        if not (faulty and self._lost_on_wire(link, packet)):
+            self.bits_sent += packet.size_bits
+            event = self._rx_event
+            if (event is not None and not event.cancelled
+                    and event._kernel is None):
+                self.kernel.rearm(event, link.delay, packet)
+            else:
+                self._rx_event = self.kernel.schedule(
+                    link.delay, self.peer._deliver, packet)
         self._kick()
+
+    def _lost_on_wire(self, link: "Link", packet: Packet) -> bool:
+        """The rare ends of a transmission: the link died under the
+        frame, or an injected loss burst (fault plan) holds the link and
+        its RNG says this frame made it onto the wire but not across."""
+        if not link.up:
+            extra = {}
+        elif (link.loss_rng is not None
+                and link.loss_rng.random() < link.loss_probability):
+            extra = {"reason": "burst"}
+        else:
+            return False
+        link.packets_lost += 1
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.instant(
+                "net", "hop.loss",
+                flow=packet.flow_id, packet=packet.packet_id,
+                iface=self.label, **extra,
+            )
+        return True
 
     def _deliver(self, packet: Packet) -> None:
         self.packets_received += 1

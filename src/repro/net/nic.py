@@ -92,10 +92,12 @@ class Nic:
 
     def egress_for(self, destination: str) -> Interface:
         """Interface used for traffic toward ``destination``."""
+        chosen = self.routes.get(destination)
+        if chosen is not None:
+            return chosen
         if not self.interfaces:
             raise RuntimeError(f"{self.name} is not attached to a link")
-        chosen = self.routes.get(destination)
-        return chosen if chosen is not None else self.interfaces[0]
+        return self.interfaces[0]
 
     def receive(self, packet: Packet, ingress: Interface) -> None:
         tracer = self.kernel.tracer
@@ -133,7 +135,13 @@ class Nic:
             # Loopback: deliver on the next tick, no wire involved.
             self.kernel.schedule(0.0, self.receive, packet, None)
             return True
-        return self.egress_for(packet.dst).send(packet)
+        # egress_for(), resolved in this frame (one call per packet).
+        egress = self.routes.get(packet.dst)
+        if egress is None:
+            if not self.interfaces:
+                raise RuntimeError(f"{self.name} is not attached to a link")
+            egress = self.interfaces[0]
+        return egress.send(packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Nic {self.name}.{self.ifname}>"

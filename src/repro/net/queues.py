@@ -10,15 +10,17 @@ Three disciplines cover the paper's experiments:
     the priority-based network management arms (Figs 5, 6).
 
 ``GuaranteedRateQueue``
-    Per-flow token-bucket policed reservations layered over a
-    DiffServQueue — the IntServ/RSVP arms (Fig 7, Table 1).  Traffic
-    conforming to an installed reservation is served ahead of
-    everything else; non-conforming excess is demoted to its DSCP class
-    (and thus competes with, and drowns in, the congestion it was
-    supposed to be protected from).
+    A DiffServQueue with a reserved lane ahead of the DiffServ bands of
+    the same queue, fed by per-flow token-bucket policing — the
+    IntServ/RSVP arms (Fig 7, Table 1).  Traffic conforming to an
+    installed reservation is served ahead of everything else;
+    non-conforming excess is demoted to its DSCP class (and thus
+    competes with, and drowns in, the congestion it was supposed to be
+    protected from).
 
-All disciplines account drops and enqueue/dequeue counts so experiments
-and tests can assert on loss behaviour.
+A packet is classified once per enqueue, by one lookup in the shared
+codepoint table of :mod:`repro.net.diffserv` (the one classifier).  Each
+queue keeps one set of books, and a rejection is booked exactly once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, Optional
 
 from repro.sim.kernel import Kernel
 from repro.sim.quantize import clamp
-from repro.net.diffserv import PhbClass, classify, drop_precedence
+from repro.net.diffserv import BAND_OF, PhbClass, band_of
 from repro.net.packet import Packet
 
 
@@ -106,10 +108,6 @@ class QueueDiscipline:
         raise NotImplementedError
 
     # -- shared accounting ----------------------------------------------
-    def _accept(self, packet: Packet) -> bool:
-        self.enqueued += 1
-        return True
-
     def _drop(self, packet: Packet) -> bool:
         self.dropped += 1
         self.drops_by_flow[packet.flow_id] = (
@@ -118,11 +116,6 @@ class QueueDiscipline:
         if self.on_drop is not None:
             self.on_drop(packet)
         return False
-
-    def _record_dequeue(self, packet: Optional[Packet]) -> Optional[Packet]:
-        if packet is not None:
-            self.dequeued += 1
-        return packet
 
 
 class FifoQueue(QueueDiscipline):
@@ -139,11 +132,14 @@ class FifoQueue(QueueDiscipline):
         if len(self._queue) >= self.capacity:
             return self._drop(packet)
         self._queue.append(packet)
-        return self._accept(packet)
+        self.enqueued += 1
+        return True
 
     def dequeue(self) -> Optional[Packet]:
-        packet = self._queue.popleft() if self._queue else None
-        return self._record_dequeue(packet)
+        if not self._queue:
+            return None
+        self.dequeued += 1
+        return self._queue.popleft()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -163,14 +159,6 @@ class DiffServQueue(QueueDiscipline):
     squeezes out AFx3 of the same class under pressure.
     """
 
-    #: Band-fill fraction above which each AF drop precedence is
-    #: rejected (precedence 1 only drops when the band is full).
-    DROP_PRECEDENCE_THRESHOLDS = {1: 1.0, 2: 2.0 / 3.0, 3: 1.0 / 3.0}
-
-    #: AF bands, where RFC 2597 drop precedence applies.
-    _ASSURED_BANDS = frozenset((PhbClass.ASSURED4, PhbClass.ASSURED3,
-                                PhbClass.ASSURED2, PhbClass.ASSURED1))
-
     def __init__(
         self,
         band_capacity: int = 100,
@@ -178,35 +166,42 @@ class DiffServQueue(QueueDiscipline):
         capacities: Optional[Dict[PhbClass, int]] = None,
     ) -> None:
         super().__init__(name=name)
-        self._bands: Dict[PhbClass, deque] = {phb: deque() for phb in PhbClass}
-        self._capacities = {
-            phb: (capacities or {}).get(phb, band_capacity) for phb in PhbClass
-        }
-        # Dequeue scans bands most- to least-preferred on every packet;
-        # a precomputed deque list avoids re-iterating the enum class
-        # (enum iteration is surprisingly expensive on this hot path).
-        self._band_order = tuple(self._bands[phb] for phb in PhbClass)
+        # Both indexed by PhbClass (an IntEnum counting from 0).
+        self._bands = tuple(deque() for _ in PhbClass)
+        self._capacities = [(capacities or {}).get(phb, band_capacity)
+                            for phb in PhbClass]
+        #: The physical deques in service order, most-preferred first.
+        self._band_order = self._bands
 
     def enqueue(self, packet: Packet) -> bool:
-        band = classify(packet.dscp)
+        dscp = packet.dscp
+        band, fill = BAND_OF.get(dscp) or band_of(dscp)
         queue = self._bands[band]
         threshold = self._capacities[band]
-        if band in self._ASSURED_BANDS:
-            precedence = drop_precedence(packet.dscp)
-            threshold *= self.DROP_PRECEDENCE_THRESHOLDS[precedence]
+        if fill is not None:
+            threshold *= fill
         if len(queue) >= threshold:
             return self._drop(packet)
         queue.append(packet)
-        return self._accept(packet)
+        self.enqueued += 1
+        return True
 
     def dequeue(self) -> Optional[Packet]:
-        for queue in self._band_order:  # most- to least-preferred
+        for queue in self._band_order:
             if queue:
-                return self._record_dequeue(queue.popleft())
-        return self._record_dequeue(None)
+                self.dequeued += 1
+                return queue.popleft()
+        return None
 
     def band_depth(self, phb: PhbClass) -> int:
         return len(self._bands[phb])
+
+    def band_capacity(self, phb: PhbClass) -> int:
+        return self._capacities[phb]
+
+    def set_band_capacity(self, phb: PhbClass, capacity: int) -> None:
+        """Re-budget one band; packets already queued stay queued."""
+        self._capacities[phb] = capacity
 
     def __len__(self) -> int:
         # Counted from the deques themselves, never from the books: the
@@ -214,17 +209,16 @@ class DiffServQueue(QueueDiscipline):
         return sum(map(len, self._band_order))
 
 
-class GuaranteedRateQueue(QueueDiscipline):
-    """IntServ guaranteed-rate service over a DiffServ base.
+class GuaranteedRateQueue(DiffServQueue):
+    """IntServ guaranteed-rate service: a reserved lane ahead of the
+    DiffServ bands of the same queue.  Flows with installed reservations
+    are policed by per-flow token buckets at enqueue time:
 
-    Flows with installed reservations are policed by per-flow token
-    buckets at enqueue time:
-
-    * conforming packets join the *reserved* queue, served strictly
+    * conforming packets join the *reserved* lane, served strictly
       first (the integrated-services guarantee);
-    * non-conforming packets are demoted into the underlying DiffServ
-      bands according to their DSCP, i.e. excess traffic receives
-      exactly the treatment it would have had with no reservation.
+    * non-conforming packets are demoted into the DiffServ bands
+      according to their DSCP, i.e. excess traffic receives exactly the
+      treatment it would have had with no reservation.
 
     Reservations are installed/removed by RSVP agents
     (:mod:`repro.net.intserv`) as RESV messages traverse the router.
@@ -237,16 +231,11 @@ class GuaranteedRateQueue(QueueDiscipline):
         reserved_capacity: int = 400,
         name: str = "intserv",
     ) -> None:
-        super().__init__(name=name)
+        super().__init__(band_capacity=band_capacity, name=name)
         self._kernel = kernel
         self._reserved: deque = deque()
         self.reserved_capacity = int(reserved_capacity)
-        self._base = DiffServQueue(band_capacity=band_capacity)
-        # Base-queue drops (demotion-then-overflow) are folded into this
-        # queue's books through the base's own on_drop hook, so every
-        # drop increments drops_by_flow and fires self.on_drop exactly
-        # once, whichever internal path rejected the packet.
-        self._base.on_drop = self._mirror_base_drop
+        self._band_order = (self._reserved,) + self._bands
         self._buckets: Dict[str, TokenBucket] = {}
         #: Packets that conformed to a reservation (observability).
         self.conformed = 0
@@ -254,11 +243,16 @@ class GuaranteedRateQueue(QueueDiscipline):
         self.demoted = 0
 
     # -- reservation management -----------------------------------------
-    def install_reservation(
-        self, flow_id: str, rate_bps: float, depth_bytes: int
-    ) -> None:
-        """Create/replace the token bucket policing ``flow_id``."""
-        self._buckets[flow_id] = TokenBucket(self._kernel, rate_bps, depth_bytes)
+    def install_reservation(self, flow_id: str, rate_bps: float,
+                            depth_bytes: int) -> None:
+        """Police ``flow_id`` with a fresh (full) token bucket, unless it
+        already holds one of this very flowspec: an RSVP refresh or RESV
+        retry must not hand the flow a free burst."""
+        bucket = self._buckets.get(flow_id)
+        if (bucket is None or bucket.rate_bps != float(rate_bps)
+                or bucket.depth_bytes != int(depth_bytes)):
+            self._buckets[flow_id] = TokenBucket(
+                self._kernel, rate_bps, depth_bytes)
 
     def remove_reservation(self, flow_id: str) -> None:
         self._buckets.pop(flow_id, None)
@@ -267,30 +261,27 @@ class GuaranteedRateQueue(QueueDiscipline):
         return dict(self._buckets)
 
     # -- discipline -------------------------------------------------------
-    def _mirror_base_drop(self, packet: Packet) -> None:
-        self._drop(packet)
-
     def enqueue(self, packet: Packet) -> bool:
         bucket = self._buckets.get(packet.flow_id)
-        if bucket is not None and bucket.try_consume(packet.size_bytes):
-            if len(self._reserved) >= self.reserved_capacity:
-                return self._drop(packet)
-            self.conformed += 1
-            self._reserved.append(packet)
-            return self._accept(packet)
         if bucket is not None:
+            if bucket.try_consume(packet.size_bytes):
+                if len(self._reserved) >= self.reserved_capacity:
+                    return self._drop(packet)
+                self.conformed += 1
+                self._reserved.append(packet)
+                self.enqueued += 1
+                return True
             self.demoted += 1
-        accepted = self._base.enqueue(packet)
-        if accepted:
-            return self._accept(packet)
-        # The base rejected it; its drop already mirrored into our books.
-        return False
-
-    def dequeue(self) -> Optional[Packet]:
-        if self._reserved:
-            return self._record_dequeue(self._reserved.popleft())
-        packet = self._base.dequeue()
-        return self._record_dequeue(packet)
-
-    def __len__(self) -> int:
-        return len(self._reserved) + len(self._base)
+        # DiffServQueue.enqueue's band test, repeated not called (hottest
+        # frame there is); test_queue_equivalence.py pins both copies.
+        dscp = packet.dscp
+        band, fill = BAND_OF.get(dscp) or band_of(dscp)
+        queue = self._bands[band]
+        threshold = self._capacities[band]
+        if fill is not None:
+            threshold *= fill
+        if len(queue) >= threshold:
+            return self._drop(packet)
+        queue.append(packet)
+        self.enqueued += 1
+        return True

@@ -68,25 +68,30 @@ class Router:
         return self.routes.get(destination)
 
     # ------------------------------------------------------------------
-    def receive(self, packet: Packet, ingress: Interface) -> None:
-        """Process a packet arriving on ``ingress``."""
-        if packet.protocol is Protocol.RSVP and self.rsvp_agent is not None:
+    def receive(self, packet: Packet, ingress: Optional[Interface],
+                intercept: bool = True) -> None:
+        """Process a packet arriving on ``ingress``: hand RSVP signaling
+        to the agent (unless ``intercept`` is off), forward the rest."""
+        if (intercept and packet.protocol is Protocol.RSVP
+                and self.rsvp_agent is not None):
             self.rsvp_agent.handle_transit(packet, ingress)
             return
-        self.forward(packet)
-
-    def forward(self, packet: Packet) -> None:
         egress = self.routes.get(packet.dst)
-        tracer = self.kernel.tracer
         if egress is None:
             self._drop(packet, "unroutable")
             return
         self.forwarded += 1
+        tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant("net", "route.forward", router=self.name,
                            dst=packet.dst, flow=packet.flow_id,
                            packet=packet.packet_id, dscp=packet.dscp._name_)
         egress.send(packet)
+
+    def forward(self, packet: Packet) -> None:
+        """Forward by destination alone (the RSVP agent's way back into
+        the data path for signaling it has already processed)."""
+        self.receive(packet, None, intercept=False)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         """Account one dropped packet through the same books (count,

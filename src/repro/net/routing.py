@@ -282,9 +282,9 @@ class LinkStateRouting:
         if tracer is not None:
             tracer.instant("net", "lsa.originate", router=name, seq=lsa.seq,
                            neighbors=len(lsa.neighbors))
-        self._accept(node, lsa, learned_from=None)
+        self._accept_lsa(node, lsa, learned_from=None)
 
-    def _accept(self, node: _Node, lsa: Lsa,
+    def _accept_lsa(self, node: _Node, lsa: Lsa,
                 learned_from: Optional[str]) -> None:
         current = node.lsdb.get(lsa.origin)
         if current is not None and not seq_newer(lsa.seq, current.seq):
@@ -312,7 +312,7 @@ class LinkStateRouting:
         if tracer is not None:
             tracer.instant("net", "lsa.flood", origin=lsa.origin, seq=lsa.seq,
                            frm=from_name, to=to_name)
-        self._accept(self.nodes[to_name], lsa, learned_from=from_name)
+        self._accept_lsa(self.nodes[to_name], lsa, learned_from=from_name)
 
     # ------------------------------------------------------------------
     # Aging / refresh (opt-in via max_age)

@@ -94,17 +94,13 @@ class _TrafficSource:
     def _emit(self) -> None:
         if not self._running:
             return
+        # Positional (src, dst, src_port, dst_port, protocol, payload,
+        # payload_bytes, dscp, flow_id, created_at): no keyword matching
+        # on the simulator's most-called constructor site.
         packet = Packet(
-            src=self._src_name,
-            dst=self.dst,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            protocol=Protocol.UDP,
-            payload=None,
-            payload_bytes=self.packet_bytes,
-            dscp=self.dscp,
-            flow_id=self._flow_id,
-            created_at=self.kernel.now,
+            self._src_name, self.dst, self.src_port, self.dst_port,
+            Protocol.UDP, None, self.packet_bytes, self.dscp,
+            self._flow_id, self.kernel.now,
         )
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes

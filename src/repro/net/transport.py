@@ -194,7 +194,7 @@ class StreamConnection:
         self.window = self.WINDOW if window is None else int(window)
         # --- sender state ---
         self._next_seq = 0
-        self._base = 0  # oldest unacked seq
+        self._snd_una = 0  # oldest unacked seq
         self._in_flight: Dict[int, _Segment] = {}
         self._backlog: List[_Segment] = []
         self._rto = self.INITIAL_RTO
@@ -338,7 +338,7 @@ class StreamConnection:
         # count accumulated before it is stale and must not be allowed
         # to trigger a spurious fast retransmit afterwards.
         self._dup_acks = 0
-        base_segment = self._in_flight.get(self._base)
+        base_segment = self._in_flight.get(self._snd_una)
         if base_segment is not None:
             self.retransmissions += 1
             base_segment.retransmitted = True
@@ -381,11 +381,11 @@ class StreamConnection:
         )
 
     def _handle_ack(self, ack_seq: int) -> None:
-        if ack_seq > self._base:
-            acked = ack_seq - self._base
+        if ack_seq > self._snd_una:
+            acked = ack_seq - self._snd_una
             popped = [
                 self._in_flight.pop(seq, None)
-                for seq in range(self._base, ack_seq)
+                for seq in range(self._snd_una, ack_seq)
             ]
             live = [segment for segment in popped if segment is not None]
             if live and all(not s.retransmitted for s in live):
@@ -407,7 +407,7 @@ class StreamConnection:
                 # would keep the fully backed-off RTO (up to MAX_RTO)
                 # for the rest of its life.
                 self._rto = self.INITIAL_RTO
-            self._base = ack_seq
+            self._snd_una = ack_seq
             self._dup_acks = 0
             self._consecutive_rtos = 0
             # Congestion window growth: slow start below ssthresh,
@@ -422,7 +422,7 @@ class StreamConnection:
             # NewReno-style recovery: a partial ack exposing a stale
             # hole means that hole was lost too — retransmit it now
             # rather than after another full RTO.
-            hole = self._in_flight.get(self._base)
+            hole = self._in_flight.get(self._snd_una)
             if (
                 hole is not None
                 and self._srtt is not None
@@ -433,7 +433,7 @@ class StreamConnection:
                 hole.retransmitted = True
                 self._trace_retransmit(hole, "newreno-hole")
                 self._transmit(hole)
-        elif ack_seq == self._base and self._in_flight:
+        elif ack_seq == self._snd_una and self._in_flight:
             # Even a duplicate ack proves the peer (and the return
             # path) is alive — it must reset the give-up counter just
             # like an advancing one.
@@ -443,7 +443,7 @@ class StreamConnection:
                 self._dup_acks = 0
                 self._ssthresh = max(2.0, self._cwnd / 2)
                 self._cwnd = self._ssthresh
-                base_segment = self._in_flight.get(self._base)
+                base_segment = self._in_flight.get(self._snd_una)
                 if base_segment is not None:
                     self.retransmissions += 1
                     base_segment.retransmitted = True

@@ -138,21 +138,47 @@ def test_qdisc_accounting_catches_flow_ledger_mismatch():
         checker.final_check()
 
 
-def test_qdisc_accounting_catches_unmirrored_base_drop():
-    """The exact bug class the drop-mirroring fix closed: the inner
-    DiffServ base rejects a demoted packet but the outer queue's books
-    never hear about it."""
+def _be_packet():
+    return Packet(src="a", dst="b", src_port=1, dst_port=2,
+                  protocol=Protocol.UDP, payload_bytes=500, dscp=Dscp.BE)
+
+
+def test_qdisc_accounting_catches_unbooked_drop():
+    """The bug class the exactly-once drop accounting closed: the queue
+    rejects a packet (here a band overflow) but its books never hear
+    about it.  Caught on the interface's ``hop.drop`` record."""
     _, _, world = grq_world()
     checker = QdiscAccountingChecker()
     checker.attach(world)
-    qdisc = next(iter(world.qdiscs().values()))
-    qdisc._base.on_drop = None  # sever the mirror
-    for _ in range(4):  # band capacity 2: two accepted, two base drops
-        qdisc.enqueue(Packet(src="a", dst="b", src_port=1, dst_port=2,
-                             protocol=Protocol.UDP, payload_bytes=500,
-                             dscp=Dscp.BE))
-    assert qdisc._base.dropped > qdisc.dropped  # the corruption
-    with pytest.raises(InvariantViolation, match="not mirrored"):
+    label, qdisc = next(iter(world.qdiscs().items()))
+    qdisc._drop = lambda packet: False  # refuse without booking
+    # Band capacity 2: two accepted, two unbooked rejections.
+    assert [qdisc.enqueue(_be_packet()) for _ in range(4)] == [
+        True, True, False, False]
+    assert qdisc.dropped == 0  # the corruption
+    checker.final_check()  # the interface has reported no drop yet
+    with pytest.raises(InvariantViolation, match="drop not booked"):
+        checker.on_event(rec(0.0, "net", "hop.drop", flow="f",
+                             iface=label, packet=3))
+
+
+def test_qdisc_accounting_counts_drops_since_attach():
+    """Drops booked before the checker attached are not its business;
+    one booked and reported after it passes, per record and at teardown;
+    a booked drop the interface never reported fails at teardown."""
+    _, _, world = fifo_world()
+    label, qdisc = next(iter(world.qdiscs().items()))
+    for _ in range(6):  # capacity 4: two honest drops before attach
+        qdisc.enqueue(_be_packet())
+    checker = QdiscAccountingChecker()
+    checker.attach(world)
+    packet = _be_packet()
+    assert not qdisc.enqueue(packet)
+    checker.on_event(rec(0.0, "net", "hop.drop", flow=packet.flow_id,
+                         iface=label, packet=packet.packet_id))
+    checker.final_check()
+    assert not qdisc.enqueue(_be_packet())  # booked, never reported
+    with pytest.raises(InvariantViolation, match="drop not booked"):
         checker.final_check()
 
 

@@ -102,9 +102,10 @@ def _congested_case(faults=()):
 
 
 def _reintroduce_drop_bug(monkeypatch):
-    """Undo the exactly-once drop-accounting fix: base drops vanish."""
-    monkeypatch.setattr(GuaranteedRateQueue, "_mirror_base_drop",
-                        lambda self, packet: None)
+    """Undo exactly-once drop accounting: a guaranteed-rate queue
+    refuses packets without booking them."""
+    monkeypatch.setattr(GuaranteedRateQueue, "_drop",
+                        lambda self, packet: False)
 
 
 def test_reintroduced_drop_bug_is_caught(monkeypatch):
@@ -115,7 +116,7 @@ def test_reintroduced_drop_bug_is_caught(monkeypatch):
     assert not verdict["ok"]
     assert verdict["failure"] == "invariant"
     assert verdict["checker"] == "qdisc-accounting"
-    assert "not mirrored" in verdict["message"]
+    assert "drop not booked" in verdict["message"]
 
 
 def test_shrink_reduces_the_failing_case(monkeypatch):

@@ -217,3 +217,54 @@ def test_bucket_refill_restores_conformance():
     kernel.run()
     queue.enqueue(make_packet(flow_id="video"))
     assert queue.conformed == 2
+
+
+def drained_bucket(kernel, queue):
+    """``video`` reserved at 8 kbps / 2000 B, one 1040 B packet spent at
+    t=0 and the clock at 0.1 s: 960 tokens as of the last refill."""
+    queue.install_reservation("video", rate_bps=8e3, depth_bytes=2000)
+    assert queue.enqueue(make_packet(flow_id="video"))
+    kernel.run(until=0.1)
+    bucket = queue.reserved_flows()["video"]
+    assert (bucket._tokens, bucket._last_update) == (960.0, 0.0)
+    return bucket
+
+
+def test_reinstalling_the_same_flowspec_keeps_the_bucket():
+    """An RSVP refresh / RESV retry re-installs what is already there;
+    it must not top the bucket up (a free burst per refresh)."""
+    kernel = Kernel()
+    queue = GuaranteedRateQueue(kernel)
+    bucket = drained_bucket(kernel, queue)
+    queue.install_reservation("video", rate_bps=8e3, depth_bytes=2000)
+    assert queue.reserved_flows()["video"] is bucket
+    assert (bucket._tokens, bucket._last_update) == (960.0, 0.0)
+    # 960 + 0.1 s x 1000 B/s = 1060 tokens: one more packet, not two.
+    assert queue.enqueue(make_packet(flow_id="video"))
+    assert queue.enqueue(make_packet(flow_id="video"))
+    assert (queue.conformed, queue.demoted) == (2, 1)
+
+
+@pytest.mark.parametrize("rate_bps, depth_bytes",
+                         [(16e3, 2000), (8e3, 4000)])
+def test_a_changed_flowspec_replaces_the_bucket(rate_bps, depth_bytes):
+    kernel = Kernel()
+    queue = GuaranteedRateQueue(kernel)
+    old = drained_bucket(kernel, queue)
+    queue.install_reservation("video", rate_bps=rate_bps,
+                              depth_bytes=depth_bytes)
+    new = queue.reserved_flows()["video"]
+    assert new is not old
+    assert (new.rate_bps, new.depth_bytes) == (rate_bps, depth_bytes)
+    assert (new._tokens, new._last_update) == (float(depth_bytes), 0.1)
+
+
+def test_remove_then_install_starts_a_full_bucket():
+    kernel = Kernel()
+    queue = GuaranteedRateQueue(kernel)
+    old = drained_bucket(kernel, queue)
+    queue.remove_reservation("video")
+    queue.install_reservation("video", rate_bps=8e3, depth_bytes=2000)
+    new = queue.reserved_flows()["video"]
+    assert new is not old
+    assert (new._tokens, new._last_update) == (2000.0, 0.1)

@@ -390,13 +390,13 @@ def test_accept_honors_a_wrapped_sequence():
     # correctly rejected as wrapped-behind).
     del node.lsdb["r2"]
     top = lsa("r2", SEQ_MODULUS - 1, [("r1", 1.0), ("r4", 1.0)])
-    routing._accept(node, top, learned_from=None)
+    routing._accept_lsa(node, top, learned_from=None)
     assert node.lsdb["r2"].seq == SEQ_MODULUS - 1
     wrapped = lsa("r2", 0, [("r1", 1.0), ("r4", 1.0)])
-    routing._accept(node, wrapped, learned_from=None)
+    routing._accept_lsa(node, wrapped, learned_from=None)
     assert node.lsdb["r2"].seq == 0  # the wrap won
     stale = lsa("r2", SEQ_MODULUS - 5, [("r1", 1.0)])
-    routing._accept(node, stale, learned_from=None)
+    routing._accept_lsa(node, stale, learned_from=None)
     assert node.lsdb["r2"].seq == 0  # pre-wrap seq is stale now
 
 
@@ -433,7 +433,7 @@ def test_ghost_lsa_expires_after_max_age():
     # router had flooded it); it floods everywhere, then must die of
     # old age because nothing refreshes it.
     ghost = lsa("ghost", 5, [], stubs=("hX",))
-    routing._accept(routing.nodes["r1"], ghost, learned_from=None)
+    routing._accept_lsa(routing.nodes["r1"], ghost, learned_from=None)
     kernel.run(until=1.0)
     assert all("ghost" in node.lsdb for node in routing.nodes.values())
     kernel.run(until=10.0)

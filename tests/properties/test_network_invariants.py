@@ -96,8 +96,8 @@ def test_prop_diffserv_serves_best_band_first(operations):
 # ----------------------------------------------------------------------
 def test_grq_demotion_then_overflow_drops_exactly_once():
     """Regression: a packet that fails its token bucket, is demoted to
-    the DiffServ base, and then overflows the band must appear once —
-    not zero times, not twice — in the outer queue's drop books."""
+    its DiffServ band, and then overflows the band must appear once —
+    not zero times, not twice — in the queue's drop books."""
     kernel = Kernel()
     queue = GuaranteedRateQueue(kernel, band_capacity=1)
     queue.install_reservation("a:1->b:2", rate_bps=8_000, depth_bytes=600)
@@ -112,7 +112,6 @@ def test_grq_demotion_then_overflow_drops_exactly_once():
 
     assert dropped == [third]         # on_drop fired exactly once
     assert queue.dropped == 1
-    assert queue._base.dropped == 1   # the base drop was mirrored up
     assert queue.drops_by_flow == {"a:1->b:2": 1}
     assert len(queue) == queue.enqueued - queue.dequeued == 2
 
@@ -134,7 +133,7 @@ def test_prop_grq_on_drop_fires_exactly_once_per_rejection(operations):
             queue.dequeue()
     assert drops == rejected
     assert queue.dropped == len(rejected)
-    assert queue._base.dropped <= queue.dropped
+    assert sum(queue.drops_by_flow.values()) == queue.dropped
 
 
 # ----------------------------------------------------------------------

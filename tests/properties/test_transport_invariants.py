@@ -26,11 +26,15 @@ class LossyQueue(QueueDiscipline):
         if self.rng.random() < self.loss:
             return self._drop(packet)
         if self._inner.enqueue(packet):
-            return self._accept(packet)
+            self.enqueued += 1
+            return True
         return self._drop(packet)
 
     def dequeue(self):
-        return self._record_dequeue(self._inner.dequeue())
+        packet = self._inner.dequeue()
+        if packet is not None:
+            self.dequeued += 1
+        return packet
 
     def __len__(self):
         return len(self._inner)
