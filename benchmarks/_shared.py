@@ -1,18 +1,15 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures,
+Every benchmark regenerates one of the paper's tables or figures from
+its entry in :data:`repro.experiments.scenario_registry.FIGURES`,
 writes the paper-style rendering to ``results/<name>.txt``, prints it,
 and asserts the qualitative shape criteria recorded in EXPERIMENTS.md.
 
-Benchmarks describe their independent simulation arms as
-:class:`~repro.experiments.runner.RunSpec`\\ s and execute them through
-:func:`run_figure`, which fans them across the shared parallel
+:func:`regenerate` fans a figure's arms across the shared parallel
 :class:`~repro.experiments.runner.ExperimentRunner` (worker count from
 ``REPRO_JOBS``, default: CPU count; result cache controlled by
-``REPRO_CACHE``) and records per-figure wall time, simulated-event
-throughput and cache hits.  ``benchmarks/conftest.py`` flushes those
-records to ``BENCH_figures.json`` at the end of the session — the
-repo's performance trajectory.
+``REPRO_CACHE``).  Nothing here keeps time: ``perf/`` is the repo's
+only timing record.
 """
 
 from __future__ import annotations
@@ -20,21 +17,14 @@ from __future__ import annotations
 import os
 import pathlib
 import tempfile
-import time
-from typing import Any, Dict, List, Sequence
+from typing import List, Optional
 
-from repro.experiments.runner import ExperimentRunner, RunSpec
+from repro.experiments.runner import ExperimentRunner, RunResult
+from repro.experiments.scenario_registry import FIGURES
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-BENCH_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_figures.json"
-)
 
-#: Per-figure benchmark entries recorded this session, flushed to
-#: ``BENCH_figures.json`` by ``conftest.pytest_sessionfinish``.
-BENCH_ENTRIES: Dict[str, Dict[str, Any]] = {}
-
-_runner: ExperimentRunner = None
+_runner: Optional[ExperimentRunner] = None
 
 
 def atomic_write_text(path: pathlib.Path, text: str) -> None:
@@ -72,24 +62,13 @@ def shared_runner() -> ExperimentRunner:
     return _runner
 
 
-def run_figure(name: str, specs: Sequence[RunSpec]) -> List[Any]:
-    """Run one figure's arms through the parallel engine.
+def regenerate(name: str) -> List[RunResult]:
+    """Run figure ``name`` from the table and publish its rendering.
 
-    Returns the arm payloads in spec order and records the figure's
-    wall time, executed simulation events, worker count and cache hits
-    for ``BENCH_figures.json``.
+    Returns the results in spec order (arm-major, sweep points
+    ascending), which is the order the shape assertions unpack.
     """
-    runner = shared_runner()
-    started = time.perf_counter()
-    results = runner.run(list(specs))
-    wall = time.perf_counter() - started
-    events = sum(r.events for r in results)
-    BENCH_ENTRIES[name] = {
-        "wall_seconds": round(wall, 4),
-        "events": events,
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
-        "runs": len(results),
-        "cache_hits": sum(1 for r in results if r.cached),
-        "workers": runner.jobs,
-    }
-    return [r.payload for r in results]
+    figure = FIGURES[name]
+    results = shared_runner().run(figure.specs())
+    publish(name, figure.render([result.payload for result in results]))
+    return results

@@ -7,40 +7,17 @@ queue (hurting every interactive request sharing the path), while
 RED+ECN holds the queue near its thresholds at nearly the same
 throughput.
 
-The arm itself lives in :mod:`repro.experiments.ablations`; this file
-renders and asserts over its payload.
+The arm lives in :mod:`repro.experiments.ablations` and its renderer
+in :mod:`repro.experiments.reporting`; this file asserts the shape.
 """
 
-from repro.experiments.reporting import render_table
-from repro.experiments.runner import RunSpec
-
-from _shared import publish, run_figure
-
-
-def run_both():
-    fifo, red = run_figure("ablation_ecn", [
-        RunSpec("ablation_ecn", {"use_red": False}),
-        RunSpec("ablation_ecn", {"use_red": True}),
-    ])
-    return {"tail-drop FIFO": fifo, "RED + ECN": red}
+from _shared import regenerate
 
 
 def test_ablation_ecn(benchmark):
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = [
-        (name,
-         r["max_queue"],
-         f"{r['mean_probe_rtt'] * 1e3:.1f} ms",
-         f"{r['worst_probe_rtt'] * 1e3:.1f} ms",
-         f"{r['bulk_throughput_mbps']:.2f} Mbps",
-         r["marked"], r["dropped"])
-        for name, r in results.items()
-    ]
-    publish("ablation_ecn", render_table(
-        ("bottleneck qdisc", "max queue (pkts)", "probe RTT (mean)",
-         "probe RTT (worst)", "bulk throughput", "ECN marks", "drops"),
-        rows))
-    fifo, red = results["tail-drop FIFO"], results["RED + ECN"]
+    results = benchmark.pedantic(
+        regenerate, args=("ablation_ecn",), rounds=1, iterations=1)
+    fifo, red = (result.payload for result in results)
     # RED+ECN keeps the standing queue about an order of magnitude
     # shorter, which interactive probes feel directly...
     assert red["max_queue"] < fifo["max_queue"] / 3

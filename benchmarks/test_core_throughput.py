@@ -1,25 +1,23 @@
-"""Event-core microbenchmark: raw scheduler throughput (``event_core``).
+"""Event-core microbenchmark: raw scheduler throughput.
 
 Unlike the figure benchmarks, this one measures the simulation kernel
 itself — no network stack, no ORB, no payload analysis — on a
 synthetic workload shaped like the table 1 hot path: a farm of
 periodic re-armed flows (traffic sources / transmitters), one
 coalesced ticker fanning out to subscribers (the capacity farm's
-FrameClock), and timeout churn that schedules far-future events and
+frame clock), and timeout churn that schedules far-future events and
 cancels them before they fire (transport retransmit timers).
 
 The workload is sized to the heaviest table 1 arm (~875 k executed
-events) and must clear two bars, recorded as the ``event_core`` entry
-in ``BENCH_figures.json`` and gated in CI via
-``check_regression.py --require event_core``:
+events) and must clear two bars, asserted here (the timing record
+itself is ``perf/``'s ``sim.raw_events_per_s``):
 
 * the run finishes in under 3 s serial (one worker, one process);
 * throughput is at least 5x the pre-rewrite core.  The old
   binary-heap core moved the whole figure suite at ~166 k events/s
   overall (11.34 M events in 68.2 s of figure wall time, table 1
   itself at 196 k events/s) — that number is frozen below as the
-  comparison point, because the committed BENCH_figures.json is
-  refreshed by the new core and can't serve as its own baseline.
+  comparison point.
 """
 
 from __future__ import annotations
@@ -29,11 +27,8 @@ import time
 from repro.sim import Kernel, PeriodicTicker
 from repro.sim.eventq import scheduler_from_env
 
-import _shared
-
 #: Overall events/s of the figure suite on the pre-rewrite heap core
-#: (BENCH_figures.json as of the fig9 capacity PR).  The acceptance
-#: bar is 5x this.
+#: (measured at the fig9 capacity PR).  The acceptance bar is 5x this.
 PRE_REWRITE_EPS = 166_000
 SPEEDUP_FLOOR = 5.0
 
@@ -114,7 +109,7 @@ def test_event_core_throughput(benchmark):
     def once():
         samples.append(_run_workload(scheduler))
 
-    # The entry uses the in-run walls (dispatch loop only, best of
+    # The bars use the in-run walls (dispatch loop only, best of
     # REPEATS); the fixture wrapper keeps this file in the
     # ``--benchmark-only`` CI selection alongside the figure benches.
     benchmark.pedantic(once, rounds=REPEATS, iterations=1)
@@ -124,15 +119,6 @@ def test_event_core_throughput(benchmark):
         "workload is non-deterministic")
     best_wall = min(wall for _, wall in samples)
     eps = events / best_wall
-    _shared.BENCH_ENTRIES["event_core"] = {
-        "wall_seconds": round(best_wall, 4),
-        "events": events,
-        "events_per_sec": round(eps),
-        "runs": 1,
-        "cache_hits": 0,
-        "workers": 1,
-        "scheduler": scheduler,
-    }
     print(f"\nevent_core[{scheduler}]: {events} events in "
           f"{best_wall:.3f}s = {eps / 1e3:.0f}k events/s "
           f"({eps / PRE_REWRITE_EPS:.1f}x pre-rewrite)")

@@ -13,21 +13,14 @@ rejected class toward what fits, and a single flooding tenant cannot
 displace anyone else's admissions.
 """
 
-from collections import defaultdict
-
-from repro.experiments.scenario_registry import figure_specs
 from repro.scale.capacity_exp import (
     RESERVE_BPS,
     UTILIZATION_BOUND,
     VIDEO_FPS,
 )
-from repro.scale.fig10 import (
-    SCALE_BOTTLENECK_BPS,
-    SCALE_TENANTS,
-    render_fig10_scale,
-)
+from repro.scale.fig10 import SCALE_BOTTLENECK_BPS, SCALE_TENANTS
 
-from _shared import BENCH_ENTRIES, publish, run_figure
+from _shared import regenerate
 
 #: Per-tenant reserve pool at the fig 10 defaults...
 TENANT_POOL_BPS = SCALE_BOTTLENECK_BPS * UTILIZATION_BOUND / SCALE_TENANTS
@@ -36,25 +29,17 @@ PER_TENANT_CAP = int(TENANT_POOL_BPS / RESERVE_BPS)
 SATURATION_ADMITTED = PER_TENANT_CAP * SCALE_TENANTS
 
 
-def run_sweeps():
-    specs = figure_specs()["fig10_scale"]
-    payloads = run_figure("fig10_scale", specs)
-    sweeps = defaultdict(list)
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    for results in sweeps.values():
-        results.sort(key=lambda r: r.streams)
-    return dict(sweeps)
-
-
 def test_fig10_scale(benchmark):
-    sweeps = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
-    publish("fig10_scale", render_fig10_scale(sweeps))
+    results = benchmark.pedantic(
+        regenerate, args=("fig10_scale",), rounds=1, iterations=1)
+    points = {(result.payload.arm.name, result.payload.streams):
+              result.payload for result in results}
+    arms = {arm for arm, _ in points}
 
     def at(arm, streams):
-        return next(r for r in sweeps[arm] if r.streams == streams)
+        return points[arm, streams]
 
-    counts = sorted(r.streams for r in sweeps["reserves"])
+    counts = sorted(n for arm, n in points if arm == "reserves")
     assert counts == [100, 1000, 10_000, 100_000]
 
     # The capacity claim at scale: admission holds the admitted class
@@ -103,7 +88,7 @@ def test_fig10_scale(benchmark):
     # The perf claim that makes fig 10 possible: hybrid event counts
     # grow sub-linearly (epochs + measured cohort, not packets), so
     # 1000x the offered load costs nowhere near 1000x the events.
-    for arm in sweeps:
+    for arm in arms:
         base = at(arm, 100).events_executed
         top = at(arm, 100_000).events_executed
         assert top < 10 * base
@@ -111,6 +96,5 @@ def test_fig10_scale(benchmark):
 
     # Wall-clock acceptance: the whole 16-point figure (including every
     # N=10^5 arm) fits the budget when measured fresh.
-    entry = BENCH_ENTRIES["fig10_scale"]
-    if not entry["cache_hits"]:
-        assert entry["wall_seconds"] < 60.0
+    if not any(result.cached for result in results):
+        assert sum(result.wall_seconds for result in results) < 60.0

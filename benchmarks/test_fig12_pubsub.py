@@ -26,9 +26,6 @@ aggregates).  Headline separation:
   strongest *reachable* writer and everything re-arbitrates on heal.
 """
 
-from collections import defaultdict
-
-from repro.experiments.scenario_registry import figure_specs
 from repro.pubsub.fig12 import (
     ADAPT_LADDER,
     LATE_JOIN_FRACTION,
@@ -36,35 +33,25 @@ from repro.pubsub.fig12 import (
     MEASURED_PER_TOPIC,
     TOPIC_RATE_HZ,
     TOPICS,
-    render_fig12_pubsub,
 )
 
-from _shared import BENCH_ENTRIES, publish, run_figure
+from _shared import regenerate
 
 MEASURED = TOPICS * MEASURED_PER_TOPIC
 #: The contracted floor: the deepest ladder rung still delivers this.
 FLOOR_FPS = TOPIC_RATE_HZ / ADAPT_LADDER[-1]
 
 
-def run_sweeps():
-    specs = figure_specs()["fig12_pubsub"]
-    payloads = run_figure("fig12_pubsub", specs)
-    sweeps = defaultdict(list)
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    for results in sweeps.values():
-        results.sort(key=lambda r: r.subscribers)
-    return dict(sweeps)
-
-
 def test_fig12_pubsub(benchmark):
-    sweeps = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
-    publish("fig12_pubsub", render_fig12_pubsub(sweeps))
+    results = benchmark.pedantic(
+        regenerate, args=("fig12_pubsub",), rounds=1, iterations=1)
+    points = {(result.payload.arm.name, result.payload.subscribers):
+              result.payload for result in results}
 
     def at(arm, subs):
-        return next(r for r in sweeps[arm] if r.subscribers == subs)
+        return points[arm, subs]
 
-    counts = sorted(r.subscribers for r in sweeps["reliable"])
+    counts = sorted(subs for arm, subs in points if arm == "reliable")
     assert counts == [128, 1024, 2048]
 
     # Discovery formed the full measured mesh in every arm (the
@@ -202,12 +189,11 @@ def test_fig12_pubsub(benchmark):
 
     # The hybrid model's perf claim: 16x the population costs nowhere
     # near 16x the events (the tail is fluid, not packets).
-    for arm in sweeps:
+    for arm in {arm for arm, _ in points}:
         assert (at(arm, 2048).events_executed
                 < 4 * at(arm, 128).events_executed)
         assert at(arm, 2048).fluid_epochs >= 1
 
-    # Wall-clock acceptance for the whole 12-point figure.
-    entry = BENCH_ENTRIES["fig12_pubsub"]
-    if not entry["cache_hits"]:
-        assert entry["wall_seconds"] < 120.0
+    # Wall-clock acceptance for the whole 21-point figure.
+    if not any(result.cached for result in results):
+        assert sum(result.wall_seconds for result in results) < 120.0

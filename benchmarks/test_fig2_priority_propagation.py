@@ -6,61 +6,16 @@ under custom per-OS mappings) landing as QNX 16 on the client, LynxOS
 every network segment.
 """
 
-from repro.sim import Kernel
-from repro.oskernel import Host, OsType
-from repro.net import Dscp, Network
-from repro.orb import Orb
-from repro.orb.rt import DscpMapping, PriorityBand, TablePriorityMapping
-from repro.core import EndToEndPriorityBinding
-from repro.experiments.reporting import render_figure2
+from repro.net import Dscp
 
-from _shared import publish
-
-
-class Figure2Mapping:
-    """The custom per-OS native mapping the figure implies."""
-
-    tables = {
-        OsType.QNX: TablePriorityMapping([(0, 0), (100, 16), (200, 24)]),
-        OsType.LYNXOS: TablePriorityMapping([(0, 0), (100, 128), (200, 192)]),
-        OsType.SOLARIS: TablePriorityMapping([(0, 100), (100, 136), (200, 150)]),
-        OsType.LINUX: TablePriorityMapping([(0, 1), (100, 50), (200, 99)]),
-        OsType.TIMESYS_LINUX: TablePriorityMapping([(0, 1), (100, 50)]),
-    }
-
-    def to_native(self, corba_priority, os_type):
-        return self.tables[os_type].to_native(corba_priority, os_type)
-
-    def to_corba(self, native_priority, os_type):
-        return self.tables[os_type].to_corba(native_priority, os_type)
-
-
-def build_and_describe():
-    kernel = Kernel()
-    client = Host(kernel, "client", os_type=OsType.QNX)
-    middle = Host(kernel, "middle-tier", os_type=OsType.LYNXOS)
-    server = Host(kernel, "server", os_type=OsType.SOLARIS)
-    net = Network(kernel)
-    for host in (client, middle, server):
-        net.attach_host(host)
-    router1, router2 = net.add_router("router1"), net.add_router("router2")
-    net.link(client, router1)
-    net.link(router1, middle)
-    net.link(router1, router2)
-    net.link(router2, server)
-    net.compute_routes()
-    orb = Orb(kernel, client, net)
-    orb.mapping_manager.install_native_mapping(Figure2Mapping())
-    orb.mapping_manager.install_dscp_mapping(
-        DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])
-    )
-    binding = EndToEndPriorityBinding(orb, 100, use_dscp=True)
-    return binding.describe([middle, server])
+from _shared import regenerate
 
 
 def test_fig2_priority_propagation(benchmark):
-    hops = benchmark.pedantic(build_and_describe, rounds=1, iterations=1)
-    publish("fig2_priority_propagation", render_figure2(hops))
+    (result,) = benchmark.pedantic(
+        regenerate, args=("fig2_priority_propagation",),
+        rounds=1, iterations=1)
+    hops = result.payload
     # The paper's exact chain.
     assert [h.native_priority for h in hops] == [16, 128, 136]
     assert all(h.corba_priority == 100 for h in hops)

@@ -7,38 +7,13 @@ to maintain QoS.  The system becomes unpredictable even with RT-CORBA
 priorities set."
 """
 
-from repro.experiments.priority_exp import PriorityArm
-from repro.experiments.reporting import render_latency_table
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import priority_arm_params
-
-from _shared import publish, run_figure
-
-DURATION = 30.0
-SEED = 1
-
-
-def run_both():
-    return run_figure("fig5_thread_priority", [
-        RunSpec("priority",
-                {"arm": priority_arm_params(PriorityArm.figure5a()),
-                 "duration": DURATION}, seed=SEED),
-        RunSpec("priority",
-                {"arm": priority_arm_params(PriorityArm.figure5b()),
-                 "duration": DURATION}, seed=SEED),
-    ])
+from _shared import regenerate
 
 
 def test_fig5_thread_priority(benchmark):
-    quiet, congested = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    publish("fig5_thread_priority", render_latency_table({
-        "fig5a (CPU load)": {
-            name: quiet.stats(name) for name in ("sender1", "sender2")
-        },
-        "fig5b (CPU load + congestion)": {
-            name: congested.stats(name) for name in ("sender1", "sender2")
-        },
-    }))
+    results = benchmark.pedantic(
+        regenerate, args=("fig5_thread_priority",), rounds=1, iterations=1)
+    quiet, congested = (result.payload for result in results)
     # (a) thread priority protects the high-priority sender's send path.
     assert quiet.stats("sender1").mean * 3 < quiet.stats("sender2").mean
     # (b) but cannot fix the network: both unpredictable, with spikes.

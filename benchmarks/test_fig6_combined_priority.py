@@ -8,38 +8,13 @@ provide better end-to-end performance and predictability ... than
 either of them can do individually."
 """
 
-from repro.experiments.priority_exp import PriorityArm
-from repro.experiments.reporting import render_latency_table
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import priority_arm_params
-
-from _shared import publish, run_figure
-
-DURATION = 30.0
-SEED = 1
-
-
-def run_three():
-    return run_figure("fig6_combined_priority", [
-        RunSpec("priority",
-                {"arm": priority_arm_params(PriorityArm.figure5b()),
-                 "duration": DURATION}, seed=SEED),
-        RunSpec("priority",
-                {"arm": priority_arm_params(PriorityArm.figure6()),
-                 "duration": DURATION}, seed=SEED),
-    ])
+from _shared import regenerate
 
 
 def test_fig6_combined_priority(benchmark):
-    fig5b, fig6 = benchmark.pedantic(run_three, rounds=1, iterations=1)
-    publish("fig6_combined_priority", render_latency_table({
-        "fig5b (threads only)": {
-            name: fig5b.stats(name) for name in ("sender1", "sender2")
-        },
-        "fig6 (threads + DSCP)": {
-            name: fig6.stats(name) for name in ("sender1", "sender2")
-        },
-    }))
+    results = benchmark.pedantic(
+        regenerate, args=("fig6_combined_priority",), rounds=1, iterations=1)
+    fig5b, fig6 = (result.payload for result in results)
     # Both senders predictable despite CPU load + 16 Mbps congestion.
     assert fig6.stats("sender1").mean < 0.02
     assert fig6.stats("sender1").std < 0.01

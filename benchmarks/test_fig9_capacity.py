@@ -10,42 +10,29 @@ adaptation makes the rejected class shed load instead of drowning the
 bottleneck.
 """
 
-from collections import defaultdict
-
-from repro.experiments.scenario_registry import figure_specs
 from repro.scale.capacity_exp import (
     RESERVE_BPS,
     UTILIZATION_BOUND,
     VIDEO_FPS,
-    render_fig9_capacity,
 )
 
-from _shared import publish, run_figure
+from _shared import regenerate
 
 #: Streams the 10 Mb/s bottleneck can carry at the 0.9 RSVP bound.
 SATURATION_ADMITTED = int(10e6 * UTILIZATION_BOUND / RESERVE_BPS)
 
 
-def run_sweeps():
-    specs = figure_specs()["fig9_capacity"]
-    payloads = run_figure("fig9_capacity", specs)
-    sweeps = defaultdict(list)
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    for results in sweeps.values():
-        results.sort(key=lambda r: r.streams)
-    return dict(sweeps)
-
-
 def test_fig9_capacity(benchmark):
-    sweeps = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
-    publish("fig9_capacity", render_fig9_capacity(sweeps))
+    results = benchmark.pedantic(
+        regenerate, args=("fig9_capacity",), rounds=1, iterations=1)
+    points = {(result.payload.arm.name, result.payload.streams):
+              result.payload for result in results}
 
     def at(arm, streams):
-        return next(r for r in sweeps[arm] if r.streams == streams)
+        return points[arm, streams]
 
     # Uncontended, every arm delivers the nominal 30 fps.
-    for arm in sweeps:
+    for arm in {arm for arm, _ in points}:
         assert at(arm, 1).mean_fps() > 0.9 * VIDEO_FPS
 
     # Without admission the sweep collapses: at N=64 the best-effort

@@ -9,44 +9,20 @@ partial reservation alone 43.9 %; full reservation ~100 % / 190 ms;
 filtered arms ~99-100 % / 171-276 ms.
 """
 
-from repro.experiments.reservation_net_exp import all_arms
-from repro.experiments.reporting import render_table1
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import network_arm_params
-
-from _shared import publish, run_figure
-
-TIMELINE = dict(duration=300.0, load_start=60.0, load_end=120.0)
-SEED = 1
-
-
-def run_all():
-    arms = all_arms()
-    payloads = run_figure("table1_network_reservation", [
-        RunSpec("reservation_net",
-                {"arm": network_arm_params(arm), **TIMELINE}, seed=SEED)
-        for arm in arms
-    ])
-    return {arm.name: payload for arm, payload in zip(arms, payloads)}
+from _shared import regenerate
 
 
 def test_table1_network_reservation(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = [
-        (name,
-         result.delivered_fraction_under_load(),
-         result.latency_under_load())
-        for name, result in results.items()
-    ]
-    jitter = [result.jitter_under_load() for result in results.values()]
-    publish("table1_network_reservation", render_table1(rows, jitter))
-
+    results = benchmark.pedantic(
+        regenerate, args=("table1_network_reservation",),
+        rounds=1, iterations=1)
+    arms = {result.payload.arm.name: result.payload for result in results}
     fraction = {
         name: result.delivered_fraction_under_load()
-        for name, result in results.items()
+        for name, result in arms.items()
     }
     latency = {
-        name: result.latency_under_load() for name, result in results.items()
+        name: result.latency_under_load() for name, result in arms.items()
     }
     # Column shape: delivery ordering across reservation levels.
     assert fraction["1-none"] < 0.05          # paper: 0.83 %

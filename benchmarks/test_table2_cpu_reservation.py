@@ -6,39 +6,14 @@ no load, with competing CPU load (times inflate — the paper measured
 resource-kernel CPU reserve (times and variance restored to baseline).
 """
 
-from repro.experiments.reservation_cpu_exp import all_arms
-from repro.experiments.reporting import render_table2
-from repro.experiments.runner import RunSpec
-from repro.experiments.scenario_registry import cpu_arm_params
-
-from _shared import publish, run_figure
-
-DURATION = 120.0
-SEED = 1
-ALGORITHMS = ("Kirsch", "Prewitt", "Sobel")
-
-
-def run_all():
-    arms = all_arms()
-    payloads = run_figure("table2_cpu_reservation", [
-        RunSpec("reservation_cpu",
-                {"arm": cpu_arm_params(arm), "duration": DURATION},
-                seed=SEED)
-        for arm in arms
-    ])
-    return {arm.name: payload for arm, payload in zip(arms, payloads)}
+from _shared import regenerate
 
 
 def test_table2_cpu_reservation(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    publish("table2_cpu_reservation", render_table2({
-        name: result.algorithm_stats for name, result in results.items()
-    }, algorithms=ALGORITHMS))
-
-    baseline = results["no-load"]
-    loaded = results["load"]
-    reserved = results["load+reserve"]
-    for algorithm in ALGORITHMS:
+    results = benchmark.pedantic(
+        regenerate, args=("table2_cpu_reservation",), rounds=1, iterations=1)
+    baseline, loaded, reserved = (result.payload for result in results)
+    for algorithm in ("Kirsch", "Prewitt", "Sobel"):
         base = baseline.stats(algorithm)
         under = loaded.stats(algorithm)
         restored = reserved.stats(algorithm)

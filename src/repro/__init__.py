@@ -33,7 +33,7 @@ The stack, bottom to top (each is its own subpackage):
 ``repro.experiments``
     Scenario builders regenerating every figure and table.
 
-Start with ``examples/quickstart.py`` or ``python -m repro fig4``.
+Start with ``examples/quickstart.py`` or ``python -m repro run fig4``.
 """
 
 __version__ = "1.0.0"

@@ -1,8 +1,10 @@
-"""Command-line experiment runner: ``python -m repro <experiment>``.
+"""Command-line experiment runner: ``python -m repro <verb>``.
 
-Runs any of the paper's experiments with configurable parameters and
-prints the paper-style tables plus ASCII charts — the quickest way to
-poke at a scenario without writing a script.
+``run`` regenerates any figure of the table in
+:mod:`repro.experiments.scenario_registry`; with no ``--arm`` / ``--set``
+its stdout is byte-for-byte ``results/<figure>.txt``.  ``soak`` runs the
+randomized invariant campaign and ``trace`` a scenario under the
+structured tracer.
 
 Independent simulation arms fan out across a process pool (``--jobs``)
 and completed runs are served from the on-disk result cache; both are
@@ -11,24 +13,22 @@ bit-identical at any worker count.
 
 Examples::
 
-    python -m repro fig4 --duration 20
-    python -m repro --jobs 4 fig6
-    python -m repro table1 --duration 120 --load-start 30 --load-end 90
-    python -m repro table2 --duration 60
-    python -m repro fig7 --arm 5-partial-filtering
-    python -m repro faults --duration 60
-    python -m repro route --routers 120 --topology wan
-    python -m repro --jobs 4 bench
+    python -m repro run fig4
+    python -m repro --jobs 4 run table1 --arm 3-full --set duration=120
+    python -m repro run fig9 --set streams=4,8 --set duration=10
+    python -m repro run fig10 --set fluid=false --set streams=32
+    python -m repro soak --seed 1 --runs 8 --duration 3
+    python -m repro trace --scenario quickstart
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.eventq import (
     DEFAULT_SCHEDULER,
@@ -36,330 +36,106 @@ from repro.sim.eventq import (
     SCHEDULER_ENV,
 )
 
-from repro.experiments.charts import ascii_cumulative, ascii_timeseries
 from repro.experiments.priority_exp import (
     PriorityArm,
-    all_arms as priority_arms,
     run_priority_experiment,
 )
-from repro.experiments.reservation_net_exp import all_arms as network_arms
-from repro.experiments.reservation_cpu_exp import all_arms as cpu_arms
-from repro.experiments.reporting import (
-    render_latency_table,
-    render_table1,
-    render_table2,
-)
-from repro.experiments.runner import ExperimentRunner, RunSpec
-from repro.experiments.scenario_registry import (
-    capacity_arm_params,
-    cpu_arm_params,
-    fault_arm_params,
-    figure_specs,
-    network_arm_params,
-    priority_arm_params,
-    pubsub_arm_params,
-    route_arm_params,
-    scale_arm_params,
-)
+from repro.experiments.runner import ExperimentRunner, scenario_function
+from repro.experiments.scenario_registry import FIGURES, Figure
+
+#: Scenario parameters ``--set`` may not touch: the global ``--seed``
+#: and the two that carry live objects, not JSON values.
+_NOT_SETTABLE = ("seed", "checks", "tracer")
 
 
-def _runner(args: argparse.Namespace) -> ExperimentRunner:
-    return ExperimentRunner(
+def resolve_figure(word: str) -> Figure:
+    """The figure named ``word``: a results-file stem or a unique prefix."""
+    if word in FIGURES:
+        return FIGURES[word]
+    matches = [name for name in FIGURES if name.startswith(word)]
+    if len(matches) == 1:
+        return FIGURES[matches[0]]
+    problem = "ambiguous" if matches else "unknown"
+    raise SystemExit(f"{problem} figure {word!r}; choose from: "
+                     f"{', '.join(matches or FIGURES)}")
+
+
+def _arm_name(label: str, params: Dict[str, Any]) -> str:
+    """What ``--arm`` matches: the arm's own name, else its label."""
+    return params["arm"]["name"] if "arm" in params else label
+
+
+def select(figure: Figure, arms: List[str], settings: List[str],
+           seed: int) -> Figure:
+    """``figure`` narrowed to ``--arm`` names, with ``--set`` applied."""
+    if arms:
+        names = [_arm_name(*entry) for entry in figure.arms]
+        for name in arms:
+            if name not in names:
+                raise SystemExit(f"unknown arm {name!r} for {figure.name}; "
+                                 f"choose from: {', '.join(names)}")
+        figure = figure._replace(arms=tuple(
+            entry for entry in figure.arms if _arm_name(*entry) in arms))
+    # What the scenario function accepts, less what tells arms apart.
+    accepted = inspect.signature(scenario_function(figure.scenario)).parameters
+    settable = [key for key in accepted if key not in _NOT_SETTABLE
+                and not any(key in arm for _, arm in figure.arms)]
+    params = dict(figure.params)
+    for setting in settings:
+        key, equals, text = setting.partition("=")
+        if not equals or key not in settable:
+            problem = "unknown --set key" if equals else "malformed --set"
+            raise SystemExit(
+                f"{problem} {setting!r} for {figure.name}; expected "
+                f"KEY=VALUE with KEY one of: {', '.join(settable) or '(none)'}")
+        if key == figure.sweep:
+            figure = figure._replace(points=_sweep_points(setting, text))
+        else:
+            params[key] = _value(setting, text, accepted[key].default)
+    if figure.seed is not None:
+        figure = figure._replace(seed=seed)
+    return figure._replace(params=params)
+
+
+def _sweep_points(setting: str, text: str) -> Tuple[int, ...]:
+    try:
+        points = sorted({int(part) for part in text.split(",")})
+    except ValueError:
+        points = []
+    if not points or points[0] < 1:
+        raise SystemExit(f"bad --set {setting!r}: expected a comma-separated "
+                         "list of positive counts")
+    return tuple(points)
+
+
+def _value(setting: str, text: str, default: Any) -> Any:
+    """``text`` as JSON (else a string), of the kind ``default`` is."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = text
+    kind = type(default)
+    if kind in (int, float):
+        fits = type(value) in (int, float)
+    elif kind in (bool, str):
+        fits = type(value) is kind
+    else:  # no default, or None: any JSON value
+        fits = True
+    if not fits:
+        raise SystemExit(f"bad --set {setting!r}: expected a "
+                         f"{kind.__name__} (default {default!r})")
+    return value
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Regenerate one figure (or a slice of it) and print its rendering."""
+    figure = select(resolve_figure(args.figure), args.arm, args.set,
+                    args.seed)
+    specs = figure.specs()
+    print(f"running {figure.name}: {len(specs)} run(s) ...", file=sys.stderr)
+    runner = ExperimentRunner(
         jobs=args.jobs, cache=False if args.no_cache else None)
-
-
-def _cmd_priority(args: argparse.Namespace, arms: List[PriorityArm]) -> int:
-    print(f"running {', '.join(arm.name for arm in arms)} "
-          f"({args.duration:.0f}s simulated) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("priority",
-                {"arm": priority_arm_params(arm), "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    results = {arm.name: payload for arm, payload in zip(arms, payloads)}
-    print(render_latency_table({
-        name: {s: result.stats(s) for s in ("sender1", "sender2")}
-        for name, result in results.items()
-    }))
-    if args.chart:
-        for name, result in results.items():
-            samples = list(zip(result.latency["sender1"].series.times,
-                               result.latency["sender1"].series.values))
-            print()
-            print(ascii_timeseries(f"{name} / sender1 latency", samples))
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, [PriorityArm.figure4a(),
-                                PriorityArm.figure4b()])
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, [PriorityArm.figure5a(),
-                                PriorityArm.figure5b()])
-
-
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, [PriorityArm.figure5b(),
-                                PriorityArm.figure6()])
-
-
-def _cmd_all_priority(args: argparse.Namespace) -> int:
-    return _cmd_priority(args, priority_arms())
-
-
-def _network_arm(name: Optional[str]):
-    chosen = network_arms()
-    if name is None:
-        return chosen
-    matches = [arm for arm in chosen if arm.name == name]
-    if not matches:
-        names = ", ".join(arm.name for arm in chosen)
-        raise SystemExit(f"unknown arm {name!r}; choose from: {names}")
-    return matches
-
-
-def _network_specs(args: argparse.Namespace, arms) -> List[RunSpec]:
-    return [
-        RunSpec("reservation_net",
-                {"arm": network_arm_params(arm), "duration": args.duration,
-                 "load_start": args.load_start, "load_end": args.load_end},
-                seed=args.seed)
-        for arm in arms
-    ]
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    arms = _network_arm(args.arm)
-    print(f"running {', '.join(arm.name for arm in arms)} ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads(_network_specs(args, arms))
-    rows = [
-        (arm.name,
-         result.delivered_fraction_under_load(),
-         result.latency_under_load())
-        for arm, result in zip(arms, payloads)
-    ]
-    print(render_table1(rows))
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    arms = _network_arm(args.arm)
-    print(f"running {', '.join(arm.name for arm in arms)} ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads(_network_specs(args, arms))
-    for arm, result in zip(arms, payloads):
-        rows = result.cumulative_counts(bin_width=args.duration / 30)
-        print()
-        print(ascii_cumulative(f"Fig 7 — {arm.name}", rows))
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Fig 8: frame delivery under injected faults, both chaos arms."""
-    from repro.experiments.fault_exp import FaultArm
-
-    arms = [FaultArm("static", False), FaultArm("adaptive", True)]
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    print(f"running {', '.join(arm.name for arm in arms)} "
-          f"({args.duration:.0f}s simulated) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("faults",
-                {"arm": fault_arm_params(arm), "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    for arm, result in zip(arms, payloads):
-        print()
-        print(f"== {arm.name} "
-              f"(adaptation {'on' if arm.adaptive else 'off'}) ==")
-        header = (f"{'fault':<28} {'start':>7} {'end':>7} "
-                  f"{'sent':>6} {'delivered':>9}")
-        print(header)
-        print("-" * len(header))
-        for label, start, end, sent, got in result.per_window_counts():
-            print(f"{label:<28} {start:>7.1f} {end:>7.1f} "
-                  f"{sent:>6} {got:>9}")
-        in_sent = result.sent_in_fault_windows()
-        in_got = result.delivered_in_fault_windows()
-        print(f"{'all fault windows':<28} {'':>7} {'':>7} "
-              f"{in_sent:>6} {in_got:>9}")
-        print(f"post-fault recovery rate: "
-              f"{result.recovery_rate_fps(5.0):.1f} fps "
-              f"(faults reported: {result.faults_reported})")
-        if args.chart:
-            rows = result.cumulative_counts(bin_width=args.duration / 30)
-            print()
-            print(ascii_cumulative(f"Fig 8 — {arm.name}", rows))
-    return 0
-
-
-def _cmd_route(args: argparse.Namespace) -> int:
-    """Fig 11: fps held through a backbone cut, four recovery arms."""
-    from repro.experiments.route_exp import route_arms
-
-    arms = route_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    print(f"running {', '.join(arm.name for arm in arms)} on a "
-          f"{args.routers}-router {args.topology} topology "
-          f"({args.duration:.0f}s simulated) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("route",
-                {"arm": route_arm_params(arm), "routers": args.routers,
-                 "topology": args.topology, "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    first = payloads[0]
-    print(f"topology: {first.topology}, {first.router_count} routers, "
-          f"{first.link_count} links")
-    print(f"primary path: {' -> '.join(first.primary_path)}")
-    print(f"backbone cut at t={first.fail_at:g}s: "
-          f"{first.backbone[0]}-{first.backbone[1]} "
-          f"(cross traffic on {first.detour_edge[0]}-"
-          f"{first.detour_edge[1]})")
-    print()
-    header = (f"{'arm':<20} {'pre-fail fps':>12} {'recovery fps':>12} "
-              f"{'spf':>5} {'lsas':>6} {'resig':>5} {'unroutable':>10}")
-    print(header)
-    print("-" * len(header))
-    for arm, result in zip(arms, payloads):
-        print(f"{arm.name:<20} {result.pre_fail_fps():>12.2f} "
-              f"{result.recovery_rate_fps():>12.2f} "
-              f"{result.spf_runs:>5} {result.lsas_flooded:>6} "
-              f"{result.resignal_rounds:>5} {result.unroutable_drops:>10}")
-    if args.chart:
-        for arm, result in zip(arms, payloads):
-            rows = result.cumulative_counts(bin_width=args.duration / 30)
-            print()
-            print(ascii_cumulative(f"Fig 11 — {arm.name}", rows))
-    return 0
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    """Fig 9: the multi-stream capacity sweep behind admission control."""
-    from repro.scale.capacity_exp import all_arms, render_fig9_capacity
-
-    arms = all_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    try:
-        counts = sorted({int(part) for part in args.streams.split(",")
-                         if part.strip()})
-    except ValueError:
-        raise SystemExit(f"bad --streams value {args.streams!r}; expected "
-                         "a comma-separated list of stream counts")
-    if not counts or counts[0] < 1:
-        raise SystemExit("--streams needs at least one positive count")
-    print(f"running {', '.join(arm.name for arm in arms)} x "
-          f"N={{{', '.join(str(c) for c in counts)}}} "
-          f"({args.duration:.0f}s simulated each) ...", file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("capacity",
-                {"arm": capacity_arm_params(arm), "streams": count,
-                 "duration": args.duration}, seed=args.seed)
-        for arm in arms for count in counts
-    ])
-    sweeps = {arm.name: [] for arm in arms}
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    print(render_fig9_capacity(sweeps))
-    return 0
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    """Fig 10: the hybrid fluid/packet scale sweep (10^2..10^5 streams)."""
-    from repro.scale.fig10 import render_fig10_scale, scale_arms
-
-    arms = scale_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    try:
-        counts = sorted({int(part) for part in args.streams.split(",")
-                         if part.strip()})
-    except ValueError:
-        raise SystemExit(f"bad --streams value {args.streams!r}; expected "
-                         "a comma-separated list of stream counts")
-    if not counts or counts[0] < 1:
-        raise SystemExit("--streams needs at least one positive count")
-    mode = "hybrid fluid/packet" if not args.packet_level else "pure packet"
-    print(f"running {', '.join(arm.name for arm in arms)} x "
-          f"N={{{', '.join(str(c) for c in counts)}}} "
-          f"({mode}, {args.duration:.0f}s simulated each) ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("scale",
-                {"arm": scale_arm_params(arm), "streams": count,
-                 "duration": args.duration,
-                 "fluid": not args.packet_level}, seed=args.seed)
-        for arm in arms for count in counts
-    ])
-    sweeps = {arm.name: [] for arm in arms}
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    print(render_fig10_scale(sweeps))
-    return 0
-
-
-def _cmd_pubsub(args: argparse.Namespace) -> int:
-    """Fig 12: the declarative-QoS pub-sub fan-out gauntlet."""
-    from repro.pubsub.fig12 import pubsub_arms, render_fig12_pubsub
-
-    arms = pubsub_arms()
-    if args.arm is not None:
-        matches = [arm for arm in arms if arm.name == args.arm]
-        if not matches:
-            names = ", ".join(arm.name for arm in arms)
-            raise SystemExit(
-                f"unknown arm {args.arm!r}; choose from: {names}")
-        arms = matches
-    try:
-        counts = sorted({int(part) for part in args.subscribers.split(",")
-                         if part.strip()})
-    except ValueError:
-        raise SystemExit(f"bad --subscribers value {args.subscribers!r}; "
-                         "expected a comma-separated list of counts")
-    if not counts or counts[0] < 1:
-        raise SystemExit("--subscribers needs at least one positive count")
-    print(f"running {', '.join(arm.name for arm in arms)} x "
-          f"M={{{', '.join(str(c) for c in counts)}}} "
-          f"({args.duration:.0f}s simulated each) ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("pubsub",
-                {"arm": pubsub_arm_params(arm), "subscribers": count,
-                 "duration": args.duration}, seed=args.seed)
-        for arm in arms for count in counts
-    ])
-    sweeps = {arm.name: [] for arm in arms}
-    for payload in payloads:
-        sweeps[payload.arm.name].append(payload)
-    print(render_fig12_pubsub(sweeps))
+    print(figure.render(runner.payloads(specs)))
     return 0
 
 
@@ -445,23 +221,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    arms = cpu_arms()
-    print(f"running {', '.join(arm.name for arm in arms)} ...",
-          file=sys.stderr)
-    payloads = _runner(args).payloads([
-        RunSpec("reservation_cpu",
-                {"arm": cpu_arm_params(arm), "duration": args.duration},
-                seed=args.seed)
-        for arm in arms
-    ])
-    print(render_table2({
-        arm.name: result.algorithm_stats
-        for arm, result in zip(arms, payloads)
-    }))
-    return 0
-
-
 def _cmd_soak(args: argparse.Namespace) -> int:
     """Randomized invariant soak: random configs under the checkers."""
     from repro.check.soak import run_soak, run_soak_case
@@ -505,82 +264,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 1
 
 
-def _dump_profile(profiler, path: str, limit: int = 20) -> None:
-    """Write a cProfile's top-N cumulative-time functions to ``path``."""
-    import io
-    import pstats
-
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(limit)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buffer.getvalue())
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Regenerate every figure through the parallel engine.
-
-    Prints a per-figure timing table and writes ``BENCH_figures.json``
-    (wall time, simulated-event throughput, worker count, cache hits
-    per figure) to ``--output``.
-    """
-    runner = _runner(args)
-    suite = figure_specs()
-    if args.figure:
-        missing = [name for name in args.figure if name not in suite]
-        if missing:
-            known = ", ".join(suite)
-            raise SystemExit(
-                f"unknown figure(s) {', '.join(missing)}; known: {known}")
-        suite = {name: suite[name] for name in args.figure}
-    profile_dir = None
-    if args.profile:
-        import cProfile
-
-        profile_dir = os.path.join("results", "profiles")
-        os.makedirs(profile_dir, exist_ok=True)
-    entries = {}
-    total_wall = 0.0
-    for name, specs in suite.items():
-        print(f"bench {name} ({len(specs)} arms) ...", file=sys.stderr)
-        started = time.perf_counter()
-        if profile_dir is not None:
-            profiler = cProfile.Profile()
-            profiler.enable()
-            results = runner.run(specs)
-            profiler.disable()
-            _dump_profile(profiler, os.path.join(profile_dir, f"{name}.txt"))
-        else:
-            results = runner.run(specs)
-        wall = time.perf_counter() - started
-        total_wall += wall
-        events = sum(r.events for r in results)
-        entries[name] = {
-            "wall_seconds": round(wall, 4),
-            "events": events,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-            "runs": len(results),
-            "cache_hits": sum(1 for r in results if r.cached),
-            "workers": runner.jobs,
-        }
-    header = f"{'figure':<40} {'wall':>8} {'events/s':>10} {'hits':>5}"
-    print(header)
-    print("-" * len(header))
-    for name, entry in entries.items():
-        print(f"{name:<40} {entry['wall_seconds']:>7.2f}s "
-              f"{entry['events_per_sec']:>10,} "
-              f"{entry['cache_hits']:>3}/{entry['runs']}")
-    print(f"{'total':<40} {total_wall:>7.2f}s   "
-          f"(jobs={runner.jobs}, cache "
-          f"{'on' if runner.cache_enabled else 'off'})")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -603,87 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
                              "the experiment")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, duration):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--duration", type=float, default=duration,
-                       help=f"simulated seconds (default {duration:g})")
-        p.set_defaults(func=func)
-        return p
-
-    for name, func, help_text in (
-        ("fig4", _cmd_fig4, "control runs (idle vs congested)"),
-        ("fig5", _cmd_fig5, "thread priorities alone"),
-        ("fig6", _cmd_fig6, "thread priorities + DSCP"),
-        ("priority-all", _cmd_all_priority, "all five section 5.1 arms"),
-    ):
-        p = add(name, func, help_text, 30.0)
-        p.add_argument("--chart", action="store_true",
-                       help="also draw ASCII latency charts")
-
-    for name, func in (("table1", _cmd_table1), ("fig7", _cmd_fig7)):
-        p = add(name, func, "network reservation experiment", 300.0)
-        p.add_argument("--load-start", type=float, default=60.0)
-        p.add_argument("--load-end", type=float, default=120.0)
-        p.add_argument("--arm", default=None,
-                       help="run a single arm (e.g. 5-partial-filtering)")
-
-    add("table2", _cmd_table2, "CPU reservation experiment", 120.0)
-
-    p = add("faults", _cmd_faults,
-            "fault-injection experiment (fig 8 chaos arms)", 120.0)
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (static or adaptive)")
-    p.add_argument("--chart", action="store_true",
-                   help="also draw ASCII cumulative-delivery charts")
-
-    p = add("route", _cmd_route,
-            "fig 11 rerouting gauntlet (backbone cut on a generated "
-            "topology, four recovery arms)", 40.0)
-    p.add_argument("--routers", type=int, default=56,
-                   help="router count for the generated topology "
-                        "(default 56; the family spans 50-500)")
-    p.add_argument("--topology", default="waxman",
-                   choices=["waxman", "fattree", "wan"],
-                   help="topology generator (default waxman)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (static, static-resignal, "
-                        "dynamic, dynamic-resignal)")
-    p.add_argument("--chart", action="store_true",
-                   help="also draw ASCII cumulative-delivery charts")
-
-    p = add("capacity", _cmd_capacity,
-            "fig 9 capacity sweep (N streams x four arms)", 12.0)
-    p.add_argument("--streams", default="1,2,4,8,16,32,64",
-                   help="comma-separated stream counts "
-                        "(default 1,2,4,8,16,32,64)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (best-effort, priority, "
-                        "reserves, adaptive)")
-
-    p = add("scale", _cmd_scale,
-            "fig 10 hybrid fluid/packet scale sweep "
-            "(10^2..10^5 streams x four arms)", 8.0)
-    p.add_argument("--streams", default="100,1000,10000,100000",
-                   help="comma-separated stream counts "
-                        "(default 100,1000,10000,100000)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (best-effort, reserves, "
-                        "adaptive, overload)")
-    p.add_argument("--packet-level", action="store_true",
-                   help="packet-simulate every stream instead of the "
-                        "hybrid fluid model (validation mode; only "
-                        "sensible at small N)")
-
-    p = add("pubsub", _cmd_pubsub,
-            "fig 12 declarative-QoS pub-sub fan-out gauntlet "
-            "(K publishers x M subscribers x seven arms)", 8.0)
-    p.add_argument("--subscribers", default="128,1024,2048",
-                   help="comma-separated total-subscriber counts "
-                        "(default 128,1024,2048)")
-    p.add_argument("--arm", default=None,
-                   help="run a single arm (best-effort, reliable, "
-                        "adaptive, ownership, durable, filtered, "
-                        "partition)")
+    p = sub.add_parser(
+        "run",
+        help="regenerate one figure or table; prints the bytes of "
+             "results/<figure>.txt",
+        epilog="figures: " + ", ".join(FIGURES),
+    )
+    p.add_argument("figure", metavar="FIGURE",
+                   help="a results-file stem or a unique prefix of one "
+                        "(fig4, table1, ablation_ecn)")
+    p.add_argument("--arm", action="append", default=[], metavar="NAME",
+                   help="run only this arm (repeatable); default: all")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a scenario parameter on every arm "
+                        "(repeatable; VALUE is JSON, else a string; a comma "
+                        "list on the figure's sweep axis replaces it, e.g. "
+                        "streams=4,8)")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
         "soak",
@@ -709,24 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", type=int, default=argparse.SUPPRESS,
                    help="worker processes (default: auto)")
     p.set_defaults(func=_cmd_soak)
-
-    p = sub.add_parser(
-        "bench",
-        help="regenerate the full figure suite through the parallel "
-             "engine and report per-figure timings",
-    )
-    p.add_argument("--figure", action="append", default=None,
-                   help="limit to one figure (repeatable); default: all")
-    p.add_argument("-o", "--output", default="BENCH_figures.json",
-                   help="write per-figure timing JSON here "
-                        "(default BENCH_figures.json; '' to skip)")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile each figure and dump the top-20 "
-                        "cumulative functions to results/profiles/ "
-                        "(profiles the coordinating process; run with "
-                        "-j 1 --no-cache to capture the scenario code "
-                        "itself)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "trace",

@@ -24,6 +24,11 @@ Each module reproduces one of the paper's evaluation setups:
 
 ``reporting``
     Paper-style text rendering of the results.
+
+``scenario_registry``
+    The figure table: every scenario registered and every
+    ``results/<name>.txt`` declared once (arms, sweep, timeline, seed,
+    renderer).  ``arm`` holds the one base class of the ``*Arm`` types.
 """
 
 from repro.experiments.priority_exp import (

@@ -20,6 +20,7 @@ byte-reproducible at any worker count like every other scenario.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Kernel
@@ -35,29 +36,17 @@ from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
 from repro.core.metrics import DeliveryRecorder
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.arm import Arm
 from repro.faults import FaultInjector, FaultPlan
 from repro.quo.syscond import FaultReporterSC
 
 
-class FaultArm:
+@dataclass
+class FaultArm(Arm):
     """One chaos arm: the same faults, with or without adaptation."""
 
-    def __init__(self, name: str, adaptive: bool) -> None:
-        self.name = name
-        self.adaptive = bool(adaptive)
-
-    def __reduce__(self):
-        # Not the default dict-state protocol: the "adaptive" arm's
-        # *name* equals an *attribute* name, and whether those two
-        # equal strings are one interned object or two changes
-        # pickle's memo structure — so a result that crossed a worker
-        # process repickled 9 bytes longer than a fresh one, breaking
-        # the byte-parity guarantee.  A constructor-call reduce never
-        # serializes the attribute dict, so the bytes are stable.
-        return (self.__class__, (self.name, self.adaptive))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FaultArm({self.name!r}, adaptive={self.adaptive})"
+    name: str
+    adaptive: bool
 
 
 def all_arms() -> list:

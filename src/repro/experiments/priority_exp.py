@@ -23,6 +23,7 @@ Fig 6     yes                yes     yes        yes
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim.kernel import Kernel
@@ -35,11 +36,18 @@ from repro.net.queues import DiffServQueue
 from repro.net.topology import Network
 from repro.net.traffic import CbrTrafficSource
 from repro.orb.core import Orb
-from repro.orb.rt import PriorityModel, ThreadPool
+from repro.orb.rt import (
+    DscpMapping,
+    PriorityBand,
+    PriorityModel,
+    TablePriorityMapping,
+    ThreadPool,
+)
 from repro.media.mpeg import MpegStream
-from repro.core.binding import EndToEndPriorityBinding
+from repro.core.binding import EndToEndPriorityBinding, PropagationHop
 from repro.core.metrics import LatencyRecorder
 from repro.experiments.actors import GiopVideoSender, VideoReceiverServant
+from repro.experiments.arm import Arm
 
 #: CORBA priorities of the two sender tasks when managed.
 HIGH_PRIORITY = 30000  # maps to DSCP EF under the default bands
@@ -49,22 +57,15 @@ LOW_PRIORITY = 8000  # maps to DSCP AF11
 EQUAL_NATIVE_PRIORITY = 10
 
 
-class PriorityArm:
+@dataclass
+class PriorityArm(Arm):
     """One experimental configuration."""
 
-    def __init__(
-        self,
-        name: str,
-        thread_priorities: bool = False,
-        dscp: bool = False,
-        cpu_load: bool = False,
-        cross_traffic: bool = False,
-    ) -> None:
-        self.name = name
-        self.thread_priorities = thread_priorities
-        self.dscp = dscp
-        self.cpu_load = cpu_load
-        self.cross_traffic = cross_traffic
+    name: str
+    thread_priorities: bool = False
+    dscp: bool = False
+    cpu_load: bool = False
+    cross_traffic: bool = False
 
     @classmethod
     def figure4a(cls) -> "PriorityArm":
@@ -89,9 +90,6 @@ class PriorityArm:
         return cls("fig6-threads-dscp-congested",
                    thread_priorities=True, dscp=True,
                    cpu_load=True, cross_traffic=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PriorityArm({self.name!r})"
 
 
 class PriorityExperimentResult:
@@ -267,3 +265,49 @@ def all_arms() -> List[PriorityArm]:
         PriorityArm.figure5b(),
         PriorityArm.figure6(),
     ]
+
+
+# ----------------------------------------------------------------------
+# Figure 2: one CORBA priority propagated across three operating systems
+# ----------------------------------------------------------------------
+class Figure2Mapping:
+    """The custom per-OS native mapping the figure implies."""
+
+    tables = {
+        OsType.QNX: TablePriorityMapping([(0, 0), (100, 16), (200, 24)]),
+        OsType.LYNXOS: TablePriorityMapping([(0, 0), (100, 128), (200, 192)]),
+        OsType.SOLARIS: TablePriorityMapping([(0, 100), (100, 136), (200, 150)]),
+        OsType.LINUX: TablePriorityMapping([(0, 1), (100, 50), (200, 99)]),
+        OsType.TIMESYS_LINUX: TablePriorityMapping([(0, 1), (100, 50)]),
+    }
+
+    def to_native(self, corba_priority, os_type):
+        return self.tables[os_type].to_native(corba_priority, os_type)
+
+    def to_corba(self, native_priority, os_type):
+        return self.tables[os_type].to_corba(native_priority, os_type)
+
+
+def run_priority_propagation() -> List[PropagationHop]:
+    """The Fig 2 chain: RT-CORBA priority 100 on a QNX client, a LynxOS
+    middle tier and a Solaris server, every segment marked DSCP EF."""
+    kernel = Kernel()
+    client = Host(kernel, "client", os_type=OsType.QNX)
+    middle = Host(kernel, "middle-tier", os_type=OsType.LYNXOS)
+    server = Host(kernel, "server", os_type=OsType.SOLARIS)
+    net = Network(kernel)
+    for host in (client, middle, server):
+        net.attach_host(host)
+    router1, router2 = net.add_router("router1"), net.add_router("router2")
+    net.link(client, router1)
+    net.link(router1, middle)
+    net.link(router1, router2)
+    net.link(router2, server)
+    net.compute_routes()
+    orb = Orb(kernel, client, net)
+    orb.mapping_manager.install_native_mapping(Figure2Mapping())
+    orb.mapping_manager.install_dscp_mapping(
+        DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])
+    )
+    binding = EndToEndPriorityBinding(orb, 100, use_dscp=True)
+    return binding.describe([middle, server])

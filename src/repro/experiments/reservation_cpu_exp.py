@@ -19,6 +19,7 @@ The three arms:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.kernel import Kernel
@@ -33,18 +34,19 @@ from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
 from repro.core.metrics import SeriesStats
 from repro.experiments.actors import ATR, AtrServant
+from repro.experiments.arm import Arm
 
 #: The paper's image: 400x250 RGB PPM, 300,060 bytes.
 IMAGE_BYTES = 300_060
 
 
-class CpuArm:
+@dataclass
+class CpuArm(Arm):
     """One Table 2 condition."""
 
-    def __init__(self, name: str, cpu_load: bool, reservation: bool) -> None:
-        self.name = name
-        self.cpu_load = cpu_load
-        self.reservation = reservation
+    name: str
+    cpu_load: bool
+    reservation: bool
 
     @classmethod
     def no_load(cls) -> "CpuArm":
@@ -57,9 +59,6 @@ class CpuArm:
     @classmethod
     def load_reserve(cls) -> "CpuArm":
         return cls("load+reserve", cpu_load=True, reservation=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CpuArm({self.name!r})"
 
 
 def all_arms() -> list:

@@ -23,6 +23,7 @@ observed loss by dropping to 10 or 2 fps.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.kernel import Kernel
@@ -39,6 +40,7 @@ from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
 from repro.core.metrics import DeliveryRecorder, SeriesStats
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.arm import Arm
 
 #: The paper's reservation levels.
 FULL_RESERVATION_BPS = 1.3e6  # "1.2 Mbps, enough to support 30 fps"
@@ -48,16 +50,18 @@ PARTIAL_RESERVATION_BPS = 670e3
 BUCKET_BYTES = 40_000
 
 
-class NetworkArm:
+@dataclass
+class NetworkArm(Arm):
     """One of the six {reservation} x {filtering} combinations."""
 
-    def __init__(self, name: str, reservation: Optional[str],
-                 filtering: bool) -> None:
-        if reservation not in (None, "partial", "full"):
-            raise ValueError(f"unknown reservation level: {reservation!r}")
-        self.name = name
-        self.reservation = reservation
-        self.filtering = filtering
+    name: str
+    reservation: Optional[str]
+    filtering: bool
+
+    def __post_init__(self) -> None:
+        if self.reservation not in (None, "partial", "full"):
+            raise ValueError(
+                f"unknown reservation level: {self.reservation!r}")
 
     @property
     def reserve_rate_bps(self) -> Optional[float]:
@@ -66,9 +70,6 @@ class NetworkArm:
         if self.reservation == "partial":
             return PARTIAL_RESERVATION_BPS
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"NetworkArm({self.name!r})"
 
 
 def all_arms() -> list:

@@ -26,6 +26,7 @@ or neither.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel
@@ -48,6 +49,7 @@ from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
 from repro.core.metrics import DeliveryRecorder
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.arm import Arm
 from repro.faults import FaultInjector, FaultPlan
 
 #: SPF hold-down used by the dynamic arms.
@@ -58,22 +60,13 @@ SPF_DELAY = 0.2
 RESIGNAL_DELAY = 0.25
 
 
-class RouteArm:
+@dataclass
+class RouteArm(Arm):
     """One fig 11 arm: {static, dynamic} x {re-signal on, off}."""
 
-    def __init__(self, name: str, dynamic: bool, resignal: bool) -> None:
-        self.name = name
-        self.dynamic = bool(dynamic)
-        self.resignal = bool(resignal)
-
-    def __reduce__(self):
-        # Constructor-call reduce, like FaultArm: keeps pickled bytes
-        # identical whether or not attribute strings are interned.
-        return (self.__class__, (self.name, self.dynamic, self.resignal))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"RouteArm({self.name!r}, dynamic={self.dynamic}, "
-                f"resignal={self.resignal})")
+    name: str
+    dynamic: bool
+    resignal: bool
 
 
 def route_arms() -> List[RouteArm]:

@@ -52,6 +52,7 @@ __all__ = [
     "ExperimentRunner",
     "ResultCache",
     "scenario",
+    "scenario_function",
     "registered_scenarios",
     "source_tree_digest",
     "default_jobs",
@@ -87,6 +88,17 @@ def registered_scenarios() -> List[str]:
     return sorted(_SCENARIOS)
 
 
+def scenario_function(name: str) -> Callable[..., Any]:
+    """The function registered under ``name``."""
+    _ensure_builtin_scenarios()
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        known = ", ".join(sorted(_SCENARIOS)) or "(none)"
+        raise KeyError(
+            f"unknown scenario {name!r}; registered: {known}") from None
+
+
 def _ensure_builtin_scenarios() -> None:
     """Import the modules whose import registers the built-in scenarios.
 
@@ -102,9 +114,11 @@ def _ensure_builtin_scenarios() -> None:
 class RunSpec:
     """One independent simulation run: scenario + params + seed.
 
-    ``params`` must be JSON-serializable (the canonical JSON encoding
-    is the cache key material) and picklable (it crosses the process
-    boundary).
+    ``params`` must be picklable (it crosses the process boundary).
+    Its canonical JSON encoding is the cache key material, so a spec
+    whose params are not JSON-serializable (a live ``CheckSuite`` under
+    ``"checks"``) has no key: the runner executes it every time and
+    never stores it.
     """
 
     __slots__ = ("scenario", "params", "seed")
@@ -116,11 +130,17 @@ class RunSpec:
         self.seed = seed
 
     def canonical(self) -> str:
-        """Canonical JSON identity (sorted keys, no whitespace)."""
+        """Canonical JSON identity (sorted keys, no whitespace).
+
+        Raises ``TypeError`` for params JSON cannot encode.  There is
+        no ``str()`` fallback on purpose: every ``default_suite()`` has
+        the same repr, so checked runs of an arm would share one key
+        and the second would be served from the cache unchecked.
+        """
         return json.dumps(
             {"scenario": self.scenario, "params": self.params,
              "seed": self.seed},
-            sort_keys=True, separators=(",", ":"), default=str,
+            sort_keys=True, separators=(",", ":"),
         )
 
     def call_kwargs(self) -> Dict[str, Any]:
@@ -324,14 +344,7 @@ def default_jobs() -> int:
 def _execute(spec_fields: Tuple[str, Dict[str, Any], Optional[int]]
              ) -> Tuple[Any, int, float]:
     scenario_name, params, seed = spec_fields
-    _ensure_builtin_scenarios()
-    try:
-        fn = _SCENARIOS[scenario_name]
-    except KeyError:
-        known = ", ".join(sorted(_SCENARIOS)) or "(none)"
-        raise KeyError(
-            f"unknown scenario {scenario_name!r}; registered: {known}"
-        ) from None
+    fn = scenario_function(scenario_name)
     spec = RunSpec(scenario_name, params, seed)
     started = time.perf_counter()
     payload = fn(**spec.call_kwargs())
@@ -391,18 +404,13 @@ class ExperimentRunner:
         payloads are pure functions of their specs, so worker count can
         never change what this returns.
         """
-        _ensure_builtin_scenarios()
         results: List[Optional[RunResult]] = [None] * len(specs)
-        pending: List[Tuple[int, RunSpec, str]] = []
+        pending: List[Tuple[int, RunSpec, Optional[str]]] = []
 
         for index, spec in enumerate(specs):
-            if spec.scenario not in _SCENARIOS:
-                known = ", ".join(sorted(_SCENARIOS)) or "(none)"
-                raise KeyError(f"unknown scenario {spec.scenario!r}; "
-                               f"registered: {known}")
-            key = ""
-            if self.cache_enabled:
-                key = ResultCache.key_for(spec, self.source_digest)
+            scenario_function(spec.scenario)  # unknown names fail early
+            key = self._cache_key(spec)
+            if key is not None:
                 hit, payload = self.cache.load(key)
                 if hit:
                     self.cache_hits += 1
@@ -422,11 +430,20 @@ class ExperimentRunner:
             for (index, spec, key), (payload, events, wall) in zip(
                     pending, outcomes):
                 self.runs_executed += 1
-                if self.cache_enabled:
+                if key is not None:
                     self.cache.store(key, payload)
                 results[index] = RunResult(spec, payload, wall_seconds=wall,
                                            events=events, cached=False)
         return results  # type: ignore[return-value]
+
+    def _cache_key(self, spec: RunSpec) -> Optional[str]:
+        """``None`` when the cache is off or the spec cannot be keyed."""
+        if not self.cache_enabled:
+            return None
+        try:
+            return ResultCache.key_for(spec, self.source_digest)
+        except TypeError:
+            return None
 
     def run_one(self, spec: RunSpec) -> RunResult:
         return self.run([spec])[0]

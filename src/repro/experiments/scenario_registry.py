@@ -1,36 +1,53 @@
-"""Built-in scenario registrations for the parallel experiment engine.
+"""The figure table: every scenario and every figure, declared once.
 
-Importing this module registers every paper experiment and ablation
-with :mod:`repro.experiments.runner` under stable names.  Each wrapper
-takes only JSON-able parameters (arms travel as their constructor
-kwargs) and returns the experiment's picklable result payload, so any
-arm x seed x parameter point can be described by a
-:class:`~repro.experiments.runner.RunSpec` and executed in a worker
-process.
+Importing this module registers each paper experiment and ablation
+with :mod:`repro.experiments.runner` under a stable name, and builds
+:data:`FIGURES`: one :class:`Figure` per ``results/<name>.txt``, holding
+the arms it runs, its timeline, its seed and its renderer.  The
+benchmark suite, ``repro run`` and :func:`figure_specs` all read that
+table; nothing else spells out an arm list.
+
+Scenario functions take only JSON-able parameters (arms travel as
+their constructor kwargs, ``arm.params()``) and return the experiment's
+picklable result payload, so any arm x seed x parameter point can be
+described by a :class:`~repro.experiments.runner.RunSpec` and executed
+in a worker process.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import functools
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.experiments.runner import scenario
-from repro.experiments import ablations
+from repro.experiments import ablations, reporting
+from repro.experiments.arm import Arm
+from repro.experiments.fault_exp import (
+    FaultArm,
+    all_arms as fault_arms,
+    run_fault_injection_experiment,
+)
 from repro.experiments.priority_exp import (
     PriorityArm,
     run_priority_experiment,
+    run_priority_propagation,
 )
 from repro.experiments.reservation_cpu_exp import (
     CpuArm,
-    all_arms as cpu_all_arms,
+    all_arms as cpu_arms,
     run_cpu_reservation_experiment,
-)
-from repro.experiments.fault_exp import (
-    FaultArm,
-    run_fault_injection_experiment,
 )
 from repro.experiments.reservation_net_exp import (
     NetworkArm,
-    all_arms as net_all_arms,
+    all_arms as network_arms,
     run_network_reservation_experiment,
 )
 from repro.experiments.route_exp import (
@@ -38,127 +55,60 @@ from repro.experiments.route_exp import (
     route_arms,
     run_route_experiment,
 )
+from repro.experiments.runner import RunSpec, scenario
+from repro.pubsub.fig12 import (
+    PubSubArm,
+    fig12_subscriber_counts,
+    pubsub_arms,
+    render_fig12_pubsub,
+    run_pubsub_experiment,
+)
 from repro.scale.capacity_exp import (
     CapacityArm,
-    all_arms as capacity_all_arms,
+    all_arms as capacity_arms,
     fig9_stream_counts,
+    render_fig9_capacity,
     run_capacity_experiment,
 )
 from repro.scale.fig10 import (
     ScaleArm,
     fig10_stream_counts,
+    render_fig10_scale,
     run_scale_experiment,
     scale_arms,
 )
-from repro.pubsub.fig12 import (
-    PubSubArm,
-    fig12_subscriber_counts,
-    pubsub_arms,
-    run_pubsub_experiment,
-)
 
 
-def priority_arm_params(arm: PriorityArm) -> Dict[str, Any]:
-    """A :class:`PriorityArm` as RunSpec-ready constructor kwargs."""
-    return {
-        "name": arm.name,
-        "thread_priorities": arm.thread_priorities,
-        "dscp": arm.dscp,
-        "cpu_load": arm.cpu_load,
-        "cross_traffic": arm.cross_traffic,
-    }
+# ----------------------------------------------------------------------
+# Scenarios
+# ----------------------------------------------------------------------
+def _arm_scenario(arm_type: type, run: Callable[..., Any]
+                  ) -> Callable[..., Any]:
+    """``run`` as a scenario whose arm arrives as constructor kwargs.
+
+    ``functools.wraps`` keeps ``run``'s signature visible to
+    ``inspect.signature``: that is what says which params a spec (or
+    ``repro run --set``) may carry.
+    """
+
+    @functools.wraps(run)
+    def call(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
+        return run(arm_type(**arm), seed=seed, **kwargs)
+
+    return call
 
 
-def network_arm_params(arm: NetworkArm) -> Dict[str, Any]:
-    return {
-        "name": arm.name,
-        "reservation": arm.reservation,
-        "filtering": arm.filtering,
-    }
-
-
-def cpu_arm_params(arm: CpuArm) -> Dict[str, Any]:
-    return {
-        "name": arm.name,
-        "cpu_load": arm.cpu_load,
-        "reservation": arm.reservation,
-    }
-
-
-@scenario("priority")
-def _priority(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Section 5.1 priority arms (Figs 4-6)."""
-    return run_priority_experiment(PriorityArm(**arm), seed=seed, **kwargs)
-
-
-@scenario("reservation_net")
-def _reservation_net(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Section 5.2 network-reservation arms (Fig 7, Table 1)."""
-    return run_network_reservation_experiment(
-        NetworkArm(**arm), seed=seed, **kwargs)
-
-
-@scenario("reservation_cpu")
-def _reservation_cpu(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Section 5.2 CPU-reservation arms (Table 2)."""
-    return run_cpu_reservation_experiment(CpuArm(**arm), seed=seed, **kwargs)
-
-
-def fault_arm_params(arm: FaultArm) -> Dict[str, Any]:
-    return {"name": arm.name, "adaptive": arm.adaptive}
-
-
-@scenario("faults")
-def _faults(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 8 chaos arms: frame delivery under injected faults."""
-    return run_fault_injection_experiment(FaultArm(**arm), seed=seed,
-                                          **kwargs)
-
-
-def route_arm_params(arm: RouteArm) -> Dict[str, Any]:
-    return {"name": arm.name, "dynamic": arm.dynamic,
-            "resignal": arm.resignal}
-
-
-@scenario("route")
-def _route(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 11 rerouting arms: fps held through a backbone failure."""
-    return run_route_experiment(RouteArm(**arm), seed=seed, **kwargs)
-
-
-def capacity_arm_params(arm: CapacityArm) -> Dict[str, Any]:
-    return {"name": arm.name, "priorities": arm.priorities,
-            "admission": arm.admission, "adaptation": arm.adaptation}
-
-
-@scenario("capacity")
-def _capacity(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 9 capacity arms: N streams behind admission control."""
-    return run_capacity_experiment(CapacityArm(**arm), seed=seed, **kwargs)
-
-
-def scale_arm_params(arm: ScaleArm) -> Dict[str, Any]:
-    return {"name": arm.name, "admission": arm.admission,
-            "adaptation": arm.adaptation, "overload": arm.overload}
-
-
-@scenario("scale")
-def _scale(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 10 hybrid fluid/packet scale arms (10^2..10^5 streams)."""
-    return run_scale_experiment(ScaleArm(**arm), seed=seed, **kwargs)
-
-
-def pubsub_arm_params(arm: PubSubArm) -> Dict[str, Any]:
-    return {"name": arm.name, "reliable": arm.reliable,
-            "adaptive": arm.adaptive, "ownership": arm.ownership,
-            "faults": arm.faults, "durable": arm.durable,
-            "filtered": arm.filtered, "partition": arm.partition}
-
-
-@scenario("pubsub")
-def _pubsub(arm: Dict[str, Any], seed: int = 1, **kwargs: Any):
-    """Fig 12 declarative-QoS pub-sub fan-out arms."""
-    return run_pubsub_experiment(PubSubArm(**arm), seed=seed, **kwargs)
+for _name, _arm_type, _run in (
+    ("priority", PriorityArm, run_priority_experiment),
+    ("reservation_net", NetworkArm, run_network_reservation_experiment),
+    ("reservation_cpu", CpuArm, run_cpu_reservation_experiment),
+    ("faults", FaultArm, run_fault_injection_experiment),
+    ("route", RouteArm, run_route_experiment),
+    ("capacity", CapacityArm, run_capacity_experiment),
+    ("scale", ScaleArm, run_scale_experiment),
+    ("pubsub", PubSubArm, run_pubsub_experiment),
+):
+    scenario(_name)(_arm_scenario(_arm_type, _run))
 
 
 @scenario("soak_case")
@@ -173,132 +123,139 @@ def _soak_case(case: Dict[str, Any], seed: Optional[int] = None):
     return run_soak_case(case)
 
 
-@scenario("ablation_ecn")
-def _ablation_ecn(use_red: bool, seed: Optional[int] = None):
-    del seed  # the arm's RED RNG is internally fixed
-    return ablations.run_ecn_arm(use_red)
+def _seedless_scenario(run: Callable[..., Any]) -> Callable[..., Any]:
+    """``run`` as a scenario that accepts, and ignores, the engine seed:
+    fig 2 draws nothing and the ablation arms fix their own RNG seeds."""
+
+    @functools.wraps(run)
+    def call(seed: Optional[int] = None, **kwargs: Any):
+        return run(**kwargs)
+
+    return call
 
 
-@scenario("ablation_phb")
-def _ablation_phb(diffserv: bool, seed: Optional[int] = None):
-    del seed
-    return ablations.run_phb_arm(diffserv)
-
-
-@scenario("ablation_reserve_policy")
-def _ablation_reserve_policy(policy: str, seed: Optional[int] = None):
-    del seed
-    return ablations.run_reserve_policy_arm(policy)
-
-
-@scenario("ablation_priority_driven")
-def _ablation_priority_driven(priority_driven: bool,
-                              seed: Optional[int] = None):
-    del seed
-    return ablations.run_priority_driven_arm(priority_driven)
+for _name, _run in (
+    ("priority_propagation", run_priority_propagation),
+    ("ablation_ecn", ablations.run_ecn_arm),
+    ("ablation_phb", ablations.run_phb_arm),
+    ("ablation_reserve_policy", ablations.run_reserve_policy_arm),
+    ("ablation_priority_driven", ablations.run_priority_driven_arm),
+):
+    scenario(_name)(_seedless_scenario(_run))
 
 
 # ----------------------------------------------------------------------
-# The paper's figure suite as spec lists
+# Figures
 # ----------------------------------------------------------------------
-def figure_specs() -> "Dict[str, list]":
-    """Every figure/table as its canonical list of RunSpecs.
+class Figure(NamedTuple):
+    """One ``results/<name>.txt``: what runs, and how it is rendered."""
 
-    These are the exact specs the benchmark suite runs (same
-    durations, same seeds), so ``repro bench`` and
-    ``pytest benchmarks/`` share cache entries.
-    """
-    from repro.experiments.runner import RunSpec
+    name: str
+    #: Registered scenario every arm of the figure runs.
+    scenario: str
+    #: ``(label, params)`` in output order: the label the renderer
+    #: prints and the spec params that pick the arm (``{"arm":
+    #: arm.params()}``, or an ablation's own switch).
+    arms: Tuple[Tuple[str, Dict[str, Any]], ...]
+    #: ``{label: payload}`` (``{label: [payload per point]}`` on a sweep
+    #: figure) to the text of the results file.
+    renderer: Callable[[Dict[str, Any]], str]
+    #: Params shared by every arm: the timeline.
+    params: Dict[str, Any] = {}
+    #: Param swept per arm (``streams`` / ``subscribers``) and its points.
+    sweep: Optional[str] = None
+    points: Tuple[int, ...] = ()
+    seed: Optional[int] = 1
 
-    priority_duration = 30.0
-    net_timeline = {"duration": 300.0, "load_start": 60.0,
-                    "load_end": 120.0}
+    def specs(self) -> List[RunSpec]:
+        """The figure's runs, arm-major, sweep points ascending."""
+        sweep = ([{self.sweep: point} for point in self.points]
+                 if self.sweep else [{}])
+        return [
+            RunSpec(self.scenario, {**arm, **point, **self.params},
+                    seed=self.seed)
+            for _, arm in self.arms for point in sweep
+        ]
 
-    def priority_spec(arm: PriorityArm) -> "RunSpec":
-        return RunSpec("priority",
-                       {"arm": priority_arm_params(arm),
-                        "duration": priority_duration}, seed=1)
+    def render(self, payloads: List[Any]) -> str:
+        """``payloads`` (in :meth:`specs` order) as the results text."""
+        labels = [label for label, _ in self.arms]
+        if self.sweep is None:
+            return self.renderer(dict(zip(labels, payloads)))
+        width = len(self.points)
+        return self.renderer({
+            label: payloads[index * width:(index + 1) * width]
+            for index, label in enumerate(labels)})
 
-    def net_spec(arm: NetworkArm) -> "RunSpec":
-        return RunSpec("reservation_net",
-                       {"arm": network_arm_params(arm), **net_timeline},
-                       seed=1)
 
-    return {
-        "fig4_control_runs": [
-            priority_spec(PriorityArm.figure4a()),
-            priority_spec(PriorityArm.figure4b()),
-        ],
-        "fig5_thread_priority": [
-            priority_spec(PriorityArm.figure5a()),
-            priority_spec(PriorityArm.figure5b()),
-        ],
-        "fig6_combined_priority": [
-            priority_spec(PriorityArm.figure5b()),
-            priority_spec(PriorityArm.figure6()),
-        ],
-        "fig7_frame_delivery": [
-            net_spec(NetworkArm("1-none", None, False)),
-            net_spec(NetworkArm("5-partial-filtering", "partial", True)),
-            net_spec(NetworkArm("3-full", "full", False)),
-        ],
-        "fig8_fault_adaptation": [
-            RunSpec("faults",
-                    {"arm": fault_arm_params(FaultArm("static", False)),
-                     "duration": 120.0}, seed=1),
-            RunSpec("faults",
-                    {"arm": fault_arm_params(FaultArm("adaptive", True)),
-                     "duration": 120.0}, seed=1),
-        ],
-        "fig9_capacity": [
-            RunSpec("capacity",
-                    {"arm": capacity_arm_params(arm), "streams": count,
-                     "duration": 12.0}, seed=1)
-            for arm in capacity_all_arms()
-            for count in fig9_stream_counts()
-        ],
-        "fig10_scale": [
-            RunSpec("scale",
-                    {"arm": scale_arm_params(arm), "streams": count,
-                     "duration": 8.0, "fluid": True}, seed=1)
-            for arm in scale_arms()
-            for count in fig10_stream_counts()
-        ],
-        "fig12_pubsub": [
-            RunSpec("pubsub",
-                    {"arm": pubsub_arm_params(arm), "subscribers": count,
-                     "duration": 8.0}, seed=1)
-            for arm in pubsub_arms()
-            for count in fig12_subscriber_counts()
-        ],
-        "fig11_route": [
-            RunSpec("route",
-                    {"arm": route_arm_params(arm), "routers": 56,
-                     "duration": 40.0}, seed=1)
-            for arm in route_arms()
-        ],
-        "table1_network_reservation": [
-            net_spec(arm) for arm in net_all_arms()
-        ],
-        "table2_cpu_reservation": [
-            RunSpec("reservation_cpu",
-                    {"arm": cpu_arm_params(arm), "duration": 120.0}, seed=1)
-            for arm in cpu_all_arms()
-        ],
-        "ablation_ecn": [
-            RunSpec("ablation_ecn", {"use_red": False}),
-            RunSpec("ablation_ecn", {"use_red": True}),
-        ],
-        "ablation_phb": [
-            RunSpec("ablation_phb", {"diffserv": False}),
-            RunSpec("ablation_phb", {"diffserv": True}),
-        ],
-        "ablation_reserve_policy": [
-            RunSpec("ablation_reserve_policy", {"policy": "HARD"}),
-            RunSpec("ablation_reserve_policy", {"policy": "SOFT"}),
-        ],
-        "ablation_priority_driven_reservation": [
-            RunSpec("ablation_priority_driven", {"priority_driven": False}),
-            RunSpec("ablation_priority_driven", {"priority_driven": True}),
-        ],
-    }
+def _arms(arms: Sequence[Arm], labels: Sequence[str] = ()
+          ) -> Tuple[Tuple[str, Dict[str, Any]], ...]:
+    """``arms`` as figure entries, labelled by name unless told otherwise."""
+    labels = labels or [arm.name for arm in arms]
+    return tuple((label, {"arm": arm.params()})
+                 for label, arm in zip(labels, arms))
+
+
+_PRIORITY_TIMELINE = {"duration": 30.0}
+_NET_TIMELINE = {"duration": 300.0, "load_start": 60.0, "load_end": 120.0}
+
+FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
+    Figure("fig2_priority_propagation", "priority_propagation",
+           (("corba-100", {}),), reporting.fig2_text, seed=None),
+    Figure("fig4_control_runs", "priority",
+           _arms([PriorityArm.figure4a(), PriorityArm.figure4b()],
+                 ["fig4a (idle)", "fig4b (16 Mbps cross)"]),
+           reporting.fig4_text, _PRIORITY_TIMELINE),
+    Figure("fig5_thread_priority", "priority",
+           _arms([PriorityArm.figure5a(), PriorityArm.figure5b()],
+                 ["fig5a (CPU load)", "fig5b (CPU load + congestion)"]),
+           reporting.latency_text, _PRIORITY_TIMELINE),
+    Figure("fig6_combined_priority", "priority",
+           _arms([PriorityArm.figure5b(), PriorityArm.figure6()],
+                 ["fig5b (threads only)", "fig6 (threads + DSCP)"]),
+           reporting.latency_text, _PRIORITY_TIMELINE),
+    Figure("fig7_frame_delivery", "reservation_net",
+           _arms([NetworkArm("1-none", None, False),
+                  NetworkArm("5-partial-filtering", "partial", True),
+                  NetworkArm("3-full", "full", False)],
+                 ["no adaptation", "partial resv + frame filtering",
+                  "full reservation"]),
+           reporting.fig7_text, _NET_TIMELINE),
+    Figure("fig8_fault_adaptation", "faults", _arms(fault_arms()),
+           reporting.fig8_text, {"duration": 120.0}),
+    Figure("fig9_capacity", "capacity", _arms(capacity_arms()),
+           render_fig9_capacity, {"duration": 12.0},
+           "streams", tuple(fig9_stream_counts())),
+    Figure("fig10_scale", "scale", _arms(scale_arms()),
+           render_fig10_scale, {"duration": 8.0, "fluid": True},
+           "streams", tuple(fig10_stream_counts())),
+    Figure("fig11_route", "route", _arms(route_arms()),
+           reporting.fig11_text, {"routers": 56, "duration": 40.0}),
+    Figure("fig12_pubsub", "pubsub", _arms(pubsub_arms()),
+           render_fig12_pubsub, {"duration": 8.0},
+           "subscribers", tuple(fig12_subscriber_counts())),
+    Figure("table1_network_reservation", "reservation_net",
+           _arms(network_arms()), reporting.table1_text, _NET_TIMELINE),
+    Figure("table2_cpu_reservation", "reservation_cpu",
+           _arms(cpu_arms()), reporting.table2_text, {"duration": 120.0}),
+    Figure("ablation_ecn", "ablation_ecn",
+           (("tail-drop FIFO", {"use_red": False}),
+            ("RED + ECN", {"use_red": True})),
+           reporting.ablation_ecn_text, seed=None),
+    Figure("ablation_phb", "ablation_phb",
+           (("FIFO", {"diffserv": False}),
+            ("DiffServ strict-priority", {"diffserv": True})),
+           reporting.ablation_phb_text, seed=None),
+    Figure("ablation_reserve_policy", "ablation_reserve_policy",
+           (("HARD", {"policy": "HARD"}), ("SOFT", {"policy": "SOFT"})),
+           reporting.ablation_reserve_policy_text, seed=None),
+    Figure("ablation_priority_driven_reservation", "ablation_priority_driven",
+           (("arrival order", {"priority_driven": False}),
+            ("priority order", {"priority_driven": True})),
+           reporting.ablation_priority_driven_text, seed=None),
+)}
+
+
+def figure_specs() -> Dict[str, List[RunSpec]]:
+    """Every figure/table as its canonical list of RunSpecs."""
+    return {name: figure.specs() for name, figure in FIGURES.items()}

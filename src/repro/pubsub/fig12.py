@@ -60,6 +60,7 @@ the arms separate exactly where fan-out outgrows provisioning.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.sim.kernel import Kernel
@@ -69,6 +70,7 @@ from repro.net.packet import HEADER_BYTES
 from repro.net.queues import GuaranteedRateQueue
 from repro.net.topology import Network
 from repro.faults.injector import FaultInjector
+from repro.experiments.arm import Arm
 from repro.faults.plan import FaultPlan
 from repro.fluid.engine import FluidEngine
 from repro.quo.contract import Contract, Region
@@ -135,45 +137,18 @@ LATE_JOIN_FRACTION = 0.45
 LATE_PER_TOPIC = 1
 
 
-class PubSubArm:
+@dataclass
+class PubSubArm(Arm):
     """One fig 12 arm: which QoS declaration the endpoints make."""
 
-    def __init__(self, name: str, reliable: bool = False,
-                 adaptive: bool = False, ownership: bool = False,
-                 faults: bool = False, durable: bool = False,
-                 filtered: bool = False, partition: bool = False) -> None:
-        self.name = name
-        self.reliable = bool(reliable)
-        self.adaptive = bool(adaptive)
-        self.ownership = bool(ownership)
-        self.faults = bool(faults)
-        self.durable = bool(durable)
-        self.filtered = bool(filtered)
-        self.partition = bool(partition)
-
-    def __reduce__(self):
-        # Constructor-call reduce (see CapacityArm): payload bytes stay
-        # identical at any worker count.
-        return (self.__class__, (self.name, self.reliable, self.adaptive,
-                                 self.ownership, self.faults, self.durable,
-                                 self.filtered, self.partition))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PubSubArm):
-            return NotImplemented
-        return (self.name == other.name and self.reliable == other.reliable
-                and self.adaptive == other.adaptive
-                and self.ownership == other.ownership
-                and self.faults == other.faults
-                and self.durable == other.durable
-                and self.filtered == other.filtered
-                and self.partition == other.partition)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"PubSubArm({self.name!r}, reliable={self.reliable}, "
-                f"adaptive={self.adaptive}, ownership={self.ownership}, "
-                f"faults={self.faults}, durable={self.durable}, "
-                f"filtered={self.filtered}, partition={self.partition})")
+    name: str
+    reliable: bool = False
+    adaptive: bool = False
+    ownership: bool = False
+    faults: bool = False
+    durable: bool = False
+    filtered: bool = False
+    partition: bool = False
 
 
 def pubsub_arms() -> List[PubSubArm]:

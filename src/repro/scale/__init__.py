@@ -10,16 +10,15 @@ rejects each stream's CPU reserve and RSVP bandwidth request.  Rejected
 streams fall back to best-effort (and, in the adaptive arm, shed load
 through their frame-filtering contract instead of drowning the links).
 
-Scheduling is batched: one :class:`~repro.scale.clock.FrameClock` event
-per frame interval drives every sender, so the kernel event count stays
-O(ticks) rather than O(streams x ticks) — what keeps N=64 tractable.
+Scheduling is batched: one :class:`~repro.sim.coalesce.PeriodicTicker`
+event per frame interval drives every sender, so the kernel event count
+stays O(ticks) rather than O(streams x ticks) — what keeps N=64 tractable.
 """
 
 from repro.scale.admission import (  # noqa: F401
     AdmissionController,
     AdmissionDecision,
 )
-from repro.scale.clock import FrameClock  # noqa: F401
 from repro.scale.farm import (  # noqa: F401
     FarmStreamReceiver,
     FarmStreamSender,

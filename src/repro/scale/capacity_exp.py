@@ -37,8 +37,10 @@ best-effort arms collapse.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.sim.coalesce import PeriodicTicker
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
@@ -55,8 +57,8 @@ from repro.media.filtering import FrameFilter
 from repro.media.mpeg import MpegStream
 from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
+from repro.experiments.arm import Arm
 from repro.scale.admission import AdmissionController
-from repro.scale.clock import FrameClock
 from repro.scale.farm import FarmStreamReceiver, FarmStreamSender, stream_rng
 
 #: Nominal per-stream video parameters (the paper's 1.2 Mbps / 30 fps).
@@ -88,35 +90,14 @@ BASE_CORBA_PRIORITY = 32000
 LANE_STEP = 25
 
 
-class CapacityArm:
+@dataclass
+class CapacityArm(Arm):
     """One fig 9 arm: which mechanisms the farm turns on."""
 
-    def __init__(self, name: str, priorities: bool = False,
-                 admission: bool = False, adaptation: bool = False) -> None:
-        self.name = name
-        self.priorities = bool(priorities)
-        self.admission = bool(admission)
-        self.adaptation = bool(adaptation)
-
-    def __reduce__(self):
-        # Constructor-call reduce (see FaultArm): never serialize the
-        # attribute dict, so equal-string interning can't change the
-        # pickle memo structure and payload bytes stay identical at any
-        # worker count.
-        return (self.__class__,
-                (self.name, self.priorities, self.admission, self.adaptation))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CapacityArm):
-            return NotImplemented
-        return (self.name == other.name
-                and self.priorities == other.priorities
-                and self.admission == other.admission
-                and self.adaptation == other.adaptation)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"CapacityArm({self.name!r}, priorities={self.priorities}, "
-                f"admission={self.admission}, adaptation={self.adaptation})")
+    name: str
+    priorities: bool = False
+    admission: bool = False
+    adaptation: bool = False
 
 
 def all_arms() -> List[CapacityArm]:
@@ -324,7 +305,7 @@ def run_capacity_experiment(
 
     # --- bind every stream, then start the shared clock ---------------
     result = CapacityResult(arm, n, duration, deadline)
-    clock = FrameClock(kernel, interval)
+    clock = PeriodicTicker(kernel, interval)
     ctrl = StreamCtrl(kernel, orbs["src"])
     senders: List[FarmStreamSender] = []
     receivers: List[FarmStreamReceiver] = []

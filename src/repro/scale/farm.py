@@ -3,7 +3,7 @@
 :class:`FarmStreamSender` is the batched counterpart of
 :class:`~repro.experiments.actors.AvVideoSender`: instead of running
 its own generator process it exposes :meth:`FarmStreamSender.on_tick`
-for a shared :class:`~repro.scale.clock.FrameClock`.  Each tick
+for a shared :class:`~repro.sim.coalesce.PeriodicTicker`.  Each tick
 generates the next MPEG frame, runs it through the optional QuO frame
 filter, charges the encode cost to the stream's thread on the sender
 host's CPU, and ships the frame on its A/V flow once the encode

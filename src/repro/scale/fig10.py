@@ -52,9 +52,11 @@ link the only contended resource.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.sim.coalesce import PeriodicTicker
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.quantize import add_repeated
@@ -72,6 +74,7 @@ from repro.media.filtering import FrameFilter
 from repro.media.mpeg import MpegStream
 from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
 from repro.core.adaptation import FrameFilteringQosket
+from repro.experiments.arm import Arm
 from repro.fluid.engine import FluidEngine
 from repro.scale.admission import AdmissionController
 from repro.scale.capacity_exp import (
@@ -85,7 +88,6 @@ from repro.scale.capacity_exp import (
     VIDEO_BITRATE_BPS,
     VIDEO_FPS,
 )
-from repro.scale.clock import FrameClock
 from repro.scale.farm import FarmStreamReceiver, FarmStreamSender, stream_rng
 
 #: Nominal frame payload and its fragmentation (matches FlowProducer).
@@ -110,33 +112,14 @@ SCALE_TENANTS = 4
 MEASURED_PER_CLASS = 4
 
 
-class ScaleArm:
+@dataclass
+class ScaleArm(Arm):
     """One fig 10 arm: admission / adaptation / tenant-skew switches."""
 
-    def __init__(self, name: str, admission: bool = False,
-                 adaptation: bool = False, overload: bool = False) -> None:
-        self.name = name
-        self.admission = bool(admission)
-        self.adaptation = bool(adaptation)
-        self.overload = bool(overload)
-
-    def __reduce__(self):
-        # Constructor-call reduce (see CapacityArm): payload bytes stay
-        # identical at any worker count.
-        return (self.__class__,
-                (self.name, self.admission, self.adaptation, self.overload))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScaleArm):
-            return NotImplemented
-        return (self.name == other.name
-                and self.admission == other.admission
-                and self.adaptation == other.adaptation
-                and self.overload == other.overload)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ScaleArm({self.name!r}, admission={self.admission}, "
-                f"adaptation={self.adaptation}, overload={self.overload})")
+    name: str
+    admission: bool = False
+    adaptation: bool = False
+    overload: bool = False
 
 
 def scale_arms() -> List[ScaleArm]:
@@ -413,7 +396,7 @@ def run_scale_experiment(
 
     # --- bind the measured cohort, then start the shared clock --------
     result = ScaleResult(arm, n, duration, deadline, fluid, max(1, tenants))
-    clock = FrameClock(kernel, interval)
+    clock = PeriodicTicker(kernel, interval)
     ctrl = StreamCtrl(kernel, orbs["src"])
     native_mapping = LinearPriorityMapping()
     dscp_mapping = DscpMapping()

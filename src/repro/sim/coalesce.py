@@ -8,8 +8,8 @@ layer, where any subsystem can use it:
 :class:`PeriodicTicker`
     One periodic kernel event fanned out to many subscribers — the
     FrameClock pattern, now with an allocation-free re-armed tick event
-    (:meth:`~repro.sim.kernel.Kernel.rearm`).
-    :class:`repro.scale.clock.FrameClock` is a thin alias of this.
+    (:meth:`~repro.sim.kernel.Kernel.rearm`).  The stream farms
+    (``repro.scale``) drive every sender from one of these.
 
 :class:`TickCoalescer`
     Batches *arbitrary one-shot* wakeups onto a shared tick grid: every

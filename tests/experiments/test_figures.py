@@ -1,0 +1,226 @@
+"""The figure table and the one verb that reads it.
+
+``scenario_registry.FIGURES`` is the only place a figure is declared;
+these tests hold it to the committed ``results/`` directory, to the
+benchmark suite and to the scenario signatures, and hold ``repro run``
+to the bytes of the results files.
+"""
+
+import inspect
+import pathlib
+import pickle
+
+import pytest
+
+from repro.cli import build_parser, main, resolve_figure, select
+from repro.experiments.arm import Arm
+from repro.experiments.fault_exp import FaultArm
+from repro.experiments.priority_exp import PriorityArm
+from repro.experiments.reservation_cpu_exp import CpuArm
+from repro.experiments.reservation_net_exp import NetworkArm
+from repro.experiments.route_exp import RouteArm
+from repro.experiments.runner import registered_scenarios, scenario_function
+from repro.experiments.scenario_registry import FIGURES, figure_specs
+from repro.pubsub.fig12 import PubSubArm
+from repro.scale.capacity_exp import CapacityArm
+from repro.scale.fig10 import ScaleArm
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Cheap enough for tier-1 (under 3 s together); the CI ``bench`` job
+#: holds all 16 figures to the same equality.
+CHEAP_FIGURES = [
+    "ablation_ecn", "ablation_phb", "ablation_reserve_policy",
+    "ablation_priority_driven_reservation", "fig2_priority_propagation",
+    "fig10_scale",
+]
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+def test_one_figure_per_results_file():
+    committed = {path.stem for path in (ROOT / "results").glob("*.txt")}
+    assert set(FIGURES) == committed
+    assert all(figure.name == name for name, figure in FIGURES.items())
+
+
+def test_every_figure_has_a_benchmark():
+    for name in FIGURES:
+        assert (ROOT / "benchmarks" / f"test_{name}.py").is_file(), name
+
+
+def test_every_spec_is_callable_as_written():
+    known = registered_scenarios()
+    for name, specs in figure_specs().items():
+        assert specs, name
+        for spec in specs:
+            assert spec.scenario in known, (name, spec.scenario)
+            accepted = inspect.signature(
+                scenario_function(spec.scenario)).parameters
+            assert set(spec.params) <= set(accepted), (name, spec.params)
+
+
+def test_specs_are_arm_major_and_render_regroups_them():
+    figure = FIGURES["fig9_capacity"]
+    specs = figure.specs()
+    assert len(specs) == len(figure.arms) * len(figure.points)
+    assert [spec.params["streams"] for spec in specs[:len(figure.points)]
+            ] == list(figure.points)
+    seen = {}
+    echo = figure._replace(renderer=lambda runs: seen.update(runs) or "")
+    echo.render(list(range(len(specs))))
+    assert list(seen) == [label for label, _ in figure.arms]
+    assert seen["priority"] == list(range(7, 14))
+
+
+# ----------------------------------------------------------------------
+# Arms: one field list, stable pickles
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("arm", [
+    PriorityArm.figure6(),
+    NetworkArm("5-partial-filtering", "partial", True),
+    CpuArm.load_reserve(),
+    FaultArm("adaptive", True),
+    RouteArm("dynamic-resignal", True, True),
+    CapacityArm("adaptive", priorities=True, admission=True, adaptation=True),
+    ScaleArm("adaptive", admission=True, adaptation=True),
+    PubSubArm("adaptive", adaptive=True),
+], ids=lambda arm: type(arm).__name__)
+def test_arm_round_trips_through_params_and_pickle(arm):
+    assert isinstance(arm, Arm)
+    assert list(arm.params())[0] == "name"
+    assert type(arm)(**arm.params()) == arm
+    # "adaptive" is both an arm name and a field name: the case whose
+    # dict-state pickle grew by 9 bytes after crossing a worker.
+    blob = pickle.dumps(arm)
+    clone = pickle.loads(blob)
+    assert clone == arm and pickle.dumps(clone) == blob
+
+
+# ----------------------------------------------------------------------
+# repro run: stdout is the results file
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", CHEAP_FIGURES)
+def test_run_prints_the_bytes_of_the_results_file(name, capsys):
+    assert main(["--no-cache", "--jobs", "1", "run", name]) == 0
+    committed = (ROOT / "results" / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == committed
+
+
+def test_cli_table1_single_arm(capsys):
+    assert main([
+        "--no-cache", "run", "table1", "--arm", "3-full",
+        "--set", "duration=20", "--set", "load_start=5",
+        "--set", "load_end=15",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "3-full" in out
+    assert "1-none" not in out
+
+
+def test_cli_fig4_runs_end_to_end(capsys):
+    assert main(["--no-cache", "run", "fig4", "--set", "duration=3"]) == 0
+    out = capsys.readouterr().out
+    assert "fig4a (idle)" in out
+    assert "sender1" in out
+    assert "fig4b sender1 latency (binned mean)" in out
+
+
+def test_cli_table2_runs_end_to_end(capsys):
+    assert main(["--no-cache", "run", "table2", "--set", "duration=10"]) == 0
+    out = capsys.readouterr().out
+    for algorithm in ("Kirsch", "Prewitt", "Sobel"):
+        assert algorithm in out
+
+
+def test_cli_fig7_cumulative_output(capsys):
+    assert main([
+        "--no-cache", "run", "fig7", "--arm", "3-full",
+        "--set", "duration=30", "--set", "load_start=5",
+        "--set", "load_end=15",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "Fig 7 — full reservation" in out
+    assert "sent  received" in out
+    assert out.count("t=") == 16  # the bin width follows the timeline
+
+
+# ----------------------------------------------------------------------
+# repro run: input from outside stays checked
+# ----------------------------------------------------------------------
+def test_parser_knows_all_commands():
+    parser = build_parser()
+    for argv in (["run", "fig4"], ["soak"], ["trace"]):
+        assert callable(parser.parse_args(argv).func)
+
+
+def test_parser_rejects_unknown_command():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig99"])
+
+
+def test_figure_prefix_resolution():
+    assert resolve_figure("fig4").name == "fig4_control_runs"
+    assert resolve_figure("table1").name == "table1_network_reservation"
+    assert resolve_figure("ablation_ecn").name == "ablation_ecn"
+    with pytest.raises(SystemExit, match="ambiguous.*fig10_scale, "
+                                         "fig11_route, fig12_pubsub"):
+        resolve_figure("fig1")
+    with pytest.raises(SystemExit, match="unknown figure.*fig4_control_runs"):
+        resolve_figure("fig99")
+
+
+def test_cli_unknown_arm_rejected():
+    with pytest.raises(SystemExit, match="unknown arm.*choose from: 1-none"):
+        main(["run", "table1", "--set", "duration=5", "--arm", "nonsense"])
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("routers=12", "unknown --set key.*one of: duration, load_start"),
+    ("arm=x", "unknown --set key"),
+    ("duration", "malformed --set.*one of: duration, load_start"),
+    ("duration=soon", "expected a float"),
+])
+def test_bad_set_is_rejected_with_the_choices(setting, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["run", "table1", "--set", setting])
+
+
+def test_ablation_arms_are_chosen_with_arm_not_set():
+    with pytest.raises(SystemExit, match="unknown --set key"):
+        main(["run", "ablation_ecn", "--set", "use_red=true"])
+    chosen = select(FIGURES["ablation_ecn"], ["RED + ECN"], [], seed=7)
+    (spec,) = chosen.specs()
+    assert spec.params == {"use_red": True} and spec.seed is None
+
+
+def test_set_on_the_sweep_axis_replaces_it():
+    figure = FIGURES["fig9_capacity"]
+    two = select(figure, [], ["streams=8,4", "duration=10"], seed=1).specs()
+    assert len(two) == 2 * len(figure.arms)
+    assert [spec.params["streams"] for spec in two[:2]] == [4, 8]
+    assert all(spec.params["duration"] == 10 for spec in two)
+    one = select(figure, ["adaptive"], ["streams=4"], seed=3).specs()
+    assert [(spec.params["arm"]["name"], spec.params["streams"], spec.seed)
+            for spec in one] == [("adaptive", 4, 3)]
+    for bad in ("streams=0", "streams=4,x", "streams="):
+        with pytest.raises(SystemExit, match="positive counts"):
+            select(figure, [], [bad], seed=1)
+
+
+def test_set_fluid_false_is_the_packet_level_run():
+    specs = select(FIGURES["fig10_scale"], ["reserves"],
+                   ["fluid=false", "streams=32"], seed=1).specs()
+    assert [spec.params["fluid"] for spec in specs] == [False]
+    with pytest.raises(SystemExit, match="expected a bool"):
+        select(FIGURES["fig10_scale"], [], ["fluid=0"], seed=1)
+
+
+def test_selection_runs_a_repeated_arm_once_and_leaves_the_table_alone():
+    before = figure_specs()
+    chosen = select(FIGURES["table1_network_reservation"],
+                    ["3-full", "1-none", "3-full"], ["duration=20"], seed=9)
+    assert [spec.params["arm"]["name"] for spec in chosen.specs()] == [
+        "1-none", "3-full"]  # table order, each once
+    assert figure_specs() == before

@@ -235,6 +235,32 @@ def test_cache_respects_env_toggle(tmp_path, monkeypatch):
     assert _runner(tmp_path).cache_enabled
 
 
+def _fig9_arm(**extra):
+    return RunSpec("capacity",
+                   {"arm": {"name": "reserves", "priorities": True,
+                            "admission": True, "adaptation": False},
+                    "streams": 1, "duration": 1.0, **extra}, seed=1)
+
+
+def test_checked_run_is_never_served_from_the_cache(tmp_path):
+    """Regression: ``canonical()`` fell back to ``str()``, so every
+    ``default_suite()`` keyed alike (``<CheckSuite [...]>``) and the
+    second checked run of an arm was a cache hit that checked nothing."""
+    from repro.check import default_suite
+
+    for _ in range(2):
+        suite = default_suite()
+        result = _runner(tmp_path).run_one(_fig9_arm(checks=suite))
+        assert not result.cached
+        assert suite.events_dispatched > 0
+    assert not (tmp_path / "cache").exists()
+    with pytest.raises(TypeError):
+        _fig9_arm(checks=default_suite()).canonical()
+    # The same arm without a live object in its params still caches.
+    assert not _runner(tmp_path).run_one(_fig9_arm()).cached
+    assert _runner(tmp_path).run_one(_fig9_arm()).cached
+
+
 def test_source_digest_changes_with_source(tmp_path, monkeypatch):
     # The real digest is stable within a process...
     assert source_tree_digest() == source_tree_digest()

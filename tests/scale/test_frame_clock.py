@@ -1,21 +1,21 @@
-"""FrameClock: one kernel event per tick, deterministic fan-out."""
+"""The farm's frame clock (a PeriodicTicker): one kernel event per tick,
+deterministic fan-out."""
 
 import pytest
 
-from repro.sim import Kernel
-from repro.scale.clock import FrameClock
+from repro.sim import Kernel, PeriodicTicker
 
 
 def test_interval_must_be_positive():
     kernel = Kernel()
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            FrameClock(kernel, bad)
+            PeriodicTicker(kernel, bad)
 
 
 def test_ticks_fire_on_the_grid_in_subscription_order():
     kernel = Kernel()
-    clock = FrameClock(kernel, interval=0.5)
+    clock = PeriodicTicker(kernel, interval=0.5)
     calls = []
     clock.subscribe(lambda now: calls.append(("a", now)))
     clock.subscribe(lambda now: calls.append(("b", now)))
@@ -29,7 +29,7 @@ def test_ticks_fire_on_the_grid_in_subscription_order():
 
 def test_one_kernel_event_per_tick_regardless_of_subscribers():
     kernel = Kernel()
-    clock = FrameClock(kernel, interval=0.1)
+    clock = PeriodicTicker(kernel, interval=0.1)
     for _ in range(50):
         clock.subscribe(lambda now: None)
     clock.start()
@@ -41,7 +41,7 @@ def test_one_kernel_event_per_tick_regardless_of_subscribers():
 
 def test_unsubscribe_and_stop():
     kernel = Kernel()
-    clock = FrameClock(kernel, interval=0.25)
+    clock = PeriodicTicker(kernel, interval=0.25)
     seen = []
     unsubscribe = clock.subscribe(lambda now: seen.append(now))
     clock.start()
@@ -58,7 +58,7 @@ def test_unsubscribe_and_stop():
 
 def test_mid_tick_subscription_takes_effect_next_tick():
     kernel = Kernel()
-    clock = FrameClock(kernel, interval=1.0)
+    clock = PeriodicTicker(kernel, interval=1.0)
     late = []
 
     def first(now):

@@ -12,7 +12,7 @@ Each scenario family runs here at a scaled-down duration (the full
 figures belong to ``benchmarks/``); the suite still exercises every
 code path that schedules events — priority lanes, network and CPU
 reservation, fault injection and recovery, the capacity farm's
-FrameClock, the soak harness's invariant checkers, and all four
+frame clock, the soak harness's invariant checkers, and all four
 ablations.
 
 This file also pins the tie-break rules themselves:
@@ -30,16 +30,6 @@ import pickle
 import pytest
 
 from repro.experiments.runner import ExperimentRunner, RunSpec
-from repro.experiments.scenario_registry import (
-    capacity_arm_params,
-    cpu_arm_params,
-    fault_arm_params,
-    network_arm_params,
-    priority_arm_params,
-    pubsub_arm_params,
-    route_arm_params,
-    scale_arm_params,
-)
 from repro.experiments.priority_exp import PriorityArm
 from repro.experiments.reservation_cpu_exp import CpuArm
 from repro.experiments.reservation_net_exp import NetworkArm
@@ -60,40 +50,38 @@ def _parity_specs():
     return {
         "priority": RunSpec(
             "priority",
-            {"arm": priority_arm_params(PriorityArm.figure4a()),
+            {"arm": PriorityArm.figure4a().params(),
              "duration": 3.0}, seed=1),
         "reservation_net": RunSpec(
             "reservation_net",
-            {"arm": network_arm_params(NetworkArm("3-full", "full", False)),
+            {"arm": NetworkArm("3-full", "full", False).params(),
              "duration": 30.0, "load_start": 5.0, "load_end": 15.0}, seed=1),
         "reservation_cpu": RunSpec(
             "reservation_cpu",
-            {"arm": cpu_arm_params(CpuArm.load_reserve()),
+            {"arm": CpuArm.load_reserve().params(),
              "duration": 10.0}, seed=1),
         "faults": RunSpec(
             "faults",
-            {"arm": fault_arm_params(FaultArm("adaptive", True)),
+            {"arm": FaultArm("adaptive", True).params(),
              "duration": 30.0}, seed=1),
         "capacity": RunSpec(
             "capacity",
-            {"arm": capacity_arm_params(
-                CapacityArm("adaptive", True, True, True)),
+            {"arm": CapacityArm("adaptive", True, True, True).params(),
              "streams": 4, "duration": 4.0}, seed=1),
         "scale": RunSpec(
             "scale",
-            {"arm": scale_arm_params(
-                ScaleArm("adaptive", admission=True, adaptation=True)),
+            {"arm": ScaleArm("adaptive", admission=True,
+                             adaptation=True).params(),
              "streams": 40, "duration": 2.0, "fluid": True,
              "bottleneck_bps": 10e6, "cross_traffic_bps": 4e6}, seed=1),
         "route": RunSpec(
             "route",
-            {"arm": route_arm_params(
-                RouteArm("dynamic-resignal", True, True)),
+            {"arm": RouteArm("dynamic-resignal", True, True).params(),
              "routers": 12, "duration": 12.0, "fail_at": 3.0}, seed=1),
         "pubsub": RunSpec(
             "pubsub",
-            {"arm": pubsub_arm_params(
-                PubSubArm("ownership", ownership=True, faults=True)),
+            {"arm": PubSubArm("ownership", ownership=True,
+                              faults=True).params(),
              "subscribers": 64, "duration": 4.0}, seed=1),
         "soak_case": RunSpec(
             "soak_case",
@@ -216,7 +204,7 @@ def test_coalesced_ties_preserve_registration_order(backend):
 def test_worker_fanout_parity(monkeypatch, jobs, tmp_path):
     """``--jobs 1`` and ``--jobs 4`` produce identical payloads.
 
-    The capacity farm leans hardest on the FrameClock/coalescing path,
+    The capacity farm leans hardest on the frame-clock/coalescing path,
     so its arms are the sharpest probe that worker fan-out cannot
     perturb tie-breaking.  Both runs execute with the cache disabled;
     the reference bytes are stored per-test-session by parametrization
@@ -224,7 +212,7 @@ def test_worker_fanout_parity(monkeypatch, jobs, tmp_path):
     """
     specs = [
         RunSpec("capacity",
-                {"arm": capacity_arm_params(arm), "streams": 3,
+                {"arm": arm.params(), "streams": 3,
                  "duration": 2.0}, seed=1)
         for arm in (CapacityArm("best-effort", False, False, False),
                     CapacityArm("priority", True, False, False),
@@ -254,7 +242,7 @@ def test_worker_fanout_parity_pubsub(monkeypatch, jobs, tmp_path):
     pin above for why)."""
     specs = [
         RunSpec("pubsub",
-                {"arm": pubsub_arm_params(arm), "subscribers": 64,
+                {"arm": arm.params(), "subscribers": 64,
                  "duration": 4.0}, seed=1)
         for arm in pubsub_arms()
     ]
@@ -284,7 +272,7 @@ def test_worker_fanout_parity_route(monkeypatch, jobs, tmp_path):
     don't), which is pickle-memo trivia, not a determinism signal."""
     specs = [
         RunSpec("route",
-                {"arm": route_arm_params(arm), "routers": 12,
+                {"arm": arm.params(), "routers": 12,
                  "duration": 12.0, "fail_at": 3.0}, seed=1)
         for arm in route_arms()
     ]
