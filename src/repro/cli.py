@@ -26,15 +26,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
-
-from repro.sim.eventq import (
-    DEFAULT_SCHEDULER,
-    SCHEDULER_BACKENDS,
-    SCHEDULER_ENV,
-)
 
 from repro.experiments.priority_exp import (
     PriorityArm,
@@ -277,13 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every arm, ignoring the on-disk "
                              "result cache")
-    parser.add_argument("--scheduler", default=None,
-                        choices=sorted(SCHEDULER_BACKENDS),
-                        help="pending-event backend for the simulation "
-                             "kernel (default: REPRO_SCHEDULER or "
-                             f"{DEFAULT_SCHEDULER}); results are identical "
-                             "either way — this switches the engine, not "
-                             "the experiment")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -357,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.scheduler is not None:
-        # Exported rather than threaded through: worker processes and
-        # every Kernel() construction read REPRO_SCHEDULER themselves.
-        os.environ[SCHEDULER_ENV] = args.scheduler
     return args.func(args)
 
 

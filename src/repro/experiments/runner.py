@@ -44,8 +44,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.eventq import scheduler_from_env
-
 __all__ = [
     "RunSpec",
     "RunResult",
@@ -266,12 +264,7 @@ class ResultCache:
 
     @staticmethod
     def key_for(spec: RunSpec, source_digest: str) -> str:
-        # The scheduler backend is part of the key even though the
-        # parity suite proves both backends produce identical payloads:
-        # if a parity bug ever slipped in, a shared cache would quietly
-        # serve one backend's results as the other's and mask it.
-        material = (f"{spec.canonical()}\x00{source_digest}"
-                    f"\x00scheduler={scheduler_from_env()}").encode()
+        material = f"{spec.canonical()}\x00{source_digest}".encode()
         return hashlib.sha256(material).hexdigest()
 
     def _path(self, key: str) -> Path:

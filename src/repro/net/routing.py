@@ -38,8 +38,8 @@ Determinism
 Equal-cost paths break ties by ``(cost, first-hop neighbor name)``:
 the Dijkstra heap carries ``(cost, first_hop, node)`` tuples, so of
 all shortest paths the one through the lexicographically smallest
-first hop settles first.  Tables are therefore identical across runs,
-across ``--jobs`` workers, and across scheduler backends.
+first hop settles first.  Tables are therefore identical across runs
+and across ``--jobs`` workers.
 """
 
 from __future__ import annotations

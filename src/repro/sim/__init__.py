@@ -10,10 +10,9 @@ Public surface
 --------------
 
 ``Kernel``
-    The event loop: a time-ordered queue of scheduled callbacks plus a
-    simulated clock.  The pending-event store is pluggable
-    (``REPRO_SCHEDULER``): a calendar-queue/timer-wheel backend by
-    default, the legacy binary heap for differential testing.
+    The event loop: a simulated clock plus the pending callbacks, held
+    in one ``heapq`` of ``(time, seq, event)`` tuples that the kernel
+    pushes and pops inline.
 
 ``PeriodicTicker`` / ``TickCoalescer``
     Kernel-level timer coalescing: batch N same-tick wakeups into one
@@ -32,12 +31,6 @@ Public surface
 """
 
 from repro.sim.coalesce import PeriodicTicker, TickCoalescer
-from repro.sim.eventq import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_event_queue,
-    scheduler_from_env,
-)
 from repro.sim.kernel import Kernel, ScheduledEvent, SimulationError
 from repro.sim.process import (
     AnyOf,
@@ -51,8 +44,6 @@ from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AnyOf",
-    "CalendarEventQueue",
-    "HeapEventQueue",
     "Interrupt",
     "Kernel",
     "PeriodicTicker",
@@ -64,6 +55,4 @@ __all__ = [
     "SimulationError",
     "TickCoalescer",
     "Timeout",
-    "make_event_queue",
-    "scheduler_from_env",
 ]

@@ -44,9 +44,9 @@ TickCallback = Callable[[float], None]
 class PeriodicTicker:
     """One periodic kernel event fanned out to many subscribers.
 
-    With one timer per periodic actor, every interval costs a queue
+    With one timer per periodic actor, every interval costs a heap
     push *and* pop per actor — at N=64 actors and 30 Hz that is ~4k
-    queue operations per simulated second before any real work.  A
+    heap operations per simulated second before any real work.  A
     shared ticker dispatches every subscriber from a single kernel
     event per tick, keeping the scheduling cost O(ticks) rather than
     O(actors x ticks).

@@ -1,20 +1,21 @@
 """The discrete-event simulation kernel.
 
-A :class:`Kernel` owns a simulated clock and a queue of pending events.
+A :class:`Kernel` owns a simulated clock and the set of pending events.
 Each event is a plain callback scheduled for a future simulated time.
 Higher layers (processes, CPU schedulers, network queues) are all built
 from these two primitives.
 
-Scheduler backends
-------------------
+The pending set
+---------------
 
-The pending-event store is pluggable (see :mod:`repro.sim.eventq`):
-``REPRO_SCHEDULER=calendar`` (the default) uses a calendar-queue /
-bucketed timer wheel with a far-future heap overflow;
-``REPRO_SCHEDULER=heap`` selects the legacy binary heap.  Both pop in
-identical ``(time, seq)`` order, so the choice can never change
-results — ``tests/sim/test_scheduler_parity.py`` runs every figure
-scenario through both and asserts byte-identical payloads and traces.
+One ``heapq`` list of ``(time, seq, event)`` tuples, owned by the
+kernel and pushed / popped inline: the figures keep a median of 4-180
+entries pending per arm (maximum 2 004), sizes at which a C binary heap
+beats the calendar queue it replaced (DESIGN §8 has the measurements).
+``seq`` is unique, so tuple comparisons are decided in C on the first
+two fields and never reach the event object.  Cancelled entries stay in
+place as tombstones, are skipped when they surface, and are compacted
+away when they outnumber the live entries.
 
 Determinism
 -----------
@@ -30,9 +31,9 @@ reproducible bit-for-bit from its seed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
-
-from repro.sim.eventq import make_event_queue
+from heapq import heapify, heappop, heappush
+from math import inf
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -42,10 +43,10 @@ class SimulationError(RuntimeError):
 class ScheduledEvent:
     """Handle for a scheduled callback; supports O(1) cancellation.
 
-    Cancellation is implemented by tombstoning: the queue entry stays in
+    Cancellation is implemented by tombstoning: the heap entry stays in
     place but is skipped when popped.  This keeps ``cancel`` cheap, which
     matters because preemptive CPU scheduling cancels completion events
-    constantly.  The kernel counts live tombstones and compacts the queue
+    constantly.  The kernel counts live tombstones and compacts the heap
     when they dominate it, so cancel/reschedule churn cannot grow the
     pending set unboundedly.
     """
@@ -64,7 +65,7 @@ class ScheduledEvent:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Owning kernel while the event sits in the queue; cleared on
+        #: Owning kernel while the event sits in the heap; cleared on
         #: pop so a late cancel() cannot skew the tombstone count.
         self._kernel: Optional["Kernel"] = None
 
@@ -76,11 +77,6 @@ class ScheduledEvent:
         kernel = self._kernel
         if kernel is not None:
             kernel._note_cancel()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -94,10 +90,6 @@ class Kernel:
     ----------
     start_time:
         Initial value of the simulated clock.
-    scheduler:
-        Pending-event backend: ``"calendar"``, ``"heap"``, a
-        pre-constructed backend instance (tests tune wheel parameters
-        this way), or ``None`` to follow ``REPRO_SCHEDULER``.
 
     Example
     -------
@@ -117,15 +109,13 @@ class Kernel:
     #: up more than half of the pending set.
     COMPACT_MIN_SIZE = 512
 
-    def __init__(self, start_time: float = 0.0,
-                 scheduler: Union[str, Any, None] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        if scheduler is None or isinstance(scheduler, str):
-            self._queue = make_event_queue(scheduler)
-        else:
-            self._queue = scheduler
-        #: Active backend name (observability / cache fingerprints).
-        self.scheduler = self._queue.name
+        #: The pending set: a ``heapq`` of ``(time, seq, event)``.  The
+        #: list object is never rebound (``run()`` holds it in a local).
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
+        #: Cancelled entries still occupying heap slots (tombstones).
+        self._stale = 0
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -159,7 +149,7 @@ class Kernel:
         self._seq = seq + 1
         event = ScheduledEvent(time, seq, callback, args)
         event._kernel = self
-        self._queue.push(time, seq, event)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(
@@ -174,7 +164,7 @@ class Kernel:
         self._seq = seq + 1
         event = ScheduledEvent(time, seq, callback, args)
         event._kernel = self
-        self._queue.push(time, seq, event)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def rearm(self, event: ScheduledEvent, delay: float,
@@ -189,7 +179,7 @@ class Kernel:
         replaced by ``*args`` (pass none for a no-arg callback).
 
         The handle must not be pending (still queued) — rearming it
-        would corrupt the queue — and a cancelled-then-fired handle is
+        would corrupt the heap — and a cancelled-then-fired handle is
         revived (its ``cancelled`` flag clears).
         """
         if event._kernel is not None:
@@ -206,18 +196,29 @@ class Kernel:
         event.args = args
         event.cancelled = False
         event._kernel = self
-        self._queue.push(time, seq, event)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def _note_cancel(self) -> None:
         """Tombstone accounting + compaction policy (from ``cancel()``)."""
-        queue = self._queue
-        queue.note_cancel()
+        heap = self._heap
+        self._stale += 1
         # Tombstones are only ever created here, so this is the one
         # place that needs to police the tombstone/live ratio.
-        if (queue.size() > self.COMPACT_MIN_SIZE
-                and queue.stale * 2 > queue.size()):
-            queue.compact()
+        if (len(heap) > self.COMPACT_MIN_SIZE
+                and self._stale * 2 > len(heap)):
+            live = []
+            for entry in heap:
+                if entry[2].cancelled:
+                    entry[2]._kernel = None
+                else:
+                    live.append(entry)
+            # In place: run() holds this list in a local.  Pop order
+            # lives in the (time, seq) keys, so re-heapifying cannot
+            # change it.
+            heap[:] = live
+            heapify(heap)
+            self._stale = 0
             self.compactions += 1
 
     # ------------------------------------------------------------------
@@ -226,12 +227,13 @@ class Kernel:
     def step(self) -> bool:
         """Execute the next pending event.
 
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
+        Returns ``True`` if an event ran, ``False`` if none is pending.
         """
-        event = self._queue.pop_due(None)
-        if event is None:
+        if self.peek() is None:
             return False
-        self._now = event.time
+        time, seq, event = heappop(self._heap)
+        event._kernel = None
+        self._now = time
         self.events_executed += 1
         tracer = self.tracer
         if tracer is not None:
@@ -241,22 +243,24 @@ class Kernel:
                 callback=getattr(
                     callback, "__qualname__", type(callback).__name__
                 ),
-                seq=event.seq,
+                seq=seq,
             )
         event.callback(*event.args)
         return True
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or the clock reaches ``until``.
+        """Run until the pending set drains or the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced to exactly
         ``until`` even if the last event fires earlier, so that metrics
-        windows line up with the requested horizon.
+        windows line up with the requested horizon.  Tombstones at the
+        front are pruned whatever their time; the first *live* entry
+        beyond ``until`` stays pending.
 
         This is the simulation's hottest loop (hundreds of thousands of
-        dispatches per experiment), so the backend's ``pop_due`` is
-        hoisted into a local, the dispatch from :meth:`step` is inlined,
-        and ``events_executed`` is batched in a local.  The tracer is
+        dispatches per experiment), so the heap is held in a local, the
+        pop and the dispatch from :meth:`step` are inlined, and
+        ``events_executed`` is batched in a local.  The tracer is
         sampled once when ``run()`` begins: attach tracers before
         running (every call site does; per-event re-checks would tax
         the untraced hot path that the figures depend on).
@@ -265,24 +269,41 @@ class Kernel:
             raise SimulationError("kernel is already running (reentrant run())")
         self._running = True
         self._stopped = False
-        pop_due = self._queue.pop_due
+        heap = self._heap
+        limit = inf if until is None else until
         tracer = self.tracer
         executed = 0
         try:
             if tracer is None:
-                while not self._stopped:
-                    event = pop_due(until)
-                    if event is None:
+                while heap and not self._stopped:
+                    entry = heap[0]
+                    event = entry[2]
+                    if event.cancelled:
+                        heappop(heap)
+                        event._kernel = None
+                        self._stale -= 1
+                        continue
+                    if entry[0] > limit:
                         break
-                    self._now = event.time
+                    heappop(heap)
+                    event._kernel = None
+                    self._now = entry[0]
                     executed += 1
                     event.callback(*event.args)
             else:
-                while not self._stopped:
-                    event = pop_due(until)
-                    if event is None:
+                while heap and not self._stopped:
+                    entry = heap[0]
+                    event = entry[2]
+                    if event.cancelled:
+                        heappop(heap)
+                        event._kernel = None
+                        self._stale -= 1
+                        continue
+                    if entry[0] > limit:
                         break
-                    self._now = event.time
+                    heappop(heap)
+                    event._kernel = None
+                    self._now = entry[0]
                     executed += 1
                     callback = event.callback
                     tracer.instant(
@@ -291,7 +312,7 @@ class Kernel:
                             callback, "__qualname__",
                             type(callback).__name__
                         ),
-                        seq=event.seq,
+                        seq=entry[1],
                     )
                     callback(*event.args)
             if until is not None and not self._stopped and until > self._now:
@@ -305,21 +326,27 @@ class Kernel:
         self._stopped = True
 
     def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if idle."""
-        return self._queue.peek()
+        """Time of the next pending event, or ``None`` if idle.
+
+        Front tombstones are pruned on the way.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2].cancelled:
+                return entry[0]
+            heappop(heap)
+            entry[2]._kernel = None
+            self._stale -= 1
+        return None
 
     def pending(self) -> int:
-        """O(1) count of live (non-cancelled) events still queued."""
-        return self._queue.live()
-
-    #: Deprecated alias of :meth:`pending`; kept for callers written
-    #: against the pre-consolidation API.
-    pending_count = pending
+        """O(1) count of live (non-cancelled) events still pending."""
+        return len(self._heap) - self._stale
 
     def heap_size(self) -> int:
-        """Queue entries including tombstones (observability / tests)."""
-        return self._queue.size()
+        """Heap entries including tombstones (observability / tests)."""
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Kernel now={self._now:.6f} pending={self.pending()} "
-                f"scheduler={self.scheduler}>")
+        return f"<Kernel now={self._now:.6f} pending={self.pending()}>"

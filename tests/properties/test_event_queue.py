@@ -1,21 +1,29 @@
-"""Property tests: pending-event queue backends vs a sorted model.
+"""Property tests: the kernel's pending set vs a sorted model.
 
-The kernel's determinism contract (:mod:`repro.sim.eventq`) says both
-scheduler backends pop events in strictly increasing ``(time, seq)``
-order, with same-time ties resolved FIFO by the schedule counter —
-under *any* interleaving of pushes, pops, cancellations, bounded pops
-(``run(until=...)`` limit probing), compactions and bucket-geometry
-boundaries.  These tests drive random operation sequences through
-each backend and a trivially correct sorted-list reference model, and
-require identical observable behaviour.
+The kernel's determinism contract (:mod:`repro.sim.kernel`) says events
+dispatch in strictly increasing ``(time, seq)`` order, with same-time
+ties resolved FIFO by the schedule counter — under *any* interleaving
+of ``schedule`` / ``schedule_at`` / ``rearm`` / ``cancel`` / ``step`` /
+bounded and unbounded ``run`` / ``stop``, from outside the loop and
+from inside callbacks, with tombstone compaction firing at any moment.
+These tests drive random operation programs through a real
+:class:`~repro.sim.Kernel` and through a trivially correct sorted-list
+reference model, and require identical observable behaviour: the
+dispatch log, the clock, ``pending()`` and ``peek()``, plus exact
+tombstone bookkeeping inside the kernel after every step.
 
-The calendar queue runs with deliberately hostile geometry (bucket
-widths from nanoseconds to seconds, wheel windows as small as 4
-slots) so that activation, far-heap overflow/migration, rewind and
-adaptive-resize boundaries are all crossed constantly — the plain
-"big queue, friendly spacing" case is the easy one.
+``COMPACT_MIN_SIZE`` is lowered to a handful of entries so compaction
+fires constantly, also in the middle of ``run()`` (which holds the heap
+list in a local: compaction has to mutate it in place).  Three cases
+the inline dispatch loop makes delicate are pinned as plain tests
+below the property.
 
-Kernel-level facts pinned on top of the raw structures:
+Mutation-checked: each of these changes to ``kernel.py`` fails this
+file — pushing ``(time, -seq, event)`` (LIFO ties), dropping the
+``_stale`` decrement where ``run()`` (either loop) or ``peek()`` prunes
+a front tombstone, and compacting with ``self._heap = live`` instead of ``heap[:] = live``.
+
+Kernel-level facts pinned on top:
 
 - :meth:`~repro.sim.Kernel.rearm` is dispatch-identical to scheduling
   a fresh event at the same point;
@@ -32,13 +40,11 @@ from bisect import insort
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Kernel, PeriodicTicker, TickCoalescer
-from repro.sim.eventq import CalendarEventQueue, HeapEventQueue
 
 # ----------------------------------------------------------------------
 # Random operation programs
 # ----------------------------------------------------------------------
-#: Delays chosen to straddle bucket widths: sub-width, multi-bucket,
-#: beyond any wheel window (far-heap), and exact ties (0.0).
+#: Delays from sub-microsecond to minutes, and exact ties (0.0).
 DELAY = st.one_of(
     st.just(0.0),
     st.floats(min_value=0.0, max_value=1e-3),
@@ -46,31 +52,42 @@ DELAY = st.one_of(
     st.floats(min_value=0.0, max_value=500.0),
 )
 
+INDEX = st.integers(min_value=0, max_value=200)
+
+#: What an event does when it fires, besides logging itself.
+ACTION = st.one_of(
+    st.none(),
+    st.tuples(st.just("cancel"), INDEX),
+    st.tuples(st.just("schedule"), DELAY),
+    st.tuples(st.just("rearm"), DELAY),
+    st.tuples(st.just("stop")),
+)
+
 OP = st.one_of(
-    st.tuples(st.just("push"), DELAY),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
-    st.tuples(st.just("pop"), st.integers(min_value=1, max_value=8)),
-    st.tuples(st.just("pop_until"), DELAY, st.integers(min_value=1,
-                                                       max_value=8)),
-    st.tuples(st.just("compact")),
+    st.tuples(st.just("schedule"), DELAY, ACTION),
+    st.tuples(st.just("schedule_at"), DELAY, ACTION),
+    st.tuples(st.just("rearm"), INDEX, DELAY, ACTION),
+    st.tuples(st.just("cancel"), INDEX),
+    st.tuples(st.just("step"), st.integers(min_value=1, max_value=8)),
+    st.tuples(st.just("run_until"), DELAY),
+    st.tuples(st.just("run")),
+    st.tuples(st.just("peek")),
 )
 
 PROGRAM = st.lists(OP, max_size=120)
 
-WIDTH = st.sampled_from((1e-9, 1e-6, 1e-3, 0.05, 1.0))
-NSLOTS = st.sampled_from((4, 8, 64, 256))
+#: 0 and 3 compact all the time, 10**9 never does.
+COMPACT_MIN = st.sampled_from((0, 3, 16, 10**9))
 
 
 class _Handle:
-    """Stand-in for ScheduledEvent: just the fields the queues touch."""
+    """Model-side stand-in for ScheduledEvent."""
 
-    __slots__ = ("time", "seq", "cancelled", "_kernel")
+    __slots__ = ("time", "seq", "cancelled", "ident", "action")
 
-    def __init__(self, time, seq):
-        self.time = time
-        self.seq = seq
+    def __init__(self, ident):
+        self.ident = ident
         self.cancelled = False
-        self._kernel = object()
 
 
 class _SortedModel:
@@ -94,88 +111,307 @@ class _SortedModel:
             return handle
         return None
 
+    def peek(self):
+        for time, _, handle in self.entries:
+            if not handle.cancelled:
+                return time
+        return None
+
     def live(self):
         return sum(1 for e in self.entries if not e[2].cancelled)
 
 
-def _run_program(queue, program):
-    """Execute ``program`` against ``queue`` and the model in lockstep."""
-    model = _SortedModel()
-    handles = []
-    now = 0.0
-    seq = 0
-    for op in program:
-        if op[0] == "push":
-            time = now + op[1]
-            mine, theirs = _Handle(time, seq), _Handle(time, seq)
-            queue.push(time, seq, mine)
-            model.push(time, seq, theirs)
-            handles.append((mine, theirs))
-            seq += 1
-        elif op[0] == "cancel":
-            if handles:
-                mine, theirs = handles[op[1] % len(handles)]
-                if not mine.cancelled and mine._kernel is not None:
-                    mine.cancelled = True
-                    theirs.cancelled = True
-                    queue.note_cancel()
-        elif op[0] == "compact":
-            queue.compact()
-        else:
-            limit = None if op[0] == "pop" else now + op[1]
-            count = op[-1]
-            for _ in range(count):
-                got = queue.pop_due(limit)
-                expected = model.pop_due(limit)
-                if expected is None:
-                    assert got is None, (
-                        f"backend popped {got and (got.time, got.seq)}, "
-                        f"model says queue is drained/beyond limit")
-                    break
-                assert got is not None, (
-                    f"backend returned None, model expected "
-                    f"{(expected.time, expected.seq)}")
-                assert (got.time, got.seq) == (expected.time, expected.seq)
-                now = got.time
-    # Full drain must agree too (flushes far-heap / parked buckets).
-    while True:
-        got = queue.pop_due(None)
-        expected = model.pop_due(None)
-        if expected is None:
-            assert got is None
-            break
-        assert got is not None
-        assert (got.time, got.seq) == (expected.time, expected.seq)
-    assert queue.live() == 0
+class _Side:
+    """Interprets a program; subclasses supply the primitives.
 
-
-@settings(max_examples=150, deadline=None)
-@given(program=PROGRAM)
-def test_heap_matches_sorted_model(program):
-    _run_program(HeapEventQueue(), program)
-
-
-@settings(max_examples=300, deadline=None)
-@given(program=PROGRAM, width=WIDTH, nslots=NSLOTS)
-def test_calendar_matches_sorted_model(program, width, nslots):
-    _run_program(CalendarEventQueue(width=width, nslots=nslots), program)
-
-
-@settings(max_examples=100, deadline=None)
-@given(program=PROGRAM, width=WIDTH)
-def test_calendar_resize_boundaries(program, width):
-    """A tiny wheel + hostile widths forces constant resizes/migration.
-
-    The adaptation thresholds are dropped to the floor so that nearly
-    every activation crosses a rebuild or a far-heap migration — the
-    structural churn must stay invisible in pop order.
+    Handles are named by creation index, so the kernel side and the
+    model side stay addressable by the same integers for as long as
+    they behave alike.
     """
-    class TinyAdapt(CalendarEventQueue):
-        __slots__ = ()
-        RESIZE_MIN_EVENTS = 2
-        ADAPT_PERIOD = 2
 
-    _run_program(TinyAdapt(width=width, nslots=4), program)
+    def __init__(self):
+        self.log = []    # (time, ident, seq) per dispatch
+        self.idle = []   # fired and not queued again: may be rearmed
+        self.created = 0
+
+    def apply(self, op):
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            self.new(op[1], op[2], absolute=kind == "schedule_at")
+        elif kind == "rearm":
+            if self.idle:
+                ident = self.idle.pop(op[1] % len(self.idle))
+                self.rearm(ident, op[2], op[3])
+        elif kind == "cancel":
+            if self.created:
+                self.cancel(op[1] % self.created)
+        elif kind == "step":
+            for _ in range(op[1]):
+                if not self.step():
+                    break
+        elif kind == "run_until":
+            self.run(self.now() + op[1])
+        elif kind == "run":
+            self.run(None)
+        else:
+            self.peek()
+
+    def fire(self, ident, action):
+        self.log.append((self.now(), ident, self.seq_of(ident)))
+        self.idle.append(ident)
+        if action is None:
+            return
+        if action[0] == "cancel":
+            self.cancel(action[1] % self.created)
+        elif action[0] == "schedule":
+            self.new(action[1], None, absolute=False)
+        elif action[0] == "rearm":
+            self.idle.remove(ident)
+            self.rearm(ident, action[1], None)
+        else:
+            self.stop()
+
+    def observe(self):
+        return self.now(), self.pending(), self.log
+
+
+class _CountingTracer:
+    """Just enough tracer to send run() and step() down the traced path."""
+
+    def __init__(self):
+        self.dispatches = 0
+
+    def instant(self, layer, kind, **fields):
+        assert (layer, kind) == ("sim", "event.dispatch")
+        self.dispatches += 1
+
+
+class _KernelSide(_Side):
+    def __init__(self, compact_min, traced):
+        super().__init__()
+        self.kernel = Kernel()
+        self.kernel.COMPACT_MIN_SIZE = compact_min
+        if traced:
+            self.kernel.tracer = _CountingTracer()
+        self.heap = self.kernel._heap
+        self.handles = []
+
+    def new(self, delay, action, absolute):
+        kernel = self.kernel
+        ident = self.created
+        self.created += 1
+        if absolute:
+            handle = kernel.schedule_at(kernel.now + delay, self.fire,
+                                        ident, action)
+        else:
+            handle = kernel.schedule(delay, self.fire, ident, action)
+        self.handles.append(handle)
+
+    def rearm(self, ident, delay, action):
+        self.kernel.rearm(self.handles[ident], delay, ident, action)
+
+    def cancel(self, ident):
+        self.handles[ident].cancel()
+
+    def seq_of(self, ident):
+        return self.handles[ident].seq
+
+    def step(self):
+        return self.kernel.step()
+
+    def run(self, until):
+        self.kernel.run(until)
+
+    def stop(self):
+        self.kernel.stop()
+
+    def now(self):
+        return self.kernel.now
+
+    def pending(self):
+        return self.kernel.pending()
+
+    def peek(self):
+        return self.kernel.peek()
+
+    def check_books(self):
+        """The kernel's own bookkeeping is exact, not just plausible."""
+        kernel, heap = self.kernel, self.kernel._heap
+        assert heap is self.heap, "the heap list was rebound"
+        assert all(heap[(i - 1) >> 1] <= heap[i] for i in range(1, len(heap)))
+        assert kernel._stale == sum(e[2].cancelled for e in heap)
+        assert kernel.heap_size() == len(heap)
+        assert kernel.pending() == len(heap) - kernel._stale
+        queued = {id(e[2]) for e in heap}
+        assert len(queued) == len(heap), "a handle is queued twice"
+        for handle in self.handles:
+            assert (handle._kernel is kernel) == (id(handle) in queued)
+
+
+class _ModelSide(_Side):
+    def __init__(self):
+        super().__init__()
+        self.model = _SortedModel()
+        self.handles = []
+        self.time = 0.0
+        self.seq = 0
+        self.stopped = False
+
+    def _push(self, handle, delay, action):
+        handle.time = self.time + delay
+        handle.seq = self.seq
+        handle.action = action
+        handle.cancelled = False
+        self.seq += 1
+        self.model.push(handle.time, handle.seq, handle)
+
+    def new(self, delay, action, absolute):
+        handle = _Handle(self.created)
+        self.created += 1
+        self.handles.append(handle)
+        self._push(handle, delay, action)
+
+    def rearm(self, ident, delay, action):
+        self._push(self.handles[ident], delay, action)
+
+    def cancel(self, ident):
+        self.handles[ident].cancelled = True
+
+    def seq_of(self, ident):
+        return self.handles[ident].seq
+
+    def _dispatch(self, handle):
+        self.time = handle.time
+        self.fire(handle.ident, handle.action)
+
+    def step(self):
+        handle = self.model.pop_due(None)
+        if handle is None:
+            return False
+        self._dispatch(handle)
+        return True
+
+    def run(self, until):
+        self.stopped = False
+        while not self.stopped:
+            handle = self.model.pop_due(until)
+            if handle is None:
+                break
+            self._dispatch(handle)
+        if until is not None and not self.stopped and until > self.time:
+            self.time = until
+
+    def stop(self):
+        self.stopped = True
+
+    def now(self):
+        return self.time
+
+    def pending(self):
+        return self.model.live()
+
+    def peek(self):
+        return self.model.peek()
+
+
+def _run_program(program, compact_min, traced):
+    """Execute ``program`` on a kernel and on the model in lockstep."""
+    real, model = _KernelSide(compact_min, traced), _ModelSide()
+    def both(op):
+        real.apply(op)
+        model.apply(op)
+        assert real.observe() == model.observe(), op
+        real.check_books()
+
+    for op in program:
+        both(op)
+        if op[0] == "peek":
+            assert real.peek() == model.peek()
+    while model.pending():  # a stop() action ends a run() early
+        both(("run",))
+    both(("run",))  # nothing left to stop this one: tombstones go too
+    assert real.kernel.pending() == 0
+    assert real.kernel.heap_size() == 0
+    assert real.kernel.events_executed == len(real.log)
+    if traced:
+        assert real.kernel.tracer.dispatches == len(real.log)
+
+
+@settings(max_examples=400, deadline=None)
+@given(program=PROGRAM, compact_min=COMPACT_MIN, traced=st.booleans())
+def test_kernel_matches_sorted_model(program, compact_min, traced):
+    _run_program(program, compact_min, traced)
+
+
+# ----------------------------------------------------------------------
+# Three cases the inline dispatch loop makes delicate
+# ----------------------------------------------------------------------
+def test_compaction_inside_a_callback_during_run():
+    """cancel() in a callback compacts the list run() is iterating."""
+    kernel = Kernel()
+    kernel.COMPACT_MIN_SIZE = 4
+    fired = []
+    victims = [kernel.schedule(5.0 + i, fired.append, f"victim{i}")
+               for i in range(5)]
+
+    def massacre():
+        fired.append("massacre")
+        for victim in victims:
+            victim.cancel()
+        # The last cancel compacted, mid-run: only the live entries
+        # are left, and what is pushed from here on must land in the
+        # list run() is looking at.
+        assert kernel.compactions == 1
+        assert kernel.heap_size() == kernel.pending() == 3
+        kernel.schedule(0.0, fired.append, "tie")
+        kernel.schedule(1.5, fired.append, "later")
+
+    kernel.schedule(1.0, massacre)
+    kernel.schedule(1.0, fired.append, "b")
+    kernel.schedule(20.0, fired.append, "z")
+    kernel.schedule(3.0, fired.append, "c")
+    kernel.run()
+    assert fired == ["massacre", "b", "tie", "later", "c", "z"]
+    assert kernel.pending() == kernel.heap_size() == 0
+    assert kernel._stale == 0
+    assert kernel.events_executed == 6
+
+
+def test_first_not_due_event_stays_pending_and_cancellable():
+    """run(until) leaves the first later event queued, link intact."""
+    kernel = Kernel()
+    fired = []
+    kernel.schedule(1.0, fired.append, "due")
+    beyond = kernel.schedule(3.0, fired.append, "beyond")
+    kernel.schedule(4.0, fired.append, "last")
+    kernel.run(until=2.0)
+    assert fired == ["due"]
+    assert kernel.now == 2.0
+    assert kernel.pending() == 2
+    assert kernel.peek() == 3.0
+    beyond.cancel()
+    assert kernel.pending() == 1, "the cancel was not counted"
+    assert kernel.heap_size() == 2
+    kernel.run()
+    assert fired == ["due", "last"]
+    assert kernel.pending() == kernel.heap_size() == 0
+    assert kernel._stale == 0
+
+
+def test_front_tombstone_beyond_until_is_pruned():
+    """A cancelled front entry goes, whatever its time; _stale exact."""
+    kernel = Kernel()
+    fired = []
+    front = kernel.schedule(3.0, fired.append, "front")
+    kernel.schedule(4.0, fired.append, "live")
+    front.cancel()
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (1, 2, 1)
+    kernel.run(until=2.0)
+    assert fired == []
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (1, 1, 0)
+    assert front._kernel is None
+    kernel.run()
+    assert fired == ["live"]
 
 
 # ----------------------------------------------------------------------
@@ -185,13 +421,12 @@ def test_calendar_resize_boundaries(program, width):
 @given(
     period=st.floats(min_value=1e-4, max_value=0.5),
     cycles=st.integers(min_value=1, max_value=20),
-    backend=st.sampled_from(("heap", "calendar")),
 )
-def test_rearm_equivalent_to_fresh_schedule(period, cycles, backend):
+def test_rearm_equivalent_to_fresh_schedule(period, cycles):
     """rearm() produces the same dispatch sequence as fresh schedule()."""
 
     def run(use_rearm):
-        kernel = Kernel(scheduler=backend)
+        kernel = Kernel()
         fired = []
 
         class Periodic:
@@ -220,14 +455,12 @@ def test_rearm_equivalent_to_fresh_schedule(period, cycles, backend):
     interval=st.floats(min_value=1e-3, max_value=0.1),
     subscribers=st.integers(min_value=1, max_value=8),
     ticks=st.integers(min_value=1, max_value=10),
-    backend=st.sampled_from(("heap", "calendar")),
 )
-def test_ticker_matches_private_timers(interval, subscribers, ticks,
-                                       backend):
+def test_ticker_matches_private_timers(interval, subscribers, ticks):
     """One coalesced ticker == N private periodic timers, in order."""
     horizon = interval * (ticks - 1) + interval / 2
 
-    kernel = Kernel(scheduler=backend)
+    kernel = Kernel()
     ticker = PeriodicTicker(kernel, interval)
     coalesced = []
     for i in range(subscribers):
@@ -237,7 +470,7 @@ def test_ticker_matches_private_timers(interval, subscribers, ticks,
     kernel.run(until=horizon)
     ticker.stop()
 
-    kernel = Kernel(scheduler=backend)
+    kernel = Kernel()
     private = []
 
     def tick(i):
@@ -258,11 +491,10 @@ def test_ticker_matches_private_timers(interval, subscribers, ticks,
     quantum=st.floats(min_value=1e-4, max_value=0.5),
     requests=st.lists(st.floats(min_value=0.0, max_value=2.0),
                       min_size=1, max_size=30),
-    backend=st.sampled_from(("heap", "calendar")),
 )
-def test_coalescer_never_early_never_reordered(quantum, requests, backend):
+def test_coalescer_never_early_never_reordered(quantum, requests):
     """Coalesced wakeups: never before the request, FIFO within a tick."""
-    kernel = Kernel(scheduler=backend)
+    kernel = Kernel()
     grid = TickCoalescer(kernel, quantum)
     fired = []
     for i, delay in enumerate(requests):

@@ -160,10 +160,10 @@ def test_events_executed_counter():
 def test_pending_count_tracks_cancellations():
     kernel = Kernel()
     handles = [kernel.schedule(float(i + 1), lambda: None) for i in range(10)]
-    assert kernel.pending_count() == 10
+    assert kernel.pending() == 10
     for handle in handles[:4]:
         handle.cancel()
-    assert kernel.pending_count() == 6
+    assert kernel.pending() == 6
     # Tombstones still occupy heap slots until popped or compacted.
     assert kernel.heap_size() == 10
 
@@ -175,7 +175,7 @@ def test_cancel_after_fire_does_not_corrupt_tombstone_count():
     kernel.run()
     # Cancelling an already-executed event must not skew accounting.
     handle.cancel()
-    assert kernel.pending_count() == 0
+    assert kernel.pending() == 0
     assert kernel.heap_size() == 0
 
 
@@ -195,7 +195,7 @@ def test_cancel_reschedule_churn_does_not_grow_heap():
         live = kernel.schedule(float(i + 1), noop)
     # One live event plus at most a compaction-threshold's worth of
     # tombstones; without compaction the heap would hold ~20k entries.
-    assert kernel.pending_count() == 1
+    assert kernel.pending() == 1
     assert kernel.heap_size() <= 2 * Kernel.COMPACT_MIN_SIZE
     assert kernel.compactions > 0
     kernel.run()
@@ -263,14 +263,6 @@ def test_rearm_replaces_args_and_revives_cancelled_handle():
     kernel.run()
     assert fired == ["first", "second"]
     assert kernel.now == 3.0
-
-
-def test_scheduler_argument_selects_backend():
-    for name in ("heap", "calendar"):
-        kernel = Kernel(scheduler=name)
-        assert kernel.scheduler == name
-    with pytest.raises(Exception):
-        Kernel(scheduler="btree")
 
 
 def test_events_executed_accumulates_across_runs():

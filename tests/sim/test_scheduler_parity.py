@@ -1,12 +1,20 @@
-"""Differential golden-parity harness: heap vs calendar schedulers.
+"""Repeatability and fan-out parity harness.
 
-The ``REPRO_SCHEDULER`` switch selects the kernel's pending-event
-backend (:mod:`repro.sim.eventq`).  The determinism contract says the
-choice can never change results — both backends pop in identical
-``(time, seq)`` order — so every registered scenario family must
-produce *pickle-identical* payloads under either backend.  Payloads
-are what the figure renderers consume, so payload parity implies the
-published ``results/*.txt`` are byte-identical too.
+The kernel pops events in strictly increasing ``(time, seq)`` order
+from one heap (:mod:`repro.sim.kernel`), and every random draw comes
+from a seeded stream, so a scenario is a pure function of its spec.
+Two pins hold the simulator to that:
+
+* **Run-to-run parity.**  Every registered scenario family runs twice
+  in one interpreter and must produce *pickle-identical* payloads and
+  the same event count.  Payloads are what the figure renderers
+  consume, so payload parity implies the published ``results/*.txt``
+  are reproducible byte for byte; a second run that differs means the
+  first one leaked state (a module-level cache, a counter that feeds a
+  decision, an object reused across kernels).  The quickstart trace
+  stream is compared the same way, record for record.
+* **Fan-out parity.**  Worker processes cannot reorder anything —
+  ``--jobs 1`` and ``--jobs 4`` produce identical payloads.
 
 Each scenario family runs here at a scaled-down duration (the full
 figures belong to ``benchmarks/``); the suite still exercises every
@@ -15,12 +23,12 @@ reservation, fault injection and recovery, the capacity farm's
 frame clock, the soak harness's invariant checkers, and all four
 ablations.
 
-This file also pins the tie-break rules themselves:
+This file also pins the tie-break rules themselves: same-timestamp
+events fire in schedule order (FIFO), including through a
+:class:`~repro.sim.TickCoalescer`.
 
-* same-timestamp events fire in schedule order (FIFO) under both
-  backends, including through a :class:`~repro.sim.TickCoalescer`;
-* worker fan-out cannot reorder anything — ``--jobs 1`` and
-  ``--jobs 4`` produce identical payloads.
+(The file name dates from when the two runs of each family were one
+per pending-event backend; it stays so that the test ids do.)
 """
 
 from __future__ import annotations
@@ -40,9 +48,6 @@ from repro.scale.fig10 import ScaleArm
 from repro.pubsub.fig12 import PubSubArm, pubsub_arms
 from repro.check.soak import generate_case
 from repro.sim import Kernel, TickCoalescer
-from repro.sim.eventq import SCHEDULER_BACKENDS, SCHEDULER_ENV
-
-BACKENDS = sorted(SCHEDULER_BACKENDS)
 
 
 def _parity_specs():
@@ -95,35 +100,22 @@ def _parity_specs():
     }
 
 
-def _run_under(monkeypatch, backend, spec):
-    """Execute ``spec`` in-process under ``backend``, cache off."""
-    monkeypatch.setenv(SCHEDULER_ENV, backend)
-    runner = ExperimentRunner(jobs=1, cache=False)
-    (result,) = runner.run([spec])
-    return result
-
-
 @pytest.mark.parametrize("family", sorted(_parity_specs()))
-def test_scenario_payload_parity(monkeypatch, family):
-    """Every scenario family yields pickle-identical payloads."""
+def test_scenario_payload_parity(family):
+    """Every scenario family yields pickle-identical payloads, twice."""
     spec = _parity_specs()[family]
-    outcomes = {}
-    for backend in BACKENDS:
-        result = _run_under(monkeypatch, backend, spec)
-        outcomes[backend] = (pickle.dumps(result.payload), result.events)
-    reference = outcomes[BACKENDS[0]]
-    for backend in BACKENDS[1:]:
-        payload, events = outcomes[backend]
-        assert events == reference[1], (
-            f"{family}: {backend} executed {events} events, "
-            f"{BACKENDS[0]} executed {reference[1]}")
-        assert payload == reference[0], (
-            f"{family}: payload bytes diverge between "
-            f"{BACKENDS[0]} and {backend}")
+    runner = ExperimentRunner(jobs=1, cache=False)
+    first = runner.run_one(spec)
+    second = runner.run_one(spec)
+    assert second.events == first.events, (
+        f"{family}: second run executed {second.events} events, "
+        f"first run executed {first.events}")
+    assert pickle.dumps(second.payload) == pickle.dumps(first.payload), (
+        f"{family}: payload bytes diverge between two runs of one spec")
 
 
 def test_quickstart_trace_stream_parity(monkeypatch):
-    """The dispatch-level trace stream is identical across backends."""
+    """The dispatch-level trace stream is identical run to run."""
     import importlib
     import itertools
 
@@ -146,29 +138,25 @@ def test_quickstart_trace_stream_parity(monkeypatch):
         ("repro.oskernel.thread", "_thread_ids"),
     ]
 
-    streams = {}
-    for backend in BACKENDS:
+    streams = []
+    for _ in range(2):
         for mod_name, attr in counter_globals:
             monkeypatch.setattr(importlib.import_module(mod_name), attr,
                                 itertools.count(1))
-        monkeypatch.setenv(SCHEDULER_ENV, backend)
         tracer = Tracer()
         run_quickstart(tracer=tracer, verbose=False)
-        streams[backend] = [
+        streams.append([
             (r.time, r.layer, r.kind, r.phase, r.span, r.flow,
              r.request, r.fields)
             for r in tracer.records
-        ]
-    reference = streams[BACKENDS[0]]
-    assert reference, "quickstart produced no trace records"
-    for backend in BACKENDS[1:]:
-        assert streams[backend] == reference
+        ])
+    assert streams[0], "quickstart produced no trace records"
+    assert streams[1] == streams[0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_same_time_ties_fire_in_schedule_order(backend):
+def test_same_time_ties_fire_in_schedule_order():
     """Ties on the timestamp fire strictly in schedule order."""
-    kernel = Kernel(scheduler=backend)
+    kernel = Kernel()
     fired = []
     # Deliberately scheduled out of label order, all at t=1.0.
     for label in ("a", "b", "c", "d", "e"):
@@ -183,10 +171,9 @@ def test_same_time_ties_fire_in_schedule_order(backend):
     assert fired == ["early", "a", "b", "c", "d", "e", "f"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_coalesced_ties_preserve_registration_order(backend):
+def test_coalesced_ties_preserve_registration_order():
     """Coalescing same-tick wakeups cannot reorder them."""
-    kernel = Kernel(scheduler=backend)
+    kernel = Kernel()
     fired = []
     grid = TickCoalescer(kernel, quantum=0.010)
     # All three quantize to the same 10 ms tick; a plain event at the
