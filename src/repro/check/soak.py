@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.check.invariants import InvariantViolation, default_suite
 
@@ -56,6 +56,51 @@ PUBSUB_MIN_SUBSCRIBERS = 16
 
 #: Large odd multiplier decorrelating per-case seeds from the root.
 _SEED_STRIDE = 1_000_003
+
+
+class Family(NamedTuple):
+    """How one scenario family runs a case dict: a row per family."""
+
+    #: The figure whose scenario and arms the family draws from.
+    figure: str
+    #: Case dict -> the scenario's own parameters (beyond arm, seed,
+    #: duration, fault plan and suite, which every family passes).
+    params: Callable[[Dict], Dict[str, Any]]
+    #: Result payload -> (frames or samples delivered, sent).
+    totals: Callable[[Any], Tuple[int, int]]
+    #: The case key shrinking halves, and its smallest legal value.
+    load_key: str
+    load_floor: int
+
+
+FAMILIES: Dict[str, Family] = {
+    "capacity": Family(
+        "fig9_capacity",
+        lambda case: {
+            "streams": int(case["streams"]),
+            "bottleneck_bps": float(case["bottleneck_bps"]),
+            "cross_traffic_bps": float(case["cross_traffic_bps"])},
+        lambda result: (result.total("delivered"), result.total("sent")),
+        "streams", 1),
+    "pubsub": Family(
+        "fig12_pubsub",
+        lambda case: {
+            "subscribers": int(case["subscribers"]),
+            "bottleneck_bps": float(case["bottleneck_bps"])},
+        lambda result: (sum(row.delivered for row in result.reader_rows),
+                        sum(row.sent_to for row in result.reader_rows)),
+        "subscribers", PUBSUB_MIN_SUBSCRIBERS),
+}
+
+
+def _family(case: Dict) -> Family:
+    """The :data:`FAMILIES` row ``case`` runs through (``"capacity"``
+    for pre-family replay dicts)."""
+    name = case.get("family", "capacity")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown soak family {name!r} "
+                         f"(have {sorted(FAMILIES)})")
+    return FAMILIES[name]
 
 
 def case_seed(root_seed: int, index: int) -> int:
@@ -138,57 +183,26 @@ def run_soak_case(case: Dict) -> Dict:
     ``ok`` is True when the run completed and every invariant (runtime
     and teardown) held.  Violations carry the checker name and message;
     any other exception is reported as a crash — a soak failure either
-    way.  ``case["family"]`` selects the scenario (``"capacity"``, the
-    default for pre-family replay dicts, or ``"pubsub"``).
+    way.  ``case["family"]`` names the :data:`FAMILIES` row the case
+    runs through.
     """
+    from repro.experiments.runner import scenario_function
+    from repro.experiments.scenario_registry import FIGURES
+
     suite = default_suite()
     verdict = {"ok": True, "case": dict(case), "checker": None,
                "message": None, "failure": None, "events": 0}
-    family = case.get("family", "capacity")
     try:
-        if family == "pubsub":
-            from repro.pubsub.fig12 import (
-                PubSubArm, pubsub_arms, run_pubsub_experiment)
-            arms = {a.name: a for a in pubsub_arms()}
-            arm = arms.get(case["arm"])
-            if arm is None:
-                raise ValueError(f"unknown pubsub soak arm {case['arm']!r} "
-                                 f"(have {sorted(arms)})")
-            result = run_pubsub_experiment(
-                arm,
-                subscribers=int(case["subscribers"]),
-                duration=float(case["duration"]),
-                seed=int(case["seed"]),
-                bottleneck_bps=float(case["bottleneck_bps"]),
-                fault_plan=case.get("faults") or [],
-                checks=suite,
-            )
-            verdict["delivered"] = sum(
-                row.delivered for row in result.reader_rows)
-            verdict["sent"] = sum(
-                row.sent_to for row in result.reader_rows)
-        elif family == "capacity":
-            from repro.scale.capacity_exp import (
-                all_arms, run_capacity_experiment)
-            arms = {a.name: a for a in all_arms()}
-            arm = arms.get(case["arm"])
-            if arm is None:
-                raise ValueError(f"unknown soak arm {case['arm']!r} "
-                                 f"(have {sorted(arms)})")
-            result = run_capacity_experiment(
-                arm,
-                streams=int(case["streams"]),
-                duration=float(case["duration"]),
-                seed=int(case["seed"]),
-                bottleneck_bps=float(case["bottleneck_bps"]),
-                cross_traffic_bps=float(case["cross_traffic_bps"]),
-                fault_plan=case.get("faults") or None,
-                checks=suite,
-            )
-            verdict["delivered"] = result.total("delivered")
-            verdict["sent"] = result.total("sent")
-        else:
-            raise ValueError(f"unknown soak family {family!r}")
+        family = _family(case)
+        figure = FIGURES[family.figure]
+        arms = dict(figure.arms)
+        if case["arm"] not in arms:
+            raise ValueError(f"unknown {figure.scenario} soak arm "
+                             f"{case['arm']!r} (have {sorted(arms)})")
+        result = scenario_function(figure.scenario)(
+            **arms[case["arm"]], **family.params(case),
+            duration=float(case["duration"]), seed=int(case["seed"]),
+            fault_plan=case.get("faults") or [], checks=suite)
     except InvariantViolation as violation:
         verdict.update(ok=False, failure="invariant",
                        checker=violation.checker, message=str(violation))
@@ -197,6 +211,7 @@ def run_soak_case(case: Dict) -> Dict:
         verdict.update(ok=False, failure="crash",
                        message=f"{type(exc).__name__}: {exc}")
         return verdict
+    verdict["delivered"], verdict["sent"] = family.totals(result)
     verdict["events"] = result.events_executed
     verdict["checked"] = suite.events_dispatched
     return verdict
@@ -244,10 +259,8 @@ def shrink_case(case: Dict, budget: int = 20,
             else:
                 index += 1
     best = {**best, "faults": faults}
-    if best.get("family", "capacity") == "pubsub":
-        load_key, floor = "subscribers", PUBSUB_MIN_SUBSCRIBERS
-    else:
-        load_key, floor = "streams", 1
+    family = _family(best)
+    load_key, floor = family.load_key, family.load_floor
     while best[load_key] > floor:
         candidate = {**best,
                      load_key: max(floor, best[load_key] // 2)}
@@ -312,9 +325,10 @@ def run_soak(root_seed: int, runs: int, duration: float = 6.0,
             entry["shrunk"] = shrunk
             entry["shrink_runs"] = spent
             if spent:
+                load_key = _family(case).load_key
                 say(f"soak: shrunk case {case['index']} to "
                     f"{len(shrunk['faults'])} fault(s), "
-                    f"{shrunk['streams']} stream(s) in {spent} runs")
+                    f"{shrunk[load_key]} {load_key} in {spent} runs")
         entry["replay"] = replay_command(entry["shrunk"])
         say(f"soak: replay with: {entry['replay']}")
         failures.append(entry)

@@ -19,6 +19,7 @@ Examples::
     python -m repro run fig10 --set fluid=false --set streams=32
     python -m repro soak --seed 1 --runs 8 --duration 3
     python -m repro trace --scenario quickstart
+    python -m repro trace --scenario table1 --arm 2-partial --set duration=30
 """
 
 from __future__ import annotations
@@ -27,18 +28,15 @@ import argparse
 import inspect
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.priority_exp import (
-    PriorityArm,
-    run_priority_experiment,
-)
 from repro.experiments.runner import ExperimentRunner, scenario_function
 from repro.experiments.scenario_registry import FIGURES, Figure
 
-#: Scenario parameters ``--set`` may not touch: the global ``--seed``
-#: and the two that carry live objects, not JSON values.
-_NOT_SETTABLE = ("seed", "checks", "tracer")
+#: Scenario parameters ``--set`` may not touch: the global ``--seed``,
+#: the two that carry live objects, not JSON values, and the example
+#: builders' narration switch (``trace --quiet``).
+_NOT_SETTABLE = ("seed", "checks", "tracer", "verbose")
 
 
 def resolve_figure(word: str) -> Figure:
@@ -58,9 +56,12 @@ def _arm_name(label: str, params: Dict[str, Any]) -> str:
     return params["arm"]["name"] if "arm" in params else label
 
 
-def select(figure: Figure, arms: List[str], settings: List[str],
-           seed: int) -> Figure:
-    """``figure`` narrowed to ``--arm`` names, with ``--set`` applied."""
+def select(figure: Figure, arms: List[str], settings: List[str], seed: int,
+           function: Optional[Callable[..., Any]] = None) -> Figure:
+    """``figure`` narrowed to ``--arm`` names, with ``--set`` applied.
+
+    ``function`` is what every arm calls when that is not a registered
+    scenario (the example builders ``trace`` also runs)."""
     if arms:
         names = [_arm_name(*entry) for entry in figure.arms]
         for name in arms:
@@ -70,7 +71,8 @@ def select(figure: Figure, arms: List[str], settings: List[str],
         figure = figure._replace(arms=tuple(
             entry for entry in figure.arms if _arm_name(*entry) in arms))
     # What the scenario function accepts, less what tells arms apart.
-    accepted = inspect.signature(scenario_function(figure.scenario)).parameters
+    accepted = inspect.signature(
+        function or scenario_function(figure.scenario)).parameters
     settable = [key for key in accepted if key not in _NOT_SETTABLE
                 and not any(key in arm for _, arm in figure.arms)]
     params = dict(figure.params)
@@ -132,9 +134,70 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reconciliations(result: Any, breakdown) -> List[Tuple[str, float, float]]:
+    """``(what, trace mean, endpoint mean)`` rows, chosen by what the
+    payload is: a GIOP latency result reconciles the ``to_servant`` stage
+    with its per-sender stats, a result holding A/V receivers the
+    per-flow frame latency with each endpoint's delivery recorder."""
+    rows = []
+    if hasattr(result, "latency") and hasattr(result, "stats"):
+        stage_stats = breakdown.stage_stats()
+        for sender in result.latency:
+            key = f"video{sender[-1]}/sink"
+            if "to_servant" in stage_stats.get(key, {}):
+                rows.append((key, stage_stats[key]["to_servant"].mean,
+                             result.stats(sender).mean))
+        return rows
+    if isinstance(result, dict):
+        candidates = list(result.get("actors", {}).values())
+    else:
+        candidates = [getattr(result, "receiver", None)]
+    frame_stats = breakdown.frame_stats()
+    for receiver in candidates:
+        flow = getattr(getattr(receiver, "consumer", None), "flow_id", None)
+        if flow in frame_stats and hasattr(receiver, "delivery"):
+            rows.append((flow, frame_stats[flow].mean,
+                         receiver.delivery.latency.stats().mean))
+    return rows
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run a scenario with tracing on; write JSONL and a breakdown."""
-    from repro.obs import JsonlSink, LatencyBreakdown, RingBufferSink, Tracer
+    """Run one arm with tracing on; write JSONL and a breakdown."""
+    from repro.experiments.scenarios import EXAMPLES
+    from repro.obs import (LAYERS, JsonlSink, LatencyBreakdown,
+                           RingBufferSink, Tracer)
+
+    layers = None
+    if args.layers is not None:
+        layers = [layer.strip() for layer in args.layers.split(",")
+                  if layer.strip()]
+        unknown = [layer for layer in layers if layer not in LAYERS]
+        if unknown:
+            print(f"repro trace: error: unknown layer(s) "
+                  f"{', '.join(unknown)}; choose from: {','.join(LAYERS)}",
+                  file=sys.stderr)
+            return 2
+
+    # One run, in this process: a live tracer does not cross the
+    # runner's process boundary.
+    function = EXAMPLES.get(args.scenario)
+    if function is None:
+        figure = resolve_figure(args.scenario)
+        function = scenario_function(figure.scenario)
+    accepted = inspect.signature(function).parameters
+    if args.scenario in EXAMPLES:  # one unnamed arm, seeded if it draws
+        figure = Figure(args.scenario, args.scenario, ((args.scenario, {}),),
+                        renderer=None, seed=1 if "seed" in accepted else None)
+    specs = select(figure, args.arm, args.set, args.seed, function).specs()
+    if len(specs) != 1:
+        names = ", ".join(_arm_name(*entry) for entry in figure.arms)
+        point = (f" and --set {figure.sweep}=N" if figure.sweep else "")
+        raise SystemExit(
+            f"trace runs one arm but this selects {len(specs)} of "
+            f"{figure.name}; narrow it with --arm NAME{point}; arms: {names}")
+    kwargs = specs[0].call_kwargs()
+    if "verbose" in accepted:
+        kwargs["verbose"] = not args.quiet
 
     breakdown = LatencyBreakdown()
     sinks = [breakdown]
@@ -148,54 +211,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"repro trace: error: {exc}", file=sys.stderr)
         return 2
-    layers = None
-    if args.layers is not None:
-        layers = [layer.strip() for layer in args.layers.split(",")
-                  if layer.strip()]
     tracer = Tracer(sinks=sinks, layers=layers)
 
-    print(f"tracing scenario {args.scenario!r} ...", file=sys.stderr)
-    if args.scenario == "quickstart":
-        from repro.experiments.scenarios import run_quickstart
-
-        run_quickstart(tracer=tracer, verbose=not args.quiet)
-    elif args.scenario == "uav":
-        from repro.experiments.scenarios import run_uav_pipeline
-
-        result = run_uav_pipeline(
-            duration=args.duration, seed=args.seed, tracer=tracer,
-            verbose=not args.quiet)
-        if not args.quiet:
-            # Reconciliation: the trace's per-flow frame latency must
-            # agree with what the endpoint recorders measured.
-            frame_stats = breakdown.frame_stats()
-            for name, receiver in (
-                ("avflow:uav1-out", result["actors"]["receiver1"]),
-                ("avflow:uav2-out", result["actors"]["receiver2"]),
-            ):
-                if name in frame_stats:
-                    trace_mean = frame_stats[name].mean
-                    endpoint_mean = receiver.delivery.latency.stats().mean
-                    print(f"reconcile {name}: trace mean "
-                          f"{trace_mean * 1e3:.6f} ms vs endpoint "
-                          f"{endpoint_mean * 1e3:.6f} ms "
-                          f"(|diff| {abs(trace_mean - endpoint_mean):.2e} s)")
-    else:
-        arm = {"fig4a": PriorityArm.figure4a,
-               "fig4b": PriorityArm.figure4b}[args.scenario]()
-        result = run_priority_experiment(
-            arm, duration=args.duration, seed=args.seed, tracer=tracer)
-        if not args.quiet:
-            stage_stats = breakdown.stage_stats()
-            for sender in ("sender1", "sender2"):
-                key = f"video{sender[-1]}/sink"
-                if key in stage_stats and "to_servant" in stage_stats[key]:
-                    trace_mean = stage_stats[key]["to_servant"].mean
-                    endpoint_mean = result.stats(sender).mean
-                    print(f"reconcile {key}: trace mean "
-                          f"{trace_mean * 1e3:.6f} ms vs endpoint "
-                          f"{endpoint_mean * 1e3:.6f} ms "
-                          f"(|diff| {abs(trace_mean - endpoint_mean):.2e} s)")
+    print(f"tracing {figure.name} ...", file=sys.stderr)
+    try:
+        # A run that raises part-way still leaves every record emitted
+        # before the raise in a flushed, closed file.
+        result = function(**kwargs, tracer=tracer)
+    finally:
+        tracer.close()
+    if not args.quiet:
+        # The trace-derived means must agree with what the endpoint
+        # recorders measured.
+        for what, trace_mean, endpoint_mean in _reconciliations(
+                result, breakdown):
+            print(f"reconcile {what}: trace mean "
+                  f"{trace_mean * 1e3:.6f} ms vs endpoint "
+                  f"{endpoint_mean * 1e3:.6f} ms "
+                  f"(|diff| {abs(trace_mean - endpoint_mean):.2e} s)")
 
     print(file=sys.stderr)
     total = tracer.records_emitted
@@ -210,7 +243,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
     print()
     print(breakdown.render())
-    tracer.close()
     return 0
 
 
@@ -257,7 +289,20 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 1
 
 
+def _add_selection_options(p: argparse.ArgumentParser) -> None:
+    """``--arm`` and ``--set``: how ``run`` and ``trace`` narrow a figure."""
+    p.add_argument("--arm", action="append", default=[], metavar="NAME",
+                   help="run only this arm (repeatable); default: all")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a scenario parameter on every arm "
+                        "(repeatable; VALUE is JSON, else a string; a comma "
+                        "list on the figure's sweep axis replaces it, e.g. "
+                        "streams=4,8)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.obs import LAYERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's experiments from the command line.",
@@ -281,13 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", metavar="FIGURE",
                    help="a results-file stem or a unique prefix of one "
                         "(fig4, table1, ablation_ecn)")
-    p.add_argument("--arm", action="append", default=[], metavar="NAME",
-                   help="run only this arm (repeatable); default: all")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a scenario parameter on every arm "
-                        "(repeatable; VALUE is JSON, else a string; a comma "
-                        "list on the figure's sweep axis replaces it, e.g. "
-                        "streams=4,8)")
+    _add_selection_options(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -317,15 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="run a scenario with structured tracing and report a "
+        help="run one arm with structured tracing and report a "
              "latency breakdown",
+        epilog="figures: " + ", ".join(FIGURES),
     )
-    p.add_argument("--scenario", default="quickstart",
-                   choices=["quickstart", "uav", "fig4a", "fig4b"],
-                   help="which scenario to trace (default quickstart)")
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="simulated seconds for timed scenarios "
-                        "(default 30)")
+    p.add_argument("--scenario", default="quickstart", metavar="NAME",
+                   help="quickstart (default), uav, or a figure as `run` "
+                        "names it; --arm / --set must narrow a figure to "
+                        "one run")
+    _add_selection_options(p)
     p.add_argument("-o", "--output", default=None,
                    help="write the trace as JSON Lines to this path")
     p.add_argument("--buffer", type=int, default=65536,
@@ -333,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 65536)")
     p.add_argument("--layers", default=None,
                    help="comma-separated layer allow-list "
-                        "(sim,os,net,orb,av,quo,fault); default: all")
+                        f"({','.join(LAYERS)}); default: all")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the scenario's own narrative output")
     p.set_defaults(func=_cmd_trace)

@@ -22,6 +22,11 @@ Each module reproduces one of the paper's evaluation setups:
     running Kirsch/Prewitt/Sobel per image under competing CPU load,
     with and without a TimeSys-style reserve (Table 2).
 
+``testbed``
+    The one :class:`~repro.experiments.testbed.Testbed` every scenario
+    function builds on: kernel lifecycle, star topology, A/V endpoints,
+    stream bring-up, fault installation, invariant-suite install.
+
 ``reporting``
     Paper-style text rendering of the results.
 

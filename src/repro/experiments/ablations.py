@@ -12,9 +12,8 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.sim import Kernel, Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel import CpuLoadGenerator, EnforcementPolicy, Host
+from repro.sim import Process
+from repro.oskernel import CpuLoadGenerator, EnforcementPolicy
 from repro.oskernel.reserve import AdmissionError
 from repro.net import (
     CbrTrafficSource,
@@ -22,7 +21,6 @@ from repro.net import (
     DiffServQueue,
     Dscp,
     FifoQueue,
-    Network,
     StreamConnection,
     StreamListener,
 )
@@ -31,6 +29,7 @@ from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.core import EndToEndQoSManager, ReservationPolicy
 from repro.core.metrics import DeliveryRecorder, LatencyRecorder
+from repro.experiments.testbed import Testbed
 
 # ----------------------------------------------------------------------
 # Tail-drop FIFO vs RED+ECN at a GIOP bottleneck
@@ -47,12 +46,13 @@ class _ProbeServant(_PROBE.skeleton_class):
         return n
 
 
-def run_ecn_arm(use_red: bool) -> Dict[str, float]:
+def run_ecn_arm(use_red: bool, checks=None, tracer=None) -> Dict[str, float]:
     """One bottleneck arm: bulk CORBA transfer + interactive probes."""
-    kernel = Kernel()
-    net = Network(kernel, default_bandwidth_bps=100e6)
+    bed = Testbed(checks=checks, tracer=tracer)
+    kernel = bed.kernel
+    net = bed.build_network(100e6)
     for name in ("client", "server"):
-        net.attach_host(Host(kernel, name))
+        bed.host(name)
     router = net.add_router("r")
     if use_red:
         qdisc = RedQueue(capacity=400, min_threshold=10, max_threshold=40,
@@ -69,7 +69,9 @@ def run_ecn_arm(use_red: bool) -> Dict[str, float]:
     poa = server_orb.create_poa("probe")
     probe_ref = poa.activate_object(_ProbeServant())
 
-    # Bulk transfer on a raw stream sharing the bottleneck.
+    # Bulk transfer on a raw stream sharing the bottleneck.  It sends
+    # while the arm is still being built, so the watch comes first.
+    bed.watch()
     StreamListener(kernel, net.nic_of("server"), port=4000)
     bulk = StreamConnection.connect(
         kernel, net.nic_of("client"), "server", 4000)
@@ -97,7 +99,7 @@ def run_ecn_arm(use_red: bool) -> Dict[str, float]:
 
     Process(kernel, prober(), name="prober")
     Process(kernel, sampler(), name="sampler")
-    kernel.run(until=30.0)
+    events = bed.run(until=30.0)
     throughput = ECN_BULK_BYTES * 8 / done.get("finished_at", 30.0)
     return {
         "max_queue": max(depths) if depths else 0,
@@ -106,7 +108,7 @@ def run_ecn_arm(use_red: bool) -> Dict[str, float]:
         "bulk_throughput_mbps": throughput / 1e6,
         "marked": getattr(qdisc, "ecn_marked", 0),
         "dropped": qdisc.dropped,
-        "events": kernel.events_executed,
+        "events": events,
     }
 
 
@@ -116,12 +118,13 @@ def run_ecn_arm(use_red: bool) -> Dict[str, float]:
 PHB_DURATION = 20.0
 
 
-def run_phb_arm(diffserv: bool) -> Dict[str, object]:
+def run_phb_arm(diffserv: bool, checks=None, tracer=None) -> Dict[str, object]:
     """Marked video under congestion with/without a DSCP-honouring PHB."""
-    kernel = Kernel()
-    net = Network(kernel, default_bandwidth_bps=10e6)
+    bed = Testbed(checks=checks, tracer=tracer)
+    kernel = bed.kernel
+    net = bed.build_network(10e6)
     for name in ("src", "dst", "noise"):
-        net.attach_host(Host(kernel, name))
+        bed.host(name)
     router = net.add_router("r")
     net.link("src", router)
     net.link("noise", router)
@@ -131,6 +134,7 @@ def run_phb_arm(diffserv: bool) -> Dict[str, object]:
     )
     net.link(router, "dst", qdisc_a=qdisc)
     net.compute_routes()
+    bed.watch()
 
     recorder = DeliveryRecorder("video")
 
@@ -151,8 +155,7 @@ def run_phb_arm(diffserv: bool) -> Dict[str, object]:
     noise = CbrTrafficSource(kernel, net.nic_of("noise"), "dst",
                              rate_bps=16e6, dscp=Dscp.BE)
     noise.run_for(PHB_DURATION)
-    kernel.run(until=PHB_DURATION + 2.0)
-    return {"recorder": recorder, "events": kernel.events_executed}
+    return {"recorder": recorder, "events": bed.run(until=PHB_DURATION + 2.0)}
 
 
 # ----------------------------------------------------------------------
@@ -162,10 +165,13 @@ RESERVE_POLICY_DURATION = 60.0
 RESERVE_POLICY_PARAMS = dict(compute=0.3, period=1.0)
 
 
-def run_reserve_policy_arm(policy: str) -> Dict[str, float]:
+def run_reserve_policy_arm(policy: str, checks=None,
+                           tracer=None) -> Dict[str, float]:
     """CPU shares under one enforcement policy (``"HARD"``/``"SOFT"``)."""
-    kernel = Kernel()
-    host = Host(kernel, "h")
+    bed = Testbed(3, checks, tracer)
+    kernel = bed.kernel
+    host = bed.host("h")
+    bed.watch()
     reserved = host.spawn_thread("reserved", priority=10)
     host.reserve_manager.request(
         reserved, policy=EnforcementPolicy[policy], **RESERVE_POLICY_PARAMS)
@@ -173,16 +179,16 @@ def run_reserve_policy_arm(policy: str) -> Dict[str, float]:
     # exactly the work a HARD reserve protects and a SOFT reserve eats.
     load = CpuLoadGenerator(
         kernel, host, priority=5, duty_cycle=1.0, burst_mean=0.05,
-        rng=RngRegistry(seed=3).stream("load"),
+        rng=bed.rng.stream("load"),
     )
     load.start()
     host.cpu.submit(reserved, 10_000.0)  # insatiable reserved demand
-    kernel.run(until=RESERVE_POLICY_DURATION)
+    events = bed.run(until=RESERVE_POLICY_DURATION)
     host.cpu.reschedule()  # charge in-flight slices
     return {
         "reserved_cpu": reserved.cpu_time,
         "background_cpu": load.thread.cpu_time,
-        "events": kernel.events_executed,
+        "events": events,
     }
 
 
@@ -201,11 +207,14 @@ PRIORITY_DRIVEN_PERIOD = 1.0
 _POLICY = ReservationPolicy(cpu_compute=0.31, cpu_period=PRIORITY_DRIVEN_PERIOD)
 
 
-def run_priority_driven_arm(priority_driven: bool) -> Dict[str, object]:
+def run_priority_driven_arm(priority_driven: bool, checks=None,
+                            tracer=None) -> Dict[str, object]:
     """Three over-subscribed periodic tasks under one allocation policy."""
-    kernel = Kernel()
-    host = Host(kernel, "h", reserve_bound=0.7)  # room for two of three
-    net = Network(kernel)
+    bed = Testbed(7, checks, tracer)
+    kernel = bed.kernel
+    net = bed.build_network()
+    host = bed.host("h", reserve_bound=0.7)  # room for two of three
+    bed.watch()
     manager = EndToEndQoSManager(kernel, net)
     threads = {
         name: host.spawn_thread(name, priority=10)
@@ -227,7 +236,7 @@ def run_priority_driven_arm(priority_driven: bool) -> Dict[str, object]:
                 pass
     load = CpuLoadGenerator(
         kernel, host, priority=50, duty_cycle=1.0, burst_mean=0.05,
-        rng=RngRegistry(seed=7).stream("load"),
+        rng=bed.rng.stream("load"),
     )
     load.start()
     response = {name: LatencyRecorder(name)
@@ -245,8 +254,8 @@ def run_priority_driven_arm(priority_driven: bool) -> Dict[str, object]:
 
     for name, _, demand in PRIORITY_DRIVEN_TASKS:
         Process(kernel, periodic(name, demand), name=name)
-    kernel.run(until=PRIORITY_DRIVEN_DURATION)
-    return {"response": response, "events": kernel.events_executed}
+    return {"response": response,
+            "events": bed.run(until=PRIORITY_DRIVEN_DURATION)}
 
 
 def deadline_misses(recorder: LatencyRecorder) -> int:

@@ -206,6 +206,9 @@ class AvVideoReceiver:
         self.sender = sender
         self.delivery = DeliveryRecorder(name)
         self.frames_by_type: Dict[str, int] = {}
+        #: Type of each delivered frame, aligned with
+        #: ``delivery.received`` (so a count can be windowed afterwards).
+        self.frame_types: List[str] = []
         consumer.on_frame = self._on_frame
 
     def _on_frame(self, frame: Frame, latency: float) -> None:
@@ -213,6 +216,7 @@ class AvVideoReceiver:
             self.kernel.now, sent_at=self.kernel.now - latency
         )
         key = frame.frame_type.value
+        self.frame_types.append(key)
         self.frames_by_type[key] = self.frames_by_type.get(key, 0) + 1
         if self.sender is not None:
             self.sender.delivery.record_received(

@@ -23,21 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
-from repro.net.queues import GuaranteedRateQueue
-from repro.net.topology import Network
-from repro.orb.core import Orb
-from repro.media.filtering import FrameFilter
-from repro.media.mpeg import MpegStream
-from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
-from repro.core.adaptation import FrameFilteringQosket
+from repro.avstreams.service import StreamQoS
 from repro.core.metrics import DeliveryRecorder
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm
-from repro.faults import FaultInjector, FaultPlan
+from repro.experiments.testbed import Testbed
 from repro.quo.syscond import FaultReporterSC
 
 
@@ -118,9 +109,12 @@ class FaultExperimentResult:
     # -- figure metrics -------------------------------------------------
     @property
     def faulted_span(self) -> Tuple[float, float]:
-        """First fault onset to last fault clearance."""
-        return (min(s for _, s, _ in self.fault_windows),
-                max(e for _, _, e in self.fault_windows))
+        """First fault onset to last fault clearance (empty, at the end
+        of the run, when the plan was ``[]``)."""
+        return (min((s for _, s, _ in self.fault_windows),
+                    default=self.duration),
+                max((e for _, _, e in self.fault_windows),
+                    default=self.duration))
 
     def delivered_during_faults(self) -> int:
         start, end = self.faulted_span
@@ -167,90 +161,51 @@ class FaultExperimentResult:
 def run_fault_injection_experiment(
     arm: FaultArm,
     duration: float = 120.0,
-    plan: Optional[List[Dict[str, Any]]] = None,
+    fault_plan: Optional[List[Dict[str, Any]]] = None,
     link_bps: float = 10e6,
     video_bitrate_bps: float = 1.2e6,
     seed: int = 1,
+    checks=None,
+    tracer=None,
 ) -> FaultExperimentResult:
-    """Run the video pipeline through ``plan`` (default fault gauntlet).
+    """Run the video pipeline through ``fault_plan`` (default: the fig 8
+    gauntlet, :func:`default_fault_plan`).
 
-    ``plan`` is a list of fault-event dicts
+    ``fault_plan`` is a list of fault-event dicts
     (:meth:`repro.faults.FaultPlan.to_dicts` form) so it can travel
     inside RunSpec parameters.
     """
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
-    fault_plan = FaultPlan.from_dicts(
-        default_fault_plan(duration) if plan is None else plan)
+    bed = Testbed(seed, checks, tracer)
+    kernel = bed.kernel
 
     # --- network: src -- router -- dst -------------------------------
-    net = Network(kernel, default_bandwidth_bps=link_bps)
-    hosts = {}
-    for name in ("src", "dst"):
-        hosts[name] = Host(kernel, name)
-        net.attach_host(hosts[name])
-    router = net.add_router("router")
+    bed.star({"src": None, "dst": None}, dst="dst", default_bps=link_bps)
+    bed.av_endpoints(("src", "dst"))
+    bed.watch()
 
-    def q(name):
-        return GuaranteedRateQueue(kernel, band_capacity=200, name=name)
-
-    net.link("src", router, qdisc_a=q("src-out"), qdisc_b=q("rtr-to-src"))
-    net.link(router, "dst", qdisc_a=q("bottleneck"), qdisc_b=q("dst-out"))
-    net.compute_routes()
-
-    # --- ORBs + A/V devices ------------------------------------------
-    orbs = {name: Orb(kernel, hosts[name], net) for name in ("src", "dst")}
-    devices = {}
-    refs = {}
-    for name, orb in orbs.items():
-        device = MMDeviceServant(kernel, orb)
-        poa = orb.create_poa("av")
-        devices[name] = device
-        refs[name] = poa.activate_object(device, oid="mmdevice")
-
-    result = FaultExperimentResult(arm, duration, fault_plan.windows())
     reporter = (FaultReporterSC(kernel, "injected-faults")
                 if arm.adaptive else None)
 
-    ctrl = StreamCtrl(kernel, orbs["src"])
-
     def driver():
-        yield from ctrl.bind("uav-video", refs["src"], refs["dst"],
-                             StreamQoS())
-        producer = devices["src"].producer("uav-video")
-        consumer = devices["dst"].consumer("uav-video")
-        stream = MpegStream(
-            "uav-video",
-            bitrate_bps=video_bitrate_bps,
-            fps=30.0,
-            rng=rng.stream("video"),
-        )
-        frame_filter = None
-        qosket = None
+        # First runs inside ``bed.run``: ``result`` is bound by then.
+        result.sender, result.receiver = yield from bed.open_stream(
+            "uav-video", StreamQoS(), bed.rng.stream("video"),
+            video_bitrate_bps,
+            degrade_threshold=0.05 if arm.adaptive else None)
         if arm.adaptive:
-            frame_filter = FrameFilter()
-            qosket = FrameFilteringQosket(
-                kernel, frame_filter, degrade_threshold=0.05)
-            qosket.attach_fault_reporter(reporter)
-        sender = AvVideoSender(
-            kernel, producer, stream,
-            frame_filter=frame_filter, qosket=qosket,
-        )
-        receiver = AvVideoReceiver(kernel, consumer, sender=sender)
-        result.sender = sender
-        result.receiver = receiver
-        sender.start()
+            result.sender.qosket.attach_fault_reporter(reporter)
+        result.sender.start()
 
     Process(kernel, driver(), name="fault-experiment-driver")
 
-    # --- the faults ---------------------------------------------------
-    injector = FaultInjector(kernel, net, reporter=reporter,
-                             rng=rng.stream("faults"))
-    injector.install(fault_plan)
+    # --- the faults: installed after the driver process (their ``seq``)
+    plan = bed.inject(fault_plan, default_fault_plan(duration),
+                      reporter=reporter, stream="faults")
+    result = FaultExperimentResult(arm, duration, plan.windows())
 
-    kernel.run(until=duration)
+    events = bed.run(until=duration)
     if result.sender is None:
         raise RuntimeError(f"stream setup failed for arm {arm.name!r}")
     result.sender.stop()
-    result.capture(kernel.events_executed, reporter)
+    result.capture(events, reporter)
     return result

@@ -26,14 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sim.kernel import Kernel
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.priorities import OsType
 from repro.net.diffserv import Dscp
 from repro.net.queues import DiffServQueue
-from repro.net.topology import Network
 from repro.net.traffic import CbrTrafficSource
 from repro.orb.core import Orb
 from repro.orb.rt import (
@@ -48,6 +44,7 @@ from repro.core.binding import EndToEndPriorityBinding, PropagationHop
 from repro.core.metrics import LatencyRecorder
 from repro.experiments.actors import GiopVideoSender, VideoReceiverServant
 from repro.experiments.arm import Arm
+from repro.experiments.testbed import Testbed
 
 #: CORBA priorities of the two sender tasks when managed.
 HIGH_PRIORITY = 30000  # maps to DSCP EF under the default bands
@@ -122,27 +119,25 @@ def run_priority_experiment(
     bottleneck_bps: float = 10e6,
     access_bps: float = 10e6,
     cpu_load_duty: float = 0.85,
+    fault_plan=None,
+    checks=None,
     tracer=None,
 ) -> PriorityExperimentResult:
     """Build the section 5.1 testbed and run one arm.
 
-    ``tracer`` is an optional :class:`repro.obs.Tracer` attached to the
-    kernel before any component is built, so the trace covers the whole
-    run.  Tracing never changes results (see
-    ``tests/properties/test_trace_invariants.py``).
+    ``fault_plan``, ``checks`` and ``tracer`` mean what they mean on
+    every scenario (:mod:`repro.experiments.testbed`): faults to inject
+    (none by default), a :class:`~repro.check.invariants.CheckSuite` to
+    run under, a :class:`repro.obs.Tracer` covering the whole run.
     """
-    kernel = Kernel()
-    if tracer is not None:
-        tracer.attach(kernel)
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel, rng = bed.kernel, bed.rng
 
     # --- hosts and network -------------------------------------------------
-    sender_host = Host(kernel, "sender", os_type=OsType.LINUX)
-    receiver_host = Host(kernel, "receiver", os_type=OsType.LINUX)
-    cross_host = Host(kernel, "crosshost", os_type=OsType.LINUX)
-    net = Network(kernel, default_bandwidth_bps=access_bps)
-    for host in (sender_host, receiver_host, cross_host):
-        net.attach_host(host)
+    net = bed.build_network(access_bps)
+    sender_host = bed.host("sender", os_type=OsType.LINUX)
+    receiver_host = bed.host("receiver", os_type=OsType.LINUX)
+    cross_host = bed.host("crosshost", os_type=OsType.LINUX)
     router = net.add_router("router")
     net.link(sender_host, router)
     net.link(cross_host, router)
@@ -156,6 +151,7 @@ def run_priority_experiment(
         qdisc_a=DiffServQueue(band_capacity=300, name="bottleneck"),
     )
     net.compute_routes()
+    bed.watch()
 
     # --- ORBs ---------------------------------------------------------------
     sender_orb = Orb(kernel, sender_host, net)
@@ -247,10 +243,10 @@ def run_priority_experiment(
         senders["sender2"].stream.frame_interval / 2,
         senders["sender2"].start,
     )
-    kernel.run(until=duration)
+    bed.inject(fault_plan)
 
     result = PriorityExperimentResult(arm, duration)
-    result.events_executed = kernel.events_executed
+    result.events_executed = bed.run(until=duration)
     for name, servant in servants.items():
         result.latency[name] = servant.latency
         result.frames_sent[name] = senders[name].frames_sent
@@ -288,23 +284,26 @@ class Figure2Mapping:
         return self.tables[os_type].to_corba(native_priority, os_type)
 
 
-def run_priority_propagation() -> List[PropagationHop]:
+def run_priority_propagation(checks=None, tracer=None) -> List[PropagationHop]:
     """The Fig 2 chain: RT-CORBA priority 100 on a QNX client, a LynxOS
-    middle tier and a Solaris server, every segment marked DSCP EF."""
-    kernel = Kernel()
-    client = Host(kernel, "client", os_type=OsType.QNX)
-    middle = Host(kernel, "middle-tier", os_type=OsType.LYNXOS)
-    server = Host(kernel, "server", os_type=OsType.SOLARIS)
-    net = Network(kernel)
-    for host in (client, middle, server):
-        net.attach_host(host)
+    middle tier and a Solaris server, every segment marked DSCP EF.
+
+    Built on the testbed like every scenario, but the chain is read off
+    the mappings: the kernel never runs, so a suite or tracer sees
+    nothing."""
+    bed = Testbed(checks=checks, tracer=tracer)
+    net = bed.build_network()
+    client = bed.host("client", os_type=OsType.QNX)
+    middle = bed.host("middle-tier", os_type=OsType.LYNXOS)
+    server = bed.host("server", os_type=OsType.SOLARIS)
     router1, router2 = net.add_router("router1"), net.add_router("router2")
     net.link(client, router1)
     net.link(router1, middle)
     net.link(router1, router2)
     net.link(router2, server)
     net.compute_routes()
-    orb = Orb(kernel, client, net)
+    bed.watch()
+    orb = Orb(bed.kernel, client, net)
     orb.mapping_manager.install_native_mapping(Figure2Mapping())
     orb.mapping_manager.install_dscp_mapping(
         DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])

@@ -22,19 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.reserve import EnforcementPolicy, Reserve
-from repro.net.topology import Network
 from repro.orb.cdr import OpaquePayload
 from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
 from repro.core.metrics import SeriesStats
 from repro.experiments.actors import ATR, AtrServant
 from repro.experiments.arm import Arm
+from repro.experiments.testbed import Testbed
 
 #: The paper's image: 400x250 RGB PPM, 300,060 bytes.
 IMAGE_BYTES = 300_060
@@ -97,22 +94,24 @@ def run_cpu_reservation_experiment(
     reserve_compute: float = 0.45,
     reserve_period: float = 0.5,
     algorithm_costs: Optional[Dict[str, float]] = None,
+    fault_plan=None,
+    checks=None,
+    tracer=None,
 ) -> CpuExperimentResult:
     """Build the Table 2 testbed and run one arm.
 
     The client streams images back-to-back (next image as soon as the
     previous reply returns) for ``duration`` simulated seconds.
     """
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel, rng = bed.kernel, bed.rng
 
-    client_host = Host(kernel, "client")
-    server_host = Host(kernel, "atr-server")
-    net = Network(kernel, default_bandwidth_bps=100e6)
-    net.attach_host(client_host)
-    net.attach_host(server_host)
+    net = bed.build_network(100e6)
+    client_host = bed.host("client")
+    server_host = bed.host("atr-server")
     net.link(client_host, server_host)
     net.compute_routes()
+    bed.watch()
 
     client_orb = Orb(kernel, client_host, net)
     server_orb = Orb(kernel, server_host, net)
@@ -158,10 +157,10 @@ def run_cpu_reservation_experiment(
             index += 1
 
     Process(kernel, client(), name="image-client")
-    kernel.run(until=duration)
+    bed.inject(fault_plan)
+    result.events_executed = bed.run(until=duration)
 
     result.images_processed = servant.images_processed
-    result.events_executed = kernel.events_executed
     for algorithm, recorder in servant.timings.items():
         result.algorithm_stats[algorithm] = recorder.stats()
     return result

@@ -26,21 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
-from repro.net.queues import GuaranteedRateQueue
-from repro.net.topology import Network
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.core import Orb
-from repro.media.filtering import FrameFilter
-from repro.media.mpeg import MpegStream
-from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
-from repro.core.adaptation import FrameFilteringQosket
+from repro.avstreams.service import StreamQoS
 from repro.core.metrics import DeliveryRecorder, SeriesStats
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm
+from repro.experiments.testbed import Testbed
 
 #: The paper's reservation levels.
 FULL_RESERVATION_BPS = 1.3e6  # "1.2 Mbps, enough to support 30 fps"
@@ -105,6 +97,8 @@ class NetworkExperimentResult:
         self.sender_delivery: Optional[DeliveryRecorder] = None
         self.receiver_delivery: Optional[DeliveryRecorder] = None
         self.receiver_frames_by_type: Dict[str, int] = {}
+        #: Frames received inside the load window, by type.
+        self.typed_received_under_load: Dict[str, int] = {}
         #: Kernel event count for the run (throughput observability).
         self.events_executed = 0
 
@@ -113,6 +107,11 @@ class NetworkExperimentResult:
         self.sender_delivery = self.sender.delivery
         self.receiver_delivery = self.receiver.delivery
         self.receiver_frames_by_type = dict(self.receiver.frames_by_type)
+        for time, frame_type in zip(self.receiver_delivery.received.times,
+                                    self.receiver.frame_types):
+            if self.load_start <= time < self.load_end:
+                self.typed_received_under_load[frame_type] = (
+                    self.typed_received_under_load.get(frame_type, 0) + 1)
         self.events_executed = events_executed
 
     def __getstate__(self) -> Dict[str, object]:
@@ -155,14 +154,8 @@ class NetworkExperimentResult:
         sender emits I frames at a constant 2 fps).
         """
         sent_i = 2.0 * (self.load_end - self.load_start)
-        got_i = self._typed_received_under_load("I")
+        got_i = self.typed_received_under_load.get("I", 0)
         return min(1.0, got_i / sent_i) if sent_i else 1.0
-
-    def _typed_received_under_load(self, frame_type: str) -> int:
-        return self._typed_counts_under_load.get(frame_type, 0)
-
-    #: Populated by the runner.
-    _typed_counts_under_load: Dict[str, int] = {}
 
 
 def run_network_reservation_experiment(
@@ -174,108 +167,55 @@ def run_network_reservation_experiment(
     link_bps: float = 10e6,
     video_bitrate_bps: float = 1.2e6,
     seed: int = 1,
+    fault_plan=None,
+    checks=None,
+    tracer=None,
 ) -> NetworkExperimentResult:
     """Build the section 5.2 network testbed and run one arm."""
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel = bed.kernel
 
-    # --- network: every egress on the path is IntServ-capable ------------
-    net = Network(kernel, default_bandwidth_bps=link_bps)
-    hosts = {}
-    for name in ("src", "dst", "load"):
-        hosts[name] = Host(kernel, name)
-        net.attach_host(hosts[name])
-    router = net.add_router("router")
-
-    def q(name):
-        return GuaranteedRateQueue(kernel, band_capacity=200, name=name)
-
-    net.link("src", router, qdisc_a=q("src-out"), qdisc_b=q("rtr-to-src"))
-    # The load host gets a fast access segment so its full 43.8 Mbps
-    # reaches the bottleneck, as in the paper's measurement.
-    net.link("load", router, bandwidth_bps=100e6,
-             qdisc_a=q("load-out"), qdisc_b=q("rtr-to-load"))
-    net.link(router, "dst", qdisc_a=q("bottleneck"), qdisc_b=q("dst-out"))
-    net.compute_routes()
-    net.enable_intserv()
-
-    # --- ORBs + A/V devices ------------------------------------------------
-    orbs = {name: Orb(kernel, hosts[name], net) for name in ("src", "dst")}
-    devices = {}
-    refs = {}
-    for name, orb in orbs.items():
-        device = MMDeviceServant(kernel, orb)
-        poa = orb.create_poa("av")
-        devices[name] = device
-        refs[name] = poa.activate_object(device, oid="mmdevice")
+    # --- network: every egress on the path is IntServ-capable.  The load
+    # host gets a fast access segment so its full 43.8 Mbps reaches the
+    # bottleneck, as in the paper's measurement.
+    bed.star({"src": None, "dst": None, "load": 100e6}, dst="dst",
+             default_bps=link_bps, intserv_bound=0.9)
+    bed.av_endpoints(("src", "dst"))
+    bed.watch()
 
     result = NetworkExperimentResult(arm, load_start, load_end, duration)
-    typed_under_load: Dict[str, int] = {}
 
     # --- stream setup + actors, inside a driver process ---------------------
-    ctrl = StreamCtrl(kernel, orbs["src"])
-
     def driver():
         qos = StreamQoS(
             reserve_rate_bps=arm.reserve_rate_bps,
             bucket_bytes=BUCKET_BYTES,
             mandatory=True,
         ) if arm.reserve_rate_bps else StreamQoS()
-        yield from ctrl.bind("uav-video", refs["src"], refs["dst"], qos)
-        producer = devices["src"].producer("uav-video")
-        consumer = devices["dst"].consumer("uav-video")
-        stream = MpegStream(
-            "uav-video",
-            bitrate_bps=video_bitrate_bps,
-            fps=30.0,
-            rng=rng.stream("video"),
-        )
-        frame_filter = None
-        qosket = None
-        if arm.filtering:
-            frame_filter = FrameFilter()
-            # A 4 % degrade threshold makes the contract keep shedding
-            # until important frames stop being lost — the paper's
-            # policy delivered *all* I frames under partial reservation.
-            qosket = FrameFilteringQosket(
-                kernel, frame_filter, degrade_threshold=0.04
-            )
-        sender = AvVideoSender(
-            kernel, producer, stream,
-            frame_filter=frame_filter, qosket=qosket,
-        )
-        receiver = AvVideoReceiver(kernel, consumer, sender=sender)
-
-        # Count received frames by type inside the load window.
-        original = receiver._on_frame
-
-        def on_frame(frame, latency):
-            original(frame, latency)
-            if load_start <= kernel.now < load_end:
-                key = frame.frame_type.value
-                typed_under_load[key] = typed_under_load.get(key, 0) + 1
-
-        consumer.on_frame = on_frame
-        result.sender = sender
-        result.receiver = receiver
-        sender.start()
+        # A 4 % degrade threshold makes the contract keep shedding
+        # until important frames stop being lost — the paper's
+        # policy delivered *all* I frames under partial reservation.
+        result.sender, result.receiver = yield from bed.open_stream(
+            "uav-video", qos, bed.rng.stream("video"), video_bitrate_bps,
+            degrade_threshold=0.04 if arm.filtering else None)
+        result.sender.start()
 
     Process(kernel, driver(), name="experiment-driver")
 
     # --- the load burst ------------------------------------------------------
     load_source = CbrTrafficSource(
-        kernel, net.nic_of("load"), "dst", rate_bps=load_rate_bps
+        kernel, bed.network.nic_of("load"), "dst", rate_bps=load_rate_bps
     )
     kernel.schedule(load_start, load_source.start)
     kernel.schedule(load_end, load_source.stop)
+    bed.inject(fault_plan)
 
-    kernel.run(until=duration)
+    events = bed.run(until=duration)
     if result.sender is None:
         raise RuntimeError(
             f"stream setup failed for arm {arm.name!r} "
             "(reservation not admitted?)"
         )
     result.sender.stop()
-    result._typed_counts_under_load = typed_under_load
-    result.capture(kernel.events_executed)
+    result.capture(events)
     return result

@@ -29,11 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
-from repro.net.queues import GuaranteedRateQueue
 from repro.net.topology import Network, generate_topology
 from repro.net.routing import (
     LinkStateRouting,
@@ -42,15 +38,11 @@ from repro.net.routing import (
     predict_path,
 )
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.core import Orb
-from repro.media.filtering import FrameFilter
-from repro.media.mpeg import MpegStream
-from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
-from repro.core.adaptation import FrameFilteringQosket
+from repro.avstreams.service import StreamQoS
 from repro.core.metrics import DeliveryRecorder
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm
-from repro.faults import FaultInjector, FaultPlan
+from repro.experiments.testbed import Testbed
 
 #: SPF hold-down used by the dynamic arms.
 SPF_DELAY = 0.2
@@ -214,6 +206,9 @@ def run_route_experiment(
     video_bitrate_bps: float = 1.2e6,
     reserve_rate_bps: float = 1.4e6,
     cross_rate_bps: float = 12e6,
+    fault_plan=None,
+    checks=None,
+    tracer=None,
 ) -> RouteExperimentResult:
     """Run one fig 11 arm on a generated ``routers``-node topology.
 
@@ -221,25 +216,20 @@ def run_route_experiment(
     pair; the cut removes the middle router-router link of the
     stream's forwarding path, and the cross traffic congests the
     middle new edge of the *predicted* post-failure path — so the
-    reroute always lands on contested ground.
+    reroute always lands on contested ground.  ``fault_plan`` replaces
+    the cut (``[]``: the backbone survives).
     """
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel, q = bed.kernel, bed.queue
 
     # --- generated topology -------------------------------------------
-    net = Network(kernel, default_bandwidth_bps=link_bps)
-
-    def q() -> GuaranteedRateQueue:
-        return GuaranteedRateQueue(kernel, band_capacity=200)
-
+    net = bed.build_network(link_bps)
     generated = generate_topology(net, topology, routers, seed=seed,
                                   qdisc_factory=q)
     src_router, dst_router = _farthest_router_pair(net)
 
-    hosts = {}
     for name, attach in (("src", src_router), ("dst", dst_router)):
-        hosts[name] = Host(kernel, name)
-        net.attach_host(hosts[name])
+        bed.host(name)
         net.link(name, attach, qdisc_a=q(), qdisc_b=q())
 
     # --- failure site and contested detour ----------------------------
@@ -261,8 +251,7 @@ def run_route_experiment(
     detour_edge = _middle(new_edges)
 
     for name, attach in (("xsrc", detour_edge[0]), ("xdst", detour_edge[1])):
-        hosts[name] = Host(kernel, name)
-        net.attach_host(hosts[name])
+        bed.host(name)
         net.link(name, attach, qdisc_a=q(), qdisc_b=q())
 
     # --- routing plane -------------------------------------------------
@@ -295,40 +284,16 @@ def run_route_experiment(
         primary, backbone, detour_edge)
 
     # --- ORBs + A/V stream over the reserved lane ---------------------
-    orbs = {name: Orb(kernel, hosts[name], net) for name in ("src", "dst")}
-    devices = {}
-    refs = {}
-    for name, orb in orbs.items():
-        device = MMDeviceServant(kernel, orb)
-        poa = orb.create_poa("av")
-        devices[name] = device
-        refs[name] = poa.activate_object(device, oid="mmdevice")
-
-    ctrl = StreamCtrl(kernel, orbs["src"])
+    bed.av_endpoints(("src", "dst"))
+    bed.watch(routing=routing)
 
     def driver():
-        yield from ctrl.bind(
-            "uav-video", refs["src"], refs["dst"],
-            StreamQoS(reserve_rate_bps=reserve_rate_bps, mandatory=True))
-        producer = devices["src"].producer("uav-video")
-        consumer = devices["dst"].consumer("uav-video")
-        stream = MpegStream(
+        result.sender, result.receiver = yield from bed.open_stream(
             "uav-video",
-            bitrate_bps=video_bitrate_bps,
-            fps=30.0,
-            rng=rng.stream("video"),
-        )
-        frame_filter = FrameFilter()
-        qosket = FrameFilteringQosket(
-            kernel, frame_filter, degrade_threshold=0.05)
-        sender = AvVideoSender(
-            kernel, producer, stream,
-            frame_filter=frame_filter, qosket=qosket,
-        )
-        receiver = AvVideoReceiver(kernel, consumer, sender=sender)
-        result.sender = sender
-        result.receiver = receiver
-        sender.start()
+            StreamQoS(reserve_rate_bps=reserve_rate_bps, mandatory=True),
+            bed.rng.stream("video"), video_bitrate_bps,
+            degrade_threshold=0.05)
+        result.sender.start()
 
     Process(kernel, driver(), name="route-experiment-driver")
 
@@ -336,16 +301,14 @@ def run_route_experiment(
     cross = CbrTrafficSource(
         kernel, net.nic_of("xsrc"), "xdst", rate_bps=cross_rate_bps)
     kernel.schedule(0.5, cross.start)
-
-    injector = FaultInjector(kernel, net)
-    injector.install(FaultPlan.from_dicts([
+    bed.inject(fault_plan, [
         {"kind": "link_down", "link": list(backbone), "at": fail_at},
-    ]))
+    ])
 
-    kernel.run(until=duration)
+    events = bed.run(until=duration)
     if result.sender is None:
         raise RuntimeError(f"stream setup failed for arm {arm.name!r}")
     result.sender.stop()
     cross.stop()
-    result.capture(kernel.events_executed, routing, resignaler, net)
+    result.capture(events, routing, resignaler, net)
     return result

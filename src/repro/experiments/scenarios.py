@@ -4,35 +4,35 @@ The ``examples/`` scripts are thin wrappers around these builders so
 that ``repro trace`` (and the test-suite) can run the same scenarios
 with a tracer attached and inspect the results programmatically.
 
-Each builder accepts:
+Each builder stands on the :class:`~repro.experiments.testbed.Testbed`
+like the figure scenarios and accepts:
 
-``tracer``
-    Optional :class:`repro.obs.Tracer`, attached to the kernel before
-    any component is built so the trace covers the entire run.
+``checks`` / ``tracer``
+    Optional :class:`~repro.check.invariants.CheckSuite` and
+    :class:`repro.obs.Tracer`, with the testbed's meaning.
 ``verbose``
     When True, print the narrative output the example scripts show.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.sim import Kernel, Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel import Host
-from repro.net import Dscp, GuaranteedRateQueue, Network
+from repro.sim import Process
+from repro.net import Dscp
 from repro.net.traffic import CbrTrafficSource
 from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.quo import Contract, Qosket, Region, ValueSC
 from repro.media import FrameFilter, MpegStream
-from repro.avstreams import MMDeviceServant, StreamCtrl, StreamQoS
+from repro.avstreams import StreamCtrl, StreamQoS
 from repro.core import FrameFilteringQosket
 from repro.experiments.actors import (
     AvVideoReceiver,
     AvVideoSender,
     VideoDistributor,
 )
+from repro.experiments.testbed import Testbed
 
 # ----------------------------------------------------------------------
 # Quickstart: one CORBA call path plus a QuO re-marking contract
@@ -53,21 +53,18 @@ class _RangeFinderServant(_RANGE_FINDER.skeleton_class):
 
 
 def run_quickstart(
-    tracer=None, verbose: bool = True
+    checks=None, tracer=None, verbose: bool = True
 ) -> Dict[str, Any]:
     """Two hosts, one router, one servant; a contract flips the DSCP.
 
     Returns a dict with the kernel, the contract, and the recorded
     ``calls``: (bearing, result, rtt_seconds, dscp_name) tuples.
     """
-    kernel = Kernel()
-    if tracer is not None:
-        tracer.attach(kernel)
-    client_host = Host(kernel, "operator-station")
-    server_host = Host(kernel, "sensor-platform")
-    net = Network(kernel, default_bandwidth_bps=10e6)
-    net.attach_host(client_host)
-    net.attach_host(server_host)
+    bed = Testbed(checks=checks, tracer=tracer)
+    kernel = bed.kernel
+    net = bed.build_network(10e6)
+    client_host = bed.host("operator-station")
+    server_host = bed.host("sensor-platform")
     router = net.add_router("router")
     net.link(client_host, router)
     net.link(router, server_host)
@@ -87,6 +84,7 @@ def run_quickstart(
         Region("congested", lambda s: s["loss"] > 0.05),
         Region("clear"),
     ])
+    bed.watch(contracts=[contract])
 
     def protect(delegate, operation, args, proceed):
         delegate.stub.dscp = Dscp.EF
@@ -118,7 +116,7 @@ def run_quickstart(
                 loss.set(0.2)
 
     Process(kernel, app(), name="quickstart-app")
-    kernel.run()
+    bed.run()
     if verbose:
         print(f"done at simulated t={kernel.now * 1e3:.3f} ms; "
               f"contract region: {contract.current_region}")
@@ -132,20 +130,18 @@ def run_quickstart(
 # ----------------------------------------------------------------------
 # UAV video pipeline (the paper's Figure 3 application)
 # ----------------------------------------------------------------------
-def _build_uav_network(kernel):
+def _build_uav_network(bed: Testbed):
     """The Figure 3 shape: a sensor-side segment and a station-side
     segment bridged by the multi-homed distributor host (uplinks from
     the UAVs are slower 'wireless' links)."""
-    net = Network(kernel, default_bandwidth_bps=10e6)
-    hosts = {}
-    names = ("uav1", "uav2", "distributor", "display1", "display2", "loadgen")
-    for name in names:
-        hosts[name] = Host(kernel, name)
-        net.attach_host(hosts[name])
+    net = bed.build_network(10e6)
+    for name in ("uav1", "uav2", "distributor", "display1", "display2",
+                 "loadgen"):
+        bed.host(name)
     r1, r2 = net.add_router("router1"), net.add_router("router2")
 
     def q():
-        return GuaranteedRateQueue(kernel, band_capacity=150)
+        return bed.queue(band_capacity=150)
 
     net.link("uav1", r1, bandwidth_bps=5e6, qdisc_a=q(), qdisc_b=q())
     net.link("uav2", r1, bandwidth_bps=5e6, qdisc_a=q(), qdisc_b=q())
@@ -156,12 +152,13 @@ def _build_uav_network(kernel):
     net.link(r2, "display2", qdisc_a=q(), qdisc_b=q())
     net.compute_routes()
     net.enable_intserv()
-    return net, hosts
+    return net
 
 
 def run_uav_pipeline(
     duration: float = 60.0,
     seed: int = 42,
+    checks=None,
     tracer=None,
     verbose: bool = True,
     burst_start: float = 20.0,
@@ -172,22 +169,14 @@ def run_uav_pipeline(
     Returns a dict with the kernel and the data-plane ``actors``
     (senders, distributors, receivers, the filtering qosket).
     """
-    kernel = Kernel()
-    if tracer is not None:
-        tracer.attach(kernel)
-    rng = RngRegistry(seed=seed)
-    net, hosts = _build_uav_network(kernel)
+    bed = Testbed(seed, checks, tracer)
+    kernel, rng = bed.kernel, bed.rng
+    net = _build_uav_network(bed)
+    bed.av_endpoints(name for name in bed.hosts if name != "loadgen")
+    devices, refs = bed.devices, bed.refs
+    bed.watch()
 
-    orbs = {name: Orb(kernel, host, net) for name, host in hosts.items()
-            if name != "loadgen"}
-    devices, refs = {}, {}
-    for name, orb in orbs.items():
-        device = MMDeviceServant(kernel, orb)
-        poa = orb.create_poa("av")
-        devices[name] = device
-        refs[name] = poa.activate_object(device, oid="mmdevice")
-
-    ctrl = StreamCtrl(kernel, orbs["distributor"])
+    ctrl = StreamCtrl(kernel, bed.orbs["distributor"])
     actors: Dict[str, Any] = {}
 
     def setup():
@@ -209,6 +198,7 @@ def run_uav_pipeline(
         filter2 = FrameFilter()
         qosket2 = FrameFilteringQosket(kernel, filter2,
                                        degrade_threshold=0.05)
+        bed.world.add_contract(qosket2.contract)
         stream2 = MpegStream("uav2", rng=rng.stream("uav2"))
         sender2 = AvVideoSender(
             kernel, devices["uav2"].producer("uav2-in"), stream2,
@@ -244,7 +234,7 @@ def run_uav_pipeline(
 
     if verbose:
         print(f"running {duration:.0f} s of simulated mission time ...")
-    kernel.run(until=duration)
+    bed.run(until=duration)
 
     if verbose:
         print("\n--- stream 1 (reserved end-to-end) ---")
@@ -271,3 +261,7 @@ def run_uav_pipeline(
         "net": net,
         "actors": actors,
     }
+
+
+#: The example builders, by the name ``repro trace --scenario`` takes.
+EXAMPLES = {"quickstart": run_quickstart, "uav": run_uav_pipeline}

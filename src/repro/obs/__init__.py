@@ -19,6 +19,7 @@ are unchanged (the tracer only observes).
 from repro.obs.breakdown import REQUEST_STAGES, LatencyBreakdown
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink, read_jsonl
 from repro.obs.trace import (
+    LAYERS,
     PHASE_BEGIN,
     PHASE_END,
     PHASE_INSTANT,
@@ -28,6 +29,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "JsonlSink",
+    "LAYERS",
     "LatencyBreakdown",
     "PHASE_BEGIN",
     "PHASE_END",

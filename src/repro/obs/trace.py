@@ -35,6 +35,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.sinks import RingBufferSink, TraceSink
 
+#: Every layer an instrumentation site emits under; what a tracer's
+#: ``layers`` allow-list (and ``repro trace --layers``) may name.
+LAYERS = ("sim", "os", "net", "orb", "av", "quo", "fault", "fluid", "pubsub")
+
 #: Record phases, Chrome-trace style: begin / end / instant.
 PHASE_BEGIN = "B"
 PHASE_END = "E"
@@ -51,8 +55,7 @@ class TraceRecord:
     time:
         Simulated time the record was emitted.
     layer:
-        Subsystem: ``"sim"``, ``"os"``, ``"net"``, ``"orb"``, ``"av"``
-        or ``"quo"``.
+        Subsystem: one of :data:`LAYERS`.
     kind:
         Dotted event name within the layer (e.g. ``"hop.enqueue"``).
     phase:

@@ -64,14 +64,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
 from repro.net.packet import HEADER_BYTES
-from repro.net.queues import GuaranteedRateQueue
-from repro.net.topology import Network
-from repro.faults.injector import FaultInjector
 from repro.experiments.arm import Arm
-from repro.faults.plan import FaultPlan
+from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.quo.contract import Contract, Region
 from repro.quo.syscond import ValueSC
@@ -417,6 +412,7 @@ def run_pubsub_experiment(
     bottleneck_bps: float = FANOUT_BOTTLENECK_BPS,
     fault_plan: Optional[List[Dict[str, Any]]] = None,
     checks=None,
+    tracer=None,
 ) -> PubSubResult:
     """Run one fig 12 arm at one total-subscriber count.
 
@@ -428,30 +424,18 @@ def run_pubsub_experiment(
     if subscribers < measured_total:
         raise ValueError(
             f"need at least {measured_total} subscribers, got {subscribers}")
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel = bed.kernel
     interval = 1.0 / TOPIC_RATE_HZ
 
     # --- topology: K publisher hosts + broker + subscriber host around
     # one router; the router->sub link is the fan-out bottleneck.
-    net = Network(kernel, default_bandwidth_bps=ACCESS_BPS)
-    host_names = [f"pub{i}" for i in range(PUBLISHERS)] + ["brk", "sub"]
-    hosts = {name: Host(kernel, name) for name in host_names}
-    for host in hosts.values():
-        net.attach_host(host)
-    router = net.add_router("router")
-
-    def q(name: str) -> GuaranteedRateQueue:
-        return GuaranteedRateQueue(kernel, band_capacity=BAND_CAPACITY,
-                                   name=name)
-
-    for name in host_names[:-1]:
-        net.link(name, router, bandwidth_bps=ACCESS_BPS,
-                 qdisc_a=q(f"{name}-out"), qdisc_b=q(f"rtr-to-{name}"))
-    bottleneck = net.link(router, "sub", bandwidth_bps=bottleneck_bps,
-                          qdisc_a=q("bottleneck"), qdisc_b=q("sub-out"))
-    net.compute_routes()
-    net.enable_intserv(utilization_bound=UTILIZATION_BOUND)
+    links = {f"pub{i}": ACCESS_BPS for i in range(PUBLISHERS)}
+    links.update(brk=ACCESS_BPS, sub=bottleneck_bps)
+    bottleneck = bed.star(links, dst="sub", default_bps=ACCESS_BPS,
+                          band_capacity=BAND_CAPACITY,
+                          intserv_bound=UTILIZATION_BOUND)
+    net = bed.network
 
     controller = AdmissionController.from_network(
         net, link_bound=UTILIZATION_BOUND)
@@ -540,13 +524,8 @@ def run_pubsub_experiment(
                         [fl_bott], adaptive=tail_adaptive,
                         deadline=READER_DEADLINE)
 
-    # --- faults -------------------------------------------------------
-    plan = (fault_plan if fault_plan is not None
-            else _fault_plan(arm, duration))
-    if plan:
-        injector = FaultInjector(kernel, network=net,
-                                 rng=rng.stream("fault-injector"))
-        injector.install(FaultPlan.from_dicts(plan))
+    # --- faults: after the fluid flows, before the publishers ---------
+    bed.inject(fault_plan, _fault_plan(arm, duration))
 
     # --- publish loops: staggered rearm timers, stopped DRAIN_GRACE
     # before the horizon so in-flight retransmissions drain.
@@ -573,17 +552,9 @@ def run_pubsub_experiment(
 
     kernel.schedule(publish_until, stop_monitors)
 
-    if checks is not None:
-        from repro.check.world import World
-        checks.install(World(
-            kernel, network=net, hosts=list(hosts.values()),
-            contracts=[qk.contract for qk in qoskets],
-            admission=controller, fluid=engine, pubsub=broker))
-
-    kernel.run(until=duration)
-    engine.finalize()
-    if checks is not None:
-        checks.final_check()
+    bed.watch(contracts=[qk.contract for qk in qoskets],
+              admission=controller, fluid=engine, pubsub=broker)
+    events = bed.run(until=duration)
 
     # --- capture ------------------------------------------------------
     result = PubSubResult(arm, subscribers, duration)
@@ -640,7 +611,7 @@ def run_pubsub_experiment(
         result.tail_per_sub_fps = (
             served / wire_sample_bytes / duration / tail_total)
     result.tail_loss_fraction = lost / offered if offered > 0 else 0.0
-    result.events_executed = kernel.events_executed
+    result.events_executed = events
     result.fluid_epochs = engine.epochs
     engine.close()
     broker.close()

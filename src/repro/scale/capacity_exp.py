@@ -38,26 +38,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.coalesce import PeriodicTicker
-from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.reserve import EnforcementPolicy
 from repro.net.diffserv import Dscp
-from repro.net.queues import GuaranteedRateQueue
-from repro.net.topology import Network
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.core import Orb
 from repro.orb.rt import DscpMapping, LinearPriorityMapping
-from repro.media.filtering import FrameFilter
-from repro.media.mpeg import MpegStream
-from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
-from repro.core.adaptation import FrameFilteringQosket
+from repro.avstreams.service import StreamQoS
 from repro.experiments.arm import Arm
+from repro.experiments.testbed import Testbed
 from repro.scale.admission import AdmissionController
 from repro.scale.farm import FarmStreamReceiver, FarmStreamSender, stream_rng
 
@@ -193,6 +186,85 @@ class CapacityResult:
         return sum(getattr(row, field) for row in self.rows)
 
 
+#: One planned farm stream: (name, CORBA lane or None, admitted, encode
+#: thread or None, StreamQoS).
+StreamPlan = Tuple[str, Optional[int], bool, object, StreamQoS]
+
+
+def start_farm(bed: Testbed, process_name: str, plans: Sequence[StreamPlan],
+               result, adaptation: bool, encode_cost: float):
+    """Spawn the driver process both farms (figs 9 and 10) run.
+
+    It binds every planned stream in order — a rejected stream of an
+    adaptive arm gets a frame-filtering qosket — then stamps
+    ``result.measure_start`` and starts the one shared frame clock.
+    Returns the farm ``(clock, senders, receivers)`` for
+    :func:`stop_farm`; the lists fill as streams bind.
+    """
+    clock = PeriodicTicker(bed.kernel, 1.0 / VIDEO_FPS)
+    senders: List[FarmStreamSender] = []
+    receivers: List[FarmStreamReceiver] = []
+
+    def driver():
+        for name, _corba, admitted, thread, qos in plans:
+            sender, receiver = yield from bed.open_stream(
+                name, qos, stream_rng(bed.rng, name), VIDEO_BITRATE_BPS,
+                degrade_threshold=(0.05 if adaptation and not admitted
+                                   else None),
+                qosket_name=f"qosket:{name}",
+                sender=partial(FarmStreamSender, thread=thread,
+                               encode_cost=encode_cost),
+                receiver=partial(FarmStreamReceiver,
+                                 deadline=result.deadline))
+            senders.append(sender)
+            receivers.append(receiver)
+            clock.subscribe(sender.on_tick)
+            sender.start()
+        result.measure_start = bed.kernel.now
+        clock.start()
+
+    Process(bed.kernel, driver(), name=process_name)
+    return clock, senders, receivers
+
+
+def stop_farm(farm, plans: Sequence[StreamPlan], result) -> List[StreamRow]:
+    """Stop every sender and hand the farm's live actors to ``result``;
+    returns one :class:`StreamRow` per stream over the window since
+    ``result.measure_start``."""
+    clock, senders, receivers = farm
+    if len(senders) != len(plans):
+        raise RuntimeError(
+            f"stream setup failed for arm {result.arm.name!r}: "
+            f"{len(senders)}/{len(plans)} streams bound")
+    window = result.duration - result.measure_start
+    rows = []
+    for sender, receiver, (name, corba, admitted, _t, _q) in zip(
+            senders, receivers, plans):
+        sender.stop()
+        delivered = receiver.frames_delivered
+        generated = sender.frames_generated
+        rows.append(StreamRow(
+            name=name,
+            admitted=admitted,
+            corba_priority=corba,
+            generated=generated,
+            filtered=sender.frames_filtered,
+            skipped=sender.frames_skipped,
+            sent=sender.frames_sent,
+            delivered=delivered,
+            on_time=receiver.frames_on_time,
+            fps=delivered / window if window > 0 else 0.0,
+            miss_rate=(1.0 - receiver.frames_on_time / generated
+                       if generated else 0.0),
+            mean_latency=(receiver.latency.stats().mean
+                          if delivered else 0.0),
+        ))
+    result.clock_ticks = clock.ticks
+    result.senders = senders
+    result.receivers = receivers
+    return rows
+
+
 def run_capacity_experiment(
     arm: CapacityArm,
     streams: int = 8,
@@ -203,66 +275,40 @@ def run_capacity_experiment(
     deadline: float = DEADLINE,
     fault_plan: Optional[Sequence[dict]] = None,
     checks=None,
+    tracer=None,
 ) -> CapacityResult:
     """Run N concurrent streams through one arm's mechanisms.
 
     ``fault_plan`` optionally injects faults (dicts accepted by
-    :meth:`~repro.faults.plan.FaultPlan.from_dicts`) and ``checks``
+    :meth:`~repro.faults.plan.FaultPlan.from_dicts`), ``checks``
     optionally installs a :class:`~repro.check.invariants.CheckSuite`
-    over the run — both default off and leave the baseline byte-identical.
+    over the run and ``tracer`` traces it — all default off and leave
+    the baseline byte-identical.
     """
     if streams < 1:
         raise ValueError(f"need at least one stream, got {streams}")
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel = bed.kernel
     n = int(streams)
     interval = 1.0 / VIDEO_FPS
 
     # --- shared topology: src/load -- router -- dst -------------------
-    net = Network(kernel, default_bandwidth_bps=ACCESS_BPS)
-    hosts = {name: Host(kernel, name) for name in ("src", "dst", "load")}
-    for host in hosts.values():
-        net.attach_host(host)
-    router = net.add_router("router")
-
-    def q(name: str) -> GuaranteedRateQueue:
-        return GuaranteedRateQueue(kernel, band_capacity=200, name=name)
-
-    net.link("src", router, bandwidth_bps=ACCESS_BPS,
-             qdisc_a=q("src-out"), qdisc_b=q("rtr-to-src"))
-    net.link("load", router, bandwidth_bps=LOAD_LINK_BPS,
-             qdisc_a=q("load-out"), qdisc_b=q("rtr-to-load"))
-    net.link(router, "dst", bandwidth_bps=bottleneck_bps,
-             qdisc_a=q("bottleneck"), qdisc_b=q("dst-out"))
-    net.compute_routes()
-    net.enable_intserv(utilization_bound=UTILIZATION_BOUND)
-
-    if fault_plan:
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan
-        injector = FaultInjector(kernel, network=net,
-                                 rng=rng.stream("fault-injector"))
-        injector.install(FaultPlan.from_dicts(list(fault_plan)))
-
-    # --- ORBs + A/V devices ------------------------------------------
-    orbs = {name: Orb(kernel, hosts[name], net) for name in ("src", "dst")}
-    devices = {}
-    refs = {}
-    for name, orb in orbs.items():
-        device = MMDeviceServant(kernel, orb)
-        poa = orb.create_poa("av")
-        devices[name] = device
-        refs[name] = poa.activate_object(device, oid="mmdevice")
+    bed.star({"src": ACCESS_BPS, "dst": bottleneck_bps,
+              "load": LOAD_LINK_BPS}, dst="dst", default_bps=ACCESS_BPS,
+             intserv_bound=UTILIZATION_BOUND)
+    net = bed.network
+    bed.inject(fault_plan)
+    bed.av_endpoints(("src", "dst"))
 
     # --- admission: controller books mirror the enforcement layers ----
     controller = AdmissionController.from_network(
         net, link_bound=UTILIZATION_BOUND)
     native_mapping = LinearPriorityMapping()
     dscp_mapping = DscpMapping()
-    src_host = hosts["src"]
+    src_host = bed.hosts["src"]
     reserve_compute = ENCODE_COST * ENCODE_RESERVE_HEADROOM
 
-    plans = []  # (name, corba, admitted, thread, qos)
+    plans: List[StreamPlan] = []
     for i in range(n):
         name = f"cap{i:02d}"
         corba = (BASE_CORBA_PRIORITY - i * LANE_STEP
@@ -300,88 +346,22 @@ def run_capacity_experiment(
         cross.start()
     loadgen = CpuLoadGenerator(kernel, src_host, priority=CPU_LOAD_PRIORITY,
                                duty_cycle=CPU_LOAD_DUTY,
-                               rng=rng.stream("cpu-load"))
+                               rng=bed.rng.stream("cpu-load"))
     loadgen.start()
 
     # --- bind every stream, then start the shared clock ---------------
     result = CapacityResult(arm, n, duration, deadline)
-    clock = PeriodicTicker(kernel, interval)
-    ctrl = StreamCtrl(kernel, orbs["src"])
-    senders: List[FarmStreamSender] = []
-    receivers: List[FarmStreamReceiver] = []
-
-    def driver():
-        for name, corba, admitted, thread, qos in plans:
-            yield from ctrl.bind(name, refs["src"], refs["dst"], qos)
-            producer = devices["src"].producer(name)
-            consumer = devices["dst"].consumer(name)
-            stream = MpegStream(name, bitrate_bps=VIDEO_BITRATE_BPS,
-                                fps=VIDEO_FPS, rng=stream_rng(rng, name))
-            frame_filter = None
-            qosket = None
-            if arm.adaptation and not admitted:
-                frame_filter = FrameFilter()
-                qosket = FrameFilteringQosket(
-                    kernel, frame_filter, name=f"qosket:{name}",
-                    degrade_threshold=0.05)
-            sender = FarmStreamSender(
-                kernel, producer, stream, thread=thread,
-                encode_cost=ENCODE_COST, frame_filter=frame_filter,
-                qosket=qosket)
-            receiver = FarmStreamReceiver(kernel, consumer, sender, deadline)
-            senders.append(sender)
-            receivers.append(receiver)
-            clock.subscribe(sender.on_tick)
-            sender.start()
-        result.measure_start = kernel.now
-        clock.start()
-
-    if checks is not None:
-        from repro.check.world import World
-        checks.install(World(kernel, network=net,
-                             hosts=list(hosts.values()),
-                             admission=controller))
-
-    Process(kernel, driver(), name="capacity-driver")
-    kernel.run(until=duration)
-    if checks is not None:
-        checks.final_check()
-    if len(senders) != n:
-        raise RuntimeError(
-            f"stream setup failed for arm {arm.name!r}: "
-            f"{len(senders)}/{n} streams bound")
+    bed.watch(admission=controller)
+    farm = start_farm(bed, "capacity-driver", plans, result, arm.adaptation,
+                      ENCODE_COST)
+    result.events_executed = bed.run(until=duration)
 
     # --- capture -------------------------------------------------------
-    window = duration - result.measure_start
-    for sender, receiver, (name, corba, admitted, _t, _q) in zip(
-            senders, receivers, plans):
-        sender.stop()
-        delivered = receiver.frames_delivered
-        generated = sender.frames_generated
-        result.rows.append(StreamRow(
-            name=name,
-            admitted=admitted,
-            corba_priority=corba,
-            generated=generated,
-            filtered=sender.frames_filtered,
-            skipped=sender.frames_skipped,
-            sent=sender.frames_sent,
-            delivered=delivered,
-            on_time=receiver.frames_on_time,
-            fps=delivered / window if window > 0 else 0.0,
-            miss_rate=(1.0 - receiver.frames_on_time / generated
-                       if generated else 0.0),
-            mean_latency=(receiver.latency.stats().mean
-                          if delivered else 0.0),
-        ))
+    result.rows = stop_farm(farm, plans, result)
     result.admitted_count = sum(1 for row in result.rows if row.admitted)
-    result.events_executed = kernel.events_executed
-    result.clock_ticks = clock.ticks
     result.cpu_utilization = controller.cpu_utilization("src")
     result.bottleneck_committed_bps = controller.link_committed(
         "router", "dst")
-    result.senders = senders
-    result.receivers = receivers
     return result
 
 

@@ -56,25 +56,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.sim.coalesce import PeriodicTicker
-from repro.sim.kernel import Kernel
-from repro.sim.process import Process
 from repro.sim.quantize import add_repeated
-from repro.sim.rng import RngRegistry
-from repro.oskernel.host import Host
 from repro.net.diffserv import Dscp
 from repro.net.packet import HEADER_BYTES
 from repro.avstreams.endpoints import FRAGMENT_BYTES
-from repro.net.queues import GuaranteedRateQueue
-from repro.net.topology import Network
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.core import Orb
-from repro.orb.rt import DscpMapping, LinearPriorityMapping
-from repro.media.filtering import FrameFilter
-from repro.media.mpeg import MpegStream
-from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
-from repro.core.adaptation import FrameFilteringQosket
+from repro.orb.rt import DscpMapping
+from repro.avstreams.service import StreamQoS
 from repro.experiments.arm import Arm
+from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.scale.admission import AdmissionController
 from repro.scale.capacity_exp import (
@@ -83,12 +73,15 @@ from repro.scale.capacity_exp import (
     LANE_STEP,
     RESERVE_BPS,
     RESERVE_BUCKET_BYTES,
+    StreamPlan,
     StreamRow,
     UTILIZATION_BOUND,
     VIDEO_BITRATE_BPS,
     VIDEO_FPS,
+    start_farm,
+    stop_farm,
 )
-from repro.scale.farm import FarmStreamReceiver, FarmStreamSender, stream_rng
+from repro.scale.farm import FarmStreamReceiver, FarmStreamSender
 
 #: Nominal frame payload and its fragmentation (matches FlowProducer).
 FRAME_BYTES = int(VIDEO_BITRATE_BPS / 8.0 / VIDEO_FPS)
@@ -291,7 +284,9 @@ def run_scale_experiment(
     tenants: int = SCALE_TENANTS,
     measured_per_class: int = MEASURED_PER_CLASS,
     deadline: float = DEADLINE,
+    fault_plan=None,
     checks=None,
+    tracer=None,
 ) -> ScaleResult:
     """Run N offered streams through one arm, hybrid or pure packet.
 
@@ -304,43 +299,20 @@ def run_scale_experiment(
         raise ValueError(f"need at least one stream, got {streams}")
     if measured_per_class < 1:
         raise ValueError("need at least one measured stream per class")
-    kernel = Kernel()
-    rng = RngRegistry(seed=seed)
+    bed = Testbed(seed, checks, tracer)
+    kernel = bed.kernel
     n = int(streams)
-    interval = 1.0 / VIDEO_FPS
 
     # --- topology: like fig 9, but the access fabric is provisioned so
     # the shared bottleneck is the only contended resource at any N.
     access_bps = max(1e9, 2.0 * n * RESERVE_BPS)
     load_bps = max(100e6, 2.0 * cross_traffic_bps)
-    net = Network(kernel, default_bandwidth_bps=access_bps)
-    hosts = {name: Host(kernel, name) for name in ("src", "dst", "load")}
-    for host in hosts.values():
-        net.attach_host(host)
-    router = net.add_router("router")
-
-    def q(name: str) -> GuaranteedRateQueue:
-        return GuaranteedRateQueue(kernel, band_capacity=BAND_CAPACITY,
-                                   name=name)
-
-    net.link("src", router, bandwidth_bps=access_bps,
-             qdisc_a=q("src-out"), qdisc_b=q("rtr-to-src"))
-    net.link("load", router, bandwidth_bps=load_bps,
-             qdisc_a=q("load-out"), qdisc_b=q("rtr-to-load"))
-    bottleneck = net.link(router, "dst", bandwidth_bps=bottleneck_bps,
-                          qdisc_a=q("bottleneck"), qdisc_b=q("dst-out"))
-    net.compute_routes()
-    net.enable_intserv(utilization_bound=UTILIZATION_BOUND)
-
-    # --- ORBs + A/V devices for the measured cohort -------------------
-    orbs = {name: Orb(kernel, hosts[name], net) for name in ("src", "dst")}
-    devices = {}
-    refs = {}
-    for name, orb in orbs.items():
-        device = MMDeviceServant(kernel, orb)
-        poa = orb.create_poa("av")
-        devices[name] = device
-        refs[name] = poa.activate_object(device, oid="mmdevice")
+    bottleneck = bed.star(
+        {"src": access_bps, "dst": bottleneck_bps, "load": load_bps},
+        dst="dst", default_bps=access_bps, band_capacity=BAND_CAPACITY,
+        intserv_bound=UTILIZATION_BOUND)
+    net = bed.network
+    bed.av_endpoints(("src", "dst"))  # for the measured cohort
 
     # --- admission with per-tenant pools ------------------------------
     controller = AdmissionController.from_network(
@@ -352,13 +324,18 @@ def run_scale_experiment(
     admitted_idx = (_admit_population(controller, arm, n, max(1, tenants))
                     if arm.admission else [])
     admitted_set = set(admitted_idx)
+    dscp_mapping = DscpMapping()
 
-    def plan_of(i: int) -> Tuple[str, Optional[int], bool]:
-        """``(name, corba, admitted)`` of stream ``i``."""
-        admitted = i in admitted_set
-        corba = (BASE_CORBA_PRIORITY - (i % 1024) * (LANE_STEP // 5)
-                 if admitted else None)
-        return _stream_name(i), corba, admitted
+    def plan_of(i: int) -> StreamPlan:
+        """Stream ``i``'s plan; no encode thread (CPU is out of scope)."""
+        if i in admitted_set:
+            corba = BASE_CORBA_PRIORITY - (i % 1024) * (LANE_STEP // 5)
+            qos = StreamQoS(dscp=dscp_mapping.to_dscp(corba),
+                            reserve_rate_bps=RESERVE_BPS,
+                            bucket_bytes=RESERVE_BUCKET_BYTES,
+                            mandatory=True)
+            return _stream_name(i), corba, True, None, qos
+        return _stream_name(i), None, False, None, StreamQoS(dscp=Dscp.BE)
 
     # --- split the population: measured packet cohort vs fluid bulk ---
     if fluid:
@@ -378,7 +355,7 @@ def run_scale_experiment(
         fl_bott = engine.attach_interface(
             "router->dst", bottleneck.a,
             queue_bytes=BAND_CAPACITY * MEAN_FRAGMENT_BYTES)
-        for _name, _corba, admitted in measured_plan:
+        for _name, _corba, admitted, _thread, _qos in measured_plan:
             fl_bott.register_packet_load(WIRE_RATE_BPS, reserved=admitted)
         for first, reserved, members in _class_runs(
                 n, admitted_idx, set(measured_idx)):
@@ -396,86 +373,14 @@ def run_scale_experiment(
 
     # --- bind the measured cohort, then start the shared clock --------
     result = ScaleResult(arm, n, duration, deadline, fluid, max(1, tenants))
-    clock = PeriodicTicker(kernel, interval)
-    ctrl = StreamCtrl(kernel, orbs["src"])
-    native_mapping = LinearPriorityMapping()
-    dscp_mapping = DscpMapping()
-    senders: List[FarmStreamSender] = []
-    receivers: List[FarmStreamReceiver] = []
-
-    def driver():
-        for name, corba, admitted in measured_plan:
-            if admitted:
-                dscp = dscp_mapping.to_dscp(
-                    corba if corba is not None else BASE_CORBA_PRIORITY)
-                qos = StreamQoS(dscp=dscp, reserve_rate_bps=RESERVE_BPS,
-                                bucket_bytes=RESERVE_BUCKET_BYTES,
-                                mandatory=True)
-            else:
-                qos = StreamQoS(dscp=Dscp.BE)
-            yield from ctrl.bind(name, refs["src"], refs["dst"], qos)
-            producer = devices["src"].producer(name)
-            consumer = devices["dst"].consumer(name)
-            stream = MpegStream(name, bitrate_bps=VIDEO_BITRATE_BPS,
-                                fps=VIDEO_FPS, rng=stream_rng(rng, name))
-            frame_filter = None
-            qosket = None
-            if arm.adaptation and not admitted:
-                frame_filter = FrameFilter()
-                qosket = FrameFilteringQosket(
-                    kernel, frame_filter, name=f"qosket:{name}",
-                    degrade_threshold=0.05)
-            sender = FarmStreamSender(
-                kernel, producer, stream, thread=None, encode_cost=0.0,
-                frame_filter=frame_filter, qosket=qosket)
-            receiver = FarmStreamReceiver(kernel, consumer, sender, deadline)
-            senders.append(sender)
-            receivers.append(receiver)
-            clock.subscribe(sender.on_tick)
-            sender.start()
-        result.measure_start = kernel.now
-        clock.start()
-
-    if checks is not None:
-        from repro.check.world import World
-        checks.install(World(kernel, network=net,
-                             hosts=list(hosts.values()),
-                             admission=controller, fluid=engine))
-
-    Process(kernel, driver(), name="scale-driver")
-    kernel.run(until=duration)
-    if engine is not None:
-        engine.finalize()
-    if checks is not None:
-        checks.final_check()
-    if len(senders) != len(measured_plan):
-        raise RuntimeError(
-            f"measured setup failed for arm {arm.name!r}: "
-            f"{len(senders)}/{len(measured_plan)} streams bound")
+    bed.watch(admission=controller, fluid=engine)
+    bed.inject(fault_plan)
+    farm = start_farm(bed, "scale-driver", measured_plan, result,
+                      arm.adaptation, 0.0)
+    result.events_executed = bed.run(until=duration)
 
     # --- capture: measured rows ---------------------------------------
-    window = duration - result.measure_start
-    for sender, receiver, (name, corba, admitted) in zip(
-            senders, receivers, measured_plan):
-        sender.stop()
-        delivered = receiver.frames_delivered
-        generated = sender.frames_generated
-        result.measured_rows.append(StreamRow(
-            name=name,
-            admitted=admitted,
-            corba_priority=corba,
-            generated=generated,
-            filtered=sender.frames_filtered,
-            skipped=sender.frames_skipped,
-            sent=sender.frames_sent,
-            delivered=delivered,
-            on_time=receiver.frames_on_time,
-            fps=delivered / window if window > 0 else 0.0,
-            miss_rate=(1.0 - receiver.frames_on_time / generated
-                       if generated else 0.0),
-            mean_latency=(receiver.latency.stats().mean
-                          if delivered else 0.0),
-        ))
+    result.measured_rows = stop_farm(farm, measured_plan, result)
 
     # --- capture: per-class aggregates over the whole population ------
     # A cohort's per-member values are booked ``members`` times in a
@@ -560,14 +465,10 @@ def run_scale_experiment(
     result.requests_rejected = controller.requests_rejected
     result.bottleneck_committed_bps = controller.link_committed(
         "router", "dst")
-    result.events_executed = kernel.events_executed
-    result.clock_ticks = clock.ticks
     if engine is not None:
         result.fluid_epochs = engine.epochs
         result.governor_transitions = engine.governor_transitions
         engine.close()
-    result.senders = senders
-    result.receivers = receivers
     result.engine = engine
     return result
 

@@ -79,6 +79,14 @@ def test_crash_is_reported_not_raised():
     assert verdict["checker"] is None
 
 
+def test_unknown_family_is_a_crash_verdict_not_a_raise():
+    case = generate_case(1, 0, duration=1.0, max_streams=3)
+    verdict = run_soak_case({**case, "family": "no-such-family"})
+    assert not verdict["ok"]
+    assert verdict["failure"] == "crash"
+    assert "unknown soak family 'no-such-family'" in verdict["message"]
+
+
 def test_soak_report_is_independent_of_jobs():
     kwargs = dict(root_seed=11, runs=4, duration=1.0, max_streams=3,
                   shrink=False)
@@ -217,6 +225,22 @@ def test_shrink_reduces_the_pubsub_case(monkeypatch):
     assert shrunk["faults"] == []  # irrelevant to the leak: shed
     assert PUBSUB_MIN_SUBSCRIBERS <= shrunk["subscribers"] < 128
     assert not run_soak_case(shrunk)["ok"]  # still a reproducer
+
+
+def test_soak_driver_reports_a_shrunk_pubsub_failure(monkeypatch):
+    """The shrink report names the family's own load axis (a pub-sub
+    case has no ``streams``)."""
+    _reintroduce_history_leak(monkeypatch)
+    failing = _pubsub_case(subscribers=64)
+    monkeypatch.setattr("repro.check.soak.generate_cases",
+                        lambda *args: [failing])
+    lines = []
+    report = run_soak(root_seed=5, runs=1, jobs=1, shrink_budget=4,
+                      emit=lines.append)
+    (entry,) = report["failures"]
+    assert entry["checker"] == "pubsub"
+    assert entry["shrunk"]["subscribers"] < failing["subscribers"]
+    assert any("subscribers in" in line for line in lines)
 
 
 def test_replayed_pubsub_case_reproduces_the_verdict(monkeypatch):

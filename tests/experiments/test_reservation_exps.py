@@ -73,6 +73,27 @@ def test_unreserved_i_frames_die_under_load(net_results):
     assert net_results["1-none"].i_frames_delivered_under_load() < 0.10
 
 
+def test_typed_counts_under_load_are_per_result_and_survive_pickling(
+        net_results):
+    """The windowed per-type counts are plain instance data captured
+    from the receiver's own series: not shared between results, equal
+    to the received count in the window, and still there in a worker's
+    pickled payload."""
+    import pickle
+
+    partial, full = net_results["5-partial-filtering"], net_results["3-full"]
+    assert (partial.typed_received_under_load
+            is not full.typed_received_under_load)
+    for result in (partial, full):
+        window = (result.load_start, result.load_end)
+        assert (sum(result.typed_received_under_load.values())
+                == result.receiver_delivery.received_count(*window))
+        clone = pickle.loads(pickle.dumps(result))
+        assert (clone.i_frames_delivered_under_load()
+                == result.i_frames_delivered_under_load())
+    assert full.i_frames_delivered_under_load() == 1.0
+
+
 def test_reservation_reduces_latency_and_jitter(net_results):
     unreserved = net_results["1-none"].latency_under_load()
     reserved = net_results["3-full"].latency_under_load()

@@ -1,0 +1,218 @@
+"""One testbed under every scenario.
+
+``checks``, ``tracer`` and ``fault_plan`` mean the same thing on every
+registered scenario because one module
+(:mod:`repro.experiments.testbed`) owns the kernel lifecycle, the suite's
+install point and the fault plan's semantics.  The scenario cases are
+parametrised from ``scenario_registry.FIGURES``, so a figure on a new
+scenario is covered with no edit here.
+"""
+
+import inspect
+import pickle
+
+import pytest
+
+from repro.check import default_suite
+from repro.cli import select
+from repro.experiments.runner import registered_scenarios, scenario_function
+from repro.experiments.scenario_registry import FIGURES
+from repro.experiments import testbed  # not the class: pytest collects Test*
+from repro.obs import RingBufferSink, Tracer
+
+#: Short timelines (and one small sweep point) as ``--set`` settings, by
+#: scenario; a scenario not named here runs the figure's own parameters.
+SHORT = {
+    "priority": ["duration=3"],
+    "reservation_net": ["duration=8", "load_start=2", "load_end=5"],
+    "reservation_cpu": ["duration=4"],
+    "faults": ["duration=12"],
+    "route": ["routers=12", "duration=8", "fail_at=3"],
+    "capacity": ["duration=3", "streams=4"],
+    "scale": ["duration=3", "streams=100"],
+    "pubsub": ["duration=3", "subscribers=128"],
+}
+#: Scenarios whose figures pick an arm, and so take a ``fault_plan``.
+ARM_SCENARIOS = {figure.scenario for figure in FIGURES.values()
+                 if "arm" in figure.arms[0][1]}
+#: Fig 2 reads its chain off the priority mappings: no kernel run.
+NEVER_RUNS = {"priority_propagation"}
+
+
+def _short_params(scenario: str, arm: int = -1) -> dict:
+    """One arm (default: the last, the most mechanism-laden) of the last
+    figure on ``scenario``, narrowed the way ``repro run`` narrows it."""
+    figure = [f for f in FIGURES.values() if f.scenario == scenario][-1]
+    figure = figure._replace(arms=(figure.arms[arm],))
+    settings = SHORT.get(scenario, [])
+    if figure.sweep and scenario not in SHORT:
+        settings = [f"{figure.sweep}={figure.points[0]}"]
+    (spec,) = select(figure, [], settings, seed=1).specs()
+    return spec.call_kwargs()
+
+
+def _events(payload) -> int:
+    events = getattr(payload, "events_executed", None)
+    return payload["events"] if events is None else events
+
+
+KERNEL_RUNNING = sorted({figure.scenario for figure in FIGURES.values()}
+                        - NEVER_RUNS)
+
+
+# ----------------------------------------------------------------------
+# Every scenario: watched and traced, nothing moves
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scenario", KERNEL_RUNNING)
+def test_scenario_is_green_under_the_suite_and_unperturbed(scenario):
+    run = scenario_function(scenario)
+    params = _short_params(scenario)
+    plain = run(**params)
+    suite = default_suite()
+    tracer = Tracer(sinks=[RingBufferSink(capacity=1024)])
+    watched = run(**params, checks=suite, tracer=tracer)  # raises if red
+    assert _events(watched) > 0
+    assert suite.events_dispatched > 0
+    assert tracer.records_emitted >= suite.events_dispatched
+    assert pickle.dumps(watched) == pickle.dumps(plain)
+
+
+def test_the_example_builders_stand_on_the_same_testbed():
+    from repro.experiments.scenarios import run_quickstart, run_uav_pipeline
+
+    suite = default_suite()
+    run_quickstart(checks=suite, verbose=False)
+    assert suite.events_dispatched > 0
+    suite = default_suite()
+    run_uav_pipeline(duration=6.0, burst_start=2.0, burst_stop=4.0,
+                     checks=suite, verbose=False)
+    assert suite.events_dispatched > 0
+    # The UAV builder wires its own qosket; its contract is watched too.
+    assert [c.name for c in suite.world.contracts] == ["frame-filtering"]
+
+
+def test_every_scenario_takes_checks_and_tracer_and_arms_take_faults():
+    for name in registered_scenarios():
+        if name == "soak_case":  # wraps the others with its own suite
+            continue
+        accepted = inspect.signature(scenario_function(name)).parameters
+        assert {"checks", "tracer"} <= set(accepted), name
+        assert ("fault_plan" in accepted) == (name in ARM_SCENARIOS), name
+
+
+# ----------------------------------------------------------------------
+# fault_plan: None is the canonical plan, a list replaces it, [] is none
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scenario", ["faults", "route"])
+def test_empty_fault_plan_is_a_fault_free_run(scenario):
+    def fault_records(**extra):
+        tracer = Tracer(sinks=[], layers=["fault"])
+        scenario_function(scenario)(**_short_params(scenario), **extra,
+                                    tracer=tracer)
+        return tracer.records_emitted
+
+    assert fault_records() > 0  # the canonical gauntlet / backbone cut
+    assert fault_records(fault_plan=[]) == 0
+
+
+def test_fault_plan_is_plain_json_to_repro_run(capsys):
+    from repro.cli import main
+
+    flap = ('fault_plan=[{"kind": "link_flap", "link": ["router", "dst"], '
+            '"at": 1.5, "duration": 1.0}]')
+    common = ["--no-cache", "--jobs", "1", "run", "fig9", "--arm", "reserves",
+              "--set", "streams=2", "--set", "duration=4"]
+    assert main(common) == 0
+    clean = capsys.readouterr().out
+    assert main(common + ["--set", flap]) == 0
+    assert capsys.readouterr().out != clean
+    # A fault-free fig 8 still renders: nothing injected, nothing lost.
+    assert main(["--no-cache", "--jobs", "1", "run", "fig8", "--arm",
+                 "adaptive", "--set", "duration=8",
+                 "--set", "fault_plan=[]"]) == 0
+    assert "Fig 8" in capsys.readouterr().out
+
+
+def test_an_outage_window_lowers_delivery_inside_the_window_only():
+    params = _short_params("reservation_net", arm=0)  # no reservation
+    params.update(duration=9.0, load_start=7.0, load_end=8.0)
+    outage = [{"kind": "link_flap", "link": ["router", "dst"],
+               "at": 2.0, "duration": 2.0}]
+    result = scenario_function("reservation_net")(
+        **params, fault_plan=outage, checks=default_suite())
+    delivery = result.sender_delivery
+    assert delivery.delivery_fraction(0.5, 2.0) > 0.95
+    assert delivery.delivery_fraction(2.1, 3.9) < 0.05
+    assert delivery.delivery_fraction(4.5, 7.0) > 0.95
+
+
+def test_inject_resolves_the_plan_one_way():
+    canonical = [{"kind": "link_down", "link": ["src", "router"], "at": 1.0}]
+    other = [{"kind": "link_flap", "link": ["router", "dst"], "at": 2.0,
+              "duration": 1.0}]
+
+    def installed(fault_plan):
+        bed = testbed.Testbed(seed=1)
+        bed.star({"src": None, "dst": None}, dst="dst", default_bps=10e6)
+        return bed.inject(fault_plan, canonical).to_dicts()
+
+    assert installed(None) == canonical
+    assert installed(other) == other
+    assert installed([]) == []
+
+
+# ----------------------------------------------------------------------
+# The pieces
+# ----------------------------------------------------------------------
+def test_tracer_is_attached_before_anything_is_built():
+    tracer = Tracer(sinks=[])
+    bed = testbed.Testbed(tracer=tracer)
+    assert bed.kernel.tracer is tracer and bed.network is None
+
+
+def test_star_names_every_egress_by_the_rule():
+    bed = testbed.Testbed()
+    bottleneck = bed.star({"a": None, "dst": 5e6, "b": 2e6}, dst="dst",
+                          default_bps=1e6, band_capacity=7, intserv_bound=0.8)
+    bed.watch()
+    assert list(bed.hosts) == ["a", "dst", "b"]
+    assert bottleneck.bandwidth_bps == 5e6
+    assert bed.network.link_between("a", "router").bandwidth_bps == 1e6
+    assert bed.network.link_between("b", "router").bandwidth_bps == 2e6
+    names = {label: qdisc.name for label, qdisc in bed.world.qdiscs().items()}
+    assert names == {
+        "a.a->router": "a-out", "router.router->a": "rtr-to-a",
+        "b.b->router": "b-out", "router.router->b": "rtr-to-b",
+        "router.router->dst": "bottleneck", "dst.dst->router": "dst-out",
+    }
+    assert {agent.utilization_bound for agent in bed.world.rsvp_agents()
+            } == {0.8}
+    assert bed.network.path("a", "dst") == ["a", "router", "dst"]
+
+
+def test_a_filtered_stream_hands_its_contract_to_the_watched_world():
+    from repro.avstreams.service import StreamQoS
+    from repro.sim.process import Process
+
+    bed = testbed.Testbed(seed=1, checks=default_suite())
+    bed.star({"src": None, "dst": None}, dst="dst", default_bps=10e6)
+    bed.av_endpoints(("src", "dst"))
+    bed.watch()
+    streams = []
+
+    def driver():
+        for name, threshold in (("plain", None), ("shedding", 0.05)):
+            sender, receiver = yield from bed.open_stream(
+                name, StreamQoS(), bed.rng.stream(name), 1.2e6,
+                degrade_threshold=threshold, qosket_name=f"qosket:{name}")
+            streams.append((sender, receiver))
+            sender.start()
+
+    Process(bed.kernel, driver(), name="driver")
+    assert bed.run(until=2.0) > 0
+    (plain, _), (shedding, receiver) = streams
+    assert plain.qosket is None and plain.frame_filter is None
+    assert [c.name for c in bed.world.contracts] == ["qosket:shedding"]
+    assert bed.world.contracts[0] is shedding.qosket.contract
+    assert receiver.delivery.received_count() > 0
+    assert len(receiver.frame_types) == receiver.delivery.received_count()
