@@ -931,11 +931,18 @@ class RoutingChecker(InvariantChecker):
                                   dst=dst, start=router.name)
 
     def _check_lsdb_consistency(self, network, routing) -> None:
-        from repro.net.routing import spf_first_hops
+        from repro.net.routing import spf_search, two_way_adjacency
 
+        # Converged LSDBs hold the same LSA objects: one graph serves
+        # every node (keyed by content, so a node that differs despite
+        # equal seqs is still checked against its own).
+        graphs = {}
         for name in sorted(routing.nodes):
             node = routing.nodes[name]
-            table = spf_first_hops(node.lsdb, name)
+            content = frozenset(node.lsdb.values())
+            if content not in graphs:
+                graphs[content] = two_way_adjacency(node.lsdb)
+            table = spf_search(graphs[content], name)
             adjacency = dict(network._adjacency[name])
             expected = {}
             for dst in sorted(table):

@@ -150,14 +150,18 @@ class RouteExperimentResult:
 # Deterministic site selection on the generated graph
 # ----------------------------------------------------------------------
 def _router_distances(net: Network, origin: str) -> Dict[str, int]:
-    """Hop distances from ``origin`` over router-router up links."""
+    """Hop distances from ``origin`` over router-router up links.
+
+    Breadth-first, so the distances do not depend on the order a
+    router's neighbours are visited in (only the dict's order does,
+    and :func:`_farthest_router_pair` takes a minimum over it).
+    """
     routers = {router.name for router in net.routers}
     dist = {origin: 0}
     frontier = deque([origin])
     while frontier:
         current = frontier.popleft()
-        for neighbor, iface in sorted(net._adjacency[current],
-                                      key=lambda entry: entry[0]):
+        for neighbor, iface in net._adjacency[current]:
             if neighbor in dist or neighbor not in routers:
                 continue
             if iface.link is None or not iface.link.up:

@@ -22,16 +22,36 @@ Kirsch, Prewitt and Sobel edge detectors over PPM images.
     detectors (the paper's Table 2 workload, from the TIP library).
 """
 
-from repro.media.edge import (
-    EDGE_DETECTORS,
-    kirsch,
-    prewitt,
-    relative_costs,
-    sobel,
-)
+from importlib import import_module
+
 from repro.media.filtering import FrameFilter, frames_per_second
 from repro.media.mpeg import Frame, FrameType, GopStructure, MpegStream
-from repro.media.ppm import decode_ppm, encode_ppm, synthetic_image
+
+#: ``edge`` and ``ppm`` are the only numpy importers under ``src/`` and
+#: nothing a scenario runs calls them (``AtrServant`` charges constants),
+#: so their names resolve on first use (PEP 562) and ``import repro``
+#: does not pay for numpy.
+_LAZY = {
+    "EDGE_DETECTORS": "edge",
+    "kirsch": "edge",
+    "prewitt": "edge",
+    "relative_costs": "edge",
+    "sobel": "edge",
+    "decode_ppm": "ppm",
+    "encode_ppm": "ppm",
+    "synthetic_image": "ppm",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "EDGE_DETECTORS",

@@ -40,6 +40,15 @@ the Dijkstra heap carries ``(cost, first_hop, node)`` tuples, so of
 all shortest paths the one through the lexicographically smallest
 first hop settles first.  Tables are therefore identical across runs
 and across ``--jobs`` workers.
+
+Cost
+----
+An SPF run is two pure steps.  :func:`two_way_adjacency` turns an LSDB
+into its graph of mutually advertised edges in O(E) and does not
+depend on the origin; :func:`spf_search` walks that graph from one
+router in O(V log V + E).  Whoever runs SPF from many routers over one
+LSDB builds the graph once; the engine keeps the last LSDB's graph,
+keyed by content, so the V runs that follow one flood share a build.
 """
 
 from __future__ import annotations
@@ -59,6 +68,8 @@ __all__ = [
     "install_spf_routes",
     "predict_path",
     "spf_first_hops",
+    "spf_search",
+    "two_way_adjacency",
     "seq_newer",
     "SEQ_MODULUS",
 ]
@@ -107,43 +118,67 @@ class Lsa:
                 f"stubs={list(self.stubs)}>")
 
 
-def spf_first_hops(lsdb: Dict[str, Lsa], origin: str
-                   ) -> Dict[str, Tuple[float, str]]:
-    """Dijkstra over an LSDB: destination -> (cost, first-hop name).
+#: ``two_way_adjacency``'s result: router -> (mutual ``(peer, cost)``
+#: pairs sorted, stub hosts), in the LSDB's own order.
+Adjacency = Dict[str, Tuple[List[Tuple[str, float]], Tuple[str, ...]]]
+
+
+def two_way_adjacency(lsdb: Dict[str, Lsa]) -> Adjacency:
+    """The LSDB's graph, once, in O(E): what every origin's SPF walks.
 
     Only two-way adjacencies count (both endpoints must advertise the
     edge, the standard LSDB bidirectionality check), so a half-learned
     failure can never route traffic into a link one side knows is
-    dead.  Stub hosts sit one unit of cost behind their router and
+    dead.  The result does not depend on the origin: callers that run
+    SPF from many routers over one LSDB build it once.
+    """
+    advertised = {name: {peer for peer, _ in lsa.neighbors}
+                  for name, lsa in lsdb.items()}
+    return {
+        name: (sorted([edge for edge in lsa.neighbors
+                       if name in advertised.get(edge[0], ())]),
+               lsa.stubs)
+        for name, lsa in lsdb.items()
+    }
+
+
+def spf_search(adjacency: Adjacency, origin: str
+               ) -> Dict[str, Tuple[float, str]]:
+    """Dijkstra over an adjacency: destination -> (cost, first-hop name).
+
+    A node is pushed only when the candidate improves on its tentative
+    ``(cost, first hop)``, so the heap sees ~V entries rather than ~E;
+    an entry that does not improve could never have been the first one
+    popped for its node, so the settle order is that of pushing every
+    edge.  Stub hosts sit one unit of cost behind their router and
     never carry transit.  Ties break by ``(cost, first-hop name)``.
     """
-    neighbors: Dict[str, List[Tuple[str, float]]] = {}
-    for name, lsa in lsdb.items():
-        mutual = []
-        for peer, cost in lsa.neighbors:
-            peer_lsa = lsdb.get(peer)
-            if peer_lsa is not None and any(
-                    back == name for back, _ in peer_lsa.neighbors):
-                mutual.append((peer, cost))
-        neighbors[name] = sorted(mutual)
     best: Dict[str, Tuple[float, str]] = {}
+    tentative: Dict[str, Tuple[float, str]] = {}
     heap: List[Tuple[float, str, str]] = [(0.0, "", origin)]
     while heap:
         cost, first_hop, node = heapq.heappop(heap)
         if node in best:
             continue
         best[node] = (cost, first_hop)
-        for peer, edge_cost in neighbors.get(node, ()):
-            if peer not in best:
-                heapq.heappush(
-                    heap, (cost + edge_cost, first_hop or peer, peer))
+        entry = adjacency.get(node)
+        if entry is None:
+            continue
+        for peer, edge_cost in entry[0]:
+            if peer in best:
+                continue
+            candidate = (cost + edge_cost, first_hop or peer)
+            incumbent = tentative.get(peer)
+            if incumbent is None or candidate < incumbent:
+                tentative[peer] = candidate
+                heapq.heappush(heap, candidate + (peer,))
     table: Dict[str, Tuple[float, str]] = {}
-    for name, lsa in lsdb.items():
+    for name, (_, stubs) in adjacency.items():
         reached = best.get(name)
         if reached is None:
             continue
         router_cost, router_fh = reached
-        for host in lsa.stubs:
+        for host in stubs:
             candidate = (router_cost + 1.0, router_fh or host)
             incumbent = table.get(host)
             if incumbent is None or candidate < incumbent:
@@ -152,6 +187,13 @@ def spf_first_hops(lsdb: Dict[str, Lsa], origin: str
         if name != origin:
             table[name] = reached
     return table
+
+
+def spf_first_hops(lsdb: Dict[str, Lsa], origin: str
+                   ) -> Dict[str, Tuple[float, str]]:
+    """One router's SPF over an LSDB: :func:`two_way_adjacency`, then
+    :func:`spf_search` from ``origin``."""
+    return spf_search(two_way_adjacency(lsdb), origin)
 
 
 class _Node:
@@ -204,6 +246,12 @@ class LinkStateRouting:
         self._started = False
         self._refresh_event = None
         self._age_event = None
+        #: The last LSDB an SPF ran over, by content, and its adjacency.
+        #: LSAs are shared by reference across routers and never
+        #: mutated, so the set of LSA objects *is* the LSDB's content;
+        #: holding the set keeps them alive, so an id cannot recycle.
+        self._adjacency_memo: Tuple[FrozenSet[Lsa], Adjacency] = (
+            frozenset(), {})
         #: Observability counters.
         self.spf_runs = 0
         self.lsas_originated = 0
@@ -358,9 +406,19 @@ class LinkStateRouting:
         node.spf_pending = False
         self._run_spf(node, notify=True)
 
+    def _adjacency_of(self, lsdb: Dict[str, Lsa]) -> Adjacency:
+        """One build serves every router that runs SPF over this LSDB
+        (after a flood settles, that is all of them).  The adjacency
+        keeps the dict order of the LSDB it was built from, which
+        ``_run_spf`` never sees: it installs in sorted order."""
+        content = frozenset(lsdb.values())
+        if content != self._adjacency_memo[0]:
+            self._adjacency_memo = (content, two_way_adjacency(lsdb))
+        return self._adjacency_memo[1]
+
     def _run_spf(self, node: _Node, notify: bool) -> None:
         self.spf_runs += 1
-        table = spf_first_hops(node.lsdb, node.router.name)
+        table = spf_search(self._adjacency_of(node.lsdb), node.router.name)
         before = dict(node.router.routes)
         node.router.routes.clear()
         adjacency = {
@@ -448,9 +506,10 @@ def install_spf_routes(network: Network) -> None:
     never "did the two arms start on different shortest paths".
     """
     lsdb = _global_lsdb(network)
+    graph = two_way_adjacency(lsdb)
     router_names = set(lsdb)
     for router in sorted(network.routers, key=lambda r: r.name):
-        table = spf_first_hops(lsdb, router.name)
+        table = spf_search(graph, router.name)
         adjacency = dict(network._adjacency[router.name])
         router.routes.clear()
         for dst in sorted(table):
@@ -472,7 +531,7 @@ def predict_path(network: Network, src_host: str, dst_host: str,
     equal-cost splits.  Raises ``KeyError`` when ``dst_host`` is
     unreachable under the given set of ``down`` links.
     """
-    lsdb = _global_lsdb(network, down)
+    graph = two_way_adjacency(_global_lsdb(network, down))
     nic = network.nic_of(src_host)
     if not nic.interfaces:
         raise KeyError(f"host {src_host!r} has no attached links")
@@ -485,7 +544,7 @@ def predict_path(network: Network, src_host: str, dst_host: str,
                            f"{dst_host} at {current}")
         seen.add(current)
         path.append(current)
-        entry = spf_first_hops(lsdb, current).get(dst_host)
+        entry = spf_search(graph, current).get(dst_host)
         if entry is None:
             raise KeyError(
                 f"no path {src_host} -> {dst_host} (stuck at {current})")

@@ -16,6 +16,8 @@ from repro.net import (
     predict_path,
     spf_first_hops,
 )
+from repro.net import routing as routing_module
+from repro.net.routing import two_way_adjacency
 from repro.check import (
     InvariantViolation,
     RoutingChecker,
@@ -465,3 +467,125 @@ def test_aging_disabled_by_default_adds_no_events():
     assert kernel.events_executed == events_before  # fully quiescent
     assert routing.lsas_refreshed == 0
     assert routing.lsas_expired == 0
+
+
+# ----------------------------------------------------------------------
+# The engine's one-entry adjacency memo (keyed by LSDB content)
+# ----------------------------------------------------------------------
+def fresh_routes(net, node):
+    """What ``node`` must install, from a two-argument SPF call."""
+    egress_of = dict(net._adjacency[node.router.name])
+    table = spf_first_hops(node.lsdb, node.router.name)
+    return {dst: egress_of[first_hop]
+            for dst, (_, first_hop) in table.items()
+            if dst in ("src", "dst") and egress_of[first_hop].link.up}
+
+
+def count_adjacency_builds(monkeypatch):
+    builds = []
+
+    def counting(lsdb):
+        builds.append(dict(lsdb))  # as it was then: nodes' LSDBs mutate
+        return two_way_adjacency(lsdb)
+
+    monkeypatch.setattr(routing_module, "two_way_adjacency", counting)
+    return builds
+
+
+def started_diamond(**engine_options):
+    kernel = Kernel()
+    net = diamond(kernel)
+    routing = LinkStateRouting(kernel, net, spf_delay=0.05, **engine_options)
+    routing.start()
+    return kernel, net, routing
+
+
+def memo_is_current(routing, node):
+    graph = routing._adjacency_of(node.lsdb)
+    assert graph == two_way_adjacency(node.lsdb)
+    return graph
+
+
+def test_memo_serves_two_routers_holding_different_lsdbs():
+    kernel, net, routing = started_diamond()
+    r1, r4 = routing.nodes["r1"], routing.nodes["r4"]
+    # r1 alone has learned that r2 lost its link to r4.
+    r1.lsdb["r2"] = lsa("r2", 2, [("r1", 1.0)])
+    assert two_way_adjacency(r1.lsdb) != two_way_adjacency(r4.lsdb)
+    for _ in range(3):
+        for node in (r1, r4):
+            routing._run_spf(node, notify=False)
+            assert node.router.routes == fresh_routes(net, node)
+    assert net.device("r1").egress_for("dst").link is \
+        net.link_between("r1", "r3")
+
+
+def test_memo_sees_a_replaced_lsa():
+    kernel, net, routing = started_diamond()
+    node = routing.nodes["r1"]
+    seeded = memo_is_current(routing, node)
+    assert "r4" in dict(seeded["r2"][0])
+    routing._accept_lsa(node, lsa("r2", 2, [("r1", 1.0)]), learned_from=None)
+    replaced = memo_is_current(routing, node)
+    assert "r4" not in dict(replaced["r2"][0])
+    assert "r2" not in dict(replaced["r4"][0])
+
+
+def test_memo_sees_a_wrapped_sequence():
+    from repro.net import SEQ_MODULUS
+
+    kernel, net, routing = started_diamond()
+    node = routing.nodes["r1"]
+    del node.lsdb["r2"]
+    assert "r2" not in memo_is_current(routing, node)
+    routing._accept_lsa(
+        node, lsa("r2", SEQ_MODULUS - 1, [("r1", 1.0), ("r4", 1.0)]),
+        learned_from=None)
+    assert "r4" in dict(memo_is_current(routing, node)["r2"][0])
+    # Seq 0 is newer than 65535: the wrapped LSA's adjacency counts.
+    routing._accept_lsa(node, lsa("r2", 0, [("r1", 1.0)]), learned_from=None)
+    assert "r4" not in dict(memo_is_current(routing, node)["r2"][0])
+
+
+def test_memo_sees_an_expired_lsa():
+    kernel, net, routing = started_diamond(max_age=6.0)
+    node = routing.nodes["r1"]
+    routing._accept_lsa(node, lsa("ghost", 5, [], stubs=("hX",)),
+                        learned_from=None)
+    kernel.run(until=1.0)
+    assert "ghost" in memo_is_current(routing, node)
+    kernel.run(until=10.0)  # _age_tick withdrew it
+    assert routing.lsas_expired > 0
+    assert "ghost" not in memo_is_current(routing, node)
+    routing.stop()
+
+
+def test_spf_runs_counts_memo_hits_and_misses_alike(monkeypatch):
+    builds = count_adjacency_builds(monkeypatch)
+    kernel, net, routing = started_diamond()
+    # Four routers seeded with one LSDB: four runs, one build.
+    assert (routing.spf_runs, len(builds)) == (4, 1)
+    node = routing.nodes["r1"]
+    routing._run_spf(node, notify=False)  # hit
+    assert (routing.spf_runs, len(builds)) == (5, 1)
+    node.lsdb["r2"] = lsa("r2", 2, [("r1", 1.0)])
+    routing._run_spf(node, notify=False)  # miss
+    routing._run_spf(node, notify=False)  # hit
+    assert (routing.spf_runs, len(builds)) == (7, 2)
+
+
+def test_smoke_arm_post_cut_flood_shares_the_adjacency(monkeypatch):
+    from repro.experiments.route_exp import RouteArm, run_route_experiment
+
+    builds = count_adjacency_builds(monkeypatch)
+    dynamic = run_route_experiment(
+        RouteArm("dynamic-resignal", True, True),
+        routers=12, duration=20.0, fail_at=5.0)
+    # 12 runs at start() and 12 after the cut, none skipped.
+    assert dynamic.spf_runs == 24
+    # Before the cut every LSA is at seq 1: one build each for
+    # install_spf_routes, the two predict_path walks and start().
+    post_cut = [lsdb for lsdb in builds
+                if any(entry.seq > 1 for entry in lsdb.values())]
+    assert len(builds) - len(post_cut) == 4
+    assert 1 <= len(post_cut) <= 2
