@@ -1,11 +1,14 @@
 #!/usr/bin/env python
 """Figure 2, live: one CORBA priority propagated end-to-end.
 
-Sets up the paper's three-OS chain (QNX client, LynxOS middle tier,
-Solaris server), installs the custom priority mappings that Figure 2
-implies, and makes a real two-hop CORBA call — verifying at each hop
-that the dispatching thread assumed the mapped native priority and
-that every wire segment carried DSCP EF.
+The fig 2 scenario (:func:`repro.experiments.priority_exp.run_priority_propagation`,
+what ``repro run fig2`` renders) reads the chain off the priority
+mappings without running the kernel.  This script prints that
+prediction and then checks it live: on the same three-OS chain (QNX
+client, LynxOS middle tier, Solaris server) with the scenario's
+``Figure2Mapping`` installed it makes a real two-hop CORBA call,
+verifying at each hop that the dispatching thread assumed the mapped
+native priority and that every wire segment carried DSCP EF.
 
 Run:  python examples/priority_propagation.py
 """
@@ -15,8 +18,12 @@ from repro.oskernel import Host, OsType
 from repro.net import Dscp, Network
 from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
-from repro.orb.rt import DscpMapping, PriorityBand, TablePriorityMapping
+from repro.orb.rt import DscpMapping, PriorityBand
 from repro.core import EndToEndPriorityBinding
+from repro.experiments.priority_exp import (
+    Figure2Mapping,
+    run_priority_propagation,
+)
 from repro.experiments.reporting import render_figure2
 
 
@@ -28,24 +35,6 @@ module Fig2 {
 """
 INTERFACES = compile_idl(IDL)
 RELAY, SINK = INTERFACES["Fig2::Relay"], INTERFACES["Fig2::Sink"]
-
-
-class Figure2Mapping:
-    """CORBA 100 -> QNX 16 / LynxOS 128 / Solaris 136 (the figure)."""
-
-    tables = {
-        OsType.QNX: TablePriorityMapping([(0, 0), (100, 16)]),
-        OsType.LYNXOS: TablePriorityMapping([(0, 0), (100, 128)]),
-        OsType.SOLARIS: TablePriorityMapping([(0, 100), (100, 136)]),
-        OsType.LINUX: TablePriorityMapping([(0, 1), (100, 50)]),
-        OsType.TIMESYS_LINUX: TablePriorityMapping([(0, 1), (100, 50)]),
-    }
-
-    def to_native(self, corba_priority, os_type):
-        return self.tables[os_type].to_native(corba_priority, os_type)
-
-    def to_corba(self, native_priority, os_type):
-        return self.tables[os_type].to_corba(native_priority, os_type)
 
 
 def main():
@@ -125,7 +114,7 @@ def main():
     kernel.run()
 
     print("predicted propagation chain (binding.describe):")
-    print(render_figure2(binding.describe([middle, server])))
+    print(render_figure2(run_priority_propagation()))
     print("\nobserved native priorities during dispatch:")
     for host_name in ("client", "middle-tier", "server"):
         print(f"  {host_name:12s}: {observed[host_name]}")

@@ -6,7 +6,8 @@ whichever the network would support."
 
 :class:`FrameFilteringQosket` packages that policy as a QuO qosket:
 
-* a loss-rate system condition fed by the video pipeline;
+* a loss-rate system condition reading the video pipeline's delivery
+  recorder (the pipeline sets ``qosket.loss.recorder``);
 * a contract with three regions — ``full`` (clean), ``degraded``
   (drop to 10 fps), ``severe`` (drop to 2 fps);
 * region actions that set the sender-side
@@ -264,15 +265,6 @@ class FrameFilteringQosket(Qosket):
             self._patience = self.base_patience
             self._last_upgrade = None
         self.contract.evaluate()
-
-    # ------------------------------------------------------------------
-    # Pipeline hooks
-    # ------------------------------------------------------------------
-    def record_sent(self) -> None:
-        self.loss.record_sent()
-
-    def record_received(self) -> None:
-        self.loss.record_received()
 
     @property
     def level(self) -> FilterLevel:

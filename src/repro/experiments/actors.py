@@ -18,11 +18,11 @@ These are the paper's Figure 3 roles, built on the public API:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.sim.coalesce import PeriodicTicker
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.oskernel.host import Host
 from repro.oskernel.thread import SimThread
 from repro.orb.cdr import OpaquePayload
 from repro.orb.core import Orb
@@ -133,12 +133,29 @@ class GiopVideoSender:
 
 
 class AvVideoSender:
-    """Sends an MPEG stream over an A/V flow, optionally filtered.
+    """Sends an MPEG stream over an A/V flow, one frame per clock tick.
 
-    When a :class:`FrameFilteringQosket` is supplied, every post-filter
-    send is recorded against its loss condition, so the contract can
-    react to downstream losses.
+    Every tick generates the next frame, runs it through the optional
+    QuO frame filter and ships it on the flow.  With a ``thread`` and an
+    ``encode_cost`` the frame first costs that much CPU on the thread
+    and is shipped when the encode completes; when the encoder cannot
+    keep up, frames are skipped at the source.
+
+    ``clock`` is a :class:`~repro.sim.coalesce.PeriodicTicker` shared
+    with other senders (the stream farms drive every stream from one
+    kernel event per frame interval); without one the sender ticks on a
+    private clock at ``stream.frame_interval``.
+
+    :attr:`delivery` is the stream's one
+    :class:`~repro.core.metrics.DeliveryRecorder`: the sender books each
+    post-filter send in it, the :class:`AvVideoReceiver` each delivery,
+    and a :class:`FrameFilteringQosket`'s loss condition reads it, so
+    the contract reacts to downstream losses.
     """
+
+    #: Skip a frame once this many encodes are queued on the thread (a
+    #: real-time source prefers dropping to unbounded buffering).
+    MAX_ENCODE_BACKLOG = 2
 
     def __init__(
         self,
@@ -147,83 +164,116 @@ class AvVideoSender:
         stream: MpegStream,
         frame_filter: Optional[FrameFilter] = None,
         qosket: Optional[FrameFilteringQosket] = None,
+        thread: Optional[SimThread] = None,
+        encode_cost: float = 0.0,
+        clock: Optional[PeriodicTicker] = None,
     ) -> None:
+        if encode_cost < 0:
+            raise ValueError(f"negative encode cost: {encode_cost}")
         self.kernel = kernel
         self.producer = producer
         self.stream = stream
         self.frame_filter = frame_filter
         self.qosket = qosket
+        self.thread = thread
+        self.encode_cost = float(encode_cost)
         self.delivery = DeliveryRecorder(stream.name)
+        if qosket is not None:
+            qosket.loss.recorder = self.delivery
         self.frames_generated = 0
-        self.frames_sent = 0
-        self._running = False
+        self.frames_skipped = 0
+        self._private_clock = clock is None
+        self._clock = clock or PeriodicTicker(kernel, stream.frame_interval)
+        self._unsubscribe: Optional[Callable[[], None]] = None
 
     def start(self) -> None:
-        if self._running:
+        if self._unsubscribe is not None:
             return
-        self._running = True
         if self.qosket is not None:
             self.qosket.start()
-        Process(self.kernel, self._run(), name=f"avsender.{self.stream.name}")
+        self._unsubscribe = self._clock.subscribe(self.on_tick)
+        if self._private_clock:
+            self._clock.start()
 
     def stop(self) -> None:
-        self._running = False
+        if self._unsubscribe is None:
+            return
+        self._unsubscribe()
+        self._unsubscribe = None
+        if self._private_clock:
+            self._clock.stop()
         if self.qosket is not None:
             self.qosket.stop()
 
-    def _run(self):
-        interval = self.stream.frame_interval
-        while self._running:
-            frame = self.stream.next_frame(self.kernel.now)
-            self.frames_generated += 1
-            if self.frame_filter is None or self.frame_filter.accept(frame):
-                self.producer.send_frame(frame)
-                self.frames_sent += 1
-                self.delivery.record_sent(self.kernel.now)
-                if self.qosket is not None:
-                    self.qosket.record_sent()
-            yield interval
+    def on_tick(self, now: float) -> None:
+        """Generate, filter, encode and send this interval's frame."""
+        frame = self.stream.next_frame(now)
+        self.frames_generated += 1
+        if self.frame_filter is not None and not self.frame_filter.accept(
+                frame):
+            return
+        if self.thread is None or self.encode_cost == 0.0:
+            self._send(frame)
+            return
+        cpu = self.thread.cpu
+        if cpu.queue_depth(self.thread) > self.MAX_ENCODE_BACKLOG:
+            # The encoder is drowning: drop at the source rather than
+            # queue stale video behind it.
+            self.frames_skipped += 1
+            return
+        request = cpu.submit(self.thread, self.encode_cost)
+        request.done.wait(lambda _value, frame=frame: self._send(frame))
+
+    def _send(self, frame: Frame) -> None:
+        if self._unsubscribe is None:
+            # Stopped while the frame was encoding.
+            return
+        self.producer.send_frame(frame)
+        self.delivery.record_sent(self.kernel.now)
 
 
 class AvVideoReceiver:
-    """Counts and times frames arriving on an A/V flow.
+    """Books the frames arriving on an A/V flow in the sender's recorder.
 
-    When the sender runs a filtering qosket, reception feedback is
-    reported to it (standing in for QuO's distributed system-condition
-    propagation; the simulation clock is global, so the feedback is
-    instantaneous rather than delayed by a control channel).
+    Writing into ``sender.delivery`` is what feeds reception back to a
+    sender-side filtering contract (standing in for QuO's distributed
+    system-condition propagation; the simulation clock is global, so
+    the feedback is instantaneous rather than delayed by a control
+    channel).  With a ``deadline`` the receiver also counts the frames
+    delivered within it and keeps their latency as the consumer
+    reported it.
     """
 
     def __init__(
         self,
         kernel: Kernel,
         consumer: FlowConsumer,
-        sender: Optional[AvVideoSender] = None,
-        name: str = "av-receiver",
+        sender: AvVideoSender,
+        deadline: Optional[float] = None,
     ) -> None:
+        if deadline is not None and deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline}")
         self.kernel = kernel
         self.consumer = consumer
-        self.sender = sender
-        self.delivery = DeliveryRecorder(name)
-        self.frames_by_type: Dict[str, int] = {}
+        self.delivery = sender.delivery
         #: Type of each delivered frame, aligned with
         #: ``delivery.received`` (so a count can be windowed afterwards).
         self.frame_types: List[str] = []
+        self.deadline = deadline
+        self.frames_on_time = 0
+        #: Latency of each frame as delivered, kept under a deadline:
+        #: the recorder's ``now - sent_at`` round trip is an ulp off it.
+        self.latency = LatencyRecorder(sender.stream.name)
         consumer.on_frame = self._on_frame
 
     def _on_frame(self, frame: Frame, latency: float) -> None:
-        self.delivery.record_received(
-            self.kernel.now, sent_at=self.kernel.now - latency
-        )
-        key = frame.frame_type.value
-        self.frame_types.append(key)
-        self.frames_by_type[key] = self.frames_by_type.get(key, 0) + 1
-        if self.sender is not None:
-            self.sender.delivery.record_received(
-                self.kernel.now, sent_at=self.kernel.now - latency
-            )
-            if self.sender.qosket is not None:
-                self.sender.qosket.record_received()
+        now = self.kernel.now
+        self.delivery.record_received(now, sent_at=now - latency)
+        self.frame_types.append(frame.frame_type.value)
+        if self.deadline is not None:
+            self.latency.record(now, latency)
+            if latency <= self.deadline:
+                self.frames_on_time += 1
 
 
 class VideoDistributor:

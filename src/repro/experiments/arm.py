@@ -1,14 +1,16 @@
-"""The one definition of what an experiment arm is.
+"""The one definition of what an experiment arm is, and of what it
+returns.
 
 Every ``*Arm`` class is a dataclass deriving from :class:`Arm`:
 its field list is written once, in the class body, and the
-RunSpec form, equality, repr and pickling all follow from it.
+RunSpec form, equality, repr and pickling all follow from it.  Every
+scenario's result derives from :class:`ArmResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 
 class Arm:
@@ -31,3 +33,67 @@ class Arm:
         # the byte-parity guarantee.  A constructor-call reduce never
         # serializes the attribute dict, so the bytes are stable.
         return (self.__class__, tuple(self.params().values()))
+
+
+class ArmResult:
+    """What one arm's run returns: plain data that pickles across the
+    parallel runner's process boundary, plus (in-process only) the live
+    simulation objects named in :attr:`LIVE`."""
+
+    #: Attributes holding live objects (they reference the kernel and
+    #: its callbacks); pickled as ``None``.
+    LIVE: Tuple[str, ...] = ()
+
+    def __init__(self, arm: Arm, duration: float) -> None:
+        self.arm = arm
+        self.duration = float(duration)
+        #: Kernel event count for the run (throughput observability).
+        self.events_executed = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.update(dict.fromkeys(self.LIVE))
+        return state
+
+
+class StreamResult(ArmResult):
+    """An arm that ran one ``src -> dst`` video stream.
+
+    The scenario's driver process fills :attr:`sender` and
+    :attr:`receiver`; the metrics are read from the stream's delivery
+    recorder (plain time series), which :meth:`capture` keeps when the
+    run finishes.
+    """
+
+    LIVE = ("sender", "receiver")
+
+    def __init__(self, arm: Arm, duration: float) -> None:
+        super().__init__(arm, duration)
+        self.sender = None
+        self.receiver = None
+        #: The pair's one :class:`~repro.core.metrics.DeliveryRecorder`.
+        self.sender_delivery = None
+
+    def capture(self, events_executed: int) -> None:
+        """Stop the sender and keep the pair's books."""
+        if self.sender is None:
+            raise RuntimeError(
+                f"stream setup failed for arm {self.arm.name!r} "
+                "(reservation not admitted?)")
+        self.sender.stop()
+        self.sender_delivery = self.sender.delivery
+        self.events_executed = events_executed
+
+    def delivered_in(self, start: float, end: float) -> int:
+        return self.sender_delivery.received_count(start, end)
+
+    def delivered_fps(self, start: float, end: float) -> float:
+        """Delivered frame rate over ``[start, end)``; 0 on an empty span."""
+        if end <= start:
+            return 0.0
+        return self.delivered_in(start, end) / (end - start)
+
+    def cumulative_counts(self, bin_width: float):
+        """The Fig 7 'frames sent / received' curves over the run."""
+        return self.sender_delivery.cumulative_counts(
+            bin_width, self.duration)

@@ -25,11 +25,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.process import Process
 from repro.avstreams.service import StreamQoS
-from repro.core.metrics import DeliveryRecorder
-from repro.experiments.actors import AvVideoReceiver, AvVideoSender
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
 from repro.quo.syscond import FaultReporterSC
+
+
+#: The section 5.2 testbed's 10 Mbps segments.
+LINK_BPS = 10e6
 
 
 @dataclass
@@ -76,35 +78,16 @@ def default_fault_plan(duration: float = 120.0) -> List[Dict[str, Any]]:
     ]
 
 
-class FaultExperimentResult:
-    """Everything fig 8 needs for one arm; pickles cleanly."""
+class FaultExperimentResult(StreamResult):
+    """Everything fig 8 needs for one arm."""
 
     def __init__(self, arm: FaultArm, duration: float,
                  fault_windows: Sequence[Tuple[str, float, float]]) -> None:
-        self.arm = arm
-        self.duration = duration
+        super().__init__(arm, duration)
         #: (label, start, end) per injected fault.
         self.fault_windows = list(fault_windows)
-        self.sender: Optional[AvVideoSender] = None
-        self.receiver: Optional[AvVideoReceiver] = None
-        self.sender_delivery: Optional[DeliveryRecorder] = None
-        self.receiver_frames_by_type: Dict[str, int] = {}
-        self.events_executed = 0
         #: Fault windows the reporter saw (adaptive arm only).
         self.faults_reported = 0
-
-    def capture(self, events_executed: int,
-                reporter: Optional[FaultReporterSC]) -> None:
-        self.sender_delivery = self.sender.delivery
-        self.receiver_frames_by_type = dict(self.receiver.frames_by_type)
-        self.events_executed = events_executed
-        self.faults_reported = 0 if reporter is None else reporter.faults_seen
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["sender"] = None
-        state["receiver"] = None
-        return state
 
     # -- figure metrics -------------------------------------------------
     @property
@@ -124,18 +107,11 @@ class FaultExperimentResult:
         start, end = self.faulted_span
         return self.sender_delivery.sent_count(start, end)
 
-    def delivered_in(self, start: float, end: float) -> int:
-        return self.sender_delivery.received_count(start, end)
-
     def recovery_rate_fps(self, settle: float = 5.0) -> float:
         """Delivered frame rate from after the post-fault settle to
         the end of the run."""
-        _, fault_end = self.faulted_span
-        start = fault_end + settle
-        span = self.duration - start
-        if span <= 0:
-            return 0.0
-        return self.sender_delivery.received_count(start, self.duration) / span
+        return self.delivered_fps(self.faulted_span[1] + settle,
+                                  self.duration)
 
     def delivered_in_fault_windows(self) -> int:
         """Frames delivered while some fault was actually active."""
@@ -153,17 +129,11 @@ class FaultExperimentResult:
             for label, start, end in self.fault_windows
         ]
 
-    def cumulative_counts(self, bin_width: float = 5.0):
-        return self.sender_delivery.cumulative_counts(
-            bin_width, self.duration)
-
 
 def run_fault_injection_experiment(
     arm: FaultArm,
     duration: float = 120.0,
     fault_plan: Optional[List[Dict[str, Any]]] = None,
-    link_bps: float = 10e6,
-    video_bitrate_bps: float = 1.2e6,
     seed: int = 1,
     checks=None,
     tracer=None,
@@ -179,7 +149,7 @@ def run_fault_injection_experiment(
     kernel = bed.kernel
 
     # --- network: src -- router -- dst -------------------------------
-    bed.star({"src": None, "dst": None}, dst="dst", default_bps=link_bps)
+    bed.star({"src": None, "dst": None}, dst="dst", default_bps=LINK_BPS)
     bed.av_endpoints(("src", "dst"))
     bed.watch()
 
@@ -190,7 +160,6 @@ def run_fault_injection_experiment(
         # First runs inside ``bed.run``: ``result`` is bound by then.
         result.sender, result.receiver = yield from bed.open_stream(
             "uav-video", StreamQoS(), bed.rng.stream("video"),
-            video_bitrate_bps,
             degrade_threshold=0.05 if arm.adaptive else None)
         if arm.adaptive:
             result.sender.qosket.attach_fault_reporter(reporter)
@@ -203,9 +172,7 @@ def run_fault_injection_experiment(
                       reporter=reporter, stream="faults")
     result = FaultExperimentResult(arm, duration, plan.windows())
 
-    events = bed.run(until=duration)
-    if result.sender is None:
-        raise RuntimeError(f"stream setup failed for arm {arm.name!r}")
-    result.sender.stop()
-    result.capture(events, reporter)
+    result.capture(bed.run(until=duration))
+    if reporter is not None:
+        result.faults_reported = reporter.faults_seen
     return result

@@ -43,7 +43,7 @@ from repro.media.mpeg import MpegStream
 from repro.core.binding import EndToEndPriorityBinding, PropagationHop
 from repro.core.metrics import LatencyRecorder
 from repro.experiments.actors import GiopVideoSender, VideoReceiverServant
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 
 #: CORBA priorities of the two sender tasks when managed.
@@ -52,6 +52,15 @@ LOW_PRIORITY = 8000  # maps to DSCP AF11
 
 #: The unmanaged (control) native priority both senders share.
 EQUAL_NATIVE_PRIORITY = 10
+
+#: The section 5.1 testbed: ~1.2 Mbps per sender task, 10 Mbps segments
+#: with the router -> receiver one the bottleneck, 16 Mbps of cross
+#: traffic, and a bursty sender-side CPU load.
+VIDEO_BITRATE_BPS = 1.2e6
+ACCESS_BPS = 10e6
+BOTTLENECK_BPS = 10e6
+CROSS_RATE_BPS = 16e6
+CPU_LOAD_DUTY = 0.85
 
 
 @dataclass
@@ -89,18 +98,13 @@ class PriorityArm(Arm):
                    cpu_load=True, cross_traffic=True)
 
 
-class PriorityExperimentResult:
+class PriorityExperimentResult(ArmResult):
     """Latency recorders and config for one arm."""
 
     def __init__(self, arm: PriorityArm, duration: float) -> None:
-        self.arm = arm
-        self.duration = duration
+        super().__init__(arm, duration)
         self.latency: Dict[str, LatencyRecorder] = {}
         self.frames_sent: Dict[str, int] = {}
-        #: Kernel event count for the run (throughput observability).
-        #: Everything here is plain data, so results pickle cleanly
-        #: across the parallel runner's process boundary.
-        self.events_executed = 0
 
     def series(self, sender: str, bin_width: float = 0.5):
         """Binned mean latency — the Fig 4-6 curves."""
@@ -114,11 +118,6 @@ def run_priority_experiment(
     arm: PriorityArm,
     duration: float = 30.0,
     seed: int = 1,
-    video_bitrate_bps: float = 1.2e6,
-    cross_rate_bps: float = 16e6,
-    bottleneck_bps: float = 10e6,
-    access_bps: float = 10e6,
-    cpu_load_duty: float = 0.85,
     fault_plan=None,
     checks=None,
     tracer=None,
@@ -134,7 +133,7 @@ def run_priority_experiment(
     kernel, rng = bed.kernel, bed.rng
 
     # --- hosts and network -------------------------------------------------
-    net = bed.build_network(access_bps)
+    net = bed.build_network(ACCESS_BPS)
     sender_host = bed.host("sender", os_type=OsType.LINUX)
     receiver_host = bed.host("receiver", os_type=OsType.LINUX)
     cross_host = bed.host("crosshost", os_type=OsType.LINUX)
@@ -147,7 +146,7 @@ def run_priority_experiment(
     net.link(
         router,
         receiver_host,
-        bandwidth_bps=bottleneck_bps,
+        bandwidth_bps=BOTTLENECK_BPS,
         qdisc_a=DiffServQueue(band_capacity=300, name="bottleneck"),
     )
     net.compute_routes()
@@ -197,7 +196,7 @@ def run_priority_experiment(
             dscp = binding.dscp
         stream = MpegStream(
             name,
-            bitrate_bps=video_bitrate_bps,
+            bitrate_bps=VIDEO_BITRATE_BPS,
             fps=30.0,
             rng=rng.stream(f"video.{name}"),
         )
@@ -219,7 +218,7 @@ def run_priority_experiment(
             kernel,
             sender_host,
             priority=50,
-            duty_cycle=cpu_load_duty,
+            duty_cycle=CPU_LOAD_DUTY,
             burst_mean=0.05,
             rng=rng.stream("cpuload"),
         )
@@ -229,7 +228,7 @@ def run_priority_experiment(
             kernel,
             net.nic_of("crosshost"),
             "receiver",
-            rate_bps=cross_rate_bps,
+            rate_bps=CROSS_RATE_BPS,
             dscp=Dscp.BE,
         )
         cross.start()

@@ -30,11 +30,17 @@ from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
 from repro.core.metrics import SeriesStats
 from repro.experiments.actors import ATR, AtrServant
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 
 #: The paper's image: 400x250 RGB PPM, 300,060 bytes.
 IMAGE_BYTES = 300_060
+#: The competing load: "variable and not sustained" bursts.
+LOAD_DUTY = 0.25
+LOAD_BURST_MEAN = 0.08
+#: The ATR worker's (C, T) reserve.
+RESERVE_COMPUTE = 0.45
+RESERVE_PERIOD = 0.5
 
 
 @dataclass
@@ -62,38 +68,25 @@ def all_arms() -> list:
     return [CpuArm.no_load(), CpuArm.load(), CpuArm.load_reserve()]
 
 
-class CpuExperimentResult:
+class CpuExperimentResult(ArmResult):
     """Per-algorithm execution-time statistics for one arm."""
 
-    def __init__(self, arm: CpuArm) -> None:
-        self.arm = arm
+    LIVE = ("reserve",)
+
+    def __init__(self, arm: CpuArm, duration: float) -> None:
+        super().__init__(arm, duration)
         self.images_processed = 0
         self.algorithm_stats: Dict[str, SeriesStats] = {}
         self.reserve: Optional[Reserve] = None
-        #: Kernel event count for the run (throughput observability).
-        self.events_executed = 0
 
     def stats(self, algorithm: str) -> SeriesStats:
         return self.algorithm_stats[algorithm]
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The live Reserve references the kernel; everything else is
-        # plain data, so results pickle across the parallel runner's
-        # process boundary with only the reserve handle dropped.
-        state = dict(self.__dict__)
-        state["reserve"] = None
-        return state
 
 
 def run_cpu_reservation_experiment(
     arm: CpuArm,
     duration: float = 120.0,
     seed: int = 1,
-    load_duty: float = 0.25,
-    load_burst_mean: float = 0.08,
-    reserve_compute: float = 0.45,
-    reserve_period: float = 0.5,
-    algorithm_costs: Optional[Dict[str, float]] = None,
     fault_plan=None,
     checks=None,
     tracer=None,
@@ -121,27 +114,27 @@ def run_cpu_reservation_experiment(
         lanes=[(0, 1)], name="atr-pool",
     )
     poa = server_orb.create_poa("atr", thread_pool=pool)
-    servant = AtrServant(kernel, algorithm_costs=algorithm_costs)
+    servant = AtrServant(kernel)
     objref = poa.activate_object(servant, oid="atr")
     worker_thread = pool.lanes[0].threads[0]
 
-    result = CpuExperimentResult(arm)
+    result = CpuExperimentResult(arm, duration)
 
     if arm.cpu_load:
         load = CpuLoadGenerator(
             kernel,
             server_host,
             priority=60,  # above the ATR worker: genuine interference
-            duty_cycle=load_duty,
-            burst_mean=load_burst_mean,
+            duty_cycle=LOAD_DUTY,
+            burst_mean=LOAD_BURST_MEAN,
             rng=rng.stream("cpuload"),
         )
         load.start()
     if arm.reservation:
         result.reserve = server_host.reserve_manager.request(
             worker_thread,
-            compute=reserve_compute,
-            period=reserve_period,
+            compute=RESERVE_COMPUTE,
+            period=RESERVE_PERIOD,
             policy=EnforcementPolicy.SOFT,
         )
 

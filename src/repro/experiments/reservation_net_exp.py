@@ -30,8 +30,7 @@ from repro.sim.process import Process
 from repro.net.traffic import CbrTrafficSource
 from repro.avstreams.service import StreamQoS
 from repro.core.metrics import DeliveryRecorder, SeriesStats
-from repro.experiments.actors import AvVideoReceiver, AvVideoSender
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
 
 #: The paper's reservation levels.
@@ -40,6 +39,9 @@ FULL_RESERVATION_BPS = 1.3e6  # "1.2 Mbps, enough to support 30 fps"
 PARTIAL_RESERVATION_BPS = 670e3
 #: Token-bucket depth: ~2.5 I-frames of burst tolerance.
 BUCKET_BYTES = 40_000
+#: "10 Mbps Ethernet segments", "an extra 43.8 Mbps network load".
+LINK_BPS = 10e6
+LOAD_RATE_BPS = 43.8e6
 
 
 @dataclass
@@ -76,49 +78,28 @@ def all_arms() -> list:
     ]
 
 
-class NetworkExperimentResult:
-    """Everything Table 1 and Fig 7 need for one arm.
-
-    The metrics live in snapshot recorders (plain time series) captured
-    from the data-plane actors when the run finishes, so results pickle
-    cleanly across the parallel runner's process boundary.  The live
-    ``sender``/``receiver`` actors remain available in-process but are
-    dropped on pickling (they reference the kernel and its callbacks).
-    """
+class NetworkExperimentResult(StreamResult):
+    """Everything Table 1 and Fig 7 need for one arm."""
 
     def __init__(self, arm: NetworkArm, load_start: float,
                  load_end: float, duration: float) -> None:
-        self.arm = arm
+        super().__init__(arm, duration)
         self.load_start = load_start
         self.load_end = load_end
-        self.duration = duration
-        self.sender: Optional[AvVideoSender] = None
-        self.receiver: Optional[AvVideoReceiver] = None
-        self.sender_delivery: Optional[DeliveryRecorder] = None
+        #: The pair's one recorder again: the latency columns read it
+        #: under the receiver's name.
         self.receiver_delivery: Optional[DeliveryRecorder] = None
-        self.receiver_frames_by_type: Dict[str, int] = {}
         #: Frames received inside the load window, by type.
         self.typed_received_under_load: Dict[str, int] = {}
-        #: Kernel event count for the run (throughput observability).
-        self.events_executed = 0
 
     def capture(self, events_executed: int) -> None:
-        """Snapshot the picklable metrics out of the live actors."""
-        self.sender_delivery = self.sender.delivery
-        self.receiver_delivery = self.receiver.delivery
-        self.receiver_frames_by_type = dict(self.receiver.frames_by_type)
+        super().capture(events_executed)
+        self.receiver_delivery = self.sender_delivery
         for time, frame_type in zip(self.receiver_delivery.received.times,
                                     self.receiver.frame_types):
             if self.load_start <= time < self.load_end:
                 self.typed_received_under_load[frame_type] = (
                     self.typed_received_under_load.get(frame_type, 0) + 1)
-        self.events_executed = events_executed
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["sender"] = None
-        state["receiver"] = None
-        return state
 
     # -- Table 1 columns ----------------------------------------------------
     def delivered_fraction_under_load(self) -> float:
@@ -137,15 +118,6 @@ class NetworkExperimentResult:
             self.load_start, self.load_end
         )
 
-    # -- Fig 7 curves ---------------------------------------------------------
-    def cumulative_counts(self, bin_width: float = 5.0):
-        return self.sender_delivery.cumulative_counts(
-            bin_width, self.duration
-        )
-
-    def frames_by_type(self) -> Dict[str, int]:
-        return dict(self.receiver_frames_by_type)
-
     def i_frames_delivered_under_load(self) -> float:
         """Fraction of I frames sent under load that arrived.
 
@@ -163,9 +135,6 @@ def run_network_reservation_experiment(
     duration: float = 300.0,
     load_start: float = 60.0,
     load_end: float = 120.0,
-    load_rate_bps: float = 43.8e6,
-    link_bps: float = 10e6,
-    video_bitrate_bps: float = 1.2e6,
     seed: int = 1,
     fault_plan=None,
     checks=None,
@@ -179,7 +148,7 @@ def run_network_reservation_experiment(
     # host gets a fast access segment so its full 43.8 Mbps reaches the
     # bottleneck, as in the paper's measurement.
     bed.star({"src": None, "dst": None, "load": 100e6}, dst="dst",
-             default_bps=link_bps, intserv_bound=0.9)
+             default_bps=LINK_BPS, intserv_bound=0.9)
     bed.av_endpoints(("src", "dst"))
     bed.watch()
 
@@ -196,7 +165,7 @@ def run_network_reservation_experiment(
         # until important frames stop being lost — the paper's
         # policy delivered *all* I frames under partial reservation.
         result.sender, result.receiver = yield from bed.open_stream(
-            "uav-video", qos, bed.rng.stream("video"), video_bitrate_bps,
+            "uav-video", qos, bed.rng.stream("video"),
             degrade_threshold=0.04 if arm.filtering else None)
         result.sender.start()
 
@@ -204,18 +173,11 @@ def run_network_reservation_experiment(
 
     # --- the load burst ------------------------------------------------------
     load_source = CbrTrafficSource(
-        kernel, bed.network.nic_of("load"), "dst", rate_bps=load_rate_bps
+        kernel, bed.network.nic_of("load"), "dst", rate_bps=LOAD_RATE_BPS
     )
     kernel.schedule(load_start, load_source.start)
     kernel.schedule(load_end, load_source.stop)
     bed.inject(fault_plan)
 
-    events = bed.run(until=duration)
-    if result.sender is None:
-        raise RuntimeError(
-            f"stream setup failed for arm {arm.name!r} "
-            "(reservation not admitted?)"
-        )
-    result.sender.stop()
-    result.capture(events)
+    result.capture(bed.run(until=duration))
     return result

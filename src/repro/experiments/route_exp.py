@@ -39,9 +39,7 @@ from repro.net.routing import (
 )
 from repro.net.traffic import CbrTrafficSource
 from repro.avstreams.service import StreamQoS
-from repro.core.metrics import DeliveryRecorder
-from repro.experiments.actors import AvVideoReceiver, AvVideoSender
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
 
 #: SPF hold-down used by the dynamic arms.
@@ -50,6 +48,11 @@ SPF_DELAY = 0.2
 #: delay after the cut at which the static-resignal arm re-signals, so
 #: both re-signal arms act on the same schedule).
 RESIGNAL_DELAY = 0.25
+#: Every generated link, the stream's reserved lane, and the cross
+#: traffic parked on the detour.
+LINK_BPS = 10e6
+RESERVE_RATE_BPS = 1.4e6
+CROSS_RATE_BPS = 12e6
 
 
 @dataclass
@@ -70,15 +73,14 @@ def route_arms() -> List[RouteArm]:
     ]
 
 
-class RouteExperimentResult:
-    """Everything fig 11 needs for one arm; pickles cleanly."""
+class RouteExperimentResult(StreamResult):
+    """Everything fig 11 needs for one arm."""
 
     def __init__(self, arm: RouteArm, duration: float, fail_at: float,
                  topology: str, router_count: int, link_count: int,
                  primary_path: List[str], backbone: Tuple[str, str],
                  detour_edge: Tuple[str, str]) -> None:
-        self.arm = arm
-        self.duration = duration
+        super().__init__(arm, duration)
         self.fail_at = fail_at
         self.topology = topology
         self.router_count = router_count
@@ -89,61 +91,19 @@ class RouteExperimentResult:
         self.backbone = tuple(backbone)
         #: The congested edge of the predicted post-failure path.
         self.detour_edge = tuple(detour_edge)
-        self.sender: Optional[AvVideoSender] = None
-        self.receiver: Optional[AvVideoReceiver] = None
-        self.sender_delivery: Optional[DeliveryRecorder] = None
-        self.receiver_frames_by_type: Dict[str, int] = {}
-        self.events_executed = 0
         self.spf_runs = 0
         self.lsas_flooded = 0
         self.resignal_rounds = 0
         self.unroutable_drops = 0
 
-    def capture(self, events_executed: int,
-                routing: Optional[LinkStateRouting],
-                resignaler: Optional[ReservationResignaler],
-                network: Network) -> None:
-        self.sender_delivery = self.sender.delivery
-        self.receiver_frames_by_type = dict(self.receiver.frames_by_type)
-        self.events_executed = events_executed
-        if routing is not None:
-            self.spf_runs = routing.spf_runs
-            self.lsas_flooded = routing.lsas_flooded
-        if resignaler is not None:
-            self.resignal_rounds = resignaler.resignals
-        self.unroutable_drops = sum(
-            router.unroutable for router in network.routers)
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["sender"] = None
-        state["receiver"] = None
-        return state
-
     # -- figure metrics -------------------------------------------------
     def pre_fail_fps(self, warmup: float = 2.0) -> float:
         """Delivered frame rate between warm-up and the cut."""
-        span = self.fail_at - warmup
-        if span <= 0:
-            return 0.0
-        return self.sender_delivery.received_count(
-            warmup, self.fail_at) / span
+        return self.delivered_fps(warmup, self.fail_at)
 
     def recovery_rate_fps(self, settle: float = 5.0) -> float:
         """Delivered frame rate once the post-cut transient settles."""
-        start = self.fail_at + settle
-        span = self.duration - start
-        if span <= 0:
-            return 0.0
-        return self.sender_delivery.received_count(
-            start, self.duration) / span
-
-    def delivered_in(self, start: float, end: float) -> int:
-        return self.sender_delivery.received_count(start, end)
-
-    def cumulative_counts(self, bin_width: float = 2.0):
-        return self.sender_delivery.cumulative_counts(
-            bin_width, self.duration)
+        return self.delivered_fps(self.fail_at + settle, self.duration)
 
 
 # ----------------------------------------------------------------------
@@ -206,10 +166,6 @@ def run_route_experiment(
     duration: float = 40.0,
     fail_at: float = 10.0,
     seed: int = 1,
-    link_bps: float = 10e6,
-    video_bitrate_bps: float = 1.2e6,
-    reserve_rate_bps: float = 1.4e6,
-    cross_rate_bps: float = 12e6,
     fault_plan=None,
     checks=None,
     tracer=None,
@@ -227,7 +183,7 @@ def run_route_experiment(
     kernel, q = bed.kernel, bed.queue
 
     # --- generated topology -------------------------------------------
-    net = bed.build_network(link_bps)
+    net = bed.build_network(LINK_BPS)
     generated = generate_topology(net, topology, routers, seed=seed,
                                   qdisc_factory=q)
     src_router, dst_router = _farthest_router_pair(net)
@@ -294,25 +250,27 @@ def run_route_experiment(
     def driver():
         result.sender, result.receiver = yield from bed.open_stream(
             "uav-video",
-            StreamQoS(reserve_rate_bps=reserve_rate_bps, mandatory=True),
-            bed.rng.stream("video"), video_bitrate_bps,
-            degrade_threshold=0.05)
+            StreamQoS(reserve_rate_bps=RESERVE_RATE_BPS, mandatory=True),
+            bed.rng.stream("video"), degrade_threshold=0.05)
         result.sender.start()
 
     Process(kernel, driver(), name="route-experiment-driver")
 
     # --- contested detour + the cut -----------------------------------
     cross = CbrTrafficSource(
-        kernel, net.nic_of("xsrc"), "xdst", rate_bps=cross_rate_bps)
+        kernel, net.nic_of("xsrc"), "xdst", rate_bps=CROSS_RATE_BPS)
     kernel.schedule(0.5, cross.start)
     bed.inject(fault_plan, [
         {"kind": "link_down", "link": list(backbone), "at": fail_at},
     ])
 
-    events = bed.run(until=duration)
-    if result.sender is None:
-        raise RuntimeError(f"stream setup failed for arm {arm.name!r}")
-    result.sender.stop()
+    result.capture(bed.run(until=duration))
     cross.stop()
-    result.capture(events, routing, resignaler, net)
+    if routing is not None:
+        result.spf_runs = routing.spf_runs
+        result.lsas_flooded = routing.lsas_flooded
+    if resignaler is not None:
+        result.resignal_rounds = resignaler.resignals
+    result.unroutable_drops = sum(
+        router.unroutable for router in net.routers)
     return result

@@ -16,6 +16,7 @@ like the figure scenarios and accepts:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict
 
 from repro.sim import Process
@@ -212,11 +213,9 @@ def run_uav_pipeline(
             outputs=[devices["distributor"].producer("uav2-out")])
 
         receiver1 = AvVideoReceiver(
-            kernel, devices["display1"].consumer("uav1-out"),
-            name="display1")
+            kernel, devices["display1"].consumer("uav1-out"), sender1)
         receiver2 = AvVideoReceiver(
-            kernel, devices["display2"].consumer("uav2-out"),
-            sender=sender2, name="display2")
+            kernel, devices["display2"].consumer("uav2-out"), sender2)
 
         sender1.start()
         sender2.start()
@@ -240,7 +239,7 @@ def run_uav_pipeline(
         print("\n--- stream 1 (reserved end-to-end) ---")
         r1 = actors["receiver1"]
         print(f"frames delivered: {r1.delivery.received_count()} "
-              f"of {actors['sender1'].frames_sent} sent")
+              f"of {r1.delivery.sent_count()} sent")
         stats = r1.delivery.latency.stats()
         print(f"latency: mean {stats.mean * 1e3:.1f} ms, "
               f"std {stats.std * 1e3:.1f} ms")
@@ -249,9 +248,9 @@ def run_uav_pipeline(
         r2 = actors["receiver2"]
         s2 = actors["sender2"]
         print(f"frames generated: {s2.frames_generated}, "
-              f"sent after filtering: {s2.frames_sent}, "
+              f"sent after filtering: {r2.delivery.sent_count()}, "
               f"delivered: {r2.delivery.received_count()}")
-        print(f"received by type: {r2.frames_by_type}")
+        print(f"received by type: {dict(Counter(r2.frame_types))}")
         print("contract transitions:")
         for transition in actors["qosket2"].contract.transitions:
             print(f"  t={transition.time:6.2f}s  "

@@ -16,11 +16,13 @@ installs faults where the scenario's ``schedule`` order needs them;
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Generator, Iterable, Optional, Sequence
+from typing import Any, Dict, Generator, Iterable, Optional, Sequence
 
+from repro.sim.coalesce import PeriodicTicker
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.oskernel.host import Host
+from repro.oskernel.thread import SimThread
 from repro.net.link import Link
 from repro.net.queues import GuaranteedRateQueue
 from repro.net.topology import Network
@@ -130,28 +132,31 @@ class Testbed:
         name: str,
         qos: StreamQoS,
         rng: random.Random,
-        bitrate_bps: float,
         degrade_threshold: Optional[float] = None,
         qosket_name: str = "frame-filtering",
-        sender: Callable[..., Any] = AvVideoSender,
-        receiver: Callable[..., Any] = AvVideoReceiver,
+        thread: Optional[SimThread] = None,
+        encode_cost: float = 0.0,
+        deadline: Optional[float] = None,
+        clock: Optional[PeriodicTicker] = None,
     ) -> Generator:
-        """Bind flow ``name`` from ``src`` to ``dst`` and build its actors.
+        """Bind flow ``name`` from ``src`` to ``dst`` and build its actors
+        round the paper's stream (~1.2 Mbps at 30 fps, the
+        :class:`~repro.media.mpeg.MpegStream` defaults).
 
         A generator for use inside a driver process:
         ``sender, receiver = yield from bed.open_stream(...)``.  With a
         ``degrade_threshold`` the sender runs the QuO frame-filtering
         contract, which is handed to the watched world so its
-        object-level teardown laws are checked.  ``sender`` is called as
-        ``sender(kernel, producer, stream, frame_filter=, qosket=)`` and
-        ``receiver`` as ``receiver(kernel, consumer, sender)``; the
-        caller starts the sender.
+        object-level teardown laws are checked.  ``thread``,
+        ``encode_cost`` and ``clock`` are the
+        :class:`~repro.experiments.actors.AvVideoSender`'s, ``deadline``
+        the receiver's; the caller starts the sender.
         """
         ctrl = StreamCtrl(self.kernel, self.orbs["src"])
         yield from ctrl.bind(name, self.refs["src"], self.refs["dst"], qos)
         producer = self.devices["src"].producer(name)
         consumer = self.devices["dst"].consumer(name)
-        stream = MpegStream(name, bitrate_bps=bitrate_bps, fps=30.0, rng=rng)
+        stream = MpegStream(name, rng=rng)
         frame_filter = None
         qosket = None
         if degrade_threshold is not None:
@@ -160,9 +165,12 @@ class Testbed:
                 self.kernel, frame_filter, name=qosket_name,
                 degrade_threshold=degrade_threshold)
             self.world.add_contract(qosket.contract)
-        source = sender(self.kernel, producer, stream,
-                        frame_filter=frame_filter, qosket=qosket)
-        return source, receiver(self.kernel, consumer, source)
+        sender = AvVideoSender(
+            self.kernel, producer, stream, frame_filter=frame_filter,
+            qosket=qosket, thread=thread, encode_cost=encode_cost,
+            clock=clock)
+        return sender, AvVideoReceiver(self.kernel, consumer, sender,
+                                       deadline=deadline)
 
     # ------------------------------------------------------------------
     # Watch, fault, run

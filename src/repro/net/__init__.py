@@ -77,7 +77,7 @@ from repro.net.topology import (
     wan_topology,
     waxman_topology,
 )
-from repro.net.traffic import CbrTrafficSource, PoissonTrafficSource
+from repro.net.traffic import CbrTrafficSource
 from repro.net.transport import DatagramSocket, StreamConnection, StreamListener
 
 __all__ = [
@@ -97,7 +97,6 @@ __all__ = [
     "Nic",
     "Packet",
     "PhbClass",
-    "PoissonTrafficSource",
     "Protocol",
     "QueueDiscipline",
     "Reservation",

@@ -1,33 +1,21 @@
 """Competing network traffic generators.
 
 The paper's experiments congest the network with constant-rate cross
-traffic (16 Mbps in Figs 4-6; a 43.8 Mbps burst in Fig 7/Table 1).
-:class:`CbrTrafficSource` reproduces that; :class:`PoissonTrafficSource`
-adds a burstier alternative used by tests and ablations.
+traffic (16 Mbps in Figs 4-6; a 43.8 Mbps burst in Fig 7/Table 1);
+:class:`CbrTrafficSource` reproduces that.
 
 Bulk cross traffic is the simulator's single largest event producer
-(hundreds of thousands of emissions per figure), so the emit path is
-built for throughput while staying bit-identical to the one-event-per
--packet original:
-
-* inter-packet gaps are produced in vectorized batches
-  (:meth:`_TrafficSource._gap_batch`) — one constant fill for CBR, one
-  block of RNG draws for Poisson (same draws, same order as the
-  scalar path, just computed ahead of time);
-* the emission timer is a single :class:`ScheduledEvent` re-armed via
-  :meth:`~repro.sim.kernel.Kernel.rearm` instead of a fresh allocation
-  per packet — the fresh sequence number is drawn at the exact point
-  the old code called ``schedule()``, so dispatch order is unchanged.
-
-The source's RNG must be private to it (the default is); batching
-draws from a stream shared with another consumer would reorder that
-consumer's draws.
+(hundreds of thousands of emissions per figure), so the emission timer
+is a single :class:`ScheduledEvent` re-armed via
+:meth:`~repro.sim.kernel.Kernel.rearm` instead of a fresh allocation
+per packet — the fresh sequence number is drawn at the exact point a
+``schedule()`` call would draw it, so dispatch order is that of one
+new event per packet.
 """
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
+from typing import Optional
 
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.net.diffserv import Dscp
@@ -35,11 +23,8 @@ from repro.net.nic import Nic
 from repro.net.packet import MTU_BYTES, Packet, Protocol
 
 
-class _TrafficSource:
-    """Shared machinery: schedule packet emissions until stopped."""
-
-    #: Inter-packet gaps precomputed per batch.
-    GAP_BATCH = 256
+class CbrTrafficSource:
+    """Constant-bit-rate traffic: evenly spaced fixed-size packets."""
 
     def __init__(
         self,
@@ -71,14 +56,14 @@ class _TrafficSource:
         self.bytes_sent = 0
         self._running = False
         self._next_emit: Optional[ScheduledEvent] = None
-        self._gaps: List[float] = []
-        self._gap_i = 0
+        #: Seconds between emissions (40 header bytes ride on each packet).
+        self._gap = ((self.packet_bytes + 40) * 8) / self.rate_bps
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self._next_emit = self.kernel.schedule(self._next_gap(), self._emit)
+        self._next_emit = self.kernel.schedule(self._gap, self._emit)
 
     def stop(self) -> None:
         self._running = False
@@ -108,59 +93,8 @@ class _TrafficSource:
         event = self._next_emit
         if (event is not None and not event.cancelled
                 and event._kernel is None):
-            self.kernel.rearm(event, self._next_gap())
+            self.kernel.rearm(event, self._gap)
         else:
             # stop()+start() churn inside nic.send's downstream effects;
             # fall back to a fresh handle.
-            self._next_emit = self.kernel.schedule(self._next_gap(),
-                                                   self._emit)
-
-    def _next_gap(self) -> float:
-        i = self._gap_i
-        gaps = self._gaps
-        if i >= len(gaps):
-            self._gaps = gaps = self._gap_batch(self.GAP_BATCH)
-            i = 0
-        self._gap_i = i + 1
-        return gaps[i]
-
-    def _gap_batch(self, n: int) -> List[float]:
-        """The next ``n`` inter-packet gaps, oldest first.
-
-        Subclasses with cheap closed forms override this with a bulk
-        fill; the default simply calls :meth:`_gap` n times, which
-        consumes any RNG in exactly the order the scalar path did.
-        """
-        gap = self._gap
-        return [gap() for _ in range(n)]
-
-    def _gap(self) -> float:
-        raise NotImplementedError
-
-
-class CbrTrafficSource(_TrafficSource):
-    """Constant-bit-rate traffic: evenly spaced fixed-size packets."""
-
-    def _gap(self) -> float:
-        return ((self.packet_bytes + 40) * 8) / self.rate_bps
-
-    def _gap_batch(self, n: int) -> List[float]:
-        return [self._gap()] * n
-
-
-class PoissonTrafficSource(_TrafficSource):
-    """Poisson packet arrivals at the requested average rate."""
-
-    def __init__(self, *args, rng: Optional[random.Random] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.rng = rng or random.Random(0)
-
-    def _gap(self) -> float:
-        mean = ((self.packet_bytes + 40) * 8) / self.rate_bps
-        return self.rng.expovariate(1.0 / mean)
-
-    def _gap_batch(self, n: int) -> List[float]:
-        mean = ((self.packet_bytes + 40) * 8) / self.rate_bps
-        expovariate = self.rng.expovariate
-        lambd = 1.0 / mean
-        return [expovariate(lambd) for _ in range(n)]
+            self._next_emit = self.kernel.schedule(self._gap, self._emit)

@@ -65,7 +65,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.net.packet import HEADER_BYTES
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.quo.contract import Contract, Region
@@ -268,14 +268,15 @@ class PacingQosket:
                 self.level_sc.set(float(self.level))
 
 
-class PubSubResult:
-    """One (arm, subscribers) fig 12 point; pickles without live actors."""
+class PubSubResult(ArmResult):
+    """One (arm, subscribers) fig 12 point."""
+
+    LIVE = ("broker", "engine", "writers", "readers", "qoskets")
 
     def __init__(self, arm: PubSubArm, subscribers: int,
                  duration: float) -> None:
-        self.arm = arm
+        super().__init__(arm, duration)
         self.subscribers = int(subscribers)
-        self.duration = float(duration)
         self.lease = LEASE
         self.topics = TOPICS
         self.publishers = PUBLISHERS
@@ -300,23 +301,12 @@ class PubSubResult:
         self.tail_count = 0
         self.tail_per_sub_fps = 0.0
         self.tail_loss_fraction = 0.0
-        self.events_executed = 0
         self.fluid_epochs = 0
-        # Live actors, nulled before pickling.
         self.broker: Optional[Broker] = None
         self.engine: Optional[FluidEngine] = None
         self.writers: Optional[List[DataWriter]] = None
         self.readers: Optional[List[DataReader]] = None
         self.qoskets: Optional[List[PacingQosket]] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["broker"] = None
-        state["engine"] = None
-        state["writers"] = None
-        state["readers"] = None
-        state["qoskets"] = None
-        return state
 
     # -- derived views --------------------------------------------------
     @property

@@ -12,6 +12,7 @@ reservation state.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, List, Optional
 
@@ -56,24 +57,14 @@ class ValueSC(SystemCondition):
         self._update(value)
 
 
-class DeliveredRateSC(SystemCondition):
-    """Observed event rate (e.g. frames/second) over a sliding window.
+class _PolledCondition(SystemCondition):
+    """A condition recomputed every ``update_interval`` by :meth:`_sample`,
+    so that silence (no events at all) also shows up."""
 
-    Call :meth:`record` on each delivery; the condition periodically
-    recomputes the rate so that silence (total loss) also shows up.
-    """
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        name: str,
-        window: float = 1.0,
-        update_interval: float = 0.5,
-    ) -> None:
+    def __init__(self, kernel: Kernel, name: str,
+                 update_interval: float) -> None:
         super().__init__(kernel, name, initial=0.0)
-        self.window = float(window)
         self.update_interval = float(update_interval)
-        self._arrivals: deque = deque()
         self._timer: Optional[ScheduledEvent] = None
 
     def start(self) -> None:
@@ -86,22 +77,51 @@ class DeliveredRateSC(SystemCondition):
             self._timer.cancel()
             self._timer = None
 
+    def _tick(self) -> None:
+        # Re-schedule first: the next tick's seq is drawn before any
+        # event the sample's observers schedule.
+        self._timer = self.kernel.schedule(self.update_interval, self._tick)
+        self._sample()
+
+    def _sample(self) -> None:
+        raise NotImplementedError
+
+
+class DeliveredRateSC(_PolledCondition):
+    """Observed event rate (e.g. frames/second) over a sliding window.
+
+    Call :meth:`record` on each delivery.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        name: str,
+        window: float = 1.0,
+        update_interval: float = 0.5,
+    ) -> None:
+        super().__init__(kernel, name, update_interval)
+        self.window = float(window)
+        self._arrivals: deque = deque()
+
     def record(self) -> None:
         self._arrivals.append(self.kernel.now)
 
-    def _tick(self) -> None:
-        self._timer = self.kernel.schedule(self.update_interval, self._tick)
+    def _sample(self) -> None:
         cutoff = self.kernel.now - self.window
         while self._arrivals and self._arrivals[0] < cutoff:
             self._arrivals.popleft()
         self._update(len(self._arrivals) / self.window)
 
 
-class LossRateSC(SystemCondition):
+class LossRateSC(_PolledCondition):
     """Loss fraction over a sliding window of send/receive events.
 
-    The producer side calls :meth:`record_sent`; the consumer side (or
-    a feedback channel) calls :meth:`record_received`.
+    The condition keeps no books of its own: it reads :attr:`recorder`,
+    the delivery recorder of the pipeline it watches — anything whose
+    ``sent.times`` and ``received.times`` are ascending lists of event
+    times, such as a :class:`repro.core.metrics.DeliveryRecorder`.  The
+    pipeline sets it (the A/V sender does); until then nothing was sent.
     """
 
     def __init__(
@@ -111,43 +131,26 @@ class LossRateSC(SystemCondition):
         window: float = 2.0,
         update_interval: float = 0.5,
     ) -> None:
-        super().__init__(kernel, name, initial=0.0)
+        super().__init__(kernel, name, update_interval)
         self.window = float(window)
-        self.update_interval = float(update_interval)
-        self._sent: deque = deque()
-        self._received: deque = deque()
-        self._timer: Optional[ScheduledEvent] = None
+        self.recorder = None
 
-    def start(self) -> None:
-        if self._timer is None:
-            self._timer = self.kernel.schedule(self.update_interval, self._tick)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def record_sent(self) -> None:
-        self._sent.append(self.kernel.now)
-
-    def record_received(self) -> None:
-        self._received.append(self.kernel.now)
-
-    def _tick(self) -> None:
-        self._timer = self.kernel.schedule(self.update_interval, self._tick)
+    def _sample(self) -> None:
+        if self.recorder is None:
+            return
+        # An event exactly at the cutoff is still inside the window.
         cutoff = self.kernel.now - self.window
-        for series in (self._sent, self._received):
-            while series and series[0] < cutoff:
-                series.popleft()
-        sent = len(self._sent)
+        sent_times = self.recorder.sent.times
+        received_times = self.recorder.received.times
+        sent = len(sent_times) - bisect_left(sent_times, cutoff)
         if sent == 0:
             self._update(0.0)
             return
-        lost = max(0, sent - len(self._received))
-        self._update(lost / sent)
+        received = len(received_times) - bisect_left(received_times, cutoff)
+        self._update(max(0, sent - received) / sent)
 
 
-class CpuUtilizationSC(SystemCondition):
+class CpuUtilizationSC(_PolledCondition):
     """Windowed CPU utilization of one host."""
 
     def __init__(
@@ -157,24 +160,12 @@ class CpuUtilizationSC(SystemCondition):
         host,
         update_interval: float = 0.5,
     ) -> None:
-        super().__init__(kernel, name, initial=0.0)
+        super().__init__(kernel, name, update_interval)
         self.host = host
-        self.update_interval = float(update_interval)
         self._last_busy = 0.0
         self._last_time = kernel.now
-        self._timer: Optional[ScheduledEvent] = None
 
-    def start(self) -> None:
-        if self._timer is None:
-            self._timer = self.kernel.schedule(self.update_interval, self._tick)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _tick(self) -> None:
-        self._timer = self.kernel.schedule(self.update_interval, self._tick)
+    def _sample(self) -> None:
         # Charge the in-flight slice so the reading is current.
         self.host.cpu.reschedule()
         busy = self.host.cpu.busy_time

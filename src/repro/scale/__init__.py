@@ -10,18 +10,18 @@ rejects each stream's CPU reserve and RSVP bandwidth request.  Rejected
 streams fall back to best-effort (and, in the adaptive arm, shed load
 through their frame-filtering contract instead of drowning the links).
 
-Scheduling is batched: one :class:`~repro.sim.coalesce.PeriodicTicker`
-event per frame interval drives every sender, so the kernel event count
-stays O(ticks) rather than O(streams x ticks) — what keeps N=64 tractable.
+The streams are the experiments' own
+:class:`~repro.experiments.actors.AvVideoSender` /
+:class:`~repro.experiments.actors.AvVideoReceiver` pair, and scheduling
+is batched: the farm hands every sender one shared
+:class:`~repro.sim.coalesce.PeriodicTicker`, so one kernel event per
+frame interval drives them all and the event count stays O(ticks)
+rather than O(streams x ticks) — what keeps N=64 tractable.
 """
 
 from repro.scale.admission import (  # noqa: F401
     AdmissionController,
     AdmissionDecision,
-)
-from repro.scale.farm import (  # noqa: F401
-    FarmStreamReceiver,
-    FarmStreamSender,
 )
 from repro.scale.capacity_exp import (  # noqa: F401
     CapacityArm,

@@ -36,23 +36,24 @@ best-effort arms collapse.
 
 from __future__ import annotations
 
+import random
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.coalesce import PeriodicTicker
 from repro.sim.process import Process
+from repro.sim.rng import RngRegistry
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.reserve import EnforcementPolicy
 from repro.net.diffserv import Dscp
 from repro.net.traffic import CbrTrafficSource
 from repro.orb.rt import DscpMapping, LinearPriorityMapping
 from repro.avstreams.service import StreamQoS
-from repro.experiments.arm import Arm
+from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 from repro.scale.admission import AdmissionController
-from repro.scale.farm import FarmStreamReceiver, FarmStreamSender, stream_rng
 
 #: Nominal per-stream video parameters (the paper's 1.2 Mbps / 30 fps).
 VIDEO_BITRATE_BPS = 1.2e6
@@ -125,34 +126,27 @@ StreamRow = namedtuple("StreamRow", [
 ])
 
 
-class CapacityResult:
-    """Everything fig 9 needs for one (arm, N) point; pickles cleanly."""
+class CapacityResult(ArmResult):
+    """Everything fig 9 needs for one (arm, N) point."""
+
+    LIVE = ("senders", "receivers")
 
     def __init__(self, arm: CapacityArm, streams: int, duration: float,
                  deadline: float) -> None:
-        self.arm = arm
+        super().__init__(arm, duration)
         self.streams = int(streams)
-        self.duration = float(duration)
         self.deadline = float(deadline)
         #: Simulated time at which every stream was bound and the
         #: shared frame clock started; fps is measured from here.
         self.measure_start = 0.0
         self.rows: List[StreamRow] = []
         self.admitted_count = 0
-        self.events_executed = 0
         self.clock_ticks = 0
         #: Controller books after all admissions (src host / bottleneck).
         self.cpu_utilization = 0.0
         self.bottleneck_committed_bps = 0.0
-        # Live actors, nulled before pickling.
-        self.senders: Optional[List[FarmStreamSender]] = None
-        self.receivers: Optional[List[FarmStreamReceiver]] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["senders"] = None
-        state["receivers"] = None
-        return state
+        self.senders: Optional[List[AvVideoSender]] = None
+        self.receivers: Optional[List[AvVideoReceiver]] = None
 
     # -- figure metrics -------------------------------------------------
     @property
@@ -186,6 +180,17 @@ class CapacityResult:
         return sum(getattr(row, field) for row in self.rows)
 
 
+def stream_rng(registry: RngRegistry, stream_name: str) -> random.Random:
+    """The farm's per-stream RNG convention.
+
+    Every stream draws frame-size jitter from its own named stream, so
+    adding or removing streams never perturbs the draws any other
+    stream sees (the RNG-independence guarantee the farm's determinism
+    rests on).
+    """
+    return registry.stream(f"video:{stream_name}")
+
+
 #: One planned farm stream: (name, CORBA lane or None, admitted, encode
 #: thread or None, StreamQoS).
 StreamPlan = Tuple[str, Optional[int], bool, object, StreamQoS]
@@ -202,23 +207,20 @@ def start_farm(bed: Testbed, process_name: str, plans: Sequence[StreamPlan],
     :func:`stop_farm`; the lists fill as streams bind.
     """
     clock = PeriodicTicker(bed.kernel, 1.0 / VIDEO_FPS)
-    senders: List[FarmStreamSender] = []
-    receivers: List[FarmStreamReceiver] = []
+    senders: List[AvVideoSender] = []
+    receivers: List[AvVideoReceiver] = []
 
     def driver():
         for name, _corba, admitted, thread, qos in plans:
             sender, receiver = yield from bed.open_stream(
-                name, qos, stream_rng(bed.rng, name), VIDEO_BITRATE_BPS,
+                name, qos, stream_rng(bed.rng, name),
                 degrade_threshold=(0.05 if adaptation and not admitted
                                    else None),
-                qosket_name=f"qosket:{name}",
-                sender=partial(FarmStreamSender, thread=thread,
-                               encode_cost=encode_cost),
-                receiver=partial(FarmStreamReceiver,
-                                 deadline=result.deadline))
+                qosket_name=f"qosket:{name}", thread=thread,
+                encode_cost=encode_cost, deadline=result.deadline,
+                clock=clock)
             senders.append(sender)
             receivers.append(receiver)
-            clock.subscribe(sender.on_tick)
             sender.start()
         result.measure_start = bed.kernel.now
         clock.start()
@@ -241,16 +243,18 @@ def stop_farm(farm, plans: Sequence[StreamPlan], result) -> List[StreamRow]:
     for sender, receiver, (name, corba, admitted, _t, _q) in zip(
             senders, receivers, plans):
         sender.stop()
-        delivered = receiver.frames_delivered
+        delivered = sender.delivery.received_count()
         generated = sender.frames_generated
+        frame_filter = sender.frame_filter
         rows.append(StreamRow(
             name=name,
             admitted=admitted,
             corba_priority=corba,
             generated=generated,
-            filtered=sender.frames_filtered,
+            filtered=(0 if frame_filter is None
+                      else frame_filter.frames_filtered),
             skipped=sender.frames_skipped,
-            sent=sender.frames_sent,
+            sent=sender.delivery.sent_count(),
             delivered=delivered,
             on_time=receiver.frames_on_time,
             fps=delivered / window if window > 0 else 0.0,

@@ -63,7 +63,8 @@ from repro.avstreams.endpoints import FRAGMENT_BYTES
 from repro.net.traffic import CbrTrafficSource
 from repro.orb.rt import DscpMapping
 from repro.avstreams.service import StreamQoS
-from repro.experiments.arm import Arm
+from repro.experiments.actors import AvVideoReceiver, AvVideoSender
+from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.scale.admission import AdmissionController
@@ -81,7 +82,6 @@ from repro.scale.capacity_exp import (
     start_farm,
     stop_farm,
 )
-from repro.scale.farm import FarmStreamReceiver, FarmStreamSender
 
 #: Nominal frame payload and its fragmentation (matches FlowProducer).
 FRAME_BYTES = int(VIDEO_BITRATE_BPS / 8.0 / VIDEO_FPS)
@@ -219,14 +219,15 @@ def _class_runs(streams: int, admitted: List[int],
     return runs
 
 
-class ScaleResult:
+class ScaleResult(ArmResult):
     """One (arm, N) fig 10 point; pickles without per-flow bulk."""
+
+    LIVE = ("senders", "receivers", "engine")
 
     def __init__(self, arm: ScaleArm, streams: int, duration: float,
                  deadline: float, fluid: bool, tenants: int) -> None:
-        self.arm = arm
+        super().__init__(arm, duration)
         self.streams = int(streams)
-        self.duration = float(duration)
         self.deadline = float(deadline)
         self.fluid = bool(fluid)
         self.tenants = int(tenants)
@@ -240,22 +241,13 @@ class ScaleResult:
         #: tenant -> (committed bps, pool bps or None).
         self.tenant_books: Dict[str, Tuple[float, Optional[float]]] = {}
         self.requests_rejected = 0
-        self.events_executed = 0
         self.fluid_epochs = 0
         self.governor_transitions = 0
         self.clock_ticks = 0
         self.bottleneck_committed_bps = 0.0
-        # Live actors, nulled before pickling.
-        self.senders: Optional[List[FarmStreamSender]] = None
-        self.receivers: Optional[List[FarmStreamReceiver]] = None
+        self.senders: Optional[List[AvVideoSender]] = None
+        self.receivers: Optional[List[AvVideoReceiver]] = None
         self.engine: Optional[FluidEngine] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["senders"] = None
-        state["receivers"] = None
-        state["engine"] = None
-        return state
 
     @property
     def rejected_count(self) -> int:
@@ -282,7 +274,6 @@ def run_scale_experiment(
     bottleneck_bps: float = SCALE_BOTTLENECK_BPS,
     cross_traffic_bps: float = SCALE_CROSS_TRAFFIC_BPS,
     tenants: int = SCALE_TENANTS,
-    measured_per_class: int = MEASURED_PER_CLASS,
     deadline: float = DEADLINE,
     fault_plan=None,
     checks=None,
@@ -292,13 +283,11 @@ def run_scale_experiment(
 
     ``fluid=False`` packet-simulates every stream (the validation
     ground truth; only sensible at N <= a few hundred).  ``fluid=True``
-    packet-simulates ``measured_per_class`` streams per class and
+    packet-simulates ``MEASURED_PER_CLASS`` streams per class and
     models the rest as fluid aggregates.
     """
     if streams < 1:
         raise ValueError(f"need at least one stream, got {streams}")
-    if measured_per_class < 1:
-        raise ValueError("need at least one measured stream per class")
     bed = Testbed(seed, checks, tracer)
     kernel = bed.kernel
     n = int(streams)
@@ -341,9 +330,9 @@ def run_scale_experiment(
     if fluid:
         first_rejected = islice(
             (i for i in range(n) if i not in admitted_set),
-            measured_per_class)
+            MEASURED_PER_CLASS)
         measured_idx = sorted(
-            admitted_idx[:measured_per_class] + list(first_rejected))
+            admitted_idx[:MEASURED_PER_CLASS] + list(first_rejected))
     else:
         measured_idx = list(range(n))
     measured_plan = [plan_of(i) for i in measured_idx]

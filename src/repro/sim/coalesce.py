@@ -8,8 +8,9 @@ layer, where any subsystem can use it:
 :class:`PeriodicTicker`
     One periodic kernel event fanned out to many subscribers — the
     FrameClock pattern, now with an allocation-free re-armed tick event
-    (:meth:`~repro.sim.kernel.Kernel.rearm`).  The stream farms
-    (``repro.scale``) drive every sender from one of these.
+    (:meth:`~repro.sim.kernel.Kernel.rearm`).  Every A/V video sender
+    ticks on one: its own, or the one a stream farm (``repro.scale``)
+    shares among all its senders.
 
 :class:`TickCoalescer`
     Batches *arbitrary one-shot* wakeups onto a shared tick grid: every

@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Kernel
 from repro.media import FrameFilter, MpegStream
 from repro.media.filtering import FilterLevel, frames_per_second
-from repro.core import FrameFilteringQosket
+from repro.core import DeliveryRecorder, FrameFilteringQosket
 
 
 def make_qosket(kernel, **kwargs):
@@ -13,6 +13,8 @@ def make_qosket(kernel, **kwargs):
     qosket = FrameFilteringQosket(
         kernel, frame_filter,
         window=1.0, update_interval=0.25, **kwargs)
+    # The pipeline's book, as AvVideoSender hands it over.
+    qosket.loss.recorder = DeliveryRecorder("pipeline")
     qosket.start()
     return qosket, frame_filter
 
@@ -43,10 +45,11 @@ class ReactiveNetwork:
         frame = self.stream.next_frame(self.kernel.now)
         if not self.qosket.frame_filter.accept(frame):
             return
-        self.qosket.record_sent()
+        now = self.kernel.now
+        self.qosket.loss.recorder.record_sent(now)
         if self.credit >= 1.0:
             self.credit -= 1.0
-            self.qosket.record_received()
+            self.qosket.loss.recorder.record_received(now, sent_at=now)
 
 
 def drive_fixed_loss(kernel, qosket, duration, loss_fraction, fps=30.0,
@@ -54,11 +57,12 @@ def drive_fixed_loss(kernel, qosket, duration, loss_fraction, fps=30.0,
     """Open-loop driver: a fixed loss fraction regardless of level."""
     t0 = kernel.now if start is None else start
     lost_per_ten = round(loss_fraction * 10)
+    recorder = qosket.loss.recorder
     for i in range(int(duration * fps)):
         t = t0 + i / fps
-        kernel.schedule_at(t, qosket.record_sent)
+        kernel.schedule_at(t, recorder.record_sent, t)
         if (i % 10) >= lost_per_ten:
-            kernel.schedule_at(t, qosket.record_received)
+            kernel.schedule_at(t, recorder.record_received, t, t)
 
 
 def test_starts_at_full_rate():

@@ -94,8 +94,8 @@ def test_av_sender_filter_reduces_sent_frames():
     kernel.run(until=5.0)
     sender.stop()
     assert sender.frames_generated == pytest.approx(150, abs=2)
-    assert sender.frames_sent == pytest.approx(10, abs=1)  # 2 fps
-    assert receiver.frames_by_type.keys() == {"I"}
+    assert sender.delivery.sent_count() == pytest.approx(10, abs=1)  # 2 fps
+    assert set(receiver.frame_types) == {"I"}
 
 
 def test_av_receiver_feeds_sender_delivery_recorder():
@@ -110,6 +110,51 @@ def test_av_receiver_feeds_sender_delivery_recorder():
     assert sender.delivery.received_count() == pytest.approx(
         sender.delivery.sent_count(), abs=2)
     assert receiver.delivery.latency.stats().mean > 0
+
+
+def test_av_sender_restart_keeps_the_frame_rate():
+    """``stop(); start()`` leaves one frame clock running, not two (the
+    generator sender's parked loop woke beside the new one: 59 fps)."""
+    kernel = Kernel()
+    net = two_hosts(kernel)
+    producer, consumer = av_pair(kernel, net)
+    sender = AvVideoSender(kernel, producer, MpegStream("s"))
+    AvVideoReceiver(kernel, consumer, sender=sender)
+    sender.start()
+    kernel.run(until=1.01)
+    sender.stop()
+    sender.start()
+    kernel.run(until=2.01)
+    sender.stop()
+    assert sender.delivery.sent_count(0.0, 1.01) == pytest.approx(30, abs=1)
+    assert sender.delivery.sent_count(1.01, 2.01) == pytest.approx(30, abs=1)
+    events = kernel.events_executed
+    kernel.run(until=3.0)  # a stopped sender leaves nothing ticking
+    assert sender.delivery.sent_count(2.01, 3.0) == 0
+    assert sender.frames_generated == pytest.approx(61, abs=2)
+    assert kernel.events_executed - events < 40  # the last frame's packets
+
+
+def test_av_sender_sheds_frames_when_the_encoder_drowns():
+    """With a thread and an encode cost above the frame interval the
+    backlog cap drops frames at the source, and a deadline-aware
+    receiver counts what still arrives on time."""
+    kernel = Kernel()
+    net = two_hosts(kernel)
+    producer, consumer = av_pair(kernel, net)
+    thread = net.host("a").spawn_thread("enc", priority=10)
+    sender = AvVideoSender(kernel, producer, MpegStream("s"),
+                           thread=thread, encode_cost=0.05)
+    receiver = AvVideoReceiver(kernel, consumer, sender, deadline=0.25)
+    sender.start()
+    kernel.run(until=2.0)
+    sender.stop()
+    delivered = sender.delivery.received_count()
+    assert sender.frames_skipped > 0
+    assert delivered == pytest.approx(2.0 / 0.05, abs=2)  # encoder-bound
+    assert sender.frames_generated == pytest.approx(60, abs=1)
+    assert receiver.latency.count == delivered
+    assert 0 < receiver.frames_on_time <= delivered
 
 
 def test_distributor_fans_out_with_per_output_filters():

@@ -102,8 +102,8 @@ def test_reservation_reduces_latency_and_jitter(net_results):
 
 
 def test_filtering_reduces_offered_load(net_results):
-    unfiltered = net_results["1-none"].sender.frames_sent
-    filtered = net_results["4-none-filtering"].sender.frames_sent
+    unfiltered = net_results["1-none"].sender_delivery.sent_count()
+    filtered = net_results["4-none-filtering"].sender_delivery.sent_count()
     assert filtered < unfiltered * 0.8
 
 

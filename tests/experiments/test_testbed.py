@@ -203,7 +203,7 @@ def test_a_filtered_stream_hands_its_contract_to_the_watched_world():
     def driver():
         for name, threshold in (("plain", None), ("shedding", 0.05)):
             sender, receiver = yield from bed.open_stream(
-                name, StreamQoS(), bed.rng.stream(name), 1.2e6,
+                name, StreamQoS(), bed.rng.stream(name),
                 degrade_threshold=threshold, qosket_name=f"qosket:{name}")
             streams.append((sender, receiver))
             sender.start()

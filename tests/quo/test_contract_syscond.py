@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Kernel
 from repro.oskernel import Host
+from repro.core.metrics import DeliveryRecorder
 from repro.quo import (
     Contract,
     CpuUtilizationSC,
@@ -157,13 +158,34 @@ def test_delivered_rate_decays_to_zero_on_silence():
 def test_loss_rate_tracks_send_receive_gap():
     kernel = Kernel()
     loss = LossRateSC(kernel, "loss", window=2.0, update_interval=0.5)
+    recorder = loss.recorder = DeliveryRecorder("pipeline")
     loss.start()
     for i in range(20):
-        kernel.schedule(i * 0.05, loss.record_sent)
+        t = i * 0.05
+        kernel.schedule_at(t, recorder.record_sent, t)
         if i % 2 == 0:  # half get through
-            kernel.schedule(i * 0.05, loss.record_received)
+            kernel.schedule_at(t, recorder.record_received, t, t)
     kernel.run(until=1.5)
     assert loss.value == pytest.approx(0.5, abs=0.1)
+    loss.stop()
+
+
+def test_loss_rate_window_edge_is_inclusive():
+    """An event exactly ``window`` old still counts (the sliding
+    window is ``[now - window, now]``); one an instant older does not."""
+    kernel = Kernel()
+    loss = LossRateSC(kernel, "loss", window=2.0, update_interval=0.5)
+    recorder = loss.recorder = DeliveryRecorder("pipeline")
+    loss.start()
+    # Sampled at t=3.0, cutoff 1.0: the send at 0.75 has aged out, the
+    # send at exactly 1.0 has not, and only the send at 2.0 arrived.
+    for t in (0.75, 1.0, 2.0):
+        recorder.record_sent(t)
+    recorder.record_received(2.0, sent_at=2.0)
+    kernel.run(until=3.0)
+    assert loss.value == 0.5
+    kernel.run(until=3.5)  # cutoff 1.5: only the delivered send is left
+    assert loss.value == 0.0
     loss.stop()
 
 

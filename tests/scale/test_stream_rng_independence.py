@@ -1,7 +1,8 @@
 """Per-stream RNG independence: the farm's determinism foundation.
 
 Every capacity-farm stream draws frame jitter from its own named RNG
-stream (``video:<name>`` via :func:`repro.scale.farm.stream_rng`).
+stream (``video:<name>`` via
+:func:`repro.scale.capacity_exp.stream_rng`).
 The whole fig 9 determinism story rests on two properties checked
 here: derived seeds never collide across stream names, and the draw
 sequence one stream sees is invariant to which *other* streams exist
@@ -11,7 +12,7 @@ or how much they draw.
 import hashlib
 
 from repro.sim.rng import RngRegistry
-from repro.scale.farm import stream_rng
+from repro.scale.capacity_exp import stream_rng
 
 
 def derived_seed(root_seed, name):
