@@ -102,13 +102,9 @@ class FlowProducer:
             remaining -= chunk
             self.fragments_sent += 1
             accepted = self._socket.send_to(
-                self.peer_host,
-                self.peer_port,
-                payload=_Fragment(frame, key, index, count),
-                payload_bytes=chunk,
-                dscp=self.dscp,
-                flow_id=self.flow_id,
-            )
+                self.peer_host, self.peer_port,
+                _Fragment(frame, key, index, count), chunk, self.dscp,
+                self.flow_id)
             all_accepted = all_accepted and accepted
         return all_accepted
 

@@ -32,6 +32,12 @@ class Protocol(enum.Enum):
     TCP = "tcp"
     RSVP = "rsvp"
 
+    # Every delivery hashes ``(protocol, port)`` to find its endpoint;
+    # ``Enum.__hash__`` is a Python-level ``hash(self._name_)``.  Members
+    # are singletons compared by identity, so the identity hash is the
+    # same equivalence at C speed.
+    __hash__ = object.__hash__
+
 
 class Packet:
     """One simulated datagram.

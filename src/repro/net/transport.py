@@ -20,7 +20,8 @@ properties use to mark traffic (paper section 3.2).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.net.diffserv import Dscp
@@ -52,6 +53,10 @@ class DatagramSocket:
         self.sent = 0
         self.received = 0
         self._closed = False
+        self._src = nic.host.name
+        #: Default flow id per (dst, dst_port): the string ``Packet``
+        #: would otherwise format for every datagram.
+        self._flow_ids: Dict[Tuple[str, int], str] = {}
         nic.bind(Protocol.UDP, self.port, self._deliver)
 
     def send_to(
@@ -66,18 +71,15 @@ class DatagramSocket:
         """Fire-and-forget one datagram; False if dropped at first hop."""
         if self._closed:
             raise RuntimeError("socket is closed")
-        packet = Packet(
-            src=self.nic.host.name,
-            dst=dst,
-            src_port=self.port,
-            dst_port=dst_port,
-            protocol=Protocol.UDP,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            dscp=dscp,
-            flow_id=flow_id,
-            created_at=self.kernel.now,
-        )
+        if not flow_id:
+            key = (dst, dst_port)
+            flow_id = self._flow_ids.get(key)
+            if flow_id is None:
+                flow_id = self._flow_ids[key] = (
+                    f"{self._src}:{self.port}->{dst}:{dst_port}")
+        packet = Packet(self._src, dst, self.port, dst_port, Protocol.UDP,
+                        payload, payload_bytes, dscp, flow_id,
+                        self.kernel.now)
         self.sent += 1
         return self.nic.send(packet)
 
@@ -192,11 +194,19 @@ class StreamConnection:
         #: Per-connection cwnd cap: low-rate flows bound their slow-
         #: start overshoot well below the default bulk window.
         self.window = self.WINDOW if window is None else int(window)
+        # The per-connection part of every packet header: the source
+        # host and the flow id (the exact string ``Packet`` formats
+        # when given none), built once here instead of per segment.
+        self._src = nic.host.name
+        self._flow_id = f"{self._src}:{local_port}->{remote_host}:{remote_port}"
+        #: The listener that accepted this connection (server side
+        #: only); it owns the port, so closing must not unbind it.
+        self._listener: Optional["StreamListener"] = None
         # --- sender state ---
         self._next_seq = 0
         self._snd_una = 0  # oldest unacked seq
         self._in_flight: Dict[int, _Segment] = {}
-        self._backlog: List[_Segment] = []
+        self._backlog: Deque[_Segment] = deque()
         self._rto = self.INITIAL_RTO
         self._rto_event: Optional[ScheduledEvent] = None
         self._dup_acks = 0
@@ -213,9 +223,8 @@ class StreamConnection:
         # --- receiver state ---
         self._expected_seq = 0
         self._out_of_order: Dict[int, _Segment] = {}
+        #: Multi-chunk message id -> [chunks seen, bytes, first sent_at].
         self._partial: Dict[int, List[Any]] = {}
-        self._partial_bytes: Dict[int, int] = {}
-        self._partial_t0: Dict[int, float] = {}
         # --- stats ---
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -262,55 +271,46 @@ class StreamConnection:
         message_id = next(_message_ids)
         now = self.kernel.now
         chunk_count = max(1, -(-payload_bytes // MTU_BYTES))  # ceil div
+        last = chunk_count - 1
         remaining = payload_bytes
+        seq = self._next_seq
+        backlog = self._backlog
         for index in range(chunk_count):
             nbytes = min(MTU_BYTES, remaining) if payload_bytes else 0
             remaining -= nbytes
-            segment = _Segment(
-                seq=self._next_seq,
-                kind="data",
-                message_id=message_id,
-                chunk_index=index,
-                chunk_count=chunk_count,
-                # Only the last chunk carries the payload object; the
-                # rest carry placeholder weight.
-                data=payload if index == chunk_count - 1 else None,
-                nbytes=nbytes,
-                sent_at=now,
-            )
-            self._next_seq += 1
-            self._backlog.append(segment)
+            # Only the last chunk carries the payload object; the rest
+            # carry placeholder weight.
+            backlog.append(_Segment(
+                seq, "data", message_id, index, chunk_count,
+                payload if index == last else None, nbytes, now))
+            seq += 1
+        self._next_seq = seq
         self.messages_sent += 1
         self._pump()
         return message_id
 
-    @property
-    def _window(self) -> int:
-        return min(self.window, max(self.INITIAL_CWND, int(self._cwnd)))
-
     def _pump(self) -> None:
-        while self._backlog and len(self._in_flight) < self._window:
-            segment = self._backlog.pop(0)
-            self._in_flight[segment.seq] = segment
-            self._transmit(segment)
+        backlog = self._backlog
+        if backlog:
+            in_flight = self._in_flight
+            # Nothing _transmit does reaches back into this connection,
+            # so the window is the same on every iteration.
+            window = min(self.window, max(self.INITIAL_CWND, int(self._cwnd)))
+            while backlog and len(in_flight) < window:
+                segment = backlog.popleft()
+                in_flight[segment.seq] = segment
+                self._transmit(segment)
         if self._in_flight and self._rto_event is None:
             self._arm_rto()
 
     def _transmit(self, segment: _Segment) -> None:
         self.segments_sent += 1
-        segment.last_tx = self.kernel.now
-        packet = Packet(
-            src=self.nic.host.name,
-            dst=self.remote_host,
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            protocol=Protocol.TCP,
-            payload=segment,
-            payload_bytes=segment.nbytes,
-            dscp=self.dscp,
-            created_at=self.kernel.now,
-        )
-        self.nic.send(packet)
+        now = self.kernel.now
+        segment.last_tx = now
+        self.nic.send(Packet(
+            self._src, self.remote_host, self.local_port, self.remote_port,
+            Protocol.TCP, segment, segment.nbytes, self.dscp, self._flow_id,
+            now))
 
     # ------------------------------------------------------------------
     # Retransmission
@@ -352,7 +352,7 @@ class StreamConnection:
         if tracer is not None:
             tracer.instant(
                 "net", "stream.retransmit", seq=segment.seq, reason=reason,
-                src=self.nic.host.name, dst=self.remote_host,
+                src=self._src, dst=self.remote_host,
                 message=segment.message_id,
             )
 
@@ -366,7 +366,7 @@ class StreamConnection:
                 self._on_ecn_echo()
             self._handle_ack(segment.seq)
         else:
-            self._handle_data(segment, congestion_marked=packet.ecn)
+            self._handle_data(segment, packet.ecn)
 
     def _update_rtt(self, sample: float) -> None:
         """RFC 6298 smoothed RTT / variance update."""
@@ -382,19 +382,33 @@ class StreamConnection:
 
     def _handle_ack(self, ack_seq: int) -> None:
         if ack_seq > self._snd_una:
-            acked = ack_seq - self._snd_una
-            popped = [
-                self._in_flight.pop(seq, None)
-                for seq in range(self._snd_una, ack_seq)
-            ]
-            live = [segment for segment in popped if segment is not None]
-            if live and all(not s.retransmitted for s in live):
+            # One walk over the acked span: release each segment, note
+            # the newest one released and whether any was retransmitted,
+            # and grow the congestion window per acked segment (slow
+            # start below ssthresh, linear AIMD above it).
+            pop = self._in_flight.pop
+            newest = None
+            clean = True
+            cwnd = self._cwnd
+            ssthresh = self._ssthresh
+            for seq in range(self._snd_una, ack_seq):
+                segment = pop(seq, None)
+                if segment is not None:
+                    newest = segment
+                    if segment.retransmitted:
+                        clean = False
+                if cwnd < ssthresh:
+                    cwnd += 1.0
+                else:
+                    cwnd += 1.0 / cwnd
+            self._cwnd = cwnd
+            if newest is not None and clean:
                 # Karn's algorithm, range form: a cumulative ack whose
                 # span includes any retransmission is ambiguous — and
                 # so is one that releases segments merely *buffered*
                 # behind a retransmitted hole.  Only a clean advance
                 # gives a sample, measured on its newest segment.
-                self._update_rtt(self.kernel.now - live[-1].last_tx)
+                self._update_rtt(self.kernel.now - newest.last_tx)
             elif self._srtt is not None:
                 # Recovery made progress: shed any RTO backoff.
                 self._rto = min(
@@ -410,13 +424,6 @@ class StreamConnection:
             self._snd_una = ack_seq
             self._dup_acks = 0
             self._consecutive_rtos = 0
-            # Congestion window growth: slow start below ssthresh,
-            # linear (AIMD) above it.
-            for _ in range(acked):
-                if self._cwnd < self._ssthresh:
-                    self._cwnd += 1.0
-                else:
-                    self._cwnd += 1.0 / self._cwnd
             self._cancel_rto()
             self._pump()
             # NewReno-style recovery: a partial ack exposing a stale
@@ -453,55 +460,57 @@ class StreamConnection:
     def _handle_data(
         self, segment: _Segment, congestion_marked: bool = False
     ) -> None:
-        if segment.seq >= self._expected_seq:
-            self._out_of_order.setdefault(segment.seq, segment)
-            while self._expected_seq in self._out_of_order:
-                ready = self._out_of_order.pop(self._expected_seq)
+        seq = segment.seq
+        expected = self._expected_seq
+        out_of_order = self._out_of_order
+        if seq == expected and not out_of_order:
+            # The common case: the next segment, nothing buffered.
+            self._expected_seq = expected + 1
+            self._assemble(segment)
+        elif seq >= expected:
+            out_of_order.setdefault(seq, segment)
+            while self._expected_seq in out_of_order:
+                ready = out_of_order.pop(self._expected_seq)
                 self._expected_seq += 1
                 self._assemble(ready)
-        self._send_ack(self._expected_seq, ecn_echo=congestion_marked)
+        self._send_ack(self._expected_seq, congestion_marked)
 
     def _assemble(self, segment: _Segment) -> None:
         mid = segment.message_id
-        chunks = self._partial.setdefault(mid, [])
-        self._partial_bytes[mid] = self._partial_bytes.get(mid, 0) + segment.nbytes
-        self._partial_t0.setdefault(mid, segment.sent_at)
-        chunks.append(segment)
-        if len(chunks) == segment.chunk_count:
-            payload = chunks[-1].data
-            meta = MessageMeta(
-                message_id=mid,
-                sent_at=self._partial_t0.pop(mid),
-                delivered_at=self.kernel.now,
-                size_bytes=self._partial_bytes.pop(mid),
-            )
+        if segment.chunk_count == 1:
+            size_bytes = segment.nbytes
+            sent_at = segment.sent_at
+        else:
+            partial = self._partial.get(mid)
+            if partial is None:
+                self._partial[mid] = [1, segment.nbytes, segment.sent_at]
+                return
+            partial[0] += 1
+            partial[1] += segment.nbytes
+            if partial[0] < segment.chunk_count:
+                return
             del self._partial[mid]
-            self.messages_delivered += 1
-            tracer = self.kernel.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "net", "stream.deliver", message=mid,
-                    host=self.nic.host.name, latency=meta.latency,
-                    bytes=meta.size_bytes,
-                )
-            if self.on_message is not None:
-                self.on_message(payload, meta)
+            _, size_bytes, sent_at = partial
+        # Chunks assemble in seq order, so the completing chunk is the
+        # last one: the one carrying the payload object.
+        meta = MessageMeta(mid, sent_at, self.kernel.now, size_bytes)
+        self.messages_delivered += 1
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.instant(
+                "net", "stream.deliver", message=mid,
+                host=self._src, latency=meta.latency,
+                bytes=meta.size_bytes,
+            )
+        if self.on_message is not None:
+            self.on_message(segment.data, meta)
 
     def _send_ack(self, ack_seq: int, ecn_echo: bool = False) -> None:
-        ack = _Segment(seq=ack_seq, kind="ack")
+        ack = _Segment(ack_seq, "ack")
         ack.ecn_echo = ecn_echo
-        packet = Packet(
-            src=self.nic.host.name,
-            dst=self.remote_host,
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            protocol=Protocol.TCP,
-            payload=ack,
-            payload_bytes=0,
-            dscp=self.dscp,
-            created_at=self.kernel.now,
-        )
-        self.nic.send(packet)
+        self.nic.send(Packet(
+            self._src, self.remote_host, self.local_port, self.remote_port,
+            Protocol.TCP, ack, 0, self.dscp, self._flow_id, self.kernel.now))
 
     def _on_ecn_echo(self) -> None:
         """React to explicit congestion: halve the window, at most once
@@ -535,7 +544,15 @@ class StreamConnection:
             return
         self.closed = True
         self._cancel_rto()
-        self.nic.unbind(Protocol.TCP, self.local_port)
+        listener = self._listener
+        if listener is None:
+            self.nic.unbind(Protocol.TCP, self.local_port)
+        else:
+            # The port is the listener's and serves its other peers; a
+            # later segment from this peer opens a fresh connection.
+            key = (self.remote_host, self.remote_port)
+            if listener.connections.get(key) is self:
+                del listener.connections[key]
         if self.on_close is not None:
             callback, self.on_close = self.on_close, None
             callback(self)
@@ -589,6 +606,7 @@ class StreamListener:
                 dscp=packet.dscp,
                 on_message=self.on_message,
             )
+            conn._listener = self
             self.connections[key] = conn
             if self.on_connection is not None:
                 self.on_connection(conn)

@@ -149,6 +149,52 @@ def test_give_up_requires_consecutive_silence():
     assert conn.closed
 
 
+def test_dead_client_leaves_the_listener_port_to_the_others():
+    """A server-side connection that gives up on its peer closes, but
+    the port is the listener's: the server's other clients must still
+    get through, and a later segment from the dead peer opens a fresh
+    server-side connection."""
+    kernel = Kernel()
+    net = Network(kernel, default_bandwidth_bps=10e6)
+    for name in ("a", "b", "server"):
+        net.attach_host(Host(kernel, name))
+    router = net.add_router("r")
+    for name in ("a", "b", "server"):
+        net.link(name, router)
+    net.compute_routes()
+    got = []
+    accepted = []
+    listener = StreamListener(
+        kernel, net.nic_of("server"), port=2809,
+        on_connection=accepted.append,
+        on_message=lambda payload, meta: got.append(payload))
+    a = StreamConnection.connect(kernel, net.nic_of("a"), "server", 2809)
+    b = StreamConnection.connect(kernel, net.nic_of("b"), "server", 2809)
+    a.send_message("a-hello", 100)
+    b.send_message("b-hello", 100)
+    kernel.run(until=1.0)
+    assert sorted(got) == ["a-hello", "b-hello"]
+    to_a = next(conn for conn in accepted if conn.remote_host == "a")
+
+    # a's access link dies while the server is talking to it.
+    net.link_between("a", router).fail()
+    to_a.send_message("to-a", 100)
+    kernel.run(until=200.0)
+    assert to_a.closed  # gave up after MAX_CONSECUTIVE_RTOS
+
+    b.send_message("b-after", 100)
+    kernel.run(until=210.0)
+    assert got[-1] == "b-after"
+    assert b.outstanding == 0 and b.retransmissions == 0
+    assert ("a", a.local_port) not in listener.connections
+
+    net.link_between("a", router).restore()
+    a.send_message("a-again", 100)
+    kernel.run(until=220.0)
+    fresh = listener.connections[("a", a.local_port)]
+    assert fresh is not to_a and not fresh.closed
+
+
 def test_on_close_fires_exactly_once():
     kernel = Kernel()
     net, conn, _ = rig(kernel)
