@@ -24,8 +24,9 @@ unchecked one.
 Two rules keep a checked run affordable (DESIGN §12):
 
 * a checker *declares* the record kinds it acts on (``kinds``); the
-  suite routes by ``(layer, kind)``, so ``on_event`` never re-tests the
-  kind and is never called for a record it would ignore;
+  tracer's one table routes by ``(layer, kind)`` straight to
+  ``on_event``, which never re-tests the kind and is never called for
+  a record it would ignore;
 * a law evaluated per record is written ``if <violated>: self.fail(...)``
   so its context is only built when it is about to be raised;
   :meth:`InvariantChecker.require` is for ``final_check`` paths.
@@ -93,7 +94,7 @@ class InvariantChecker:
     kinds:
         Record kinds within those layers that :meth:`on_event` acts on
         (``None`` = every kind).  This is the only place interest is
-        stated: the suite never hands over any other record, so
+        stated: the tracer never hands over any other record, so
         ``on_event`` bodies do not test ``record.kind`` to bail out.
     """
 
@@ -103,8 +104,11 @@ class InvariantChecker:
 
     def __init__(self) -> None:
         self.world: Optional[World] = None
-        #: Records the suite handed to this checker (observability).
-        self.events_seen = 0
+
+    def declares(self, layer: str, kind: str) -> bool:
+        """Whether ``(layer, kind)`` records are handed to this checker."""
+        return ((self.layers is None or layer in self.layers)
+                and (self.kinds is None or kind in self.kinds))
 
     def attach(self, world: World) -> None:
         self.world = world
@@ -129,13 +133,8 @@ class InvariantChecker:
             self.fail(message, **context)
 
 
-#: One dispatch-table entry: (the record's layer has a subscriber, so it
-#: counts toward ``events_dispatched``; the checkers handed the record).
-_Route = Tuple[bool, Tuple[InvariantChecker, ...]]
-
-
 class CheckSuite:
-    """A set of invariant checkers behind one trace sink.
+    """A set of invariant checkers, installed as one sink of a tracer.
 
     Usage::
 
@@ -147,6 +146,12 @@ class CheckSuite:
     ``install`` reuses the kernel's tracer when one is attached (the
     suite becomes an extra sink) or attaches a private tracer
     otherwise; ``uninstall`` undoes exactly what ``install`` did.
+
+    The suite keeps no dispatch table and no per-record counter.  The
+    tracer asks :meth:`route` once per ``(layer, kind)`` and calls the
+    checkers' ``on_event`` straight from its own table, whatever its
+    layer allow-list (that filters plain sinks only).  The counters
+    are read off the tracer's per-pair counts since install.
     """
 
     def __init__(self, checkers: List[InvariantChecker]) -> None:
@@ -154,10 +159,10 @@ class CheckSuite:
         self.world: Optional[World] = None
         self._tracer: Optional[Tracer] = None
         self._owns_tracer = False
-        #: layer -> kind -> route, filled on first sight of each pair.
-        self._routes: Dict[str, Dict[str, _Route]] = {}
-        #: Records whose layer has a subscribing checker.
-        self.events_dispatched = 0
+        #: The tracer's tally at install.
+        self._tally_at_install: Dict[Tuple[str, str], int] = {}
+        #: (layer, kind) -> records routed up to the last ``uninstall``.
+        self._routed_before: Dict[Tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
     # Installation
@@ -165,59 +170,48 @@ class CheckSuite:
     def install(self, world: World, tracer: Optional[Tracer] = None) -> "CheckSuite":
         """Attach every checker to ``world`` and start watching traces."""
         self.world = world
-        self._routes = {}
         for checker in self.checkers:
             checker.attach(world)
-        kernel = world.kernel
         if tracer is None:
-            tracer = kernel.tracer
-        if tracer is not None:
-            tracer.add_sink(self)
-            self._owns_tracer = False
-        else:
-            tracer = Tracer(sinks=[self])
-            tracer.attach(kernel)
-            self._owns_tracer = True
+            tracer = world.kernel.tracer
+        self._owns_tracer = tracer is None
+        if self._owns_tracer:
+            tracer = Tracer(sinks=[]).attach(world.kernel)
+        self._tally_at_install = tracer.tally()
+        tracer.add_sink(self)
         self._tracer = tracer
         return self
 
     def uninstall(self) -> None:
-        """Stop watching; detaches the private tracer if we created it."""
+        """Stop watching; detaches the private tracer if we created it.
+        The counters keep what was routed until now."""
         if self._tracer is not None:
+            self._routed_before = self._routed()
             if self in self._tracer.sinks:
-                self._tracer.sinks.remove(self)
+                self._tracer.remove_sink(self)
             if self._owns_tracer:
                 self._tracer.detach()
         self._tracer = None
         self._owns_tracer = False
 
     # ------------------------------------------------------------------
-    # TraceSink protocol
+    # Routing (the tracer's table holds the result)
     # ------------------------------------------------------------------
-    def emit(self, record: TraceRecord) -> None:
-        try:
-            subscribed, checkers = self._routes[record.layer][record.kind]
-        except KeyError:
-            subscribed, checkers = self._route(record.layer, record.kind)
-        if subscribed:
-            self.events_dispatched += 1
-        for checker in checkers:
-            checker.events_seen += 1
-            checker.on_event(record)
-
-    def _route(self, layer: str, kind: str) -> _Route:
-        """Resolve (and remember) who is handed ``(layer, kind)`` records:
-        the layer's subscribers, then the every-layer checkers, each only
-        if it declared ``kind`` (or declared no ``kinds`` at all)."""
+    def route(self, layer: str, kind: str) -> tuple:
+        """Who is handed ``(layer, kind)`` records: the layer's
+        subscribers, then the every-layer checkers, each only if it
+        declared ``kind`` (or declared no ``kinds`` at all)."""
         subscribers = [c for c in self.checkers
                        if c.layers is not None and layer in c.layers]
         every_layer = [c for c in self.checkers if c.layers is None]
-        route = (bool(subscribers), tuple(
-            checker for checker in subscribers + every_layer
-            if checker.kinds is None or kind in checker.kinds
-        ))
-        self._routes.setdefault(layer, {})[kind] = route
-        return route
+        return tuple(checker.on_event for checker in subscribers + every_layer
+                     if checker.declares(layer, kind))
+
+    def emit(self, record: TraceRecord) -> None:
+        """Replay entry: hand a built record through the tracer's table."""
+        if self._tracer is None:
+            raise RuntimeError("install the suite before handing it records")
+        self._tracer.dispatch(record)
 
     def close(self) -> None:
         """TraceSink protocol; nothing to flush."""
@@ -228,8 +222,34 @@ class CheckSuite:
         for checker in self.checkers:
             checker.final_check()
 
+    def _routed(self) -> Dict[Tuple[str, str], int]:
+        """(layer, kind) -> records the tracer routed while installed."""
+        routed = dict(self._routed_before)
+        if self._tracer is not None:
+            before = self._tally_at_install
+            for key, count in self._tracer.tally().items():
+                count -= before.get(key, 0)
+                if count:
+                    routed[key] = routed.get(key, 0) + count
+        return routed
+
+    @property
+    def events_dispatched(self) -> int:
+        """Records whose layer has a subscribing checker."""
+        subscribed = {layer for checker in self.checkers
+                      if checker.layers is not None
+                      for layer in checker.layers}
+        return sum(count for (layer, _), count in self._routed().items()
+                   if layer in subscribed)
+
     def summary(self) -> Dict[str, int]:
-        return {checker.name: checker.events_seen for checker in self.checkers}
+        """Checker name -> records handed to it."""
+        routed = self._routed()
+        return {
+            checker.name: sum(count for (layer, kind), count in routed.items()
+                              if checker.declares(layer, kind))
+            for checker in self.checkers
+        }
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CheckSuite {[c.name for c in self.checkers]}>"

@@ -10,7 +10,7 @@ The lifecycle has one order (DESIGN section 4 gives the reasons):
 built; the scenario builds its topology; :meth:`Testbed.watch` installs
 the suite before the first packet is sent; :meth:`Testbed.inject`
 installs faults where the scenario's ``schedule`` order needs them;
-:meth:`Testbed.run` runs, finalizes and checks.
+:meth:`Testbed.run` runs, finalizes, checks and uninstalls the suite.
 """
 
 from __future__ import annotations
@@ -212,10 +212,18 @@ class Testbed:
         return plan
 
     def run(self, until: Optional[float] = None) -> int:
-        """Run the watched world to ``until``; returns events executed."""
-        self.kernel.run(until=until)
-        if self.world.fluid is not None:
-            self.world.fluid.finalize()
-        if self.checks is not None:
-            self.checks.final_check()
+        """Run the watched world to ``until``; returns events executed.
+
+        The suite is uninstalled afterwards, raise or not, so a tracer
+        the caller reuses does not carry this run's checkers into the
+        next one; the suite's counters stay readable."""
+        try:
+            self.kernel.run(until=until)
+            if self.world.fluid is not None:
+                self.world.fluid.finalize()
+            if self.checks is not None:
+                self.checks.final_check()
+        finally:
+            if self.checks is not None:
+                self.checks.uninstall()
         return self.kernel.events_executed

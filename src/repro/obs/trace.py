@@ -119,16 +119,33 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects into one or more sinks.
+    """Routes :class:`TraceRecord` objects to sinks through one table.
+
+    The table maps ``(layer, kind)`` to ``[records emitted, handlers]``.
+    An entry is built on first sight of its pair and its handlers are
+    rebuilt whenever a sink is added or removed (the count survives).
+    Handlers run in sink order:
+
+    * a plain sink contributes its ``emit`` for every pair whose layer
+      the allow-list admits;
+    * a sink with a ``route(layer, kind)`` method (an installed
+      :class:`~repro.check.invariants.CheckSuite`) contributes whatever
+      that returns, whatever the allow-list says.
+
+    A record is built only when its pair has a handler, and an exception
+    raised by a handler stops the ones after it.
 
     Parameters
     ----------
     sinks:
-        Sink objects receiving every record; defaults to a single
-        bounded :class:`~repro.obs.sinks.RingBufferSink`.
+        Sink objects; defaults to a single bounded
+        :class:`~repro.obs.sinks.RingBufferSink`.  Change the list with
+        :meth:`add_sink` / :meth:`remove_sink` so the table follows.
     layers:
-        Optional allow-list of layer names; records from other layers
-        are discarded before allocation of anything but the check.
+        Optional allow-list of layer names for the plain sinks: a
+        record from another layer reaches only the sinks that route for
+        themselves, and is left out of :attr:`records_emitted` and
+        :attr:`counts`.
     """
 
     def __init__(
@@ -141,10 +158,8 @@ class Tracer:
         )
         self._layers = frozenset(layers) if layers is not None else None
         self._kernel = None
-        #: Records emitted (post layer filter).
-        self.records_emitted = 0
-        #: (layer, kind) -> count, for cheap run summaries.
-        self.counts: Dict[Tuple[str, str], int] = {}
+        #: (layer, kind) -> [records emitted, handlers]: the one table.
+        self._table: Dict[Tuple[str, str], list] = {}
 
     # ------------------------------------------------------------------
     # Attachment
@@ -165,6 +180,11 @@ class Tracer:
 
     def add_sink(self, sink: TraceSink) -> None:
         self.sinks.append(sink)
+        self._rebuild()
+
+    def remove_sink(self, sink: TraceSink) -> None:
+        self.sinks.remove(sink)
+        self._rebuild()
 
     def close(self) -> None:
         """Flush and close all sinks."""
@@ -184,18 +204,20 @@ class Tracer:
         request: Optional[int] = None,
         **fields,
     ) -> None:
-        """The one path every record takes: filter, build, count, fan out."""
-        if self._layers is not None and layer not in self._layers:
-            return
-        record = TraceRecord(
-            self._kernel.now if self._kernel is not None else 0.0,
-            layer, kind, phase, span, flow, request, fields or None,
-        )
-        self.records_emitted += 1
-        key = (layer, kind)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        for sink in self.sinks:
-            sink.emit(record)
+        """The one path every record takes: look up, count, build, hand over."""
+        try:
+            entry = self._table[layer, kind]
+        except KeyError:
+            entry = self._entry(layer, kind)
+        entry[0] += 1
+        handlers = entry[1]
+        if handlers:
+            record = TraceRecord(
+                self._kernel.now if self._kernel is not None else 0.0,
+                layer, kind, phase, span, flow, request, fields or None,
+            )
+            for handler in handlers:
+                handler(record)
 
     #: An instant is ``emit`` at its default phase.  The same function,
     #: not a wrapper: nine records in ten are instants, and a wrapper
@@ -211,6 +233,54 @@ class Tracer:
             flow: Optional[str] = None, request: Optional[int] = None,
             **fields) -> None:
         self.emit(layer, kind, PHASE_END, span, flow, request, **fields)
+
+    def dispatch(self, record: TraceRecord) -> None:
+        """Hand an already built record through the table (replay)."""
+        try:
+            entry = self._table[record.layer, record.kind]
+        except KeyError:
+            entry = self._entry(record.layer, record.kind)
+        entry[0] += 1
+        for handler in entry[1]:
+            handler(record)
+
+    # ------------------------------------------------------------------
+    # The table
+    # ------------------------------------------------------------------
+    def _handlers(self, layer: str, kind: str) -> tuple:
+        admitted = self._layers is None or layer in self._layers
+        handlers = []
+        for sink in self.sinks:
+            route = getattr(sink, "route", None)
+            if route is not None:
+                handlers.extend(route(layer, kind))
+            elif admitted:
+                handlers.append(sink.emit)
+        return tuple(handlers)
+
+    def _entry(self, layer: str, kind: str) -> list:
+        self._table[layer, kind] = entry = [0, self._handlers(layer, kind)]
+        return entry
+
+    def _rebuild(self) -> None:
+        for (layer, kind), entry in self._table.items():
+            entry[1] = self._handlers(layer, kind)
+
+    def tally(self) -> Dict[Tuple[str, str], int]:
+        """(layer, kind) -> records emitted, from every layer."""
+        return {key: entry[0] for key, entry in self._table.items()}
+
+    @property
+    def counts(self) -> Dict[Tuple[str, str], int]:
+        """(layer, kind) -> records emitted from the admitted layers."""
+        layers = self._layers
+        return {key: entry[0] for key, entry in self._table.items()
+                if layers is None or key[0] in layers}
+
+    @property
+    def records_emitted(self) -> int:
+        """Records emitted from the admitted layers."""
+        return sum(self.counts.values())
 
     # ------------------------------------------------------------------
     # Convenience

@@ -1,14 +1,15 @@
-"""Differential tests for the suite's ``(layer, kind)`` dispatch table.
+"""Differential tests for the tracer's ``(layer, kind)`` dispatch table.
 
-``CheckSuite.emit`` routes a record through a lazily built table, and
-the monitors' ``on_event`` bodies no longer test the kind themselves.
-So a wrong table can hide a record from a checker without any failure.
-Every test here runs one record stream through two dispatchers and
-requires the same outcome:
+``Tracer.emit`` hands a record to the handlers one lazily built table
+names for its pair, checkers' ``on_event`` included, and the monitors'
+bodies no longer test the kind themselves.  So a wrong table can hide a
+record from a checker without any failure.  Every test here runs one
+record stream through two dispatchers and requires the same outcome:
 
-* the suite under test;
+* the table under test, reached through ``CheckSuite.emit`` (replay of
+  built records) or through a live ``Tracer.emit``;
 * :func:`reference_dispatch`, which keeps no table: like the suite
-  before the table existed, it offers every record to every checker
+  before any table existed, it offers every record to every checker
   subscribed to the record's layer, one by one, and the checker takes
   it if it declared the kind.
 """
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Kernel
+from repro.obs import Tracer
 from repro.oskernel import Host, SimThread, ThreadState
 from repro.check import (
     CheckSuite,
@@ -43,10 +45,12 @@ from tests.check.test_invariants import (
 def reference_dispatch(checkers, records):
     """Offer every record to every subscribed checker; no table.
 
-    Returns the number of records whose layer had a subscriber, which
-    is what ``CheckSuite.events_dispatched`` counts.
+    Returns the number of records whose layer had a subscriber (what
+    ``CheckSuite.events_dispatched`` counts) and, per checker name, the
+    records handed to it in order.
     """
     dispatched = 0
+    handed = {checker.name: [] for checker in checkers}
     for record in records:
         by_layer = [c for c in checkers
                     if c.layers is not None and record.layer in c.layers]
@@ -55,16 +59,18 @@ def reference_dispatch(checkers, records):
             dispatched += 1
         for checker in by_layer + every_layer:
             if checker.kinds is None or record.kind in checker.kinds:
-                checker.events_seen += 1
+                handed[checker.name].append(record)
                 checker.on_event(record)
-    return dispatched
+    return dispatched, handed
 
 
 def run_reference(world, records):
     checkers = default_suite().checkers
     for checker in checkers:
         checker.attach(world)
-    return checkers, reference_dispatch(checkers, records)
+    dispatched, handed = reference_dispatch(checkers, records)
+    return checkers, dispatched, {
+        name: len(seen) for name, seen in handed.items()}
 
 
 def run_suite(world, records):
@@ -74,7 +80,21 @@ def run_suite(world, records):
             suite.emit(record)
     finally:
         suite.uninstall()
-    return suite.checkers, suite.events_dispatched
+    return suite.checkers, suite.events_dispatched, suite.summary()
+
+
+def run_live(world, records):
+    """Each record re-emitted through ``Tracer.emit`` at its own time."""
+    suite = default_suite().install(world)
+    tracer = world.kernel.tracer
+    try:
+        for r in records:
+            world.kernel._now = r.time  # the clock the record was stamped by
+            tracer.emit(r.layer, r.kind, r.phase, r.span, r.flow, r.request,
+                        **(r.fields or {}))
+    finally:
+        suite.uninstall()
+    return suite.checkers, suite.events_dispatched, suite.summary()
 
 
 def rebooked(world, records):
@@ -106,8 +126,8 @@ def rebooked(world, records):
 
 
 #: Per-checker state that on_event builds up (absent on most monitors).
-STATE_ATTRS = ("events_seen", "_state", "_flow", "tracked", "_last_region",
-               "_last", "_last_liveliness", "_drops_expected")
+STATE_ATTRS = ("_state", "_flow", "tracked", "_last_region", "_last",
+               "_last_liveliness", "_drops_expected")
 
 
 def state_of(checkers):
@@ -136,47 +156,89 @@ class Recorder(InvariantChecker):
         self.records.append(record)
 
 
+def watched_live(run):
+    """Run ``run(checks, tracer)`` under ``default_suite()`` plus a
+    :class:`Recorder`, beside a plain sink on the run's own tracer.
+
+    Each checker's ``on_event`` is wrapped before install, so the table
+    holds the wrapper and ``handed`` logs, per checker name, exactly
+    what the live ``Tracer.emit`` handed it.  Returns the recorded
+    stream, the handed log, the suite and the tracer.
+    """
+    recorder = Recorder()
+    suite = CheckSuite(default_suite().checkers + [recorder])
+    handed = {checker.name: [] for checker in suite.checkers}
+    for checker in suite.checkers:
+        def logged(record, log=handed[checker.name], law=checker.on_event):
+            log.append(record)
+            law(record)
+        checker.on_event = logged
+    tracer = Tracer(sinks=[RecordSink()])
+    run(suite, tracer)
+    return recorder.records, handed, suite, tracer
+
+
+class RecordSink:
+    """A plain sink (no ``route``): the allow-list applies to it."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+    def close(self):
+        pass
+
+
 @pytest.fixture(scope="module")
-def capacity_trace():
-    """Records + world of the checked fig 9 N=8 ``adaptive`` arm."""
+def capacity_run():
+    """The checked fig 9 N=8 ``adaptive`` arm, watched live."""
     from repro.scale.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
-    recorder = Recorder()
-    suite = CheckSuite(default_suite().checkers + [recorder])
-    run_capacity_experiment(arm, streams=8, duration=2.0, seed=7,
-                            checks=suite)
-    suite.uninstall()
-    return recorder.records, suite.world
+    return watched_live(lambda checks, tracer: run_capacity_experiment(
+        arm, streams=8, duration=2.0, seed=7, checks=checks, tracer=tracer))
 
 
 @pytest.fixture(scope="module")
-def pubsub_trace():
-    """Records of the fig 12 ``ownership`` smoke arm (leases expire and
-    ownership fails over, so every pub-sub kind the checker declares is
-    in the stream)."""
+def pubsub_run():
+    """The fig 12 ``ownership`` smoke arm (leases expire and ownership
+    fails over, so every pub-sub kind the checker declares is in the
+    stream), watched live."""
     from repro.pubsub.fig12 import PubSubArm, run_pubsub_experiment
-    recorder = Recorder()
-    suite = CheckSuite(default_suite().checkers + [recorder])
-    run_pubsub_experiment(
+    return watched_live(lambda checks, tracer: run_pubsub_experiment(
         PubSubArm("ownership", ownership=True, faults=True),
-        subscribers=64, duration=3.0, seed=3, checks=suite)
-    suite.uninstall()
-    return recorder.records
+        subscribers=64, duration=3.0, seed=3, checks=checks, tracer=tracer))
+
+
+@pytest.fixture(scope="module")
+def capacity_trace(capacity_run):
+    """Records + world of the checked fig 9 N=8 ``adaptive`` arm."""
+    records, _, suite, _ = capacity_run
+    return records, suite.world
+
+
+@pytest.fixture(scope="module")
+def pubsub_trace(pubsub_run):
+    """Records of the fig 12 ``ownership`` smoke arm."""
+    return pubsub_run[0]
 
 
 def test_recorded_capacity_arm_replays_identically(capacity_trace):
     records, world = capacity_trace
     assert len(records) > 10000
     assert any(r.kind == "hop.drop" for r in records)
-    ref_checkers, ref_dispatched = run_reference(
+    ref_checkers, ref_dispatched, ref_seen = run_reference(
         world, rebooked(world, records))
-    new_checkers, new_dispatched = run_suite(world, rebooked(world, records))
+    new_checkers, new_dispatched, new_seen = run_suite(
+        world, rebooked(world, records))
     assert state_of(new_checkers) == state_of(ref_checkers)
     assert new_dispatched == ref_dispatched > 0
-    seen = state_of(new_checkers)
-    assert seen["time-monotonic"]["events_seen"] == len(records)
-    assert seen["packet-conservation"]["tracked"] > 0
-    assert seen["contract"]["_last_region"]
+    assert new_seen == ref_seen
+    assert new_seen["time-monotonic"] == len(records)
+    state = state_of(new_checkers)
+    assert state["packet-conservation"]["tracked"] > 0
+    assert state["contract"]["_last_region"]
 
 
 def test_recorded_pubsub_arm_replays_identically(pubsub_trace):
@@ -185,11 +247,34 @@ def test_recorded_pubsub_arm_replays_identically(pubsub_trace):
     assert {"liveliness.lost", "ownership.failover"} <= kinds
     # Replayed without the broker (its end-of-run leases are not the
     # mid-run ones): the trace-only liveliness law still runs.
-    ref_checkers, ref_dispatched = run_reference(bare_world(), records)
-    new_checkers, new_dispatched = run_suite(bare_world(), records)
+    ref_checkers, ref_dispatched, ref_seen = run_reference(
+        bare_world(), records)
+    new_checkers, new_dispatched, new_seen = run_suite(bare_world(), records)
     assert state_of(new_checkers) == state_of(ref_checkers)
     assert new_dispatched == ref_dispatched > 0
+    assert new_seen == ref_seen
     assert state_of(new_checkers)["pubsub"]["_last_liveliness"]
+
+
+@pytest.mark.parametrize("live", ["capacity_run", "pubsub_run"])
+def test_a_live_run_hands_each_checker_what_the_reference_derives(
+        live, request):
+    records, handed, suite, tracer = request.getfixturevalue(live)
+    assert suite not in tracer.sinks  # the testbed uninstalled it
+    spies = [Spy(c.name, c.layers, c.kinds) for c in suite.checkers]
+    dispatched, expected = reference_dispatch(spies, records)
+    for name, seen in expected.items():
+        assert handed[name] == seen, name
+    assert suite.summary() == {
+        name: len(seen) for name, seen in expected.items()}
+    assert suite.events_dispatched == dispatched > 0
+    # The plain sink got every record; those emitted while the suite
+    # was installed are the recorder's, in the same order.
+    (sink,) = tracer.sinks
+    assert tracer.records_emitted == len(sink.records)
+    start = next(i for i, r in enumerate(sink.records) if r is records[0])
+    assert sink.records[start:start + len(records)] == records
+    assert handed["recorder"] == records
 
 
 def test_every_hop_record_names_a_known_qdisc(capacity_trace):
@@ -343,19 +428,54 @@ def test_canary_raises_the_same_violation_through_both(build, checker,
     assert sorted(new.context) == sorted(reference.context)
 
 
+@pytest.mark.parametrize("build, checker, fragment", CANARIES,
+                         ids=[c[0].__name__.lstrip("_") for c in CANARIES])
+def test_canary_raises_the_same_violation_through_a_live_tracer(
+        build, checker, fragment):
+    violations = []
+    for run in (run_reference, run_live):
+        world, records = build()
+        with pytest.raises(InvariantViolation) as err:
+            run(world, records)
+        violations.append(err.value)
+    reference, live = violations
+    assert (live.checker, live.message) == (reference.checker,
+                                            reference.message)
+    assert live.checker == checker and fragment in live.message
+    # Values may hold ids numbered per process (a reserve's), so only
+    # the keys compare; ``time`` is the clock the live run set.
+    assert sorted(live.context) == sorted(reference.context)
+    assert live.context["time"] == records[-1].time
+
+
 # ----------------------------------------------------------------------
 # Property: the table never widens or narrows a checker's declaration
 # ----------------------------------------------------------------------
 class Spy(InvariantChecker):
-    def __init__(self, name, layers, kinds):
+    def __init__(self, name, layers, kinds, log=None):
         super().__init__()
         self.name = name
         self.layers = layers
         self.kinds = kinds
         self.handed = []
+        self.log = log
 
     def on_event(self, record):
         self.handed.append(record)
+        if self.log is not None:
+            self.log.append((self.name, record))
+
+
+class OrderSink(RecordSink):
+    """A plain sink writing ``(name, record)`` to a log shared with spies."""
+
+    def __init__(self, name, log):
+        super().__init__()
+        self.name = name
+        self.log = log
+
+    def emit(self, record):
+        self.log.append((self.name, record))
 
 
 LAYERS = ("sim", "os", "net", "quo", "fluid", "pubsub", "orb", "av")
@@ -375,30 +495,70 @@ spy_declarations = st.lists(
 )
 record_streams = st.lists(
     st.tuples(st.sampled_from(LAYERS), st.sampled_from(KINDS)), max_size=60)
+allow_lists = st.none() | st.frozensets(st.sampled_from(LAYERS), max_size=4)
 
 
 @settings(max_examples=150, deadline=None)
-@given(extra=spy_declarations, stream=record_streams)
-def test_no_checker_is_handed_a_kind_it_did_not_declare(extra, stream):
+@given(extra=spy_declarations, stream=record_streams, layers=allow_lists,
+       before=st.integers(0, 2), after=st.integers(0, 2),
+       cut=st.integers(0, 60))
+def test_no_checker_is_handed_a_kind_it_did_not_declare(
+        extra, stream, layers, before, after, cut):
+    """Live emission through a tracer whose plain sinks sit before and
+    after the suite, under a random allow-list; the suite is
+    uninstalled after ``cut`` records.  Per record the handlers run in
+    sink order, the allow-list narrows the plain sinks only, and the
+    checkers (while installed) get exactly what they declared."""
+    log = []
     # The built-in monitors' own declarations, as spies, plus random ones.
-    spies = [Spy(c.name, c.layers, c.kinds)
+    spies = [Spy(c.name, c.layers, c.kinds, log)
              for c in default_suite().checkers]
-    spies += [Spy(f"extra{i}", layers, kinds)
-              for i, (layers, kinds) in enumerate(extra)]
-    suite = CheckSuite(spies).install(bare_world())
-    records = [rec(float(i), layer, kind)
-               for i, (layer, kind) in enumerate(stream)]
-    for record in records:
-        suite.emit(record)
-    for spy in spies:
-        wanted = [
-            r for r in records
-            if (spy.layers is None or r.layer in spy.layers)
-            and (spy.kinds is None or r.kind in spy.kinds)
-        ]
-        assert spy.handed == wanted
-        assert spy.events_seen == len(wanted)
-        assert suite.summary()[spy.name] == len(wanted)
+    spies += [Spy(f"extra{i}", layers_, kinds, log)
+              for i, (layers_, kinds) in enumerate(extra)]
+    world = bare_world()
+    tracer = Tracer(sinks=[OrderSink(f"before{i}", log)
+                           for i in range(before)],
+                    layers=layers).attach(world.kernel)
+    suite = CheckSuite(spies).install(world)
+    for i in range(after):
+        tracer.add_sink(OrderSink(f"after{i}", log))
+    for seq, (layer, kind) in enumerate(stream):
+        if seq == cut:
+            suite.uninstall()
+        tracer.emit(layer, kind, seq=seq)
+    suite.uninstall()
+
+    def admitted(layer):
+        return layers is None or layer in layers
+
+    def wants(spy, layer, kind):
+        return ((spy.layers is None or layer in spy.layers)
+                and (spy.kinds is None or kind in spy.kinds))
+
+    expected, watched = [], stream[:cut]
+    for seq, (layer, kind) in enumerate(stream):
+        names = []
+        if admitted(layer):
+            names += [f"before{i}" for i in range(before)]
+        if seq < cut:  # the layer's subscribers, then every-layer spies
+            subscribers = [s for s in spies
+                           if s.layers is not None and layer in s.layers]
+            every_layer = [s for s in spies if s.layers is None]
+            names += [s.name for s in subscribers + every_layer
+                      if wants(s, layer, kind)]
+        if admitted(layer):
+            names += [f"after{i}" for i in range(after)]
+        expected += [(name, seq) for name in names]
+    assert [(name, r.fields["seq"]) for name, r in log] == expected
+    for seq in range(len(stream)):  # one record object per emission
+        assert len({id(r) for _, r in log if r.fields["seq"] == seq}) <= 1
+
+    assert suite.summary() == {
+        s.name: sum(wants(s, layer, kind) for layer, kind in watched)
+        for s in spies}
     assert suite.events_dispatched == sum(
-        any(s.layers is not None and r.layer in s.layers for s in spies)
-        for r in records)
+        any(s.layers is not None and layer in s.layers for s in spies)
+        for layer, _ in watched)
+    emitted = [key for key in stream if admitted(key[0])]
+    assert tracer.records_emitted == len(emitted)
+    assert tracer.counts == {key: emitted.count(key) for key in emitted}

@@ -7,6 +7,8 @@ and that watching costs nothing — the checked run is byte-identical
 to the unchecked baseline).
 """
 
+import io
+import json
 import pickle
 
 import pytest
@@ -495,15 +497,16 @@ def test_suite_fans_out_by_layer():
     suite = CheckSuite([qdisc_only]).install(world)
     suite.emit(rec(0.0, "quo", "region.transition", contract="c",
                    from_region=None, to_region="a"))
-    assert qdisc_only.events_seen == 0  # quo never reaches a net checker
+    # quo never reaches a net checker
+    assert suite.summary() == {"qdisc-accounting": 0}
     suite.emit(rec(0.0, "net", "hop.enqueue", flow="f", iface="?", packet=1))
-    assert qdisc_only.events_seen == 1
+    assert suite.summary() == {"qdisc-accounting": 1}
     assert suite.events_dispatched == 1
 
 
 def test_suite_counts_a_pubsub_record_once():
-    """``PubSubChecker.on_event`` used to bump ``events_seen`` on top of
-    the suite's own increment, doubling its row in ``summary()``."""
+    """``PubSubChecker.on_event`` once bumped a per-checker counter on
+    top of the suite's own increment, doubling its row in ``summary()``."""
     suite = CheckSuite([PubSubChecker()]).install(bare_world())
     suite.emit(rec(1.0, "pubsub", "liveliness.lost", writer="w"))
     suite.emit(rec(2.0, "pubsub", "liveliness.revived", writer="w"))
@@ -526,6 +529,23 @@ def test_suite_propagates_violations_fail_fast():
     suite.emit(rec(1.0, "net", "hop.enqueue"))
     with pytest.raises(InvariantViolation):
         suite.emit(rec(0.0, "net", "hop.drop"))
+
+
+def test_counters_survive_uninstall_and_add_up_over_installs():
+    suite = CheckSuite([PubSubChecker(), TimeMonotonicityChecker()])
+    tracer = Tracer(sinks=[])
+    for run in range(2):
+        world = bare_world()
+        tracer.attach(world.kernel)
+        suite.install(world)
+        tracer.emit("pubsub", "liveliness.lost", writer=f"w{run}")
+        tracer.emit("net", "hop.rx")
+        suite.uninstall()
+        tracer.emit("pubsub", "liveliness.lost", writer=f"w{run}")  # unwatched
+        tracer.detach()
+    assert suite.summary() == {"pubsub": 2, "time-monotonic": 4}
+    assert suite.events_dispatched == 2
+    assert tracer.records_emitted == 6
 
 
 def test_default_suite_has_every_monitor():
@@ -556,6 +576,48 @@ def test_healthy_run_passes_and_is_byte_identical():
     assert suite.events_dispatched > 0
     assert checked.events_executed == baseline.events_executed
     assert pickle.dumps(checked) == pickle.dumps(baseline)
+
+
+def test_a_tracer_allow_list_filters_sinks_not_checkers():
+    """The allow-list once ran before every sink, so ``Tracer(layers=
+    ("av",))`` switched a reusing suite off: a green run with nothing
+    dispatched.  Checkers get what they declared; the plain sink still
+    gets only ``av``, byte for byte what it gets with no suite."""
+    from repro.obs import JsonlSink
+    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    arm = next(a for a in all_arms() if a.name == "adaptive")
+
+    def run(layers, checks):
+        out = io.StringIO()
+        tracer = Tracer(sinks=[JsonlSink(out)], layers=layers)
+        run_capacity_experiment(arm, streams=4, duration=1.0, seed=7,
+                                checks=checks, tracer=tracer)
+        return out.getvalue(), tracer
+
+    full, filtered = default_suite(), default_suite()
+    run(None, full)
+    jsonl, tracer = run(("av",), filtered)
+    assert jsonl == run(("av",), None)[0]
+    assert {json.loads(line)["layer"] for line in jsonl.splitlines()} == {"av"}
+    assert tracer.records_emitted == len(jsonl.splitlines())
+    assert {layer for layer, _ in tracer.counts} == {"av"}
+    seen = filtered.summary()
+    assert seen == full.summary()
+    assert filtered.events_dispatched == full.events_dispatched > 0
+    for name in ("qdisc-accounting", "packet-conservation", "token-bucket"):
+        assert seen[name] > 0, name
+    # The counters are derived from declarations; what the checkers
+    # built from the records they were handed must match as well.
+    # (Packet ids are numbered per process, so fates compare as a list.)
+    def built(suite):
+        checkers = {c.name: c for c in suite.checkers}
+        return (sorted(checkers["packet-conservation"]._state.values()),
+                checkers["qdisc-accounting"]._drops_expected,
+                checkers["time-monotonic"]._last)
+
+    fates, _, last = built(filtered)
+    assert built(filtered) == built(full)
+    assert fates and last > 0.0
 
 
 def test_faulted_run_still_satisfies_every_invariant():

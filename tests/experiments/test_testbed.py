@@ -77,6 +77,24 @@ def test_scenario_is_green_under_the_suite_and_unperturbed(scenario):
     assert pickle.dumps(watched) == pickle.dumps(plain)
 
 
+def test_a_reused_tracer_carries_no_suite_into_the_next_run():
+    """``Testbed.run`` once left the suite on the caller's tracer, so a
+    second run over it raised a false ``time-monotonic``: the first
+    run's checkers were watching the second run's records."""
+    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    arm = next(a for a in all_arms() if a.name == "adaptive")
+    tracer = Tracer(sinks=[])
+    suites = [default_suite(), default_suite()]
+    for suite in suites:
+        run_capacity_experiment(arm, streams=4, duration=1.0, seed=7,
+                                checks=suite, tracer=tracer)
+    assert tracer.sinks == []
+    first, second = suites
+    assert second.summary() == first.summary()
+    assert second.events_dispatched == first.events_dispatched > 0
+    assert tracer.records_emitted == 2 * first.summary()["time-monotonic"]
+
+
 def test_the_example_builders_stand_on_the_same_testbed():
     from repro.experiments.scenarios import run_quickstart, run_uav_pipeline
 
