@@ -7,9 +7,11 @@ priority paradigm to drive who gets reservations and to what degree."
 Three periodic tasks want more reserved CPU than exists.  Two
 allocation policies are compared under saturating background load:
 
-* arrival order — reserves are granted first come, first served;
-* priority order — :meth:`EndToEndQoSManager.allocate_reservations`
-  hands capacity out most-important-first.
+* arrival order — the tasks' policies carry no priority, so
+  :meth:`EndToEndQoSManager.allocate_reservations` grants reserves
+  first come, first served;
+* priority order — each task's ``QosPolicy`` carries its CORBA
+  priority, and the same call hands capacity out most-important-first.
 
 Only the priority-driven allocation keeps the critical task's
 deadlines once capacity runs out.

@@ -13,7 +13,7 @@ in :mod:`repro.experiments.reporting`; this file asserts the shape.
 
 from repro.experiments.ablations import (
     RESERVE_POLICY_DURATION as DURATION,
-    RESERVE_POLICY_PARAMS as RESERVE,
+    RESERVE_POLICY_CPU,
 )
 
 from _shared import regenerate
@@ -23,7 +23,8 @@ def test_ablation_reserve_policy(benchmark):
     results = benchmark.pedantic(
         regenerate, args=("ablation_reserve_policy",), rounds=1, iterations=1)
     hard, soft = (result.payload for result in results)
-    utilization = RESERVE["compute"] / RESERVE["period"]
+    compute, period = RESERVE_POLICY_CPU
+    utilization = compute / period
     # HARD: the reserved task gets exactly its reservation, no more.
     assert abs(hard["reserved_cpu"] / DURATION - utilization) < 0.02
     # ...so the background work gets everything else.

@@ -19,7 +19,7 @@ from repro.net import Dscp, Network
 from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.orb.rt import DscpMapping, PriorityBand
-from repro.core import EndToEndPriorityBinding
+from repro.core import EndToEndQoSManager, QosPolicy
 from repro.experiments.priority_exp import (
     Figure2Mapping,
     run_priority_propagation,
@@ -98,14 +98,16 @@ def main():
 
         orb.nic.send = spy
 
-    binding = EndToEndPriorityBinding(orbs["client"], 100, use_dscp=True)
+    # One policy, applied by the manager: the client thread's native
+    # priority, and the stub's CORBA priority and DSCP.
     app_thread = client.spawn_thread("app")
-    binding.apply_to_thread(app_thread)
+    stub = RELAY.stub_class(orbs["client"], relay_ref, thread=app_thread)
+    EndToEndQoSManager().apply(QosPolicy(100, dscp=True), client,
+                               thread=app_thread, orb=orbs["client"],
+                               stub=stub)
     observed["client"] = app_thread.priority
 
     def app():
-        stub = RELAY.stub_class(orbs["client"], relay_ref,
-                                thread=app_thread, priority=100)
         reply = yield stub.process(20)
         print(f"call returned {raise_if_error(reply)} "
               f"at t={kernel.now * 1e3:.3f} ms\n")
@@ -113,7 +115,7 @@ def main():
     Process(kernel, app(), name="fig2-app")
     kernel.run()
 
-    print("predicted propagation chain (binding.describe):")
+    print("predicted propagation chain (EndToEndQoSManager.describe):")
     print(render_figure2(run_priority_propagation()))
     print("\nobserved native priorities during dispatch:")
     for host_name in ("client", "middle-tier", "server"):

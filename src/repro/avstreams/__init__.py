@@ -13,9 +13,11 @@ This package reproduces that role:
 * data plane — :class:`FlowProducer` / :class:`FlowConsumer` endpoints
   moving video frames over UDP-like datagrams (so congestion loss is
   frame loss, as in the testbed);
-* QoS binding — a :class:`StreamQoS` may carry a DSCP (DiffServ arm)
-  and/or an RSVP flow spec (IntServ arm); reservations are signaled
-  during ``bind`` before any frame flows.
+* QoS binding — ``StreamCtrl.bind`` takes a plain DSCP (DiffServ arm)
+  and/or an RSVP :class:`~repro.net.intserv.FlowSpec` (IntServ arm);
+  reservations are signaled during ``bind`` before any frame flows.
+  Which ones a stream gets is decided above this package, by
+  :class:`repro.core.manager.EndToEndQoSManager`.
 """
 
 from repro.avstreams.endpoints import FlowConsumer, FlowProducer
@@ -24,7 +26,6 @@ from repro.avstreams.service import (
     MMDeviceServant,
     StreamBinding,
     StreamCtrl,
-    StreamQoS,
 )
 
 __all__ = [
@@ -34,5 +35,4 @@ __all__ = [
     "MMDeviceServant",
     "StreamBinding",
     "StreamCtrl",
-    "StreamQoS",
 ]

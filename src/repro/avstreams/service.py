@@ -11,7 +11,7 @@ producer device to a consumer device:
    announces the RSVP PATH;
 3. ``reserve_flow`` on the sink device issues the RESV and waits for
    establishment — binding fails loudly if admission is denied and
-   the QoS marked the reservation mandatory.
+   the caller marked the reservation mandatory.
 
 All three are real CORBA requests (raw-dispatch servants), so stream
 setup exercises the same middleware path as any other invocation.
@@ -19,11 +19,11 @@ setup exercises the same middleware path as any other invocation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.sim.kernel import Kernel
 from repro.net.diffserv import Dscp
-from repro.net.intserv import FlowSpec
+from repro.net.intserv import FlowSpec, ReservationError
 from repro.orb.cdr import CdrInputStream, CdrOutputStream, OpaquePayload
 from repro.orb.core import Orb, raise_if_error
 from repro.orb.ior import ObjectReference
@@ -33,47 +33,6 @@ from repro.avstreams.endpoints import FlowConsumer, FlowProducer, flow_id_for
 
 class AvStreamsError(RuntimeError):
     """Stream establishment / control failures."""
-
-
-class StreamQoS:
-    """QoS requested for one flow at bind time.
-
-    Parameters
-    ----------
-    dscp:
-        DiffServ codepoint for the media packets (priority arm).
-    reserve_rate_bps / bucket_bytes:
-        When set, an RSVP reservation of this rate is attached during
-        bind (reservation arm).
-    mandatory:
-        If True (default), failure to establish the reservation fails
-        the bind; if False the stream proceeds best-effort.
-    """
-
-    def __init__(
-        self,
-        dscp: Dscp = Dscp.BE,
-        reserve_rate_bps: Optional[float] = None,
-        bucket_bytes: Optional[int] = None,
-        mandatory: bool = True,
-    ) -> None:
-        if reserve_rate_bps is not None and reserve_rate_bps <= 0:
-            raise ValueError("reserve_rate_bps must be positive")
-        self.dscp = dscp
-        self.reserve_rate_bps = reserve_rate_bps
-        self.bucket_bytes = bucket_bytes or 20_000
-        self.mandatory = mandatory
-
-    @property
-    def wants_reservation(self) -> bool:
-        return self.reserve_rate_bps is not None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        reservation = (
-            f"{self.reserve_rate_bps/1e3:.0f}kbps"
-            if self.wants_reservation else "none"
-        )
-        return f"StreamQoS(dscp={self.dscp.name}, reservation={reservation})"
 
 
 class MMDeviceServant(Servant):
@@ -146,14 +105,13 @@ class MMDeviceServant(Servant):
                 f"host {self.orb.host.name!r} has no RSVP agent"
             )
         flow_id = flow_id_for(flow_name)
+        flowspec = FlowSpec(rate_bps, bucket_bytes)
         # PATH state needs a beat to arrive if the bind raced it here.
         for _ in range(10):
             try:
-                reservation = agent.reserve(
-                    flow_id, FlowSpec(rate_bps, bucket_bytes)
-                )
+                reservation = agent.reserve(flow_id, flowspec)
                 break
-            except Exception:
+            except ReservationError:
                 yield 0.05
         else:
             return False
@@ -184,27 +142,22 @@ class StreamBinding:
         flow_name: str,
         producer_device: ObjectReference,
         consumer_device: ObjectReference,
-        qos: StreamQoS,
         reserved: bool,
     ) -> None:
         self.flow_name = flow_name
         self.producer_device = producer_device
         self.consumer_device = consumer_device
-        self.qos = qos
         self.reserved = reserved
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<StreamBinding {self.flow_name!r} reserved={self.reserved} "
-            f"{self.qos!r}>"
-        )
+        return f"<StreamBinding {self.flow_name!r} reserved={self.reserved}>"
 
 
 class StreamCtrl:
     """Binds flows between MMDevices with real CORBA calls.
 
     Methods are generators: drive them from a simulation process, e.g.
-    ``binding = yield from ctrl.bind("video1", a_ref, b_ref, qos)``.
+    ``binding = yield from ctrl.bind("video1", a_ref, b_ref)``.
     """
 
     def __init__(self, kernel: Kernel, orb: Orb) -> None:
@@ -217,10 +170,17 @@ class StreamCtrl:
         flow_name: str,
         producer_device: ObjectReference,
         consumer_device: ObjectReference,
-        qos: Optional[StreamQoS] = None,
+        dscp: Dscp = Dscp.BE,
+        reservation: Optional[FlowSpec] = None,
+        mandatory: bool = True,
     ) -> Generator:
-        """Establish one producer->consumer flow (A-party to B-party)."""
-        qos = qos or StreamQoS()
+        """Establish one producer->consumer flow (A-party to B-party).
+
+        Media packets carry ``dscp``.  With a ``reservation`` the flow's
+        RSVP PATH/RESV is signaled before the bind returns; when it is
+        not admitted a ``mandatory`` bind tears the flow down and
+        raises, an optional one leaves it best-effort.
+        """
         port = yield from self._call(
             consumer_device, "create_consumer", flow_name
         )
@@ -230,19 +190,19 @@ class StreamCtrl:
             flow_name,
             consumer_device.host,
             port,
-            int(qos.dscp),
-            qos.wants_reservation,
+            int(dscp),
+            reservation is not None,
         )
         reserved = False
-        if qos.wants_reservation:
+        if reservation is not None:
             reserved = yield from self._call(
                 consumer_device,
                 "reserve_flow",
                 flow_name,
-                qos.reserve_rate_bps,
-                qos.bucket_bytes,
+                reservation.rate_bps,
+                reservation.bucket_bytes,
             )
-            if not reserved and qos.mandatory:
+            if not reserved and mandatory:
                 yield from self._call(
                     producer_device, "teardown_flow", flow_name
                 )
@@ -253,7 +213,7 @@ class StreamCtrl:
                     f"reservation for flow {flow_name!r} was not admitted"
                 )
         return StreamBinding(
-            flow_name, producer_device, consumer_device, qos, reserved
+            flow_name, producer_device, consumer_device, reserved
         )
 
     def unbind(

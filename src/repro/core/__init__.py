@@ -3,20 +3,18 @@
 Everything below this package exists in layered isolation — priorities
 in the OS substrate, DSCPs and reservations in the network, CORBA
 priorities in the ORB, contracts in QuO.  This package couples them,
-as the paper does, into two composable end-to-end approaches plus
-their combination:
+as the paper does, through one vocabulary and one applier:
 
-``binding``
-    End-to-end **priority** binding: one CORBA priority drives client
-    thread priority, GIOP service-context propagation, server dispatch
-    lane priority, and the DiffServ codepoint (Fig 2's propagation
-    chain).
+``policies``
+    :class:`QosPolicy`, one point of the paper's priority x
+    reservation matrix (OS and network): a CORBA priority, DSCP
+    marking, a CPU reserve and an RSVP reservation.
 
-``policies`` / ``manager``
-    Policy objects (priority-based, reservation-based, combined) and
-    the :class:`EndToEndQoSManager` that applies them to applications,
-    threads, and flows — including the paper's section 6 research
-    direction of letting priorities drive who gets reservations.
+``manager``
+    :class:`EndToEndQoSManager`, the only place a mechanism is applied:
+    thread and stub priorities, DSCPs, CPU reserves, A/V stream
+    reservations, the section 6 priority-driven reserve allocation and
+    Fig 2's propagation chain (rows: ``binding.PropagationHop``).
 
 ``adaptation``
     The contract-driven frame-filtering qosket: the application-level
@@ -28,33 +26,24 @@ their combination:
 """
 
 from repro.core.adaptation import FrameFilteringQosket
-from repro.core.binding import EndToEndPriorityBinding, PropagationHop
-from repro.core.manager import EndToEndQoSManager, ManagedFlow
+from repro.core.binding import PropagationHop
+from repro.core.manager import EndToEndQoSManager
 from repro.core.metrics import (
     DeliveryRecorder,
     LatencyRecorder,
     SeriesStats,
     TimeSeries,
 )
-from repro.core.policies import (
-    CombinedPolicy,
-    PriorityPolicy,
-    QosPolicyError,
-    ReservationPolicy,
-)
+from repro.core.policies import QosPolicy, QosPolicyError
 
 __all__ = [
-    "CombinedPolicy",
     "DeliveryRecorder",
-    "EndToEndPriorityBinding",
     "EndToEndQoSManager",
     "FrameFilteringQosket",
     "LatencyRecorder",
-    "ManagedFlow",
-    "PriorityPolicy",
     "PropagationHop",
+    "QosPolicy",
     "QosPolicyError",
-    "ReservationPolicy",
     "SeriesStats",
     "TimeSeries",
 ]

@@ -1,26 +1,14 @@
-"""End-to-end priority binding (the Figure 2 propagation chain).
+"""The Figure 2 propagation chain's rows.
 
-One CORBA priority, applied everywhere it matters:
-
-* the client application thread's native priority (via the client
-  ORB's priority mapping for the client host's OS);
-* the stub's request priority, so the GIOP ``RTCorbaPriority`` service
-  context propagates it to every server, whose thread pools re-map it
-  to *their* OS's native range;
-* the DiffServ codepoint, via the ORB's network priority mapping, so
-  routers honour the same importance level.
-
-:meth:`EndToEndPriorityBinding.describe` reproduces Fig 2's worked
-example as data: the native priority and DSCP at each hop.
+One CORBA priority lands on the client thread (via the client ORB's
+mapping for its OS), travels in the GIOP ``RTCorbaPriority`` service
+context, is re-mapped by every server into *its* OS's native range,
+and is marked on the wire as a DiffServ codepoint.
+:meth:`repro.core.manager.EndToEndQoSManager.describe` returns that
+chain as a list of :class:`PropagationHop`.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
-
-from repro.net.diffserv import Dscp
-from repro.oskernel.thread import SimThread
-from repro.orb.core import Orb
 
 
 class PropagationHop:
@@ -44,91 +32,3 @@ class PropagationHop:
             f"corba={self.corba_priority} native={self.native_priority} "
             f"dscp={self.dscp.name if self.dscp else None}>"
         )
-
-
-class EndToEndPriorityBinding:
-    """Applies one CORBA priority across client thread, wire, and net.
-
-    Parameters
-    ----------
-    orb:
-        The client-side ORB (its mapping manager supplies both the
-        native and DSCP mappings).
-    corba_priority:
-        The end-to-end RT-CORBA priority (0..32767).
-    use_dscp:
-        When True, requests are marked with the mapped codepoint (the
-        paper's RT-CORBA + DiffServ integration); when False only
-        thread priorities are managed (the Fig 5 arm).
-    """
-
-    def __init__(
-        self,
-        orb: Orb,
-        corba_priority: int,
-        use_dscp: bool = False,
-    ) -> None:
-        self.orb = orb
-        self.corba_priority = int(corba_priority)
-        self.use_dscp = use_dscp
-
-    # ------------------------------------------------------------------
-    @property
-    def dscp(self) -> Optional[Dscp]:
-        if not self.use_dscp:
-            return None
-        return self.orb.mapping_manager.to_dscp(self.corba_priority)
-
-    def native_priority_on(self, host) -> int:
-        return self.orb.mapping_manager.to_native(
-            self.corba_priority, host.os_type
-        )
-
-    def apply_to_thread(self, thread: SimThread) -> int:
-        """Set the client thread's native priority; returns it."""
-        native = self.orb.mapping_manager.to_native(
-            self.corba_priority, self.orb.host.os_type
-        )
-        thread.set_priority(native)
-        return native
-
-    def apply_to_stub(self, stub) -> None:
-        """Configure a generated stub (or delegate) with this binding."""
-        stub.priority = self.corba_priority
-        if self.use_dscp:
-            stub.dscp = self.dscp
-
-    def describe(self, server_hosts) -> List[PropagationHop]:
-        """The full propagation chain, Fig 2 style.
-
-        ``server_hosts`` are the downstream hosts the request visits
-        (middle tiers and final servers); each re-maps the same CORBA
-        priority into its own native range.
-        """
-        mapping = self.orb.mapping_manager
-        hops = [
-            PropagationHop(
-                host=self.orb.host.name,
-                os_type=self.orb.host.os_type,
-                role="client",
-                corba_priority=self.corba_priority,
-                native_priority=mapping.to_native(
-                    self.corba_priority, self.orb.host.os_type
-                ),
-                dscp=self.dscp,
-            )
-        ]
-        for host in server_hosts:
-            hops.append(
-                PropagationHop(
-                    host=host.name,
-                    os_type=host.os_type,
-                    role="server",
-                    corba_priority=self.corba_priority,
-                    native_priority=mapping.to_native(
-                        self.corba_priority, host.os_type
-                    ),
-                    dscp=self.dscp,
-                )
-            )
-        return hops

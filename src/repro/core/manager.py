@@ -1,199 +1,138 @@
-"""The end-to-end QoS manager.
+"""The end-to-end QoS manager: the one place a mechanism is applied.
 
-The integration point the paper works toward: one object that applies
-policies across all four mechanisms.  "Although TimeSys Linux provides
-COTS mechanisms for reserving OS CPU resources, it is the
-responsibility of the higher level QuO and TAO middleware to determine
-who gets the reserved capacity, how much, and for how long.  These
-policy decisions will be performed via the higher level middleware
-since it retains the end-to-end perspective."
+"Although TimeSys Linux provides COTS mechanisms for reserving OS CPU
+resources, it is the responsibility of the higher level QuO and TAO
+middleware to determine who gets the reserved capacity, how much, and
+for how long.  These policy decisions will be performed via the higher
+level middleware since it retains the end-to-end perspective."
 
-The manager owns no mechanism itself; it coordinates:
+An application states a :class:`~repro.core.policies.QosPolicy` and
+hands it here; it never wires a mechanism itself:
 
-* :class:`~repro.core.policies.PriorityPolicy` → thread priorities,
-  GIOP priority propagation, DSCP marking;
-* :class:`~repro.core.policies.ReservationPolicy` → CPU reserves via
-  each host's resource kernel and network reservations via RSVP (on
-  raw flows) or the A/V service (on streams);
-* the section 6 research direction: :meth:`allocate_reservations`
-  hands reserved capacity out in priority order until it runs out.
+* :meth:`EndToEndQoSManager.apply` — the end system: native thread
+  priority and the stub's CORBA priority and DSCP (through the ORB's
+  priority mapping manager), and the CPU reserve;
+* :meth:`EndToEndQoSManager.open_stream` — the network of an A/V flow:
+  its DSCP and RSVP reservation, handed to the A/V service at bind;
+* :meth:`EndToEndQoSManager.allocate_reservations` — the section 6
+  research direction: reserved capacity handed out in priority order
+  until it runs out;
+* :meth:`EndToEndQoSManager.describe` — Fig 2's propagation chain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.sim.kernel import Kernel
 from repro.oskernel.host import Host
 from repro.oskernel.reserve import AdmissionError, Reserve
 from repro.oskernel.thread import SimThread
-from repro.net.intserv import FlowSpec, Reservation
-from repro.net.topology import Network
-from repro.orb.core import Orb
-from repro.core.binding import EndToEndPriorityBinding
-from repro.core.policies import (
-    CombinedPolicy,
-    PriorityPolicy,
-    QosPolicyError,
-    ReservationPolicy,
-)
-
-
-class ManagedFlow:
-    """Bookkeeping for one flow under management."""
-
-    def __init__(self, flow_id: str, src_host: str, dst_host: str) -> None:
-        self.flow_id = flow_id
-        self.src_host = src_host
-        self.dst_host = dst_host
-        self.priority_binding: Optional[EndToEndPriorityBinding] = None
-        self.cpu_reserves: List[Reserve] = []
-        self.network_reservation: Optional[Reservation] = None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<ManagedFlow {self.flow_id!r}>"
+from repro.net.diffserv import Dscp
+from repro.core.binding import PropagationHop
+from repro.core.policies import QosPolicy
 
 
 class EndToEndQoSManager:
-    """Coordinates priority- and reservation-based mechanisms."""
+    """Applies :class:`QosPolicy` values across all four mechanisms.
 
-    def __init__(self, kernel: Kernel, network: Network) -> None:
-        self.kernel = kernel
-        self.network = network
-        self.flows: Dict[str, ManagedFlow] = {}
+    A priority maps through the ORB handed in: its
+    :class:`~repro.orb.rt.PriorityMappingManager` owns both the native
+    and the DSCP mapping, so a policy with a priority needs one.
+    """
 
-    # ------------------------------------------------------------------
-    # Priority-based management
-    # ------------------------------------------------------------------
-    def apply_priority(
-        self,
-        orb: Orb,
-        policy: PriorityPolicy,
-        stub=None,
-        thread: Optional[SimThread] = None,
-    ) -> EndToEndPriorityBinding:
-        """Apply a priority policy to a stub and/or client thread."""
-        binding = EndToEndPriorityBinding(
-            orb, policy.corba_priority, use_dscp=policy.use_dscp
-        )
-        if thread is not None and policy.use_thread_priority:
-            binding.apply_to_thread(thread)
-        if stub is not None:
-            stub.priority = policy.corba_priority
-            if policy.use_dscp:
-                stub.dscp = binding.dscp
-        return binding
-
-    # ------------------------------------------------------------------
-    # Reservation-based management
-    # ------------------------------------------------------------------
-    def reserve_cpu(
-        self,
-        host: Host,
-        thread: SimThread,
-        policy: ReservationPolicy,
-    ) -> Optional[Reserve]:
-        """Admit the policy's CPU reserve on ``host`` for ``thread``."""
-        if not policy.wants_cpu:
+    def native_priority(self, policy: QosPolicy, host: Host,
+                        orb) -> Optional[int]:
+        """The native priority ``policy`` gives a thread on ``host``
+        (``None`` without a priority), for a thread spawned at it."""
+        if policy.priority is None:
             return None
+        return orb.mapping_manager.to_native(policy.priority, host.os_type)
+
+    def dscp(self, policy: QosPolicy, orb) -> Optional[Dscp]:
+        """The codepoint ``policy`` marks packets with (``None``: none)."""
+        if not policy.dscp:
+            return None
+        return orb.mapping_manager.to_dscp(policy.priority)
+
+    # ------------------------------------------------------------------
+    def apply(self, policy: QosPolicy, host: Host,
+              thread: Optional[SimThread] = None, orb=None,
+              stub=None) -> Optional[Reserve]:
+        """Apply ``policy`` on ``host``: the priority lands on ``thread``
+        and ``stub``, the CPU reserve on ``thread``.
+
+        Returns the reserve, or ``None`` without one.  A reserve that is
+        not admitted raises :class:`AdmissionError` when the policy is
+        mandatory and yields ``None`` when it is not.
+        """
+        native = self.native_priority(policy, host, orb)
+        if thread is not None and native is not None:
+            thread.set_priority(native)
+        if stub is not None and policy.priority is not None:
+            stub.priority = policy.priority
+            if policy.dscp:
+                stub.dscp = self.dscp(policy, orb)
+        if thread is None or policy.cpu is None:
+            return None
+        compute, period = policy.cpu
         try:
             return host.reserve_manager.request(
-                thread,
-                compute=policy.cpu_compute,
-                period=policy.cpu_period,
-                policy=policy.cpu_enforcement,
-            )
+                thread, compute, period, policy.enforcement)
         except AdmissionError:
             if policy.mandatory:
                 raise
             return None
 
-    def reserve_network(
-        self,
-        flow_id: str,
-        src_host: str,
-        dst_host: str,
-        policy: ReservationPolicy,
-    ):
-        """Signal the policy's network reservation for a raw flow.
-
-        Generator: drive from a simulation process.  Returns the
-        :class:`~repro.net.intserv.Reservation` (possibly failed when
-        the policy is not mandatory).
-        """
-        if not policy.wants_network:
-            return None
-        src_agent = self.network.nic_of(src_host).rsvp_agent
-        dst_agent = self.network.nic_of(dst_host).rsvp_agent
-        if src_agent is None or dst_agent is None:
-            raise QosPolicyError(
-                "both endpoints need RSVP agents (Network.enable_intserv)"
-            )
-        src_agent.announce_path(flow_id, dst_host)
-        # Give PATH a few beats to install state along the route.
-        for _ in range(10):
-            yield 0.02
-            if flow_id in dst_agent._path_state:
-                break
-        reservation = dst_agent.reserve(
-            flow_id,
-            FlowSpec(policy.network_rate_bps, policy.network_bucket_bytes),
-        )
-        if reservation.state == "pending":
-            yield reservation.established
-        if not reservation.is_established and policy.mandatory:
-            raise QosPolicyError(
-                f"network reservation for {flow_id!r} failed: "
-                f"{reservation.failure_reason}"
-            )
-        flow = self.flows.setdefault(
-            flow_id, ManagedFlow(flow_id, src_host, dst_host)
-        )
-        flow.network_reservation = reservation
-        return reservation
-
-    # ------------------------------------------------------------------
-    # Combined management
-    # ------------------------------------------------------------------
-    def apply_combined(
-        self,
-        orb: Orb,
-        policy: CombinedPolicy,
-        stub=None,
-        thread: Optional[SimThread] = None,
-    ) -> Tuple[EndToEndPriorityBinding, Optional[Reserve]]:
-        """Priority binding plus CPU reserve in one step."""
-        binding = self.apply_priority(
-            orb, policy.priority, stub=stub, thread=thread
-        )
-        reserve = None
-        if thread is not None and policy.reservation.wants_cpu:
-            reserve = self.reserve_cpu(orb.host, thread, policy.reservation)
-        return binding, reserve
+    def open_stream(self, name: str, policy: QosPolicy, ctrl, producer,
+                    consumer) -> Generator:
+        """Bind flow ``name`` through the A/V ``ctrl`` with the policy's
+        network cells: the DSCP (mapped by ``ctrl``'s ORB) and the RSVP
+        reservation.  A generator; returns the stream binding."""
+        dscp = self.dscp(policy, ctrl.orb)
+        return (yield from ctrl.bind(
+            name, producer, consumer, dscp=dscp or Dscp.BE,
+            reservation=policy.reservation, mandatory=policy.mandatory))
 
     def allocate_reservations(
         self,
         host: Host,
-        requests: Sequence[Tuple[SimThread, int, ReservationPolicy]],
-    ) -> Dict[str, Optional[Reserve]]:
+        requests: Sequence[Tuple[SimThread, QosPolicy]],
+    ) -> Dict[SimThread, Optional[Reserve]]:
         """Priority-driven reservation assignment (paper section 6).
 
-        ``requests`` are (thread, corba_priority, reservation policy)
-        triples.  Reserved CPU capacity is handed out in descending
-        priority order; requests that no longer fit get no reserve
-        (rather than failing the whole allocation), which realizes
-        "using the priority paradigm to drive who gets reservations".
+        Each request's CPU reserve is admitted in descending policy
+        priority (requests without one last, all in the order given);
+        one that no longer fits gets ``None`` rather than failing the
+        allocation, which realizes "using the priority paradigm to
+        drive who gets reservations".  The threads keep their native
+        priorities: the priority decides the order, nothing else.
         """
-        results: Dict[str, Optional[Reserve]] = {}
-        ordered = sorted(requests, key=lambda item: -item[1])
-        for thread, _priority, policy in ordered:
+        def rank(request: Tuple[SimThread, QosPolicy]) -> int:
+            priority = request[1].priority
+            return -1 if priority is None else priority
+
+        results: Dict[SimThread, Optional[Reserve]] = {}
+        for thread, policy in sorted(requests, key=rank, reverse=True):
+            compute, period = policy.cpu
             try:
-                results[thread.name] = host.reserve_manager.request(
-                    thread,
-                    compute=policy.cpu_compute,
-                    period=policy.cpu_period,
-                    policy=policy.cpu_enforcement,
-                )
+                results[thread] = host.reserve_manager.request(
+                    thread, compute, period, policy.enforcement)
             except AdmissionError:
-                results[thread.name] = None
+                results[thread] = None
         return results
+
+    def describe(self, policy: QosPolicy, orb,
+                 server_hosts: Sequence[Host]) -> List[PropagationHop]:
+        """The propagation chain of ``policy``'s priority, Fig 2 style.
+
+        The client is ``orb``'s host; ``server_hosts`` are the hosts the
+        request visits (middle tiers and final servers), each re-mapping
+        the same CORBA priority into its own native range."""
+        dscp = self.dscp(policy, orb)
+        chain = [(orb.host, "client")]
+        chain += [(host, "server") for host in server_hosts]
+        return [
+            PropagationHop(host.name, host.os_type, role, policy.priority,
+                           self.native_priority(policy, host, orb), dscp)
+            for host, role in chain
+        ]

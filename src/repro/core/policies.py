@@ -1,111 +1,77 @@
-"""QoS policy objects: the paper's two paradigms plus their combination.
+"""One QoS vocabulary: a point of the paper's mechanism matrix.
 
-``PriorityPolicy``
-    Priority-based management (sections 3.1-3.2): a CORBA priority,
-    optionally mapped to thread priorities and/or DSCPs.  Figs 4-6 are
-    exactly the (thread, dscp) on/off matrix of this policy.
+The paper's contribution is a matrix: priority vs reservation, each
+on the OS and on the network.  A :class:`QosPolicy` names one point of
+it, and :class:`~repro.core.manager.EndToEndQoSManager` is the one
+place that applies it:
 
-``ReservationPolicy``
-    Reservation-based management (sections 3.3-3.4): optional CPU
-    reserve (C, T) and optional network reservation (rate, bucket).
+=================  =======================  =========================
+                   priority                 reservation
+=================  =======================  =========================
+OS                 ``priority`` -> native    ``cpu`` (C, T) +
+                   thread priority          ``enforcement``
+network            ``priority`` + ``dscp``  ``reservation`` (RSVP
+                   -> DiffServ codepoint    :class:`FlowSpec`)
+=================  =======================  =========================
 
-``CombinedPolicy``
-    Both at once — the paper's concluding direction ("combine
-    priority-based mechanisms in conjunction with reservation
-    mechanisms, using the priority paradigm to drive who gets
-    reservations and to what degree").
+``mandatory`` says whether a reservation that is not admitted fails
+the request or leaves the stream best-effort.  Combining both columns
+is the paper's concluding direction ("using the priority paradigm to
+drive who gets reservations and to what degree").
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Tuple
 
 from repro.oskernel.reserve import EnforcementPolicy
+from repro.net.intserv import FlowSpec
+from repro.orb.rt import MAX_PRIORITY, MIN_PRIORITY
 
 
 class QosPolicyError(ValueError):
     """Invalid policy parameterization."""
 
 
-class PriorityPolicy:
-    """Priority-based end-to-end management."""
+@dataclass(frozen=True)
+class QosPolicy:
+    """One point of the priority x reservation matrix.
 
-    def __init__(
-        self,
-        corba_priority: int,
-        use_thread_priority: bool = True,
-        use_dscp: bool = False,
-    ) -> None:
-        if not 0 <= corba_priority <= 32767:
+    ``priority`` is the end-to-end CORBA priority; ``None`` turns both
+    priority cells off.  ``dscp`` marks packets through the ORB's
+    priority mapping manager.  ``cpu`` is a (C, T) reserve admitted
+    under ``enforcement``; ``reservation`` an RSVP flowspec.
+    """
+
+    priority: Optional[int] = None
+    dscp: bool = False
+    cpu: Optional[Tuple[float, float]] = None
+    enforcement: EnforcementPolicy = EnforcementPolicy.SOFT
+    reservation: Optional[FlowSpec] = None
+    mandatory: bool = True
+
+    #: Token-bucket depth of a reservation that names only its rate.
+    BUCKET_BYTES: ClassVar[int] = 20_000
+
+    def __post_init__(self) -> None:
+        if self.priority is not None and not (
+                MIN_PRIORITY <= self.priority <= MAX_PRIORITY):
             raise QosPolicyError(
-                f"CORBA priority out of range: {corba_priority}"
-            )
-        self.corba_priority = int(corba_priority)
-        self.use_thread_priority = use_thread_priority
-        self.use_dscp = use_dscp
+                f"CORBA priority out of range: {self.priority}")
+        if self.dscp and self.priority is None:
+            raise QosPolicyError("DSCP marking maps a priority; set one")
+        if self.cpu is not None:
+            compute, period = self.cpu
+            if compute <= 0 or period <= 0:
+                raise QosPolicyError(
+                    "CPU reserve parameters must be positive")
+        if self.reservation is not None and not isinstance(
+                self.reservation, FlowSpec):
+            raise QosPolicyError("reservation must be a FlowSpec")
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"PriorityPolicy({self.corba_priority}, "
-            f"threads={self.use_thread_priority}, dscp={self.use_dscp})"
-        )
-
-
-class ReservationPolicy:
-    """Reservation-based end-to-end management."""
-
-    def __init__(
-        self,
-        cpu_compute: Optional[float] = None,
-        cpu_period: Optional[float] = None,
-        cpu_enforcement: EnforcementPolicy = EnforcementPolicy.SOFT,
-        network_rate_bps: Optional[float] = None,
-        network_bucket_bytes: int = 20_000,
-        mandatory: bool = True,
-    ) -> None:
-        if (cpu_compute is None) != (cpu_period is None):
-            raise QosPolicyError(
-                "cpu_compute and cpu_period must be set together"
-            )
-        if cpu_compute is not None and (cpu_compute <= 0 or cpu_period <= 0):
-            raise QosPolicyError("CPU reserve parameters must be positive")
-        if network_rate_bps is not None and network_rate_bps <= 0:
-            raise QosPolicyError("network rate must be positive")
-        self.cpu_compute = cpu_compute
-        self.cpu_period = cpu_period
-        self.cpu_enforcement = cpu_enforcement
-        self.network_rate_bps = network_rate_bps
-        self.network_bucket_bytes = int(network_bucket_bytes)
-        self.mandatory = mandatory
-
-    @property
-    def wants_cpu(self) -> bool:
-        return self.cpu_compute is not None
-
-    @property
-    def wants_network(self) -> bool:
-        return self.network_rate_bps is not None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        cpu = (
-            f"({self.cpu_compute}, {self.cpu_period})"
-            if self.wants_cpu else "none"
-        )
-        network = (
-            f"{self.network_rate_bps/1e3:.0f}kbps"
-            if self.wants_network else "none"
-        )
-        return f"ReservationPolicy(cpu={cpu}, net={network})"
-
-
-class CombinedPolicy:
-    """Priority plus reservation, applied together."""
-
-    def __init__(
-        self, priority: PriorityPolicy, reservation: ReservationPolicy
-    ) -> None:
-        self.priority = priority
-        self.reservation = reservation
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CombinedPolicy({self.priority!r}, {self.reservation!r})"
+    @staticmethod
+    def flow(rate_bps: float, bucket_bytes: int = BUCKET_BYTES) -> FlowSpec:
+        """A network reservation at ``rate_bps`` (``FlowSpec`` rejects a
+        rate or bucket that is not positive)."""
+        return FlowSpec(rate_bps, bucket_bytes)

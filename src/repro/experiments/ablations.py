@@ -14,7 +14,6 @@ from typing import Dict
 
 from repro.sim import Process
 from repro.oskernel import CpuLoadGenerator, EnforcementPolicy
-from repro.oskernel.reserve import AdmissionError
 from repro.net import (
     CbrTrafficSource,
     DatagramSocket,
@@ -27,8 +26,8 @@ from repro.net import (
 from repro.net.aqm import RedQueue
 from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
-from repro.core import EndToEndQoSManager, ReservationPolicy
 from repro.core.metrics import DeliveryRecorder, LatencyRecorder
+from repro.core.policies import QosPolicy
 from repro.experiments.testbed import Testbed
 
 # ----------------------------------------------------------------------
@@ -162,7 +161,8 @@ def run_phb_arm(diffserv: bool, checks=None, tracer=None) -> Dict[str, object]:
 # HARD vs SOFT CPU-reserve enforcement
 # ----------------------------------------------------------------------
 RESERVE_POLICY_DURATION = 60.0
-RESERVE_POLICY_PARAMS = dict(compute=0.3, period=1.0)
+#: The reserved thread's (C, T) under either enforcement policy.
+RESERVE_POLICY_CPU = (0.3, 1.0)
 
 
 def run_reserve_policy_arm(policy: str, checks=None,
@@ -173,8 +173,9 @@ def run_reserve_policy_arm(policy: str, checks=None,
     host = bed.host("h")
     bed.watch()
     reserved = host.spawn_thread("reserved", priority=10)
-    host.reserve_manager.request(
-        reserved, policy=EnforcementPolicy[policy], **RESERVE_POLICY_PARAMS)
+    bed.qos.apply(QosPolicy(cpu=RESERVE_POLICY_CPU,
+                            enforcement=EnforcementPolicy[policy]),
+                  host, thread=reserved)
     # Bursty competitor *below* the reserved thread's native priority:
     # exactly the work a HARD reserve protects and a SOFT reserve eats.
     load = CpuLoadGenerator(
@@ -204,7 +205,8 @@ PRIORITY_DRIVEN_TASKS = [
     ("navigation", 30000, 0.30),
 ]
 PRIORITY_DRIVEN_PERIOD = 1.0
-_POLICY = ReservationPolicy(cpu_compute=0.31, cpu_period=PRIORITY_DRIVEN_PERIOD)
+#: Every task asks for the same reserve; only its priority differs.
+PRIORITY_DRIVEN_RESERVE = (0.31, PRIORITY_DRIVEN_PERIOD)
 
 
 def run_priority_driven_arm(priority_driven: bool, checks=None,
@@ -212,28 +214,21 @@ def run_priority_driven_arm(priority_driven: bool, checks=None,
     """Three over-subscribed periodic tasks under one allocation policy."""
     bed = Testbed(7, checks, tracer)
     kernel = bed.kernel
-    net = bed.build_network()
+    bed.build_network()
     host = bed.host("h", reserve_bound=0.7)  # room for two of three
     bed.watch()
-    manager = EndToEndQoSManager(kernel, net)
     threads = {
         name: host.spawn_thread(name, priority=10)
         for name, _, _ in PRIORITY_DRIVEN_TASKS
     }
-    if priority_driven:
-        manager.allocate_reservations(
-            host,
-            [(threads[name], priority, _POLICY)
-             for name, priority, _ in PRIORITY_DRIVEN_TASKS],
-        )
-    else:
-        for name, _, _ in PRIORITY_DRIVEN_TASKS:  # arrival order
-            try:
-                host.reserve_manager.request(
-                    threads[name], compute=_POLICY.cpu_compute,
-                    period=_POLICY.cpu_period)
-            except AdmissionError:
-                pass
+    # Without priorities every request ranks alike, so the allocation
+    # keeps arrival order: first come, first reserved.
+    bed.qos.allocate_reservations(host, [
+        (threads[name],
+         QosPolicy(priority if priority_driven else None,
+                   cpu=PRIORITY_DRIVEN_RESERVE))
+        for name, priority, _ in PRIORITY_DRIVEN_TASKS
+    ])
     load = CpuLoadGenerator(
         kernel, host, priority=50, duty_cycle=1.0, burst_mean=0.05,
         rng=bed.rng.stream("load"),

@@ -3,14 +3,18 @@ returns.
 
 Every ``*Arm`` class is a dataclass deriving from :class:`Arm`:
 its field list is written once, in the class body, and the
-RunSpec form, equality, repr and pickling all follow from it.  Every
-scenario's result derives from :class:`ArmResult`.
+RunSpec form, equality, repr and pickling all follow from it.  Its
+:meth:`Arm.policy` states, from those fields, the point of the paper's
+QoS matrix the scenario hands the testbed's manager.  Every scenario's
+result derives from :class:`ArmResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from typing import Any, Dict, Tuple
+
+from repro.core.policies import QosPolicy
 
 
 class Arm:
@@ -23,6 +27,13 @@ class Arm:
         under a spec's ``"arm"`` key.
         """
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def policy(self, *stream: Any) -> QosPolicy:
+        """The arm's :class:`~repro.core.policies.QosPolicy`, derived
+        from its fields; per-stream inputs (a sender's lane, an
+        admission verdict) are the arguments."""
+        raise NotImplementedError(
+            f"{type(self).__name__} states no QoS policy")
 
     def __reduce__(self):
         # Not the default dict-state protocol: the "adaptive" arm's

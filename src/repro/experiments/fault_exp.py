@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.process import Process
-from repro.avstreams.service import StreamQoS
+from repro.core.policies import QosPolicy
 from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
 from repro.quo.syscond import FaultReporterSC
@@ -40,6 +40,11 @@ class FaultArm(Arm):
 
     name: str
     adaptive: bool
+
+    def policy(self) -> QosPolicy:
+        """Best effort in both arms: fig 8 separates them by QuO
+        adaptation alone."""
+        return QosPolicy()
 
 
 def all_arms() -> list:
@@ -159,7 +164,7 @@ def run_fault_injection_experiment(
     def driver():
         # First runs inside ``bed.run``: ``result`` is bound by then.
         result.sender, result.receiver = yield from bed.open_stream(
-            "uav-video", StreamQoS(), bed.rng.stream("video"),
+            "uav-video", arm.policy(), bed.rng.stream("video"),
             degrade_threshold=0.05 if arm.adaptive else None)
         if arm.adaptive:
             result.sender.qosket.attach_fault_reporter(reporter)

@@ -24,7 +24,7 @@ Fig 6     yes                yes     yes        yes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.priorities import OsType
@@ -40,8 +40,9 @@ from repro.orb.rt import (
     ThreadPool,
 )
 from repro.media.mpeg import MpegStream
-from repro.core.binding import EndToEndPriorityBinding, PropagationHop
+from repro.core.binding import PropagationHop
 from repro.core.metrics import LatencyRecorder
+from repro.core.policies import QosPolicy
 from repro.experiments.actors import GiopVideoSender, VideoReceiverServant
 from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
@@ -96,6 +97,13 @@ class PriorityArm(Arm):
         return cls("fig6-threads-dscp-congested",
                    thread_priorities=True, dscp=True,
                    cpu_load=True, cross_traffic=True)
+
+    def policy(self, priority: int) -> QosPolicy:
+        """A sender task's point: its CORBA ``priority`` when the arm
+        manages priorities (figs 5-6), DSCP-marked on fig 6."""
+        if not self.thread_priorities:
+            return QosPolicy()
+        return QosPolicy(priority, dscp=self.dscp)
 
 
 class PriorityExperimentResult(ArmResult):
@@ -185,15 +193,6 @@ def run_priority_experiment(
         thread = sender_host.spawn_thread(
             name, priority=EQUAL_NATIVE_PRIORITY
         )
-        priority: Optional[int] = None
-        dscp: Optional[Dscp] = None
-        if arm.thread_priorities:
-            priority = priorities[name]
-            binding = EndToEndPriorityBinding(
-                sender_orb, priority, use_dscp=arm.dscp
-            )
-            binding.apply_to_thread(thread)
-            dscp = binding.dscp
         stream = MpegStream(
             name,
             bitrate_bps=VIDEO_BITRATE_BPS,
@@ -201,14 +200,10 @@ def run_priority_experiment(
             rng=rng.stream(f"video.{name}"),
         )
         senders[name] = GiopVideoSender(
-            kernel,
-            sender_orb,
-            refs[name],
-            stream,
-            thread,
-            priority=priority,
-            dscp=dscp,
-        )
+            kernel, sender_orb, refs[name], stream, thread)
+        bed.qos.apply(arm.policy(priorities[name]), sender_host,
+                      thread=thread, orb=sender_orb,
+                      stub=senders[name].stub)
 
     # --- interference ----------------------------------------------------
     if arm.cpu_load:
@@ -307,5 +302,4 @@ def run_priority_propagation(checks=None, tracer=None) -> List[PropagationHop]:
     orb.mapping_manager.install_dscp_mapping(
         DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])
     )
-    binding = EndToEndPriorityBinding(orb, 100, use_dscp=True)
-    return binding.describe([middle, server])
+    return bed.qos.describe(QosPolicy(100, dscp=True), orb, [middle, server])

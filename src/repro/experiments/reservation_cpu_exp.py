@@ -29,6 +29,7 @@ from repro.orb.cdr import OpaquePayload
 from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
 from repro.core.metrics import SeriesStats
+from repro.core.policies import QosPolicy
 from repro.experiments.actors import ATR, AtrServant
 from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
@@ -62,6 +63,13 @@ class CpuArm(Arm):
     @classmethod
     def load_reserve(cls) -> "CpuArm":
         return cls("load+reserve", cpu_load=True, reservation=True)
+
+    def policy(self) -> QosPolicy:
+        """The ATR worker's point: a SOFT (C, T) reserve, or nothing."""
+        if not self.reservation:
+            return QosPolicy()
+        return QosPolicy(cpu=(RESERVE_COMPUTE, RESERVE_PERIOD),
+                         enforcement=EnforcementPolicy.SOFT)
 
 
 def all_arms() -> list:
@@ -130,13 +138,8 @@ def run_cpu_reservation_experiment(
             rng=rng.stream("cpuload"),
         )
         load.start()
-    if arm.reservation:
-        result.reserve = server_host.reserve_manager.request(
-            worker_thread,
-            compute=RESERVE_COMPUTE,
-            period=RESERVE_PERIOD,
-            policy=EnforcementPolicy.SOFT,
-        )
+    result.reserve = bed.qos.apply(arm.policy(), server_host,
+                                   thread=worker_thread)
 
     client_thread = client_host.spawn_thread("imagesource", priority=10)
     stub = ATR.stub_class(client_orb, objref, thread=client_thread)

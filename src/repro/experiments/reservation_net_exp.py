@@ -28,8 +28,8 @@ from typing import Dict, Optional
 
 from repro.sim.process import Process
 from repro.net.traffic import CbrTrafficSource
-from repro.avstreams.service import StreamQoS
 from repro.core.metrics import DeliveryRecorder, SeriesStats
+from repro.core.policies import QosPolicy
 from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
 
@@ -57,13 +57,14 @@ class NetworkArm(Arm):
             raise ValueError(
                 f"unknown reservation level: {self.reservation!r}")
 
-    @property
-    def reserve_rate_bps(self) -> Optional[float]:
-        if self.reservation == "full":
-            return FULL_RESERVATION_BPS
-        if self.reservation == "partial":
-            return PARTIAL_RESERVATION_BPS
-        return None
+    def policy(self) -> QosPolicy:
+        """The stream's point: a mandatory RSVP reservation at the
+        arm's level, or nothing (filtering is QuO's, not the matrix's)."""
+        if self.reservation is None:
+            return QosPolicy()
+        rate = (FULL_RESERVATION_BPS if self.reservation == "full"
+                else PARTIAL_RESERVATION_BPS)
+        return QosPolicy(reservation=QosPolicy.flow(rate, BUCKET_BYTES))
 
 
 def all_arms() -> list:
@@ -156,16 +157,11 @@ def run_network_reservation_experiment(
 
     # --- stream setup + actors, inside a driver process ---------------------
     def driver():
-        qos = StreamQoS(
-            reserve_rate_bps=arm.reserve_rate_bps,
-            bucket_bytes=BUCKET_BYTES,
-            mandatory=True,
-        ) if arm.reserve_rate_bps else StreamQoS()
         # A 4 % degrade threshold makes the contract keep shedding
         # until important frames stop being lost — the paper's
         # policy delivered *all* I frames under partial reservation.
         result.sender, result.receiver = yield from bed.open_stream(
-            "uav-video", qos, bed.rng.stream("video"),
+            "uav-video", arm.policy(), bed.rng.stream("video"),
             degrade_threshold=0.04 if arm.filtering else None)
         result.sender.start()
 

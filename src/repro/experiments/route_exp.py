@@ -38,7 +38,7 @@ from repro.net.routing import (
     predict_path,
 )
 from repro.net.traffic import CbrTrafficSource
-from repro.avstreams.service import StreamQoS
+from repro.core.policies import QosPolicy
 from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
 
@@ -62,6 +62,11 @@ class RouteArm(Arm):
     name: str
     dynamic: bool
     resignal: bool
+
+    def policy(self) -> QosPolicy:
+        """Every arm reserves the stream's lane; the arms differ only
+        in who heals the path after the cut."""
+        return QosPolicy(reservation=QosPolicy.flow(RESERVE_RATE_BPS))
 
 
 def route_arms() -> List[RouteArm]:
@@ -249,9 +254,8 @@ def run_route_experiment(
 
     def driver():
         result.sender, result.receiver = yield from bed.open_stream(
-            "uav-video",
-            StreamQoS(reserve_rate_bps=RESERVE_RATE_BPS, mandatory=True),
-            bed.rng.stream("video"), degrade_threshold=0.05)
+            "uav-video", arm.policy(), bed.rng.stream("video"),
+            degrade_threshold=0.05)
         result.sender.start()
 
     Process(kernel, driver(), name="route-experiment-driver")

@@ -98,16 +98,19 @@ def _arm_scenario(arm_type: type, run: Callable[..., Any]
     return call
 
 
-for _name, _arm_type, _run in (
-    ("priority", PriorityArm, run_priority_experiment),
-    ("reservation_net", NetworkArm, run_network_reservation_experiment),
-    ("reservation_cpu", CpuArm, run_cpu_reservation_experiment),
-    ("faults", FaultArm, run_fault_injection_experiment),
-    ("route", RouteArm, run_route_experiment),
-    ("capacity", CapacityArm, run_capacity_experiment),
-    ("scale", ScaleArm, run_scale_experiment),
-    ("pubsub", PubSubArm, run_pubsub_experiment),
-):
+#: The scenarios whose arms are :class:`~repro.experiments.arm.Arm`
+#: objects: registered name -> (arm class, run function).
+ARM_SCENARIOS: Dict[str, Tuple[type, Callable[..., Any]]] = {
+    "priority": (PriorityArm, run_priority_experiment),
+    "reservation_net": (NetworkArm, run_network_reservation_experiment),
+    "reservation_cpu": (CpuArm, run_cpu_reservation_experiment),
+    "faults": (FaultArm, run_fault_injection_experiment),
+    "route": (RouteArm, run_route_experiment),
+    "capacity": (CapacityArm, run_capacity_experiment),
+    "scale": (ScaleArm, run_scale_experiment),
+    "pubsub": (PubSubArm, run_pubsub_experiment),
+}
+for _name, (_arm_type, _run) in ARM_SCENARIOS.items():
     scenario(_name)(_arm_scenario(_arm_type, _run))
 
 

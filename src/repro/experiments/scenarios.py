@@ -26,8 +26,8 @@ from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.quo import Contract, Qosket, Region, ValueSC
 from repro.media import FrameFilter, MpegStream
-from repro.avstreams import StreamCtrl, StreamQoS
-from repro.core import FrameFilteringQosket
+from repro.avstreams import StreamCtrl
+from repro.core import FrameFilteringQosket, QosPolicy
 from repro.experiments.actors import (
     AvVideoReceiver,
     AvVideoSender,
@@ -180,18 +180,19 @@ def run_uav_pipeline(
     ctrl = StreamCtrl(kernel, bed.orbs["distributor"])
     actors: Dict[str, Any] = {}
 
+    reserved = QosPolicy(reservation=QosPolicy.flow(1.4e6))
+
     def setup():
         # UAV 1 -> distributor with a full RSVP reservation; the onward
-        # leg to display1 is reserved too.
-        yield from ctrl.bind("uav1-in", refs["uav1"], refs["distributor"],
-                             StreamQoS(reserve_rate_bps=1.4e6))
-        yield from ctrl.bind("uav1-out", refs["distributor"],
-                             refs["display1"],
-                             StreamQoS(reserve_rate_bps=1.4e6))
-        # UAV 2 -> distributor -> display2, best effort + adaptation.
-        yield from ctrl.bind("uav2-in", refs["uav2"], refs["distributor"])
-        yield from ctrl.bind("uav2-out", refs["distributor"],
-                             refs["display2"])
+        # leg to display1 is reserved too.  UAV 2 -> distributor ->
+        # display2 is best effort + adaptation.
+        for name, src, dst, policy in (
+                ("uav1-in", "uav1", "distributor", reserved),
+                ("uav1-out", "distributor", "display1", reserved),
+                ("uav2-in", "uav2", "distributor", QosPolicy()),
+                ("uav2-out", "distributor", "display2", QosPolicy())):
+            yield from bed.qos.open_stream(name, policy, ctrl, refs[src],
+                                           refs[dst])
 
         stream1 = MpegStream("uav1", rng=rng.stream("uav1"))
         sender1 = AvVideoSender(

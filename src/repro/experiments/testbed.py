@@ -30,8 +30,10 @@ from repro.orb.core import Orb
 from repro.orb.ior import ObjectReference
 from repro.media.filtering import FrameFilter
 from repro.media.mpeg import MpegStream
-from repro.avstreams.service import MMDeviceServant, StreamCtrl, StreamQoS
+from repro.avstreams.service import MMDeviceServant, StreamCtrl
 from repro.core.adaptation import FrameFilteringQosket
+from repro.core.manager import EndToEndQoSManager
+from repro.core.policies import QosPolicy
 from repro.check.world import World
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.faults import FaultInjector, FaultPlan
@@ -62,6 +64,8 @@ class Testbed:
         self.refs: Dict[str, ObjectReference] = {}
         #: What the suite inspects; exists once :meth:`watch` has run.
         self.world: Optional[World] = None
+        #: Applies every arm's :class:`~repro.core.policies.QosPolicy`.
+        self.qos = EndToEndQoSManager()
 
     # ------------------------------------------------------------------
     # Topology
@@ -130,7 +134,7 @@ class Testbed:
     def open_stream(
         self,
         name: str,
-        qos: StreamQoS,
+        policy: QosPolicy,
         rng: random.Random,
         degrade_threshold: Optional[float] = None,
         qosket_name: str = "frame-filtering",
@@ -144,7 +148,8 @@ class Testbed:
         :class:`~repro.media.mpeg.MpegStream` defaults).
 
         A generator for use inside a driver process:
-        ``sender, receiver = yield from bed.open_stream(...)``.  With a
+        ``sender, receiver = yield from bed.open_stream(...)``.  The
+        flow gets ``policy``'s network cells through :attr:`qos`.  With a
         ``degrade_threshold`` the sender runs the QuO frame-filtering
         contract, which is handed to the watched world so its
         object-level teardown laws are checked.  ``thread``,
@@ -153,7 +158,8 @@ class Testbed:
         the receiver's; the caller starts the sender.
         """
         ctrl = StreamCtrl(self.kernel, self.orbs["src"])
-        yield from ctrl.bind(name, self.refs["src"], self.refs["dst"], qos)
+        yield from self.qos.open_stream(name, policy, ctrl, self.refs["src"],
+                                        self.refs["dst"])
         producer = self.devices["src"].producer(name)
         consumer = self.devices["dst"].consumer(name)
         stream = MpegStream(name, rng=rng)

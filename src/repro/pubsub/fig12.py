@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.net.packet import HEADER_BYTES
+from repro.core.policies import QosPolicy as CorePolicy
 from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
@@ -144,6 +145,12 @@ class PubSubArm(Arm):
     durable: bool = False
     filtered: bool = False
     partition: bool = False
+
+    def policy(self) -> CorePolicy:
+        """No endpoint asks the manager for anything: fig 12's QoS is
+        declared in the pub-sub vocabulary (:func:`_arm_policies`), and
+        the broker books reserved matches with its own controller."""
+        return CorePolicy()
 
 
 def pubsub_arms() -> List[PubSubArm]:

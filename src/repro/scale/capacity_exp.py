@@ -48,8 +48,7 @@ from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.reserve import EnforcementPolicy
 from repro.net.diffserv import Dscp
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.rt import DscpMapping, LinearPriorityMapping
-from repro.avstreams.service import StreamQoS
+from repro.core.policies import QosPolicy
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
@@ -66,6 +65,8 @@ RESERVE_BUCKET_BYTES = 40_000
 ENCODE_COST = 0.002
 #: Reserve headroom over the raw encode cost (C = cost * headroom).
 ENCODE_RESERVE_HEADROOM = 1.5
+#: An admitted stream's (C, T) encode reserve: one frame per period.
+ENCODE_RESERVE = (ENCODE_COST * ENCODE_RESERVE_HEADROOM, 1.0 / VIDEO_FPS)
 #: Topology: fast access links into one 10 Mbps bottleneck.
 ACCESS_BPS = 1e9
 LOAD_LINK_BPS = 100e6
@@ -92,6 +93,22 @@ class CapacityArm(Arm):
     priorities: bool = False
     admission: bool = False
     adaptation: bool = False
+
+    def policy(self, corba: Optional[int], admitted: bool) -> QosPolicy:
+        """A stream's point given its CORBA lane and admission verdict.
+
+        The priority arm's lanes are priority + DSCP; an admitted
+        stream adds a HARD encode reserve and a mandatory RSVP
+        reservation; a rejected one falls back to best effort.
+        """
+        if admitted:
+            return QosPolicy(
+                corba, dscp=True, cpu=ENCODE_RESERVE,
+                enforcement=EnforcementPolicy.HARD,
+                reservation=QosPolicy.flow(RESERVE_BPS, RESERVE_BUCKET_BYTES))
+        if self.priorities and not self.admission:
+            return QosPolicy(corba, dscp=True)
+        return QosPolicy()
 
 
 def all_arms() -> List[CapacityArm]:
@@ -192,8 +209,8 @@ def stream_rng(registry: RngRegistry, stream_name: str) -> random.Random:
 
 
 #: One planned farm stream: (name, CORBA lane or None, admitted, encode
-#: thread or None, StreamQoS).
-StreamPlan = Tuple[str, Optional[int], bool, object, StreamQoS]
+#: thread or None, QosPolicy).
+StreamPlan = Tuple[str, Optional[int], bool, object, QosPolicy]
 
 
 def start_farm(bed: Testbed, process_name: str, plans: Sequence[StreamPlan],
@@ -211,9 +228,9 @@ def start_farm(bed: Testbed, process_name: str, plans: Sequence[StreamPlan],
     receivers: List[AvVideoReceiver] = []
 
     def driver():
-        for name, _corba, admitted, thread, qos in plans:
+        for name, _corba, admitted, thread, policy in plans:
             sender, receiver = yield from bed.open_stream(
-                name, qos, stream_rng(bed.rng, name),
+                name, policy, stream_rng(bed.rng, name),
                 degrade_threshold=(0.05 if adaptation and not admitted
                                    else None),
                 qosket_name=f"qosket:{name}", thread=thread,
@@ -294,7 +311,6 @@ def run_capacity_experiment(
     bed = Testbed(seed, checks, tracer)
     kernel = bed.kernel
     n = int(streams)
-    interval = 1.0 / VIDEO_FPS
 
     # --- shared topology: src/load -- router -- dst -------------------
     bed.star({"src": ACCESS_BPS, "dst": bottleneck_bps,
@@ -307,10 +323,7 @@ def run_capacity_experiment(
     # --- admission: controller books mirror the enforcement layers ----
     controller = AdmissionController.from_network(
         net, link_bound=UTILIZATION_BOUND)
-    native_mapping = LinearPriorityMapping()
-    dscp_mapping = DscpMapping()
-    src_host = bed.hosts["src"]
-    reserve_compute = ENCODE_COST * ENCODE_RESERVE_HEADROOM
+    src_host, src_orb = bed.hosts["src"], bed.orbs["src"]
 
     plans: List[StreamPlan] = []
     for i in range(n):
@@ -321,27 +334,17 @@ def run_capacity_experiment(
         if arm.admission:
             decision = controller.request(
                 name, src="src", dst="dst", rate_bps=RESERVE_BPS,
-                cpu={"src": (reserve_compute, interval)})
+                cpu={"src": ENCODE_RESERVE})
             admitted = decision.admitted
-        if admitted or (arm.priorities and not arm.admission):
-            dscp = dscp_mapping.to_dscp(corba)
-            native = native_mapping.to_native(corba, src_host.os_type)
-        else:
-            # Best-effort arm, or a rejected stream falling back.
-            dscp = Dscp.BE
-            native = None
-        thread = src_host.spawn_thread(f"enc-{name}", priority=native)
-        if admitted:
-            # The controller said yes, so these cannot raise: its books
-            # apply the same bounds the enforcement layers do.
-            src_host.reserve_manager.request(
-                thread, reserve_compute, interval, EnforcementPolicy.HARD)
-            qos = StreamQoS(dscp=dscp, reserve_rate_bps=RESERVE_BPS,
-                            bucket_bytes=RESERVE_BUCKET_BYTES,
-                            mandatory=True)
-        else:
-            qos = StreamQoS(dscp=dscp)
-        plans.append((name, corba, admitted, thread, qos))
+        policy = arm.policy(corba, admitted)
+        # The encode thread is spawned at its lane's native priority.
+        # An admitted stream's reserve cannot fail: the controller's
+        # books apply the same bounds the enforcement layers do.
+        thread = src_host.spawn_thread(
+            f"enc-{name}",
+            priority=bed.qos.native_priority(policy, src_host, src_orb))
+        bed.qos.apply(policy, src_host, thread=thread, orb=src_orb)
+        plans.append((name, corba, admitted, thread, policy))
 
     # --- background contention ---------------------------------------
     if cross_traffic_bps > 0:

@@ -61,8 +61,7 @@ from repro.net.diffserv import Dscp
 from repro.net.packet import HEADER_BYTES
 from repro.avstreams.endpoints import FRAGMENT_BYTES
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.rt import DscpMapping
-from repro.avstreams.service import StreamQoS
+from repro.core.policies import QosPolicy
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
@@ -113,6 +112,17 @@ class ScaleArm(Arm):
     admission: bool = False
     adaptation: bool = False
     overload: bool = False
+
+    def policy(self, corba: Optional[int], admitted: bool) -> QosPolicy:
+        """A measured stream's point given its CORBA lane and admission
+        verdict: an admitted stream is priority + DSCP with a mandatory
+        RSVP reservation (no CPU reserve: see the module docstring), a
+        rejected one best effort."""
+        if not admitted:
+            return QosPolicy()
+        return QosPolicy(
+            corba, dscp=True,
+            reservation=QosPolicy.flow(RESERVE_BPS, RESERVE_BUCKET_BYTES))
 
 
 def scale_arms() -> List[ScaleArm]:
@@ -313,18 +323,14 @@ def run_scale_experiment(
     admitted_idx = (_admit_population(controller, arm, n, max(1, tenants))
                     if arm.admission else [])
     admitted_set = set(admitted_idx)
-    dscp_mapping = DscpMapping()
 
     def plan_of(i: int) -> StreamPlan:
         """Stream ``i``'s plan; no encode thread (CPU is out of scope)."""
-        if i in admitted_set:
-            corba = BASE_CORBA_PRIORITY - (i % 1024) * (LANE_STEP // 5)
-            qos = StreamQoS(dscp=dscp_mapping.to_dscp(corba),
-                            reserve_rate_bps=RESERVE_BPS,
-                            bucket_bytes=RESERVE_BUCKET_BYTES,
-                            mandatory=True)
-            return _stream_name(i), corba, True, None, qos
-        return _stream_name(i), None, False, None, StreamQoS(dscp=Dscp.BE)
+        admitted = i in admitted_set
+        corba = (BASE_CORBA_PRIORITY - (i % 1024) * (LANE_STEP // 5)
+                 if admitted else None)
+        return (_stream_name(i), corba, admitted, None,
+                arm.policy(corba, admitted))
 
     # --- split the population: measured packet cohort vs fluid bulk ---
     if fluid:
@@ -344,7 +350,7 @@ def run_scale_experiment(
         fl_bott = engine.attach_interface(
             "router->dst", bottleneck.a,
             queue_bytes=BAND_CAPACITY * MEAN_FRAGMENT_BYTES)
-        for _name, _corba, admitted, _thread, _qos in measured_plan:
+        for _name, _corba, admitted, _thread, _policy in measured_plan:
             fl_bott.register_packet_load(WIRE_RATE_BPS, reserved=admitted)
         for first, reserved, members in _class_runs(
                 n, admitted_idx, set(measured_idx)):

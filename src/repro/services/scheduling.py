@@ -15,8 +15,8 @@ worst-case execution time); the service
   priority — spread across the RT-CORBA range so downstream mappings
   (native priorities, DSCPs) have room to differentiate.
 
-The produced CORBA priorities plug directly into
-:class:`repro.core.binding.EndToEndPriorityBinding` and thread-pool
+The produced CORBA priorities plug directly into a
+:class:`repro.core.policies.QosPolicy`'s ``priority`` and thread-pool
 lanes.
 """
 

@@ -7,11 +7,12 @@ from repro.oskernel import Host
 from repro.net import Dscp, GuaranteedRateQueue, Network
 from repro.orb import Orb
 from repro.media import MpegStream
+from repro.net.intserv import FlowSpec
+from repro.orb.core import OrbError
 from repro.avstreams import (
     AvStreamsError,
     MMDeviceServant,
     StreamCtrl,
-    StreamQoS,
 )
 
 
@@ -110,7 +111,7 @@ def test_bind_applies_dscp_to_media_packets():
 
     def body():
         yield from ctrl.bind("video1", refs["src"], refs["dst"],
-                             StreamQoS(dscp=Dscp.EF))
+                             dscp=Dscp.EF)
         producer = devices["src"].producer("video1")
         stream = MpegStream("video1")
         producer.send_frame(stream.next_frame(kernel.now))
@@ -130,7 +131,7 @@ def test_bind_with_reservation_installs_buckets():
     def body():
         binding = yield from ctrl.bind(
             "video1", refs["src"], refs["dst"],
-            StreamQoS(reserve_rate_bps=1.2e6),
+            reservation=FlowSpec(1.2e6, 20_000),
         )
         return binding
 
@@ -152,7 +153,7 @@ def test_mandatory_reservation_failure_raises_and_cleans_up():
         try:
             yield from ctrl.bind(
                 "video1", refs["src"], refs["dst"],
-                StreamQoS(reserve_rate_bps=1.2e6, mandatory=True),
+                reservation=FlowSpec(1.2e6, 20_000), mandatory=True,
             )
         except AvStreamsError as exc:
             failures.append(exc)
@@ -173,7 +174,7 @@ def test_optional_reservation_failure_falls_back_to_best_effort():
     def body():
         binding = yield from ctrl.bind(
             "video1", refs["src"], refs["dst"],
-            StreamQoS(reserve_rate_bps=1.2e6, mandatory=False),
+            reservation=FlowSpec(1.2e6, 20_000), mandatory=False,
         )
         return binding
 
@@ -190,7 +191,7 @@ def test_unbind_tears_down_flow_and_reservation():
     def body():
         binding = yield from ctrl.bind(
             "video1", refs["src"], refs["dst"],
-            StreamQoS(reserve_rate_bps=1.2e6),
+            reservation=FlowSpec(1.2e6, 20_000),
         )
         yield from ctrl.unbind(binding)
         return binding
@@ -222,4 +223,29 @@ def test_duplicate_flow_name_rejected():
 
 def test_stream_qos_validation():
     with pytest.raises(ValueError):
-        StreamQoS(reserve_rate_bps=0)
+        FlowSpec(0, 20_000)
+    with pytest.raises(ValueError):
+        FlowSpec(1.2e6, 0)
+
+
+def test_reserve_flow_rejects_a_malformed_flowspec_at_once():
+    """A bad remote flowspec is an error, not a retried 'not admitted'."""
+    kernel = Kernel()
+    net, orbs, devices, refs = rig(kernel, intserv=True)
+    ctrl = StreamCtrl(kernel, orbs["src"])
+    outcome = []
+
+    def body():
+        yield from ctrl.bind("video1", refs["src"], refs["dst"])
+        asked_at = kernel.now
+        try:
+            yield from ctrl._call(refs["dst"], "reserve_flow", "video1",
+                                  0, 20_000)
+        except OrbError as exc:
+            outcome.append((exc, kernel.now - asked_at))
+        return True
+
+    run_process(kernel, body)
+    ((error, waited),) = outcome
+    assert "rate must be positive" in str(error)
+    assert waited < 0.05  # no retry loop ran

@@ -209,7 +209,7 @@ def test_star_names_every_egress_by_the_rule():
 
 
 def test_a_filtered_stream_hands_its_contract_to_the_watched_world():
-    from repro.avstreams.service import StreamQoS
+    from repro.core.policies import QosPolicy
     from repro.sim.process import Process
 
     bed = testbed.Testbed(seed=1, checks=default_suite())
@@ -221,7 +221,7 @@ def test_a_filtered_stream_hands_its_contract_to_the_watched_world():
     def driver():
         for name, threshold in (("plain", None), ("shedding", 0.05)):
             sender, receiver = yield from bed.open_stream(
-                name, StreamQoS(), bed.rng.stream(name),
+                name, QosPolicy(), bed.rng.stream(name),
                 degrade_threshold=threshold, qosket_name=f"qosket:{name}")
             streams.append((sender, receiver))
             sender.start()

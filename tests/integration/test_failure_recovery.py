@@ -13,7 +13,8 @@ from repro.orb.cdr import OpaquePayload
 from repro.orb.core import raise_if_error
 from repro.orb.rt import ThreadPool
 from repro.media import MpegStream
-from repro.avstreams import MMDeviceServant, StreamCtrl, StreamQoS
+from repro.avstreams import MMDeviceServant, StreamCtrl
+from repro.core import EndToEndQoSManager, QosPolicy
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.experiments.actors import ATR, AtrServant
 from repro.experiments.reservation_cpu_exp import IMAGE_BYTES
@@ -42,6 +43,10 @@ def rig(kernel, refresh_interval=None):
     return net, orbs, devices, refs, link_src, link_dst
 
 
+#: A full reservation for the paper's ~1.2 Mbps stream.
+RESERVED = QosPolicy(reservation=QosPolicy.flow(1.4e6))
+
+
 def test_reserved_stream_resumes_after_link_flap():
     """Router reservation state is not connection state: after a 2 s
     outage the reserved flow must return to lossless delivery without
@@ -52,9 +57,8 @@ def test_reserved_stream_resumes_after_link_flap():
     delivered = []
 
     def scenario():
-        binding = yield from ctrl.bind(
-            "video", refs["src"], refs["dst"],
-            StreamQoS(reserve_rate_bps=1.4e6))
+        binding = yield from EndToEndQoSManager().open_stream(
+            "video", RESERVED, ctrl, refs["src"], refs["dst"])
         assert binding.reserved
         producer = devices["src"].producer("video")
         consumer = devices["dst"].consumer("video")
@@ -127,9 +131,8 @@ def test_reserved_stream_survives_router_crash_and_restart():
     delivered = []
 
     def scenario():
-        binding = yield from ctrl.bind(
-            "video", refs["src"], refs["dst"],
-            StreamQoS(reserve_rate_bps=1.4e6))
+        binding = yield from EndToEndQoSManager().open_stream(
+            "video", RESERVED, ctrl, refs["src"], refs["dst"])
         assert binding.reserved
         producer = devices["src"].producer("video")
         consumer = devices["dst"].consumer("video")

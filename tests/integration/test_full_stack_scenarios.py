@@ -9,12 +9,12 @@ from repro.net.traffic import CbrTrafficSource
 from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.orb.rt import PriorityModel, ThreadPool
-from repro.core import EndToEndQoSManager, PriorityPolicy
+from repro.core import EndToEndQoSManager, QosPolicy
 from repro.media import FrameFilter, MpegStream
 from repro.media.filtering import FilterLevel
 from repro.quo import Contract, Region, SyscondPublisher, start_mirror
 from repro.quo.syscond import DeliveredRateSC
-from repro.avstreams import MMDeviceServant, StreamCtrl, StreamQoS
+from repro.avstreams import MMDeviceServant, StreamCtrl
 from repro.services.naming import NamingClient, start_naming_service
 from repro.services.scheduling import RmsScheduler
 
@@ -73,7 +73,7 @@ def test_rms_priorities_flow_through_naming_to_dispatch():
         "tasks", thread_pool=pool,
         priority_model=PriorityModel.CLIENT_PROPAGATED)
     _, naming_ref = start_naming_service(orbs["registry"])
-    manager = EndToEndQoSManager(kernel, net)
+    manager = EndToEndQoSManager()
 
     def scenario():
         naming = NamingClient(orbs["server"], naming_ref)
@@ -85,9 +85,8 @@ def test_rms_priorities_flow_through_naming_to_dispatch():
         for task in ("guidance", "telemetry"):
             ref = yield from client_naming.resolve(f"tasks/{task}")
             stub = TICK.stub_class(orbs["control"], ref)
-            manager.apply_priority(
-                orbs["control"], PriorityPolicy(priorities[task]),
-                stub=stub)
+            manager.apply(QosPolicy(priorities[task]), net.host("control"),
+                          orb=orbs["control"], stub=stub)
             result = yield stub.tick(1)
             raise_if_error(result)
         return True
@@ -206,9 +205,9 @@ def test_priority_binding_and_reservation_compose_end_to_end():
     delivered = {"frames": 0}
 
     def scenario():
-        binding = yield from ctrl.bind(
-            "sensor", refs["platform"], refs["ops"],
-            StreamQoS(reserve_rate_bps=1.4e6))
+        binding = yield from EndToEndQoSManager().open_stream(
+            "sensor", QosPolicy(reservation=QosPolicy.flow(1.4e6)), ctrl,
+            refs["platform"], refs["ops"])
         assert binding.reserved
         producer = devices["platform"].producer("sensor")
         consumer = devices["ops"].consumer("sensor")
