@@ -8,9 +8,18 @@ twice, once with cohorts and once with every cohort spelled out as
 single flows by :class:`Expanded`, and the two worlds must agree with
 ``==`` — not approximately — on every link ledger, share, residual and
 queue delay and on every member's own ledgers.  The same holds for the
-arithmetic underneath, :func:`~repro.sim.quantize.add_repeated`.
+arithmetic underneath, :func:`~repro.sim.quantize.add_repeated`, whose
+oracle is the one-add-at-a-time loop compared by ``float.hex`` (so
+``-0.0`` is not ``0.0``): across signs and zero, on ties, subnormals,
+infinities and NaN, and from starts a few ulps inside a binade edge,
+where its binade-stepping jumps are easiest to get wrong.  A second
+set of cases at 10**12–10**15 terms, with answers known in closed form,
+guards its cost: a loop there would run for hours.
 """
 
+from math import ldexp, ulp
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fluid.engine import FluidEngine
@@ -21,7 +30,7 @@ QUANTUM = 1e-3
 CAPACITY = st.one_of(st.integers(1_000_000, 50_000_000).map(float),
                      st.floats(min_value=1e6, max_value=50e6))
 #: Integer-valued rates take the exact product path, the others the
-#: member-by-member loop; programs mix both on the same accumulators.
+#: binade-stepping replay; programs mix both on the same accumulators.
 RATE = st.one_of(st.integers(0, 30_000_000).map(float),
                  st.floats(min_value=0.0, max_value=30e6))
 DELAY = st.floats(min_value=0.0, max_value=0.5)
@@ -164,20 +173,100 @@ def test_prop_cohort_equals_its_expansion(cap1, cap2, ops, governor_delay):
             == sum(worlds[1].live.values()))
 
 
-@given(
-    st.one_of(st.integers(0, 2 ** 54).map(float),
-              st.floats(min_value=0.0, max_value=1e18)),
-    st.one_of(st.integers(0, 2 ** 40).map(float),
-              st.floats(min_value=0.0, max_value=1e12),
-              st.floats(min_value=0.0, max_value=1e-3)),
-    st.integers(0, 3000),
-)
-@settings(max_examples=300, deadline=None)
-def test_prop_add_repeated_is_the_loop(acc, value, times):
-    expected = acc
+def the_loop(acc, value, times):
     for _ in range(times):
-        expected += value
-    assert add_repeated(acc, value, times) == expected
+        acc += value
+    return acc
+
+
+MAGNITUDE = st.one_of(st.integers(0, 2 ** 54).map(float),
+                      st.floats(min_value=0.0, max_value=1e18),
+                      st.floats(min_value=0.0, max_value=1e-3))
+SIGNED = st.builds(lambda x, negate: -x if negate else x, MAGNITUDE,
+                   st.booleans())
+SUBNORMAL = st.integers(1 - 2 ** 52, 2 ** 52 - 1).map(
+    lambda n: n * 2.0 ** -1074)
+FINITE = st.one_of(SIGNED, SUBNORMAL)
+#: Every double, NaN and the infinities included.
+TERM = st.one_of(st.floats(), FINITE)
+SIGN = st.sampled_from((1.0, -1.0))
+
+
+@st.composite
+def zero_crossing(draw):
+    """``value`` carries ``acc`` through zero within about n adds."""
+    acc = draw(FINITE)
+    n = draw(st.integers(1, 2000))
+    return acc, -acc / n * draw(st.floats(min_value=0.5, max_value=2.0))
+
+
+@st.composite
+def tie(draw):
+    """``value`` half-way between two multiples of ``acc``'s ulp, so
+    the first add's increment depends on ``acc``'s last bit."""
+    acc = draw(FINITE)
+    return acc, draw(SIGN) * (draw(st.integers(0, 64)) + 0.5) * ulp(acc)
+
+
+@st.composite
+def binade_edge(draw):
+    """``acc`` a few ulps inside a binade, walking towards its edge:
+    growing from ``2**(e+1) - j*u`` or shrinking from ``2**e + j*u``,
+    by a ``value`` an exact, tie or in-between multiple of ``u``."""
+    e = draw(st.integers(-1022, 1023))
+    j = draw(st.integers(1, 64))
+    grow = draw(st.booleans())
+    u = ldexp(1.0, e - 52)
+    acc = ldexp(float(2 ** 53 - j if grow else 2 ** 52 + j), e - 52)
+    step = (draw(st.integers(0, 4)) + draw(st.sampled_from(
+        (0.0, 0.25, 0.375, 0.4375, 0.5, 0.625, 0.75)))) * u
+    sign = draw(SIGN)
+    return sign * acc, sign * (step if grow else -step)
+
+
+PAIR = st.one_of(st.tuples(TERM, TERM), zero_crossing(), tie(),
+                 binade_edge())
+
+
+@given(PAIR, st.integers(0, 3000))
+@settings(max_examples=1000, deadline=None)
+def test_prop_add_repeated_is_the_loop(pair, times):
+    acc, value = pair
+    assert (add_repeated(acc, value, times).hex()
+            == the_loop(acc, value, times).hex())
+
+
+@given(PAIR, st.integers(10_000, 200_000))
+@settings(max_examples=25, deadline=None)
+def test_prop_add_repeated_is_the_loop_over_long_runs(pair, times):
+    acc, value = pair
+    assert (add_repeated(acc, value, times).hex()
+            == the_loop(acc, value, times).hex())
+
+
+@pytest.mark.parametrize("acc, value, times, expected", [
+    # Dyadic, non-integer terms: every partial sum is exact.
+    (0.0, 2 ** -10, 10 ** 12, 10 ** 12 * 2 ** -10),
+    (0.0, 3 * 2 ** -20, 10 ** 12, 3 * 10 ** 12 * 2 ** -20),
+    # Fixed points: each add rounds back to where it started.
+    (2.0 ** 53, 1.0, 10 ** 15, 2.0 ** 53),
+    (1.0, 2 ** -54, 10 ** 15, 1.0),
+    # A tie from an odd last bit rounds up once, then never again.
+    (1.0 + 2 ** -52, 2 ** -53, 10 ** 15, 1.0 + 2 ** -51),
+])
+def test_add_repeated_costs_binades_not_terms(acc, value, times, expected):
+    assert add_repeated(acc, value, times).hex() == expected.hex()
+
+
+def test_add_repeated_refuses_a_negative_count():
+    """The loop books nothing for a negative count; the product form
+    once booked ``times * value`` anyway."""
+    with pytest.raises(ValueError):
+        add_repeated(0.0, 1.0, -3)
+
+
+def test_add_repeated_of_nothing_keeps_the_bits():
+    assert add_repeated(-0.0, 5.0, 0).hex() == (-0.0).hex()
 
 
 def test_add_repeated_refuses_the_product_when_it_rounds():
