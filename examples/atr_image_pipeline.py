@@ -59,15 +59,21 @@ def part2_simulated_contention():
         f"{name + ' ms':>16s}" for name in EDGE_DETECTORS
     )
     print(header)
+    means = {}
     for arm in all_arms():
         result = run_cpu_reservation_experiment(arm, duration=60.0)
         row = f"{arm.name:14s}"
         for name in EDGE_DETECTORS:
             stats = result.stats(name)
+            means[arm.name, name] = stats.mean
             row += f"{stats.mean * 1e3:8.1f}±{stats.std * 1e3:<6.1f}"
         print(row + f"  ({result.images_processed} images)")
     print("\nreservation restores no-load execution times under load,")
     print("exactly as the paper's Table 2 reports.")
+    for name in EDGE_DETECTORS:
+        idle = means["no-load", name]
+        assert means["load", name] > idle, name
+        assert abs(means["load+reserve", name] - idle) <= 0.02 * idle, name
 
 
 if __name__ == "__main__":

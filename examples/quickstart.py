@@ -16,7 +16,10 @@ from repro.experiments.scenarios import run_quickstart
 
 
 def main():
-    run_quickstart(verbose=True)
+    result = run_quickstart(verbose=True)
+    # What the output claims: the contract re-marked the third call EF.
+    assert [call[3] for call in result["calls"]] == ["BE", "BE", "EF"]
+    assert result["contract"].current_region == "congested"
 
 
 if __name__ == "__main__":

@@ -19,7 +19,15 @@ from repro.experiments.scenarios import run_uav_pipeline
 
 
 def main():
-    run_uav_pipeline(verbose=True)
+    actors = run_uav_pipeline(verbose=True)["actors"]
+    # What the output claims: the reserved stream loses nothing, and the
+    # filtering contract degrades during the burst and recovers after it.
+    delivery = actors["receiver1"].delivery
+    assert delivery.sent_count() > 0
+    assert delivery.received_count() == delivery.sent_count()
+    contract = actors["qosket2"].contract
+    assert "degraded" in [t.to_region for t in contract.transitions]
+    assert contract.current_region == "full"
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import ExperimentRunner, scenario_function
 from repro.experiments.scenario_registry import FIGURES, Figure
+from repro.faults.plan import FaultPlanError
 
 #: Scenario parameters ``--set`` may not touch: the global ``--seed``,
 #: the two that carry live objects, not JSON values, and the example
@@ -130,7 +131,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"running {figure.name}: {len(specs)} run(s) ...", file=sys.stderr)
     runner = ExperimentRunner(
         jobs=args.jobs, cache=False if args.no_cache else None)
-    print(figure.render(runner.payloads(specs)))
+    try:
+        payloads = runner.payloads(specs)
+    except FaultPlanError as exc:
+        raise SystemExit(f"bad fault_plan: {exc}") from None
+    print(figure.render(payloads))
     return 0
 
 
@@ -218,6 +223,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # A run that raises part-way still leaves every record emitted
         # before the raise in a flushed, closed file.
         result = function(**kwargs, tracer=tracer)
+    except FaultPlanError as exc:
+        raise SystemExit(f"bad fault_plan: {exc}") from None
     finally:
         tracer.close()
     if not args.quiet:

@@ -104,14 +104,6 @@ class FaultExperimentResult(StreamResult):
                 max((e for _, _, e in self.fault_windows),
                     default=self.duration))
 
-    def delivered_during_faults(self) -> int:
-        start, end = self.faulted_span
-        return self.sender_delivery.received_count(start, end)
-
-    def sent_during_faults(self) -> int:
-        start, end = self.faulted_span
-        return self.sender_delivery.sent_count(start, end)
-
     def recovery_rate_fps(self, settle: float = 5.0) -> float:
         """Delivered frame rate from after the post-fault settle to
         the end of the run."""

@@ -1,10 +1,11 @@
 """Compiling a :class:`~repro.faults.plan.FaultPlan` onto a simulation.
 
 The :class:`FaultInjector` resolves each event's symbolic targets
-(device names, flow ids, registered reserve names) against a live
-:class:`~repro.net.topology.Network`, schedules the begin/end edges on
-the kernel, and emits every lifecycle transition on the ``fault``
-trace layer.  An optional
+(link ends, node names, flow ids) against a live
+:class:`~repro.net.topology.Network` (a target the topology lacks is a
+:class:`~repro.faults.plan.FaultPlanError` at install), schedules the
+begin/end edges on the kernel, and emits every lifecycle transition on
+the ``fault`` trace layer.  An optional
 :class:`~repro.quo.syscond.FaultReporterSC` is notified at every edge
 so QuO contracts can react to outages the instant they start instead
 of waiting for loss statistics to accumulate.
@@ -19,13 +20,12 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
 from repro.sim.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
     from repro.net.topology import Network
-    from repro.oskernel.reserve import Reserve
     from repro.quo.syscond import FaultReporterSC
 
 __all__ = ["FaultInjector"]
@@ -40,7 +40,6 @@ class FaultInjector:
         The simulation kernel faults are scheduled on.
     network:
         Topology used to resolve ``link``/``node``/``flow`` targets.
-        May be None for plans that only revoke CPU reserves.
     reporter:
         Optional :class:`FaultReporterSC`; told when each fault starts
         and clears.
@@ -53,7 +52,7 @@ class FaultInjector:
     def __init__(
         self,
         kernel: Kernel,
-        network: Optional["Network"] = None,
+        network: "Network",
         reporter: Optional["FaultReporterSC"] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -61,27 +60,9 @@ class FaultInjector:
         self.network = network
         self.reporter = reporter
         self.rng = rng
-        self._reserves: Dict[str, Tuple[Callable[[], "Reserve"],
-                                        Optional["Reserve"]]] = {}
         #: (label, start, end) for every injected fault (observability;
         #: point events have end == start).
         self.injected: List[Tuple[str, float, float]] = []
-
-    # ------------------------------------------------------------------
-    # Target registration
-    # ------------------------------------------------------------------
-    def register_reserve(
-        self, name: str, admit: Callable[[], "Reserve"]
-    ) -> "Reserve":
-        """Register a revocable CPU reserve under ``name``.
-
-        ``admit`` performs the admission (returning the live
-        :class:`Reserve`); it is called once now and again on
-        re-admission after a timed revocation.
-        """
-        reserve = admit()
-        self._reserves[name] = (admit, reserve)
-        return reserve
 
     # ------------------------------------------------------------------
     # Compilation
@@ -140,10 +121,14 @@ class FaultInjector:
         return getattr(self, f"_compile_{event.kind}")(event)
 
     def _link_for(self, event: FaultEvent) -> "Link":
-        if self.network is None:
-            raise ValueError(
-                f"{event.label()}: a network is required to resolve links")
-        return self.network.link_between(*event.fields["link"])
+        try:
+            return self.network.link_between(*event.fields["link"])
+        except KeyError:
+            links = sorted(f"{link.a.owner.name}-{link.b.owner.name}"
+                           for link in self.network.links)
+            raise FaultPlanError(
+                f"fault {event.label()}: no such link; choose from: "
+                f"{', '.join(links)}") from None
 
     def _compile_link_flap(self, event):
         link = self._link_for(event)
@@ -184,10 +169,14 @@ class FaultInjector:
         return begin, end
 
     def _compile_node_crash(self, event):
-        if self.network is None:
-            raise ValueError(
-                f"{event.label()}: a network is required to resolve nodes")
-        device = self.network.device(event.fields["node"])
+        try:
+            device = self.network.device(event.fields["node"])
+        except KeyError:
+            nodes = sorted([host.name for host in self.network.hosts]
+                           + [router.name for router in self.network.routers])
+            raise FaultPlanError(
+                f"fault {event.label()}: no such node; choose from: "
+                f"{', '.join(nodes)}") from None
         interfaces = device.interfaces
         if isinstance(interfaces, dict):
             interfaces = list(interfaces.values())
@@ -208,9 +197,6 @@ class FaultInjector:
         return begin, end
 
     def _compile_resv_loss(self, event):
-        if self.network is None:
-            raise ValueError(
-                f"{event.label()}: a network is required to resolve flows")
         flow_id = str(event.fields["flow"])
         routers = self.network.routers
 
@@ -222,24 +208,3 @@ class FaultInjector:
 
         return begin, lambda: None
 
-    def _compile_reserve_revoke(self, event):
-        name = str(event.fields["reserve"])
-
-        def begin() -> None:
-            try:
-                _, reserve = self._reserves[name]
-            except KeyError:
-                raise KeyError(
-                    f"reserve {name!r} was never registered with the "
-                    f"injector") from None
-            if reserve is not None:
-                reserve.cancel()
-                admit, _ = self._reserves[name]
-                self._reserves[name] = (admit, None)
-
-        def end() -> None:
-            admit, reserve = self._reserves[name]
-            if reserve is None:
-                self._reserves[name] = (admit, admit())
-
-        return begin, end

@@ -35,17 +35,18 @@ Supported event kinds
     reservation (token bucket + booked rate) for one flow, without
     any signaling.  Models the stale/lost-state failures soft-state
     refresh exists to repair.
-``reserve_revoke``
-    CPU-reserve revocation: a registered reserve is cancelled at
-    ``at``; with a ``duration`` the injector re-admits an identical
-    reserve at ``at + duration``.
+
+A plan that names an unknown kind or field, a bad value, or (at
+install) a link or node the topology lacks raises
+:class:`FaultPlanError`, whose message names the event and the valid
+choices.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["FaultEvent", "FaultPlan", "KINDS"]
+__all__ = ["FaultEvent", "FaultPlan", "FaultPlanError", "KINDS"]
 
 #: kind -> (required fields, optional fields with defaults)
 KINDS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
@@ -55,10 +56,23 @@ KINDS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "link_degrade": (("link", "at", "duration", "factor"), {}),
     "node_crash": (("node", "at", "duration"), {"lose_state": True}),
     "resv_loss": (("flow", "at"), {}),
-    "reserve_revoke": (("reserve", "at"), {"duration": None}),
 }
 
 _WINDOWED = ("link_flap", "loss_burst", "link_degrade", "node_crash")
+
+
+class FaultPlanError(ValueError):
+    """A fault event that cannot be parsed or whose target is missing."""
+
+
+def _label(kind: str, fields: Dict[str, Any]) -> str:
+    """``kind:where``, e.g. ``link_flap:r1-dst``; just ``kind`` when the
+    fields name no target."""
+    if isinstance(fields.get("link"), (list, tuple)):
+        where = "-".join(str(end) for end in fields["link"])
+    else:
+        where = fields.get("node", fields.get("flow", fields.get("link")))
+    return kind if where is None else f"{kind}:{where}"
 
 
 class FaultEvent:
@@ -67,33 +81,35 @@ class FaultEvent:
     __slots__ = ("kind", "fields")
 
     def __init__(self, kind: str, **fields: Any) -> None:
+        def bad(problem: str) -> FaultPlanError:
+            return FaultPlanError(f"fault {_label(kind, fields)}: {problem}")
+
         if kind not in KINDS:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; expected one of "
-                f"{sorted(KINDS)}")
+            raise bad(f"unknown fault kind {kind!r}; choose from: "
+                      f"{', '.join(sorted(KINDS))}")
         required, optional = KINDS[kind]
         unknown = set(fields) - set(required) - set(optional)
         if unknown:
-            raise ValueError(f"{kind}: unexpected fields {sorted(unknown)}")
+            raise bad(f"unexpected fields {sorted(unknown)}; {kind} takes "
+                      f"{', '.join((*required, *optional))}")
         missing = [f for f in required if f not in fields]
         if missing:
-            raise ValueError(f"{kind}: missing fields {missing}")
+            raise bad(f"missing fields {missing}")
         merged = dict(optional)
         merged.update(fields)
         if merged["at"] < 0:
-            raise ValueError(f"{kind}: 'at' must be >= 0")
+            raise bad("'at' must be >= 0")
         duration = merged.get("duration")
         if kind in _WINDOWED and (duration is None or duration <= 0):
-            raise ValueError(f"{kind}: 'duration' must be positive")
+            raise bad("'duration' must be positive")
         if kind == "loss_burst" and not 0.0 < merged["loss"] <= 1.0:
-            raise ValueError("loss_burst: 'loss' must be in (0, 1]")
+            raise bad("'loss' must be in (0, 1]")
         if kind == "link_degrade" and not 0.0 < merged["factor"] < 1.0:
-            raise ValueError("link_degrade: 'factor' must be in (0, 1)")
+            raise bad("'factor' must be in (0, 1)")
         if "link" in merged:
             link = merged["link"]
             if not (isinstance(link, (list, tuple)) and len(link) == 2):
-                raise ValueError(
-                    f"{kind}: 'link' must be a [device, device] pair")
+                raise bad("'link' must be a [device, device] pair")
             merged["link"] = [str(link[0]), str(link[1])]
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "fields", merged)
@@ -120,16 +136,7 @@ class FaultEvent:
 
     def label(self) -> str:
         """Stable human-readable identity, e.g. ``link_flap:r1-dst``."""
-        f = self.fields
-        if "link" in f:
-            where = "-".join(f["link"])
-        elif "node" in f:
-            where = f["node"]
-        elif "flow" in f:
-            where = f["flow"]
-        else:
-            where = f["reserve"]
-        return f"{self.kind}:{where}"
+        return _label(self.kind, self.fields)
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -139,6 +146,9 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
+        if not isinstance(data, dict) or "kind" not in data:
+            raise FaultPlanError(
+                f"fault {data!r}: expected an object with a 'kind'")
         data = dict(data)
         kind = data.pop("kind")
         return cls(kind, **data)

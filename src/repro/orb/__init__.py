@@ -35,15 +35,10 @@ Subpackages
 
 ``core``
     The ORB itself: acceptors, connection cache, request lifecycle.
-
-``retry``
-    Client-side retry policy: bounded attempts, exponential backoff,
-    an overall deadline budget.
 """
 
 from repro.orb.cdr import CdrError, CdrInputStream, CdrOutputStream, OpaquePayload
 from repro.orb.core import ConnectionClosed, Orb, OrbError, RequestTimeout
-from repro.orb.retry import RetryPolicy
 from repro.orb.giop import (
     GiopMessage,
     ReplyStatus,
@@ -83,7 +78,6 @@ __all__ = [
     "PriorityModel",
     "ReplyStatus",
     "RequestTimeout",
-    "RetryPolicy",
     "SERVICE_ID_RT_CORBA_PRIORITY",
     "Servant",
     "ServiceContext",

@@ -24,10 +24,10 @@ demarshal/dispatch CPU cost, runs the servant, and sends the reply.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
-from repro.sim.process import Process, Signal
+from repro.sim.process import Signal
 from repro.oskernel.host import Host
 from repro.oskernel.thread import SimThread
 from repro.net.diffserv import Dscp
@@ -137,8 +137,6 @@ class Orb:
         self.requests_dispatched = 0
         #: Pending requests failed because their transport died.
         self.connection_failures = 0
-        #: Invocation attempts re-issued by a RetryPolicy.
-        self.requests_retried = 0
 
     # ------------------------------------------------------------------
     # POA management
@@ -151,9 +149,6 @@ class Orb:
         poa = Poa(self, name, **kwargs)
         self._poas[name] = poa
         return poa
-
-    def poa(self, name: str) -> "Poa":
-        return self._poas[name]
 
     def default_thread_pool(self) -> ThreadPool:
         """Lazy singleton pool used by POAs created without one."""
@@ -187,22 +182,9 @@ class Orb:
         dscp: Optional[Dscp] = None,
         response_expected: bool = True,
         timeout: Optional[float] = None,
-        retry: Optional["RetryPolicy"] = None,
     ) -> Signal:
         """Send a request; returns a signal fired with the reply message
-        (or an exception object for timeouts/system errors).
-
-        With a :class:`~repro.orb.retry.RetryPolicy`, transient
-        transport failures (timeouts, dead connections) are retried
-        with exponential backoff inside the policy's overall deadline
-        budget; the returned signal fires once, with the first
-        success or the final error.
-        """
-        if retry is not None and response_expected:
-            return self._invoke_with_retry(
-                objref, operation, body, opaques, thread, priority,
-                dscp, timeout, retry,
-            )
+        (or an exception object for timeouts/system errors)."""
         request_id = next(_request_ids)
         # Honor the target's priority model (embedded in its IOR).
         send_priority = priority
@@ -271,68 +253,6 @@ class Orb:
             work.done.wait(lambda _request: transmit())
         else:
             transmit()
-        return done
-
-    def _invoke_with_retry(
-        self,
-        objref: ObjectReference,
-        operation: str,
-        body: bytes,
-        opaques: Optional[list],
-        thread: Optional[SimThread],
-        priority: Optional[int],
-        dscp: Optional[Dscp],
-        timeout: Optional[float],
-        retry: "RetryPolicy",
-    ) -> Signal:
-        done = Signal(self.kernel, name=f"retry-{operation}")
-        deadline = (None if retry.deadline is None
-                    else self.kernel.now + retry.deadline)
-        per_try = timeout if timeout is not None else retry.per_try_timeout
-        attempts = [0]
-
-        def launch() -> None:
-            attempts[0] += 1
-            try_timeout = per_try
-            if deadline is not None:
-                remaining = deadline - self.kernel.now
-                if remaining <= 0:
-                    done.fire(RequestTimeout(
-                        f"{operation}: retry deadline exhausted after "
-                        f"{attempts[0] - 1} attempts"))
-                    return
-                try_timeout = (remaining if try_timeout is None
-                               else min(try_timeout, remaining))
-            inner = self.invoke(
-                objref, operation, body, opaques=opaques, thread=thread,
-                priority=priority, dscp=dscp, response_expected=True,
-                timeout=try_timeout,
-            )
-            inner.wait(settle)
-
-        def settle(value: Any) -> None:
-            if not isinstance(value, retry.retry_on):
-                done.fire(value)
-                return
-            if attempts[0] >= retry.max_attempts:
-                done.fire(value)
-                return
-            delay = retry.backoff_after(attempts[0])
-            if deadline is not None \
-                    and self.kernel.now + delay >= deadline:
-                done.fire(value)
-                return
-            self.requests_retried += 1
-            tracer = self.kernel.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "orb", "request.retry", operation=operation,
-                    attempt=attempts[0], backoff=delay,
-                    error=type(value).__name__,
-                )
-            self.kernel.schedule(delay, launch)
-
-        launch()
         return done
 
     def _effective_dscp(

@@ -15,7 +15,7 @@ assert the depth bound was never exceeded without replaying the run.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.pubsub.policies import HistoryKind
 
@@ -71,9 +71,6 @@ class HistoryCache:
         the cache itself keeps serving subsequent joiners.
         """
         return list(self._samples)
-
-    def peek_latest(self) -> Optional[Any]:
-        return self._samples[-1] if self._samples else None
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -13,9 +13,9 @@ onto this package:
 ``syscond``
     *System condition objects* are "wrapper facades that provide
     consistent interfaces to infrastructure mechanisms, services, and
-    managers" — here they probe the simulated OS/network substrate
-    (observed frame rate, loss, CPU load, reservation status) and
-    control knobs (DSCP, filter level).
+    managers" — here a stream's windowed loss rate, the faults the
+    injector reports active, and values an application or manager
+    sets.
 
 ``delegate``
     *Delegates* are in-band proxies "inserted into the path of object
@@ -36,25 +36,19 @@ from repro.quo.remote import (
     start_mirror,
 )
 from repro.quo.syscond import (
-    CpuUtilizationSC,
-    DeliveredRateSC,
     FaultReporterSC,
     LossRateSC,
-    ReservationStatusSC,
     SystemCondition,
     ValueSC,
 )
 
 __all__ = [
     "Contract",
-    "CpuUtilizationSC",
     "Delegate",
     "FaultReporterSC",
-    "DeliveredRateSC",
     "LossRateSC",
     "Qosket",
     "Region",
-    "ReservationStatusSC",
     "SyscondMirrorServant",
     "SyscondPublisher",
     "SystemCondition",

@@ -55,9 +55,6 @@ class Delegate:
     def contract(self) -> Contract:
         return self._contract
 
-    def set_behavior(self, region_name: str, behavior: Behavior) -> None:
-        self._behaviors[region_name] = behavior
-
     # ------------------------------------------------------------------
     # Transparent proxying
     # ------------------------------------------------------------------

@@ -5,15 +5,15 @@ aspect of the system behind a uniform interface: ``value`` reads the
 current state, ``changed`` is a signal fired when it moves, and
 ``observers`` (typically contracts) are re-evaluated on change.
 
-The concrete conditions below cover what the paper's application
-contracts watch: delivered frame rate, loss rate, CPU utilization, and
-reservation state.
+The concrete conditions below are the ones the figures' contracts
+watch: :class:`ValueSC`, set by the application or a manager;
+:class:`LossRateSC`, the windowed loss of one A/V stream; and
+:class:`FaultReporterSC`, the faults the injector reports active.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Any, Callable, List, Optional
 
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -87,33 +87,6 @@ class _PolledCondition(SystemCondition):
         raise NotImplementedError
 
 
-class DeliveredRateSC(_PolledCondition):
-    """Observed event rate (e.g. frames/second) over a sliding window.
-
-    Call :meth:`record` on each delivery.
-    """
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        name: str,
-        window: float = 1.0,
-        update_interval: float = 0.5,
-    ) -> None:
-        super().__init__(kernel, name, update_interval)
-        self.window = float(window)
-        self._arrivals: deque = deque()
-
-    def record(self) -> None:
-        self._arrivals.append(self.kernel.now)
-
-    def _sample(self) -> None:
-        cutoff = self.kernel.now - self.window
-        while self._arrivals and self._arrivals[0] < cutoff:
-            self._arrivals.popleft()
-        self._update(len(self._arrivals) / self.window)
-
-
 class LossRateSC(_PolledCondition):
     """Loss fraction over a sliding window of send/receive events.
 
@@ -150,33 +123,6 @@ class LossRateSC(_PolledCondition):
         self._update(max(0, sent - received) / sent)
 
 
-class CpuUtilizationSC(_PolledCondition):
-    """Windowed CPU utilization of one host."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        name: str,
-        host,
-        update_interval: float = 0.5,
-    ) -> None:
-        super().__init__(kernel, name, update_interval)
-        self.host = host
-        self._last_busy = 0.0
-        self._last_time = kernel.now
-
-    def _sample(self) -> None:
-        # Charge the in-flight slice so the reading is current.
-        self.host.cpu.reschedule()
-        busy = self.host.cpu.busy_time
-        now = self.kernel.now
-        elapsed = now - self._last_time
-        if elapsed > 0:
-            self._update(min(1.0, (busy - self._last_busy) / elapsed))
-        self._last_busy = busy
-        self._last_time = now
-
-
 class FaultReporterSC(SystemCondition):
     """The set of currently-active injected (or detected) faults.
 
@@ -211,16 +157,3 @@ class FaultReporterSC(SystemCondition):
             self._active.remove(label)
             self._update(len(self._active))
 
-
-class ReservationStatusSC(SystemCondition):
-    """Tracks an RSVP reservation's state string."""
-
-    def __init__(self, kernel: Kernel, name: str, reservation) -> None:
-        super().__init__(kernel, name, initial=reservation.state)
-        self.reservation = reservation
-        reservation.established.wait(
-            lambda _ok: self._update(reservation.state)
-        )
-
-    def refresh(self) -> None:
-        self._update(self.reservation.state)

@@ -263,9 +263,6 @@ class ScaleResult(ArmResult):
     def rejected_count(self) -> int:
         return self.streams - self.admitted_count
 
-    def class_stats(self, admitted: bool) -> Optional[ScaleClassStats]:
-        return self.admitted_stats if admitted else self.best_effort_stats
-
 
 def _percentile(values: List[float], fraction: float) -> Optional[float]:
     if not values:

@@ -20,7 +20,7 @@ Public surface
 
 ``Process``
     A generator-based coroutine executing on a kernel.  Processes yield
-    :class:`Timeout`, :class:`Signal`, or other processes to suspend.
+    :class:`Timeout` (or a bare number) or :class:`Signal` to suspend.
 
 ``Signal``
     A broadcast wake-up primitive with optional payload.
@@ -33,8 +33,6 @@ Public surface
 from repro.sim.coalesce import PeriodicTicker, TickCoalescer
 from repro.sim.kernel import Kernel, ScheduledEvent, SimulationError
 from repro.sim.process import (
-    AnyOf,
-    Interrupt,
     Process,
     ProcessError,
     Signal,
@@ -43,8 +41,6 @@ from repro.sim.process import (
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AnyOf",
-    "Interrupt",
     "Kernel",
     "PeriodicTicker",
     "Process",

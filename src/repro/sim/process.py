@@ -11,39 +11,21 @@ one of:
     Resume when the signal fires; the fired value is sent back into the
     generator.
 
-another ``Process``
-    Resume when that process terminates; its return value is sent back.
-
-``AnyOf([...])``
-    Resume when the first of several waitables completes; the generator
-    receives ``(index, value)``.
-
-Processes can be interrupted (:meth:`Process.interrupt`), which raises
-:class:`Interrupt` inside the generator at its current yield point —
-this is how e.g. a dropped network connection aborts a blocked reader.
+A process's ``return`` value is kept in :attr:`Process.result`.  An
+exception escaping the generator stops the run with a
+:class:`ProcessError`: no caller waits on a process, so there is no one
+else to hand it to.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
-from repro.sim.kernel import Kernel, ScheduledEvent, SimulationError
+from repro.sim.kernel import Kernel, SimulationError
 
 
 class ProcessError(SimulationError):
-    """An error in process wiring (bad yield value, double wait, ...)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+    """A process yielded something it cannot wait on, or raised."""
 
 
 class Timeout:
@@ -79,17 +61,9 @@ class Signal:
         #: Number of times the signal has fired (observability).
         self.fire_count = 0
 
-    def wait(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Register ``callback``; returns a deregistration function."""
+    def wait(self, callback: Callable[[Any], None]) -> None:
+        """Call ``callback(value)`` at the next fire."""
         self._waiters.append(callback)
-
-        def cancel() -> None:
-            try:
-                self._waiters.remove(callback)
-            except ValueError:
-                pass
-
-        return cancel
 
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters with ``value``; returns waiter count."""
@@ -99,26 +73,8 @@ class Signal:
             self._kernel.schedule(0.0, callback, value)
         return len(waiters)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Signal {self.name!r} waiters={len(self._waiters)}>"
-
-
-class AnyOf:
-    """Yieldable: wait for the first of several waitables.
-
-    ``waitables`` may contain :class:`Timeout`, :class:`Signal` and
-    :class:`Process` instances.  The yielding process receives a tuple
-    ``(index, value)`` identifying which waitable completed first.
-    """
-
-    def __init__(self, waitables: Iterable[Any]) -> None:
-        self.waitables = list(waitables)
-        if not self.waitables:
-            raise ProcessError("AnyOf requires at least one waitable")
 
 
 class Process:
@@ -148,66 +104,18 @@ class Process:
         self.result: Any = None
         #: Exception that terminated the process, if any.
         self.error: Optional[BaseException] = None
-        self._completion = Signal(kernel, name=f"{name}.done")
-        self._pending_event: Optional[ScheduledEvent] = None
-        self._pending_cancels: List[Callable[[], None]] = []
         # Start on the next kernel tick so construction order does not
         # matter within a single simulated instant.
-        kernel.schedule(0.0, self._resume, ("send", None))
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def join(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Invoke ``callback(result)`` when the process terminates.
-
-        If the process already terminated the callback fires on the next
-        kernel tick.
-        """
-        if not self.alive:
-            handle = self.kernel.schedule(0.0, callback, self.result)
-            return handle.cancel
-        return self._completion.wait(callback)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the generator.
-
-        No-op on a dead process.  Any wait the process was blocked on is
-        cancelled first.
-        """
-        if not self.alive:
-            return
-        self._cancel_waits()
-        self.kernel.schedule(0.0, self._resume, ("throw", Interrupt(cause)))
+        kernel.schedule(0.0, self._resume, None)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cancel_waits(self) -> None:
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        for cancel in self._pending_cancels:
-            cancel()
-        self._pending_cancels = []
-
-    def _resume(self, action: tuple) -> None:
-        if not self.alive:
-            return
-        kind, payload = action
-        self._pending_event = None
-        self._pending_cancels = []
+    def _resume(self, value: Any) -> None:
         try:
-            if kind == "send":
-                yielded = self._generator.send(payload)
-            else:
-                yielded = self._generator.throw(payload)
+            yielded = self._generator.send(value)
         except StopIteration as stop:
             self._finish(result=stop.value)
-            return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
-            self._finish(result=None)
             return
         except Exception as exc:
             self._finish(error=exc)
@@ -224,10 +132,7 @@ class Process:
         self.alive = False
         self.result = result
         self.error = error
-        observers = self._completion.fire(result)
-        if error is not None and observers == 0:
-            # Nobody is joined to observe the failure: surface it rather
-            # than letting the error pass silently (Zen of Python).
+        if error is not None:
             raise ProcessError(
                 f"process {self.name!r} died: {error!r}"
             ) from error
@@ -237,52 +142,15 @@ class Process:
         if isinstance(yielded, (int, float)):
             yielded = Timeout(yielded)
         if isinstance(yielded, Timeout):
-            self._pending_event = self.kernel.schedule(
-                yielded.delay, self._resume, ("send", None)
-            )
+            self.kernel.schedule(yielded.delay, self._resume, None)
         elif isinstance(yielded, Signal):
-            self._pending_cancels.append(
-                yielded.wait(lambda value: self._resume(("send", value)))
-            )
-        elif isinstance(yielded, Process):
-            self._pending_cancels.append(
-                yielded.join(lambda value: self._resume(("send", value)))
-            )
-        elif isinstance(yielded, AnyOf):
-            self._arm_any_of(yielded)
+            # A lambda, not the bound method: the traced dispatch record
+            # names this callback by its qualname.
+            yielded.wait(lambda value: self._resume(value))
         else:
             raise ProcessError(
                 f"process {self.name!r} yielded unsupported value: {yielded!r}"
             )
-
-    def _arm_any_of(self, any_of: AnyOf) -> None:
-        done = {"flag": False}
-
-        def make_callback(index: int) -> Callable[[Any], None]:
-            def callback(value: Any) -> None:
-                if done["flag"] or not self.alive:
-                    return
-                done["flag"] = True
-                self._cancel_waits()
-                self._resume(("send", (index, value)))
-
-            return callback
-
-        for index, waitable in enumerate(any_of.waitables):
-            callback = make_callback(index)
-            if isinstance(waitable, (int, float)):
-                waitable = Timeout(waitable)
-            if isinstance(waitable, Timeout):
-                handle = self.kernel.schedule(waitable.delay, callback, None)
-                self._pending_cancels.append(handle.cancel)
-            elif isinstance(waitable, Signal):
-                self._pending_cancels.append(waitable.wait(callback))
-            elif isinstance(waitable, Process):
-                self._pending_cancels.append(waitable.join(callback))
-            else:
-                raise ProcessError(
-                    f"AnyOf contains unsupported waitable: {waitable!r}"
-                )
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.alive else "done"

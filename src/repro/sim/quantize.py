@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import frexp, ldexp, ulp
 from sys import float_info
 
-__all__ = ["EPSILON", "add_repeated", "clamp", "is_zero"]
+__all__ = ["EPSILON", "add_repeated", "clamp"]
 
 #: The one epsilon for budget/token comparisons across the stack.
 EPSILON = 1e-9
@@ -112,8 +112,3 @@ def clamp(value: float, lo: float, hi: float) -> float:
     if value > hi:
         return hi
     return value
-
-
-def is_zero(value: float) -> bool:
-    """True if ``value`` is indistinguishable from an exhausted budget."""
-    return value <= EPSILON

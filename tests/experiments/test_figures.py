@@ -187,6 +187,33 @@ def test_bad_set_is_rejected_with_the_choices(setting, message):
         main(["run", "table1", "--set", setting])
 
 
+_FLAP = '"at": 1, "duration": 1'
+
+
+@pytest.mark.parametrize("event, message", [
+    ('{"kind": "meteor", "at": 1}',
+     "fault meteor: unknown fault kind 'meteor'; choose from: link_degrade, "
+     "link_down, link_flap, loss_burst, node_crash, resv_loss$"),
+    ('{"kind": "reserve_revoke", "reserve": "atr", "at": 1}',
+     "unknown fault kind 'reserve_revoke'"),
+    ('{"kind": "link_flap", "link": ["nosuch", "router"], ' + _FLAP + '}',
+     "fault link_flap:nosuch-router: no such link; "
+     "choose from: router-dst, src-router$"),
+    ('{"kind": "node_crash", "node": "rtr", ' + _FLAP + '}',
+     "fault node_crash:rtr: no such node; choose from: dst, router, src$"),
+], ids=["kind", "reserve_revoke", "link", "node"])
+@pytest.mark.parametrize("verb", [
+    ["--no-cache", "run", "fig8"],
+    ["trace", "--quiet", "--scenario", "fig8"],
+], ids=["run", "trace"])
+def test_bad_fault_plan_exits_with_one_line(verb, event, message):
+    with pytest.raises(SystemExit, match=message) as exit_info:
+        main([*verb, "--arm", "static", "--set", "duration=2",
+              "--set", f"fault_plan=[{event}]"])
+    assert str(exit_info.value).startswith("bad fault_plan: fault ")
+    assert "\n" not in str(exit_info.value)
+
+
 def test_ablation_arms_are_chosen_with_arm_not_set():
     with pytest.raises(SystemExit, match="unknown --set key"):
         main(["run", "ablation_ecn", "--set", "use_red=true"])

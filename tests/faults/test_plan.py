@@ -69,11 +69,6 @@ def test_node_crash_loses_state_by_default():
     assert event.until == pytest.approx(3.0)
 
 
-def test_reserve_revoke_is_point_event_without_duration():
-    event = FaultEvent("reserve_revoke", reserve="atr", at=4.0)
-    assert event.until is None
-
-
 def test_labels_are_stable():
     assert FaultEvent("link_flap", link=["r1", "dst"], at=0.0,
                       duration=1.0).label() == "link_flap:r1-dst"
@@ -81,8 +76,6 @@ def test_labels_are_stable():
                       duration=1.0).label() == "node_crash:r1"
     assert FaultEvent("resv_loss", flow="video",
                       at=0.0).label() == "resv_loss:video"
-    assert FaultEvent("reserve_revoke", reserve="atr",
-                      at=0.0).label() == "reserve_revoke:atr"
 
 
 def test_plan_windows_and_horizon():
@@ -116,7 +109,7 @@ def test_dict_round_trip_preserves_plan():
                    loss=0.3),
         FaultEvent("node_crash", node="r", at=20.0, duration=1.0,
                    lose_state=False),
-        FaultEvent("reserve_revoke", reserve="atr", at=25.0, duration=2.0),
+        FaultEvent("resv_loss", flow="video", at=25.0),
     ])
     assert FaultPlan.from_dicts(plan.to_dicts()) == plan
 

@@ -3,21 +3,14 @@
 import pytest
 
 from repro.sim import Kernel, Process
-from repro.sim.rng import RngRegistry
 from repro.oskernel import Host
-from repro.oskernel.loadgen import CpuLoadGenerator
-from repro.oskernel.reserve import EnforcementPolicy
 from repro.net import GuaranteedRateQueue, Network
 from repro.orb import Orb, compile_idl
-from repro.orb.cdr import OpaquePayload
 from repro.orb.core import raise_if_error
-from repro.orb.rt import ThreadPool
 from repro.media import MpegStream
 from repro.avstreams import MMDeviceServant, StreamCtrl
 from repro.core import EndToEndQoSManager, QosPolicy
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.experiments.actors import ATR, AtrServant
-from repro.experiments.reservation_cpu_exp import IMAGE_BYTES
 
 
 def rig(kernel, refresh_interval=None):
@@ -165,73 +158,3 @@ def test_reserved_stream_survives_router_crash_and_restart():
     # alone — no re-bind, no re-signaling by the application.
     assert "avflow:video" in egress.qdisc.reserved_flows()
     assert router.rsvp_agent.reserved_rate(egress) == pytest.approx(1.4e6)
-
-
-def test_atr_pipeline_recovers_from_reserve_revocation():
-    """Revoking the ATR worker's CPU reserve under competing load must
-    degrade image throughput; re-admission must restore it to the
-    pre-fault band (the Table 2 rig under a reserve_revoke fault)."""
-    kernel = Kernel()
-    rng = RngRegistry(seed=1)
-    client_host = Host(kernel, "client")
-    server_host = Host(kernel, "atr-server")
-    net = Network(kernel, default_bandwidth_bps=100e6)
-    net.attach_host(client_host)
-    net.attach_host(server_host)
-    net.link(client_host, server_host)
-    net.compute_routes()
-    client_orb = Orb(kernel, client_host, net)
-    server_orb = Orb(kernel, server_host, net)
-
-    pool = ThreadPool(kernel, server_host, server_orb.mapping_manager,
-                      lanes=[(0, 1)], name="atr-pool")
-    poa = server_orb.create_poa("atr", thread_pool=pool)
-    servant = AtrServant(kernel)
-    objref = poa.activate_object(servant, oid="atr")
-    worker = pool.lanes[0].threads[0]
-
-    # Heavy bursty load above the worker's priority: without the
-    # reserve the worker only gets the load's leftovers.
-    load = CpuLoadGenerator(kernel, server_host, priority=60,
-                            duty_cycle=0.5, burst_mean=0.08,
-                            rng=rng.stream("cpuload"))
-    load.start()
-
-    injector = FaultInjector(kernel)
-    injector.register_reserve(
-        "atr-worker",
-        lambda: server_host.reserve_manager.request(
-            worker, compute=0.45, period=0.5,
-            policy=EnforcementPolicy.SOFT))
-    injector.install(FaultPlan([
-        FaultEvent("reserve_revoke", reserve="atr-worker",
-                   at=12.0, duration=12.0)]))
-
-    completions = []
-    client_thread = client_host.spawn_thread("imagesource", priority=10)
-    stub = ATR.stub_class(client_orb, objref, thread=client_thread)
-
-    def client():
-        index = 0
-        while kernel.now < 36.0:
-            image = OpaquePayload({"image": index % 4}, nbytes=IMAGE_BYTES)
-            reply = yield stub.detect(image)
-            raise_if_error(reply)
-            completions.append(kernel.now)
-            index += 1
-
-    Process(kernel, client(), name="image-client")
-    kernel.run(until=36.0)
-
-    def rate(lo, hi):
-        return sum(1 for t in completions if lo <= t < hi) / (hi - lo)
-
-    pre = rate(2.0, 12.0)
-    during = rate(13.0, 24.0)
-    post = rate(26.0, 36.0)
-    assert pre > 0
-    # Revocation bites: measurably fewer images per second.
-    assert during < 0.8 * pre
-    # Re-admission at 24 s: throughput back in the pre-fault band.
-    assert post >= 0.85 * pre
-    assert worker.reserve is not None and worker.reserve.active

@@ -10,10 +10,11 @@ from repro.orb import Orb, compile_idl
 from repro.orb.core import raise_if_error
 from repro.orb.rt import PriorityModel, ThreadPool
 from repro.core import EndToEndQoSManager, QosPolicy
+from repro.core.metrics import DeliveryRecorder
 from repro.media import FrameFilter, MpegStream
 from repro.media.filtering import FilterLevel
 from repro.quo import Contract, Region, SyscondPublisher, start_mirror
-from repro.quo.syscond import DeliveredRateSC
+from repro.quo.syscond import LossRateSC
 from repro.avstreams import MMDeviceServant, StreamCtrl
 from repro.services.naming import NamingClient, start_naming_service
 from repro.services.scheduling import RmsScheduler
@@ -103,10 +104,10 @@ def test_rms_priorities_flow_through_naming_to_dispatch():
 
 
 def test_distributed_adaptation_loop_over_real_control_channel():
-    """The full QuO loop with *no simulation shortcuts*: the receiver
-    measures its delivered frame rate and publishes it through a real
-    CORBA control channel to a mirror beside the sender, whose contract
-    adapts the frame filter."""
+    """The full QuO loop over the wire: the receiver's windowed loss
+    rate, read from the stream's delivery recorder, is published
+    through a real CORBA control channel to a mirror beside the sender,
+    whose contract adapts the frame filter."""
     kernel = Kernel()
     net, _ = star(kernel, ["src", "dst", "noise"], bandwidth=10e6)
     orbs = {name: Orb(kernel, net.host(name), net) for name in ("src", "dst")}
@@ -121,21 +122,23 @@ def test_distributed_adaptation_loop_over_real_control_channel():
 
     # Sender side: mirror + contract + filter.
     mirror, mirror_ref = start_mirror(orbs["src"])
-    delivered_fps = mirror.condition("delivered_fps", initial=30.0)
+    remote_loss = mirror.condition("loss", initial=0.0)
     frame_filter = FrameFilter()
     contract = Contract(kernel, "remote-loop", regions=[
-        Region("starved", lambda s: s["delivered_fps"] < 20.0,
+        Region("starved", lambda s: s["loss"] > 0.2,
                on_enter=lambda c: frame_filter.set_level(FilterLevel.LOW)),
         Region("ok"),
     ])
-    contract.attach(delivered_fps)
+    contract.attach(remote_loss)
     contract.evaluate()
 
-    # Receiver side: measured rate published over the wire.
+    # Receiver side: measured loss published over the wire.
     publisher = SyscondPublisher(orbs["dst"], mirror_ref, min_interval=0.5)
-    rate = DeliveredRateSC(kernel, "fps", window=1.0, update_interval=0.5)
-    rate.observe(lambda c: publisher.publish("delivered_fps", c.value))
-    rate.start()
+    delivery = DeliveryRecorder("video")
+    loss = LossRateSC(kernel, "loss", window=1.0, update_interval=0.5)
+    loss.recorder = delivery
+    loss.observe(lambda c: publisher.publish("loss", c.value))
+    loss.start()
 
     ctrl = StreamCtrl(kernel, orbs["src"])
     state = {}
@@ -144,7 +147,8 @@ def test_distributed_adaptation_loop_over_real_control_channel():
         yield from ctrl.bind("video", refs["src"], refs["dst"])
         producer = devices["src"].producer("video")
         consumer = devices["dst"].consumer("video")
-        consumer.on_frame = lambda frame, latency: rate.record()
+        consumer.on_frame = (lambda frame, latency: delivery.record_received(
+            kernel.now, kernel.now - latency))
         stream = MpegStream("video")
         state["producer"] = producer
 
@@ -152,6 +156,7 @@ def test_distributed_adaptation_loop_over_real_control_channel():
             while True:
                 frame = stream.next_frame(kernel.now)
                 if frame_filter.accept(frame):
+                    delivery.record_sent(kernel.now)
                     producer.send_frame(frame)
                 yield stream.frame_interval
 
@@ -163,7 +168,7 @@ def test_distributed_adaptation_loop_over_real_control_channel():
                              rate_bps=40e6)
     kernel.schedule(5.0, noise.start)
     kernel.run(until=15.0)
-    rate.stop()
+    loss.stop()
     noise.stop()
 
     # The loop closed: the sender adapted purely from remote telemetry.

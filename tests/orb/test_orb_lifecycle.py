@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Kernel, Process, Signal
+from repro.sim import Kernel, Process
 from repro.oskernel import Host
 from repro.net import Network
 from repro.orb import Orb, OrbError, compile_idl
@@ -132,16 +132,3 @@ def test_servant_compute_outside_dispatch_rejected():
     poa.activate_object(servant)
     with pytest.raises(PoaError):
         servant.compute(0.1)  # activated, but no dispatch in progress
-
-
-def test_signal_deregistration():
-    kernel = Kernel()
-    signal = Signal(kernel, name="x")
-    seen = []
-    cancel = signal.wait(seen.append)
-    assert signal.waiter_count == 1
-    cancel()
-    assert signal.waiter_count == 0
-    signal.fire("nope")
-    kernel.run()
-    assert seen == []

@@ -1,15 +1,12 @@
-"""Client-side failure handling: dead connections and RetryPolicy.
+"""Client-side failure handling: dead connections.
 
 Regression suite for the hang bug: a request in flight when its
 StreamConnection gave up (``MAX_CONSECUTIVE_RTOS`` unanswered RTOs)
 used to wait forever if it had no explicit timeout — the reply could
 never arrive, yet nothing failed the pending entry.  Connections now
 report their death to the ORB, which fails every stranded request
-with :class:`ConnectionClosed`; a :class:`RetryPolicy` can then turn
-those transient failures into eventual success.
+with :class:`ConnectionClosed`.
 """
-
-import pytest
 
 from repro.sim import Kernel
 from repro.oskernel import Host
@@ -17,9 +14,7 @@ from repro.net import GuaranteedRateQueue, Network, StreamConnection
 from repro.orb import (
     ConnectionClosed,
     Orb,
-    OrbError,
     RequestTimeout,
-    RetryPolicy,
     compile_idl,
 )
 
@@ -32,12 +27,7 @@ class EchoServant(ECHO.skeleton_class):
         return n
 
 
-class FaultyServant(ECHO.skeleton_class):
-    def ping(self, n):
-        raise RuntimeError("servant exploded")
-
-
-def rig(kernel, servant_class=EchoServant):
+def rig(kernel):
     net = Network(kernel, default_bandwidth_bps=10e6)
     for name in ("client", "server"):
         net.attach_host(Host(kernel, name))
@@ -52,7 +42,7 @@ def rig(kernel, servant_class=EchoServant):
     orbs = {name: Orb(kernel, net.host(name), net) for name in
             ("client", "server")}
     poa = orbs["server"].create_poa("echo")
-    objref = poa.activate_object(servant_class())
+    objref = poa.activate_object(EchoServant())
     return orbs["client"], objref, link
 
 
@@ -118,118 +108,3 @@ def test_request_timeout_unaffected_by_close_cleanup():
     assert isinstance(outcomes[0], RequestTimeout)
     # It left _pending on timeout, so the close found nothing to fail.
     assert orb.connection_failures == 0
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy mechanics
-# ----------------------------------------------------------------------
-def test_retry_policy_validation_and_backoff():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(initial_backoff=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(multiplier=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(deadline=0)
-    policy = RetryPolicy(initial_backoff=0.1, multiplier=2.0, max_backoff=0.5)
-    assert policy.backoff_after(1) == pytest.approx(0.1)
-    assert policy.backoff_after(2) == pytest.approx(0.2)
-    assert policy.backoff_after(3) == pytest.approx(0.4)
-    assert policy.backoff_after(4) == pytest.approx(0.5)  # capped
-
-
-def test_retry_survives_an_outage():
-    """Attempts during the outage time out; a later one succeeds."""
-    kernel = Kernel()
-    orb, objref, link = rig(kernel)
-    link.fail()
-    kernel.schedule(3.0, link.restore)
-    policy = RetryPolicy(max_attempts=10, per_try_timeout=1.0,
-                         initial_backoff=0.2)
-    outcomes = []
-    invoke(orb, objref, retry=policy).wait(outcomes.append)
-    kernel.run(until=30.0)
-    assert outcomes and not isinstance(outcomes[0], BaseException)
-    assert orb.requests_retried >= 1
-
-
-def test_retry_fires_once_with_first_success():
-    kernel = Kernel()
-    orb, objref, _ = rig(kernel)
-    outcomes = []
-    invoke(orb, objref, retry=RetryPolicy()).wait(outcomes.append)
-    kernel.run(until=5.0)
-    assert len(outcomes) == 1
-    assert not isinstance(outcomes[0], BaseException)
-    assert orb.requests_retried == 0
-
-
-def test_retry_does_not_mask_servant_exceptions():
-    """Application errors are not transient: no retry, first error."""
-    kernel = Kernel()
-    orb, objref, _ = rig(kernel, servant_class=FaultyServant)
-    policy = RetryPolicy(max_attempts=5, per_try_timeout=1.0)
-    outcomes = []
-    invoke(orb, objref, retry=policy).wait(outcomes.append)
-    kernel.run(until=10.0)
-    assert len(outcomes) == 1
-    assert isinstance(outcomes[0], OrbError)
-    assert not isinstance(outcomes[0], (RequestTimeout, ConnectionClosed))
-    assert orb.requests_retried == 0
-    assert orb.requests_sent == 1
-
-
-def test_retry_bounded_by_max_attempts():
-    kernel = Kernel()
-    orb, objref, link = rig(kernel)
-    link.fail()
-    policy = RetryPolicy(max_attempts=2, per_try_timeout=0.5,
-                         initial_backoff=0.1)
-    outcomes = []
-    invoke(orb, objref, retry=policy).wait(outcomes.append)
-    kernel.run(until=60.0)
-    assert len(outcomes) == 1
-    assert isinstance(outcomes[0], RequestTimeout)
-    assert orb.requests_sent == 2
-    assert orb.requests_retried == 1
-
-
-def test_retry_bounded_by_deadline():
-    """The deadline caps total elapsed time across attempts."""
-    kernel = Kernel()
-    orb, objref, link = rig(kernel)
-    link.fail()
-    policy = RetryPolicy(max_attempts=100, per_try_timeout=0.8,
-                         initial_backoff=0.1, deadline=2.0)
-    outcomes = []
-    times = []
-    signal = invoke(orb, objref, retry=policy)
-    signal.wait(lambda value: (outcomes.append(value),
-                               times.append(kernel.now)))
-    kernel.run(until=60.0)
-    assert len(outcomes) == 1
-    assert isinstance(outcomes[0], RequestTimeout)
-    # Concluded within the budget (plus one per-try granule of slack).
-    assert times[0] <= 2.0 + 0.8 + 1e-9
-    assert orb.requests_sent < 100
-
-
-def test_retry_respects_connection_closed():
-    """A dead-connection failure is transient and retried; with the
-    link healed, the fresh connection succeeds."""
-    kernel = Kernel()
-    orb, objref, link = rig(kernel)
-    link.fail()
-    # No per-try timeout: only the connection give-up path can fail
-    # the attempt, which takes ~38 s of RTO backoff (12 unanswered
-    # RTOs at 0.2 doubling to the 4 s cap).  Restore after that so
-    # attempt #1 dies with the connection and attempt #2 succeeds.
-    kernel.schedule(45.0, link.restore)
-    policy = RetryPolicy(max_attempts=3, initial_backoff=0.5)
-    outcomes = []
-    invoke(orb, objref, retry=policy).wait(outcomes.append)
-    kernel.run(until=120.0)
-    assert outcomes and not isinstance(outcomes[0], BaseException)
-    assert orb.connection_failures >= 1
-    assert orb.requests_retried >= 1

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.sim import Kernel
-from repro.oskernel import Host
 from repro.core.metrics import DeliveryRecorder
 from repro.quo import (
     Contract,
-    CpuUtilizationSC,
-    DeliveredRateSC,
     LossRateSC,
     Region,
     ValueSC,
@@ -133,26 +130,6 @@ def test_transition_signal_fires():
 # ----------------------------------------------------------------------
 # System conditions
 # ----------------------------------------------------------------------
-def test_delivered_rate_measures_frames_per_second():
-    kernel = Kernel()
-    rate = DeliveredRateSC(kernel, "fps", window=1.0, update_interval=0.25)
-    rate.start()
-    for i in range(40):  # 10 fps for 4 seconds
-        kernel.schedule(i * 0.1, rate.record)
-    kernel.run(until=3.0)
-    assert rate.value == pytest.approx(10.0, abs=1.5)
-    rate.stop()
-
-
-def test_delivered_rate_decays_to_zero_on_silence():
-    kernel = Kernel()
-    rate = DeliveredRateSC(kernel, "fps", window=1.0, update_interval=0.25)
-    rate.start()
-    for i in range(10):
-        kernel.schedule(i * 0.1, rate.record)
-    kernel.run(until=5.0)
-    assert rate.value == 0.0
-    rate.stop()
 
 
 def test_loss_rate_tracks_send_receive_gap():
@@ -196,39 +173,6 @@ def test_loss_rate_zero_when_nothing_sent():
     kernel.run(until=2.0)
     assert loss.value == 0.0
     loss.stop()
-
-
-def test_cpu_utilization_condition():
-    kernel = Kernel()
-    host = Host(kernel, "h")
-    worker = host.spawn_thread("w", priority=5)
-    util = CpuUtilizationSC(kernel, "cpu", host, update_interval=0.5)
-    util.start()
-    host.cpu.submit(worker, 10.0)  # saturate
-    kernel.run(until=2.0)
-    assert util.value == pytest.approx(1.0, abs=0.01)
-    util.stop()
-
-
-def test_contract_drives_adaptation_from_cpu_condition():
-    """End-to-end: CPU saturation flips a contract region."""
-    kernel = Kernel()
-    host = Host(kernel, "h")
-    util = CpuUtilizationSC(kernel, "cpu", host, update_interval=0.25)
-    actions = []
-    contract = Contract(kernel, "cpu-watch", regions=[
-        Region("busy", lambda s: s["cpu"] > 0.9,
-               on_enter=lambda c: actions.append("shed-load")),
-        Region("idle"),
-    ])
-    contract.attach(util)
-    util.start()
-    contract.evaluate()
-    worker = host.spawn_thread("w", priority=5)
-    kernel.schedule(1.0, lambda: host.cpu.submit(worker, 5.0))
-    kernel.run(until=3.0)
-    assert contract.current_region == "busy"
-    assert actions == ["shed-load"]
 
 
 # ----------------------------------------------------------------------

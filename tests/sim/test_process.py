@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AnyOf,
-    Interrupt,
-    Kernel,
-    Process,
-    ProcessError,
-    Signal,
-    Timeout,
-)
+from repro.sim import Kernel, Process, ProcessError, Signal, Timeout
 
 
 def test_timeout_advances_clock():
@@ -28,35 +20,17 @@ def test_timeout_advances_clock():
     assert seen == [1.5, 2.0]
 
 
-def test_process_result_via_join():
+def test_process_result_recorded():
     kernel = Kernel()
-    results = []
 
     def body():
         yield 1.0
         return "answer"
 
     proc = Process(kernel, body())
-    proc.join(results.append)
     kernel.run()
-    assert results == ["answer"]
     assert proc.result == "answer"
     assert not proc.alive
-
-
-def test_join_after_completion_fires_immediately():
-    kernel = Kernel()
-
-    def body():
-        yield 1.0
-        return 7
-
-    proc = Process(kernel, body())
-    kernel.run()
-    late = []
-    proc.join(late.append)
-    kernel.run()
-    assert late == [7]
 
 
 def test_signal_wait_receives_value():
@@ -96,65 +70,6 @@ def test_signal_fire_only_wakes_current_waiters():
     assert signal.fire("nobody") == 0  # no waiters yet, value lost
 
 
-def test_process_waits_on_another_process():
-    kernel = Kernel()
-    trace = []
-
-    def child():
-        yield 2.0
-        return "child-done"
-
-    def parent():
-        result = yield Process(kernel, child(), name="child")
-        trace.append((kernel.now, result))
-
-    Process(kernel, parent(), name="parent")
-    kernel.run()
-    assert trace == [(2.0, "child-done")]
-
-
-def test_interrupt_raises_inside_generator():
-    kernel = Kernel()
-    trace = []
-
-    def body():
-        try:
-            yield 100.0
-        except Interrupt as exc:
-            trace.append((kernel.now, exc.cause))
-
-    proc = Process(kernel, body())
-    kernel.schedule(1.0, proc.interrupt, "because")
-    kernel.run()
-    assert trace == [(1.0, "because")]
-    assert kernel.now < 100.0
-
-
-def test_interrupt_dead_process_is_noop():
-    kernel = Kernel()
-
-    def body():
-        yield 1.0
-
-    proc = Process(kernel, body())
-    kernel.run()
-    proc.interrupt("late")  # must not raise
-    kernel.run()
-
-
-def test_unhandled_interrupt_terminates_quietly():
-    kernel = Kernel()
-
-    def body():
-        yield 100.0
-
-    proc = Process(kernel, body())
-    kernel.schedule(1.0, proc.interrupt)
-    kernel.run()
-    assert not proc.alive
-    assert proc.error is None
-
-
 def test_unobserved_exception_propagates():
     kernel = Kernel()
 
@@ -167,19 +82,6 @@ def test_unobserved_exception_propagates():
         kernel.run()
 
 
-def test_observed_exception_recorded_not_raised():
-    kernel = Kernel()
-
-    def body():
-        yield 1.0
-        raise ValueError("boom")
-
-    proc = Process(kernel, body())
-    proc.join(lambda _: None)
-    kernel.run()
-    assert isinstance(proc.error, ValueError)
-
-
 def test_bad_yield_value_rejected():
     kernel = Kernel()
 
@@ -187,46 +89,9 @@ def test_bad_yield_value_rejected():
         yield "not-a-waitable"
 
     proc = Process(kernel, body())
-    proc.join(lambda _: None)
-    kernel.run()
+    with pytest.raises(ProcessError, match="unsupported value"):
+        kernel.run()
     assert isinstance(proc.error, ProcessError)
-
-
-def test_anyof_timeout_wins():
-    kernel = Kernel()
-    signal = Signal(kernel)
-    seen = []
-
-    def body():
-        index, value = yield AnyOf([signal, Timeout(2.0)])
-        seen.append((kernel.now, index, value))
-
-    Process(kernel, body())
-    kernel.schedule(5.0, signal.fire, "late")
-    kernel.run()
-    assert seen == [(2.0, 1, None)]
-
-
-def test_anyof_signal_wins_and_timeout_cancelled():
-    kernel = Kernel()
-    signal = Signal(kernel)
-    seen = []
-
-    def body():
-        index, value = yield AnyOf([signal, Timeout(10.0)])
-        seen.append((kernel.now, index, value))
-
-    Process(kernel, body())
-    kernel.schedule(1.0, signal.fire, "fast")
-    kernel.run()
-    assert seen == [(1.0, 0, "fast")]
-    # The 10 s timeout must not hold the simulation open.
-    assert kernel.now < 10.0
-
-
-def test_anyof_requires_waitables():
-    with pytest.raises(ProcessError):
-        AnyOf([])
 
 
 def test_negative_timeout_rejected():
