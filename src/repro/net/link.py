@@ -9,6 +9,7 @@ direction has its own queue and transmitter, like real Ethernet).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.kernel import Kernel
@@ -24,7 +25,7 @@ class Interface:
 
     __slots__ = ("kernel", "owner", "name", "label", "qdisc", "link",
                  "peer", "_busy", "bits_sent", "packets_received",
-                 "_tx_event", "_rx_event", "fluid")
+                 "_tx_event", "_rx_ring", "_rx_next", "_wire", "fluid")
 
     def __init__(
         self,
@@ -43,14 +44,20 @@ class Interface:
         self.link: Optional["Link"] = None
         self.peer: Optional["Interface"] = None
         self._busy = False
-        #: The transmitter's completion event, re-armed per packet (at
-        #: most one transmission is in flight per interface, so the
-        #: handle is reusable the moment it has fired).
+        #: The transmitter's completion event, built on first use and
+        #: re-armed in place per packet (at most one transmission is in
+        #: flight per interface, so the handle has fired whenever the
+        #: transmitter is idle).
         self._tx_event = None
-        #: Likewise the peer's delivery event: reusable whenever the
-        #: previous frame has already crossed the wire (always, on a
-        #: link whose delay is shorter than a transmission).
-        self._rx_event = None
+        #: The peer's delivery events, one per frame on the wire at
+        #: once, built on first use; ``_rx_next`` indexes the oldest.
+        #: Frames cross one wire in the order they were sent, so the
+        #: oldest handle is always the next to fire (DESIGN §13).
+        self._rx_ring = None
+        self._rx_next = 0
+        #: The frames on the wire, oldest first: every delivery event's
+        #: one argument, so a fired handle holds no frame.
+        self._wire = None
         #: Bits pushed onto the wire (observability).
         self.bits_sent = 0
         #: Packets fully received from the wire.
@@ -97,7 +104,8 @@ class Interface:
             tx_seconds = packet.size_bits / self.fluid.packet_residual_bps
         else:
             tx_seconds = packet.size_bits / link.bandwidth_bps
-        tracer = self.kernel.tracer
+        kernel = self.kernel
+        tracer = kernel.tracer
         if tracer is not None:
             tracer.instant(
                 "net", "hop.dequeue",
@@ -106,12 +114,17 @@ class Interface:
                 dscp=packet.dscp._name_, tx=tx_seconds,
             )
         event = self._tx_event
-        if (event is not None and not event.cancelled
-                and event._kernel is None):
-            self.kernel.rearm(event, tx_seconds, packet)
-        else:
-            self._tx_event = self.kernel.schedule(
+        if event is None:
+            self._tx_event = kernel.schedule(
                 tx_seconds, self._transmit_done, packet)
+        else:
+            # Re-armed in place (sim/kernel.py, "Re-arming in place"):
+            # the transmitter was idle, so its handle has fired.
+            seq = kernel._seq
+            kernel._seq = seq + 1
+            event.args = (packet,)
+            event._kernel = kernel
+            heappush(kernel._heap, (kernel.now + tx_seconds, seq, event))
 
     def _transmit_done(self, packet: Packet) -> None:
         self._busy = False
@@ -121,13 +134,32 @@ class Interface:
         faulty = not link.up or link.loss_probability > 0.0
         if not (faulty and self._lost_on_wire(link, packet)):
             self.bits_sent += packet.size_bits
-            event = self._rx_event
-            if (event is not None and not event.cancelled
-                    and event._kernel is None):
-                self.kernel.rearm(event, link.delay, packet)
+            kernel = self.kernel
+            ring = self._rx_ring
+            if ring is None:
+                wire = self._wire = [packet]
+                self._rx_ring = [kernel.schedule(
+                    link.delay, self.peer._deliver, wire)]
             else:
-                self._rx_event = self.kernel.schedule(
-                    link.delay, self.peer._deliver, packet)
+                self._wire.append(packet)
+                i = self._rx_next
+                event = ring[i]
+                if event._kernel is None:
+                    # The oldest delivery has fired: re-arm it in place
+                    # as the newest.
+                    seq = kernel._seq
+                    kernel._seq = seq + 1
+                    event._kernel = kernel
+                    heappush(kernel._heap,
+                             (kernel.now + link.delay, seq, event))
+                    i += 1
+                    self._rx_next = 0 if i == len(ring) else i
+                else:
+                    # Every frame on this wire is still in flight: one
+                    # more handle, placed as the newest.
+                    ring.insert(i, kernel.schedule(
+                        link.delay, self.peer._deliver, self._wire))
+                    self._rx_next = i + 1
         self._kick()
 
     def _lost_on_wire(self, link: "Link", packet: Packet) -> bool:
@@ -151,7 +183,9 @@ class Interface:
             )
         return True
 
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver(self, wire: list) -> None:
+        # The peer's oldest frame on the wire is the one arriving now.
+        packet = wire.pop(0)
         self.packets_received += 1
         packet.hops += 1
         tracer = self.kernel.tracer

@@ -6,15 +6,18 @@ traffic (16 Mbps in Figs 4-6; a 43.8 Mbps burst in Fig 7/Table 1);
 
 Bulk cross traffic is the simulator's single largest event producer
 (hundreds of thousands of emissions per figure), so the emission timer
-is a single :class:`ScheduledEvent` re-armed via
-:meth:`~repro.sim.kernel.Kernel.rearm` instead of a fresh allocation
-per packet — the fresh sequence number is drawn at the exact point a
-``schedule()`` call would draw it, so dispatch order is that of one
-new event per packet.
+is a single :class:`ScheduledEvent`, re-armed in place after each send
+(:mod:`repro.sim.kernel`, "Re-arming in place"): no allocation and no
+call frame per packet.  The fresh sequence number is drawn at the exact
+point a ``schedule()`` call would draw it, so dispatch order is that of
+one new event per packet.  The emission re-arms only the handle that is
+firing: if ``stop()`` ran inside the send, that chain ends there, and a
+``start()`` in the same send has already armed the one that continues.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional
 
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -79,22 +82,24 @@ class CbrTrafficSource:
     def _emit(self) -> None:
         if not self._running:
             return
+        event = self._next_emit  # the handle firing now
+        kernel = self.kernel
         # Positional (src, dst, src_port, dst_port, protocol, payload,
         # payload_bytes, dscp, flow_id, created_at): no keyword matching
         # on the simulator's most-called constructor site.
         packet = Packet(
             self._src_name, self.dst, self.src_port, self.dst_port,
             Protocol.UDP, None, self.packet_bytes, self.dscp,
-            self._flow_id, self.kernel.now,
+            self._flow_id, kernel.now,
         )
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes
         self.nic.send(packet)
-        event = self._next_emit
-        if (event is not None and not event.cancelled
-                and event._kernel is None):
-            self.kernel.rearm(event, self._gap)
-        else:
-            # stop()+start() churn inside nic.send's downstream effects;
-            # fall back to a fresh handle.
-            self._next_emit = self.kernel.schedule(self._gap, self._emit)
+        if self._next_emit is event:
+            # Re-armed in place (sim/kernel.py, "Re-arming in place").
+            seq = kernel._seq
+            kernel._seq = seq + 1
+            event._kernel = kernel
+            heappush(kernel._heap, (kernel.now + self._gap, seq, event))
+        # Otherwise stop() ran inside nic.send (and start() may have
+        # armed a fresh handle): this chain ends here.

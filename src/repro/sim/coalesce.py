@@ -103,24 +103,20 @@ class PeriodicTicker:
     def _tick(self) -> None:
         if not self._running:
             return
+        event = self._event  # the handle firing now
         self.ticks += 1
         now = self.kernel.now
         # Snapshot so a callback subscribing mid-tick takes effect next
         # tick instead of mutating the list under iteration.
         for callback in tuple(self._subscribers):
             callback(now)
-        event = self._event
-        if (event is not None and not event.cancelled
-                and event._kernel is None):
+        if self._event is event:
             # Hot path: reuse the fired tick event.  rearm() draws a
             # fresh seq here, exactly where schedule() used to, so the
             # dispatch order is unchanged.
             self.kernel.rearm(event, self.interval)
-        else:
-            # stop() ran during a callback of this very tick (the old
-            # handle is cancelled): fall back to a fresh event, which
-            # the next _tick immediately retires via the _running check.
-            self._event = self.kernel.schedule(self.interval, self._tick)
+        # Otherwise a callback stopped the ticker (and may have started
+        # it again, arming a fresh first tick): this chain ends here.
 
 
 class TickCoalescer:

@@ -27,6 +27,36 @@ number).  :meth:`Kernel.rearm` re-schedules a fired event handle with a
 indistinguishable from scheduling a new one.  Combined with the seeded
 random streams in :mod:`repro.sim.rng`, an entire experiment is
 reproducible bit-for-bit from its seed.
+
+Re-arming in place
+------------------
+
+The packet path's three hot handles (an interface's transmitter, its
+wire-delivery ring, a CBR source's emitter) fire about a million times
+per figure, and a ``rearm()`` call frame per firing is a measurable
+share of the run.  They re-arm *in place* instead, which is exactly
+what ``rearm()`` does, minus the frame and the checks:
+
+- **Entry format.**  Push ``(time, seq, event)`` onto ``kernel._heap``
+  with ``heapq.heappush``, where ``time = kernel.now + delay``
+  (``delay >= 0``) and ``event`` is the handle itself; set
+  ``event.args`` to the callback's argument tuple (a handle whose
+  arguments never change keeps them) and ``event._kernel`` to the
+  kernel.  The handle keeps its ``callback``.
+- **Seq rule.**  Draw ``seq = kernel._seq`` and store ``seq + 1`` back,
+  once per push, at the exact point where a ``schedule()`` or
+  ``rearm()`` call would have drawn it; so the dispatch order is that
+  of a fresh event there.
+- **Precondition: the handle has fired.**  It was popped (its
+  ``_kernel`` is ``None``) and is not cancelled.  Pushing a handle that
+  is still queued puts it in the heap twice.  The caller must know this
+  from its own state (an idle transmitter, the oldest delivery in FIFO
+  order, the emitter that is firing now); nothing checks it.
+
+Everything else goes through :meth:`Kernel.rearm` or
+:meth:`Kernel.schedule`, which do check.  The kernel alone writes
+:attr:`Kernel.now`; handles carry no copy of their time or sequence
+number, since an in-place push would leave one stale.
 """
 
 from __future__ import annotations
@@ -51,17 +81,9 @@ class ScheduledEvent:
     pending set unboundedly.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_kernel")
+    __slots__ = ("callback", "args", "cancelled", "_kernel")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callable[..., None], args: tuple) -> None:
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -79,8 +101,12 @@ class ScheduledEvent:
             kernel._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.6f} seq={self.seq} {state}>"
+        if self.cancelled:
+            state = "cancelled"
+        else:
+            state = "idle" if self._kernel is None else "pending"
+        callback = getattr(self.callback, "__qualname__", self.callback)
+        return f"<ScheduledEvent {callback} {state}>"
 
 
 class Kernel:
@@ -110,7 +136,10 @@ class Kernel:
     COMPACT_MIN_SIZE = 512
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute, read
+        #: hundreds of thousands of times per figure; only the kernel
+        #: writes it.
+        self.now = float(start_time)
         #: The pending set: a ``heapq`` of ``(time, seq, event)``.  The
         #: list object is never rebound (``run()`` holds it in a local).
         self._heap: List[Tuple[float, int, ScheduledEvent]] = []
@@ -128,14 +157,6 @@ class Kernel:
         self.tracer = None
 
     # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
@@ -144,10 +165,10 @@ class Kernel:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args)
+        event = ScheduledEvent(callback, args)
         event._kernel = self
         heappush(self._heap, (time, seq, event))
         return event
@@ -156,13 +177,13 @@ class Kernel:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args)
+        event = ScheduledEvent(callback, args)
         event._kernel = self
         heappush(self._heap, (time, seq, event))
         return event
@@ -188,11 +209,9 @@ class Kernel:
             )
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        event.time = time
-        event.seq = seq
         event.args = args
         event.cancelled = False
         event._kernel = self
@@ -233,7 +252,7 @@ class Kernel:
             return False
         time, seq, event = heappop(self._heap)
         event._kernel = None
-        self._now = time
+        self.now = time
         self.events_executed += 1
         tracer = self.tracer
         if tracer is not None:
@@ -257,6 +276,11 @@ class Kernel:
         front are pruned whatever their time; the first *live* entry
         beyond ``until`` stays pending.
 
+        Each pass pops first and looks second: one pop per dispatched
+        event, and the one live entry found beyond ``until`` is pushed
+        back.  ``(time, seq)`` keys are unique, so pushing it back cannot
+        change the order anything pops in.
+
         This is the simulation's hottest loop (hundreds of thousands of
         dispatches per experiment), so the heap is held in a local, the
         pop and the dispatch from :meth:`step` are inlined, and
@@ -276,34 +300,30 @@ class Kernel:
         try:
             if tracer is None:
                 while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
+                    time, seq, event = heappop(heap)
                     if event.cancelled:
-                        heappop(heap)
                         event._kernel = None
                         self._stale -= 1
                         continue
-                    if entry[0] > limit:
+                    if time > limit:
+                        heappush(heap, (time, seq, event))
                         break
-                    heappop(heap)
                     event._kernel = None
-                    self._now = entry[0]
+                    self.now = time
                     executed += 1
                     event.callback(*event.args)
             else:
                 while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
+                    time, seq, event = heappop(heap)
                     if event.cancelled:
-                        heappop(heap)
                         event._kernel = None
                         self._stale -= 1
                         continue
-                    if entry[0] > limit:
+                    if time > limit:
+                        heappush(heap, (time, seq, event))
                         break
-                    heappop(heap)
                     event._kernel = None
-                    self._now = entry[0]
+                    self.now = time
                     executed += 1
                     callback = event.callback
                     tracer.instant(
@@ -312,11 +332,11 @@ class Kernel:
                             callback, "__qualname__",
                             type(callback).__name__
                         ),
-                        seq=entry[1],
+                        seq=seq,
                     )
                     callback(*event.args)
-            if until is not None and not self._stopped and until > self._now:
-                self._now = until
+            if until is not None and not self._stopped and until > self.now:
+                self.now = until
         finally:
             self.events_executed += executed
             self._running = False
@@ -349,4 +369,4 @@ class Kernel:
         return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Kernel now={self._now:.6f} pending={self.pending()}>"
+        return f"<Kernel now={self.now:.6f} pending={self.pending()}>"

@@ -89,7 +89,7 @@ def run_live(world, records):
     tracer = world.kernel.tracer
     try:
         for r in records:
-            world.kernel._now = r.time  # the clock the record was stamped by
+            world.kernel.now = r.time  # the clock the record was stamped by
             tracer.emit(r.layer, r.kind, r.phase, r.span, r.flow, r.request,
                         **(r.fields or {}))
     finally:

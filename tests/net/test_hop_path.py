@@ -32,6 +32,12 @@ def datagram(dst="b", nbytes=500):
     return Packet("a", dst, 1, 7, Protocol.UDP, payload_bytes=nbytes)
 
 
+def heap_entries(kernel, event):
+    """``(time, seq)`` of every heap entry holding ``event``: exactly one
+    while it is armed, and a re-arm would change it."""
+    return [entry[:2] for entry in kernel._heap if entry[2] is event]
+
+
 # ----------------------------------------------------------------------
 # A busy transmitter is left alone
 # ----------------------------------------------------------------------
@@ -45,13 +51,14 @@ def test_send_on_busy_interface_neither_restarts_nor_rearms():
     assert iface.send(datagram())
     assert iface._busy
     event = iface._tx_event
-    armed = (event.time, event.seq)
+    armed = heap_entries(kernel, event)
+    assert len(armed) == 1
     assert event._kernel is kernel and kernel.pending() == 1
 
     for _ in range(3):  # arrivals while the first frame is on the wire
         assert iface.send(datagram())
         assert iface._tx_event is event
-        assert (event.time, event.seq) == armed  # not re-armed
+        assert heap_entries(kernel, event) == armed  # not re-armed
         assert kernel.pending() == 1             # no second transmission
     assert len(iface.qdisc) == 3
     assert [r.kind for r in sink.records] == [
@@ -74,10 +81,12 @@ def test_restore_does_not_disturb_a_transmission_in_flight():
     iface.send(datagram())
     iface.send(datagram())
     event = iface._tx_event
-    armed = (event.time, event.seq)
+    armed = heap_entries(kernel, event)
+    assert len(armed) == 1
     link_a.fail()
     link_a.restore()
-    assert (iface._tx_event.time, iface._tx_event.seq) == armed
+    assert iface._tx_event is event
+    assert heap_entries(kernel, event) == armed
     assert kernel.pending() == 1 and len(iface.qdisc) == 1
     kernel.run()
     assert net.nic_of("b").interface.packets_received == 2
@@ -223,6 +232,248 @@ def test_fault_gauntlet_hop_sequence_matches_recorded_parent_run():
     assert " burst" in sequence                      # injected loss
     assert any(line.split()[1] == "hop.loss" and len(line.split()) == 4
                for line in sequence.splitlines())    # link-down loss
+
+
+# ----------------------------------------------------------------------
+# Long wires: several frames in flight on one link direction
+# ----------------------------------------------------------------------
+def run_long_wire():
+    """13 datagrams of mixed sizes over a 1 Mbps, 12 ms hop and a 2 Mbps,
+    7 ms hop: a link delay longer than a frame's transmit time, so up to
+    four frames are on one wire at once and each interface's delivery
+    ring grows, wraps and drains (a burst at 0, four sends from 30 ms,
+    three from 80 ms after the wires emptied).  Returns the ``hop.*``
+    lines and the ``sim`` ``event.dispatch`` ``(seq, callback)`` lines."""
+    kernel = Kernel()
+    net = Network(kernel, default_bandwidth_bps=1e6)
+    for name in ("a", "b"):
+        net.attach_host(Host(kernel, name))
+    router = net.add_router("r")
+    net.link("a", router, delay=0.012)
+    net.link(router, "b", bandwidth_bps=2e6, delay=0.007)
+    net.compute_routes()
+    sink = RingBufferSink(capacity=None)
+    Tracer(sinks=[sink], layers=["net", "sim"]).attach(kernel)
+    DatagramSocket(kernel, net.nic_of("b"), port=7)
+    sender = DatagramSocket(kernel, net.nic_of("a"))
+    sends = [(0.0, 300 + 100 * i) for i in range(6)]
+    sends += [(0.030 + 0.002 * i, 900 - 150 * i) for i in range(4)]
+    sends += [(0.080, 400), (0.080, 1200), (0.0805, 200)]
+    for i, (at, nbytes) in enumerate(sends):
+        kernel.schedule(at, sender.send_to, "b", 7, i, nbytes)
+    kernel.run()
+
+    hops = [r for r in sink.records if r.kind.startswith("hop.")]
+    first = min(r.fields["packet"] for r in hops)
+    hop_lines = ["%6d %-11s %-7s %2d" % (
+        round(r.time * 1e6), r.kind, r.fields["iface"],
+        r.fields["packet"] - first) for r in hops]
+    dispatch_lines = ["%3d %s" % (r.fields["seq"], r.fields["callback"])
+                      for r in sink.records
+                      if r.layer == "sim" and r.kind == "event.dispatch"]
+    return "\n".join(hop_lines), "\n".join(dispatch_lines)
+
+
+#: ``run_long_wire()`` at the commit before delivery handles became a
+#: per-interface ring (one handle, a fresh ``schedule()`` whenever the
+#: previous frame was still in flight): time in microseconds, kind,
+#: interface, packet ordinal.
+PARENT_LONG_WIRE_HOPS = """\
+     0 hop.enqueue a.a->r   0
+     0 hop.dequeue a.a->r   0
+     0 hop.enqueue a.a->r   1
+     0 hop.enqueue a.a->r   2
+     0 hop.enqueue a.a->r   3
+     0 hop.enqueue a.a->r   4
+     0 hop.enqueue a.a->r   5
+  2720 hop.dequeue a.a->r   1
+  6240 hop.dequeue a.a->r   2
+ 10560 hop.dequeue a.a->r   3
+ 14720 hop.rx      r.r->a   0
+ 14720 hop.enqueue r.r->b   0
+ 14720 hop.dequeue r.r->b   0
+ 15680 hop.dequeue a.a->r   4
+ 18240 hop.rx      r.r->a   1
+ 18240 hop.enqueue r.r->b   1
+ 18240 hop.dequeue r.r->b   1
+ 21600 hop.dequeue a.a->r   5
+ 22560 hop.rx      r.r->a   2
+ 22560 hop.enqueue r.r->b   2
+ 22560 hop.dequeue r.r->b   2
+ 23080 hop.rx      b.b->r   0
+ 27000 hop.rx      b.b->r   1
+ 27680 hop.rx      r.r->a   3
+ 27680 hop.enqueue r.r->b   3
+ 27680 hop.dequeue r.r->b   3
+ 30000 hop.enqueue a.a->r   6
+ 30000 hop.dequeue a.a->r   6
+ 31720 hop.rx      b.b->r   2
+ 32000 hop.enqueue a.a->r   7
+ 33600 hop.rx      r.r->a   4
+ 33600 hop.enqueue r.r->b   4
+ 33600 hop.dequeue r.r->b   4
+ 34000 hop.enqueue a.a->r   8
+ 36000 hop.enqueue a.a->r   9
+ 37240 hop.rx      b.b->r   3
+ 37520 hop.dequeue a.a->r   7
+ 40320 hop.rx      r.r->a   5
+ 40320 hop.enqueue r.r->b   5
+ 40320 hop.dequeue r.r->b   5
+ 43560 hop.rx      b.b->r   4
+ 43840 hop.dequeue a.a->r   8
+ 48960 hop.dequeue a.a->r   9
+ 49520 hop.rx      r.r->a   6
+ 49520 hop.enqueue r.r->b   6
+ 49520 hop.dequeue r.r->b   6
+ 50680 hop.rx      b.b->r   5
+ 55840 hop.rx      r.r->a   7
+ 55840 hop.enqueue r.r->b   7
+ 55840 hop.dequeue r.r->b   7
+ 60280 hop.rx      b.b->r   6
+ 60960 hop.rx      r.r->a   8
+ 60960 hop.enqueue r.r->b   8
+ 60960 hop.dequeue r.r->b   8
+ 64880 hop.rx      r.r->a   9
+ 64880 hop.enqueue r.r->b   9
+ 64880 hop.dequeue r.r->b   9
+ 66000 hop.rx      b.b->r   7
+ 70520 hop.rx      b.b->r   8
+ 73840 hop.rx      b.b->r   9
+ 80000 hop.enqueue a.a->r  10
+ 80000 hop.dequeue a.a->r  10
+ 80000 hop.enqueue a.a->r  11
+ 80500 hop.enqueue a.a->r  12
+ 83520 hop.dequeue a.a->r  11
+ 93440 hop.dequeue a.a->r  12
+ 95520 hop.rx      r.r->a  10
+ 95520 hop.enqueue r.r->b  10
+ 95520 hop.dequeue r.r->b  10
+104280 hop.rx      b.b->r  10
+105440 hop.rx      r.r->a  11
+105440 hop.enqueue r.r->b  11
+105440 hop.dequeue r.r->b  11
+107360 hop.rx      r.r->a  12
+107360 hop.enqueue r.r->b  12
+110400 hop.dequeue r.r->b  12
+117400 hop.rx      b.b->r  11
+118360 hop.rx      b.b->r  12"""
+
+#: The same run's dispatch order: ``seq``, callback qualname.
+PARENT_LONG_WIRE_DISPATCH = """\
+  0 DatagramSocket.send_to
+  1 DatagramSocket.send_to
+  2 DatagramSocket.send_to
+  3 DatagramSocket.send_to
+  4 DatagramSocket.send_to
+  5 DatagramSocket.send_to
+ 13 Interface._transmit_done
+ 15 Interface._transmit_done
+ 17 Interface._transmit_done
+ 14 Interface._deliver
+ 19 Interface._transmit_done
+ 20 Interface._transmit_done
+ 16 Interface._deliver
+ 24 Interface._transmit_done
+ 22 Interface._transmit_done
+ 18 Interface._deliver
+ 23 Interface._deliver
+ 28 Interface._transmit_done
+ 25 Interface._deliver
+ 21 Interface._deliver
+ 27 Interface._transmit_done
+  6 DatagramSocket.send_to
+ 30 Interface._transmit_done
+ 29 Interface._deliver
+  7 DatagramSocket.send_to
+ 26 Interface._deliver
+  8 DatagramSocket.send_to
+  9 DatagramSocket.send_to
+ 34 Interface._transmit_done
+ 33 Interface._deliver
+ 32 Interface._transmit_done
+ 31 Interface._deliver
+ 35 Interface._deliver
+ 38 Interface._transmit_done
+ 37 Interface._transmit_done
+ 41 Interface._transmit_done
+ 36 Interface._deliver
+ 39 Interface._deliver
+ 43 Interface._transmit_done
+ 44 Interface._transmit_done
+ 40 Interface._deliver
+ 47 Interface._transmit_done
+ 46 Interface._deliver
+ 42 Interface._deliver
+ 49 Interface._transmit_done
+ 45 Interface._deliver
+ 48 Interface._deliver
+ 51 Interface._transmit_done
+ 50 Interface._deliver
+ 52 Interface._deliver
+ 10 DatagramSocket.send_to
+ 11 DatagramSocket.send_to
+ 12 DatagramSocket.send_to
+ 53 Interface._transmit_done
+ 55 Interface._transmit_done
+ 57 Interface._transmit_done
+ 54 Interface._deliver
+ 59 Interface._transmit_done
+ 60 Interface._deliver
+ 56 Interface._deliver
+ 58 Interface._deliver
+ 61 Interface._transmit_done
+ 63 Interface._transmit_done
+ 62 Interface._deliver
+ 64 Interface._deliver"""
+
+
+def test_long_wire_hop_and_dispatch_sequence_match_recorded_parent_run():
+    hops, dispatch = run_long_wire()
+    assert hops == PARENT_LONG_WIRE_HOPS
+    assert dispatch == PARENT_LONG_WIRE_DISPATCH
+    # The run really does put several frames on one wire at once: a
+    # frame is sent on a->r before the one sent ahead of it has arrived.
+    sent = [line.split() for line in hops.splitlines()]
+    in_flight = peak = 0
+    for _, kind, iface, _ in sent:
+        if iface == "a.a->r" and kind == "hop.dequeue":
+            in_flight += 1
+            peak = max(peak, in_flight)
+        elif iface == "r.r->a" and kind == "hop.rx":
+            in_flight -= 1
+    assert peak >= 3
+
+
+def test_delivery_ring_holds_one_handle_per_frame_in_flight():
+    """A 1 Mbps, 10 ms wire: 500 B frames (4.32 ms each) put three on
+    the wire at once, 200 B frames (1.92 ms) six.  The delivery ring
+    grows to exactly that many handles, also when it grows from the
+    middle (a new handle goes in as the newest, just before the
+    oldest), and a later burst reuses them instead of allocating."""
+    kernel = Kernel()
+    net = Network(kernel, default_bandwidth_bps=1e6)
+    for name in ("a", "b"):
+        net.attach_host(Host(kernel, name))
+    net.link("a", "b", delay=0.010)
+    net.compute_routes()
+    iface = net.nic_of("a").interface
+    received = net.nic_of("b").interface
+
+    def burst(count, nbytes):
+        for _ in range(count):
+            iface.send(datagram(nbytes=nbytes))
+        kernel.run()
+        ring = list(iface._rx_ring)
+        assert len({id(event) for event in ring}) == len(ring)
+        assert all(event._kernel is None for event in ring)
+        return ring
+
+    assert len(burst(11, 500)) == 3
+    assert iface._rx_next != 0  # the next growth starts mid-ring
+    ring = burst(20, 200)
+    assert len(ring) == 6
+    assert burst(20, 200) == ring  # the same six handles, reused
+    assert received.packets_received == 51
 
 
 # ----------------------------------------------------------------------

@@ -176,14 +176,17 @@ class _Side:
 
 
 class _CountingTracer:
-    """Just enough tracer to send run() and step() down the traced path."""
+    """Just enough tracer to send run() and step() down the traced path;
+    keeps the ``seq`` of the latest dispatch."""
 
     def __init__(self):
         self.dispatches = 0
+        self.seq = None
 
     def instant(self, layer, kind, **fields):
         assert (layer, kind) == ("sim", "event.dispatch")
         self.dispatches += 1
+        self.seq = fields["seq"]
 
 
 class _KernelSide(_Side):
@@ -195,6 +198,9 @@ class _KernelSide(_Side):
             self.kernel.tracer = _CountingTracer()
         self.heap = self.kernel._heap
         self.handles = []
+        #: Per handle, the seq its latest arming drew (handles carry no
+        #: copy of their own).
+        self.seqs = []
 
     def new(self, delay, action, absolute):
         kernel = self.kernel
@@ -206,15 +212,21 @@ class _KernelSide(_Side):
         else:
             handle = kernel.schedule(delay, self.fire, ident, action)
         self.handles.append(handle)
+        self.seqs.append(kernel._seq - 1)
 
     def rearm(self, ident, delay, action):
         self.kernel.rearm(self.handles[ident], delay, ident, action)
+        self.seqs[ident] = self.kernel._seq - 1
 
     def cancel(self, ident):
         self.handles[ident].cancel()
 
     def seq_of(self, ident):
-        return self.handles[ident].seq
+        seq = self.seqs[ident]
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            assert tracer.seq == seq, "dispatched another arming's seq"
+        return seq
 
     def step(self):
         return self.kernel.step()
@@ -427,6 +439,7 @@ def test_rearm_equivalent_to_fresh_schedule(period, cycles):
 
     def run(use_rearm):
         kernel = Kernel()
+        kernel.tracer = tracer = _CountingTracer()
         fired = []
 
         class Periodic:
@@ -435,7 +448,7 @@ def test_rearm_equivalent_to_fresh_schedule(period, cycles):
                 self.event = kernel.schedule(period, self.fire)
 
             def fire(self):
-                fired.append((round(kernel.now, 12), self.event.seq))
+                fired.append((round(kernel.now, 12), tracer.seq))
                 self.left -= 1
                 if self.left > 0:
                     if use_rearm:

@@ -107,6 +107,28 @@ def test_ticker_stop_restart_keeps_single_cadence():
     assert ticker.ticks == 5
 
 
+def test_ticker_restarted_inside_its_own_tick_keeps_one_chain():
+    """stop(); start() inside a tick: start() arms a fresh first tick,
+    and the tick in hand must arm nothing more (one chain, not two)."""
+    kernel = Kernel()
+    ticker = PeriodicTicker(kernel, interval=1.0)
+    seen = []
+
+    def subscriber(now):
+        seen.append(now)
+        if len(seen) == 3:
+            ticker.stop()
+            ticker.start()
+
+    ticker.subscribe(subscriber)
+    ticker.start()
+    kernel.run(until=10.0)
+    # 0, 1, 2 (restart: its first tick fires at once), then 2, 3, ... 10.
+    assert seen == [0.0, 1.0, 2.0] + [float(t) for t in range(2, 11)]
+    assert ticker.ticks == 12
+    assert kernel.pending() == 1
+
+
 def test_unsubscribe_during_tick_takes_effect_next_tick():
     kernel = Kernel()
     ticker = PeriodicTicker(kernel, interval=0.1)
