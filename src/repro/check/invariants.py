@@ -113,6 +113,11 @@ class InvariantChecker:
     def attach(self, world: World) -> None:
         self.world = world
 
+    def detach(self) -> None:
+        """Undo :meth:`attach`: drop every reference into the world.
+        Public counters and what records built up stay readable."""
+        self.world = None
+
     def on_event(self, record: TraceRecord) -> None:  # pragma: no cover
         """Called for every record of this checker's layers and kinds."""
 
@@ -145,7 +150,9 @@ class CheckSuite:
 
     ``install`` reuses the kernel's tracer when one is attached (the
     suite becomes an extra sink) or attaches a private tracer
-    otherwise; ``uninstall`` undoes exactly what ``install`` did.
+    otherwise; ``uninstall`` undoes exactly what ``install`` did,
+    detaching every checker, so a suite the caller holds keeps no
+    run's world alive.
 
     The suite keeps no dispatch table and no per-record counter.  The
     tracer asks :meth:`route` once per ``(layer, kind)`` and calls the
@@ -183,8 +190,9 @@ class CheckSuite:
         return self
 
     def uninstall(self) -> None:
-        """Stop watching; detaches the private tracer if we created it.
-        The counters keep what was routed until now."""
+        """Stop watching; detaches the private tracer if we created it
+        and every checker from the world.  The counters keep what was
+        routed until now."""
         if self._tracer is not None:
             self._routed_before = self._routed()
             if self in self._tracer.sinks:
@@ -193,6 +201,9 @@ class CheckSuite:
                 self._tracer.detach()
         self._tracer = None
         self._owns_tracer = False
+        for checker in self.checkers:
+            checker.detach()
+        self.world = None
 
     # ------------------------------------------------------------------
     # Routing (the tracer's table holds the result)
@@ -322,6 +333,10 @@ class QdiscAccountingChecker(InvariantChecker):
         self._drops_expected = {
             label: qdisc.dropped for label, qdisc in self._qdiscs.items()}
 
+    def detach(self) -> None:
+        super().detach()
+        self._qdiscs = {}
+
     def _check_one(self, label: str, qdisc) -> None:
         held = len(qdisc)
         if not held == qdisc.enqueued - qdisc.dequeued:
@@ -392,6 +407,10 @@ class TokenBucketChecker(InvariantChecker):
             label: qdisc for label, qdisc in world.qdiscs().items()
             if hasattr(qdisc, "reserved_flows")
         }
+
+    def detach(self) -> None:
+        super().detach()
+        self._grqs = {}
 
     def _check_one(self, label: str, qdisc) -> None:
         for flow_id, bucket in qdisc._buckets.items():

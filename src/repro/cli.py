@@ -142,8 +142,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _reconciliations(result: Any, breakdown) -> List[Tuple[str, float, float]]:
     """``(what, trace mean, endpoint mean)`` rows, chosen by what the
     payload is: a GIOP latency result reconciles the ``to_servant`` stage
-    with its per-sender stats, a result holding A/V receivers the
-    per-flow frame latency with each endpoint's delivery recorder."""
+    with its per-sender stats, a one-stream result or an example's A/V
+    receivers the per-flow frame latency with the delivery recorder."""
     rows = []
     if hasattr(result, "latency") and hasattr(result, "stats"):
         stage_stats = breakdown.stage_stats()
@@ -154,15 +154,17 @@ def _reconciliations(result: Any, breakdown) -> List[Tuple[str, float, float]]:
                              result.stats(sender).mean))
         return rows
     if isinstance(result, dict):
-        candidates = list(result.get("actors", {}).values())
+        flows = [(getattr(getattr(actor, "consumer", None), "flow_id", None),
+                  getattr(actor, "delivery", None))
+                 for actor in result.get("actors", {}).values()]
     else:
-        candidates = [getattr(result, "receiver", None)]
+        flows = [(getattr(result, "flow_id", None),
+                  getattr(result, "sender_delivery", None))]
     frame_stats = breakdown.frame_stats()
-    for receiver in candidates:
-        flow = getattr(getattr(receiver, "consumer", None), "flow_id", None)
-        if flow in frame_stats and hasattr(receiver, "delivery"):
+    for flow, delivery in flows:
+        if flow in frame_stats and delivery is not None:
             rows.append((flow, frame_stats[flow].mean,
-                         receiver.delivery.latency.stats().mean))
+                         delivery.latency.stats().mean))
     return rows
 
 

@@ -12,7 +12,7 @@ result derives from :class:`ArmResult`.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core.policies import QosPolicy
 
@@ -47,13 +47,15 @@ class Arm:
 
 
 class ArmResult:
-    """What one arm's run returns: plain data that pickles across the
-    parallel runner's process boundary, plus (in-process only) the live
-    simulation objects named in :attr:`LIVE`."""
+    """What one arm's run returns: plain data only.
 
-    #: Attributes holding live objects (they reference the kernel and
-    #: its callbacks); pickled as ``None``.
-    LIVE: Tuple[str, ...] = ()
+    A result holds the measurements its figure reads (counters, rows,
+    recorders' time series) and no simulation object: the actors,
+    engines and reserves that produced them stay locals of the scenario
+    function, read once at capture time.  So a held result keeps none
+    of its run's world alive, and the in-process payload is the one a
+    worker process or the cache hands back.
+    """
 
     def __init__(self, arm: Arm, duration: float) -> None:
         self.arm = arm
@@ -61,38 +63,31 @@ class ArmResult:
         #: Kernel event count for the run (throughput observability).
         self.events_executed = 0
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.update(dict.fromkeys(self.LIVE))
-        return state
-
 
 class StreamResult(ArmResult):
     """An arm that ran one ``src -> dst`` video stream.
 
-    The scenario's driver process fills :attr:`sender` and
-    :attr:`receiver`; the metrics are read from the stream's delivery
-    recorder (plain time series), which :meth:`capture` keeps when the
-    run finishes.
+    The metrics are read from the stream's delivery recorder (plain
+    time series), which :meth:`capture` keeps when the run finishes.
     """
-
-    LIVE = ("sender", "receiver")
 
     def __init__(self, arm: Arm, duration: float) -> None:
         super().__init__(arm, duration)
-        self.sender = None
-        self.receiver = None
         #: The pair's one :class:`~repro.core.metrics.DeliveryRecorder`.
         self.sender_delivery = None
+        #: The A/V flow the receiver consumed (trace records name it).
+        self.flow_id: Optional[str] = None
 
-    def capture(self, events_executed: int) -> None:
-        """Stop the sender and keep the pair's books."""
-        if self.sender is None:
+    def capture(self, sender, receiver, events_executed: int) -> None:
+        """Stop ``sender`` and keep the pair's books; ``sender`` is
+        ``None`` when the stream never bound."""
+        if sender is None:
             raise RuntimeError(
                 f"stream setup failed for arm {self.arm.name!r} "
                 "(reservation not admitted?)")
-        self.sender.stop()
-        self.sender_delivery = self.sender.delivery
+        sender.stop()
+        self.sender_delivery = sender.delivery
+        self.flow_id = receiver.consumer.flow_id
         self.events_executed = events_executed
 
     def delivered_in(self, start: float, end: float) -> int:

@@ -153,14 +153,16 @@ def run_fault_injection_experiment(
     reporter = (FaultReporterSC(kernel, "injected-faults")
                 if arm.adaptive else None)
 
+    sender = receiver = None
+
     def driver():
-        # First runs inside ``bed.run``: ``result`` is bound by then.
-        result.sender, result.receiver = yield from bed.open_stream(
+        nonlocal sender, receiver
+        sender, receiver = yield from bed.open_stream(
             "uav-video", arm.policy(), bed.rng.stream("video"),
             degrade_threshold=0.05 if arm.adaptive else None)
         if arm.adaptive:
-            result.sender.qosket.attach_fault_reporter(reporter)
-        result.sender.start()
+            sender.qosket.attach_fault_reporter(reporter)
+        sender.start()
 
     Process(kernel, driver(), name="fault-experiment-driver")
 
@@ -169,7 +171,8 @@ def run_fault_injection_experiment(
                       reporter=reporter, stream="faults")
     result = FaultExperimentResult(arm, duration, plan.windows())
 
-    result.capture(bed.run(until=duration))
+    events = bed.run(until=duration)
+    result.capture(sender, receiver, events)
     if reporter is not None:
         result.faults_reported = reporter.faults_seen
     return result

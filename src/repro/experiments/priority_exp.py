@@ -302,4 +302,7 @@ def run_priority_propagation(checks=None, tracer=None) -> List[PropagationHop]:
     orb.mapping_manager.install_dscp_mapping(
         DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])
     )
-    return bed.qos.describe(QosPolicy(100, dscp=True), orb, [middle, server])
+    hops = bed.qos.describe(QosPolicy(100, dscp=True), orb, [middle, server])
+    if checks is not None:  # no ``bed.run`` to uninstall it
+        checks.uninstall()
+    return hops

@@ -19,12 +19,13 @@ The three arms:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.process import Process
 from repro.oskernel.loadgen import CpuLoadGenerator
-from repro.oskernel.reserve import EnforcementPolicy, Reserve
+from repro.oskernel.reserve import EnforcementPolicy
 from repro.orb.cdr import OpaquePayload
 from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
@@ -76,16 +77,21 @@ def all_arms() -> list:
     return [CpuArm.no_load(), CpuArm.load(), CpuArm.load_reserve()]
 
 
+#: The ATR worker's CPU reserve as the run left it (plain data).
+ReserveFacts = namedtuple("ReserveFacts", [
+    "compute", "period", "policy", "replenishments", "consumed_total",
+])
+
+
 class CpuExperimentResult(ArmResult):
     """Per-algorithm execution-time statistics for one arm."""
-
-    LIVE = ("reserve",)
 
     def __init__(self, arm: CpuArm, duration: float) -> None:
         super().__init__(arm, duration)
         self.images_processed = 0
         self.algorithm_stats: Dict[str, SeriesStats] = {}
-        self.reserve: Optional[Reserve] = None
+        #: The worker's reserve at the end of the run; ``None`` unreserved.
+        self.reserve: Optional[ReserveFacts] = None
 
     def stats(self, algorithm: str) -> SeriesStats:
         return self.algorithm_stats[algorithm]
@@ -138,8 +144,7 @@ def run_cpu_reservation_experiment(
             rng=rng.stream("cpuload"),
         )
         load.start()
-    result.reserve = bed.qos.apply(arm.policy(), server_host,
-                                   thread=worker_thread)
+    reserve = bed.qos.apply(arm.policy(), server_host, thread=worker_thread)
 
     client_thread = client_host.spawn_thread("imagesource", priority=10)
     stub = ATR.stub_class(client_orb, objref, thread=client_thread)
@@ -157,6 +162,10 @@ def run_cpu_reservation_experiment(
     result.events_executed = bed.run(until=duration)
 
     result.images_processed = servant.images_processed
+    if reserve is not None:
+        result.reserve = ReserveFacts(
+            reserve.compute, reserve.period, reserve.policy,
+            reserve.replenishments, reserve.consumed_total)
     for algorithm, recorder in servant.timings.items():
         result.algorithm_stats[algorithm] = recorder.stats()
     return result

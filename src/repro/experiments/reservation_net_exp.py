@@ -93,11 +93,11 @@ class NetworkExperimentResult(StreamResult):
         #: Frames received inside the load window, by type.
         self.typed_received_under_load: Dict[str, int] = {}
 
-    def capture(self, events_executed: int) -> None:
-        super().capture(events_executed)
+    def capture(self, sender, receiver, events_executed: int) -> None:
+        super().capture(sender, receiver, events_executed)
         self.receiver_delivery = self.sender_delivery
         for time, frame_type in zip(self.receiver_delivery.received.times,
-                                    self.receiver.frame_types):
+                                    receiver.frame_types):
             if self.load_start <= time < self.load_end:
                 self.typed_received_under_load[frame_type] = (
                     self.typed_received_under_load.get(frame_type, 0) + 1)
@@ -156,14 +156,17 @@ def run_network_reservation_experiment(
     result = NetworkExperimentResult(arm, load_start, load_end, duration)
 
     # --- stream setup + actors, inside a driver process ---------------------
+    sender = receiver = None
+
     def driver():
+        nonlocal sender, receiver
         # A 4 % degrade threshold makes the contract keep shedding
         # until important frames stop being lost — the paper's
         # policy delivered *all* I frames under partial reservation.
-        result.sender, result.receiver = yield from bed.open_stream(
+        sender, receiver = yield from bed.open_stream(
             "uav-video", arm.policy(), bed.rng.stream("video"),
             degrade_threshold=0.04 if arm.filtering else None)
-        result.sender.start()
+        sender.start()
 
     Process(kernel, driver(), name="experiment-driver")
 
@@ -175,5 +178,6 @@ def run_network_reservation_experiment(
     kernel.schedule(load_end, load_source.stop)
     bed.inject(fault_plan)
 
-    result.capture(bed.run(until=duration))
+    events = bed.run(until=duration)
+    result.capture(sender, receiver, events)
     return result

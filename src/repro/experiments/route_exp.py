@@ -252,11 +252,14 @@ def run_route_experiment(
     bed.av_endpoints(("src", "dst"))
     bed.watch(routing=routing)
 
+    sender = receiver = None
+
     def driver():
-        result.sender, result.receiver = yield from bed.open_stream(
+        nonlocal sender, receiver
+        sender, receiver = yield from bed.open_stream(
             "uav-video", arm.policy(), bed.rng.stream("video"),
             degrade_threshold=0.05)
-        result.sender.start()
+        sender.start()
 
     Process(kernel, driver(), name="route-experiment-driver")
 
@@ -268,7 +271,8 @@ def run_route_experiment(
         {"kind": "link_down", "link": list(backbone), "at": fail_at},
     ])
 
-    result.capture(bed.run(until=duration))
+    events = bed.run(until=duration)
+    result.capture(sender, receiver, events)
     cross.stop()
     if routing is not None:
         result.spf_runs = routing.spf_runs

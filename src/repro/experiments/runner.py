@@ -394,8 +394,9 @@ class ExperimentRunner:
         Cache hits are resolved first; only misses are dispatched to
         the pool.  The merge is deterministic by construction: slot
         ``i`` of the returned list is always spec ``i``'s result, and
-        payloads are pure functions of their specs, so worker count can
-        never change what this returns.
+        payloads are pure functions of their specs holding plain data
+        only (no live simulation object to drop at a process boundary),
+        so worker count can never change what this returns.
         """
         results: List[Optional[RunResult]] = [None] * len(specs)
         pending: List[Tuple[int, RunSpec, Optional[str]]] = []

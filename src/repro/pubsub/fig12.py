@@ -278,8 +278,6 @@ class PacingQosket:
 class PubSubResult(ArmResult):
     """One (arm, subscribers) fig 12 point."""
 
-    LIVE = ("broker", "engine", "writers", "readers", "qoskets")
-
     def __init__(self, arm: PubSubArm, subscribers: int,
                  duration: float) -> None:
         super().__init__(arm, duration)
@@ -309,11 +307,6 @@ class PubSubResult(ArmResult):
         self.tail_per_sub_fps = 0.0
         self.tail_loss_fraction = 0.0
         self.fluid_epochs = 0
-        self.broker: Optional[Broker] = None
-        self.engine: Optional[FluidEngine] = None
-        self.writers: Optional[List[DataWriter]] = None
-        self.readers: Optional[List[DataReader]] = None
-        self.qoskets: Optional[List[PacingQosket]] = None
 
     # -- derived views --------------------------------------------------
     @property
@@ -612,11 +605,6 @@ def run_pubsub_experiment(
     result.fluid_epochs = engine.epochs
     engine.close()
     broker.close()
-    result.broker = broker
-    result.engine = engine
-    result.writers = writers
-    result.readers = readers
-    result.qoskets = qoskets
     return result
 
 

@@ -146,8 +146,6 @@ StreamRow = namedtuple("StreamRow", [
 class CapacityResult(ArmResult):
     """Everything fig 9 needs for one (arm, N) point."""
 
-    LIVE = ("senders", "receivers")
-
     def __init__(self, arm: CapacityArm, streams: int, duration: float,
                  deadline: float) -> None:
         super().__init__(arm, duration)
@@ -162,8 +160,6 @@ class CapacityResult(ArmResult):
         #: Controller books after all admissions (src host / bottleneck).
         self.cpu_utilization = 0.0
         self.bottleneck_committed_bps = 0.0
-        self.senders: Optional[List[AvVideoSender]] = None
-        self.receivers: Optional[List[AvVideoReceiver]] = None
 
     # -- figure metrics -------------------------------------------------
     @property
@@ -247,9 +243,8 @@ def start_farm(bed: Testbed, process_name: str, plans: Sequence[StreamPlan],
 
 
 def stop_farm(farm, plans: Sequence[StreamPlan], result) -> List[StreamRow]:
-    """Stop every sender and hand the farm's live actors to ``result``;
-    returns one :class:`StreamRow` per stream over the window since
-    ``result.measure_start``."""
+    """Stop every sender; returns one :class:`StreamRow` per stream over
+    the window since ``result.measure_start``."""
     clock, senders, receivers = farm
     if len(senders) != len(plans):
         raise RuntimeError(
@@ -281,8 +276,6 @@ def stop_farm(farm, plans: Sequence[StreamPlan], result) -> List[StreamRow]:
                           if delivered else 0.0),
         ))
     result.clock_ticks = clock.ticks
-    result.senders = senders
-    result.receivers = receivers
     return rows
 
 

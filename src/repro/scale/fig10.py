@@ -62,7 +62,6 @@ from repro.net.packet import HEADER_BYTES
 from repro.avstreams.endpoints import FRAGMENT_BYTES
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
-from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm, ArmResult
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
@@ -152,6 +151,17 @@ ScaleClassStats = namedtuple("ScaleClassStats", [
     "p95_latency",    # p95 over measured deliveries (None if unmeasured)
 ])
 
+#: One fluid flow's byte ledgers at the end of the run (per member).
+FlowBooks = namedtuple("FlowBooks", [
+    "name", "reserved", "members",
+    "offered_bytes", "served_bytes", "lost_bytes",
+])
+
+#: The fluid bottleneck's books at the end of the run (fluid bytes only).
+LinkBooks = namedtuple("LinkBooks", [
+    "name", "be_share", "offered_bytes", "served_bytes", "lost_bytes",
+])
+
 
 def _stream_name(index: int) -> str:
     return f"s{index:05d}"
@@ -230,9 +240,8 @@ def _class_runs(streams: int, admitted: List[int],
 
 
 class ScaleResult(ArmResult):
-    """One (arm, N) fig 10 point; pickles without per-flow bulk."""
-
-    LIVE = ("senders", "receivers", "engine")
+    """One (arm, N) fig 10 point: rows, class aggregates and the fluid
+    model's books, with no per-stream bulk and no live engine."""
 
     def __init__(self, arm: ScaleArm, streams: int, duration: float,
                  deadline: float, fluid: bool, tenants: int) -> None:
@@ -255,9 +264,11 @@ class ScaleResult(ArmResult):
         self.governor_transitions = 0
         self.clock_ticks = 0
         self.bottleneck_committed_bps = 0.0
-        self.senders: Optional[List[AvVideoSender]] = None
-        self.receivers: Optional[List[AvVideoReceiver]] = None
-        self.engine: Optional[FluidEngine] = None
+        #: Each fluid flow's books at the end of the run, in engine
+        #: order (empty for a pure-packet run).
+        self.fluid_flows: List[FlowBooks] = []
+        #: The fluid bottleneck's books (``None`` for a pure-packet run).
+        self.fluid_link: Optional[LinkBooks] = None
 
     @property
     def rejected_count(self) -> int:
@@ -460,8 +471,14 @@ def run_scale_experiment(
     if engine is not None:
         result.fluid_epochs = engine.epochs
         result.governor_transitions = engine.governor_transitions
+        result.fluid_flows = [
+            FlowBooks(flow.name, flow.reserved, flow.members,
+                      flow.offered_bytes, flow.served_bytes, flow.lost_bytes)
+            for flow in engine.flows()]
+        result.fluid_link = LinkBooks(
+            fl_bott.name, fl_bott.be_share, fl_bott.offered_bytes,
+            fl_bott.served_bytes, fl_bott.lost_bytes)
         engine.close()
-    result.engine = engine
     return result
 
 

@@ -163,7 +163,8 @@ def watched_live(run):
     Each checker's ``on_event`` is wrapped before install, so the table
     holds the wrapper and ``handed`` logs, per checker name, exactly
     what the live ``Tracer.emit`` handed it.  Returns the recorded
-    stream, the handed log, the suite and the tracer.
+    stream, the handed log, the suite, the tracer and the world the
+    suite was installed over (its uninstall lets go of it).
     """
     recorder = Recorder()
     suite = CheckSuite(default_suite().checkers + [recorder])
@@ -173,9 +174,18 @@ def watched_live(run):
             log.append(record)
             law(record)
         checker.on_event = logged
+    watched = []
+    install = suite.install
+
+    def recording(world, *rest):
+        watched.append(world)
+        return install(world, *rest)
+
+    suite.install = recording
     tracer = Tracer(sinks=[RecordSink()])
     run(suite, tracer)
-    return recorder.records, handed, suite, tracer
+    (world,) = watched
+    return recorder.records, handed, suite, tracer, world
 
 
 class RecordSink:
@@ -214,8 +224,8 @@ def pubsub_run():
 @pytest.fixture(scope="module")
 def capacity_trace(capacity_run):
     """Records + world of the checked fig 9 N=8 ``adaptive`` arm."""
-    records, _, suite, _ = capacity_run
-    return records, suite.world
+    records, _, _, _, world = capacity_run
+    return records, world
 
 
 @pytest.fixture(scope="module")
@@ -259,8 +269,9 @@ def test_recorded_pubsub_arm_replays_identically(pubsub_trace):
 @pytest.mark.parametrize("live", ["capacity_run", "pubsub_run"])
 def test_a_live_run_hands_each_checker_what_the_reference_derives(
         live, request):
-    records, handed, suite, tracer = request.getfixturevalue(live)
+    records, handed, suite, tracer, _ = request.getfixturevalue(live)
     assert suite not in tracer.sinks  # the testbed uninstalled it
+    assert suite.world is None
     spies = [Spy(c.name, c.layers, c.kinds) for c in suite.checkers]
     dispatched, expected = reference_dispatch(spies, records)
     for name, seen in expected.items():

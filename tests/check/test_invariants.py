@@ -548,6 +548,40 @@ def test_counters_survive_uninstall_and_add_up_over_installs():
     assert tracer.records_emitted == 6
 
 
+def test_uninstall_lets_go_of_the_world_and_reinstall_reattaches():
+    """``uninstall`` once left the suite and every checker holding the
+    world (and the queue snapshots), so a held suite kept its run's
+    kernel alive."""
+    import gc
+    import weakref
+
+    kernel, net, world = grq_world()
+    suite = default_suite().install(world)
+    (qdisc_checker,) = [c for c in suite.checkers
+                        if isinstance(c, QdiscAccountingChecker)]
+    assert qdisc_checker._qdiscs
+    suite.emit(rec(0.0, "net", "hop.rx"))
+    suite.uninstall()
+    assert suite.world is None
+    assert all(checker.world is None for checker in suite.checkers)
+    assert qdisc_checker._qdiscs == {}
+    counted = suite.summary()
+    assert counted["time-monotonic"] == 1 and suite.events_dispatched == 1
+    assert qdisc_checker._drops_expected  # per-record books stay
+    dead = weakref.ref(kernel)
+    del kernel, net, world
+    gc.collect()
+    assert dead() is None
+
+    _, _, world = grq_world()
+    suite.install(world)
+    assert suite.world is world
+    assert all(checker.world is world for checker in suite.checkers)
+    assert qdisc_checker._qdiscs.keys() == world.qdiscs().keys()
+    suite.uninstall()
+    assert suite.summary() == counted
+
+
 def test_default_suite_has_every_monitor():
     suite = default_suite()
     names = {checker.name for checker in suite.checkers}

@@ -8,10 +8,13 @@ from repro.experiments.reservation_net_exp import (
     run_network_reservation_experiment,
 )
 from repro.experiments.reservation_cpu_exp import (
+    RESERVE_COMPUTE,
+    RESERVE_PERIOD,
     CpuArm,
     all_arms as cpu_arms,
     run_cpu_reservation_experiment,
 )
+from repro.oskernel.reserve import EnforcementPolicy
 
 # Short versions of the paper's 300 s / 60-120 s timeline.
 NET_KW = dict(duration=60.0, load_start=15.0, load_end=45.0)
@@ -169,4 +172,9 @@ def test_reserve_restores_baseline(cpu_results):
 def test_reserve_restores_throughput(cpu_results):
     assert (cpu_results["load+reserve"].images_processed
             > cpu_results["load"].images_processed * 1.2)
-    assert cpu_results["load+reserve"].reserve is not None
+    reserve = cpu_results["load+reserve"].reserve
+    assert (reserve.compute, reserve.period) == (RESERVE_COMPUTE,
+                                                 RESERVE_PERIOD)
+    assert reserve.policy is EnforcementPolicy.SOFT
+    assert reserve.replenishments > 0 and reserve.consumed_total > 0
+    assert cpu_results["load"].reserve is None

@@ -8,8 +8,12 @@ parametrised from ``scenario_registry.FIGURES``, so a figure on a new
 scenario is covered with no edit here.
 """
 
+import gc
 import inspect
 import pickle
+import tracemalloc
+import types
+import weakref
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.experiments.runner import registered_scenarios, scenario_function
 from repro.experiments.scenario_registry import FIGURES
 from repro.experiments import testbed  # not the class: pytest collects Test*
 from repro.obs import RingBufferSink, Tracer
+from repro.sim.kernel import Kernel
 
 #: Short timelines (and one small sweep point) as ``--set`` settings, by
 #: scenario; a scenario not named here runs the figure's own parameters.
@@ -60,21 +65,132 @@ KERNEL_RUNNING = sorted({figure.scenario for figure in FIGURES.values()}
                         - NEVER_RUNS)
 
 
+@pytest.fixture(scope="module")
+def runs():
+    """``runs(scenario)``: the scenario's short arm run plain and watched,
+    once per module: both payloads, the suite (still held), the watched
+    tracer's record count and weak references to the two runs' kernels.
+    The tracer itself is not kept: it stays attached to its last kernel."""
+    made = {}
+
+    def get(scenario: str) -> types.SimpleNamespace:
+        if scenario not in made:
+            run = scenario_function(scenario)
+            params = _short_params(scenario)
+            with pytest.MonkeyPatch.context() as patch:
+                kernels = _kernels_built(patch)
+                plain = run(**params)
+                suite = default_suite()
+                tracer = Tracer(sinks=[RingBufferSink(capacity=1024)])
+                watched = run(**params, checks=suite,
+                              tracer=tracer)  # raises if red
+            made[scenario] = types.SimpleNamespace(
+                plain=plain, watched=watched, suite=suite,
+                records_emitted=tracer.records_emitted, kernels=kernels)
+        return made[scenario]
+
+    return get
+
+
+def _kernels_built(patch) -> list:
+    """Weak references to every kernel a ``Testbed`` builds while
+    ``patch`` is active."""
+    built = []
+    init = testbed.Testbed.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self.kernel))
+
+    patch.setattr(testbed.Testbed, "__init__", recording)
+    return built
+
+
 # ----------------------------------------------------------------------
 # Every scenario: watched and traced, nothing moves
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scenario", KERNEL_RUNNING)
-def test_scenario_is_green_under_the_suite_and_unperturbed(scenario):
-    run = scenario_function(scenario)
-    params = _short_params(scenario)
-    plain = run(**params)
-    suite = default_suite()
-    tracer = Tracer(sinks=[RingBufferSink(capacity=1024)])
-    watched = run(**params, checks=suite, tracer=tracer)  # raises if red
-    assert _events(watched) > 0
-    assert suite.events_dispatched > 0
-    assert tracer.records_emitted >= suite.events_dispatched
-    assert pickle.dumps(watched) == pickle.dumps(plain)
+def test_scenario_is_green_under_the_suite_and_unperturbed(scenario, runs):
+    got = runs(scenario)
+    assert _events(got.watched) > 0
+    assert got.suite.events_dispatched > 0
+    assert got.records_emitted >= got.suite.events_dispatched
+    assert pickle.dumps(got.watched) == pickle.dumps(got.plain)
+
+
+# ----------------------------------------------------------------------
+# A result is data: it keeps none of its run's world alive
+# ----------------------------------------------------------------------
+#: Objects the reachability walk does not enter: code, not run state.
+NOT_RUN_STATE = (types.ModuleType, type, types.FunctionType,
+                 types.BuiltinFunctionType)
+
+
+def _reaches_a_kernel(root) -> bool:
+    seen = set()
+    pending = [root]
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen or isinstance(obj, NOT_RUN_STATE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Kernel):
+            return True
+        pending.extend(gc.get_referents(obj))
+    return False
+
+
+@pytest.mark.parametrize("scenario", KERNEL_RUNNING)
+def test_a_result_reaches_no_kernel(scenario, runs):
+    got = runs(scenario)
+    assert not _reaches_a_kernel(got.plain)
+    assert not _reaches_a_kernel(got.watched)
+
+
+@pytest.mark.parametrize("scenario", KERNEL_RUNNING)
+def test_a_result_is_what_its_pickle_holds(scenario, runs):
+    """The in-process payload is the one a worker or the cache returns:
+    the round trip repickles to the same bytes, attribute by attribute
+    (nothing is dropped on the way out)."""
+    payload = runs(scenario).plain
+    clone = pickle.loads(pickle.dumps(payload))
+    assert pickle.dumps(clone) == pickle.dumps(payload)
+    state = payload if isinstance(payload, dict) else vars(payload)
+    cloned = clone if isinstance(clone, dict) else vars(clone)
+    assert cloned.keys() == state.keys()
+    for name, value in state.items():
+        assert pickle.dumps(cloned[name]) == pickle.dumps(value), name
+
+
+@pytest.mark.parametrize("scenario", KERNEL_RUNNING)
+def test_a_finished_arm_frees_its_kernel(scenario, runs):
+    """Both runs' kernels are collected while their payloads and the
+    watched run's suite are still held."""
+    got = runs(scenario)
+    gc.collect()
+    assert len(got.kernels) == 2
+    assert [ref() for ref in got.kernels] == [None, None]
+    assert got.suite.events_dispatched > 0  # still readable, still held
+
+
+def test_held_fig9_payloads_cost_kilobytes():
+    """Four fig 9 ``adaptive`` payloads, N = 8 .. 64: a payload holding
+    its world cost about 2.4 MB here, the measurements alone ~50 kB."""
+    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    arm = next(a for a in all_arms() if a.name == "adaptive")
+    run_capacity_experiment(arm, streams=2, duration=0.5)  # warm imports
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        held = [run_capacity_experiment(arm, streams=n, duration=1.0)
+                for n in (8, 16, 32, 64)]
+        gc.collect()
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(payload.rows) for payload in held] == [8, 16, 32, 64]
+    assert cost < 200_000
 
 
 def test_a_reused_tracer_carries_no_suite_into_the_next_run():
@@ -102,11 +218,21 @@ def test_the_example_builders_stand_on_the_same_testbed():
     run_quickstart(checks=suite, verbose=False)
     assert suite.events_dispatched > 0
     suite = default_suite()
+    watched = []  # the World handed to install (uninstall lets go of it)
+    install = suite.install
+
+    def recording(world, *rest):
+        watched.append(world)
+        return install(world, *rest)
+
+    suite.install = recording
     run_uav_pipeline(duration=6.0, burst_start=2.0, burst_stop=4.0,
                      checks=suite, verbose=False)
     assert suite.events_dispatched > 0
     # The UAV builder wires its own qosket; its contract is watched too.
-    assert [c.name for c in suite.world.contracts] == ["frame-filtering"]
+    (world,) = watched
+    assert [c.name for c in world.contracts] == ["frame-filtering"]
+    assert suite.world is None
 
 
 def test_every_scenario_takes_checks_and_tracer_and_arms_take_faults():

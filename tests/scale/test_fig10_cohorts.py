@@ -166,7 +166,7 @@ def test_100k_streams_build_a_handful_of_flows(arm_name):
     result = run_scale_experiment(arm_named(arm_name), streams=streams,
                                   duration=0.5)
     admitted, cohorts = PINS_AT_100K[arm_name]
-    flows = result.engine.flows()
+    flows = result.fluid_flows
     assert len(flows) <= 6
     assert flows[-1].name == "cross" and flows[-1].members == 1
     assert [(f.reserved, f.members) for f in flows[:-1]] == cohorts
@@ -200,11 +200,12 @@ def test_congested_cohort_run_conserves_bytes_under_the_full_suite(arm_name):
         bottleneck_bps=10e6, cross_traffic_bps=4e6, checks=suite)
     assert suite.events_dispatched > 0
     assert result.fluid_epochs >= 1
-    link = result.engine.link("router->dst")
+    link = result.fluid_link
+    assert link.name == "router->dst"
     assert link.be_share < 0.01  # congested indeed
     assert link.lost_bytes > 0.0
     assert link.offered_bytes == pytest.approx(
         link.served_bytes + link.lost_bytes, rel=1e-9)
-    assert len(result.engine.flows()) <= 6
+    assert len(result.fluid_flows) <= 6
     if arm_name == "adaptive":
         assert result.governor_transitions >= 9_000  # one per member

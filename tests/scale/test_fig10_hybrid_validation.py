@@ -115,7 +115,8 @@ def test_hybrid_conserves_fluid_bytes():
     """Spot-check the ledger on one congested arm (the property suite
     covers this exhaustively on synthetic programs)."""
     hybrid = point("reserves", True)
-    for flow in hybrid.engine.flows():
+    assert hybrid.fluid_flows
+    for flow in hybrid.fluid_flows:
         total = flow.served_bytes + flow.lost_bytes
         assert total == pytest.approx(flow.offered_bytes,
                                       rel=1e-9, abs=1e-6)
