@@ -91,9 +91,11 @@ class FlowProducer:
             tracer.begin(
                 "av", "frame",
                 span=f"frame:{self.flow_id}:{self._frame_counter}",
-                flow=self.flow_id, bytes=nbytes, fragments=count,
-                dscp=self.dscp.name,
-                frame_type=getattr(frame_type, "value", frame_type),
+                flow=self.flow_id,
+                fields={"bytes": nbytes, "fragments": count,
+                        "dscp": self.dscp.name,
+                        "frame_type": getattr(frame_type, "value",
+                                              frame_type)},
             )
         all_accepted = True
         remaining = nbytes
@@ -177,7 +179,7 @@ class FlowConsumer:
             tracer.end(
                 "av", "frame", span=f"frame:{flow_id}:{counter}",
                 flow=self.flow_id,
-                latency=self.kernel.now - packet.created_at,
+                fields={"latency": self.kernel.now - packet.created_at},
             )
         if self.on_frame is not None:
             latency = self.kernel.now - packet.created_at

@@ -39,6 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.sim.quantize import EPSILON
 from repro.obs.trace import TraceRecord, Tracer
 from repro.check.world import World
+from repro.oskernel.thread import ThreadState
 
 __all__ = [
     "InvariantViolation",
@@ -723,8 +724,6 @@ class ThreadStateChecker(InvariantChecker):
     kinds = frozenset(("cpu.dispatch", "thread.kill"))
 
     def _check_all(self) -> None:
-        from repro.oskernel.thread import ThreadState
-
         running_on: Dict[int, str] = {}
         for cpu in self.world.cpus():
             current = cpu._current

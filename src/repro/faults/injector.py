@@ -87,10 +87,10 @@ class FaultInjector:
         if tracer is not None:
             if event.until is not None:
                 tracer.begin("fault", event.kind, span=span,
-                             **self._trace_fields(event))
+                             fields=self._trace_fields(event))
             else:
                 tracer.instant("fault", event.kind,
-                               **self._trace_fields(event))
+                               fields=self._trace_fields(event))
         action()
         if self.reporter is not None and event.until is not None:
             self.reporter.fault_started(event.label())
@@ -101,7 +101,7 @@ class FaultInjector:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.end("fault", event.kind, span=span,
-                       **self._trace_fields(event))
+                       fields=self._trace_fields(event))
         if self.reporter is not None:
             self.reporter.fault_cleared(event.label())
 

@@ -483,10 +483,10 @@ class FluidEngine:
             for link in links:
                 tracer.instant(
                     "fluid", "epoch",
-                    link=link.name, epoch=self.epochs,
-                    reserved_share=link.reserved_share,
-                    be_share=link.be_share,
-                    residual=link.packet_residual_bps,
+                    fields={"link": link.name, "epoch": self.epochs,
+                            "reserved_share": link.reserved_share,
+                            "be_share": link.be_share,
+                            "residual": link.packet_residual_bps},
                 )
 
     def _solve_shares(self, links: List[FluidLink],

@@ -247,7 +247,7 @@ class RsvpAgent:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant("net", "rsvp.resignal", flow=f"rsvp:{flow_id}",
-                           node=self._name(), epoch=epoch)
+                           fields={"node": self._name(), "epoch": epoch})
         msg = _RsvpMsg("PATH", flow_id, sender=self._nic().host.name,
                        receiver=receiver_host, epoch=epoch)
         self._emit(msg, dst=receiver_host)
@@ -611,7 +611,7 @@ class RsvpAgent:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant("net", "rsvp.expire", flow=f"rsvp:{flow_id}",
-                           node=self._name())
+                           fields={"node": self._name()})
 
     def _stop_refresh(self, flow_id: str) -> None:
         """Cancel this node's own periodic PATH/RESV refresh timers."""
@@ -647,7 +647,8 @@ class RsvpAgent:
             self._remove_on(interface, flow_id)
             if tracer is not None:
                 tracer.instant("net", "rsvp.release", flow=f"rsvp:{flow_id}",
-                               node=self._name(), reason="link_down")
+                               fields={"node": self._name(),
+                                       "reason": "link_down"})
 
     def drop_reservation_state(self, flow_id: str) -> None:
         """Silently lose the installed reservation for one flow.

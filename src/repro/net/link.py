@@ -79,9 +79,10 @@ class Interface:
         if tracer is not None:
             tracer.instant(
                 "net", "hop.enqueue" if accepted else "hop.drop",
-                flow=packet.flow_id, packet=packet.packet_id,
-                iface=self.label,
-                dscp=packet.dscp._name_, depth=len(self.qdisc),
+                flow=packet.flow_id,
+                fields={"packet": packet.packet_id, "iface": self.label,
+                        "dscp": packet.dscp._name_,
+                        "depth": len(self.qdisc)},
             )
         if accepted and not self._busy:
             self._kick()
@@ -109,9 +110,9 @@ class Interface:
         if tracer is not None:
             tracer.instant(
                 "net", "hop.dequeue",
-                flow=packet.flow_id, packet=packet.packet_id,
-                iface=self.label,
-                dscp=packet.dscp._name_, tx=tx_seconds,
+                flow=packet.flow_id,
+                fields={"packet": packet.packet_id, "iface": self.label,
+                        "dscp": packet.dscp._name_, "tx": tx_seconds},
             )
         event = self._tx_event
         if event is None:
@@ -178,8 +179,9 @@ class Interface:
         if tracer is not None:
             tracer.instant(
                 "net", "hop.loss",
-                flow=packet.flow_id, packet=packet.packet_id,
-                iface=self.label, **extra,
+                flow=packet.flow_id,
+                fields={"packet": packet.packet_id, "iface": self.label,
+                        **extra},
             )
         return True
 
@@ -192,9 +194,9 @@ class Interface:
         if tracer is not None:
             tracer.instant(
                 "net", "hop.rx",
-                flow=packet.flow_id, packet=packet.packet_id,
-                iface=self.label,
-                dscp=packet.dscp._name_, hops=packet.hops,
+                flow=packet.flow_id,
+                fields={"packet": packet.packet_id, "iface": self.label,
+                        "dscp": packet.dscp._name_, "hops": packet.hops},
             )
         self.owner.receive(packet, self)
 

@@ -105,9 +105,10 @@ class Nic:
             # Hosts do not forward.
             self.undeliverable += 1
             if tracer is not None:
-                tracer.instant("net", "nic.undeliverable", host=self.name,
-                               flow=packet.flow_id,
-                               packet=packet.packet_id, reason="transit")
+                tracer.instant("net", "nic.undeliverable", flow=packet.flow_id,
+                               fields={"host": self.name,
+                                       "packet": packet.packet_id,
+                                       "reason": "transit"})
             return
         if packet.protocol is Protocol.RSVP and self.rsvp_agent is not None:
             self.rsvp_agent.handle_local(packet, ingress)
@@ -116,14 +117,16 @@ class Nic:
         if receiver is None:
             self.undeliverable += 1
             if tracer is not None:
-                tracer.instant("net", "nic.undeliverable", host=self.name,
-                               flow=packet.flow_id,
-                               packet=packet.packet_id, reason="unbound")
+                tracer.instant("net", "nic.undeliverable", flow=packet.flow_id,
+                               fields={"host": self.name,
+                                       "packet": packet.packet_id,
+                                       "reason": "unbound"})
             return
         self.delivered += 1
         if tracer is not None:
-            tracer.instant("net", "nic.deliver", host=self.name,
-                           flow=packet.flow_id, packet=packet.packet_id)
+            tracer.instant("net", "nic.deliver", flow=packet.flow_id,
+                           fields={"host": self.name,
+                                   "packet": packet.packet_id})
         receiver(packet)
 
     # ------------------------------------------------------------------

@@ -83,9 +83,10 @@ class Router:
         self.forwarded += 1
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("net", "route.forward", router=self.name,
-                           dst=packet.dst, flow=packet.flow_id,
-                           packet=packet.packet_id, dscp=packet.dscp._name_)
+            tracer.instant("net", "route.forward", flow=packet.flow_id,
+                           fields={"router": self.name, "dst": packet.dst,
+                                   "packet": packet.packet_id,
+                                   "dscp": packet.dscp._name_})
         egress.send(packet)
 
     def forward(self, packet: Packet) -> None:
@@ -104,9 +105,10 @@ class Router:
             self.unroutable += 1
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("net", "route.unroutable", router=self.name,
-                           dst=packet.dst, flow=packet.flow_id,
-                           packet=packet.packet_id, reason=reason)
+            tracer.instant("net", "route.unroutable", flow=packet.flow_id,
+                           fields={"router": self.name, "dst": packet.dst,
+                                   "packet": packet.packet_id,
+                                   "reason": reason})
         if self.on_drop is not None:
             self.on_drop(packet, reason)
 

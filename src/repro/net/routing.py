@@ -328,8 +328,9 @@ class LinkStateRouting:
         self.lsas_originated += 1
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("net", "lsa.originate", router=name, seq=lsa.seq,
-                           neighbors=len(lsa.neighbors))
+            tracer.instant("net", "lsa.originate",
+                           fields={"router": name, "seq": lsa.seq,
+                                   "neighbors": len(lsa.neighbors)})
         self._accept_lsa(node, lsa, learned_from=None)
 
     def _accept_lsa(self, node: _Node, lsa: Lsa,
@@ -358,8 +359,9 @@ class LinkStateRouting:
     def _deliver(self, to_name: str, lsa: Lsa, from_name: str) -> None:
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("net", "lsa.flood", origin=lsa.origin, seq=lsa.seq,
-                           frm=from_name, to=to_name)
+            tracer.instant("net", "lsa.flood",
+                           fields={"origin": lsa.origin, "seq": lsa.seq,
+                                   "frm": from_name, "to": to_name})
         self._accept_lsa(self.nodes[to_name], lsa, learned_from=from_name)
 
     # ------------------------------------------------------------------
@@ -386,8 +388,8 @@ class LinkStateRouting:
                 self.lsas_expired += 1
                 tracer = self.kernel.tracer
                 if tracer is not None:
-                    tracer.instant("net", "lsa.expire", router=name,
-                                   origin=origin)
+                    tracer.instant("net", "lsa.expire",
+                                   fields={"router": name, "origin": origin})
             if expired:
                 self._schedule_spf(node)
         self._age_event = self.kernel.schedule(
@@ -436,8 +438,10 @@ class LinkStateRouting:
         changed = node.router.routes != before
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("net", "spf.install", router=node.router.name,
-                           routes=len(node.router.routes), changed=changed)
+            tracer.instant("net", "spf.install",
+                           fields={"router": node.router.name,
+                                   "routes": len(node.router.routes),
+                                   "changed": changed})
         if changed and notify:
             for callback in self._listeners:
                 callback(node.router)

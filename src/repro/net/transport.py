@@ -351,9 +351,10 @@ class StreamConnection:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant(
-                "net", "stream.retransmit", seq=segment.seq, reason=reason,
-                src=self._src, dst=self.remote_host,
-                message=segment.message_id,
+                "net", "stream.retransmit",
+                fields={"seq": segment.seq, "reason": reason,
+                        "src": self._src, "dst": self.remote_host,
+                        "message": segment.message_id},
             )
 
     # ------------------------------------------------------------------
@@ -498,9 +499,9 @@ class StreamConnection:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant(
-                "net", "stream.deliver", message=mid,
-                host=self._src, latency=meta.latency,
-                bytes=meta.size_bytes,
+                "net", "stream.deliver",
+                fields={"message": mid, "host": self._src,
+                        "latency": meta.latency, "bytes": meta.size_bytes},
             )
         if self.on_message is not None:
             self.on_message(segment.data, meta)

@@ -60,7 +60,12 @@ class RingBufferSink(TraceSink):
 
 
 class JsonlSink(TraceSink):
-    """Writes records as JSON Lines to a path or open file object."""
+    """Writes records as JSON Lines to a path or open file object.
+
+    Each line is one call of the C encoder (``json.dumps``'s one-shot
+    path); ``json.dump`` would stream the same bytes through the
+    pure-Python chunked encoder at about twice the cost per record.
+    """
 
     def __init__(self, target: Union[str, IO[str]]) -> None:
         if isinstance(target, str):
@@ -69,11 +74,11 @@ class JsonlSink(TraceSink):
         else:
             self._file = target
             self._owns_file = False
+        self._encode = json.JSONEncoder(separators=(",", ":")).encode
         self.records_written = 0
 
     def emit(self, record) -> None:
-        json.dump(record.to_dict(), self._file, separators=(",", ":"))
-        self._file.write("\n")
+        self._file.write(self._encode(record.to_dict()) + "\n")
         self.records_written += 1
 
     def close(self) -> None:

@@ -17,6 +17,19 @@ component already holds.  Instrumentation sites read the attribute and
 test for ``None``; with no tracer attached nothing else happens — no
 record allocation, no string formatting.
 
+*One dict per record.*  A site passes its extra fields as one dict
+display, in the order the JSONL shows them, and names only ``span``,
+``flow`` and ``request`` as keywords::
+
+    tracer.instant("net", "hop.rx", flow=packet.flow_id,
+                   fields={"packet": packet.packet_id, "iface": label})
+
+That dict becomes the record's ``fields`` as it is.  A field named as a
+keyword of its own matches no parameter, so CPython would search the
+parameter names twice for it and then pack it into a fresh dict, on
+every record; :meth:`Tracer.emit` keeps that keyword form for
+hand-written records outside the stack, and no site uses it.
+
 *Never perturbs the simulation.*  Emitting a record only appends to
 sinks.  The tracer never schedules events, never consumes random
 numbers, and never mutates component state, so an experiment's metrics
@@ -194,7 +207,7 @@ class Tracer:
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def emit(
+    def record(
         self,
         layer: str,
         kind: str,
@@ -202,9 +215,14 @@ class Tracer:
         span: Optional[str] = None,
         flow: Optional[str] = None,
         request: Optional[int] = None,
-        **fields,
+        fields: Optional[dict] = None,
     ) -> None:
-        """The one path every record takes: look up, count, build, hand over."""
+        """The one path every record takes: look up, count, build, hand over.
+
+        ``fields`` is the site's one dict of extra data, in the order the
+        JSONL shows it, or ``None``; it becomes the record's ``fields``
+        as it is, so no keyword is bound or packed on the way in.
+        """
         try:
             entry = self._table[layer, kind]
         except KeyError:
@@ -214,25 +232,34 @@ class Tracer:
         if handlers:
             record = TraceRecord(
                 self._kernel.now if self._kernel is not None else 0.0,
-                layer, kind, phase, span, flow, request, fields or None,
+                layer, kind, phase, span, flow, request, fields,
             )
             for handler in handlers:
                 handler(record)
 
-    #: An instant is ``emit`` at its default phase.  The same function,
-    #: not a wrapper: nine records in ten are instants, and a wrapper
-    #: would pack and unpack every call site's keywords a second time.
-    instant = emit
+    #: An instant is ``record`` at its default phase.  The same function,
+    #: not a wrapper: nine records in ten are instants.
+    instant = record
 
     def begin(self, layer: str, kind: str, span: str,
               flow: Optional[str] = None, request: Optional[int] = None,
-              **fields) -> None:
-        self.emit(layer, kind, PHASE_BEGIN, span, flow, request, **fields)
+              fields: Optional[dict] = None) -> None:
+        self.record(layer, kind, PHASE_BEGIN, span, flow, request, fields)
 
     def end(self, layer: str, kind: str, span: str,
             flow: Optional[str] = None, request: Optional[int] = None,
-            **fields) -> None:
-        self.emit(layer, kind, PHASE_END, span, flow, request, **fields)
+            fields: Optional[dict] = None) -> None:
+        self.record(layer, kind, PHASE_END, span, flow, request, fields)
+
+    def emit(self, layer: str, kind: str, phase: str = PHASE_INSTANT,
+             span: Optional[str] = None, flow: Optional[str] = None,
+             request: Optional[int] = None, **fields) -> None:
+        """:meth:`record` with the fields named as keywords.
+
+        For hand-written records outside the stack (``perf/micro.py``'s
+        ``obs.emits_per_s`` emits this way); no trace site calls it.
+        """
+        self.record(layer, kind, phase, span, flow, request, fields or None)
 
     def dispatch(self, record: TraceRecord) -> None:
         """Hand an already built record through the table (replay)."""

@@ -215,16 +215,16 @@ class Orb:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.begin(
-                "orb", "request", span=f"req:{request_id}",
-                request=request_id, operation=operation,
-                key=objref.object_key, priority=send_priority,
-                dscp=effective_dscp.name, bytes=wire_bytes,
-                oneway=not response_expected, client=self.host.name,
+                "orb", "request", span=f"req:{request_id}", request=request_id,
+                fields={"operation": operation, "key": objref.object_key,
+                        "priority": send_priority, "dscp": effective_dscp.name,
+                        "bytes": wire_bytes, "oneway": not response_expected,
+                        "client": self.host.name},
             )
             if thread is not None:
                 tracer.begin(
                     "orb", "marshal", span=f"marshal:{request_id}",
-                    request=request_id, thread=thread.name,
+                    request=request_id, fields={"thread": thread.name},
                 )
 
         def transmit() -> None:
@@ -234,8 +234,9 @@ class Orb:
                     tr.end("orb", "marshal", span=f"marshal:{request_id}",
                            request=request_id)
                 tr.begin("orb", "transfer", span=f"xfer:{request_id}",
-                         request=request_id, dscp=effective_dscp.name,
-                         bytes=wire_bytes)
+                         request=request_id,
+                         fields={"dscp": effective_dscp.name,
+                                 "bytes": wire_bytes})
             connection = self._connection_to(
                 objref.host, objref.port, effective_dscp, band
             )
@@ -347,7 +348,8 @@ class Orb:
             self.connection_failures += 1
             if tracer is not None:
                 tracer.end("orb", "request", span=f"req:{request_id}",
-                           request=request_id, status="COMM_FAILURE")
+                           request=request_id,
+                           fields={"status": "COMM_FAILURE"})
             pending.signal.fire(ConnectionClosed(
                 f"request {request_id}: connection to "
                 f"{connection.remote_host}:{connection.remote_port} closed"
@@ -372,7 +374,7 @@ class Orb:
             tracer.end("orb", "reply.transfer", span=f"rxfer:{rid}",
                        request=rid)
             tracer.end("orb", "request", span=f"req:{rid}", request=rid,
-                       status=message.reply_status.name)
+                       fields={"status": message.reply_status.name})
         if message.reply_status == ReplyStatus.SYSTEM_EXCEPTION:
             pending.signal.fire(OrbError(_decode_error(message)))
         else:
@@ -386,7 +388,8 @@ class Orb:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.end("orb", "request", span=f"req:{request_id}",
-                       request=request_id, status="TIMEOUT", elapsed=elapsed)
+                       request=request_id,
+                       fields={"status": "TIMEOUT", "elapsed": elapsed})
         pending.signal.fire(
             RequestTimeout(f"request {request_id} timed out after {elapsed:.3f}s")
         )
@@ -409,8 +412,9 @@ class Orb:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.end("orb", "transfer", span=f"xfer:{message.request_id}",
-                       request=message.request_id, server=self.host.name,
-                       priority=message.rt_priority())
+                       request=message.request_id,
+                       fields={"server": self.host.name,
+                               "priority": message.rt_priority()})
         poa_name, _, _oid = message.object_key.partition("/")
         poa = self._poas.get(poa_name)
         if poa is None:
@@ -436,8 +440,9 @@ class Orb:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.begin("orb", "reply.transfer", span=f"rxfer:{request_id}",
-                         request=request_id, bytes=wire_bytes,
-                         status=reply_status.name)
+                         request=request_id,
+                         fields={"bytes": wire_bytes,
+                                 "status": reply_status.name})
         connection.send_message((encoded, sidecar), wire_bytes)
 
     def _system_exception(

@@ -145,8 +145,8 @@ class CPU:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.begin("os", "work", span=f"work:{request.rid}",
-                         cpu=self.name, thread=thread.name,
-                         amount=work_seconds)
+                         fields={"cpu": self.name, "thread": thread.name,
+                                 "amount": work_seconds})
         queue = self._queues[thread.tid]
         queue.append(request)
         if thread.state == ThreadState.IDLE:
@@ -210,8 +210,9 @@ class CPU:
         thread.state = ThreadState.DEAD
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("os", "thread.kill", cpu=self.name,
-                           thread=thread.name, abandoned=abandoned)
+            tracer.instant("os", "thread.kill",
+                           fields={"cpu": self.name, "thread": thread.name,
+                                   "abandoned": abandoned})
         self.reschedule()
 
     def on_reserve_detached(self, thread: SimThread) -> None:
@@ -270,9 +271,11 @@ class CPU:
             tracer = self.kernel.tracer
             if tracer is not None and consumed > 0:
                 tracer.instant(
-                    "os", "cpu.preempt", cpu=self.name, thread=thread.name,
-                    consumed=consumed, remaining=request.remaining,
-                    depleted=depleted,
+                    "os", "cpu.preempt",
+                    fields={"cpu": self.name, "thread": thread.name,
+                            "consumed": consumed,
+                            "remaining": request.remaining,
+                            "depleted": depleted},
                 )
         if (
             depleted
@@ -291,8 +294,8 @@ class CPU:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.end("os", "work", span=f"work:{request.rid}",
-                       cpu=self.name, thread=thread.name,
-                       response=request.response_time)
+                       fields={"cpu": self.name, "thread": thread.name,
+                               "response": request.response_time})
         request.done.fire(request)
         if queue:
             thread.state = ThreadState.READY
@@ -349,8 +352,10 @@ class CPU:
             self._last_dispatched = candidate.tid
             tracer = self.kernel.tracer
             if tracer is not None:
-                tracer.instant("os", "cpu.dispatch", cpu=self.name,
-                               thread=candidate.name, priority=best_key[0])
+                tracer.instant("os", "cpu.dispatch",
+                               fields={"cpu": self.name,
+                                       "thread": candidate.name,
+                                       "priority": best_key[0]})
         slice_work = request.remaining
         reserve = candidate.reserve
         if reserve is not None and reserve.has_budget:

@@ -150,8 +150,9 @@ class Reserve:
         tracer = self._kernel.tracer
         if tracer is not None:
             tracer.instant("os", "reserve.replenish",
-                           reserve=self.reserve_id, thread=self.thread.name,
-                           periods=delta, budget=self.compute)
+                           fields={"reserve": self.reserve_id,
+                                   "thread": self.thread.name,
+                                   "periods": delta, "budget": self.compute})
         return True
 
     def consume(self, cpu_seconds: float) -> bool:
@@ -168,10 +169,10 @@ class Reserve:
             tracer = self._kernel.tracer
             if tracer is not None:
                 tracer.instant("os", "reserve.deplete",
-                               reserve=self.reserve_id,
-                               thread=self.thread.name,
-                               policy=self.policy.value,
-                               consumed=self.consumed_total)
+                               fields={"reserve": self.reserve_id,
+                                       "thread": self.thread.name,
+                                       "policy": self.policy.value,
+                                       "consumed": self.consumed_total})
             return True
         return False
 

@@ -181,9 +181,10 @@ class Broker:
             self.matches_rejected += 1
             if tracer is not None:
                 tracer.instant("pubsub", "match.rejected",
-                               writer=writer.name, reader=reader.name,
-                               topic=writer.topic.name,
-                               failed=",".join(result.failed))
+                               fields={"writer": writer.name,
+                                       "reader": reader.name,
+                                       "topic": writer.topic.name,
+                                       "failed": ",".join(result.failed)})
             return
         match = Match(writer, reader, result)
         self._maybe_reserve(match)
@@ -191,9 +192,12 @@ class Broker:
         reader.matched[writer.name] = match
         self.matches_formed += 1
         if tracer is not None:
-            tracer.instant("pubsub", "match", writer=writer.name,
-                           reader=reader.name, topic=writer.topic.name,
-                           reliable=match.reliable, reserved=match.reserved)
+            tracer.instant("pubsub", "match",
+                           fields={"writer": writer.name,
+                                   "reader": reader.name,
+                                   "topic": writer.topic.name,
+                                   "reliable": match.reliable,
+                                   "reserved": match.reserved})
         reader.start_deadline_monitor()
         if (reader.qos.durability is Durability.TRANSIENT_LOCAL
                 and writer.durable_cache is not None
@@ -202,8 +206,10 @@ class Broker:
             self.replays += replayed
             if tracer is not None and replayed:
                 tracer.instant("pubsub", "durability.replay",
-                               writer=writer.name, reader=reader.name,
-                               topic=writer.topic.name, samples=replayed)
+                               fields={"writer": writer.name,
+                                       "reader": reader.name,
+                                       "topic": writer.topic.name,
+                                       "samples": replayed})
 
     def _maybe_reserve(self, match: Match) -> None:
         """Reliable KEEP_ALL endpoints claim reserve budget up front."""
@@ -389,8 +395,8 @@ class Broker:
             tracer = self.kernel.tracer
             if tracer is not None:
                 tracer.instant("pubsub", "ownership.failover",
-                               topic=topic_name, old=old_owner,
-                               new=new_owner, partition=pid)
+                               fields={"topic": topic_name, "old": old_owner,
+                                       "new": new_owner, "partition": pid})
             for reader in self.readers.values():
                 if (reader.topic.name == topic_name
                         and reader.qos.ownership is OwnershipKind.EXCLUSIVE

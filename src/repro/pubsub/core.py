@@ -399,8 +399,9 @@ class DataReader:
             tracer = self.kernel.tracer
             if tracer is not None:
                 tracer.instant("pubsub", "sample.unmatched",
-                               reader=self.name, writer=sample.writer,
-                               topic=sample.topic)
+                               fields={"reader": self.name,
+                                       "writer": sample.writer,
+                                       "topic": sample.topic})
             return
         if (self.qos.ownership is OwnershipKind.EXCLUSIVE
                 and sample.writer != self.owner):
@@ -476,8 +477,10 @@ class DataReader:
             self.miss_streak += 1
             tracer = self.kernel.tracer
             if tracer is not None:
-                tracer.instant("pubsub", "deadline.miss", reader=self.name,
-                               topic=self.topic.name, streak=self.miss_streak)
+                tracer.instant("pubsub", "deadline.miss",
+                               fields={"reader": self.name,
+                                       "topic": self.topic.name,
+                                       "streak": self.miss_streak})
         else:
             self.miss_streak = 0
         if self.on_deadline_check is not None:

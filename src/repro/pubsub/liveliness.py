@@ -80,7 +80,7 @@ class LivelinessMonitor:
             tracer = self.kernel.tracer
             if tracer is not None:
                 tracer.instant("pubsub", "liveliness.revived",
-                               writer=self.name)
+                               fields={"writer": self.name})
             if self.on_revived is not None:
                 self.on_revived(self)
             self._arm(self.last_heard + self.lease)
@@ -127,8 +127,10 @@ class LivelinessMonitor:
         self.transitions.append(("lost", self.kernel.now))
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("pubsub", "liveliness.lost", writer=self.name,
-                           last_heard=self.last_heard, lease=self.lease)
+            tracer.instant("pubsub", "liveliness.lost",
+                           fields={"writer": self.name,
+                                   "last_heard": self.last_heard,
+                                   "lease": self.lease})
         if self.on_lost is not None:
             self.on_lost(self)
 

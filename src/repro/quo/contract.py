@@ -212,8 +212,10 @@ class Contract:
         self.transitions.append(transition)
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("quo", "region.transition", contract=self.name,
-                           from_region=previous, to_region=matched.name)
+            tracer.instant("quo", "region.transition",
+                           fields={"contract": self.name,
+                                   "from_region": previous,
+                                   "to_region": matched.name})
         if matched.on_enter is not None:
             matched.on_enter(self)
         self.transitioned.fire(transition)

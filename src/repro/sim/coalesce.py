@@ -191,6 +191,7 @@ class TickCoalescer:
         callbacks = self._pending.pop(tick)
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.instant("sim", "tick.coalesce", batched=len(callbacks))
+            tracer.instant("sim", "tick.coalesce",
+                           fields={"batched": len(callbacks)})
         for callback, args in callbacks:
             callback(*args)

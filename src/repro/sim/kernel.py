@@ -257,13 +257,12 @@ class Kernel:
         tracer = self.tracer
         if tracer is not None:
             callback = event.callback
-            tracer.instant(
-                "sim", "event.dispatch",
-                callback=getattr(
-                    callback, "__qualname__", type(callback).__name__
-                ),
-                seq=seq,
-            )
+            try:
+                name = callback.__qualname__
+            except AttributeError:
+                name = type(callback).__name__
+            tracer.instant("sim", "event.dispatch",
+                           fields={"callback": name, "seq": seq})
         event.callback(*event.args)
         return True
 
@@ -326,14 +325,12 @@ class Kernel:
                     self.now = time
                     executed += 1
                     callback = event.callback
-                    tracer.instant(
-                        "sim", "event.dispatch",
-                        callback=getattr(
-                            callback, "__qualname__",
-                            type(callback).__name__
-                        ),
-                        seq=seq,
-                    )
+                    try:
+                        name = callback.__qualname__
+                    except AttributeError:
+                        name = type(callback).__name__
+                    tracer.instant("sim", "event.dispatch",
+                                   fields={"callback": name, "seq": seq})
                     callback(*event.args)
             if until is not None and not self._stopped and until > self.now:
                 self.now = until

@@ -1,13 +1,13 @@
 """Differential tests for the tracer's ``(layer, kind)`` dispatch table.
 
-``Tracer.emit`` hands a record to the handlers one lazily built table
+``Tracer.record`` hands a record to the handlers one lazily built table
 names for its pair, checkers' ``on_event`` included, and the monitors'
 bodies no longer test the kind themselves.  So a wrong table can hide a
 record from a checker without any failure.  Every test here runs one
 record stream through two dispatchers and requires the same outcome:
 
 * the table under test, reached through ``CheckSuite.emit`` (replay of
-  built records) or through a live ``Tracer.emit``;
+  built records) or through a live ``Tracer.record``;
 * :func:`reference_dispatch`, which keeps no table: like the suite
   before any table existed, it offers every record to every checker
   subscribed to the record's layer, one by one, and the checker takes
@@ -84,14 +84,14 @@ def run_suite(world, records):
 
 
 def run_live(world, records):
-    """Each record re-emitted through ``Tracer.emit`` at its own time."""
+    """Each record re-emitted through ``Tracer.record`` at its own time."""
     suite = default_suite().install(world)
     tracer = world.kernel.tracer
     try:
         for r in records:
             world.kernel.now = r.time  # the clock the record was stamped by
-            tracer.emit(r.layer, r.kind, r.phase, r.span, r.flow, r.request,
-                        **(r.fields or {}))
+            tracer.record(r.layer, r.kind, r.phase, r.span, r.flow,
+                          r.request, r.fields)
     finally:
         suite.uninstall()
     return suite.checkers, suite.events_dispatched, suite.summary()
@@ -162,7 +162,7 @@ def watched_live(run):
 
     Each checker's ``on_event`` is wrapped before install, so the table
     holds the wrapper and ``handed`` logs, per checker name, exactly
-    what the live ``Tracer.emit`` handed it.  Returns the recorded
+    what the live ``Tracer.record`` handed it.  Returns the recorded
     stream, the handed log, the suite, the tracer and the world the
     suite was installed over (its uninstall lets go of it).
     """
@@ -536,7 +536,7 @@ def test_no_checker_is_handed_a_kind_it_did_not_declare(
     for seq, (layer, kind) in enumerate(stream):
         if seq == cut:
             suite.uninstall()
-        tracer.emit(layer, kind, seq=seq)
+        tracer.instant(layer, kind, fields={"seq": seq})
     suite.uninstall()
 
     def admitted(layer):

@@ -538,10 +538,12 @@ def test_counters_survive_uninstall_and_add_up_over_installs():
         world = bare_world()
         tracer.attach(world.kernel)
         suite.install(world)
-        tracer.emit("pubsub", "liveliness.lost", writer=f"w{run}")
-        tracer.emit("net", "hop.rx")
+        tracer.instant("pubsub", "liveliness.lost",
+                       fields={"writer": f"w{run}"})
+        tracer.instant("net", "hop.rx")
         suite.uninstall()
-        tracer.emit("pubsub", "liveliness.lost", writer=f"w{run}")  # unwatched
+        tracer.instant("pubsub", "liveliness.lost",
+                       fields={"writer": f"w{run}"})  # unwatched
         tracer.detach()
     assert suite.summary() == {"pubsub": 2, "time-monotonic": 4}
     assert suite.events_dispatched == 2

@@ -208,9 +208,10 @@ class StreamConnection:
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant(
-                "net", "stream.retransmit", seq=segment.seq, reason=reason,
-                src=self.nic.host.name, dst=self.remote_host,
-                message=segment.message_id,
+                "net", "stream.retransmit",
+                fields={"seq": segment.seq, "reason": reason,
+                        "src": self.nic.host.name, "dst": self.remote_host,
+                        "message": segment.message_id},
             )
 
     def _deliver(self, packet):
@@ -312,9 +313,10 @@ class StreamConnection:
             tracer = self.kernel.tracer
             if tracer is not None:
                 tracer.instant(
-                    "net", "stream.deliver", message=mid,
-                    host=self.nic.host.name, latency=meta.latency,
-                    bytes=meta.size_bytes,
+                    "net", "stream.deliver",
+                    fields={"message": mid, "host": self.nic.host.name,
+                            "latency": meta.latency,
+                            "bytes": meta.size_bytes},
                 )
             if self.on_message is not None:
                 self.on_message(payload, meta)

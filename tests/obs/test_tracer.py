@@ -46,7 +46,7 @@ def test_records_carry_sim_time():
 def test_begin_end_instant_phases():
     tracer = Tracer()
     tracer.begin("orb", "request", span="req:1", request=1)
-    tracer.instant("net", "hop.rx", packet=7)
+    tracer.instant("net", "hop.rx", fields={"packet": 7})
     tracer.end("orb", "request", span="req:1", request=1)
     phases = [(r.kind, r.phase) for r in tracer.records]
     assert phases == [("request", "B"), ("hop.rx", "I"), ("request", "E")]
@@ -74,7 +74,7 @@ def test_ring_buffer_bounds_memory():
     sink = RingBufferSink(capacity=3)
     tracer = Tracer(sinks=[sink])
     for i in range(10):
-        tracer.instant("sim", "tick", i=i)
+        tracer.instant("sim", "tick", fields={"i": i})
     assert len(sink) == 3
     assert sink.evicted == 7
     assert [r.fields["i"] for r in sink.records] == [7, 8, 9]
@@ -98,7 +98,8 @@ def test_jsonl_round_trip(tmp_path):
     kernel = Kernel()
     tracer = Tracer(sinks=[JsonlSink(path)], layers=["orb"]).attach(kernel)
     kernel.schedule(1.0, lambda: tracer.begin(
-        "orb", "request", span="req:1", request=1, dscp="EF", bytes=128))
+        "orb", "request", span="req:1", request=1,
+        fields={"dscp": "EF", "bytes": 128}))
     kernel.run()
     tracer.close()
     rows = read_jsonl(path)

@@ -183,7 +183,7 @@ class _CountingTracer:
         self.dispatches = 0
         self.seq = None
 
-    def instant(self, layer, kind, **fields):
+    def instant(self, layer, kind, fields=None):
         assert (layer, kind) == ("sim", "event.dispatch")
         self.dispatches += 1
         self.seq = fields["seq"]
