@@ -31,10 +31,22 @@ digest covers every ``.py`` file under ``repro``'s package root, so
 impossible to get stale results from.  Corrupt or unreadable entries
 are treated as misses and recomputed.  Set ``REPRO_CACHE=0`` to bypass
 the cache entirely, and ``REPRO_CACHE_DIR`` to relocate it.
+
+Memory
+------
+
+A finished arm's world (kernel, heap, actors, queues) is a web of
+cycles that only the cyclic collector frees.  ``_execute`` freezes the
+heap before the scenario call and collects once after it returns, so
+the collection walks only what the arm allocated and the next arm
+starts without the last one's garbage.  ``RunResult.wall_seconds``
+excludes that collection; the per-arm times ``perf/`` takes round
+``run_one`` include it.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -339,9 +351,16 @@ def _execute(spec_fields: Tuple[str, Dict[str, Any], Optional[int]]
     scenario_name, params, seed = spec_fields
     fn = scenario_function(scenario_name)
     spec = RunSpec(scenario_name, params, seed)
-    started = time.perf_counter()
-    payload = fn(**spec.call_kwargs())
-    wall = time.perf_counter() - started
+    # Everything alive before the arm goes to the permanent generation,
+    # so the collection below walks only what the arm allocated.
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        payload = fn(**spec.call_kwargs())
+        wall = time.perf_counter() - started
+        gc.collect()
+    finally:
+        gc.unfreeze()
     return payload, _events_of(payload), wall
 
 

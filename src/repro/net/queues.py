@@ -26,7 +26,7 @@ queue keeps one set of books, and a rejection is booked exactly once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.sim.quantize import clamp
@@ -166,17 +166,31 @@ class DiffServQueue(QueueDiscipline):
         capacities: Optional[Dict[PhbClass, int]] = None,
     ) -> None:
         super().__init__(name=name)
-        # Both indexed by PhbClass (an IntEnum counting from 0).
-        self._bands = tuple(deque() for _ in PhbClass)
+        # Both indexed by PhbClass (an IntEnum counting from 0).  A band
+        # is ``None`` until its first arrival builds its deque: most
+        # ports of a generated WAN never carry a packet.
+        self._bands: List[Optional[deque]] = [None] * len(PhbClass)
         self._capacities = [(capacities or {}).get(phb, band_capacity)
                             for phb in PhbClass]
-        #: The physical deques in service order, most-preferred first.
-        self._band_order = self._bands
+        #: Every lane in service order, most-preferred first; an unbuilt
+        #: one is ``None``, which ``dequeue`` skips as it skips an empty
+        #: deque.  Here the same list as ``_bands``.
+        self._band_order: List[Optional[deque]] = self._bands
+        #: The built deques, which ``__len__`` sums.
+        self._built: List[deque] = []
+
+    def _build_band(self, band: int) -> deque:
+        """Build ``band``'s deque on its first arrival."""
+        queue = self._bands[band] = deque()
+        self._built.append(queue)
+        return queue
 
     def enqueue(self, packet: Packet) -> bool:
         dscp = packet.dscp
         band, fill = BAND_OF.get(dscp) or band_of(dscp)
         queue = self._bands[band]
+        if queue is None:
+            queue = self._build_band(band)
         threshold = self._capacities[band]
         if fill is not None:
             threshold *= fill
@@ -194,7 +208,8 @@ class DiffServQueue(QueueDiscipline):
         return None
 
     def band_depth(self, phb: PhbClass) -> int:
-        return len(self._bands[phb])
+        queue = self._bands[phb]
+        return 0 if queue is None else len(queue)
 
     def band_capacity(self, phb: PhbClass) -> int:
         return self._capacities[phb]
@@ -206,7 +221,7 @@ class DiffServQueue(QueueDiscipline):
     def __len__(self) -> int:
         # Counted from the deques themselves, never from the books: the
         # invariant checker verifies ``len(q) == enqueued - dequeued``.
-        return sum(map(len, self._band_order))
+        return sum(map(len, self._built))
 
 
 class GuaranteedRateQueue(DiffServQueue):
@@ -233,9 +248,11 @@ class GuaranteedRateQueue(DiffServQueue):
     ) -> None:
         super().__init__(band_capacity=band_capacity, name=name)
         self._kernel = kernel
-        self._reserved: deque = deque()
+        #: The reserved lane, built on the first conforming arrival.
+        self._reserved: Optional[deque] = None
         self.reserved_capacity = int(reserved_capacity)
-        self._band_order = (self._reserved,) + self._bands
+        # Slot 0 is the reserved lane, slot ``band + 1`` a DiffServ band.
+        self._band_order = [None] + self._bands
         self._buckets: Dict[str, TokenBucket] = {}
         #: Packets that conformed to a reservation (observability).
         self.conformed = 0
@@ -261,14 +278,27 @@ class GuaranteedRateQueue(DiffServQueue):
         return dict(self._buckets)
 
     # -- discipline -------------------------------------------------------
+    def _build_band(self, band: int) -> deque:
+        queue = super()._build_band(band)
+        self._band_order[band + 1] = queue
+        return queue
+
+    def _build_reserved(self) -> deque:
+        queue = self._reserved = self._band_order[0] = deque()
+        self._built.append(queue)
+        return queue
+
     def enqueue(self, packet: Packet) -> bool:
         bucket = self._buckets.get(packet.flow_id)
         if bucket is not None:
             if bucket.try_consume(packet.size_bytes):
-                if len(self._reserved) >= self.reserved_capacity:
+                reserved = self._reserved
+                if reserved is None:
+                    reserved = self._build_reserved()
+                if len(reserved) >= self.reserved_capacity:
                     return self._drop(packet)
                 self.conformed += 1
-                self._reserved.append(packet)
+                reserved.append(packet)
                 self.enqueued += 1
                 return True
             self.demoted += 1
@@ -277,6 +307,8 @@ class GuaranteedRateQueue(DiffServQueue):
         dscp = packet.dscp
         band, fill = BAND_OF.get(dscp) or band_of(dscp)
         queue = self._bands[band]
+        if queue is None:
+            queue = self._build_band(band)
         threshold = self._capacities[band]
         if fill is not None:
             threshold *= fill

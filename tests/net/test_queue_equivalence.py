@@ -168,6 +168,17 @@ OPS = st.lists(
     max_size=150,
 )
 
+#: Dequeues and capacity overrides before any enqueue: they meet lanes
+#: that no arrival has built yet.
+PRELUDE = st.lists(
+    st.one_of(
+        st.tuples(st.just("deq")),
+        st.tuples(st.just("capacity"), st.sampled_from(list(PhbClass)),
+                  st.integers(min_value=1, max_value=9)),
+    ),
+    max_size=6,
+)
+
 
 def make_packet(dscp, flow, nbytes):
     return Packet("a", "b", 1, 2, Protocol.UDP, payload_bytes=nbytes,
@@ -228,11 +239,11 @@ def drive(kernel, new, oracle, operations, extra=()):
     assert_same_state(new, oracle, extra)
 
 
-@given(OPS, st.integers(min_value=1, max_value=9),
+@given(PRELUDE, OPS, st.integers(min_value=1, max_value=9),
        st.integers(min_value=1, max_value=4))
 @settings(max_examples=150, deadline=None)
 def test_prop_guaranteed_rate_queue_matches_two_level_oracle(
-        operations, band_capacity, reserved_capacity):
+        prelude, operations, band_capacity, reserved_capacity):
     kernel = Kernel()
     new = GuaranteedRateQueue(kernel, band_capacity=band_capacity,
                               reserved_capacity=reserved_capacity)
@@ -240,21 +251,21 @@ def test_prop_guaranteed_rate_queue_matches_two_level_oracle(
                                   reserved_capacity=reserved_capacity)
     # "video" starts reserved with a bucket two MTUs deep, so sequences
     # reach conformance, exhaustion and demotion-then-overflow early.
-    operations = [("reserve", "video", 64e3, 3000)] + operations
+    operations = [("reserve", "video", 64e3, 3000)] + prelude + operations
     drive(kernel, new, oracle, operations, extra=("conformed", "demoted"))
 
 
-@given(OPS, st.integers(min_value=1, max_value=9),
+@given(PRELUDE, OPS, st.integers(min_value=1, max_value=9),
        st.dictionaries(st.sampled_from(list(PhbClass)),
                        st.integers(min_value=1, max_value=9)))
 @settings(max_examples=150, deadline=None)
-def test_prop_diffserv_queue_matches_oracle(operations, band_capacity,
-                                            capacities):
+def test_prop_diffserv_queue_matches_oracle(prelude, operations,
+                                            band_capacity, capacities):
     kernel = Kernel()
     new = DiffServQueue(band_capacity=band_capacity, capacities=capacities)
     oracle = OracleDiffServ(band_capacity=band_capacity,
                             capacities=capacities)
-    drive(kernel, new, oracle, operations)
+    drive(kernel, new, oracle, prelude + operations)
 
 
 AF_CLASSES = {
