@@ -287,9 +287,12 @@ class StreamConnection:
         self._next_seq = seq
         self.messages_sent += 1
         self._pump()
+        if self._in_flight and self._rto_event is None:
+            self._arm_rto()
         return message_id
 
     def _pump(self) -> None:
+        """Transmit backlog segments while the window has room."""
         backlog = self._backlog
         if backlog:
             in_flight = self._in_flight
@@ -300,8 +303,6 @@ class StreamConnection:
                 segment = backlog.popleft()
                 in_flight[segment.seq] = segment
                 self._transmit(segment)
-        if self._in_flight and self._rto_event is None:
-            self._arm_rto()
 
     def _transmit(self, segment: _Segment) -> None:
         self.segments_sent += 1
@@ -425,8 +426,18 @@ class StreamConnection:
             self._snd_una = ack_seq
             self._dup_acks = 0
             self._consecutive_rtos = 0
-            self._cancel_rto()
             self._pump()
+            # RFC 6298 (5.2, 5.3): once the window has refilled, the
+            # timer restarts, or stops if nothing is outstanding.  The
+            # restart moves the pending handle (sim/kernel.py,
+            # "Restarting a pending timer").
+            event = self._rto_event
+            if not self._in_flight:
+                self._cancel_rto()
+            elif event is None:
+                self._arm_rto()
+            else:
+                self._rto_event = self.kernel.restart(event, self._rto)
             # NewReno-style recovery: a partial ack exposing a stale
             # hole means that hole was lost too — retransmit it now
             # rather than after another full RTO.
@@ -615,6 +626,5 @@ class StreamListener:
 
     def close(self) -> None:
         self.nic.unbind(Protocol.TCP, self.port)
-        for conn in self.connections.values():
-            conn.closed = True
-            conn._cancel_rto()
+        for conn in list(self.connections.values()):
+            conn.close()

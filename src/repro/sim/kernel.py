@@ -15,7 +15,8 @@ beats the calendar queue it replaced (DESIGN §8 has the measurements).
 ``seq`` is unique, so tuple comparisons are decided in C on the first
 two fields and never reach the event object.  Cancelled entries stay in
 place as tombstones, are skipped when they surface, and are compacted
-away when they outnumber the live entries.
+away when they outnumber the live entries; a restarted handle's entry
+is re-keyed instead ("Restarting a pending timer" below).
 
 Determinism
 -----------
@@ -55,15 +56,45 @@ what ``rearm()`` does, minus the frame and the checks:
 
 Everything else goes through :meth:`Kernel.rearm` or
 :meth:`Kernel.schedule`, which do check.  The kernel alone writes
-:attr:`Kernel.now`; handles carry no copy of their time or sequence
-number, since an in-place push would leave one stale.
+:attr:`Kernel.now`.  A handle carries no copy of its heap entry's key:
+the ``(time, seq)`` pair lives only in the entry.  The one time a
+handle does hold, its deadline ``_due`` for :meth:`Kernel.restart`,
+is written by the kernel's methods and not by an in-place push, so it
+is stale on a hot handle; a handle that is re-armed in place is never
+restarted.
+
+Restarting a pending timer
+--------------------------
+
+A stream's retransmission timer is pushed back on nearly every
+acknowledgement (RFC 6298 §5.3).  Cancelling it and scheduling a fresh
+one leaves one tombstone per ACK; :meth:`Kernel.restart` moves the
+pending handle instead, in the dispatch order of cancel + schedule:
+
+- **Seq rule.**  ``restart`` draws the new key's ``seq`` at the call,
+  exactly where ``schedule()`` after ``cancel()`` would draw it, and
+  never again for that key.
+- **Deferred re-key.**  The entry stays in the heap at its old key
+  ``(T0, s0)``, and the handle's ``_skip`` holds the new key
+  ``(T1, s1)``.  Only when the old key surfaces (``run()``'s skip
+  branch, ``peek()``), or when the heap is compacted, is the entry
+  pushed again at ``(T1, s1)``.  Since ``T0 <= T1``, nothing keyed
+  after ``(T1, s1)`` can pop before it, and nothing keyed before it is
+  held back.  A moved entry is one live event: it is not a tombstone
+  (``_stale``, :meth:`Kernel.pending`), and its re-key is not an
+  executed event.
+- **Earlier-deadline fallback.**  Deferring is sound only if the new
+  deadline is not earlier than the handle's deadline ``_due``.  A
+  restart to an earlier one tombstones the handle and pushes a fresh
+  handle at the new key, so ``restart`` returns the handle that will
+  fire and the caller keeps that one.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 
 class SimulationError(RuntimeError):
@@ -79,32 +110,49 @@ class ScheduledEvent:
     constantly.  The kernel counts live tombstones and compacts the heap
     when they dominate it, so cancel/reschedule churn cannot grow the
     pending set unboundedly.
+
+    A handle moved by :meth:`Kernel.restart` is skipped the same way,
+    but its entry is pushed again at the new key instead of dropped.
     """
 
-    __slots__ = ("callback", "args", "cancelled", "_kernel")
+    __slots__ = ("callback", "args", "_skip", "_due", "_kernel")
 
-    def __init__(self, callback: Callable[..., None], args: tuple) -> None:
+    def __init__(self, callback: Callable[..., None], args: tuple,
+                 due: float) -> None:
         self.callback = callback
         self.args = args
-        self.cancelled = False
+        #: Truthy when the heap entry holding this handle must not be
+        #: dispatched as it surfaces: ``True`` once cancelled, or the
+        #: ``(time, seq)`` key :meth:`Kernel.restart` moved it to.
+        self._skip: Union[bool, Tuple[float, int]] = False
+        #: The time the handle fires at, as the kernel's methods last
+        #: set it (an in-place push does not).
+        self._due = due
         #: Owning kernel while the event sits in the heap; cleared on
         #: pop so a late cancel() cannot skew the tombstone count.
         self._kernel: Optional["Kernel"] = None
 
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` was called since the handle was armed."""
+        return self._skip is True
+
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
+        if self._skip is True:
             return
-        self.cancelled = True
+        self._skip = True
         kernel = self._kernel
         if kernel is not None:
             kernel._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.cancelled:
+        if self._skip is True:
             state = "cancelled"
+        elif self._kernel is None:
+            state = "idle"
         else:
-            state = "idle" if self._kernel is None else "pending"
+            state = "moved" if self._skip else "pending"
         callback = getattr(self.callback, "__qualname__", self.callback)
         return f"<ScheduledEvent {callback} {state}>"
 
@@ -168,7 +216,7 @@ class Kernel:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(callback, args)
+        event = ScheduledEvent(callback, args, time)
         event._kernel = self
         heappush(self._heap, (time, seq, event))
         return event
@@ -183,7 +231,7 @@ class Kernel:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(callback, args)
+        event = ScheduledEvent(callback, args, time)
         event._kernel = self
         heappush(self._heap, (time, seq, event))
         return event
@@ -213,10 +261,45 @@ class Kernel:
         seq = self._seq
         self._seq = seq + 1
         event.args = args
-        event.cancelled = False
+        event._skip = False
+        event._due = time
         event._kernel = self
         heappush(self._heap, (time, seq, event))
         return event
+
+    def restart(self, event: ScheduledEvent, delay: float,
+                *args: Any) -> ScheduledEvent:
+        """Move a *pending* event handle to ``delay`` seconds from now.
+
+        Dispatch-identical to ``event.cancel()`` followed by
+        ``schedule(delay, event.callback, *args)`` here: the new key's
+        sequence number is drawn at this call.  Returns the handle that
+        will fire; keep it in place of ``event``.
+
+        Unless the new deadline is earlier than the handle's, the handle
+        stays in the heap at its old key and is returned; its new key is
+        pushed when the old one surfaces.  An earlier deadline tombstones
+        ``event`` and pushes a fresh handle at the new key.
+        ``event.args`` is replaced by ``*args`` (pass none for a no-arg
+        callback).
+        """
+        if event._kernel is not self or event._skip is True:
+            raise SimulationError("can only restart a pending event")
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        if time >= event._due:
+            event._skip = (time, seq)
+            event._due = time
+            event.args = args
+            return event
+        event.cancel()
+        fresh = ScheduledEvent(event.callback, args, time)
+        fresh._kernel = self
+        heappush(self._heap, (time, seq, fresh))
+        return fresh
 
     def _note_cancel(self) -> None:
         """Tombstone accounting + compaction policy (from ``cancel()``)."""
@@ -228,10 +311,16 @@ class Kernel:
                 and self._stale * 2 > len(heap)):
             live = []
             for entry in heap:
-                if entry[2].cancelled:
-                    entry[2]._kernel = None
-                else:
+                event = entry[2]
+                key = event._skip
+                if not key:
                     live.append(entry)
+                elif key is True:
+                    event._kernel = None
+                else:
+                    # Moved: re-keyed here rather than when it surfaces.
+                    event._skip = False
+                    live.append(key + (event,))
             # In place: run() holds this list in a local.  Pop order
             # lives in the (time, seq) keys, so re-heapifying cannot
             # change it.
@@ -272,8 +361,8 @@ class Kernel:
         When ``until`` is given, the clock is advanced to exactly
         ``until`` even if the last event fires earlier, so that metrics
         windows line up with the requested horizon.  Tombstones at the
-        front are pruned whatever their time; the first *live* entry
-        beyond ``until`` stays pending.
+        front are pruned and moved entries re-keyed whatever their time;
+        the first *live* entry beyond ``until`` stays pending.
 
         Each pass pops first and looks second: one pop per dispatched
         event, and the one live entry found beyond ``until`` is pushed
@@ -300,9 +389,14 @@ class Kernel:
             if tracer is None:
                 while heap and not self._stopped:
                     time, seq, event = heappop(heap)
-                    if event.cancelled:
-                        event._kernel = None
-                        self._stale -= 1
+                    if event._skip:
+                        key = event._skip
+                        if key is True:
+                            event._kernel = None
+                            self._stale -= 1
+                        else:
+                            event._skip = False
+                            heappush(heap, key + (event,))
                         continue
                     if time > limit:
                         heappush(heap, (time, seq, event))
@@ -314,9 +408,14 @@ class Kernel:
             else:
                 while heap and not self._stopped:
                     time, seq, event = heappop(heap)
-                    if event.cancelled:
-                        event._kernel = None
-                        self._stale -= 1
+                    if event._skip:
+                        key = event._skip
+                        if key is True:
+                            event._kernel = None
+                            self._stale -= 1
+                        else:
+                            event._skip = False
+                            heappush(heap, key + (event,))
                         continue
                     if time > limit:
                         heappush(heap, (time, seq, event))
@@ -345,20 +444,30 @@ class Kernel:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if idle.
 
-        Front tombstones are pruned on the way.
+        Front tombstones are pruned on the way, and a moved entry at the
+        front is re-keyed.
         """
         heap = self._heap
         while heap:
             entry = heap[0]
-            if not entry[2].cancelled:
+            event = entry[2]
+            key = event._skip
+            if not key:
                 return entry[0]
-            heappop(heap)
-            entry[2]._kernel = None
-            self._stale -= 1
+            if key is True:
+                heappop(heap)
+                event._kernel = None
+                self._stale -= 1
+            else:
+                event._skip = False
+                heapreplace(heap, key + (event,))
         return None
 
     def pending(self) -> int:
-        """O(1) count of live (non-cancelled) events still pending."""
+        """O(1) count of live (non-cancelled) events still pending.
+
+        A moved handle is one live event.
+        """
         return len(self._heap) - self._stale
 
     def heap_size(self) -> int:

@@ -203,3 +203,101 @@ def test_cbr_source_rate():
     kernel.run(until=1.1)
     # 8 Mbps with 1500 B packets on the wire ~= 666 packets/s.
     assert source.packets_sent == pytest.approx(666, abs=5)
+
+
+# ----------------------------------------------------------------------
+# The retransmission timer: restarted per ACK, never re-created
+# ----------------------------------------------------------------------
+#: The table 2 image: about 200 MSS segments, each one ACKed.
+IMAGE_BYTES = 300_060
+
+
+class CancelScheduleKernel(Kernel):
+    """A kernel whose ``restart`` is the cancel() + schedule() it
+    replaces: every restart leaves a tombstone."""
+
+    def restart(self, event, delay, *args):
+        event.cancel()
+        return self.schedule(delay, event.callback, *args)
+
+
+def image_transfer(kernel_class=Kernel, cut_at=None):
+    """One image over one 100 Mbps link; per advancing ACK the tombstone
+    count with data still outstanding, every RTO firing as (time,
+    retransmissions so far) and the deadline of every restart."""
+    kernel = kernel_class()
+    net = Network(kernel, default_bandwidth_bps=100e6)
+    for name in ("client", "server"):
+        net.attach_host(Host(kernel, name))
+    link = net.link("client", "server")
+    net.compute_routes()
+    got = []
+    StreamListener(kernel, net.nic_of("server"), port=2809,
+                   on_message=lambda payload, meta: got.append(payload))
+    conn = StreamConnection.connect(
+        kernel, net.nic_of("client"), "server", 2809)
+    stale, rtos, deadlines = [], [], []
+
+    handle_ack = conn._handle_ack
+
+    def on_ack(ack_seq):
+        handle_ack(ack_seq)
+        if conn.outstanding:
+            stale.append(kernel._stale)
+
+    on_rto = conn._on_rto
+
+    def on_timeout():
+        rtos.append((kernel.now, conn.retransmissions))
+        on_rto()
+
+    restart = kernel.restart
+
+    def traced_restart(event, delay, *args):
+        deadlines.append(kernel.now + delay)
+        return restart(event, delay, *args)
+
+    conn._handle_ack = on_ack
+    conn._on_rto = on_timeout
+    kernel.restart = traced_restart
+    conn.send_message("image", IMAGE_BYTES)
+    if cut_at is not None:
+        kernel.schedule(cut_at, link.fail)
+    kernel.run(until=3.0)
+    return kernel, conn, got, stale, rtos, deadlines
+
+
+def test_ack_clocked_image_leaves_no_tombstones():
+    """Each advancing ACK moves the one pending timer.  The single
+    tombstone is the initial 200 ms timer, which the first RTT sample
+    pulls in to MIN_RTO: an earlier deadline, so the kernel falls back
+    to tombstone + fresh push for it.  cancel() + schedule() leaves one
+    per ACK instead."""
+    kernel, conn, got, stale, _, deadlines = image_transfer()
+    assert got == ["image"]
+    assert len(stale) > 150
+    assert max(stale) <= 1
+    assert kernel.compactions == 0
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (0, 0, 0)
+
+    old = image_transfer(CancelScheduleKernel)
+    assert old[2] == got and max(old[3]) > 100
+    assert old[5] == deadlines
+    assert old[0].events_executed == kernel.events_executed
+
+
+def test_rto_after_a_cut_fires_at_the_last_restart_deadline():
+    """The path dies mid-transfer: the timer fires at the last restart's
+    now + rto, and backs off from there exactly as a timer rebuilt by
+    cancel() + schedule() on every ACK does."""
+    kernel, conn, got, _, rtos, deadlines = image_transfer(cut_at=0.02)
+    assert got == []
+    assert len(rtos) >= 3
+    assert rtos[0] == (deadlines[-1], 0)
+    assert all(count == i for i, (_, count) in enumerate(rtos))
+
+    old_kernel, old_conn, _, _, old_rtos, old_deadlines = image_transfer(
+        CancelScheduleKernel, cut_at=0.02)
+    assert old_rtos == rtos and old_deadlines == deadlines
+    assert old_conn.retransmissions == conn.retransmissions
+    assert old_kernel.events_executed == kernel.events_executed

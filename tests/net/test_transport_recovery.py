@@ -203,3 +203,33 @@ def test_on_close_fires_exactly_once():
     conn.close()
     conn.close()
     assert closes == [conn]
+
+
+def test_listener_close_closes_each_server_connection():
+    """StreamListener.close() closes every server-side connection through
+    StreamConnection.close(): each on_close runs once, no timer is left
+    and the listener keeps no dead entry."""
+    kernel = Kernel()
+    net = Network(kernel, default_bandwidth_bps=10e6)
+    for name in ("a", "b", "server"):
+        net.attach_host(Host(kernel, name))
+    router = net.add_router("r")
+    for name in ("a", "b", "server"):
+        net.link(name, router)
+    net.compute_routes()
+    accepted = []
+    listener = StreamListener(kernel, net.nic_of("server"), port=2809,
+                              on_connection=accepted.append)
+    for name in ("a", "b"):
+        StreamConnection.connect(
+            kernel, net.nic_of(name), "server", 2809).send_message(name, 100)
+    kernel.run(until=1.0)
+    assert len(accepted) == 2
+    closes = []
+    for conn in accepted:
+        conn.send_message("reply", 5000)  # leaves an RTO pending
+        conn.on_close = closes.append
+    listener.close()
+    assert closes == accepted
+    assert listener.connections == {}
+    assert all(conn.closed and conn._rto_event is None for conn in accepted)

@@ -15,6 +15,8 @@ The families, and what their records cover:
 * fig 11 ``dynamic-resignal``: LSA flooding, SPF and RSVP re-signal;
 * fig 12 ``ownership``: pub-sub matching, liveliness and failover;
 * fig 10 ``adaptive``: the hybrid model's fluid epochs.
+* table 2 ``load``: GIOP over the stream transport: ACK clocking,
+  thousands of RTO restarts and one fired retransmission timeout.
 
 Every arm runs in a fresh interpreter, as ``repro trace`` does: packet,
 request, work and thread ids come from process-wide counters, so a
@@ -48,6 +50,8 @@ ARMS = [
      "32088b0053f5ea8d49730c2ba3bfc6c1c42c7f18506455ee48900177fd6b86de"),
     ("fig10", "adaptive", ["streams=100", "duration=2"], 12820,
      "901368cb72e23a2327dc133d6585a6b11f2d24c43579eb13eed599026ddcbdd5"),
+    ("table2", "load", ["duration=2"], 12364,
+     "8774e103627fdc6999175437dd8f8abaa2776255afb4c785483691cb277c95ac"),
 ]
 
 TRACE_ONE_ARM = """

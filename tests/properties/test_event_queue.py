@@ -3,9 +3,10 @@
 The kernel's determinism contract (:mod:`repro.sim.kernel`) says events
 dispatch in strictly increasing ``(time, seq)`` order, with same-time
 ties resolved FIFO by the schedule counter — under *any* interleaving
-of ``schedule`` / ``schedule_at`` / ``rearm`` / ``cancel`` / ``step`` /
-bounded and unbounded ``run`` / ``stop``, from outside the loop and
-from inside callbacks, with tombstone compaction firing at any moment.
+of ``schedule`` / ``schedule_at`` / ``rearm`` / ``restart`` /
+``cancel`` / ``step`` / bounded and unbounded ``run`` / ``stop``, from
+outside the loop and from inside callbacks, with tombstone compaction
+firing at any moment.
 These tests drive random operation programs through a real
 :class:`~repro.sim.Kernel` and through a trivially correct sorted-list
 reference model, and require identical observable behaviour: the
@@ -16,12 +17,16 @@ tombstone bookkeeping inside the kernel after every step.
 fires constantly, also in the middle of ``run()`` (which holds the heap
 list in a local: compaction has to mutate it in place).  Three cases
 the inline dispatch loop makes delicate are pinned as plain tests
-below the property.
+below the property, and so is each path a restarted (moved) handle
+takes.  The model's ``restart`` is cancel, then schedule at that point.
 
 Mutation-checked: each of these changes to ``kernel.py`` fails this
 file — pushing ``(time, -seq, event)`` (LIFO ties), dropping the
 ``_stale`` decrement where ``run()`` (either loop) or ``peek()`` prunes
-a front tombstone, and compacting with ``self._heap = live`` instead of ``heap[:] = live``.
+a front tombstone, compacting with ``self._heap = live`` instead of
+``heap[:] = live``, drawing a moved entry's ``seq`` when it surfaces
+instead of at ``restart``, deferring every restart (no earlier-deadline
+fallback), and counting a moved entry as a tombstone.
 
 Kernel-level facts pinned on top:
 
@@ -37,9 +42,10 @@ from __future__ import annotations
 
 from bisect import insort
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Kernel, PeriodicTicker, TickCoalescer
+from repro.sim import Kernel, PeriodicTicker, SimulationError, TickCoalescer
 
 # ----------------------------------------------------------------------
 # Random operation programs
@@ -60,6 +66,7 @@ ACTION = st.one_of(
     st.tuples(st.just("cancel"), INDEX),
     st.tuples(st.just("schedule"), DELAY),
     st.tuples(st.just("rearm"), DELAY),
+    st.tuples(st.just("restart"), INDEX, DELAY),
     st.tuples(st.just("stop")),
 )
 
@@ -68,6 +75,7 @@ OP = st.one_of(
     st.tuples(st.just("schedule_at"), DELAY, ACTION),
     st.tuples(st.just("rearm"), INDEX, DELAY, ACTION),
     st.tuples(st.just("cancel"), INDEX),
+    st.tuples(st.just("restart"), INDEX, DELAY),
     st.tuples(st.just("step"), st.integers(min_value=1, max_value=8)),
     st.tuples(st.just("run_until"), DELAY),
     st.tuples(st.just("run")),
@@ -132,19 +140,39 @@ class _Side:
     def __init__(self):
         self.log = []    # (time, ident, seq) per dispatch
         self.idle = []   # fired and not queued again: may be rearmed
+        self.armed = []  # queued and not cancelled: may be restarted
         self.created = 0
+
+    def arm_new(self, delay, action, absolute=False):
+        self.armed.append(self.created)
+        self.new(delay, action, absolute)
+
+    def arm_again(self, ident, delay, action):
+        self.armed.append(ident)
+        self.rearm(ident, delay, action)
+
+    def disarm(self, ident):
+        if ident in self.armed:
+            self.armed.remove(ident)
+        self.cancel(ident)
+
+    def move(self, index, delay):
+        if self.armed:
+            self.restart(self.armed[index % len(self.armed)], delay)
 
     def apply(self, op):
         kind = op[0]
         if kind in ("schedule", "schedule_at"):
-            self.new(op[1], op[2], absolute=kind == "schedule_at")
+            self.arm_new(op[1], op[2], absolute=kind == "schedule_at")
         elif kind == "rearm":
             if self.idle:
                 ident = self.idle.pop(op[1] % len(self.idle))
-                self.rearm(ident, op[2], op[3])
+                self.arm_again(ident, op[2], op[3])
         elif kind == "cancel":
             if self.created:
-                self.cancel(op[1] % self.created)
+                self.disarm(op[1] % self.created)
+        elif kind == "restart":
+            self.move(op[1], op[2])
         elif kind == "step":
             for _ in range(op[1]):
                 if not self.step():
@@ -158,16 +186,19 @@ class _Side:
 
     def fire(self, ident, action):
         self.log.append((self.now(), ident, self.seq_of(ident)))
+        self.armed.remove(ident)
         self.idle.append(ident)
         if action is None:
             return
         if action[0] == "cancel":
-            self.cancel(action[1] % self.created)
+            self.disarm(action[1] % self.created)
         elif action[0] == "schedule":
-            self.new(action[1], None, absolute=False)
+            self.arm_new(action[1], None)
         elif action[0] == "rearm":
             self.idle.remove(ident)
-            self.rearm(ident, action[1], None)
+            self.arm_again(ident, action[1], None)
+        elif action[0] == "restart":
+            self.move(action[1], action[2])
         else:
             self.stop()
 
@@ -221,6 +252,12 @@ class _KernelSide(_Side):
     def cancel(self, ident):
         self.handles[ident].cancel()
 
+    def restart(self, ident, delay):
+        handle = self.handles[ident]
+        self.handles[ident] = self.kernel.restart(handle, delay,
+                                                  *handle.args)
+        self.seqs[ident] = self.kernel._seq - 1
+
     def seq_of(self, ident):
         seq = self.seqs[ident]
         tracer = self.kernel.tracer
@@ -258,6 +295,15 @@ class _KernelSide(_Side):
         assert len(queued) == len(heap), "a handle is queued twice"
         for handle in self.handles:
             assert (handle._kernel is kernel) == (id(handle) in queued)
+        for time, seq, handle in heap:
+            moved = handle._skip
+            if moved is True:
+                continue
+            if moved:
+                # A moved entry sits at or before its new key.
+                assert (time, seq) < moved
+                time = moved[0]
+            assert handle._due == time
 
 
 class _ModelSide(_Side):
@@ -288,6 +334,12 @@ class _ModelSide(_Side):
 
     def cancel(self, ident):
         self.handles[ident].cancelled = True
+
+    def restart(self, ident, delay):
+        old = self.handles[ident]
+        old.cancelled = True
+        fresh = self.handles[ident] = _Handle(ident)
+        self._push(fresh, delay, old.action)
 
     def seq_of(self, ident):
         return self.handles[ident].seq
@@ -424,6 +476,158 @@ def test_front_tombstone_beyond_until_is_pruned():
     assert front._kernel is None
     kernel.run()
     assert fired == ["live"]
+
+
+# ----------------------------------------------------------------------
+# A restarted (moved) handle
+# ----------------------------------------------------------------------
+def _logging_kernel():
+    kernel = Kernel()
+    kernel.tracer = tracer = _CountingTracer()
+    fired = []
+
+    def log(name):
+        fired.append((name, kernel.now, tracer.seq))
+
+    return kernel, fired, log
+
+
+def test_restart_to_an_earlier_deadline_fires_there():
+    """An earlier deadline cannot wait for the old key: tombstone + push."""
+    kernel, fired, log = _logging_kernel()
+    timer = kernel.schedule(5.0, log, "timer")       # seq 0
+    kernel.schedule(2.0, log, "b")                   # seq 1
+    moved = kernel.restart(timer, 1.0, "timer")      # seq 2
+    assert moved is not timer and timer.cancelled
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (2, 3, 1)
+    kernel.run()
+    assert fired == [("timer", 1.0, 2), ("b", 2.0, 1)]
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (0, 0, 0)
+    assert kernel.events_executed == 2
+
+
+def test_restart_later_keeps_the_handle_and_its_seq_is_drawn_at_the_call():
+    kernel, fired, log = _logging_kernel()
+    timer = kernel.schedule(1.0, log, "timer")       # seq 0
+    assert kernel.restart(timer, 3.0, "timer") is timer   # seq 1
+    kernel.schedule(3.0, log, "tie")                 # seq 2: after timer
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (2, 2, 0)
+    kernel.run()
+    assert fired == [("timer", 3.0, 1), ("tie", 3.0, 2)]
+    assert kernel.events_executed == 2
+
+
+def test_cancel_of_a_moved_handle_counts_one_tombstone():
+    kernel, fired, log = _logging_kernel()
+    timer = kernel.schedule(1.0, log, "timer")
+    kernel.schedule(2.0, log, "b")
+    kernel.restart(timer, 3.0, "timer")
+    timer.cancel()
+    timer.cancel()
+    assert timer.cancelled
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (1, 2, 1)
+    kernel.run()
+    assert fired == [("b", 2.0, 1)]
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (0, 0, 0)
+
+    # Cancelled after its old key surfaced and it was re-keyed.
+    timer = kernel.schedule(1.0, log, "timer")
+    kernel.restart(timer, 3.0, "timer")
+    kernel.run(until=kernel.now + 2.0)
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (1, 1, 0)
+    timer.cancel()
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (0, 1, 1)
+    kernel.run()
+    assert len(fired) == 1
+    assert (kernel.pending(), kernel.heap_size(), kernel._stale) == (0, 0, 0)
+
+
+def test_restart_needs_a_pending_handle():
+    kernel, fired, log = _logging_kernel()
+    fired_handle = kernel.schedule(1.0, log, "fired")
+    kernel.run()
+    with pytest.raises(SimulationError):
+        kernel.restart(fired_handle, 1.0)
+    cancelled = kernel.schedule(1.0, log, "cancelled")
+    cancelled.cancel()
+    with pytest.raises(SimulationError):
+        kernel.restart(cancelled, 1.0)
+    moved = kernel.schedule(1.0, log, "moved")
+    kernel.restart(moved, 2.0, "moved")
+    moved.cancel()
+    with pytest.raises(SimulationError):
+        kernel.restart(moved, 3.0)
+    live = kernel.schedule(1.0, log, "live")
+    with pytest.raises(SimulationError):
+        Kernel().restart(live, 1.0)
+    with pytest.raises(SimulationError):
+        kernel.restart(live, -1.0)
+    seq = kernel._seq
+    kernel.run()
+    assert kernel._seq == seq, "a refused restart drew a seq"
+    assert fired == [("fired", 1.0, 0), ("live", 2.0, 4)]
+
+
+def test_moved_entry_surfacing_beyond_the_horizon():
+    """peek(), step() and run(until) re-key a moved front entry, hand
+    on to the next live one and never count the re-key as an event."""
+    def world():
+        kernel, fired, log = _logging_kernel()
+        timer = kernel.schedule(1.0, log, "timer")   # seq 0
+        kernel.schedule(2.0, log, "b")               # seq 1
+        kernel.restart(timer, 4.0, "timer")          # seq 2
+        return kernel, fired, timer
+
+    kernel, fired, timer = world()
+    assert kernel.peek() == 2.0
+    assert timer._skip is False
+    assert kernel.heap_size() == kernel.pending() == 2
+    assert sorted(entry[:2] for entry in kernel._heap) == [(2.0, 1),
+                                                          (4.0, 2)]
+
+    kernel, fired, timer = world()
+    assert kernel.step()
+    assert fired == [("b", 2.0, 1)]
+    assert (kernel.now, kernel.events_executed) == (2.0, 1)
+    assert [entry[:2] for entry in kernel._heap] == [(4.0, 2)]
+
+    kernel, fired, timer = world()
+    kernel.run(until=1.5)
+    assert fired == []
+    assert (kernel.now, kernel.events_executed) == (1.5, 0)
+    assert kernel.heap_size() == kernel.pending() == 2
+    kernel.run(until=3.0)
+    assert fired == [("b", 2.0, 1)]
+    kernel.run()
+    assert fired == [("b", 2.0, 1), ("timer", 4.0, 2)]
+    assert kernel.events_executed == 2
+
+    # The old key itself lies beyond the horizon: re-keyed all the same,
+    # and the first live entry beyond it stays pending.
+    kernel, fired, log = _logging_kernel()
+    timer = kernel.schedule(5.0, log, "timer")       # seq 0
+    kernel.restart(timer, 6.0, "timer")              # seq 1
+    kernel.run(until=3.0)
+    assert (kernel.now, kernel.events_executed, fired) == (3.0, 0, [])
+    assert [entry[:2] for entry in kernel._heap] == [(6.0, 1)]
+    kernel.run()
+    assert fired == [("timer", 6.0, 1)]
+
+
+def test_compaction_rekeys_a_moved_entry():
+    kernel, fired, log = _logging_kernel()
+    kernel.COMPACT_MIN_SIZE = 2
+    timer = kernel.schedule(1.0, log, "timer")       # seq 0
+    kernel.restart(timer, 5.0, "timer")              # seq 1
+    victims = [kernel.schedule(2.0 + i, log, "victim") for i in range(3)]
+    for victim in victims:
+        victim.cancel()
+    assert kernel.compactions == 1
+    assert kernel._heap == [(5.0, 1, timer)]
+    assert timer._skip is False
+    assert (kernel.pending(), kernel._stale) == (1, 0)
+    kernel.run()
+    assert fired == [("timer", 5.0, 1)]
 
 
 # ----------------------------------------------------------------------
