@@ -451,7 +451,7 @@ class ReserveLedgerChecker(InvariantChecker):
     #: ``os`` records that move a CPU-reserve budget, ``net`` records
     #: that move an RSVP table; :meth:`on_event` tells them by layer.
     kinds = frozenset(("reserve.replenish", "reserve.deplete",
-                       "rsvp.expire", "rsvp.release"))
+                       "rsvp.release"))
 
     def _check_cpu_ledgers(self) -> None:
         for manager in self.world.reserve_managers():

@@ -265,7 +265,3 @@ class FrameFilteringQosket(Qosket):
             self._patience = self.base_patience
             self._last_upgrade = None
         self.contract.evaluate()
-
-    @property
-    def level(self) -> FilterLevel:
-        return self.frame_filter.level

@@ -274,9 +274,6 @@ class Figure2Mapping:
     def to_native(self, corba_priority, os_type):
         return self.tables[os_type].to_native(corba_priority, os_type)
 
-    def to_corba(self, native_priority, os_type):
-        return self.tables[os_type].to_corba(native_priority, os_type)
-
 
 def run_priority_propagation(checks=None, tracer=None) -> List[PropagationHop]:
     """The Fig 2 chain: RT-CORBA priority 100 on a QNX client, a LynxOS

@@ -228,7 +228,7 @@ def run_route_experiment(
         routing = LinkStateRouting(kernel, net, spf_delay=SPF_DELAY)
         routing.start()
 
-    net.enable_intserv(refresh_interval=None)
+    net.enable_intserv()
     sender_agent = net.nic_of("src").rsvp_agent
 
     resignaler: Optional[ReservationResignaler] = None

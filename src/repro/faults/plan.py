@@ -33,8 +33,8 @@ Supported event kinds
 ``resv_loss``
     RSVP state loss: transit agents silently drop the installed
     reservation (token bucket + booked rate) for one flow, without
-    any signaling.  Models the stale/lost-state failures soft-state
-    refresh exists to repair.
+    any signaling.  Models lost router state; with no soft-state
+    refresh, only a re-signal by the sender re-installs it.
 
 A plan that names an unknown kind or field, a bad value, or (at
 install) a link or node the topology lacks raises

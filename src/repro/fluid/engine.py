@@ -336,9 +336,6 @@ class FluidEngine:
             delay=iface.link.delay if delay is None else delay,
             queue_bytes=queue_bytes)
 
-    def link(self, name: str) -> FluidLink:
-        return self._links[name]
-
     def links(self) -> List[FluidLink]:
         return list(self._links.values())
 

@@ -15,7 +15,7 @@ experiment uses to calibrate its simulated compute demands.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -118,19 +118,13 @@ EDGE_DETECTORS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def relative_costs(
-    image: Optional[np.ndarray] = None, repeat: int = 3
-) -> Dict[str, float]:
+def relative_costs(image: np.ndarray, repeat: int = 3) -> Dict[str, float]:
     """Measure per-image wall-clock cost of each detector (seconds).
 
     Used to calibrate the simulated ATR compute demands so Table 2's
     relative per-algorithm ordering is grounded in the real
     implementations rather than invented constants.
     """
-    from repro.media.ppm import synthetic_image
-
-    if image is None:
-        image = synthetic_image()
     costs = {}
     for name, detector in EDGE_DETECTORS.items():
         detector(image)  # warm-up (allocation, cache)

@@ -10,12 +10,13 @@ source and destination host receives this signaling information, and
 allocates enough resources to meet the required QoS."
 
 Implemented messages: PATH, RESV, RESV_ERR, TEAR.  Setup-time loss is
-survived by a bounded RESV retry.  Full soft-state refresh is opt-in
-(``refresh_interval``): endpoints then periodically re-send PATH and
-RESV, transit state that stops being refreshed expires after
-``LIFETIME_MULTIPLIER`` missed refreshes, and teardown re-sends its
-TEAR a bounded number of times so a single lost TEAR no longer strands
-``reserved_rate`` at transit routers forever.
+survived by a bounded RESV retry, and teardown re-sends its TEAR a
+bounded number of times so a single lost TEAR does not strand
+``reserved_rate`` at transit routers.  State is installed once, not
+soft: there is no periodic PATH/RESV refresh and nothing expires, so a
+reservation lost to a link restore, a router reboot or a ``resv_loss``
+fault comes back only when the sender re-signals
+(:meth:`RsvpAgent.resignal`).
 
 Fast reroute is make-before-break: after the routing layer
 re-converges, :meth:`RsvpAgent.resignal` re-sends PATH under a bumped
@@ -146,8 +147,6 @@ class RsvpAgent:
     agents originate PATH (sender side) and RESV (receiver side).
     """
 
-    #: A flow's soft state survives this many missed refreshes.
-    LIFETIME_MULTIPLIER = 3
     #: Extra TEAR transmissions after the first (lost-TEAR hardening).
     TEAR_RESENDS = 2
     TEAR_RESEND_INTERVAL = 0.5
@@ -157,16 +156,10 @@ class RsvpAgent:
         kernel: Kernel,
         device: Union[Router, Nic],
         utilization_bound: float = 0.9,
-        refresh_interval: Optional[float] = None,
     ) -> None:
         self.kernel = kernel
         self.device = device
         self.utilization_bound = float(utilization_bound)
-        #: Soft-state refresh period; None keeps the pre-refresh
-        #: behaviour (no periodic messages, no expiry — and, crucially,
-        #: no timers keeping an open-ended ``kernel.run()`` alive).
-        self.refresh_interval = (
-            None if refresh_interval is None else float(refresh_interval))
         # flow_id -> path state
         self._path_state: Dict[str, _PathState] = {}
         # interface -> {flow_id: reserved rate}
@@ -184,23 +177,7 @@ class RsvpAgent:
         # forwarded hop-by-hop along the route it actually took.
         self._prev_path: Dict[str, Tuple[int, Optional[Interface],
                                          Optional[Interface]]] = {}
-        # soft state: flow_id -> last refresh time / armed expiry event
-        self._last_refresh: Dict[str, float] = {}
-        self._expiry_events: Dict[str, ScheduledEvent] = {}
-        # sender side: flow_id -> periodic PATH refresh event
-        self._path_refresh_events: Dict[str, ScheduledEvent] = {}
-        # receiver side: flow_id -> periodic RESV refresh event
-        self._resv_refresh_events: Dict[str, ScheduledEvent] = {}
-        if isinstance(device, Router):
-            device.rsvp_agent = self
-        else:
-            device.rsvp_agent = self
-
-    @property
-    def _lifetime(self) -> Optional[float]:
-        if self.refresh_interval is None:
-            return None
-        return self.refresh_interval * self.LIFETIME_MULTIPLIER
+        device.rsvp_agent = self
 
     # ------------------------------------------------------------------
     # Host-side API
@@ -213,22 +190,6 @@ class RsvpAgent:
                        receiver=receiver_host,
                        epoch=self._flow_epoch.setdefault(flow_id, 0))
         self._emit(msg, dst=receiver_host)
-        if self.refresh_interval is not None \
-                and flow_id not in self._path_refresh_events:
-            self._path_refresh_events[flow_id] = self.kernel.schedule(
-                self.refresh_interval, self._refresh_path, flow_id)
-
-    def _refresh_path(self, flow_id: str) -> None:
-        receiver_host = self._announced.get(flow_id)
-        if receiver_host is None or self.refresh_interval is None:
-            self._path_refresh_events.pop(flow_id, None)
-            return
-        msg = _RsvpMsg("PATH", flow_id, sender=self._nic().host.name,
-                       receiver=receiver_host,
-                       epoch=self._flow_epoch.get(flow_id, 0))
-        self._emit(msg, dst=receiver_host)
-        self._path_refresh_events[flow_id] = self.kernel.schedule(
-            self.refresh_interval, self._refresh_path, flow_id)
 
     def resignal(self, flow_id: str) -> None:
         """Sender side: re-announce ``flow_id`` under a bumped epoch.
@@ -271,47 +232,19 @@ class RsvpAgent:
         reservation = Reservation(self.kernel, flow_id, flowspec)
         self.reservations[flow_id] = reservation
         self._send_resv(reservation)
-        if self.refresh_interval is not None \
-                and flow_id not in self._resv_refresh_events:
-            self._resv_refresh_events[flow_id] = self.kernel.schedule(
-                self.refresh_interval, self._refresh_resv, flow_id)
         return reservation
-
-    def _refresh_resv(self, flow_id: str) -> None:
-        """Receiver side: periodic RESV refresh for an established flow.
-
-        Pending reservations are left to the bounded retry machinery;
-        failed / torn-down ones stop refreshing, which is what lets
-        transit soft state expire after a lost TEAR.
-        """
-        reservation = self.reservations.get(flow_id)
-        if (reservation is None or self.refresh_interval is None
-                or reservation.state in ("failed", "torn_down")):
-            self._resv_refresh_events.pop(flow_id, None)
-            return
-        if reservation.is_established and flow_id in self._path_state:
-            sender = self._sender_of(flow_id)
-            msg = _RsvpMsg("RESV", flow_id, sender=sender,
-                           receiver=self._name(),
-                           flowspec=reservation.flowspec,
-                           epoch=self._flow_epoch.get(flow_id, 0))
-            toward_sender, _ = self._path_state[flow_id]
-            self._forward_out(msg, toward_sender, dst=sender)
-        self._resv_refresh_events[flow_id] = self.kernel.schedule(
-            self.refresh_interval, self._refresh_resv, flow_id)
 
     def teardown(self, flow_id: str) -> None:
         """Receiver side: remove the reservation along the path.
 
         TEAR is unreliable; to keep one lost TEAR from stranding
-        ``reserved_rate`` at transit routers forever, it is re-sent
-        ``TEAR_RESENDS`` times (soft-state expiry, when enabled, is the
-        backstop if every copy is lost).
+        ``reserved_rate`` at transit routers, it is re-sent
+        ``TEAR_RESENDS`` times.  Nothing expires, so a transit router
+        that misses every copy keeps the rate booked.
         """
         reservation = self.reservations.get(flow_id)
         if reservation is not None and reservation.state == "established":
             reservation.state = "torn_down"
-        self._stop_refresh(flow_id)
         sender = self._sender_of(flow_id)
         self._remove_local(flow_id)
         toward_sender, _ = self._path_state.get(flow_id, (None, None))
@@ -356,12 +289,10 @@ class RsvpAgent:
                 egress = router.egress_for(msg.receiver)
                 self._path_state[flow_id] = (ingress, egress)
                 self._flow_sender[flow_id] = msg.sender
-                self._touch(flow_id)
             router.forward(packet)
         elif msg.kind == "RESV":
             if msg.epoch < self._flow_epoch.get(msg.flow_id, 0):
-                return  # stale refresh from a superseded path epoch
-            self._touch(msg.flow_id)
+                return  # stale RESV from a superseded path epoch
             self._transit_resv(msg)
         elif msg.kind == "TEAR":
             flow_id = msg.flow_id
@@ -370,7 +301,6 @@ class RsvpAgent:
                     flow_id, (None, None)
                 )
                 self._remove_local(flow_id)
-                self._forget_soft_state(flow_id)
                 self._prev_path.pop(flow_id, None)
                 self._flow_epoch.pop(flow_id, None)
                 self._forward_out(msg, toward_sender, dst=msg.sender)
@@ -415,7 +345,6 @@ class RsvpAgent:
             self._flow_epoch[flow_id] = msg.epoch
             self._path_state[flow_id] = (toward_sender, None)
             self._flow_sender[flow_id] = msg.sender
-            self._touch(flow_id)
             if bumped:
                 # Make-before-break: the sender re-announced after a
                 # reroute; answer immediately with a RESV that installs
@@ -426,7 +355,6 @@ class RsvpAgent:
         elif msg.kind == "RESV":
             if msg.epoch < self._flow_epoch.get(msg.flow_id, 0):
                 return
-            self._touch(msg.flow_id)
             # We are the data sender: install policing on our own
             # egress toward the receiver so conforming traffic is
             # protected from the first hop on, then confirm to the
@@ -463,8 +391,6 @@ class RsvpAgent:
             self._remove_local(msg.flow_id)
             self._path_state.pop(msg.flow_id, None)
             self._announced.pop(msg.flow_id, None)
-            self._stop_refresh(msg.flow_id)
-            self._forget_soft_state(msg.flow_id)
             self._prev_path.pop(msg.flow_id, None)
             self._flow_epoch.pop(msg.flow_id, None)
 
@@ -576,68 +502,17 @@ class RsvpAgent:
         return sum(self._reserved.get(interface, {}).values())
 
     # ------------------------------------------------------------------
-    # Soft state
-    # ------------------------------------------------------------------
-    def _touch(self, flow_id: str) -> None:
-        """Record a refresh for ``flow_id`` and arm its expiry timer."""
-        lifetime = self._lifetime
-        if lifetime is None:
-            return
-        self._last_refresh[flow_id] = self.kernel.now
-        if flow_id not in self._expiry_events:
-            self._expiry_events[flow_id] = self.kernel.schedule(
-                lifetime, self._maybe_expire, flow_id)
-
-    def _maybe_expire(self, flow_id: str) -> None:
-        lifetime = self._lifetime
-        last = self._last_refresh.get(flow_id)
-        if lifetime is None or last is None:
-            self._expiry_events.pop(flow_id, None)
-            return
-        deadline = last + lifetime
-        if self.kernel.now + 1e-9 < deadline:
-            self._expiry_events[flow_id] = self.kernel.schedule(
-                deadline - self.kernel.now, self._maybe_expire, flow_id)
-            return
-        # No refresh for a full lifetime: reclaim everything this node
-        # holds for the flow (the IntServ soft-state guarantee).
-        self._expiry_events.pop(flow_id, None)
-        self._last_refresh.pop(flow_id, None)
-        self._remove_local(flow_id)
-        self._path_state.pop(flow_id, None)
-        self._flow_sender.pop(flow_id, None)
-        self._flow_epoch.pop(flow_id, None)
-        self._prev_path.pop(flow_id, None)
-        tracer = self.kernel.tracer
-        if tracer is not None:
-            tracer.instant("net", "rsvp.expire", flow=f"rsvp:{flow_id}",
-                           fields={"node": self._name()})
-
-    def _stop_refresh(self, flow_id: str) -> None:
-        """Cancel this node's own periodic PATH/RESV refresh timers."""
-        for table in (self._path_refresh_events, self._resv_refresh_events):
-            event = table.pop(flow_id, None)
-            if event is not None:
-                event.cancel()
-
-    def _forget_soft_state(self, flow_id: str) -> None:
-        event = self._expiry_events.pop(flow_id, None)
-        if event is not None:
-            event.cancel()
-        self._last_refresh.pop(flow_id, None)
-
-    # ------------------------------------------------------------------
     # Fault-layer hooks
     # ------------------------------------------------------------------
     def on_link_down(self, interface: Interface) -> None:
         """Synchronously release installed rate on a dead egress.
 
         Called from :meth:`Link.fail`: the booked rate on an interface
-        whose link just died must leave the admission ledger *now*, not
-        at soft-state expiry — in the window between death and expiry
-        ``reserved_rate`` would over-report and a re-admission after
-        reroute could be refused against phantom capacity.  Path state
-        is kept, so refresh (when enabled) re-installs after restore.
+        whose link just died leaves the admission ledger *now*, so
+        ``reserved_rate`` never over-reports and a re-admission after
+        reroute is not refused against phantom capacity.  Path state is
+        kept; the rate comes back after restore only if the sender
+        re-signals (:meth:`resignal`).
         """
         table = self._reserved.get(interface)
         if not table:
@@ -653,9 +528,10 @@ class RsvpAgent:
     def drop_reservation_state(self, flow_id: str) -> None:
         """Silently lose the installed reservation for one flow.
 
-        Path state is kept, so (when refresh is enabled) the next RESV
-        refresh re-installs the token bucket — the recovery path the
-        ``resv_loss`` fault exists to exercise.
+        Path state is kept, so the next RESV for the flow (a
+        :meth:`resignal` by its sender) re-installs the token bucket.
+        The endpoints are not told: that silence is what the
+        ``resv_loss`` fault models.
         """
         self._remove_local(flow_id)
 
@@ -674,19 +550,9 @@ class RsvpAgent:
         self._flow_sender.clear()
         self._flow_epoch.clear()
         self._prev_path.clear()
-        # A rebooted node has no timers either: its announced sessions
-        # and refresh schedules die with it, so downstream soft state
-        # stops being touched and can expire.
+        # A rebooted node's announced sessions die with it.
         self._announced.clear()
         self.reservations.clear()
-        for table in (self._path_refresh_events, self._resv_refresh_events):
-            for event in table.values():
-                event.cancel()
-            table.clear()
-        for event in self._expiry_events.values():
-            event.cancel()
-        self._expiry_events.clear()
-        self._last_refresh.clear()
 
     # ------------------------------------------------------------------
     # Emission plumbing

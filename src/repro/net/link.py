@@ -200,10 +200,6 @@ class Interface:
             )
         self.owner.receive(packet, self)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self.qdisc)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Interface {self.label}>"
 
@@ -223,7 +219,7 @@ class Link:
     __slots__ = ("kernel", "bandwidth_bps", "nominal_bandwidth_bps",
                  "delay", "a", "b", "up",
                  "packets_lost", "loss_probability", "loss_rng",
-                 "listeners", "removed")
+                 "listeners")
 
     def __init__(
         self,
@@ -259,9 +255,6 @@ class Link:
         #: routing protocol subscribes here to learn about adjacency
         #: changes the way a real router learns from carrier loss.
         self.listeners = []
-        #: Permanently unplugged (see ``Network.remove_link``); a
-        #: removed link never comes back up.
-        self.removed = False
         a.link = self
         b.link = self
         a.peer = b
@@ -284,9 +277,9 @@ class Link:
         if self.b.fluid is not None:
             self.b.fluid.on_link_state(False)
         # Release any installed reservation rate on the dead egresses
-        # *synchronously*: the booked rate would otherwise over-report
-        # until soft-state expiry and the link-budget ledger could go
-        # negative on re-admission after reroute.
+        # *synchronously*: nothing expires, so the booked rate would
+        # otherwise over-report for good and the link-budget ledger
+        # could go negative on re-admission after reroute.
         for iface in (self.a, self.b):
             agent = getattr(iface.owner, "rsvp_agent", None)
             if agent is not None:
@@ -297,7 +290,7 @@ class Link:
 
     def restore(self) -> None:
         """Bring the link back and restart both transmitters."""
-        if self.up or self.removed:
+        if self.up:
             return
         self.up = True
         if self.a.fluid is not None:

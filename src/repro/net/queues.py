@@ -263,8 +263,9 @@ class GuaranteedRateQueue(DiffServQueue):
     def install_reservation(self, flow_id: str, rate_bps: float,
                             depth_bytes: int) -> None:
         """Police ``flow_id`` with a fresh (full) token bucket, unless it
-        already holds one of this very flowspec: an RSVP refresh or RESV
-        retry must not hand the flow a free burst."""
+        already holds one of this very flowspec: a RESV retry or a
+        re-signal along the same egress must not hand the flow a free
+        burst."""
         bucket = self._buckets.get(flow_id)
         if (bucket is None or bucket.rate_bps != float(rate_bps)
                 or bucket.depth_bytes != int(depth_bytes)):

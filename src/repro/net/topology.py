@@ -120,34 +120,13 @@ class Network:
         self._adjacency[dev_b.name].append((dev_a.name, iface_b))
         return link
 
-    def remove_link(self, a: Endpoint, b: Endpoint) -> Link:
-        """Permanently unplug the link between ``a`` and ``b``.
-
-        The link fails (notifying RSVP agents and routing listeners),
-        is marked removed so it can never be restored, and disappears
-        from the adjacency used by :meth:`compute_routes` /
-        :meth:`path`.  Its interfaces and queues stay attached to the
-        devices, so packets already queued on them remain accounted.
-        """
-        link = self.link_between(a, b)
-        for endpoint in (link.a, link.b):
-            self._adjacency[endpoint.owner.name] = [
-                (name, iface)
-                for name, iface in self._adjacency[endpoint.owner.name]
-                if iface.link is not link
-            ]
-        if link.up:
-            link.fail()
-        link.removed = True
-        return link
-
     def compute_routes(self) -> None:
         """(Re)build every router's routing table by hop-count BFS.
 
         Tables are cleared first: a destination that became unreachable
         after a topology change must lose its entry (and its packets be
         counted unroutable) rather than keep a stale egress into a dead
-        link.  Links that are down or removed do not carry routes.
+        link.  Links that are down do not carry routes.
         """
         for device in self._devices.values():
             device.routes.clear()
@@ -183,27 +162,20 @@ class Network:
     def enable_intserv(
         self,
         utilization_bound: float = 0.9,
-        refresh_interval: Optional[float] = None,
     ) -> None:
         """Attach RSVP agents to every router and host NIC.
 
         Reservations only actually take hold on interfaces whose qdisc
         is a :class:`~repro.net.queues.GuaranteedRateQueue`; signaling
-        still traverses everything else.
-
-        ``refresh_interval`` opts in to RSVP soft-state: endpoints
-        periodically re-send PATH/RESV and transit routers expire state
-        that stops being refreshed.  The refresh timers keep the event
-        heap non-empty, so simulations using it must run with an
-        explicit ``until=``.
+        still traverses everything else.  Installed state is hard: no
+        timers refresh or expire it (see :mod:`repro.net.intserv`).
         """
         from repro.net.intserv import RsvpAgent  # local import: cycle
 
         for device in self._devices.values():
             if getattr(device, "rsvp_agent", None) is None:
                 RsvpAgent(self.kernel, device,
-                          utilization_bound=utilization_bound,
-                          refresh_interval=refresh_interval)
+                          utilization_bound=utilization_bound)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -249,35 +221,6 @@ class Network:
             if {link.a.owner.name, link.b.owner.name} == wanted:
                 return link
         raise KeyError(f"no link between {name_a!r} and {name_b!r}")
-
-    def path(self, src: str, dst: str) -> List[str]:
-        """Device names along the shortest path src -> dst (inclusive).
-
-        Hosts are endpoints, never transit nodes, mirroring the
-        forwarding behaviour of :meth:`repro.net.nic.Nic.receive`.
-        """
-        parents: Dict[str, str] = {}
-        visited = {src}
-        frontier = deque([src])
-        while frontier:
-            current = frontier.popleft()
-            if current == dst:
-                break
-            if current != src and not isinstance(
-                self._devices[current], Router
-            ):
-                continue  # no transit through hosts
-            for neighbor, _ in self._adjacency[current]:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    parents[neighbor] = current
-                    frontier.append(neighbor)
-        if dst not in visited:
-            raise KeyError(f"no path {src} -> {dst}")
-        result = [dst]
-        while result[-1] != src:
-            result.append(parents[result[-1]])
-        return list(reversed(result))
 
 
 # ----------------------------------------------------------------------

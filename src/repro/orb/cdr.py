@@ -100,10 +100,6 @@ class CdrOutputStream:
         self.align(2)
         self._append(struct.pack(">h", value))
 
-    def write_ushort(self, value: int) -> None:
-        self.align(2)
-        self._append(struct.pack(">H", value))
-
     def write_long(self, value: int) -> None:
         self.align(4)
         self._append(struct.pack(">i", value))
@@ -111,14 +107,6 @@ class CdrOutputStream:
     def write_ulong(self, value: int) -> None:
         self.align(4)
         self._append(struct.pack(">I", value))
-
-    def write_longlong(self, value: int) -> None:
-        self.align(8)
-        self._append(struct.pack(">q", value))
-
-    def write_float(self, value: float) -> None:
-        self.align(4)
-        self._append(struct.pack(">f", value))
 
     def write_double(self, value: float) -> None:
         self.align(8)
@@ -170,10 +158,6 @@ class CdrInputStream:
         self._offset += count
         return chunk
 
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._offset
-
     # -- primitives ------------------------------------------------------
     def read_octet(self) -> int:
         return struct.unpack(">B", self._take(1))[0]
@@ -185,10 +169,6 @@ class CdrInputStream:
         self.align(2)
         return struct.unpack(">h", self._take(2))[0]
 
-    def read_ushort(self) -> int:
-        self.align(2)
-        return struct.unpack(">H", self._take(2))[0]
-
     def read_long(self) -> int:
         self.align(4)
         return struct.unpack(">i", self._take(4))[0]
@@ -196,14 +176,6 @@ class CdrInputStream:
     def read_ulong(self) -> int:
         self.align(4)
         return struct.unpack(">I", self._take(4))[0]
-
-    def read_longlong(self) -> int:
-        self.align(8)
-        return struct.unpack(">q", self._take(8))[0]
-
-    def read_float(self) -> float:
-        self.align(4)
-        return struct.unpack(">f", self._take(4))[0]
 
     def read_double(self) -> float:
         self.align(8)
@@ -232,18 +204,16 @@ class CdrInputStream:
 
 
 # ----------------------------------------------------------------------
-# Type-directed codecs used by the IDL compiler
+# Type-directed codecs used by the IDL compiler: the one list of the IDL
+# types this ORB marshals
 # ----------------------------------------------------------------------
 _WRITERS: dict = {
     "void": lambda out, v: None,
     "boolean": CdrOutputStream.write_boolean,
     "octet": CdrOutputStream.write_octet,
     "short": CdrOutputStream.write_short,
-    "unsigned short": CdrOutputStream.write_ushort,
     "long": CdrOutputStream.write_long,
     "unsigned long": CdrOutputStream.write_ulong,
-    "long long": CdrOutputStream.write_longlong,
-    "float": CdrOutputStream.write_float,
     "double": CdrOutputStream.write_double,
     "string": CdrOutputStream.write_string,
     "opaque": CdrOutputStream.write_opaque,
@@ -254,28 +224,21 @@ _READERS: dict = {
     "boolean": CdrInputStream.read_boolean,
     "octet": CdrInputStream.read_octet,
     "short": CdrInputStream.read_short,
-    "unsigned short": CdrInputStream.read_ushort,
     "long": CdrInputStream.read_long,
     "unsigned long": CdrInputStream.read_ulong,
-    "long long": CdrInputStream.read_longlong,
-    "float": CdrInputStream.read_float,
     "double": CdrInputStream.read_double,
     "string": CdrInputStream.read_string,
     "opaque": CdrInputStream.read_opaque,
 }
 
 
+#: Every IDL type name the codecs know; the IDL compiler accepts these
+#: and nothing else.
+IDL_TYPES = frozenset(_WRITERS)
+
+
 def writer_for(idl_type: str) -> Callable[[CdrOutputStream, Any], None]:
-    """Return the encoder function for a (possibly sequence) IDL type."""
-    if idl_type.startswith("sequence<") and idl_type.endswith(">"):
-        inner = writer_for(idl_type[len("sequence<"):-1].strip())
-
-        def write_sequence(out: CdrOutputStream, value: Any) -> None:
-            out.write_ulong(len(value))
-            for item in value:
-                inner(out, item)
-
-        return write_sequence
+    """Return the encoder function for an IDL type."""
     try:
         return _WRITERS[idl_type]
     except KeyError:
@@ -283,14 +246,7 @@ def writer_for(idl_type: str) -> Callable[[CdrOutputStream, Any], None]:
 
 
 def reader_for(idl_type: str) -> Callable[[CdrInputStream], Any]:
-    """Return the decoder function for a (possibly sequence) IDL type."""
-    if idl_type.startswith("sequence<") and idl_type.endswith(">"):
-        inner = reader_for(idl_type[len("sequence<"):-1].strip())
-
-        def read_sequence(inp: CdrInputStream) -> list:
-            return [inner(inp) for _ in range(inp.read_ulong())]
-
-        return read_sequence
+    """Return the decoder function for an IDL type."""
     try:
         return _READERS[idl_type]
     except KeyError:

@@ -6,11 +6,12 @@ classes wired to the CDR codecs, mirroring what TAO's IDL compiler
 produces (stubs marshal on the client, skeletons demarshal and
 dispatch on the server).
 
-Supported types: ``void boolean octet short unsigned short long
-unsigned long long long float double string opaque`` and
-``sequence<T>`` of any of those.  ``opaque`` is this ORB's extension
-for application payloads with declared wire sizes (see
-:class:`repro.orb.cdr.OpaquePayload`).
+Supported types are the CDR codec table's (:data:`repro.orb.cdr.IDL_TYPES`):
+``void boolean octet short long unsigned long double string opaque``.
+Any other type (``unsigned short``, ``long long``, ``float``,
+``sequence<T>``, ...) is an :class:`IdlError` naming it.  ``opaque`` is
+this ORB's extension for application payloads with declared wire sizes
+(see :class:`repro.orb.cdr.OpaquePayload`).
 
 Example
 -------
@@ -33,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.process import Signal
 from repro.orb.cdr import (
+    IDL_TYPES,
     CdrInputStream,
     CdrOutputStream,
     reader_for,
@@ -99,10 +101,6 @@ class InterfaceDef:
 # Parsing
 # ----------------------------------------------------------------------
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[{}();,<>]")
-_BASIC_TYPES = {
-    "void", "boolean", "octet", "short", "long", "float", "double",
-    "string", "opaque",
-}
 
 
 class _Tokens:
@@ -136,20 +134,9 @@ class _Tokens:
 
 def _parse_type(tokens: _Tokens) -> str:
     word = tokens.next()
-    if word == "sequence":
-        tokens.expect("<")
-        inner = _parse_type(tokens)
-        tokens.expect(">")
-        return f"sequence<{inner}>"
-    if word == "unsigned":
-        second = tokens.next()
-        if second not in ("short", "long"):
-            raise IdlError(f"bad type 'unsigned {second}'")
-        return f"unsigned {second}"
-    if word == "long" and tokens.peek() == "long":
-        tokens.next()
-        return "long long"
-    if word not in _BASIC_TYPES:
+    if word == "unsigned" or (word == "long" and tokens.peek() == "long"):
+        word = f"{word} {tokens.next()}"
+    if word not in IDL_TYPES:
         raise IdlError(f"unsupported IDL type {word!r}")
     return word
 

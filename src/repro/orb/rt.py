@@ -47,14 +47,6 @@ class LinearPriorityMapping:
         span = high - low
         return low + round(corba_priority * span / MAX_PRIORITY)
 
-    def to_corba(self, native_priority: int, os_type: OsType) -> int:
-        low, high = native_priority_range(os_type)
-        span = high - low
-        if span == 0:
-            return MIN_PRIORITY
-        clamped = clamp_native(os_type, native_priority)
-        return round((clamped - low) * MAX_PRIORITY / span)
-
 
 class TablePriorityMapping:
     """Custom mapping from explicit (corba threshold -> native) bands.
@@ -81,12 +73,6 @@ class TablePriorityMapping:
             else:
                 break
         return clamp_native(os_type, native)
-
-    def to_corba(self, native_priority: int, os_type: OsType) -> int:
-        for threshold, value in self.bands:
-            if clamp_native(os_type, native_priority) == value:
-                return threshold
-        return MIN_PRIORITY
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +152,6 @@ class PriorityMappingManager:
     def to_native(self, corba_priority: int, os_type: OsType) -> int:
         return self._native.to_native(corba_priority, os_type)
 
-    def to_corba(self, native_priority: int, os_type: OsType) -> int:
-        return self._native.to_corba(native_priority, os_type)
-
     def to_dscp(self, corba_priority: int) -> Dscp:
         return self._dscp.to_dscp(corba_priority)
 
@@ -222,10 +205,6 @@ class ThreadPoolLane:
         self._queue.append(item)
         self._work_available.fire()
         return True
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     def _worker(self, thread: SimThread) -> Generator:
         while True:

@@ -377,10 +377,6 @@ class CPU:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> Optional[SimThread]:
-        return self._current
-
     def queue_depth(self, thread: SimThread) -> int:
         return len(self._queues[thread.tid])
 

@@ -81,9 +81,6 @@ class Host:
     def attach_nic(self, nic: "Nic") -> None:
         self._nics[nic.ifname] = nic
 
-    def nic(self, name: str = "eth0") -> "Nic":
-        return self._nics[name]
-
     @property
     def nics(self) -> Dict[str, "Nic"]:
         return dict(self._nics)

@@ -263,10 +263,6 @@ class ReserveManager:
     def total_utilization(self) -> float:
         return sum(r.utilization for r in self._reserves)
 
-    @property
-    def reserves(self) -> List[Reserve]:
-        return list(self._reserves)
-
     def request(
         self,
         thread: SimThread,

@@ -73,10 +73,6 @@ class SimThread:
         self.cpu.on_priority_change(self)
         self.cpu.reschedule()
 
-    @property
-    def alive(self) -> bool:
-        return self.state is not ThreadState.DEAD
-
     def kill(self) -> None:
         """Terminate the thread permanently.
 

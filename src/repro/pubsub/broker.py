@@ -156,19 +156,6 @@ class Broker:
             else:
                 reader.owner = self.owners.get(reader.topic.name)
 
-    def unregister_writer(self, writer: DataWriter) -> None:
-        """Graceful writer departure: matches deactivate, budget frees."""
-        self.writers.pop(writer.name, None)
-        writer.stop_heartbeats()
-        monitor = self.monitors.pop(writer.name, None)
-        if monitor is not None:
-            monitor.stop()
-        for match in writer.matches.values():
-            match.active = False
-            self._release_grant(match)
-        if writer.qos.ownership is OwnershipKind.EXCLUSIVE:
-            self._recompute_owner(writer.topic.name)
-
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
@@ -218,23 +205,16 @@ class Broker:
                 or writer.qos.history is not HistoryKind.KEEP_ALL
                 or writer.nic is None or reader.nic is None):
             return
-        grant_id = f"pubsub:{writer.name}->{reader.name}"
         decision = self.admission.request(
-            grant_id, src=writer.host_name, dst=reader.host_name,
+            f"pubsub:{writer.name}->{reader.name}",
+            src=writer.host_name, dst=reader.host_name,
             rate_bps=RESERVE_HEADROOM * writer.topic.wire_rate_bps)
         if decision.admitted:
             match.reserved = True
-            match.grant_id = grant_id
             match.dscp = Dscp.EF
             self.grants += 1
         else:
             self.grant_denials += 1
-
-    def _release_grant(self, match: Match) -> None:
-        if match.grant_id is not None and self.admission is not None:
-            self.admission.revoke(match.grant_id)
-            match.grant_id = None
-            match.reserved = False
 
     # ------------------------------------------------------------------
     # Liveliness

@@ -89,7 +89,7 @@ class Match:
     """One compatible writer→reader pairing (created by the broker)."""
 
     __slots__ = ("writer", "reader", "result", "reliable", "dscp",
-                 "divisor", "reserved", "grant_id", "active", "sent",
+                 "divisor", "reserved", "sent",
                  "filter", "replayed")
 
     def __init__(self, writer: "DataWriter", reader: "DataReader",
@@ -118,8 +118,6 @@ class Match:
         self.divisor = 1
         #: True when this match holds an admission-controller grant.
         self.reserved = False
-        self.grant_id: Optional[str] = None
-        self.active = True
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "reliable" if self.reliable else "best-effort"
@@ -183,7 +181,7 @@ class DataWriter:
     # Publishing
     # ------------------------------------------------------------------
     def write(self, data: Any = None) -> Sample:
-        """Publish one sample to every active matched reader."""
+        """Publish one sample to every matched reader."""
         self.seq += 1
         self.samples_written += 1
         sample = Sample(self.topic.name, self.name, self.seq, data,
@@ -191,8 +189,6 @@ class DataWriter:
         if self.durable_cache is not None:
             self.durable_cache.add(sample)
         for match in self.matches.values():
-            if not match.active:
-                continue
             # Filter before divisor: a filtered sample consumes neither
             # wire bytes nor the match's EF reserve, and the divisor
             # paces the published seq stream regardless of filtering.
@@ -394,7 +390,7 @@ class DataReader:
     def _receive(self, sample: Sample, latency: float) -> None:
         self.samples_received += 1
         match = self.matched.get(sample.writer)
-        if match is None or not match.active:
+        if match is None:
             self.from_unmatched += 1
             tracer = self.kernel.tracer
             if tracer is not None:

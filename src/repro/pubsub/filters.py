@@ -15,9 +15,9 @@ names that are not sample fields) is rejected at *construction* time
 with ``ValueError`` so a bad filter fails loudly at declaration, not
 silently per sample:
 
-* boolean ops        ``and`` / ``or`` / ``not``
+* boolean ops        ``and`` / ``or``
 * comparisons        ``== != < <= > >= is is-not`` (chained allowed)
-* arithmetic         ``+ - * / // %`` and unary ``-``
+* arithmetic         ``%`` (the modulo that splits a stream by ``seq``)
 * names              the sample fields ``topic writer seq data sent_at``
 * literals           numbers, strings, True/False/None
 
@@ -40,8 +40,7 @@ SAMPLE_FIELDS: FrozenSet[str] = frozenset(
 _BOOL_OPS = (ast.And, ast.Or)
 _CMP_OPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
             ast.Is, ast.IsNot)
-_BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
-_UNARY_OPS = (ast.Not, ast.USub)
+_BIN_OPS = (ast.Mod,)
 
 
 def _validate(node: ast.AST, expression: str) -> None:
@@ -53,10 +52,6 @@ def _validate(node: ast.AST, expression: str) -> None:
             raise ValueError(f"unsupported boolean op in {expression!r}")
         for value in node.values:
             _validate(value, expression)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, _UNARY_OPS):
-            raise ValueError(f"unsupported unary op in {expression!r}")
-        _validate(node.operand, expression)
     elif isinstance(node, ast.Compare):
         if not all(isinstance(op, _CMP_OPS) for op in node.ops):
             raise ValueError(f"unsupported comparison in {expression!r}")
@@ -135,9 +130,6 @@ class ContentFilter:
                 if result:
                     return result
             return result
-        if isinstance(node, ast.UnaryOp):
-            operand = self._eval(node.operand, sample)
-            return (not operand) if isinstance(node.op, ast.Not) else -operand
         if isinstance(node, ast.Compare):
             left = self._eval(node.left, sample)
             for op, comparator in zip(node.ops, node.comparators):
@@ -162,20 +154,9 @@ class ContentFilter:
                     return False
                 left = right
             return True
-        if isinstance(node, ast.BinOp):
+        if isinstance(node, ast.BinOp):  # ``%``, the one operator
             left = self._eval(node.left, sample)
-            right = self._eval(node.right, sample)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            if isinstance(node.op, ast.FloorDiv):
-                return left // right
-            return left % right
+            return left % self._eval(node.right, sample)
         if isinstance(node, ast.Name):
             return getattr(sample, node.id)
         # _validate guarantees the only remaining node kind:

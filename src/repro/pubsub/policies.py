@@ -1,6 +1,6 @@
 """The declarative QoS policy vocabulary (DDS-style).
 
-A :class:`QosPolicy` is a plain value object describing what one
+A :class:`QosPolicy` is a frozen record describing what one
 endpoint *offers* (writers) or *requests* (readers):
 
 * **reliability** — BEST_EFFORT datagrams vs RELIABLE delivery over
@@ -66,7 +66,7 @@ class Durability(IntEnum):
 
 
 class QosPolicy:
-    """One endpoint's declared QoS (immutable value object)."""
+    """One endpoint's declared QoS (immutable)."""
 
     __slots__ = ("reliability", "history", "depth", "deadline",
                  "latency_budget", "lease", "ownership", "strength",
@@ -112,21 +112,10 @@ class QosPolicy:
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"QosPolicy is immutable (tried to set {name!r})")
 
-    # ------------------------------------------------------------------
-    # Value semantics
-    # ------------------------------------------------------------------
     def _key(self) -> tuple:
         return (self.reliability, self.history, self.depth, self.deadline,
                 self.latency_budget, self.lease, self.ownership,
                 self.strength, self.durability)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QosPolicy):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __reduce__(self):
         # Constructor-call reduce (see CapacityArm): payload bytes stay

@@ -51,10 +51,6 @@ class Delegate:
     def stub(self) -> Any:
         return self._stub
 
-    @property
-    def contract(self) -> Contract:
-        return self._contract
-
     # ------------------------------------------------------------------
     # Transparent proxying
     # ------------------------------------------------------------------

@@ -12,14 +12,16 @@ actually requested and the RESV message actually travels the path.
 
 Admission is all-or-nothing and rejection is side-effect free: a
 request either commits a grant covering every demanded host and every
-directed edge on the route, or it changes nothing.  The books are
-cached running totals updated incrementally on admit and recomputed
-from the set of live grants on revoke, so queries are O(1) even with
-10^5 grants outstanding (the fig10 regime) while admit -> revoke ->
-re-admit still reproduces the exact same books: an incremental add
-appends the newest term to the insertion-order sum, which is bit-for-
-bit what the recompute produces (no float-drift between a grant and
-its revocation).
+directed edge on the route, or it changes nothing.  Grants are never
+released (a stream holds its grant for the rest of the run), so the
+books are running totals that only grow, and queries are O(1) even
+with 10^5 grants outstanding (the fig10 regime).
+
+The route is the one the packets take: :meth:`AdmissionController.path`
+searches from the destination and keeps each node's first discoverer,
+as :meth:`~repro.net.topology.Network.compute_routes` fills the
+routers' forwarding tables, so on a graph with equal-cost paths a grant
+books the edges its RSVP PATH actually crosses.
 
 Multi-tenant isolation: :meth:`set_tenant_pool` caps the total
 admitted bandwidth per tenant, checked before the per-link budgets, so
@@ -37,7 +39,7 @@ Edge = Tuple[str, str]
 
 
 class AdmissionDecision:
-    """Outcome of one admission request (immutable value object)."""
+    """Outcome of one admission request."""
 
     __slots__ = ("stream_id", "admitted", "reason")
 
@@ -46,13 +48,6 @@ class AdmissionDecision:
         self.stream_id = stream_id
         self.admitted = bool(admitted)
         self.reason = reason
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdmissionDecision):
-            return NotImplemented
-        return (self.stream_id == other.stream_id
-                and self.admitted == other.admitted
-                and self.reason == other.reason)
 
     def __repr__(self) -> str:  # pragma: no cover
         verdict = "admitted" if self.admitted else f"rejected ({self.reason})"
@@ -176,40 +171,41 @@ class AdmissionController:
         return controller
 
     # ------------------------------------------------------------------
-    # Routing (mirrors Network.path: hosts never transit)
+    # Routing (the forwarding tables' route: hosts never transit)
     # ------------------------------------------------------------------
     def path(self, src: str, dst: str) -> List[str]:
-        """Device names along the admission route src -> dst (memoized)."""
+        """Device names along the route src -> dst (memoized).
+
+        A hop-count search rooted at ``dst`` in link order, in which a
+        node's next hop is the neighbour that discovered it and only
+        routers extend the frontier: the search
+        :meth:`Network.compute_routes` runs per destination host, so
+        this is the path a packet from ``src`` follows.
+        """
         memo = self._path_memo.get((src, dst))
         if memo is not None:
             return list(memo)
         if src not in self._neighbors or dst not in self._neighbors:
             raise KeyError(f"unknown endpoint in path {src!r} -> {dst!r}")
-        parents: Dict[str, str] = {}
-        visited = {src}
-        frontier = deque([src])
-        while frontier:
+        next_hop = {dst: dst}
+        frontier = deque([dst])
+        while frontier and src not in next_hop:
             current = frontier.popleft()
-            if current == dst:
-                break
-            if current != src and current not in self._routers:
-                continue  # hosts are endpoints, never transit
             for neighbor in self._neighbors[current]:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    parents[neighbor] = current
-                    frontier.append(neighbor)
-        if dst not in visited:
+                if neighbor not in next_hop:
+                    next_hop[neighbor] = current
+                    if neighbor in self._routers:
+                        frontier.append(neighbor)
+        if src not in next_hop:
             raise KeyError(f"no route from {src!r} to {dst!r}")
-        hops = [dst]
-        while hops[-1] != src:
-            hops.append(parents[hops[-1]])
-        hops.reverse()
+        hops = [src]
+        while hops[-1] != dst:
+            hops.append(next_hop[hops[-1]])
         self._path_memo[(src, dst)] = hops
         return list(hops)
 
     # ------------------------------------------------------------------
-    # Books (cached totals; revocation recomputes, leaving no residue)
+    # Books (running totals over the grants, in admission order)
     # ------------------------------------------------------------------
     def cpu_utilization(self, host: str) -> float:
         """Admitted CPU utilization currently charged to ``host``."""
@@ -226,33 +222,8 @@ class AdmissionController:
     def tenant_pool(self, tenant: str) -> Optional[float]:
         return self._tenant_pools.get(tenant)
 
-    def _recompute_books(self) -> None:
-        """Rebuild every cached total from the live grants.
-
-        Iterates grants in insertion order, so the result is bit-for-bit
-        the same float an incremental admit sequence would produce —
-        the no-drift guarantee the property suite pins down.
-        """
-        cpu: Dict[str, float] = {}
-        edges: Dict[Edge, float] = {}
-        tenants: Dict[str, float] = {}
-        for grant in self._grants.values():
-            for host, utilization in grant.cpu.items():
-                cpu[host] = cpu.get(host, 0.0) + utilization
-            for edge, rate in grant.edges.items():
-                edges[edge] = edges.get(edge, 0.0) + rate
-            if grant.tenant is not None:
-                tenants[grant.tenant] = (
-                    tenants.get(grant.tenant, 0.0) + grant.rate_bps)
-        self._cpu_totals = cpu
-        self._edge_totals = edges
-        self._tenant_totals = tenants
-
     def admitted_ids(self) -> List[str]:
         return list(self._grants)
-
-    def is_admitted(self, stream_id: str) -> bool:
-        return stream_id in self._grants
 
     # ------------------------------------------------------------------
     # Admission
@@ -330,8 +301,6 @@ class AdmissionController:
         grant = _Grant(stream_id, cpu_demand, edge_demand,
                        tenant=tenant, rate_bps=float(rate_bps))
         self._grants[stream_id] = grant
-        # Incremental book update: appends the newest term to the
-        # insertion-order sum, matching _recompute_books bit-for-bit.
         for host, utilization in cpu_demand.items():
             self._cpu_totals[host] = (
                 self._cpu_totals.get(host, 0.0) + utilization)
@@ -350,22 +319,14 @@ class AdmissionController:
     def reject_repeats(self, count: int) -> None:
         """Book ``count`` repeats of requests already rejected.
 
-        Every admission test compares a book that only grows between
-        revokes against a fixed bound, so a request identical (route,
-        rate, tenant, CPU demand) to one rejected since the last revoke
-        would be rejected again, and all a rejection leaves behind is
-        these two counters.  A caller holding a long run of identical
-        requests therefore evaluates each distinct one until it is
-        rejected and books the rest of the run here.
+        Every admission test compares a book that only grows against a
+        fixed bound, so a request identical (route, rate, tenant, CPU
+        demand) to one already rejected would be rejected again, and
+        all a rejection leaves behind is these two counters.  A caller
+        with a run of identical requests evaluates each distinct one
+        until it is rejected and books the rest of the run here.
         """
         if count < 0:
             raise ValueError(f"negative repeat count: {count}")
         self.requests_seen += count
         self.requests_rejected += count
-
-    def revoke(self, stream_id: str) -> bool:
-        """Release a grant; unknown ids are a no-op (returns False)."""
-        if self._grants.pop(stream_id, None) is None:
-            return False
-        self._recompute_books()
-        return True

@@ -270,10 +270,6 @@ class ScaleResult(ArmResult):
         #: The fluid bottleneck's books (``None`` for a pure-packet run).
         self.fluid_link: Optional[LinkBooks] = None
 
-    @property
-    def rejected_count(self) -> int:
-        return self.streams - self.admitted_count
-
 
 def _percentile(values: List[float], fraction: float) -> Optional[float]:
     if not values:

@@ -355,7 +355,7 @@ def _non_positive_rsvp_rate():
                 link=Bag(bandwidth_bps=1e6, nominal_bandwidth_bps=1e6))
     agent = Bag(utilization_bound=0.9, _reserved={iface: {"f:1->d:2": 0.0}})
     world.rsvp_agents = lambda: [agent]
-    return world, [rec(0.0, "net", "rsvp.expire")]
+    return world, [rec(0.0, "net", "rsvp.release")]
 
 
 def _dequeue_of_unqueued_packet():

@@ -270,7 +270,7 @@ def test_rsvp_ledger_catches_non_positive_rate():
     checker = ReserveLedgerChecker()
     checker.attach(world)
     with pytest.raises(InvariantViolation, match="non-positive"):
-        checker.on_event(rec(0.0, "net", "rsvp.expire"))
+        checker.on_event(rec(0.0, "net", "rsvp.release"))
 
 
 # ----------------------------------------------------------------------

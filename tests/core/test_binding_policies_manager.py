@@ -50,9 +50,6 @@ def test_binding_reproduces_figure2_chain():
         def to_native(self, corba_priority, os_type):
             return self.tables[os_type].to_native(corba_priority, os_type)
 
-        def to_corba(self, native_priority, os_type):
-            return self.tables[os_type].to_corba(native_priority, os_type)
-
     orb.mapping_manager.install_native_mapping(Figure2Mapping())
     orb.mapping_manager.install_dscp_mapping(
         DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])

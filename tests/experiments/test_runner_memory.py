@@ -8,7 +8,9 @@ No test here calls ``gc.collect()``: the runner's own collection is
 what has to free the kernel.
 """
 
+import ast
 import gc
+import pathlib
 import weakref
 
 import pytest
@@ -86,3 +88,22 @@ def test_the_callers_cycles_survive_the_arm():
     run("_test_memory_world")
     assert ref() is node and node.self is node
     assert gc.get_freeze_count() == 0
+
+
+def test_gc_is_imported_by_the_runner_alone():
+    """Process-wide collector state has one owner: ``src/repro`` imports
+    ``gc`` in ``experiments/runner.py`` and nowhere else (a second import
+    is a second way to run an arm)."""
+    package = pathlib.Path(runner_mod.__file__).resolve().parents[1]
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                importers.append(path.relative_to(package).as_posix())
+    assert importers == ["experiments/runner.py"]

@@ -24,6 +24,7 @@ from repro.experiments.scenario_registry import FIGURES
 from repro.experiments import testbed  # not the class: pytest collects Test*
 from repro.obs import RingBufferSink, Tracer
 from repro.sim.kernel import Kernel
+from tests.net.test_topology import forwarding_path
 
 #: Short timelines (and one small sweep point) as ``--set`` settings, by
 #: scenario; a scenario not named here runs the figure's own parameters.
@@ -331,7 +332,7 @@ def test_star_names_every_egress_by_the_rule():
     }
     assert {agent.utilization_bound for agent in bed.world.rsvp_agents()
             } == {0.8}
-    assert bed.network.path("a", "dst") == ["a", "router", "dst"]
+    assert forwarding_path(bed.network, "a", "dst") == ["a", "router", "dst"]
 
 
 def test_a_filtered_stream_hands_its_contract_to_the_watched_world():

@@ -12,7 +12,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan, FaultPlanError
 from repro.quo.syscond import FaultReporterSC
 
 
-def rig(kernel, refresh_interval=None):
+def rig(kernel):
     """src -- r1 -- dst with IntServ-capable egress queues."""
     net = Network(kernel, default_bandwidth_bps=10e6)
     for name in ("src", "dst"):
@@ -25,7 +25,7 @@ def rig(kernel, refresh_interval=None):
     net.link("src", r1, qdisc_a=q(), qdisc_b=q())
     net.link(r1, "dst", qdisc_a=q(), qdisc_b=q())
     net.compute_routes()
-    net.enable_intserv(refresh_interval=refresh_interval)
+    net.enable_intserv()
     return net, r1
 
 
@@ -202,23 +202,25 @@ def test_resv_loss_silently_removes_installed_reservation():
     assert net.nic_of("dst").rsvp_agent.reservations["video"].is_established
 
 
-def test_resv_loss_repaired_by_soft_state_refresh():
+def test_resv_loss_repaired_by_resignal():
+    """Nothing refreshes a lost reservation: it stays lost until the
+    sender re-signals, and then the new epoch's RESV re-installs it."""
     kernel = Kernel()
-    net, r1 = rig(kernel, refresh_interval=0.5)
+    net, r1 = rig(kernel)
     establish(kernel, net)
     egress = r1.egress_for("dst")
     start = kernel.now
-    # 1.3 lands mid-way between two refresh ticks, so the drop is
-    # briefly observable before the next RESV refresh repairs it.
     FaultInjector(kernel, net).install(plan_of(
-        FaultEvent("resv_loss", flow="video", at=1.3)))
+        FaultEvent("resv_loss", flow="video", at=1.0)))
     seen = {}
-    kernel.schedule(1.35, lambda: seen.setdefault(
+    kernel.schedule(1.9, lambda: seen.setdefault(
         "dropped", "video" in egress.qdisc.reserved_flows()))
+    kernel.schedule(2.0, net.nic_of("src").rsvp_agent.resignal, "video")
     kernel.run(until=start + 3.0)
     assert seen["dropped"] is False
-    # The receiver's periodic RESV refresh re-installed the bucket.
     assert "video" in egress.qdisc.reserved_flows()
+    assert r1.rsvp_agent.reserved_rate(egress) == pytest.approx(
+        net.nic_of("dst").rsvp_agent.reservations["video"].flowspec.rate_bps)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,9 @@ from repro.orb.core import raise_if_error
 from repro.media import MpegStream
 from repro.avstreams import MMDeviceServant, StreamCtrl
 from repro.core import EndToEndQoSManager, QosPolicy
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
 
 
-def rig(kernel, refresh_interval=None):
+def rig(kernel):
     net = Network(kernel, default_bandwidth_bps=10e6)
     for name in ("src", "dst"):
         net.attach_host(Host(kernel, name))
@@ -25,7 +24,7 @@ def rig(kernel, refresh_interval=None):
     link_src = net.link("src", router, qdisc_a=q(), qdisc_b=q())
     link_dst = net.link(router, "dst", qdisc_a=q(), qdisc_b=q())
     net.compute_routes()
-    net.enable_intserv(refresh_interval=refresh_interval)
+    net.enable_intserv()
     orbs = {name: Orb(kernel, net.host(name), net) for name in ("src", "dst")}
     devices, refs = {}, {}
     for name, orb in orbs.items():
@@ -109,52 +108,3 @@ def test_corba_calls_resume_after_flap_without_new_connection():
     connection = next(iter(orbs["src"]._connections.values()))
     assert not connection.closed
     assert connection.retransmissions > 0
-
-
-def test_reserved_stream_survives_router_crash_and_restart():
-    """A transit router that reboots *and loses its reservation table*
-    must be healed by soft-state refresh: the endpoints keep signaling,
-    the rebooted router relearns path + reservation state, and the
-    stream returns to its pre-fault delivery band."""
-    kernel = Kernel()
-    net, orbs, devices, refs, link_src, link_dst = rig(
-        kernel, refresh_interval=0.5)
-    router = net.routers[0]
-    ctrl = StreamCtrl(kernel, orbs["src"])
-    delivered = []
-
-    def scenario():
-        binding = yield from EndToEndQoSManager().open_stream(
-            "video", RESERVED, ctrl, refs["src"], refs["dst"])
-        assert binding.reserved
-        producer = devices["src"].producer("video")
-        consumer = devices["dst"].consumer("video")
-        consumer.on_frame = lambda frame, latency: delivered.append(
-            (kernel.now, frame.sequence))
-        stream = MpegStream("video")
-        while True:
-            producer.send_frame(stream.next_frame(kernel.now))
-            yield stream.frame_interval
-
-    Process(kernel, scenario(), name="pump")
-    FaultInjector(kernel, net).install(FaultPlan([
-        FaultEvent("node_crash", node="r", at=5.0, duration=2.0)]))
-
-    egress = router.egress_for("dst")
-    seen = {}
-    # While the router is down nothing can refresh it: its reservation
-    # table really is gone, not just briefly perturbed.
-    kernel.schedule(6.0, lambda: seen.setdefault(
-        "mid_crash", "avflow:video" in egress.qdisc.reserved_flows()))
-    kernel.run(until=15.0)
-
-    assert seen["mid_crash"] is False
-    before = [t for t, _ in delivered if t < 5.0]
-    after = [t for t, _ in delivered if t >= 8.0]
-    assert len(before) == pytest.approx(150, abs=3)  # 30 fps pre-crash
-    # Post-restart: back in the full-rate band.
-    assert len(after) == pytest.approx(7.0 * 30, abs=8)
-    # The rebooted router relearned the reservation from refreshes
-    # alone — no re-bind, no re-signaling by the application.
-    assert "avflow:video" in egress.qdisc.reserved_flows()
-    assert router.rsvp_agent.reserved_rate(egress) == pytest.approx(1.4e6)

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import Kernel
 from repro.oskernel import Host
 from repro.net import DatagramSocket, GuaranteedRateQueue, Network
+from tests.net.test_topology import forwarding_path
 
 
 def dual_segment_network(kernel):
@@ -77,11 +78,12 @@ def test_hosts_do_not_forward_transit_traffic():
 def test_path_respects_no_host_transit():
     kernel = Kernel()
     net, _, _ = dual_segment_network(kernel)
-    assert net.path("uav", "distributor") == ["uav", "r1", "distributor"]
-    assert net.path("distributor", "station") == ["distributor", "r2",
-                                                  "station"]
+    assert forwarding_path(net, "uav", "distributor") == [
+        "uav", "r1", "distributor"]
+    assert forwarding_path(net, "distributor", "station") == [
+        "distributor", "r2", "station"]
     with pytest.raises(KeyError):
-        net.path("uav", "station")
+        forwarding_path(net, "uav", "station")
 
 
 def test_rsvp_reservation_on_multihomed_sender():

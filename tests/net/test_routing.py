@@ -229,7 +229,7 @@ def test_make_before_break_moves_the_reservation():
     net = diamond(kernel, reserved=True)
     routing = LinkStateRouting(kernel, net, spf_delay=0.05)
     routing.start()
-    net.enable_intserv(refresh_interval=None)
+    net.enable_intserv()
     sender_agent = net.nic_of("src").rsvp_agent
     resignaler = ReservationResignaler(
         kernel, routing, [sender_agent], delay=0.1)
@@ -269,7 +269,7 @@ def test_resignal_on_an_unchanged_path_never_unseats_the_reservation():
     kernel = Kernel()
     net = diamond(kernel, reserved=True)
     install_spf_routes(net)
-    net.enable_intserv(refresh_interval=None)
+    net.enable_intserv()
     reservation = establish(kernel, net)
     sender_agent = net.nic_of("src").rsvp_agent
 

@@ -1,16 +1,14 @@
-"""RSVP soft state: TEAR re-send hardening, refresh, and expiry.
+"""RSVP teardown: TEAR re-send hardening, and no timers left behind.
 
 Regression suite for the lost-TEAR bug: a single dropped TEAR used to
 strand ``reserved_rate`` (and the installed token bucket) at transit
-routers forever, silently eating admission capacity.  Recovery is now
-layered: teardown re-sends its TEAR a bounded number of times, and —
-with soft-state refresh enabled — transit state that stops being
-refreshed expires on its own even if every TEAR copy is lost.
+routers forever, silently eating admission capacity.  Teardown now
+re-sends its TEAR a bounded number of times.  Installed state is hard
+(nothing refreshes or expires it), so an established reservation
+leaves no timer behind.
 """
 
 import random
-
-import pytest
 
 from repro.sim import Kernel
 from repro.oskernel import Host
@@ -28,7 +26,7 @@ def clear_loss_on(link):
     link.loss_rng = None
 
 
-def chain(kernel, refresh_interval=None):
+def chain(kernel):
     """sender -- r1 -- r2 -- receiver, IntServ everywhere."""
     net = Network(kernel, default_bandwidth_bps=10e6)
     for name in ("sender", "receiver"):
@@ -42,7 +40,7 @@ def chain(kernel, refresh_interval=None):
     net.link(r1, r2, qdisc_a=q(), qdisc_b=q())
     net.link(r2, "receiver", qdisc_a=q(), qdisc_b=q())
     net.compute_routes()
-    net.enable_intserv(refresh_interval=refresh_interval)
+    net.enable_intserv()
     return net, r1, r2
 
 
@@ -118,59 +116,14 @@ def test_capacity_freed_after_lossy_teardown():
 
 
 # ----------------------------------------------------------------------
-# Soft-state refresh and expiry (opt-in)
+# No soft-state timers
 # ----------------------------------------------------------------------
-def test_refresh_keeps_reservation_alive():
-    kernel = Kernel()
-    net, r1, r2 = chain(kernel, refresh_interval=0.5)
-    establish(kernel, net)
-    # Many lifetimes later the state is still installed everywhere.
-    kernel.run(until=kernel.now + 10.0)
-    assert booked_anywhere(net, r1, r2)
-
-
-def test_transit_state_expires_when_endpoints_stop_refreshing():
-    """The backstop for *every* TEAR copy being lost: once nothing
-    refreshes the flow, routers reclaim bucket and booked rate after
-    LIFETIME_MULTIPLIER missed refreshes."""
-    kernel = Kernel()
-    net, r1, r2 = chain(kernel, refresh_interval=0.5)
-    establish(kernel, net)
-
-    # Both endpoints go silent at once (crash semantics), and every
-    # TEAR copy dies on a wire that eats everything.
-    link = net.link_between(r2, "receiver")
-    drop_everything_on(link)
-    net.nic_of("receiver").rsvp_agent.teardown("video")
-    net.nic_of("sender").rsvp_agent.drop_all_state()
-
-    # All three TEAR copies (t, t+0.5, t+1.0) are lost.
-    kernel.run(until=kernel.now + 0.8)
-    assert booked_anywhere(net, r1, r2)  # not yet expired
-
-    # 3 x 0.5 s lifetime after the last refresh: reclaimed.
-    kernel.run(until=kernel.now + 3.0)
-    assert not booked_anywhere(net, r1, r2)
-
-
 def test_no_refresh_means_no_expiry_timers():
-    """Without opting in, agents must not keep the event heap alive:
-    open-ended kernel.run() calls in older tests depend on it."""
+    """Agents must not keep the event heap alive: open-ended
+    kernel.run() calls in older tests depend on it."""
     kernel = Kernel()
-    net, r1, r2 = chain(kernel)  # refresh_interval=None
+    net, r1, r2 = chain(kernel)
     establish(kernel, net)
     # Drains completely instead of ticking refresh timers forever.
     kernel.run()
     assert booked_anywhere(net, r1, r2)
-
-
-def test_refresh_reinstalls_after_silent_transit_loss():
-    kernel = Kernel()
-    net, r1, r2 = chain(kernel, refresh_interval=0.5)
-    establish(kernel, net)
-    egress = r1.egress_for("receiver")
-    r1.rsvp_agent.drop_reservation_state("video")
-    assert "video" not in egress.qdisc.reserved_flows()
-    kernel.run(until=kernel.now + 1.5)
-    assert "video" in egress.qdisc.reserved_flows()
-    assert r1.rsvp_agent.reserved_rate(egress) == pytest.approx(1.2e6)

@@ -13,7 +13,7 @@ module Demo {
         string say(in string text);
         long add(in long a, in long b);
         oneway void push(in opaque frame);
-        double stats(in sequence<double> samples);
+        double stats(in double sample);
     };
     interface Empty {
     };
@@ -72,12 +72,12 @@ def test_stub_class_has_operation_methods():
 def test_multiword_types():
     interfaces = compile_idl("""
         interface Wide {
-            unsigned long count(in long long big, in unsigned short small);
+            unsigned long count(in unsigned long big, in long small);
         };
     """)
     op = interfaces["Wide"].operations["count"]
     assert op.result_type == "unsigned long"
-    assert op.param_types == ["long long", "unsigned short"]
+    assert op.param_types == ["unsigned long", "long"]
 
 
 def test_nested_modules():
@@ -110,6 +110,19 @@ def test_out_params_rejected():
 def test_unknown_type_rejected():
     with pytest.raises(IdlError):
         compile_idl("interface Bad { void f(in widget w); };")
+
+
+@pytest.mark.parametrize("spelled, named", [
+    ("unsigned short", "unsigned short"),
+    ("long long", "long long"),
+    ("float", "float"),
+    ("sequence<long>", "sequence"),
+])
+def test_type_without_a_codec_rejected_at_compile(spelled, named):
+    """The compiler accepts exactly the CDR codec table's types, so a
+    type with no codec fails here, naming it, not later in marshaling."""
+    with pytest.raises(IdlError, match=f"unsupported IDL type '{named}'"):
+        compile_idl(f"interface Bad {{ void f(in {spelled} x); }};")
 
 
 def test_duplicate_operation_rejected():

@@ -8,6 +8,7 @@ from repro.net import Dscp, Network
 from repro.orb import Orb, OrbError, RequestTimeout, compile_idl
 from repro.orb.cdr import OpaquePayload
 from repro.orb.core import raise_if_error
+from repro.orb.ior import ObjectReference
 from repro.orb.poa import Servant
 from repro.orb.rt import PriorityMappingManager, PriorityModel, ThreadPool
 
@@ -155,8 +156,10 @@ def test_missing_servant_raises_system_exception():
     kernel = Kernel()
     _, _, client_orb, server_orb = rig(kernel)
     poa = server_orb.create_poa("calc")
-    objref = poa.activate_object(CalculatorServant())
-    poa.deactivate_object(objref.object_key.split("/")[1])
+    live = poa.activate_object(CalculatorServant())
+    # The live POA, an object id nothing was ever activated under.
+    objref = ObjectReference(live.type_id, live.host, live.port,
+                             "calc/ghost", live.components)
     stub = CALC.stub_class(client_orb, objref)
 
     def body():

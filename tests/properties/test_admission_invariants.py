@@ -2,14 +2,12 @@
 
 The :class:`~repro.scale.admission.AdmissionController` promises that
 its books never overcommit any budget and that rejection is
-side-effect free.  These tests drive random admit/revoke sequences
-over a small dumbbell topology and check, after *every* operation:
+side-effect free.  These tests drive random admission sequences over
+a small dumbbell topology and check, after *every* request:
 
 - no host's admitted CPU utilization exceeds its bound;
 - no directed edge's committed bandwidth exceeds its RSVP budget;
-- a rejection leaves every ledger entry exactly as it was;
-- admit -> revoke -> re-admit returns the identical decision and
-  reproduces the identical books (no float residue).
+- a rejection leaves every ledger entry exactly as it was.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,13 +22,11 @@ COMPUTE = st.floats(min_value=1e-4, max_value=0.02)
 PERIOD = st.floats(min_value=0.02, max_value=0.1)
 
 REQUEST = st.tuples(
-    st.just("request"),
     st.sampled_from(("src-a", "src-b")),          # src (dst is fixed)
     RATE,
     st.one_of(st.none(), st.tuples(COMPUTE, PERIOD)),
 )
-REVOKE = st.tuples(st.just("revoke"), st.integers(min_value=0, max_value=40))
-OPS = st.lists(st.one_of(REQUEST, REVOKE), max_size=40)
+OPS = st.lists(REQUEST, max_size=40)
 
 
 def build_controller(link_bps):
@@ -72,70 +68,26 @@ def assert_within_budgets(controller, link_bps):
 )
 @settings(max_examples=60, deadline=None)
 def test_prop_books_never_exceed_budgets(link_bps, operations):
-    """No op sequence can push any ledger past its bound, and every
-    rejection leaves the books untouched."""
+    """No request sequence can push any ledger past its bound, and
+    every rejection leaves the books untouched."""
     controller = build_controller(link_bps)
     next_id = 0
     live = []
-    for op in operations:
-        if op[0] == "request":
-            _, src, rate, cpu_demand = op
-            cpu = (None if cpu_demand is None
-                   else {src: cpu_demand})
-            before = snapshot(controller)
-            decision = controller.request(
-                f"s{next_id}", src=src, dst="dst", rate_bps=rate, cpu=cpu)
-            next_id += 1
-            if decision.admitted:
-                live.append(decision.stream_id)
-            else:
-                assert decision.reason  # rejections always say why
-                assert snapshot(controller) == before
+    for src, rate, cpu_demand in operations:
+        cpu = (None if cpu_demand is None
+               else {src: cpu_demand})
+        before = snapshot(controller)
+        decision = controller.request(
+            f"s{next_id}", src=src, dst="dst", rate_bps=rate, cpu=cpu)
+        next_id += 1
+        if decision.admitted:
+            live.append(decision.stream_id)
         else:
-            _, index = op
-            if live:
-                stream_id = live.pop(index % len(live))
-                assert controller.revoke(stream_id)
-                assert not controller.is_admitted(stream_id)
+            assert decision.reason  # rejections always say why
+            assert snapshot(controller) == before
         assert_within_budgets(controller, link_bps)
     assert controller.requests_seen >= controller.requests_rejected
     assert sorted(controller.admitted_ids()) == sorted(live)
-
-
-@given(
-    st.lists(st.floats(min_value=1e6, max_value=20e6),
-             min_size=4, max_size=4),
-    OPS,
-    RATE,
-    st.tuples(COMPUTE, PERIOD),
-)
-@settings(max_examples=60, deadline=None)
-def test_prop_admit_revoke_readmit_idempotent(link_bps, operations, rate,
-                                              cpu_demand):
-    """Against any background of grants, admit -> revoke -> re-admit
-    returns the same decision and reproduces the same books."""
-    controller = build_controller(link_bps)
-    for index, op in enumerate(operations):
-        if op[0] != "request":
-            continue
-        _, src, op_rate, op_cpu = op
-        controller.request(
-            f"bg{index}", src=src, dst="dst", rate_bps=op_rate,
-            cpu=None if op_cpu is None else {src: op_cpu})
-    before = snapshot(controller)
-    first = controller.request("probe", src="src-a", dst="dst",
-                               rate_bps=rate, cpu={"src-a": cpu_demand})
-    after_first = snapshot(controller)
-    if first.admitted:
-        assert controller.revoke("probe")
-        assert snapshot(controller) == before  # exact, not approximate
-    else:
-        assert after_first == before
-        assert not controller.revoke("probe")
-    second = controller.request("probe", src="src-a", dst="dst",
-                                rate_bps=rate, cpu={"src-a": cpu_demand})
-    assert second == first
-    assert snapshot(controller) == after_first
 
 
 @given(st.lists(st.floats(min_value=1e6, max_value=20e6),

@@ -71,6 +71,20 @@ def test_compatible_endpoints_match_and_deliver():
     assert reader.from_unmatched == 0
 
 
+def test_a_writer_registered_after_its_reader_matches_it():
+    kernel = Kernel()
+    broker = Broker(kernel)
+    topic = _topic()
+    reader = DataReader(kernel, topic, QosPolicy(), "r")
+    writer = DataWriter(kernel, topic, QosPolicy(), "w")
+    broker.register_reader(reader)
+    broker.register_writer(writer)
+    assert broker.matches_formed == 1
+    writer.write()
+    kernel.run(until=1.0)
+    assert reader.delivered == 1
+
+
 def test_incompatible_endpoints_never_match():
     """BEST_EFFORT offered cannot satisfy a RELIABLE request."""
     kernel = Kernel()
@@ -145,24 +159,6 @@ def test_divisor_paces_the_writer():
     kernel.run(until=1.0)
     assert reader.delivered == 4  # seq 3, 6, 9, 12
     assert writer.sends_suppressed == 8
-
-
-def test_unregister_deactivates_matches():
-    kernel = Kernel()
-    broker = Broker(kernel)
-    topic = _topic()
-    writer = DataWriter(kernel, topic, QosPolicy(), "w")
-    reader = DataReader(kernel, topic, QosPolicy(), "r")
-    broker.register_writer(writer)
-    broker.register_reader(reader)
-    writer.write()
-    kernel.run(until=0.5)  # deliver before departing
-    broker.unregister_writer(writer)
-    writer.write()  # match inactive: not even sent
-    kernel.run(until=1.0)
-    assert reader.delivered == 1
-    assert writer.samples_sent == 1
-    assert reader.from_unmatched == 0
 
 
 def test_deadline_monitor_counts_misses():

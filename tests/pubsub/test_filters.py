@@ -79,6 +79,9 @@ def test_value_semantics():
     "f'{seq}'",                  # f-strings
     "seq := 3",                  # assignment expressions
     "import os",                 # statements are not expressions
+    "seq + 1 == 2",              # arithmetic other than %
+    "not seq",                   # unary operators
+    "-seq < 0",
 ])
 def test_non_whitelisted_expressions_are_rejected(expression):
     with pytest.raises(ValueError):

@@ -3,7 +3,12 @@ ledger invariants; these pin the concrete semantics)."""
 
 import pytest
 
+from repro.net import Network
+from repro.net.topology import fat_tree_topology, wan_topology, waxman_topology
+from repro.oskernel import Host
 from repro.scale.admission import AdmissionController
+from repro.sim import Kernel
+from tests.net.test_topology import forwarding_path
 
 
 def dumbbell(bottleneck_bps=10e6):
@@ -76,18 +81,6 @@ def test_rejected_stream_never_mutates_books():
     assert after == before
 
 
-def test_revoke_frees_exactly_the_grant():
-    controller = dumbbell(bottleneck_bps=2e6)
-    controller.request("a", src="src", dst="dst", rate_bps=1.5e6)
-    assert not controller.request("b", src="src", dst="dst",
-                                  rate_bps=1.5e6).admitted
-    assert controller.revoke("a")
-    assert not controller.revoke("a")  # second revoke is a no-op
-    assert controller.link_committed("r", "dst") == 0.0
-    assert controller.request("b", src="src", dst="dst",
-                              rate_bps=1.5e6).admitted
-
-
 def test_unknown_names_raise():
     controller = dumbbell()
     with pytest.raises(KeyError):
@@ -108,3 +101,26 @@ def test_hosts_never_transit():
     controller.add_link("middle", "b", 1e6)
     with pytest.raises(KeyError):
         controller.path("a", "b")  # only routers forward
+
+
+@pytest.mark.parametrize("build, stride", [
+    (lambda net: waxman_topology(net, 30, seed=3), 5),
+    (lambda net: fat_tree_topology(net, 4), 3),
+    (lambda net: wan_topology(net, pops=5, routers_per_pop=3), 2),
+], ids=["waxman30-seed3", "fat-tree-k4", "wan-5x3"])
+def test_admission_books_the_forwarding_route(build, stride):
+    """On graphs with equal-cost paths a grant must book the edges the
+    packets (and the RSVP PATH) cross: every host pair's admission
+    route equals the walk of the routers' forwarding tables."""
+    kernel = Kernel()
+    net = Network(kernel)
+    for index, router in enumerate(build(net).routers[::stride]):
+        host = Host(kernel, f"h{index}")
+        net.attach_host(host)
+        net.link(host, router)
+    net.compute_routes()
+    controller = AdmissionController.from_network(net)
+    names = [host.name for host in net.hosts]
+    wrong = [(a, b) for a in names for b in names if a != b
+             and controller.path(a, b) != forwarding_path(net, a, b)]
+    assert wrong == []
