@@ -29,7 +29,8 @@ Results are cached on disk, content-addressed by
 digest covers every ``.py`` file under ``repro``'s package root, so
 *any* code change invalidates *every* cached result — coarse but
 impossible to get stale results from.  Corrupt or unreadable entries
-are treated as misses and recomputed.  Set ``REPRO_CACHE=0`` to bypass
+are treated as misses and recomputed; a payload that cannot be stored
+is returned uncached.  Set ``REPRO_CACHE=0`` to bypass
 the cache entirely, and ``REPRO_CACHE_DIR`` to relocate it.
 
 Memory
@@ -47,7 +48,6 @@ excludes that collection; the per-arm times ``perf/`` takes round
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import os
 import pickle
@@ -55,6 +55,8 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.sim.rng import sha256
 
 __all__ = [
     "RunSpec",
@@ -246,7 +248,7 @@ def source_tree_digest(package_root: Optional[Path] = None) -> str:
     key = str(root)
     cached = _digest_cache.get(key)
     if cached is None:
-        digest = hashlib.sha256()
+        digest = sha256()
         for path in _digest_files(root):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(b"\x00")
@@ -277,7 +279,7 @@ class ResultCache:
     @staticmethod
     def key_for(spec: RunSpec, source_digest: str) -> str:
         material = f"{spec.canonical()}\x00{source_digest}".encode()
-        return hashlib.sha256(material).hexdigest()
+        return sha256(material).hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -318,8 +320,9 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
-        except (OSError, pickle.PicklingError):
-            # Caching is an optimization; never fail the run over it.
+        except Exception:
+            # Caching is an optimization; never fail the run over it
+            # (a full disk, or a payload pickle cannot write).
             pass
 
 

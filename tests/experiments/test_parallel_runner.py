@@ -8,10 +8,12 @@ metrics, since it covers every recorder, series and counter in the
 result objects.
 """
 
+import hashlib
 import pickle
 
 import pytest
 
+from repro.experiments import runner as runner_mod
 from repro.experiments.runner import (
     ExperimentRunner,
     ResultCache,
@@ -220,6 +222,26 @@ def test_truncated_cache_entry_is_a_miss(tmp_path):
     assert not _runner(tmp_path).run_one(SPEC).cached
 
 
+def _generator_scenario():
+    return (n for n in range(3))
+
+
+def test_an_unpicklable_payload_is_returned_not_cached(tmp_path,
+                                                      monkeypatch):
+    """Caching never fails a finished run: a payload ``pickle`` cannot
+    write (a generator: ``TypeError``) comes back to the caller, and the
+    cache keeps no entry and no temp file."""
+    registered_scenarios()  # the built-ins first: tests walk the registry
+    monkeypatch.setitem(runner_mod._SCENARIOS, "_test_generator",
+                        _generator_scenario)
+    result = _runner(tmp_path, cache=True, jobs=1).run_one(
+        RunSpec("_test_generator"))
+    assert not result.cached
+    assert list(result.payload) == [0, 1, 2]
+    assert [path for path in (tmp_path / "cache").rglob("*")
+            if path.is_file()] == []
+
+
 def test_cache_disabled_never_touches_disk(tmp_path):
     runner = _runner(tmp_path, cache=False)
     runner.run_one(SPEC)
@@ -326,6 +348,25 @@ def test_digest_ignores_bytecode_and_hidden_files(tmp_path):
     hidden_dir.mkdir()
     (hidden_dir / "notes.py").write_text("IGNORED = 1\n")
     assert _fresh_digest(root) == before
+
+
+def test_cache_key_and_source_digest_are_hashlib_sha256(tmp_path):
+    """The runner hashes with the interpreter's built-in SHA-256; its
+    keys and tree digests are ``hashlib.sha256``'s bytes, so entries
+    written by a ``hashlib`` build of the runner stay valid."""
+    material = f"{SPEC.canonical()}\x00test-digest".encode()
+    assert (ResultCache.key_for(SPEC, "test-digest")
+            == hashlib.sha256(material).hexdigest())
+
+    root = _make_pkg(tmp_path)
+    (root / "sub").mkdir()
+    (root / "sub" / "mod.py").write_text("X = 3\n")
+    (root / "table.bin").write_bytes(bytes(range(256)) * 512)
+    oracle = hashlib.sha256()
+    for rel in ("__init__.py", "core.py", "sub/mod.py", "table.bin"):
+        oracle.update(rel.encode() + b"\x00")
+        oracle.update((root / rel).read_bytes() + b"\x00")
+    assert _fresh_digest(root) == oracle.hexdigest()
 
 
 def test_new_module_invalidates_the_cache(tmp_path):

@@ -90,20 +90,40 @@ def test_the_callers_cycles_survive_the_arm():
     assert gc.get_freeze_count() == 0
 
 
-def test_gc_is_imported_by_the_runner_alone():
-    """Process-wide collector state has one owner: ``src/repro`` imports
-    ``gc`` in ``experiments/runner.py`` and nowhere else (a second import
-    is a second way to run an arm)."""
+def importers_of(module):
+    """``(path, in_except_handler)`` for every import of ``module`` under
+    ``src/repro``, paths relative to the package."""
     package = pathlib.Path(runner_mod.__file__).resolve().parents[1]
-    importers = []
+    found = []
     for path in sorted(package.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        handled = {id(node) for handler in ast.walk(tree)
+                   if isinstance(handler, ast.ExceptHandler)
+                   for node in ast.walk(handler)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 names = [node.module]
             else:
                 continue
-            if "gc" in names:
-                importers.append(path.relative_to(package).as_posix())
-    assert importers == ["experiments/runner.py"]
+            if module in names:
+                found.append((path.relative_to(package).as_posix(),
+                              id(node) in handled))
+    return found
+
+
+def test_gc_is_imported_by_the_runner_alone():
+    """Process-wide collector state has one owner: ``src/repro`` imports
+    ``gc`` in ``experiments/runner.py`` and nowhere else (a second import
+    is a second way to run an arm)."""
+    assert [path for path, _ in importers_of("gc")] == [
+        "experiments/runner.py"]
+
+
+def test_hashlib_is_imported_by_the_rng_fallback_alone():
+    """``import hashlib`` maps OpenSSL's libcrypto into the process: the
+    one SHA-256 lives in ``sim/rng.py``, and only its last fallback, for
+    an interpreter built without ``_sha2`` / ``_sha256``, imports
+    ``hashlib``."""
+    assert importers_of("hashlib") == [("sim/rng.py", True)]
