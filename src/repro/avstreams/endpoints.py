@@ -93,7 +93,7 @@ class FlowProducer:
                 span=f"frame:{self.flow_id}:{self._frame_counter}",
                 flow=self.flow_id,
                 fields={"bytes": nbytes, "fragments": count,
-                        "dscp": self.dscp.name,
+                        "dscp": self.dscp._name_,
                         "frame_type": getattr(frame_type, "value",
                                               frame_type)},
             )

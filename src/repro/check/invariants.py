@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.sim.quantize import EPSILON
 from repro.obs.trace import TraceRecord, Tracer
 from repro.check.world import World
-from repro.oskernel.thread import ThreadState
+from repro.oskernel.thread import DEAD, RUNNING
 
 __all__ = [
     "InvariantViolation",
@@ -728,11 +728,11 @@ class ThreadStateChecker(InvariantChecker):
         for cpu in self.world.cpus():
             current = cpu._current
             if current is not None:
-                if current.state is not ThreadState.RUNNING:
+                if current.state is not RUNNING:
                     self.fail(
                         "current thread is not in RUNNING state",
                         cpu=cpu.name, thread=current.name,
-                        state=current.state.value,
+                        state=current.state._value_,
                     )
                 if current.tid in running_on:
                     self.fail(
@@ -742,13 +742,13 @@ class ThreadStateChecker(InvariantChecker):
                     )
                 running_on[current.tid] = cpu.name
             for thread in cpu._threads:
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is RUNNING:
                     if thread is not current:
                         self.fail(
                             "RUNNING thread is not the CPU's current thread",
                             cpu=cpu.name, thread=thread.name,
                         )
-                if thread.state is ThreadState.DEAD:
+                if thread.state is DEAD:
                     if thread is current:
                         self.fail(
                             "dead thread holds the CPU",

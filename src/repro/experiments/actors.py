@@ -269,7 +269,7 @@ class AvVideoReceiver:
     def _on_frame(self, frame: Frame, latency: float) -> None:
         now = self.kernel.now
         self.delivery.record_received(now, sent_at=now - latency)
-        self.frame_types.append(frame.frame_type.value)
+        self.frame_types.append(frame.frame_type._value_)
         if self.deadline is not None:
             self.latency.record(now, latency)
             if latency <= self.deadline:

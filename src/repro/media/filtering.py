@@ -37,7 +37,8 @@ def frames_per_second(
     """Output frame rate after filtering a ``base_fps`` stream."""
     gop = gop or GopStructure()
     counts = gop.counts()
-    accepted = sum(counts[t] for t in _ACCEPTED_TYPES[FilterLevel(level)])
+    kept = _ACCEPTED_TYPES[FilterLevel(level)]
+    accepted = sum(counts[t] for t in FrameType if t in kept)
     return base_fps * accepted / gop.size
 
 
@@ -51,9 +52,10 @@ def bitrate_fraction(level: FilterLevel, gop: GopStructure = None) -> float:
 
     gop = gop or GopStructure()
     counts = gop.counts()
+    accepted = _ACCEPTED_TYPES[FilterLevel(level)]
     total = sum(_TYPE_WEIGHTS[t] * counts[t] for t in FrameType)
     kept = sum(
-        _TYPE_WEIGHTS[t] * counts[t] for t in _ACCEPTED_TYPES[FilterLevel(level)]
+        _TYPE_WEIGHTS[t] * counts[t] for t in FrameType if t in accepted
     )
     return kept / total
 

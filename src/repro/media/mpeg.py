@@ -30,6 +30,16 @@ class FrameType(enum.Enum):
     P = "P"  # predicted
     B = "B"  # bidirectionally predicted
 
+    # Every frame is looked up in ``_TYPE_WEIGHTS`` and in a filter's
+    # accepted set; ``Enum.__hash__`` is a Python-level
+    # ``hash(self._name_)``, the identity hash the same equivalence in C.
+    __hash__ = object.__hash__
+
+
+# Read once per frame: module globals, not attribute loads on the class,
+# which ``EnumMeta.__getattr__`` slows (CPython 3.10 / 3.11).
+I_FRAME, P_FRAME, B_FRAME = FrameType.I, FrameType.P, FrameType.B
+
 
 class GopStructure:
     """Group-of-pictures layout.
@@ -55,10 +65,10 @@ class GopStructure:
         """Type of the frame at ``position`` (0-based) within a GOP."""
         position %= self.size
         if position == 0:
-            return FrameType.I
+            return I_FRAME
         if position % self.p_spacing == 0:
-            return FrameType.P
-        return FrameType.B
+            return P_FRAME
+        return B_FRAME
 
     def pattern(self) -> List[FrameType]:
         return [self.frame_type(i) for i in range(self.size)]

@@ -39,7 +39,7 @@ from repro.sim.process import Signal
 from repro.net.diffserv import Dscp
 from repro.net.link import Interface
 from repro.net.nic import Nic
-from repro.net.packet import Packet, Protocol
+from repro.net.packet import RSVP, Packet
 from repro.net.queues import GuaranteedRateQueue
 from repro.net.router import Router
 
@@ -580,7 +580,7 @@ class RsvpAgent:
             dst=dst,
             src_port=0,
             dst_port=0,
-            protocol=Protocol.RSVP,
+            protocol=RSVP,
             payload=msg,
             payload_bytes=_SIGNALING_BYTES,
             dscp=Dscp.CS6,

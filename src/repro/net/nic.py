@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel
 from repro.net.link import Interface
-from repro.net.packet import Packet, Protocol
+from repro.net.packet import RSVP, Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oskernel.host import Host
@@ -110,7 +110,7 @@ class Nic:
                                        "packet": packet.packet_id,
                                        "reason": "transit"})
             return
-        if packet.protocol is Protocol.RSVP and self.rsvp_agent is not None:
+        if packet.protocol is RSVP and self.rsvp_agent is not None:
             self.rsvp_agent.handle_local(packet, ingress)
             return
         receiver = self._bindings.get((packet.protocol, packet.dst_port))

@@ -39,6 +39,12 @@ class Protocol(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Per-packet code reads these module globals.  On CPython 3.10 / 3.11
+# ``EnumMeta`` defines ``__getattr__``, which puts every attribute load
+# on the class (``Protocol.RSVP``) on a slow path: about ten global loads.
+UDP, TCP, RSVP = Protocol.UDP, Protocol.TCP, Protocol.RSVP
+
+
 class Packet:
     """One simulated datagram.
 
@@ -46,6 +52,11 @@ class Packet:
     ``payload_bytes`` sets the simulated size independently of the real
     payload so that, e.g., a synthetic video frame object can "weigh"
     12 kB on the wire.
+
+    Contract: ``src_port``, ``dst_port`` and ``payload_bytes`` are
+    ``int``s, and so ``size_bytes`` / ``size_bits`` are too.  They are
+    stored as given, not coerced: every constructor site (the CBR
+    source, both transports, the RSVP agent) passes ints.
     """
 
     __slots__ = (
@@ -82,11 +93,11 @@ class Packet:
         self.packet_id = next(_packet_ids)
         self.src = src
         self.dst = dst
-        self.src_port = int(src_port)
-        self.dst_port = int(dst_port)
+        self.src_port = src_port
+        self.dst_port = dst_port
         self.protocol = protocol
         self.payload = payload
-        self.payload_bytes = int(payload_bytes)
+        self.payload_bytes = payload_bytes
         self.dscp = dscp
         #: ECN congestion-experienced mark (set by AQM-capable queues).
         self.ecn = False

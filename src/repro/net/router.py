@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.sim.kernel import Kernel
 from repro.net.link import Interface
-from repro.net.packet import Packet, Protocol
+from repro.net.packet import RSVP, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.intserv import RsvpAgent
@@ -72,7 +72,7 @@ class Router:
                 intercept: bool = True) -> None:
         """Process a packet arriving on ``ingress``: hand RSVP signaling
         to the agent (unless ``intercept`` is off), forward the rest."""
-        if (intercept and packet.protocol is Protocol.RSVP
+        if (intercept and packet.protocol is RSVP
                 and self.rsvp_agent is not None):
             self.rsvp_agent.handle_transit(packet, ingress)
             return

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.net.diffserv import Dscp
 from repro.net.nic import Nic
-from repro.net.packet import MTU_BYTES, Packet, Protocol
+from repro.net.packet import MTU_BYTES, UDP, Packet
 
 
 class CbrTrafficSource:
@@ -89,7 +89,7 @@ class CbrTrafficSource:
         # on the simulator's most-called constructor site.
         packet = Packet(
             self._src_name, self.dst, self.src_port, self.dst_port,
-            Protocol.UDP, None, self.packet_bytes, self.dscp,
+            UDP, None, self.packet_bytes, self.dscp,
             self._flow_id, kernel.now,
         )
         self.packets_sent += 1

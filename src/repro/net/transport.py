@@ -26,7 +26,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.net.diffserv import Dscp
 from repro.net.nic import Nic
-from repro.net.packet import MTU_BYTES, Packet, Protocol
+from repro.net.packet import MTU_BYTES, TCP, UDP, Packet
 
 _message_ids = itertools.count(1)
 
@@ -57,7 +57,7 @@ class DatagramSocket:
         #: Default flow id per (dst, dst_port): the string ``Packet``
         #: would otherwise format for every datagram.
         self._flow_ids: Dict[Tuple[str, int], str] = {}
-        nic.bind(Protocol.UDP, self.port, self._deliver)
+        nic.bind(UDP, self.port, self._deliver)
 
     def send_to(
         self,
@@ -77,7 +77,7 @@ class DatagramSocket:
             if flow_id is None:
                 flow_id = self._flow_ids[key] = (
                     f"{self._src}:{self.port}->{dst}:{dst_port}")
-        packet = Packet(self._src, dst, self.port, dst_port, Protocol.UDP,
+        packet = Packet(self._src, dst, self.port, dst_port, UDP,
                         payload, payload_bytes, dscp, flow_id,
                         self.kernel.now)
         self.sent += 1
@@ -91,7 +91,7 @@ class DatagramSocket:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self.nic.unbind(Protocol.UDP, self.port)
+            self.nic.unbind(UDP, self.port)
 
 
 class MessageMeta:
@@ -258,7 +258,7 @@ class StreamConnection:
             dscp=dscp, on_message=on_message, max_rtos=max_rtos,
             window=window,
         )
-        nic.bind(Protocol.TCP, local_port, conn._deliver)
+        nic.bind(TCP, local_port, conn._deliver)
         return conn
 
     # ------------------------------------------------------------------
@@ -310,7 +310,7 @@ class StreamConnection:
         segment.last_tx = now
         self.nic.send(Packet(
             self._src, self.remote_host, self.local_port, self.remote_port,
-            Protocol.TCP, segment, segment.nbytes, self.dscp, self._flow_id,
+            TCP, segment, segment.nbytes, self.dscp, self._flow_id,
             now))
 
     # ------------------------------------------------------------------
@@ -522,7 +522,7 @@ class StreamConnection:
         ack.ecn_echo = ecn_echo
         self.nic.send(Packet(
             self._src, self.remote_host, self.local_port, self.remote_port,
-            Protocol.TCP, ack, 0, self.dscp, self._flow_id, self.kernel.now))
+            TCP, ack, 0, self.dscp, self._flow_id, self.kernel.now))
 
     def _on_ecn_echo(self) -> None:
         """React to explicit congestion: halve the window, at most once
@@ -558,7 +558,7 @@ class StreamConnection:
         self._cancel_rto()
         listener = self._listener
         if listener is None:
-            self.nic.unbind(Protocol.TCP, self.local_port)
+            self.nic.unbind(TCP, self.local_port)
         else:
             # The port is the listener's and serves its other peers; a
             # later segment from this peer opens a fresh connection.
@@ -600,7 +600,7 @@ class StreamListener:
         self.on_message = on_message
         self.dscp = dscp
         self.connections: Dict[Tuple[str, int], StreamConnection] = {}
-        nic.bind(Protocol.TCP, self.port, self._deliver)
+        nic.bind(TCP, self.port, self._deliver)
 
     def _deliver(self, packet: Packet) -> None:
         key = (packet.src, packet.src_port)
@@ -625,6 +625,6 @@ class StreamListener:
         conn._deliver(packet)
 
     def close(self) -> None:
-        self.nic.unbind(Protocol.TCP, self.port)
+        self.nic.unbind(TCP, self.port)
         for conn in list(self.connections.values()):
             conn.close()

@@ -30,12 +30,13 @@ from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.process import Signal
 from repro.oskernel.host import Host
 from repro.oskernel.thread import SimThread
-from repro.net.diffserv import Dscp
+from repro.net.diffserv import BE, Dscp
 from repro.net.topology import Network
 from repro.net.transport import MessageMeta, StreamConnection, StreamListener
 from repro.orb.cdr import OpaquePayload
-from repro.orb.giop import GiopMessage, MsgType, ReplyStatus
-from repro.orb.ior import ObjectReference, PriorityModelValue
+from repro.orb.giop import (NO_EXCEPTION, REPLY, REQUEST, SYSTEM_EXCEPTION,
+                            GiopMessage, ReplyStatus)
+from repro.orb.ior import SERVER_DECLARED, ObjectReference
 from repro.orb.rt import PriorityMappingManager, ThreadPool
 
 _request_ids = itertools.count(1)
@@ -188,7 +189,7 @@ class Orb:
         request_id = next(_request_ids)
         # Honor the target's priority model (embedded in its IOR).
         send_priority = priority
-        if objref.priority_model() == PriorityModelValue.SERVER_DECLARED:
+        if objref.priority_model() == SERVER_DECLARED:
             send_priority = None  # server ignores client priorities
         message = GiopMessage.request(
             request_id,
@@ -217,7 +218,8 @@ class Orb:
             tracer.begin(
                 "orb", "request", span=f"req:{request_id}", request=request_id,
                 fields={"operation": operation, "key": objref.object_key,
-                        "priority": send_priority, "dscp": effective_dscp.name,
+                        "priority": send_priority,
+                        "dscp": effective_dscp._name_,
                         "bytes": wire_bytes, "oneway": not response_expected,
                         "client": self.host.name},
             )
@@ -235,7 +237,7 @@ class Orb:
                            request=request_id)
                 tr.begin("orb", "transfer", span=f"xfer:{request_id}",
                          request=request_id,
-                         fields={"dscp": effective_dscp.name,
+                         fields={"dscp": effective_dscp._name_,
                                  "bytes": wire_bytes})
             connection = self._connection_to(
                 objref.host, objref.port, effective_dscp, band
@@ -269,7 +271,7 @@ class Orb:
             return from_ior
         if self.map_priority_to_dscp and priority is not None:
             return self.mapping_manager.to_dscp(priority)
-        return Dscp.BE
+        return BE
 
     def transport_depth(
         self,
@@ -358,7 +360,7 @@ class Orb:
     def _on_client_message(self, payload: Any, meta: MessageMeta) -> None:
         encoded, sidecar = payload
         message = GiopMessage.decode(encoded, sidecar)
-        if message.msg_type is not MsgType.REPLY:
+        if message.msg_type is not REPLY:
             return
         pending = self._pending.pop(message.request_id, None)
         tracer = self.kernel.tracer
@@ -374,8 +376,8 @@ class Orb:
             tracer.end("orb", "reply.transfer", span=f"rxfer:{rid}",
                        request=rid)
             tracer.end("orb", "request", span=f"req:{rid}", request=rid,
-                       fields={"status": message.reply_status.name})
-        if message.reply_status == ReplyStatus.SYSTEM_EXCEPTION:
+                       fields={"status": message.reply_status._name_})
+        if message.reply_status == SYSTEM_EXCEPTION:
             pending.signal.fire(OrbError(_decode_error(message)))
         else:
             pending.signal.fire(message)
@@ -407,7 +409,7 @@ class Orb:
     ) -> None:
         encoded, sidecar = payload
         message = GiopMessage.decode(encoded, sidecar)
-        if message.msg_type is not MsgType.REQUEST:
+        if message.msg_type is not REQUEST:
             return
         tracer = self.kernel.tracer
         if tracer is not None:
@@ -430,7 +432,7 @@ class Orb:
         request_id: int,
         body: bytes,
         opaques: Optional[list] = None,
-        reply_status: ReplyStatus = ReplyStatus.NO_EXCEPTION,
+        reply_status: ReplyStatus = NO_EXCEPTION,
     ) -> None:
         message = GiopMessage.reply(
             request_id, body, opaques=opaques, reply_status=reply_status
@@ -442,7 +444,7 @@ class Orb:
             tracer.begin("orb", "reply.transfer", span=f"rxfer:{request_id}",
                          request=request_id,
                          fields={"bytes": wire_bytes,
-                                 "status": reply_status.name})
+                                 "status": reply_status._name_})
         connection.send_message((encoded, sidecar), wire_bytes)
 
     def _system_exception(
@@ -458,7 +460,7 @@ class Orb:
             connection,
             request.request_id,
             out.getvalue(),
-            reply_status=ReplyStatus.SYSTEM_EXCEPTION,
+            reply_status=SYSTEM_EXCEPTION,
         )
 
     def shutdown(self) -> None:

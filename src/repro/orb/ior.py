@@ -31,6 +31,14 @@ class PriorityModelValue(enum.IntEnum):
     SERVER_DECLARED = 1
 
 
+# Read once per invocation: module globals, not attribute loads on the
+# classes, which ``EnumMeta.__getattr__`` slows (CPython 3.10 / 3.11).
+PRIORITY_MODEL, PROTOCOL_PROPERTIES = (ComponentTag.PRIORITY_MODEL,
+                                       ComponentTag.PROTOCOL_PROPERTIES)
+CLIENT_PROPAGATED, SERVER_DECLARED = (PriorityModelValue.CLIENT_PROPAGATED,
+                                      PriorityModelValue.SERVER_DECLARED)
+
+
 class TaggedComponent:
     """One (tag, data) component in an IOR profile."""
 
@@ -76,21 +84,21 @@ class ObjectReference:
 
     def priority_model(self) -> PriorityModelValue:
         """The server's declared priority model (default CLIENT_PROPAGATED)."""
-        component = self.find_component(ComponentTag.PRIORITY_MODEL)
+        component = self.find_component(PRIORITY_MODEL)
         if component is None:
-            return PriorityModelValue.CLIENT_PROPAGATED
+            return CLIENT_PROPAGATED
         return PriorityModelValue(component.data["model"])
 
     def server_priority(self) -> Optional[int]:
         """CORBA priority for SERVER_DECLARED objects, else None."""
-        component = self.find_component(ComponentTag.PRIORITY_MODEL)
+        component = self.find_component(PRIORITY_MODEL)
         if component is None:
             return None
         return component.data.get("priority")
 
     def protocol_dscp(self) -> Optional[Dscp]:
         """Server-requested DSCP from protocol properties, if any."""
-        component = self.find_component(ComponentTag.PROTOCOL_PROPERTIES)
+        component = self.find_component(PROTOCOL_PROPERTIES)
         if component is None:
             return None
         value = component.data.get("dscp")

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.process import Signal
-from repro.oskernel.thread import SimThread, ThreadState
+from repro.oskernel.thread import (DEAD, IDLE, READY, RUNNING, SUSPENDED,
+                                   SimThread)
 
 # Work below one simulated nanosecond is considered complete.  The
 # epsilon must be coarse enough that ``now + slice`` is always a
@@ -138,7 +139,7 @@ class CPU:
         """
         if work_seconds < 0:
             raise ValueError(f"negative work: {work_seconds}")
-        if thread.state is ThreadState.DEAD:
+        if thread.state is DEAD:
             raise ValueError(
                 f"cannot submit work to dead thread {thread.name!r}")
         request = WorkRequest(self.kernel, thread, work_seconds)
@@ -149,13 +150,13 @@ class CPU:
                                  "amount": work_seconds})
         queue = self._queues[thread.tid]
         queue.append(request)
-        if thread.state == ThreadState.IDLE:
+        if thread.state is IDLE:
             self._make_ready(thread)
         self.reschedule()
         return request
 
     def _make_ready(self, thread: SimThread) -> None:
-        thread.state = ThreadState.READY
+        thread.state = READY
         order = next(self._ready_seq)
         self._ready_order[thread.tid] = order
         if thread.reserve is None:
@@ -192,7 +193,7 @@ class CPU:
         work, so the staleness checks in :meth:`_dispatch` reject any
         leftover heap entry before it can run a dead thread.
         """
-        if thread.state is ThreadState.DEAD:
+        if thread.state is DEAD:
             return
         if thread is self._current:
             # Settle the books for the partial slice and cancel the
@@ -207,7 +208,7 @@ class CPU:
             # Releases the admitted utilization; with the queue already
             # drained the detach hook re-inserts nothing.
             reserve.cancel()
-        thread.state = ThreadState.DEAD
+        thread.state = DEAD
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant("os", "thread.kill",
@@ -264,9 +265,9 @@ class CPU:
         if request is not None and request.remaining <= _EPSILON:
             self._complete(thread, request)
         elif depleted and reserve is not None and reserve.is_hard:
-            thread.state = ThreadState.SUSPENDED
+            thread.state = SUSPENDED
         else:
-            thread.state = ThreadState.READY
+            thread.state = READY
         if request is not None and request.remaining > _EPSILON:
             tracer = self.kernel.tracer
             if tracer is not None and consumed > 0:
@@ -298,9 +299,9 @@ class CPU:
                                "response": request.response_time})
         request.done.fire(request)
         if queue:
-            thread.state = ThreadState.READY
+            thread.state = READY
         else:
-            thread.state = ThreadState.IDLE
+            thread.state = IDLE
             self._ready_order.pop(thread.tid, None)
 
     def _dispatch(self) -> None:
@@ -309,7 +310,7 @@ class CPU:
         best_key = None
         queues = self._queues
         ready_order = self._ready_order
-        eligible = (ThreadState.READY, ThreadState.RUNNING)
+        eligible = (READY, RUNNING)
         for thread in self._reserved_threads:
             if thread.state not in eligible:
                 continue
@@ -344,7 +345,7 @@ class CPU:
         if candidate is None:
             return
         request = self._queues[candidate.tid][0]
-        candidate.state = ThreadState.RUNNING
+        candidate.state = RUNNING
         self._current = candidate
         self._run_start = now
         if candidate.tid != self._last_dispatched:

@@ -27,6 +27,11 @@ class OsType(enum.Enum):
     LYNXOS = "lynxos"
     SOLARIS = "solaris"
 
+    # ``_RANGES[os_type]`` runs per served request; ``Enum.__hash__`` is
+    # a Python-level ``hash(self._name_)``.  Members are singletons, so
+    # the identity hash is the same equivalence at C speed.
+    __hash__ = object.__hash__
+
 
 #: (min, max) native real-time priority per OS.
 _RANGES = {

@@ -38,7 +38,7 @@ from typing import List, Optional
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.quantize import EPSILON, clamp
 from repro.oskernel.cpu import CPU
-from repro.oskernel.thread import SimThread, ThreadState
+from repro.oskernel.thread import READY, SUSPENDED, SimThread
 
 _reserve_ids = itertools.count(1)
 
@@ -50,6 +50,12 @@ class AdmissionError(RuntimeError):
 class EnforcementPolicy(enum.Enum):
     HARD = "hard"
     SOFT = "soft"
+
+
+# Read on every charge of a reserved thread: a module global, not an
+# attribute load on the class, which ``EnumMeta.__getattr__`` slows
+# (CPython 3.10 / 3.11).
+HARD = EnforcementPolicy.HARD
 
 
 class Reserve:
@@ -99,7 +105,7 @@ class Reserve:
     # ------------------------------------------------------------------
     @property
     def is_hard(self) -> bool:
-        return self.policy is EnforcementPolicy.HARD
+        return self.policy is HARD
 
     @property
     def utilization(self) -> float:
@@ -145,8 +151,8 @@ class Reserve:
         self.replenishments += delta
         self._last_boundary = boundary
         self.budget_remaining = self.compute
-        if self.thread.state == ThreadState.SUSPENDED:
-            self.thread.state = ThreadState.READY
+        if self.thread.state is SUSPENDED:
+            self.thread.state = READY
         tracer = self._kernel.tracer
         if tracer is not None:
             tracer.instant("os", "reserve.replenish",
@@ -171,7 +177,7 @@ class Reserve:
                 tracer.instant("os", "reserve.deplete",
                                fields={"reserve": self.reserve_id,
                                        "thread": self.thread.name,
-                                       "policy": self.policy.value,
+                                       "policy": self.policy._value_,
                                        "consumed": self.consumed_total})
             return True
         return False
@@ -205,8 +211,8 @@ class Reserve:
             self._wakeup.cancel()
             self._wakeup = None
         self.thread.reserve = None
-        if self.thread.state == ThreadState.SUSPENDED:
-            self.thread.state = ThreadState.READY
+        if self.thread.state is SUSPENDED:
+            self.thread.state = READY
         self.thread.cpu.on_reserve_detached(self.thread)
         self._manager.release(self)
         self.thread.cpu.reschedule()
@@ -215,7 +221,7 @@ class Reserve:
     def _boundary_index(self, now: float) -> int:
         # The 1e-9 guard absorbs float error in the division so that a
         # wake-up firing exactly at a boundary lands in the new period.
-        return int(math.floor((now - self._start) / self.period + 1e-9))
+        return math.floor((now - self._start) / self.period + 1e-9)
 
     def _on_wakeup(self) -> None:
         self._wakeup = None

@@ -29,6 +29,14 @@ class ThreadState(enum.Enum):
     DEAD = "dead"  # killed; never runnable again
 
 
+# The scheduler reads and writes thread states on every dispatch: module
+# globals, not attribute loads on the class, which
+# ``EnumMeta.__getattr__`` slows (CPython 3.10 / 3.11).
+IDLE, READY, RUNNING, SUSPENDED, DEAD = (
+    ThreadState.IDLE, ThreadState.READY, ThreadState.RUNNING,
+    ThreadState.SUSPENDED, ThreadState.DEAD)
+
+
 class SimThread:
     """A simulated OS thread.
 
@@ -48,7 +56,7 @@ class SimThread:
         self.cpu = cpu
         self.name = name or f"thread-{self.tid}"
         self._priority = int(priority)
-        self.state = ThreadState.IDLE
+        self.state = IDLE
         #: Attached CPU reserve, if any (see repro.oskernel.reserve).
         self.reserve: Optional["Reserve"] = None
         #: Total CPU seconds consumed (observability).
@@ -81,7 +89,7 @@ class SimThread:
         structures are purged so a stale lazy-heap entry can never run
         a dead thread.  Idempotent.
         """
-        if self.state is ThreadState.DEAD:
+        if self.state is DEAD:
             return
         self.cpu.on_thread_killed(self)
 

@@ -36,7 +36,7 @@ from repro.pubsub.dedup import DedupLedger
 from repro.pubsub.filters import ContentFilter
 from repro.pubsub.history import HistoryCache
 from repro.pubsub.matching import MatchResult
-from repro.pubsub.policies import (Durability, OwnershipKind, QosPolicy,
+from repro.pubsub.policies import (EXCLUSIVE, Durability, QosPolicy,
                                    Reliability)
 from repro.sim.kernel import Kernel, ScheduledEvent
 
@@ -399,7 +399,7 @@ class DataReader:
                                        "writer": sample.writer,
                                        "topic": sample.topic})
             return
-        if (self.qos.ownership is OwnershipKind.EXCLUSIVE
+        if (self.qos.ownership is EXCLUSIVE
                 and sample.writer != self.owner):
             self.ownership_filtered += 1
             return

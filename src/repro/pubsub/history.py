@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, List
 
-from repro.pubsub.policies import HistoryKind
+from repro.pubsub.policies import KEEP_ALL, HistoryKind
 
 __all__ = ["HistoryCache"]
 
@@ -46,7 +46,7 @@ class HistoryCache:
     def add(self, sample: Any) -> bool:
         """Store ``sample``; False if the resource bound refused it."""
         if len(self._samples) >= self.depth:
-            if self.kind is HistoryKind.KEEP_ALL:
+            if self.kind is KEEP_ALL:
                 self.rejected += 1
                 return False
             self._samples.popleft()

@@ -65,6 +65,13 @@ class Durability(IntEnum):
     TRANSIENT_LOCAL = 1
 
 
+# Read once per delivered or cached sample: module globals, not
+# attribute loads on the classes, which ``EnumMeta.__getattr__`` slows
+# (CPython 3.10 / 3.11).
+KEEP_ALL = HistoryKind.KEEP_ALL
+EXCLUSIVE = OwnershipKind.EXCLUSIVE
+
+
 class QosPolicy:
     """One endpoint's declared QoS (immutable)."""
 

@@ -148,12 +148,20 @@ class TickCoalescer:
         self.coalesced = 0
 
     def quantize(self, time: float) -> float:
-        """``time`` rounded up to the tick grid (grid points stay put)."""
+        """``time`` rounded up to the tick grid (grid points stay put).
+
+        The tick is the smallest grid product ``k * quantum >= time``.
+        ``ceil(time / quantum)`` can miss it by one either way, because
+        the division and the product each round: step up if the product
+        is early, down if the product below is already late enough.
+        """
         quantum = self.quantum
-        tick = math.ceil(time / quantum) * quantum
-        if tick < time:  # float round-down at a grid edge: never early
-            tick = (math.ceil(time / quantum) + 1) * quantum
-        return tick
+        k = math.ceil(time / quantum)
+        if k * quantum < time:
+            k += 1
+        elif (k - 1) * quantum >= time:
+            k -= 1
+        return k * quantum
 
     def call_at(self, time: float, callback: Callable[..., None],
                 *args: Any) -> float:

@@ -40,6 +40,7 @@ Kernel-level facts pinned on top:
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 
 import pytest
@@ -729,3 +730,34 @@ def test_coalescer_never_early_never_reordered(quantum, requests):
     for at, indices in per_tick.items():
         assert indices == sorted(indices), (
             f"tick {at} ran registrations out of order: {indices}")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    quantum=st.one_of(st.sampled_from([0.1, 0.05, 0.01, 1e-3, 1 / 3]),
+                      st.floats(min_value=1e-4, max_value=0.5)),
+    k=st.integers(min_value=0, max_value=10 ** 6),
+    nudge=st.sampled_from([-1, 0, 1]),
+    time=st.none() | st.floats(min_value=0.0, max_value=1e4),
+)
+def test_coalescer_quantize_is_idempotent(quantum, k, nudge, time):
+    """A tick is the smallest grid product ``>= time``: quantizing it
+    again leaves it put, it is never early, and it is less than one
+    quantum (plus one ulp of rounding) late.  With ``quantum=0.1``,
+    ``quantize(0.25)`` is ``0.30000000000000004``, which a plain
+    ``ceil(t / q) * q`` moves on to ``0.4``.  Times one ulp either side
+    of a grid product reach both of the rounding corrections."""
+    if time is None:
+        time = max(0.0, math.nextafter(k * quantum, nudge * math.inf)
+                   if nudge else k * quantum)
+    grid = TickCoalescer(Kernel(), quantum)
+    tick = grid.quantize(time)
+    assert grid.quantize(tick) == tick
+    assert tick >= time
+    assert tick - time < quantum + math.ulp(tick)
+
+
+def test_coalescer_quantize_keeps_a_rounded_grid_point():
+    grid = TickCoalescer(Kernel(), 0.1)
+    assert grid.quantize(0.25) == 3 * 0.1
+    assert grid.quantize(3 * 0.1) == 3 * 0.1
