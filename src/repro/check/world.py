@@ -3,11 +3,10 @@
 A :class:`World` is a read-only view over one simulation's live
 components: the kernel, the network topology (from which queue
 disciplines, links and RSVP agents are discovered), the hosts (CPUs
-and reserve managers), any QuO contracts, and the admission
-controller.  Checkers receive the world at :meth:`attach` time and
-must treat it as *read-only* — walking its accessors never mutates
-simulation state, so a checked run stays bit-identical to an
-unchecked one.
+and reserve managers), and any QuO contracts.  Checkers receive the
+world at :meth:`attach` time and must treat it as *read-only* —
+walking its accessors never mutates simulation state, so a checked run
+stays bit-identical to an unchecked one.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ class World:
     contracts:
         QuO contracts to verify (trace-level chain checks work without
         registration; registering enables object-level final checks).
-    admission:
-        Optional :class:`~repro.scale.admission.AdmissionController`.
     fluid:
         Optional :class:`~repro.fluid.engine.FluidEngine` (hybrid
         scenarios); enables the fluid conservation-ledger checks.
@@ -60,7 +57,6 @@ class World:
         network: Optional["Network"] = None,
         hosts: Iterable["Host"] = (),
         contracts: Iterable["Contract"] = (),
-        admission=None,
         fluid=None,
         routing=None,
         pubsub=None,
@@ -69,7 +65,6 @@ class World:
         self.network = network
         self.hosts: List["Host"] = list(hosts)
         self.contracts: List["Contract"] = list(contracts)
-        self.admission = admission
         self.fluid = fluid
         self.routing = routing
         self.pubsub = pubsub

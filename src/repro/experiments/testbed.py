@@ -190,7 +190,7 @@ class Testbed:
         transition at its dequeue, and the ECN ablation sends while it
         builds.  ``parts`` are the :class:`~repro.check.world.World`
         members the scenario adds to the network and hosts:
-        ``contracts``, ``admission``, ``fluid``, ``routing``, ``pubsub``.
+        ``contracts``, ``fluid``, ``routing``, ``pubsub``.
         """
         self.world = World(self.kernel, network=self.network,
                            hosts=list(self.hosts.values()), **parts)

@@ -4,9 +4,8 @@ The CPU model is exact: at every scheduling point (work submission,
 completion, priority change, reserve depletion or replenishment) the
 running thread is charged for precisely the simulated time it held the
 CPU, and the highest effective-priority runnable thread is (re)selected.
-Preemption is therefore instantaneous, like an ideal RTOS with zero
-context-switch cost — configurable context-switch overhead can be added
-via ``switch_cost``.
+Preemption is therefore instantaneous, like an ideal RTOS: the model
+has zero context-switch cost, and no option adds one.
 """
 
 from __future__ import annotations

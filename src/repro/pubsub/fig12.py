@@ -427,8 +427,7 @@ def run_pubsub_experiment(
                           intserv_bound=UTILIZATION_BOUND)
     net = bed.network
 
-    controller = AdmissionController.from_network(
-        net, link_bound=UTILIZATION_BOUND)
+    controller = AdmissionController(net)
     broker = Broker(kernel, nic=net.nic_of("brk"), admission=controller,
                     network=net)
 
@@ -543,7 +542,7 @@ def run_pubsub_experiment(
     kernel.schedule(publish_until, stop_monitors)
 
     bed.watch(contracts=[qk.contract for qk in qoskets],
-              admission=controller, fluid=engine, pubsub=broker)
+              fluid=engine, pubsub=broker)
     events = bed.run(until=duration)
 
     # --- capture ------------------------------------------------------

@@ -306,16 +306,15 @@ def run_capacity_experiment(
     n = int(streams)
 
     # --- shared topology: src/load -- router -- dst -------------------
-    bed.star({"src": ACCESS_BPS, "dst": bottleneck_bps,
-              "load": LOAD_LINK_BPS}, dst="dst", default_bps=ACCESS_BPS,
-             intserv_bound=UTILIZATION_BOUND)
+    bottleneck = bed.star(
+        {"src": ACCESS_BPS, "dst": bottleneck_bps, "load": LOAD_LINK_BPS},
+        dst="dst", default_bps=ACCESS_BPS, intserv_bound=UTILIZATION_BOUND)
     net = bed.network
     bed.inject(fault_plan)
     bed.av_endpoints(("src", "dst"))
 
-    # --- admission: controller books mirror the enforcement layers ----
-    controller = AdmissionController.from_network(
-        net, link_bound=UTILIZATION_BOUND)
+    # --- admission: the controller reads the enforcement layers -------
+    controller = AdmissionController(net)
     src_host, src_orb = bed.hosts["src"], bed.orbs["src"]
 
     plans: List[StreamPlan] = []
@@ -351,7 +350,7 @@ def run_capacity_experiment(
 
     # --- bind every stream, then start the shared clock ---------------
     result = CapacityResult(arm, n, duration, deadline)
-    bed.watch(admission=controller)
+    bed.watch()
     farm = start_farm(bed, "capacity-driver", plans, result, arm.adaptation,
                       ENCODE_COST)
     result.events_executed = bed.run(until=duration)
@@ -360,8 +359,7 @@ def run_capacity_experiment(
     result.rows = stop_farm(farm, plans, result)
     result.admitted_count = sum(1 for row in result.rows if row.admitted)
     result.cpu_utilization = controller.cpu_utilization("src")
-    result.bottleneck_committed_bps = controller.link_committed(
-        "router", "dst")
+    result.bottleneck_committed_bps = controller.committed(bottleneck.a)
     return result
 
 

@@ -318,8 +318,7 @@ def run_scale_experiment(
     bed.av_endpoints(("src", "dst"))  # for the measured cohort
 
     # --- admission with per-tenant pools ------------------------------
-    controller = AdmissionController.from_network(
-        net, link_bound=UTILIZATION_BOUND)
+    controller = AdmissionController(net)
     pool = bottleneck_bps * UTILIZATION_BOUND / max(1, tenants)
     for j in range(max(1, tenants)):
         controller.set_tenant_pool(f"t{j}", pool)
@@ -372,7 +371,7 @@ def run_scale_experiment(
 
     # --- bind the measured cohort, then start the shared clock --------
     result = ScaleResult(arm, n, duration, deadline, fluid, max(1, tenants))
-    bed.watch(admission=controller, fluid=engine)
+    bed.watch(fluid=engine)
     bed.inject(fault_plan)
     farm = start_farm(bed, "scale-driver", measured_plan, result,
                       arm.adaptation, 0.0)
@@ -462,8 +461,7 @@ def run_scale_experiment(
             controller.tenant_committed(tenant),
             controller.tenant_pool(tenant))
     result.requests_rejected = controller.requests_rejected
-    result.bottleneck_committed_bps = controller.link_committed(
-        "router", "dst")
+    result.bottleneck_committed_bps = controller.committed(bottleneck.a)
     if engine is not None:
         result.fluid_epochs = engine.epochs
         result.governor_transitions = engine.governor_transitions

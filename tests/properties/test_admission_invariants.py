@@ -6,13 +6,13 @@ side-effect free.  These tests drive random admission sequences over
 a small dumbbell topology and check, after *every* request:
 
 - no host's admitted CPU utilization exceeds its bound;
-- no directed edge's committed bandwidth exceeds its RSVP budget;
+- no egress's committed bandwidth exceeds its RSVP budget;
 - a rejection leaves every ledger entry exactly as it was.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.scale.admission import AdmissionController
+from tests.scale.test_admission_controller import admission_network
 
 HOSTS = ("src-a", "src-b", "dst")
 EDGE_NAMES = (("src-a", "r1"), ("src-b", "r1"), ("r1", "r2"), ("r2", "dst"))
@@ -30,35 +30,37 @@ OPS = st.lists(REQUEST, max_size=40)
 
 
 def build_controller(link_bps):
-    controller = AdmissionController()
-    for host in HOSTS:
-        controller.add_host(host)
-    controller.add_router("r1")
-    controller.add_router("r2")
-    for (a, b), bps in zip(EDGE_NAMES, link_bps):
-        controller.add_link(a, b, bps)
+    _, controller = admission_network(
+        HOSTS, ("r1", "r2"),
+        [(a, b, bps) for (a, b), bps in zip(EDGE_NAMES, link_bps)])
     return controller
+
+
+def egresses(controller):
+    """Every egress of the network, by ``"a->b"`` name."""
+    return {iface.name: iface for link in controller.network.links
+            for iface in (link.a, link.b)}
 
 
 def snapshot(controller):
     """Every ledger figure the controller exposes, as one value."""
     books = {f"cpu:{host}": controller.cpu_utilization(host)
              for host in HOSTS}
-    for a, b in EDGE_NAMES:
-        books[f"edge:{a}->{b}"] = controller.link_committed(a, b)
-        books[f"edge:{b}->{a}"] = controller.link_committed(b, a)
+    for name, iface in egresses(controller).items():
+        books[f"egress:{name}"] = controller.committed(iface)
     books["admitted"] = sorted(controller.admitted_ids())
     return books
 
 
-def assert_within_budgets(controller, link_bps):
+def assert_within_budgets(controller):
+    net = controller.network
     for host in HOSTS:
-        assert (controller.cpu_utilization(host)
-                <= controller.cpu_bound + 1e-12)
-    for (a, b), bps in zip(EDGE_NAMES, link_bps):
-        budget = bps * controller.link_bound
-        assert controller.link_committed(a, b) <= budget + 1e-9
-        assert controller.link_committed(b, a) <= budget + 1e-9
+        bound = net.host(host).reserve_manager.utilization_bound
+        assert controller.cpu_utilization(host) <= bound + 1e-12
+    for iface in egresses(controller).values():
+        budget = (iface.link.nominal_bandwidth_bps
+                  * iface.owner.rsvp_agent.utilization_bound)
+        assert controller.committed(iface) <= budget + 1e-9
 
 
 @given(
@@ -85,7 +87,7 @@ def test_prop_books_never_exceed_budgets(link_bps, operations):
         else:
             assert decision.reason  # rejections always say why
             assert snapshot(controller) == before
-        assert_within_budgets(controller, link_bps)
+        assert_within_budgets(controller)
     assert controller.requests_seen >= controller.requests_rejected
     assert sorted(controller.admitted_ids()) == sorted(live)
 
@@ -97,8 +99,11 @@ def test_prop_rejection_counts_and_duplicate_guard(link_bps):
     controller = build_controller(link_bps)
     # Tightest budget on the src-a -> dst route (src-b's access link is
     # off-path and must not influence this request).
-    on_path = (link_bps[0], link_bps[2], link_bps[3])
-    bottleneck = min(on_path) * controller.link_bound
+    on_path = [egresses(controller)[name]
+               for name in ("src-a->r1", "r1->r2", "r2->dst")]
+    bottleneck = min(iface.link.nominal_bandwidth_bps
+                     * iface.owner.rsvp_agent.utilization_bound
+                     for iface in on_path)
     decision = controller.request("fat", src="src-a", dst="dst",
                                   rate_bps=bottleneck * 2)
     assert not decision.admitted

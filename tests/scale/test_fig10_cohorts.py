@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check import default_suite
-from repro.scale.admission import AdmissionController
 from repro.scale.capacity_exp import RESERVE_BPS
 from repro.scale.fig10 import (
     ScaleArm,
@@ -25,6 +24,7 @@ from repro.scale.fig10 import (
     run_scale_experiment,
     scale_arms,
 )
+from tests.scale.test_admission_controller import admission_network, egress
 
 
 def arm_named(name):
@@ -35,12 +35,9 @@ def arm_named(name):
 # Admission: segment booking == the sequential loop
 # ----------------------------------------------------------------------
 def build_controller(bottleneck_bps, pools):
-    controller = AdmissionController(link_bound=0.9)
-    controller.add_host("src")
-    controller.add_host("dst")
-    controller.add_router("router")
-    controller.add_link("src", "router", 1e12)
-    controller.add_link("router", "dst", bottleneck_bps)
+    _, controller = admission_network(
+        ("src", "dst"), ("router",),
+        (("src", "router", 1e12), ("router", "dst", bottleneck_bps)))
     for j, pool in enumerate(pools):
         if pool is not None:
             controller.set_tenant_pool(f"t{j}", pool)
@@ -71,10 +68,11 @@ def sequential_admission(controller, overload, streams, tenants):
 
 
 def books(controller, tenants):
+    net = controller.network
     return (controller.admitted_ids(),
             [controller.tenant_committed(f"t{j}") for j in range(tenants)],
-            controller.link_committed("src", "router"),
-            controller.link_committed("router", "dst"),
+            controller.committed(egress(net, "src", "router")),
+            controller.committed(egress(net, "router", "dst")),
             controller.requests_seen, controller.requests_rejected)
 
 
