@@ -182,8 +182,8 @@ def run_priority_experiment(
         )
         servant = VideoReceiverServant(kernel, name=f"sender{index}")
         servants[f"sender{index}"] = servant
-        # Explicit oid: auto-numbered oids vary with process history,
-        # changing object-key byte lengths and hence wire timing.
+        # Explicit oid: object-key byte length is wire timing, so the
+        # key the figures were measured with is spelled out.
         refs[f"sender{index}"] = poa.activate_object(servant, oid="sink")
 
     # --- senders --------------------------------------------------------

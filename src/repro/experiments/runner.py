@@ -16,10 +16,10 @@ Determinism
 Safe parallelism rests on a property the simulator already guarantees
 (see ``tests/experiments/test_determinism.py``): a run's results are a
 pure function of its spec.  Every kernel, RNG registry and recorder is
-built fresh inside the run; the only process-global state (packet/
-request/thread id counters) feeds observability fields that never
-influence timing or metrics.  Workers therefore compute exactly what a
-serial loop would, and the order-preserving merge does the rest.
+built fresh inside the run, and no process-global state feeds an arm:
+entity ids come from the arm's own kernel (``Kernel.ids``), object ids
+from their POA.  Workers therefore compute exactly what a serial loop
+would, and the order-preserving merge does the rest.
 
 Caching
 -------

@@ -126,8 +126,8 @@ class Testbed:
             orb = self.orbs[name] = Orb(
                 self.kernel, self.hosts[name], self.network)
             device = self.devices[name] = MMDeviceServant(self.kernel, orb)
-            # Explicit oid: auto-numbered oids vary with process history,
-            # and object-key length is wire timing.
+            # Explicit oid: object-key length is wire timing, so the
+            # key the figures were measured with is spelled out.
             self.refs[name] = orb.create_poa("av").activate_object(
                 device, oid="mmdevice")
 

@@ -18,11 +18,8 @@ seedable size jitter.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from typing import List, Optional
-
-_stream_ids = itertools.count(1)
 
 
 class FrameType(enum.Enum):
@@ -132,7 +129,7 @@ class MpegStream:
 
     def __init__(
         self,
-        name: Optional[str] = None,
+        name: str,
         bitrate_bps: float = 1.2e6,
         fps: float = 30.0,
         gop: Optional[GopStructure] = None,
@@ -145,7 +142,7 @@ class MpegStream:
             raise ValueError(f"fps must be positive, got {fps}")
         if not 0 <= size_jitter < 1:
             raise ValueError(f"size_jitter must be in [0, 1), got {size_jitter}")
-        self.name = name or f"stream-{next(_stream_ids)}"
+        self.name = name
         self.bitrate_bps = float(bitrate_bps)
         self.fps = float(fps)
         self.gop = gop or GopStructure()

@@ -31,7 +31,6 @@ through crash/reroute/re-admit sequences.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Tuple, Union
 
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -45,8 +44,6 @@ from repro.net.router import Router
 
 #: Simulated size of RSVP control messages, in bytes.
 _SIGNALING_BYTES = 200
-
-_session_ids = itertools.count(1)
 
 
 class ReservationError(RuntimeError):
@@ -160,6 +157,7 @@ class RsvpAgent:
         self.kernel = kernel
         self.device = device
         self.utilization_bound = float(utilization_bound)
+        self._packet_id = kernel.ids("packet")
         # flow_id -> path state
         self._path_state: Dict[str, _PathState] = {}
         # interface -> {flow_id: reserved rate}
@@ -586,6 +584,7 @@ class RsvpAgent:
             dscp=Dscp.CS6,
             flow_id=f"rsvp:{msg.flow_id}",
             created_at=self.kernel.now,
+            packet_id=self._packet_id(),
         )
 
     def _emit(self, msg: _RsvpMsg, dst: str) -> None:

@@ -11,12 +11,9 @@ field that encodes router-level QoS into six bits of DiffServ Codepoint
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 from repro.net.diffserv import Dscp
-
-_packet_ids = itertools.count(1)
 
 #: Fixed per-packet header overhead (IP + transport), in bytes.
 HEADER_BYTES = 40
@@ -57,6 +54,10 @@ class Packet:
     ``int``s, and so ``size_bytes`` / ``size_bits`` are too.  They are
     stored as given, not coerced: every constructor site (the CBR
     source, both transports, the RSVP agent) passes ints.
+
+    Each site draws the trailing ``packet_id`` from its kernel's
+    ``ids("packet")``; the default ``0`` means "not drawn from a kernel"
+    (only micro-benchmarks and unit tests rely on it).
     """
 
     __slots__ = (
@@ -89,8 +90,9 @@ class Packet:
         dscp: Dscp = Dscp.BE,
         flow_id: Optional[str] = None,
         created_at: float = 0.0,
+        packet_id: int = 0,
     ) -> None:
-        self.packet_id = next(_packet_ids)
+        self.packet_id = packet_id
         self.src = src
         self.dst = dst
         self.src_port = src_port

@@ -55,6 +55,7 @@ class CbrTrafficSource:
         # per-packet emit path.
         self._flow_id = f"crosstraffic:{nic.host.name}:{self.src_port}"
         self._src_name = nic.host.name
+        self._packet_id = kernel.ids("packet")
         self.packets_sent = 0
         self.bytes_sent = 0
         self._running = False
@@ -85,12 +86,12 @@ class CbrTrafficSource:
         event = self._next_emit  # the handle firing now
         kernel = self.kernel
         # Positional (src, dst, src_port, dst_port, protocol, payload,
-        # payload_bytes, dscp, flow_id, created_at): no keyword matching
-        # on the simulator's most-called constructor site.
+        # payload_bytes, dscp, flow_id, created_at, packet_id): no keyword
+        # matching on the simulator's most-called constructor site.
         packet = Packet(
             self._src_name, self.dst, self.src_port, self.dst_port,
             UDP, None, self.packet_bytes, self.dscp,
-            self._flow_id, kernel.now,
+            self._flow_id, kernel.now, self._packet_id(),
         )
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes

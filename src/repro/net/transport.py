@@ -19,7 +19,6 @@ properties use to mark traffic (paper section 3.2).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -27,8 +26,6 @@ from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.net.diffserv import Dscp
 from repro.net.nic import Nic
 from repro.net.packet import MTU_BYTES, TCP, UDP, Packet
-
-_message_ids = itertools.count(1)
 
 #: Receive callback for datagram sockets: (payload, packet) -> None.
 DatagramReceiver = Callable[[Any, Packet], None]
@@ -54,6 +51,7 @@ class DatagramSocket:
         self.received = 0
         self._closed = False
         self._src = nic.host.name
+        self._packet_id = kernel.ids("packet")
         #: Default flow id per (dst, dst_port): the string ``Packet``
         #: would otherwise format for every datagram.
         self._flow_ids: Dict[Tuple[str, int], str] = {}
@@ -79,7 +77,7 @@ class DatagramSocket:
                     f"{self._src}:{self.port}->{dst}:{dst_port}")
         packet = Packet(self._src, dst, self.port, dst_port, UDP,
                         payload, payload_bytes, dscp, flow_id,
-                        self.kernel.now)
+                        self.kernel.now, self._packet_id())
         self.sent += 1
         return self.nic.send(packet)
 
@@ -199,6 +197,8 @@ class StreamConnection:
         # when given none), built once here instead of per segment.
         self._src = nic.host.name
         self._flow_id = f"{self._src}:{local_port}->{remote_host}:{remote_port}"
+        self._packet_id = kernel.ids("packet")
+        self._message_id = kernel.ids("message")
         #: The listener that accepted this connection (server side
         #: only); it owns the port, so closing must not unbind it.
         self._listener: Optional["StreamListener"] = None
@@ -268,7 +268,7 @@ class StreamConnection:
         """Queue one application message; returns its message id."""
         if self.closed:
             raise RuntimeError("connection is closed")
-        message_id = next(_message_ids)
+        message_id = self._message_id()
         now = self.kernel.now
         chunk_count = max(1, -(-payload_bytes // MTU_BYTES))  # ceil div
         last = chunk_count - 1
@@ -311,7 +311,7 @@ class StreamConnection:
         self.nic.send(Packet(
             self._src, self.remote_host, self.local_port, self.remote_port,
             TCP, segment, segment.nbytes, self.dscp, self._flow_id,
-            now))
+            now, self._packet_id()))
 
     # ------------------------------------------------------------------
     # Retransmission
@@ -522,7 +522,8 @@ class StreamConnection:
         ack.ecn_echo = ecn_echo
         self.nic.send(Packet(
             self._src, self.remote_host, self.local_port, self.remote_port,
-            TCP, ack, 0, self.dscp, self._flow_id, self.kernel.now))
+            TCP, ack, 0, self.dscp, self._flow_id, self.kernel.now,
+            self._packet_id()))
 
     def _on_ecn_echo(self) -> None:
         """React to explicit congestion: halve the window, at most once

@@ -23,7 +23,6 @@ demarshal/dispatch CPU cost, runs the servant, and sends the reply.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -38,8 +37,6 @@ from repro.orb.giop import (NO_EXCEPTION, REPLY, REQUEST, SYSTEM_EXCEPTION,
                             GiopMessage, ReplyStatus)
 from repro.orb.ior import SERVER_DECLARED, ObjectReference
 from repro.orb.rt import PriorityMappingManager, ThreadPool
-
-_request_ids = itertools.count(1)
 
 
 class OrbError(RuntimeError):
@@ -107,6 +104,7 @@ class Orb:
         self.port = int(port)
         self.cpu_cost_base = float(cpu_cost_base)
         self.cpu_cost_per_kb = float(cpu_cost_per_kb)
+        self._request_id = kernel.ids("request")
         self.mapping_manager = PriorityMappingManager()
         #: When True, requests carrying a CORBA priority are marked
         #: with the DSCP derived from it (the paper's RT-CORBA/DiffServ
@@ -186,7 +184,7 @@ class Orb:
     ) -> Signal:
         """Send a request; returns a signal fired with the reply message
         (or an exception object for timeouts/system errors)."""
-        request_id = next(_request_ids)
+        request_id = self._request_id()
         # Honor the target's priority model (embedded in its IOR).
         send_priority = priority
         if objref.priority_model() == SERVER_DECLARED:

@@ -24,7 +24,6 @@ from repro.oskernel.thread import (DEAD, IDLE, READY, RUNNING, SUSPENDED,
 # representable later float, or zero-length slices would loop forever at
 # one timestamp (classic DES pathology).
 _EPSILON = 1e-9
-_request_ids = itertools.count(1)
 
 
 class WorkRequest:
@@ -45,8 +44,9 @@ class WorkRequest:
         "completed_at",
     )
 
-    def __init__(self, kernel: Kernel, thread: SimThread, amount: float) -> None:
-        self.rid = next(_request_ids)
+    def __init__(self, kernel: Kernel, rid: int, thread: SimThread,
+                 amount: float) -> None:
+        self.rid = rid
         self.thread = thread
         self.amount = float(amount)
         self.remaining = float(amount)
@@ -86,7 +86,7 @@ class CPU:
                  "_current", "_run_start", "_completion_event",
                  "_ready_seq", "_ready_order", "busy_time",
                  "context_switches", "_last_dispatched",
-                 "_ready_heap", "_reserved_threads", "_entry_seq")
+                 "_ready_heap", "_reserved_threads", "_entry_seq", "_work_id")
 
     def __init__(
         self,
@@ -122,6 +122,7 @@ class CPU:
         self._ready_heap: List[Tuple[int, int, int, SimThread]] = []
         self._reserved_threads: List[SimThread] = []
         self._entry_seq = itertools.count(1)
+        self._work_id = kernel.ids("work")
 
     # ------------------------------------------------------------------
     # Registration and submission
@@ -141,7 +142,8 @@ class CPU:
         if thread.state is DEAD:
             raise ValueError(
                 f"cannot submit work to dead thread {thread.name!r}")
-        request = WorkRequest(self.kernel, thread, work_seconds)
+        request = WorkRequest(self.kernel, self._work_id(), thread,
+                              work_seconds)
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.begin("os", "work", span=f"work:{request.rid}",

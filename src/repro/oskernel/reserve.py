@@ -31,7 +31,6 @@ simulations terminate when all real work drains.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import List, Optional
 
@@ -39,8 +38,6 @@ from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.quantize import EPSILON, clamp
 from repro.oskernel.cpu import CPU
 from repro.oskernel.thread import READY, SUSPENDED, SimThread
-
-_reserve_ids = itertools.count(1)
 
 
 class AdmissionError(RuntimeError):
@@ -83,9 +80,9 @@ class Reserve:
         period: float,
         policy: EnforcementPolicy,
     ) -> None:
-        self.reserve_id = next(_reserve_ids)
         self._manager = manager
         self._kernel = manager.kernel
+        self.reserve_id = self._kernel.ids("reserve")()
         self.thread = thread
         self.compute = float(compute)
         self.period = float(period)

@@ -11,14 +11,11 @@ threads with specific priorities.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.oskernel.cpu import CPU
     from repro.oskernel.reserve import Reserve
-
-_thread_ids = itertools.count(1)
 
 
 class ThreadState(enum.Enum):
@@ -52,7 +49,7 @@ class SimThread:
     """
 
     def __init__(self, cpu: "CPU", priority: int, name: str = "") -> None:
-        self.tid = next(_thread_ids)
+        self.tid = cpu.kernel.ids("thread")()
         self.cpu = cpu
         self.name = name or f"thread-{self.tid}"
         self._priority = int(priority)

@@ -28,14 +28,12 @@ from repro.orb.core import Orb, raise_if_error
 from repro.orb.ior import ObjectReference
 from repro.orb.poa import Servant
 
-_event_ids = itertools.count(1)
-
 
 class Event:
     """One event: a typed header plus opaque application data."""
 
-    __slots__ = ("event_id", "event_type", "priority", "source",
-                 "timestamp", "data", "nbytes")
+    __slots__ = ("event_type", "priority", "source", "timestamp", "data",
+                 "nbytes")
 
     def __init__(
         self,
@@ -46,7 +44,6 @@ class Event:
         timestamp: float = 0.0,
         nbytes: int = 256,
     ) -> None:
-        self.event_id = next(_event_ids)
         self.event_type = event_type
         self.priority = int(priority)
         self.source = source
@@ -56,7 +53,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<Event {self.event_id} {self.event_type!r} "
+            f"<Event {self.event_type!r} "
             f"prio={self.priority}>"
         )
 

@@ -93,8 +93,9 @@ pending handle instead, in the dispatch order of cancel + schedule:
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
 from math import inf
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 
 class SimulationError(RuntimeError):
@@ -203,6 +204,13 @@ class Kernel:
         #: Attached :class:`repro.obs.trace.Tracer`, or ``None`` (the
         #: default: tracing off, zero overhead beyond this None check).
         self.tracer = None
+        #: Entity kind -> this kernel's id source (see :meth:`ids`).
+        self._ids: Dict[str, Callable[[], int]] = {}
+
+    def ids(self, kind: str) -> Callable[[], int]:
+        """This kernel's id source for ``kind``, counting from 1; bind it
+        once per constructing object (DESIGN §8, "Ids")."""
+        return self._ids.setdefault(kind, count(1).__next__)
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -65,11 +65,11 @@ def test_sequence_and_gop_bookkeeping():
 
 def test_stream_validation():
     with pytest.raises(ValueError):
-        MpegStream(bitrate_bps=0)
+        MpegStream("s", bitrate_bps=0)
     with pytest.raises(ValueError):
-        MpegStream(fps=0)
+        MpegStream("s", fps=0)
     with pytest.raises(ValueError):
-        MpegStream(size_jitter=1.5)
+        MpegStream("s", size_jitter=1.5)
 
 
 def test_streams_with_same_seed_are_identical():

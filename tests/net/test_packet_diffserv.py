@@ -3,6 +3,7 @@
 from repro.net import Dscp, Packet, PhbClass, Protocol, classify
 from repro.net.diffserv import drop_precedence
 from repro.net.packet import HEADER_BYTES
+from repro.sim import Kernel
 
 
 def make_packet(**kwargs):
@@ -31,8 +32,14 @@ def test_packet_custom_flow_id():
 
 
 def test_packet_ids_unique():
-    a, b = make_packet(), make_packet()
-    assert a.packet_id != b.packet_id
+    """Ids are unique within one kernel, and each kernel numbers its own."""
+    kernel = Kernel()
+    ids = kernel.ids("packet")
+    assert kernel.ids("packet") is ids  # every constructor site shares it
+    a, b = make_packet(packet_id=ids()), make_packet(packet_id=ids())
+    assert (a.packet_id, b.packet_id) == (1, 2)
+    assert kernel.ids("message")() == 1
+    assert make_packet(packet_id=Kernel().ids("packet")()).packet_id == 1
 
 
 def test_ef_classifies_expedited():

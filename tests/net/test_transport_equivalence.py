@@ -17,12 +17,10 @@ packets (id, flow id, size) on the wire and write the same JSONL trace.
 """
 
 import io
-import itertools
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-import repro.net.packet as packet_module
 import repro.net.transport as transport
 from repro.sim import Kernel
 from repro.sim.rng import RngRegistry
@@ -63,6 +61,7 @@ class DatagramSocket:
             dst_port=dst_port, protocol=Protocol.UDP, payload=payload,
             payload_bytes=payload_bytes, dscp=dscp, flow_id=flow_id,
             created_at=self.kernel.now,
+            packet_id=self.kernel.ids("packet")(),
         )
         self.sent += 1
         return self.nic.send(packet)
@@ -133,7 +132,7 @@ class StreamConnection:
     def send_message(self, payload, payload_bytes):
         if self.closed:
             raise RuntimeError("connection is closed")
-        message_id = next(transport._message_ids)
+        message_id = self.kernel.ids("message")()
         now = self.kernel.now
         chunk_count = max(1, -(-payload_bytes // MTU_BYTES))
         remaining = payload_bytes
@@ -173,6 +172,7 @@ class StreamConnection:
             protocol=Protocol.TCP, payload=segment,
             payload_bytes=segment.nbytes, dscp=self.dscp,
             created_at=self.kernel.now,
+            packet_id=self.kernel.ids("packet")(),
         )
         self.nic.send(packet)
 
@@ -329,6 +329,7 @@ class StreamConnection:
             src_port=self.local_port, dst_port=self.remote_port,
             protocol=Protocol.TCP, payload=ack, payload_bytes=0,
             dscp=self.dscp, created_at=self.kernel.now,
+            packet_id=self.kernel.ids("packet")(),
         )
         self.nic.send(packet)
 
@@ -404,100 +405,94 @@ def run_world(impl, messages, datagrams, windows, max_rtos, bursts,
     bottleneck; the server answers some messages on the same
     connection, and a third host sends datagrams beside them."""
     datagram_socket, stream_connection, stream_listener = impl
-    saved = packet_module._packet_ids, transport._message_ids
-    packet_module._packet_ids = itertools.count(1)
-    transport._message_ids = itertools.count(1)
-    try:
-        kernel = Kernel()
-        trace = io.StringIO()
-        Tracer([JsonlSink(trace)]).attach(kernel)
-        net = Network(kernel, default_bandwidth_bps=100e6)
-        for name in ("c0", "c1", "u", "s"):
-            net.attach_host(Host(kernel, name))
-        router = net.add_router("r")
-        for name in ("c0", "c1", "u"):
-            net.link(name, router)
-        if bottleneck == "red":
-            qdisc = RedQueue(capacity=60, min_threshold=4, max_threshold=12,
-                             max_probability=0.5, weight=0.5,
-                             rng=random.Random(2))
-        else:
-            qdisc = FifoQueue(capacity=8)
-        net.link(router, "s", bandwidth_bps=2e6, qdisc_a=qdisc)
-        net.compute_routes()
+    kernel = Kernel()
+    trace = io.StringIO()
+    Tracer([JsonlSink(trace)]).attach(kernel)
+    net = Network(kernel, default_bandwidth_bps=100e6)
+    for name in ("c0", "c1", "u", "s"):
+        net.attach_host(Host(kernel, name))
+    router = net.add_router("r")
+    for name in ("c0", "c1", "u"):
+        net.link(name, router)
+    if bottleneck == "red":
+        qdisc = RedQueue(capacity=60, min_threshold=4, max_threshold=12,
+                         max_probability=0.5, weight=0.5,
+                         rng=random.Random(2))
+    else:
+        qdisc = FifoQueue(capacity=8)
+    net.link(router, "s", bandwidth_bps=2e6, qdisc_a=qdisc)
+    net.compute_routes()
 
-        wire = []
-        for name in ("c0", "c1", "u", "s"):
-            nic = net.nic_of(name)
+    wire = []
+    for name in ("c0", "c1", "u", "s"):
+        nic = net.nic_of(name)
 
-            def tapped(packet, _send=nic.send):
-                wire.append((packet.packet_id, packet.flow_id,
-                             packet.size_bytes))
-                return _send(packet)
+        def tapped(packet, _send=nic.send):
+            wire.append((packet.packet_id, packet.flow_id,
+                         packet.size_bytes))
+            return _send(packet)
 
-            nic.send = tapped
+        nic.send = tapped
 
-        delivered = {"s": [], "c0": [], "c1": [], "udp": []}
-        accepted = []
+    delivered = {"s": [], "c0": [], "c1": [], "udp": []}
+    accepted = []
 
-        def on_server_message(payload, meta):
-            delivered["s"].append((payload, meta.sent_at, meta.delivered_at,
-                                   meta.size_bytes))
-            client, index, reply_bytes = payload
-            if reply_bytes is not None:
-                conn = next(c for c in accepted if c.remote_host == client)
-                conn.send_message(("re", index), reply_bytes)
+    def on_server_message(payload, meta):
+        delivered["s"].append((payload, meta.sent_at, meta.delivered_at,
+                               meta.size_bytes))
+        client, index, reply_bytes = payload
+        if reply_bytes is not None:
+            conn = next(c for c in accepted if c.remote_host == client)
+            conn.send_message(("re", index), reply_bytes)
 
-        stream_listener(kernel, net.nic_of("s"), 2809,
-                        on_connection=accepted.append,
-                        on_message=on_server_message)
-        clients = []
-        for i in range(2):
-            name = f"c{i}"
-            clients.append(stream_connection.connect(
-                kernel, net.nic_of(name), "s", 2809,
-                dscp=Dscp.AF11 if i else Dscp.BE,
-                on_message=lambda payload, meta, name=name:
-                    delivered[name].append((payload, meta.sent_at,
-                                            meta.delivered_at,
-                                            meta.size_bytes)),
-                max_rtos=max_rtos[i], window=windows[i]))
-        datagram_socket(kernel, net.nic_of("s"), port=7000,
-                        on_receive=lambda payload, packet:
-                            delivered["udp"].append((payload,
-                                                     packet.flow_id)))
-        udp = datagram_socket(kernel, net.nic_of("u"))
+    stream_listener(kernel, net.nic_of("s"), 2809,
+                    on_connection=accepted.append,
+                    on_message=on_server_message)
+    clients = []
+    for i in range(2):
+        name = f"c{i}"
+        clients.append(stream_connection.connect(
+            kernel, net.nic_of(name), "s", 2809,
+            dscp=Dscp.AF11 if i else Dscp.BE,
+            on_message=lambda payload, meta, name=name:
+                delivered[name].append((payload, meta.sent_at,
+                                        meta.delivered_at,
+                                        meta.size_bytes)),
+            max_rtos=max_rtos[i], window=windows[i]))
+    datagram_socket(kernel, net.nic_of("s"), port=7000,
+                    on_receive=lambda payload, packet:
+                        delivered["udp"].append((payload,
+                                                 packet.flow_id)))
+    udp = datagram_socket(kernel, net.nic_of("u"))
 
-        def send(conn, payload, nbytes):
-            if not conn.closed:
-                conn.send_message(payload, nbytes)
+    def send(conn, payload, nbytes):
+        if not conn.closed:
+            conn.send_message(payload, nbytes)
 
-        for index, (client, at, nbytes, reply_bytes) in enumerate(messages):
-            kernel.schedule(at, send, clients[client],
-                            (f"c{client}", index, reply_bytes), nbytes)
-        for index, (at, nbytes, flow_id) in enumerate(datagrams):
-            kernel.schedule(at, udp.send_to, "s", 7000, index, nbytes,
-                            Dscp.EF, flow_id)
-        if bursts:
-            FaultInjector(kernel, net,
-                          rng=RngRegistry(seed=1).stream("faults")).install(
-                FaultPlan([FaultEvent("loss_burst", link=link, at=at,
-                                      duration=duration, loss=loss)
-                           for link, at, duration, loss in bursts]))
-        kernel.run(until=HORIZON)
-        kernel.tracer.close()
-        assert not any(conn.closed for conn in accepted)
-        return {
-            "events": kernel.events_executed,
-            "delivered": delivered,
-            "books": [[getattr(conn, attr) for attr in BOOKS]
-                      for conn in clients + accepted],
-            "udp": (udp.sent,),
-            "wire": wire,
-            "trace": trace.getvalue(),
-        }
-    finally:
-        packet_module._packet_ids, transport._message_ids = saved
+    for index, (client, at, nbytes, reply_bytes) in enumerate(messages):
+        kernel.schedule(at, send, clients[client],
+                        (f"c{client}", index, reply_bytes), nbytes)
+    for index, (at, nbytes, flow_id) in enumerate(datagrams):
+        kernel.schedule(at, udp.send_to, "s", 7000, index, nbytes,
+                        Dscp.EF, flow_id)
+    if bursts:
+        FaultInjector(kernel, net,
+                      rng=RngRegistry(seed=1).stream("faults")).install(
+            FaultPlan([FaultEvent("loss_burst", link=link, at=at,
+                                  duration=duration, loss=loss)
+                       for link, at, duration, loss in bursts]))
+    kernel.run(until=HORIZON)
+    kernel.tracer.close()
+    assert not any(conn.closed for conn in accepted)
+    return {
+        "events": kernel.events_executed,
+        "delivered": delivered,
+        "books": [[getattr(conn, attr) for attr in BOOKS]
+                  for conn in clients + accepted],
+        "udp": (udp.sent,),
+        "wire": wire,
+        "trace": trace.getvalue(),
+    }
 
 
 def both(**world):

@@ -18,21 +18,24 @@ The families, and what their records cover:
 * table 2 ``load``: GIOP over the stream transport: ACK clocking,
   thousands of RTO restarts and one fired retransmission timeout.
 
-Every arm runs in a fresh interpreter, as ``repro trace`` does: packet,
-request, work and thread ids come from process-wide counters, so a
-second run in one process numbers its records differently.  The pins
-were taken with ``repro trace --scenario FIGURE --arm ARM --set ...``
-and hold under CPython 3.10, 3.11 and 3.12.
+Ids (packets, requests, work, threads, ...) are numbered per kernel
+(DESIGN §8, "Ids"), so an arm's bytes do not depend on what its process
+ran before: each arm runs here in process, after whatever the session
+ran first, and once more in a two-worker ``fork`` pool where each worker
+runs several arms back to back.  The pins were taken with ``repro trace
+--scenario FIGURE --arm ARM --set ...`` and hold under CPython 3.10,
+3.11 and 3.12.
 """
 
-import json
-import os
-import subprocess
-import sys
+import hashlib
+import io
+import multiprocessing
 
 import pytest
 
-import repro
+from repro.cli import resolve_figure, select
+from repro.experiments.runner import scenario_function
+from repro.obs import JsonlSink, Tracer
 
 #: (figure, arm, ``--set`` settings, records, sha256 of the JSONL text).
 ARMS = [
@@ -54,32 +57,30 @@ ARMS = [
      "8774e103627fdc6999175437dd8f8abaa2776255afb4c785483691cb277c95ac"),
 ]
 
-TRACE_ONE_ARM = """
-import hashlib, io, json, sys
-from repro.cli import resolve_figure, select
-from repro.experiments.runner import scenario_function
-from repro.obs import JsonlSink, Tracer
 
-word, arm, *settings = sys.argv[1:]
-figure = select(resolve_figure(word), [arm], settings, 1)
-(spec,) = figure.specs()
-out = io.StringIO()
-tracer = Tracer(sinks=[JsonlSink(out)])
-scenario_function(figure.scenario)(**spec.call_kwargs(), tracer=tracer)
-tracer.close()
-text = out.getvalue()
-print(json.dumps([text.count("\\n"),
-                  hashlib.sha256(text.encode("utf-8")).hexdigest()]))
-"""
+def trace_one_arm(figure, arm, settings):
+    """``[records, sha256]`` of one arm's JSONL trace, as ``repro trace``
+    writes it."""
+    selected = select(resolve_figure(figure), [arm], settings, 1)
+    (spec,) = selected.specs()
+    out = io.StringIO()
+    tracer = Tracer(sinks=[JsonlSink(out)])
+    scenario_function(selected.scenario)(**spec.call_kwargs(), tracer=tracer)
+    tracer.close()
+    text = out.getvalue()
+    return [text.count("\n"), hashlib.sha256(text.encode("utf-8")).hexdigest()]
 
 
 @pytest.mark.parametrize("figure, arm, settings, records, digest", ARMS,
                          ids=[f"{f}-{a}" for f, a, *_ in ARMS])
 def test_trace_digest_is_pinned(figure, arm, settings, records, digest):
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", TRACE_ONE_ARM, figure, arm, *settings],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [records, digest]
+    assert trace_one_arm(figure, arm, settings) == [records, digest]
+
+
+def test_trace_digests_hold_back_to_back_in_workers():
+    """Seven arms over two workers: each worker runs several in a row."""
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        got = pool.starmap(trace_one_arm,
+                           [(figure, arm, settings)
+                            for figure, arm, settings, *_ in ARMS])
+    assert got == [[records, digest] for *_, records, digest in ARMS]

@@ -167,6 +167,4 @@ def test_high_priority_event_overtakes_bulk_dispatch():
 
 def test_event_metadata():
     event = Event("x", priority=5, source="uav1", timestamp=1.5)
-    other = Event("x")
-    assert event.event_id != other.event_id
     assert event.source == "uav1"

@@ -114,35 +114,13 @@ def test_scenario_payload_parity(family):
         f"{family}: payload bytes diverge between two runs of one spec")
 
 
-def test_quickstart_trace_stream_parity(monkeypatch):
+def test_quickstart_trace_stream_parity():
     """The dispatch-level trace stream is identical run to run."""
-    import importlib
-    import itertools
-
     from repro.experiments.scenarios import run_quickstart
     from repro.obs.trace import Tracer
 
-    # Entity ids (packets, requests, oids, threads, ...) come from
-    # process-global counters that keep counting across runs; pin every
-    # one so the two in-process runs are comparable verbatim.
-    counter_globals = [
-        ("repro.net.intserv", "_session_ids"),
-        ("repro.net.transport", "_message_ids"),
-        ("repro.net.packet", "_packet_ids"),
-        ("repro.orb.core", "_request_ids"),
-        ("repro.orb.poa", "_oid_counter"),
-        ("repro.services.events", "_event_ids"),
-        ("repro.media.mpeg", "_stream_ids"),
-        ("repro.oskernel.reserve", "_reserve_ids"),
-        ("repro.oskernel.cpu", "_request_ids"),
-        ("repro.oskernel.thread", "_thread_ids"),
-    ]
-
     streams = []
     for _ in range(2):
-        for mod_name, attr in counter_globals:
-            monkeypatch.setattr(importlib.import_module(mod_name), attr,
-                                itertools.count(1))
         tracer = Tracer()
         run_quickstart(tracer=tracer, verbose=False)
         streams.append([
