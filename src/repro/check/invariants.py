@@ -82,6 +82,12 @@ class InvariantViolation(AssertionError):
             detail = f" [{pairs}]"
         super().__init__(f"[{checker}] {message}{detail}")
 
+    def __reduce__(self):
+        # Rebuilt from its fields, not from ``args`` (the one formatted
+        # message): a violation raised in a pool worker is pickled back
+        # to the parent, and a failed unpickle there hangs ``pool.map``.
+        return (type(self), (self.checker, self.message, self.context))
+
 
 class InvariantChecker:
     """Base monitor: attach to a world, watch records, check teardown.

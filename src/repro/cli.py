@@ -2,8 +2,10 @@
 
 ``run`` regenerates any figure of the table in
 :mod:`repro.experiments.scenario_registry`; with no ``--arm`` / ``--set``
-its stdout is byte-for-byte ``results/<figure>.txt``.  ``soak`` runs the
-randomized invariant campaign and ``trace`` a scenario under the
+its stdout is byte-for-byte ``results/<figure>.txt``.  ``verify`` runs
+figures once under the invariant suite and checks each rendering
+against ``results/`` and each of the figure's claims.  ``soak`` runs
+the randomized invariant campaign and ``trace`` a scenario under the
 structured tracer.
 
 Independent simulation arms fan out across a process pool (``--jobs``)
@@ -17,6 +19,8 @@ Examples::
     python -m repro --jobs 4 run table1 --arm 3-full --set duration=120
     python -m repro run fig9 --set streams=4,8 --set duration=10
     python -m repro run fig10 --set fluid=false --set streams=32
+    python -m repro --jobs 4 verify
+    python -m repro verify fig4 ablation_ecn
     python -m repro soak --seed 1 --runs 8 --duration 3
     python -m repro trace --scenario quickstart
     python -m repro trace --scenario table1 --arm 2-partial --set duration=30
@@ -27,10 +31,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import pathlib
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.runner import ExperimentRunner, scenario_function
+from repro.experiments.runner import (ExperimentRunner, RunSpec,
+                                      scenario_function)
 from repro.experiments.scenario_registry import FIGURES, Figure
 from repro.faults.plan import FaultPlanError
 
@@ -130,12 +136,72 @@ def _cmd_run(args: argparse.Namespace) -> int:
     specs = figure.specs()
     print(f"running {figure.name}: {len(specs)} run(s) ...", file=sys.stderr)
     runner = ExperimentRunner(
-        jobs=args.jobs, cache=False if args.no_cache else None)
+        jobs=args.jobs, cache=not args.no_cache)
     try:
         payloads = runner.payloads(specs)
     except FaultPlanError as exc:
         raise SystemExit(f"bad fault_plan: {exc}") from None
     print(figure.render(payloads))
+    return 0
+
+
+def _first_difference(rendered: str, committed: str) -> str:
+    """Where ``rendered`` first departs from ``committed``."""
+    ours, theirs = rendered.splitlines(), committed.splitlines()
+    for number, (line, expected) in enumerate(zip(ours, theirs), start=1):
+        if line != expected:
+            return f"line {number}: {line!r} != {expected!r}"
+    if len(ours) < len(theirs):
+        return f"line {len(ours) + 1}: the rendering ends there"
+    if len(ours) > len(theirs):
+        return f"line {len(theirs) + 1}: the results file ends there"
+    return "the line endings"
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """Run each figure once under the invariant suite; check its
+    rendering against ``results/`` and its claims."""
+    from repro.check import InvariantViolation, default_suite
+
+    figures = ([resolve_figure(word) for word in args.figures]
+               or list(FIGURES.values()))
+    # A spec holding a live suite has no cache key: every arm runs.
+    runner = ExperimentRunner(jobs=args.jobs, cache=False)
+    failed = 0
+    for figure in figures:
+        specs = [RunSpec(spec.scenario,
+                         {**spec.params, "checks": default_suite()},
+                         spec.seed)
+                 for spec in figure.specs()]
+        try:
+            payloads = runner.payloads(specs)
+        except InvariantViolation as exc:
+            problems = [f"invariant violated: {exc}"]
+        else:
+            problems = [f"claim does not hold: {name}"
+                        for name in figure.failed_claims(payloads)]
+            path = pathlib.Path("results") / f"{figure.name}.txt"
+            rendered = figure.render(payloads) + "\n"
+            committed = (path.read_text(encoding="utf-8")
+                         if path.is_file() else None)
+            if committed is None:
+                problems.append(f"no {path}")
+            elif rendered != committed:
+                problems.append(f"differs from {path} at "
+                                f"{_first_difference(rendered, committed)}")
+        if problems:
+            failed += 1
+            print(f"FAIL {figure.name}")
+            for problem in problems:
+                print(f"  {problem}")
+        else:
+            print(f"ok   {figure.name}: {len(specs)} run(s), "
+                  f"{len(figure.claims)} claim(s)")
+        sys.stdout.flush()
+    if failed:
+        print(f"verify FAILED: {failed}/{len(figures)} figure(s)")
+        return 1
+    print(f"verify clean: {len(figures)} figure(s)")
     return 0
 
 
@@ -320,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root random seed (default 1)")
     parser.add_argument("-j", "--jobs", type=int, default=None,
                         help="worker processes for independent arms "
-                             "(default: REPRO_JOBS or the CPU count)")
+                             "(default: the CPU count)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every arm, ignoring the on-disk "
                              "result cache")
@@ -337,6 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "(fig4, table1, ablation_ecn)")
     _add_selection_options(p)
     p.set_defaults(func=_cmd_run)
+
+    p = sub.add_parser(
+        "verify",
+        help="run figures once under the invariant suite; check each "
+             "rendering against results/ and each of the figure's claims",
+        epilog="figures: " + ", ".join(FIGURES),
+    )
+    p.add_argument("figures", nargs="*", metavar="FIGURE",
+                   help="results-file stems or unique prefixes; default: "
+                        "every figure")
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
         "soak",

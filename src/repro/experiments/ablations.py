@@ -1,10 +1,11 @@
-"""Ablation arm runners, importable by benchmarks and the CLI.
+"""Ablation arm runners: four rows of the figure table.
 
 Each function builds one self-contained simulation arm and returns a
 *picklable* payload (plain dicts of floats, recorders, and stats), so
 the arms can ride the parallel :mod:`repro.experiments.runner` exactly
-like the paper's main experiments.  The ``benchmarks/test_ablation_*``
-files are thin renderers/assertions over these payloads.
+like the paper's main experiments.  Their renderers and claims live in
+:mod:`repro.experiments.reporting`: ``repro run ablation_ecn`` prints
+one, ``repro verify`` checks its claims.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ its field list is written once, in the class body, and the
 RunSpec form, equality, repr and pickling all follow from it.  Its
 :meth:`Arm.policy` states, from those fields, the point of the paper's
 QoS matrix the scenario hands the testbed's manager.  Every scenario's
-result derives from :class:`ArmResult`.
+result derives from :class:`ArmResult`, and each finding a figure's
+results must show is a :class:`Claim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.core.policies import QosPolicy
 
@@ -103,3 +104,16 @@ class StreamResult(ArmResult):
         """The Fig 7 'frames sent / received' curves over the run."""
         return self.sender_delivery.cumulative_counts(
             bin_width, self.duration)
+
+
+class Claim(NamedTuple):
+    """One finding a figure's runs must show.
+
+    ``holds`` takes exactly what the figure's renderer takes (``{arm
+    label: payload}``, or ``{arm label: [payload per point]}`` on a
+    sweep figure) and says whether the finding holds.  ``name`` is the
+    paper sentence or finding it checks.
+    """
+
+    name: str
+    holds: Callable[[Dict[str, Any]], bool]

@@ -25,7 +25,6 @@ or neither.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -34,8 +33,11 @@ from repro.net.topology import Network, generate_topology
 from repro.net.routing import (
     LinkStateRouting,
     ReservationResignaler,
+    _global_lsdb,
     install_spf_routes,
     predict_path,
+    spf_search,
+    two_way_adjacency,
 )
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
@@ -114,34 +116,21 @@ class RouteExperimentResult(StreamResult):
 # ----------------------------------------------------------------------
 # Deterministic site selection on the generated graph
 # ----------------------------------------------------------------------
-def _router_distances(net: Network, origin: str) -> Dict[str, int]:
-    """Hop distances from ``origin`` over router-router up links.
-
-    Breadth-first, so the distances do not depend on the order a
-    router's neighbours are visited in (only the dict's order does,
-    and :func:`_farthest_router_pair` takes a minimum over it).
-    """
-    routers = {router.name for router in net.routers}
-    dist = {origin: 0}
-    frontier = deque([origin])
-    while frontier:
-        current = frontier.popleft()
-        for neighbor, iface in net._adjacency[current]:
-            if neighbor in dist or neighbor not in routers:
-                continue
-            if iface.link is None or not iface.link.up:
-                continue
-            dist[neighbor] = dist[current] + 1
-            frontier.append(neighbor)
-    return dist
-
-
 def _farthest_router_pair(net: Network) -> Tuple[str, str]:
-    """The lexicographically-least router pair at maximal hop distance."""
-    best: Optional[Tuple[int, str, str]] = None
-    for router in sorted(net.routers, key=lambda r: r.name):
-        for name, hops in _router_distances(net, router.name).items():
-            a, b = sorted((router.name, name))
+    """The lexicographically-least router pair at maximal hop distance.
+
+    Hop counts are SPF costs over the converged link-state graph, whose
+    router-router edges all cost 1; the minimum over ``(-hops, a, b)``
+    does not depend on the order the search settles routers in.
+    """
+    lsdb = _global_lsdb(net)
+    graph = two_way_adjacency(lsdb)
+    best: Optional[Tuple[float, str, str]] = None
+    for router in sorted(lsdb):
+        for name, (hops, _) in spf_search(graph, router).items():
+            if name not in lsdb:  # a stub host
+                continue
+            a, b = sorted((router, name))
             candidate = (-hops, a, b)
             if best is None or candidate < best:
                 best = candidate

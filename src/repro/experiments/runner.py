@@ -30,8 +30,8 @@ digest covers every ``.py`` file under ``repro``'s package root, so
 *any* code change invalidates *every* cached result — coarse but
 impossible to get stale results from.  Corrupt or unreadable entries
 are treated as misses and recomputed; a payload that cannot be stored
-is returned uncached.  Set ``REPRO_CACHE=0`` to bypass
-the cache entirely, and ``REPRO_CACHE_DIR`` to relocate it.
+is returned uncached.  ``cache=False`` (``repro --no-cache``) bypasses
+the cache entirely, and ``REPRO_CACHE_DIR`` relocates it.
 
 Memory
 ------
@@ -67,7 +67,6 @@ __all__ = [
     "scenario_function",
     "registered_scenarios",
     "source_tree_digest",
-    "default_jobs",
 ]
 
 
@@ -334,18 +333,6 @@ def default_cache_dir() -> Path:
     return Path(__file__).resolve().parents[3] / ".repro-cache"
 
 
-def cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "no")
-
-
-def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` env var, else the CPU count."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 # ----------------------------------------------------------------------
 # Worker entry point (must be module-level for pickling under spawn)
 # ----------------------------------------------------------------------
@@ -376,11 +363,11 @@ class ExperimentRunner:
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` uses :func:`default_jobs`.  ``1``
-        runs everything inline in this process (no pool).
+        Worker processes; ``None`` uses the CPU count.  ``1`` runs
+        everything inline in this process (no pool).
     cache:
         Whether to consult/populate the on-disk result cache; ``None``
-        follows the ``REPRO_CACHE`` environment variable.
+        means on.
     cache_dir:
         Cache location override (default: repo-local ``.repro-cache``
         or ``REPRO_CACHE_DIR``).
@@ -394,9 +381,9 @@ class ExperimentRunner:
                  cache: Optional[bool] = None,
                  cache_dir: Optional[Path] = None,
                  source_digest: Optional[str] = None) -> None:
-        self.jobs = max(1, int(jobs) if jobs is not None else default_jobs())
-        self.cache_enabled = (cache_enabled_by_env()
-                              if cache is None else bool(cache))
+        self.jobs = max(1, int(jobs) if jobs is not None
+                        else os.cpu_count() or 1)
+        self.cache_enabled = cache is None or bool(cache)
         self.cache = ResultCache(cache_dir or default_cache_dir())
         self._source_digest = source_digest
         #: Cumulative stats across run() calls (observability).

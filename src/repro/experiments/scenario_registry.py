@@ -3,9 +3,10 @@
 Importing this module registers each paper experiment and ablation
 with :mod:`repro.experiments.runner` under a stable name, and builds
 :data:`FIGURES`: one :class:`Figure` per ``results/<name>.txt``, holding
-the arms it runs, its timeline, its seed and its renderer.  The
-benchmark suite, ``repro run`` and :func:`figure_specs` all read that
-table; nothing else spells out an arm list.
+the arms it runs, its timeline, its seed, its renderer and the claims
+its runs must show.  ``repro run``, ``repro verify`` and
+:func:`figure_specs` all read that table; nothing else spells out an
+arm list.
 
 Scenario functions take only JSON-able parameters (arms travel as
 their constructor kwargs, ``arm.params()``) and return the experiment's
@@ -29,7 +30,7 @@ from typing import (
 )
 
 from repro.experiments import ablations, reporting
-from repro.experiments.arm import Arm
+from repro.experiments.arm import Arm, Claim
 from repro.experiments.fault_exp import (
     FaultArm,
     all_arms as fault_arms,
@@ -57,6 +58,7 @@ from repro.experiments.route_exp import (
 )
 from repro.experiments.runner import RunSpec, scenario
 from repro.pubsub.fig12 import (
+    FIG12_CLAIMS,
     PubSubArm,
     fig12_subscriber_counts,
     pubsub_arms,
@@ -64,6 +66,7 @@ from repro.pubsub.fig12 import (
     run_pubsub_experiment,
 )
 from repro.scale.capacity_exp import (
+    FIG9_CLAIMS,
     CapacityArm,
     all_arms as capacity_arms,
     fig9_stream_counts,
@@ -71,6 +74,7 @@ from repro.scale.capacity_exp import (
     run_capacity_experiment,
 )
 from repro.scale.fig10 import (
+    FIG10_CLAIMS,
     ScaleArm,
     fig10_stream_counts,
     render_fig10_scale,
@@ -151,7 +155,8 @@ for _name, _run in (
 # Figures
 # ----------------------------------------------------------------------
 class Figure(NamedTuple):
-    """One ``results/<name>.txt``: what runs, and how it is rendered."""
+    """One ``results/<name>.txt``: what runs, how it is rendered, and
+    what its runs must show."""
 
     name: str
     #: Registered scenario every arm of the figure runs.
@@ -169,6 +174,9 @@ class Figure(NamedTuple):
     sweep: Optional[str] = None
     points: Tuple[int, ...] = ()
     seed: Optional[int] = 1
+    #: The paper's findings, each a predicate over what the renderer
+    #: takes (evaluated on the whole figure by ``repro verify``).
+    claims: Tuple[Claim, ...] = ()
 
     def specs(self) -> List[RunSpec]:
         """The figure's runs, arm-major, sweep points ascending."""
@@ -180,15 +188,25 @@ class Figure(NamedTuple):
             for _, arm in self.arms for point in sweep
         ]
 
-    def render(self, payloads: List[Any]) -> str:
-        """``payloads`` (in :meth:`specs` order) as the results text."""
+    def runs(self, payloads: List[Any]) -> Dict[str, Any]:
+        """``payloads`` (in :meth:`specs` order) as the renderer and the
+        claims take them: ``{label: payload}``, or ``{label: [payload
+        per point]}`` on a sweep figure."""
         labels = [label for label, _ in self.arms]
         if self.sweep is None:
-            return self.renderer(dict(zip(labels, payloads)))
+            return dict(zip(labels, payloads))
         width = len(self.points)
-        return self.renderer({
-            label: payloads[index * width:(index + 1) * width]
-            for index, label in enumerate(labels)})
+        return {label: payloads[index * width:(index + 1) * width]
+                for index, label in enumerate(labels)}
+
+    def render(self, payloads: List[Any]) -> str:
+        """``payloads`` (in :meth:`specs` order) as the results text."""
+        return self.renderer(self.runs(payloads))
+
+    def failed_claims(self, payloads: List[Any]) -> List[str]:
+        """The names of the claims ``payloads`` do not bear out."""
+        runs = self.runs(payloads)
+        return [claim.name for claim in self.claims if not claim.holds(runs)]
 
 
 def _arms(arms: Sequence[Arm], labels: Sequence[str] = ()
@@ -204,58 +222,72 @@ _NET_TIMELINE = {"duration": 300.0, "load_start": 60.0, "load_end": 120.0}
 
 FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
     Figure("fig2_priority_propagation", "priority_propagation",
-           (("corba-100", {}),), reporting.fig2_text, seed=None),
+           (("corba-100", {}),), reporting.fig2_text, seed=None,
+           claims=reporting.FIG2_CLAIMS),
     Figure("fig4_control_runs", "priority",
            _arms([PriorityArm.figure4a(), PriorityArm.figure4b()],
                  ["fig4a (idle)", "fig4b (16 Mbps cross)"]),
-           reporting.fig4_text, _PRIORITY_TIMELINE),
+           reporting.fig4_text, _PRIORITY_TIMELINE,
+           claims=reporting.FIG4_CLAIMS),
     Figure("fig5_thread_priority", "priority",
            _arms([PriorityArm.figure5a(), PriorityArm.figure5b()],
                  ["fig5a (CPU load)", "fig5b (CPU load + congestion)"]),
-           reporting.latency_text, _PRIORITY_TIMELINE),
+           reporting.latency_text, _PRIORITY_TIMELINE,
+           claims=reporting.FIG5_CLAIMS),
     Figure("fig6_combined_priority", "priority",
            _arms([PriorityArm.figure5b(), PriorityArm.figure6()],
                  ["fig5b (threads only)", "fig6 (threads + DSCP)"]),
-           reporting.latency_text, _PRIORITY_TIMELINE),
+           reporting.latency_text, _PRIORITY_TIMELINE,
+           claims=reporting.FIG6_CLAIMS),
     Figure("fig7_frame_delivery", "reservation_net",
            _arms([NetworkArm("1-none", None, False),
                   NetworkArm("5-partial-filtering", "partial", True),
                   NetworkArm("3-full", "full", False)],
                  ["no adaptation", "partial resv + frame filtering",
                   "full reservation"]),
-           reporting.fig7_text, _NET_TIMELINE),
+           reporting.fig7_text, _NET_TIMELINE,
+           claims=reporting.FIG7_CLAIMS),
     Figure("fig8_fault_adaptation", "faults", _arms(fault_arms()),
-           reporting.fig8_text, {"duration": 120.0}),
+           reporting.fig8_text, {"duration": 120.0},
+           claims=reporting.FIG8_CLAIMS),
     Figure("fig9_capacity", "capacity", _arms(capacity_arms()),
            render_fig9_capacity, {"duration": 12.0},
-           "streams", tuple(fig9_stream_counts())),
+           "streams", tuple(fig9_stream_counts()), claims=FIG9_CLAIMS),
     Figure("fig10_scale", "scale", _arms(scale_arms()),
            render_fig10_scale, {"duration": 8.0, "fluid": True},
-           "streams", tuple(fig10_stream_counts())),
+           "streams", tuple(fig10_stream_counts()), claims=FIG10_CLAIMS),
     Figure("fig11_route", "route", _arms(route_arms()),
-           reporting.fig11_text, {"routers": 56, "duration": 40.0}),
+           reporting.fig11_text, {"routers": 56, "duration": 40.0},
+           claims=reporting.FIG11_CLAIMS),
     Figure("fig12_pubsub", "pubsub", _arms(pubsub_arms()),
            render_fig12_pubsub, {"duration": 8.0},
-           "subscribers", tuple(fig12_subscriber_counts())),
+           "subscribers", tuple(fig12_subscriber_counts()),
+           claims=FIG12_CLAIMS),
     Figure("table1_network_reservation", "reservation_net",
-           _arms(network_arms()), reporting.table1_text, _NET_TIMELINE),
+           _arms(network_arms()), reporting.table1_text, _NET_TIMELINE,
+           claims=reporting.TABLE1_CLAIMS),
     Figure("table2_cpu_reservation", "reservation_cpu",
-           _arms(cpu_arms()), reporting.table2_text, {"duration": 120.0}),
+           _arms(cpu_arms()), reporting.table2_text, {"duration": 120.0},
+           claims=reporting.TABLE2_CLAIMS),
     Figure("ablation_ecn", "ablation_ecn",
            (("tail-drop FIFO", {"use_red": False}),
             ("RED + ECN", {"use_red": True})),
-           reporting.ablation_ecn_text, seed=None),
+           reporting.ablation_ecn_text, seed=None,
+           claims=reporting.ABLATION_ECN_CLAIMS),
     Figure("ablation_phb", "ablation_phb",
            (("FIFO", {"diffserv": False}),
             ("DiffServ strict-priority", {"diffserv": True})),
-           reporting.ablation_phb_text, seed=None),
+           reporting.ablation_phb_text, seed=None,
+           claims=reporting.ABLATION_PHB_CLAIMS),
     Figure("ablation_reserve_policy", "ablation_reserve_policy",
            (("HARD", {"policy": "HARD"}), ("SOFT", {"policy": "SOFT"})),
-           reporting.ablation_reserve_policy_text, seed=None),
+           reporting.ablation_reserve_policy_text, seed=None,
+           claims=reporting.ABLATION_RESERVE_POLICY_CLAIMS),
     Figure("ablation_priority_driven_reservation", "ablation_priority_driven",
            (("arrival order", {"priority_driven": False}),
             ("priority order", {"priority_driven": True})),
-           reporting.ablation_priority_driven_text, seed=None),
+           reporting.ablation_priority_driven_text, seed=None,
+           claims=reporting.ABLATION_PRIORITY_DRIVEN_CLAIMS),
 )}
 
 

@@ -66,7 +66,7 @@ from typing import Any, Dict, List, Optional
 from repro.sim.kernel import Kernel
 from repro.net.packet import HEADER_BYTES
 from repro.core.policies import QosPolicy as CorePolicy
-from repro.experiments.arm import Arm, ArmResult
+from repro.experiments.arm import Arm, ArmResult, Claim
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.quo.contract import Contract, Region
@@ -608,7 +608,7 @@ def run_pubsub_experiment(
 
 
 # ----------------------------------------------------------------------
-# Rendering (shared by the CLI and the fig12 benchmark)
+# Rendering and claims
 # ----------------------------------------------------------------------
 def render_fig12_pubsub(sweeps: "Dict[str, List[PubSubResult]]") -> str:
     """One table per arm over the subscriber sweep + failover recap."""
@@ -702,3 +702,157 @@ def render_fig12_pubsub(sweeps: "Dict[str, List[PubSubResult]]") -> str:
                 f"gap={result.failover_gap:.3f} s")
         sections.append("\n".join(lines))
     return "\n\n".join(sections)
+
+
+#: Measured readers per arm (two per topic).
+MEASURED = TOPICS * MEASURED_PER_TOPIC
+#: The contracted floor: the deepest ladder rung still delivers this.
+FLOOR_FPS = TOPIC_RATE_HZ / ADAPT_LADDER[-1]
+#: The populations past the fan-out knee (~5x and ~10x oversubscribed).
+_OVERSUBSCRIBED = (1024, 2048)
+
+
+def _at(sweeps: "Dict[str, List[PubSubResult]]", arm: str,
+        subscribers: int) -> PubSubResult:
+    """Arm ``arm``'s point at ``subscribers`` in a fig 12 sweep."""
+    return next(result for result in sweeps[arm]
+                if result.subscribers == subscribers)
+
+
+def _adapted_above_the_floor(runs: "Dict[str, List[PubSubResult]]",
+                             subscribers: int) -> bool:
+    """The ladder engaged (region churn beyond the initial entry) and
+    holds every measured reader above the contracted floor, far above
+    best effort's starved readers."""
+    adapted = _at(runs, "adaptive", subscribers)
+    flooded = _at(runs, "best-effort", subscribers)
+    return (adapted.contract_transitions > MEASURED
+            and adapted.min_fps >= FLOOR_FPS
+            and adapted.min_fps > 5 * max(flooded.min_fps, 1.0)
+            and adapted.delivery_fraction >= 0.8
+            and adapted.mean_fps >= 3 * flooded.mean_fps)
+
+
+def _owner_fails_over(owner: PubSubResult) -> bool:
+    """Leases expire and revive, arbitration hands off beyond the
+    initial one per topic, and EXCLUSIVE filtering delivers one
+    writer's stream although primary and backup both publish."""
+    return (owner.liveliness_lost >= 1
+            and owner.liveliness_revived >= 1
+            and owner.ownership_changes > TOPICS
+            and owner.delivery_fraction < 0.6
+            and not owner.exactly_once)
+
+
+def _late_joiners_catch_up(point: PubSubResult) -> bool:
+    """Late matches reserve too; each late reader replays the full
+    pre-join backlog, and replay + live traffic stays duplicate-free."""
+    late = point.late_rows
+    backlog = LATE_JOIN_FRACTION * point.duration * TOPIC_RATE_HZ
+    return (point.grants == MEASURED + TOPICS
+            and len(late) == TOPICS
+            and all(row.replayed >= backlog - 3 for row in late)
+            and point.replays == sum(row.replayed for row in late)
+            and all(row.duplicates == 0 for row in point.reader_rows))
+
+
+def _filters_split_the_topic(point: PubSubResult) -> bool:
+    return (point.grants == MEASURED
+            and point.sends_filtered > 0
+            and point.exactly_once
+            and point.delivery_fraction >= 0.999
+            and abs(point.mean_fps - TOPIC_RATE_HZ / 2.0) <= 1.0
+            and point.min_fps >= TOPIC_RATE_HZ / 2.0 - 1.0)
+
+
+def _partition_elects_reachable_owners(point: PubSubResult) -> bool:
+    """Owners elected without the broker's view, every writer's lease
+    lost and revived across the cut, EXCLUSIVE filtering intact, no
+    measured reader starved, and every handoff within two leases."""
+    return (point.partition_elections >= 2
+            and point.ownership_changes > TOPICS
+            and point.liveliness_lost >= 2 * TOPICS
+            and point.liveliness_revived >= 2 * TOPICS
+            and point.delivery_fraction < 0.6
+            and point.min_fps > FLOOR_FPS
+            and point.failover_gap <= 2 * LEASE)
+
+
+FIG12_CLAIMS = (
+    Claim("the sweep runs 128, 1024 and 2048 subscribers",
+          lambda runs: sorted(point.subscribers
+                              for point in runs["reliable"])
+          == [128, 1024, 2048]),
+    Claim("discovery formed the full measured mesh in every arm",
+          lambda runs: all(
+              point.matches_formed == MEASURED
+              for arm in ("best-effort", "reliable", "adaptive", "filtered")
+              for point in runs[arm])
+          and all(point.matches_formed == 2 * MEASURED
+                  for arm in ("ownership", "partition")
+                  for point in runs[arm])
+          and all(point.matches_formed == MEASURED + TOPICS
+                  for point in runs["durable"])),
+    Claim("RELIABLE + KEEP_ALL claims reserve budget for every match and "
+          "stays exactly-once at every population",
+          lambda runs: all(point.grants == MEASURED and point.exactly_once
+                           and point.delivery_fraction >= 0.999
+                           for point in runs["reliable"])),
+    Claim("...paying for it in deadline misses while retransmissions drain",
+          lambda runs: all(point.total_deadline_misses > 0
+                           for point in runs["reliable"])),
+    Claim("best effort never reserves, and the loss burst bites it even "
+          "when capacity fits",
+          lambda runs: _at(runs, "best-effort", 128).grants == 0
+          and not _at(runs, "best-effort", 128).exactly_once
+          and _at(runs, "best-effort", 128).delivery_fraction >= 0.9),
+    Claim("best effort collapses past the knee and some reader starves",
+          lambda runs: all(
+              _at(runs, "best-effort", subs).delivery_fraction < 0.25
+              and _at(runs, "best-effort", subs).min_fps == 0.0
+              for subs in _OVERSUBSCRIBED)
+          and _at(runs, "best-effort", 2048).delivery_fraction
+          < _at(runs, "best-effort", 1024).delivery_fraction + 1e-9),
+    Claim("deadline-adaptive readers miss nothing when capacity fits",
+          lambda runs: _at(runs, "adaptive", 128).total_deadline_misses == 0
+          and _at(runs, "adaptive", 128).exactly_once),
+    Claim("past the knee the pacing ladder keeps every reader above the "
+          "contracted floor, where best effort starves outright",
+          lambda runs: all(_adapted_above_the_floor(runs, subs)
+                           for subs in _OVERSUBSCRIBED)),
+    Claim("ownership fails over to the strongest live backup and back",
+          lambda runs: all(_owner_fails_over(point)
+                           for point in runs["ownership"])),
+    Claim("at nominal load the backup's stream flows within one lease of "
+          "the crash",
+          lambda runs: _at(runs, "ownership", 128).failover_gap <= LEASE),
+    Claim("under 10x oversubscription failover still completes within two "
+          "leases",
+          lambda runs: all(_at(runs, "ownership", subs).failover_gap
+                           <= 2 * LEASE for subs in _OVERSUBSCRIBED)),
+    Claim("TRANSIENT_LOCAL late joiners replay the full backlog, "
+          "duplicate-free",
+          lambda runs: all(_late_joiners_catch_up(point)
+                           for point in runs["durable"])),
+    Claim("at nominal load catch-up completes: every late reader received "
+          "its history plus the live stream, exactly once",
+          lambda runs: _at(runs, "durable", 128).exactly_once
+          and all(row.delivered == row.sent_to
+                  for row in _at(runs, "durable", 128).late_rows)
+          and _at(runs, "durable", 128).delivery_fraction >= 0.999),
+    Claim("complementary content filters split each topic writer-side: "
+          "half rate per reader, exactly-once",
+          lambda runs: all(_filters_split_the_topic(point)
+                           for point in runs["filtered"])),
+    Claim("a partition elects the strongest reachable writer and the heal "
+          "re-arbitrates everything back",
+          lambda runs: all(_partition_elects_reachable_owners(point)
+                           for point in runs["partition"])),
+    Claim("16x the population costs under 4x the events: the tail is "
+          "fluid, not packets",
+          lambda runs: all(
+              _at(runs, arm, 2048).events_executed
+              < 4 * _at(runs, arm, 128).events_executed
+              and _at(runs, arm, 2048).fluid_epochs >= 1
+              for arm in runs)),
+)

@@ -50,7 +50,7 @@ from repro.net.diffserv import Dscp
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
-from repro.experiments.arm import Arm, ArmResult
+from repro.experiments.arm import Arm, ArmResult, Claim
 from repro.experiments.testbed import Testbed
 from repro.scale.admission import AdmissionController
 
@@ -364,7 +364,7 @@ def run_capacity_experiment(
 
 
 # ----------------------------------------------------------------------
-# Rendering (shared by the CLI and the fig9 benchmark)
+# Rendering and claims
 # ----------------------------------------------------------------------
 def render_fig9_capacity(
         sweeps: "Dict[str, List[CapacityResult]]") -> str:
@@ -426,3 +426,63 @@ def render_fig9_capacity(
                     f"miss {at_peak.mean_miss_rate(False) * 100:.1f}%")
         sections.append("\n".join(lines))
     return "\n\n".join(sections)
+
+
+#: Streams the 10 Mb/s bottleneck can carry at the 0.9 RSVP bound.
+SATURATION_ADMITTED = int(10e6 * UTILIZATION_BOUND / RESERVE_BPS)
+
+
+def _at(sweeps: "Dict[str, List[CapacityResult]]", arm: str,
+        streams: int) -> CapacityResult:
+    """Arm ``arm``'s point at ``streams`` in a fig 9 sweep."""
+    return next(result for result in sweeps[arm]
+                if result.streams == streams)
+
+
+def _rejected_sent(result: CapacityResult) -> int:
+    return sum(row.sent for row in result.class_rows(False))
+
+
+def _admission_holds(peak: CapacityResult) -> bool:
+    return (peak.admitted_count == SATURATION_ADMITTED
+            and peak.min_fps(True) >= 0.9 * VIDEO_FPS
+            and peak.mean_miss_rate(True) < 0.1)
+
+
+FIG9_CLAIMS = (
+    Claim("uncontended, every arm delivers the nominal 30 fps",
+          lambda runs: all(_at(runs, arm, 1).mean_fps() > 0.9 * VIDEO_FPS
+                           for arm in runs)),
+    Claim("without admission the sweep collapses: at N=64 best effort runs "
+          "far below half nominal and nearly every frame misses its deadline",
+          lambda runs: _at(runs, "best-effort", 64).mean_fps()
+          < 0.5 * VIDEO_FPS
+          and _at(runs, "best-effort", 64).mean_miss_rate() > 0.9),
+    Claim("priority lanes beat the background load at moderate N",
+          lambda runs: _at(runs, "priority", 8).mean_fps()
+          > _at(runs, "best-effort", 8).mean_fps()),
+    Claim("...but cannot beat each other, so they collapse at saturation",
+          lambda runs: _at(runs, "priority", 64).mean_fps()
+          < 0.5 * VIDEO_FPS),
+    Claim("admission control admits exactly the streams the bottleneck "
+          "budget carries and holds each at >= 90% of contracted rate at "
+          "N=64",
+          lambda runs: all(_admission_holds(_at(runs, arm, 64))
+                           for arm in ("reserves", "adaptive"))),
+    Claim("below the admission knee everything is admitted",
+          lambda runs: all(_at(runs, arm, 4).admitted_count == 4
+                           for arm in ("reserves", "adaptive"))),
+    Claim("QuO adaptation sheds the rejected class to what fits the "
+          "leftover capacity instead of blasting full rate",
+          lambda runs: _rejected_sent(_at(runs, "adaptive", 16))
+          < 0.5 * _rejected_sent(_at(runs, "reserves", 16))
+          and _at(runs, "adaptive", 16).total("filtered") > 0),
+    Claim("even at N=64 shedding never sends more than blind streaming",
+          lambda runs: _rejected_sent(_at(runs, "adaptive", 64))
+          < _rejected_sent(_at(runs, "reserves", 64))),
+    Claim("the admission books match the physics at saturation",
+          lambda runs: _at(runs, "reserves", 64).bottleneck_committed_bps
+          <= 10e6 * UTILIZATION_BOUND + 1e-6
+          and _at(runs, "reserves", 64).bottleneck_committed_bps
+          == _at(runs, "reserves", 64).admitted_count * RESERVE_BPS),
+)

@@ -62,7 +62,7 @@ from repro.net.packet import HEADER_BYTES
 from repro.avstreams.endpoints import FRAGMENT_BYTES
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
-from repro.experiments.arm import Arm, ArmResult
+from repro.experiments.arm import Arm, ArmResult, Claim
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.scale.admission import AdmissionController
@@ -477,7 +477,7 @@ def run_scale_experiment(
 
 
 # ----------------------------------------------------------------------
-# Rendering (shared by the CLI and the fig10 benchmark)
+# Rendering and claims
 # ----------------------------------------------------------------------
 def render_fig10_scale(sweeps: "Dict[str, List[ScaleResult]]") -> str:
     """The fig 10 text figure: one table per arm + tenant isolation recap."""
@@ -525,3 +525,82 @@ def render_fig10_scale(sweeps: "Dict[str, List[ScaleResult]]") -> str:
                 f"{cap} Mbps pool")
         sections.append("\n".join(lines))
     return "\n\n".join(sections)
+
+
+#: Per-tenant reserve pool at the fig 10 defaults...
+TENANT_POOL_BPS = SCALE_BOTTLENECK_BPS * UTILIZATION_BOUND / SCALE_TENANTS
+#: ...and the admissions that fit in it / in the whole bottleneck.
+PER_TENANT_CAP = int(TENANT_POOL_BPS / RESERVE_BPS)
+SATURATION_ADMITTED = PER_TENANT_CAP * SCALE_TENANTS
+
+_ADMITTING_ARMS = ("reserves", "adaptive", "overload")
+
+
+def _at(sweeps: "Dict[str, List[ScaleResult]]", arm: str,
+        streams: int) -> ScaleResult:
+    """Arm ``arm``'s point at ``streams`` in a fig 10 sweep."""
+    return next(result for result in sweeps[arm]
+                if result.streams == streams)
+
+
+def _books_within_budget(point: ScaleResult) -> bool:
+    """Neither the bottleneck's nor any tenant's books overflow."""
+    return (point.bottleneck_committed_bps
+            <= SCALE_BOTTLENECK_BPS * UTILIZATION_BOUND + 1e-3
+            and all(committed <= pool + 1e-3
+                    for committed, pool in point.tenant_books.values()))
+
+
+def _victims_admitted_in_full(storm: ScaleResult) -> bool:
+    """The flooding tenant exhausts exactly its own pool while the
+    other tenants' requests (500 over 3 tenants at N=1000, all below
+    their caps) are admitted in full."""
+    t0_committed, t0_pool = storm.tenant_books["t0"]
+    victims = sum(committed for tenant, (committed, _pool)
+                  in storm.tenant_books.items() if tenant != "t0")
+    return (t0_committed >= t0_pool - RESERVE_BPS
+            and victims == (storm.streams - storm.streams // 2) * RESERVE_BPS)
+
+
+FIG10_CLAIMS = (
+    Claim("the sweep spans 10^2..10^5 streams",
+          lambda runs: sorted(point.streams for point in runs["reserves"])
+          == [100, 1000, 10_000, 100_000]),
+    Claim("admission holds the admitted class at contracted rate through "
+          "five orders of magnitude of load",
+          lambda runs: all(point.admitted_stats.mean_fps >= 0.9 * VIDEO_FPS
+                           and point.admitted_stats.miss_rate < 0.1
+                           for arm in _ADMITTING_ARMS
+                           for point in runs[arm])),
+    Claim("the books never overflow the bottleneck or any tenant pool",
+          lambda runs: all(_books_within_budget(point)
+                           for arm in _ADMITTING_ARMS
+                           for point in runs[arm])),
+    Claim("past the knee the admitted count pins to the pools",
+          lambda runs: _at(runs, "reserves", 100).admitted_count == 100
+          and _at(runs, "reserves", 100_000).admitted_count
+          == SATURATION_ADMITTED),
+    Claim("without admission, best effort collapses at the top of the sweep",
+          lambda runs: _at(runs, "best-effort", 100_000).best_effort_stats
+          .mean_fps < 0.1 * VIDEO_FPS
+          and _at(runs, "best-effort", 100_000).best_effort_stats
+          .loss_rate > 0.9),
+    Claim("...but the uncontended bottom of the sweep is healthy",
+          lambda runs: _at(runs, "best-effort", 100).best_effort_stats
+          .mean_fps > 0.9 * VIDEO_FPS),
+    Claim("adaptation sheds the rejected class: less offered, so a smaller "
+          "lost fraction",
+          lambda runs: _at(runs, "adaptive", 100_000).governor_transitions > 0
+          and _at(runs, "adaptive", 100_000).best_effort_stats.loss_rate
+          <= _at(runs, "reserves", 100_000).best_effort_stats.loss_rate
+          + 1e-9),
+    Claim("a flooding tenant cannot displace anyone else's admissions",
+          lambda runs: _victims_admitted_in_full(_at(runs, "overload", 1000))),
+    Claim("hybrid event counts grow sub-linearly: 1000x the offered load "
+          "costs under 10x the events",
+          lambda runs: all(
+              _at(runs, arm, 100_000).events_executed
+              < 10 * _at(runs, arm, 100).events_executed
+              and _at(runs, arm, 100_000).fluid_epochs >= 1
+              for arm in runs)),
+)

@@ -82,6 +82,18 @@ def test_time_monotonicity_catches_backwards_time():
     assert err.value.context["previous_time"] == 1.0
 
 
+def test_violation_survives_a_pickle_round_trip():
+    """A violation raised in a pool worker is pickled back to the parent;
+    rebuilding it from its formatted message alone raised in the pool's
+    result thread and hung ``repro --jobs 2 verify``."""
+    violation = InvariantViolation("time-monotonic", "time went backwards",
+                                   {"previous_time": 1.0})
+    clone = pickle.loads(pickle.dumps(violation))
+    assert (clone.checker, clone.message, clone.context) == (
+        "time-monotonic", "time went backwards", {"previous_time": 1.0})
+    assert str(clone) == str(violation)
+
+
 def test_time_monotonicity_final_check_against_kernel_clock():
     checker = TimeMonotonicityChecker()
     checker.attach(bare_world())  # kernel.now stays 0.0

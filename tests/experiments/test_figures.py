@@ -1,17 +1,21 @@
-"""The figure table and the one verb that reads it.
+"""The figure table and the verbs that read it.
 
 ``scenario_registry.FIGURES`` is the only place a figure is declared;
-these tests hold it to the committed ``results/`` directory, to the
-benchmark suite and to the scenario signatures, and hold ``repro run``
-to the bytes of the results files.
+these tests hold it to the committed ``results/`` directory, to its
+claims and to the scenario signatures, hold ``repro run`` to the bytes
+of the results files, and hold ``repro verify`` to failing on a changed
+byte, a broken claim or a violated invariant.
 """
 
 import inspect
 import pathlib
 import pickle
+import shutil
 
 import pytest
 
+import repro.check
+from repro.check import InvariantChecker
 from repro.cli import build_parser, main, resolve_figure, select
 from repro.experiments.arm import Arm
 from repro.experiments.fault_exp import FaultArm
@@ -27,7 +31,7 @@ from repro.scale.fig10 import ScaleArm
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-#: Cheap enough for tier-1 (under 3 s together); the CI ``bench`` job
+#: Cheap enough for tier-1 (under 3 s together); CI's ``verify`` job
 #: holds all 16 figures to the same equality.
 CHEAP_FIGURES = [
     "ablation_ecn", "ablation_phb", "ablation_reserve_policy",
@@ -45,9 +49,11 @@ def test_one_figure_per_results_file():
     assert all(figure.name == name for name, figure in FIGURES.items())
 
 
-def test_every_figure_has_a_benchmark():
-    for name in FIGURES:
-        assert (ROOT / "benchmarks" / f"test_{name}.py").is_file(), name
+def test_every_figure_states_a_claim():
+    for name, figure in FIGURES.items():
+        assert figure.claims, name
+        assert all(claim.name and callable(claim.holds)
+                   for claim in figure.claims), name
 
 
 def test_every_spec_is_callable_as_written():
@@ -106,6 +112,80 @@ def test_run_prints_the_bytes_of_the_results_file(name, capsys):
     assert main(["--no-cache", "--jobs", "1", "run", name]) == 0
     committed = (ROOT / "results" / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == committed
+
+
+# ----------------------------------------------------------------------
+# repro verify: one pass under the suite, against results/ and claims
+# ----------------------------------------------------------------------
+#: The figures tier-1 verifies: together about as cheap as one fig 10.
+VERIFIED = ["ablation_ecn", "ablation_phb", "ablation_reserve_policy",
+            "ablation_priority_driven_reservation", "fig2"]
+
+
+def test_verify_passes_the_cheap_figures(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(["verify", *VERIFIED]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\nok ") + out.startswith("ok ") == len(VERIFIED)
+    assert out.endswith(f"verify clean: {len(VERIFIED)} figure(s)\n")
+
+
+def test_verify_fails_on_one_changed_byte(tmp_path, capsys, monkeypatch):
+    name = "fig2_priority_propagation"
+    shutil.copytree(ROOT / "results", tmp_path / "results")
+    path = tmp_path / "results" / f"{name}.txt"
+    committed = path.read_text(encoding="utf-8")
+    changed = committed.replace("| 136 ", "| 137 ", 1)
+    assert len(changed) == len(committed) and changed != committed
+    path.write_text(changed, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--jobs", "1", "verify", name]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {name}\n" in out
+    assert f"differs from results/{name}.txt at line 5:" in out
+    assert path.read_text(encoding="utf-8") == changed  # verify writes nothing
+    assert "claim does not hold" not in out
+
+
+def test_verify_fails_on_a_claim_that_does_not_hold(capsys, monkeypatch):
+    figure = FIGURES["fig2_priority_propagation"]
+    first, *rest = figure.claims
+    monkeypatch.setitem(FIGURES, figure.name, figure._replace(
+        claims=(first._replace(holds=lambda runs: False), *rest)))
+    monkeypatch.chdir(ROOT)
+    assert main(["--jobs", "1", "verify", "fig2"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {figure.name}\n  claim does not hold: {first.name}\n" in out
+    assert "differs" not in out
+    assert "verify FAILED: 1/1 figure(s)" in out
+
+
+class _Refuses(InvariantChecker):
+    """Fails every run at teardown: proof the suite is installed."""
+
+    name = "refuses"
+    layers = ()
+
+    def final_check(self):
+        self.fail("planted teardown failure")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_runs_every_arm_under_the_suite(jobs, capsys, monkeypatch):
+    suite = repro.check.default_suite
+
+    def planted():
+        checks = suite()
+        checks.checkers.append(_Refuses())
+        return checks
+
+    monkeypatch.setattr(repro.check, "default_suite", planted)
+    monkeypatch.chdir(ROOT)
+    # Two arms: at --jobs 2 the violation crosses back from a worker.
+    assert main(["--jobs", jobs, "verify", "ablation_reserve_policy"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL ablation_reserve_policy\n  invariant violated: [refuses] "
+            "planted teardown failure") in out
 
 
 def test_cli_table1_single_arm(capsys):

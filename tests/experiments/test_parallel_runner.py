@@ -249,14 +249,6 @@ def test_cache_disabled_never_touches_disk(tmp_path):
     assert not (tmp_path / "cache").exists()
 
 
-def test_cache_respects_env_toggle(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    runner = _runner(tmp_path)
-    assert not runner.cache_enabled
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    assert _runner(tmp_path).cache_enabled
-
-
 def _fig9_arm(**extra):
     return RunSpec("capacity",
                    {"arm": {"name": "reserves", "priorities": True,

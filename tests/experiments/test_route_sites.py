@@ -1,9 +1,10 @@
 """fig 11 site selection: the endpoints attach where they always did.
 
-``_router_distances`` used to sort a router's neighbours on every BFS
-visit; hop distances and the ``(-hops, a, b)`` minimum do not depend on
-visit order, so the sort is gone.  These are the pairs the sorting
-version chose.
+Hop counts once came from a breadth-first search of fig 11's own (at
+first with each router's neighbours sorted on every visit); they are
+now SPF costs over the converged link-state graph.  Hop distances and
+the ``(-hops, a, b)`` minimum depend on neither the search nor its
+visit order, so these are the pairs the sorted BFS chose.
 """
 
 import pytest

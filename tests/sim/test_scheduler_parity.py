@@ -17,7 +17,7 @@ Two pins hold the simulator to that:
   ``--jobs 1`` and ``--jobs 4`` produce identical payloads.
 
 Each scenario family runs here at a scaled-down duration (the full
-figures belong to ``benchmarks/``); the suite still exercises every
+figures belong to ``repro verify``); the suite still exercises every
 code path that schedules events — priority lanes, network and CPU
 reservation, fault injection and recovery, the capacity farm's
 frame clock, the soak harness's invariant checkers, and all four
