@@ -975,7 +975,8 @@ class RoutingChecker(InvariantChecker):
                                   dst=dst, start=router.name)
 
     def _check_lsdb_consistency(self, network, routing) -> None:
-        from repro.net.routing import spf_search, two_way_adjacency
+        from repro.net.routing import (
+            spf_routes, spf_search, two_way_adjacency)
 
         # Converged LSDBs hold the same LSA objects: one graph serves
         # every node (keyed by content, so a node that differs despite
@@ -986,17 +987,8 @@ class RoutingChecker(InvariantChecker):
             content = frozenset(node.lsdb.values())
             if content not in graphs:
                 graphs[content] = two_way_adjacency(node.lsdb)
-            table = spf_search(graphs[content], name)
-            adjacency = dict(network._adjacency[name])
-            expected = {}
-            for dst in sorted(table):
-                if dst in routing.nodes:
-                    continue
-                _, first_hop = table[dst]
-                egress = adjacency.get(first_hop)
-                if egress is not None and egress.link is not None \
-                        and egress.link.up:
-                    expected[dst] = egress
+            expected = spf_routes(network, name,
+                                  spf_search(graphs[content], name))
             self.require(
                 node.router.routes == expected,
                 "installed routes drifted from the node's own LSDB",

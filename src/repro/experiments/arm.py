@@ -13,7 +13,7 @@ results must show is a :class:`Claim`.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Callable, Dict, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.policies import QosPolicy
 
@@ -117,3 +117,16 @@ class Claim(NamedTuple):
 
     name: str
     holds: Callable[[Dict[str, Any]], bool]
+
+
+def sweep_lookup(param: str
+                 ) -> Callable[[Dict[str, List[Any]], str, int], Any]:
+    """The claims' point lookup for a figure swept over ``param``:
+    ``at(runs, arm, point)`` is arm ``arm``'s run whose ``param`` (the
+    result attribute named like the spec param) equals ``point``."""
+
+    def at(sweeps: Dict[str, List[Any]], arm: str, point: int) -> Any:
+        return next(run for run in sweeps[arm]
+                    if getattr(run, param) == point)
+
+    return at

@@ -14,7 +14,7 @@ Four arms cross the two recovery mechanisms:
   re-signaling, restoring the guaranteed-rate lane on the new path.
 
 Every arm starts from the *same* converged SPF tables
-(:func:`~repro.net.routing.install_spf_routes`), runs the same QuO
+(:meth:`~repro.net.topology.Network.compute_routes`), runs the same QuO
 frame-filtering adaptation, and faces the same congested detour: a
 12 Mbps CBR cross-traffic source parks on the middle edge of the
 predicted post-failure path, so surviving the reroute at full rate
@@ -33,9 +33,8 @@ from repro.net.topology import Network, generate_topology
 from repro.net.routing import (
     LinkStateRouting,
     ReservationResignaler,
-    _global_lsdb,
-    install_spf_routes,
     predict_path,
+    router_lsa,
     spf_search,
     two_way_adjacency,
 )
@@ -123,7 +122,8 @@ def _farthest_router_pair(net: Network) -> Tuple[str, str]:
     router-router edges all cost 1; the minimum over ``(-hops, a, b)``
     does not depend on the order the search settles routers in.
     """
-    lsdb = _global_lsdb(net)
+    lsdb = {router.name: router_lsa(net, router.name, 1)
+            for router in net.routers}
     graph = two_way_adjacency(lsdb)
     best: Optional[Tuple[float, str, str]] = None
     for router in sorted(lsdb):
@@ -211,7 +211,7 @@ def run_route_experiment(
     # --- routing plane -------------------------------------------------
     # Every arm starts from identical converged SPF tables; the dynamic
     # arms additionally run the live protocol on top of them.
-    install_spf_routes(net)
+    net.compute_routes()
     routing: Optional[LinkStateRouting] = None
     if arm.dynamic:
         routing = LinkStateRouting(kernel, net, spf_delay=SPF_DELAY)

@@ -471,4 +471,7 @@ class ExperimentRunner:
         workers = min(self.jobs, len(fields))
         with ctx.Pool(processes=workers) as pool:
             # pool.map preserves input order — the deterministic merge.
-            return pool.map(_execute, fields)
+            # One arm per task: arms differ in length a hundredfold, so
+            # a worker takes the next arm whenever it frees up rather
+            # than a fixed slice of the list.
+            return pool.map(_execute, fields, chunksize=1)

@@ -56,7 +56,7 @@ from repro.experiments.route_exp import (
     route_arms,
     run_route_experiment,
 )
-from repro.experiments.runner import RunSpec, scenario
+from repro.experiments.runner import RunSpec, scenario, scenario_function
 from repro.pubsub.fig12 import (
     FIG12_CLAIMS,
     PubSubArm,
@@ -128,6 +128,22 @@ def _soak_case(case: Dict[str, Any], seed: Optional[int] = None):
     del seed
     from repro.check.soak import run_soak_case
     return run_soak_case(case)
+
+
+@scenario("checked")
+def _checked(scenario: str, params: Dict[str, Any],
+             seed: Optional[int] = None):
+    """One run of ``scenario`` under its own ``default_suite()``, built
+    where it runs.  A violation comes back as the payload, not raised,
+    so in a pool of many figures' arms it fails only its own figure
+    (:class:`~repro.check.InvariantViolation` pickles)."""
+    from repro.check import InvariantViolation, default_suite
+
+    spec = RunSpec(scenario, {**params, "checks": default_suite()}, seed)
+    try:
+        return scenario_function(scenario)(**spec.call_kwargs())
+    except InvariantViolation as violation:
+        return violation
 
 
 def _seedless_scenario(run: Callable[..., Any]) -> Callable[..., Any]:

@@ -20,12 +20,13 @@ Layering (bottom up):
 
 ``topology``
     The :class:`Network` builder: attach hosts, create routers, wire
-    duplex links, compute shortest-path routes.  Also the topology
+    duplex links, install the converged SPF routes.  Also the topology
     generators (Waxman, fat-tree, multi-PoP WAN) the scale scenarios
     build on.
 
 ``routing``
-    Dynamic link-state routing: LSA flooding, Dijkstra SPF with
+    Link-state routing: the LSA builder and SPF-table installer every
+    route computation shares, LSA flooding, Dijkstra SPF with
     deterministic tie-breaks, and RSVP make-before-break re-signaling
     on convergence.
 
@@ -64,7 +65,6 @@ from repro.net.routing import (
     LinkStateRouting,
     Lsa,
     ReservationResignaler,
-    install_spf_routes,
     predict_path,
     seq_newer,
     spf_first_hops,
@@ -111,7 +111,6 @@ __all__ = [
     "classify",
     "fat_tree_topology",
     "generate_topology",
-    "install_spf_routes",
     "predict_path",
     "seq_newer",
     "spf_first_hops",

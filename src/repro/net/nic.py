@@ -32,7 +32,7 @@ class Nic:
 
     The Nic is a :class:`~repro.net.topology.Device`: the Network wires
     its interfaces to routers or directly to other hosts, and fills in
-    :attr:`routes` for multi-homed hosts.
+    :attr:`routes`.
     """
 
     def __init__(self, kernel: Kernel, host: "Host", name: str = "eth0") -> None:
@@ -43,8 +43,9 @@ class Nic:
         #: Interface label within the host (e.g. "eth0").
         self.ifname = name
         self.interfaces: List[Interface] = []
-        #: Destination host name -> egress interface (multi-homed only;
-        #: single-homed hosts always use their one interface).
+        #: Destination host name -> egress interface, filled by
+        #: :meth:`~repro.net.topology.Network.compute_routes`; a
+        #: destination with no entry leaves on the first interface.
         self.routes: Dict[str, Interface] = {}
         self._bindings: Dict[Tuple[Protocol, int], Receiver] = {}
         self._next_ephemeral = 49152
@@ -86,9 +87,6 @@ class Nic:
     def interface(self) -> Optional[Interface]:
         """The primary (first) interface; None if unattached."""
         return self.interfaces[0] if self.interfaces else None
-
-    def set_route(self, destination: str, interface: Interface) -> None:
-        self.routes[destination] = interface
 
     def egress_for(self, destination: str) -> Interface:
         """Interface used for traffic toward ``destination``."""

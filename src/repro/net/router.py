@@ -61,9 +61,6 @@ class Router:
     def add_interface(self, interface: Interface) -> None:
         self.interfaces[interface.name] = interface
 
-    def set_route(self, destination: str, interface: Interface) -> None:
-        self.routes[destination] = interface
-
     def egress_for(self, destination: str) -> Optional[Interface]:
         return self.routes.get(destination)
 

@@ -1,11 +1,15 @@
 """Link-state routing: LSA flooding + Dijkstra SPF over the topology.
 
-Replaces the one-shot static :meth:`Network.compute_routes` with live
-per-router tables that react to link failures and repairs — the layer
-the paper's adaptation story was missing between the fault injector
-and the QuO contract: when a backbone link dies, routers must *learn*
-about it and heal the forwarding plane before any amount of reserve or
-shed-based adaptation can matter.
+:meth:`Network.compute_routes` installs the converged tables of this
+protocol once; :class:`LinkStateRouting` keeps them live, reacting to
+link failures and repairs — the layer the paper's adaptation story was
+missing between the fault injector and the QuO contract: when a
+backbone link dies, routers must *learn* about it and heal the
+forwarding plane before any amount of reserve or shed-based
+adaptation can matter.  Both build each router's LSA with
+:func:`router_lsa` and turn its SPF table into routes with
+:func:`spf_routes`, so a static table and a converged live one are
+the same table.
 
 Protocol model
 --------------
@@ -57,7 +61,7 @@ import heapq
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel
-from repro.net.link import Link
+from repro.net.link import Interface, Link
 from repro.net.router import Router
 from repro.net.topology import Network
 
@@ -65,8 +69,9 @@ __all__ = [
     "Lsa",
     "LinkStateRouting",
     "ReservationResignaler",
-    "install_spf_routes",
     "predict_path",
+    "router_lsa",
+    "spf_routes",
     "spf_first_hops",
     "spf_search",
     "two_way_adjacency",
@@ -196,6 +201,48 @@ def spf_first_hops(lsdb: Dict[str, Lsa], origin: str
     return spf_search(two_way_adjacency(lsdb), origin)
 
 
+def router_lsa(network: Network, name: str, seq: int,
+               down: FrozenSet[Link] = frozenset()) -> Lsa:
+    """Router ``name``'s advertisement of its wiring under ``seq``.
+
+    Every up link counts except those in ``down``: a router peer at
+    cost 1, a host as a stub.
+    """
+    neighbors: List[Tuple[str, float]] = []
+    stubs: List[str] = []
+    for peer, iface in network._adjacency[name]:
+        link = iface.link
+        if link is None or not link.up or link in down:
+            continue
+        if isinstance(network.device(peer), Router):
+            neighbors.append((peer, 1.0))
+        else:
+            stubs.append(peer)
+    return Lsa(name, seq, tuple(sorted(neighbors)), tuple(sorted(stubs)))
+
+
+def spf_routes(network: Network, name: str,
+               table: Dict[str, Tuple[float, str]]) -> Dict[str, Interface]:
+    """Router ``name``'s forwarding table from its SPF ``table``.
+
+    Each host destination, in name order, leaves on the interface
+    toward its first hop; router destinations carry no route.  A first
+    hop behind a down link gets none either: the LSDB the table came
+    from may not have heard of the failure yet.
+    """
+    devices = network._devices
+    egress_to = dict(network._adjacency[name])
+    routes: Dict[str, Interface] = {}
+    for dst in sorted(table):
+        if isinstance(devices.get(dst), Router):
+            continue
+        egress = egress_to.get(table[dst][1])
+        if egress is not None and egress.link is not None \
+                and egress.link.up:
+            routes[dst] = egress
+    return routes
+
+
 class _Node:
     """Per-router protocol state."""
 
@@ -272,7 +319,7 @@ class LinkStateRouting:
         seed: Dict[str, Lsa] = {}
         for name, node in sorted(self.nodes.items()):
             node.seq = 1
-            seed[name] = self._build_lsa(name)
+            seed[name] = router_lsa(self.network, name, node.seq)
         for name, node in sorted(self.nodes.items()):
             node.lsdb = dict(seed)
             if self.max_age is not None:
@@ -302,20 +349,6 @@ class LinkStateRouting:
     # ------------------------------------------------------------------
     # LSA origination and flooding
     # ------------------------------------------------------------------
-    def _build_lsa(self, name: str) -> Lsa:
-        neighbors: List[Tuple[str, float]] = []
-        stubs: List[str] = []
-        for peer, iface in self.network._adjacency[name]:
-            link = iface.link
-            if link is None or not link.up:
-                continue
-            if isinstance(self.network.device(peer), Router):
-                neighbors.append((peer, 1.0))
-            else:
-                stubs.append(peer)
-        return Lsa(name, self.nodes[name].seq,
-                   tuple(sorted(neighbors)), tuple(sorted(stubs)))
-
     def _on_link_state(self, link: Link, up: bool) -> None:
         for iface in (link.a, link.b):
             if iface.owner.name in self.nodes:
@@ -324,7 +357,7 @@ class LinkStateRouting:
     def _originate(self, name: str) -> None:
         node = self.nodes[name]
         node.seq = (node.seq + 1) % SEQ_MODULUS
-        lsa = self._build_lsa(name)
+        lsa = router_lsa(self.network, name, node.seq)
         self.lsas_originated += 1
         tracer = self.kernel.tracer
         if tracer is not None:
@@ -420,27 +453,15 @@ class LinkStateRouting:
 
     def _run_spf(self, node: _Node, notify: bool) -> None:
         self.spf_runs += 1
-        table = spf_search(self._adjacency_of(node.lsdb), node.router.name)
-        before = dict(node.router.routes)
-        node.router.routes.clear()
-        adjacency = {
-            peer: iface
-            for peer, iface in self.network._adjacency[node.router.name]
-        }
-        for dst in sorted(table):
-            if dst in self.nodes:
-                continue  # install host destinations only
-            _, first_hop = table[dst]
-            egress = adjacency.get(first_hop)
-            if egress is not None and egress.link is not None \
-                    and egress.link.up:
-                node.router.routes[dst] = egress
-        changed = node.router.routes != before
+        name = node.router.name
+        routes = spf_routes(self.network, name,
+                            spf_search(self._adjacency_of(node.lsdb), name))
+        changed = routes != node.router.routes
+        node.router.routes = routes
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant("net", "spf.install",
-                           fields={"router": node.router.name,
-                                   "routes": len(node.router.routes),
+                           fields={"router": name, "routes": len(routes),
                                    "changed": changed})
         if changed and notify:
             for callback in self._listeners:
@@ -479,52 +500,8 @@ class ReservationResignaler:
 
 
 # ----------------------------------------------------------------------
-# One-shot helpers (static snapshots of the same SPF)
+# Path prediction over the same SPF
 # ----------------------------------------------------------------------
-def _global_lsdb(network: Network,
-                 down: FrozenSet[Link] = frozenset()) -> Dict[str, Lsa]:
-    lsdb: Dict[str, Lsa] = {}
-    for router in network.routers:
-        neighbors: List[Tuple[str, float]] = []
-        stubs: List[str] = []
-        for peer, iface in network._adjacency[router.name]:
-            link = iface.link
-            if link is None or not link.up or link in down:
-                continue
-            if isinstance(network.device(peer), Router):
-                neighbors.append((peer, 1.0))
-            else:
-                stubs.append(peer)
-        lsdb[router.name] = Lsa(router.name, 1,
-                                tuple(sorted(neighbors)),
-                                tuple(sorted(stubs)))
-    return lsdb
-
-
-def install_spf_routes(network: Network) -> None:
-    """Install the converged SPF tables once, with no live protocol.
-
-    The static-route arms of fig11 use this so their initial tables are
-    *identical* to what :class:`LinkStateRouting` would install — the
-    experiment's axis is then purely "does the network re-converge",
-    never "did the two arms start on different shortest paths".
-    """
-    lsdb = _global_lsdb(network)
-    graph = two_way_adjacency(lsdb)
-    router_names = set(lsdb)
-    for router in sorted(network.routers, key=lambda r: r.name):
-        table = spf_search(graph, router.name)
-        adjacency = dict(network._adjacency[router.name])
-        router.routes.clear()
-        for dst in sorted(table):
-            if dst in router_names:
-                continue
-            _, first_hop = table[dst]
-            egress = adjacency.get(first_hop)
-            if egress is not None:
-                router.routes[dst] = egress
-
-
 def predict_path(network: Network, src_host: str, dst_host: str,
                  down: FrozenSet[Link] = frozenset()) -> List[str]:
     """The hop-by-hop forwarding path converged SPF tables produce.
@@ -535,7 +512,9 @@ def predict_path(network: Network, src_host: str, dst_host: str,
     equal-cost splits.  Raises ``KeyError`` when ``dst_host`` is
     unreachable under the given set of ``down`` links.
     """
-    graph = two_way_adjacency(_global_lsdb(network, down))
+    graph = two_way_adjacency({
+        router.name: router_lsa(network, router.name, 1, down)
+        for router in network.routers})
     nic = network.nic_of(src_host)
     if not nic.interfaces:
         raise KeyError(f"host {src_host!r} has no attached links")

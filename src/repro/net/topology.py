@@ -1,9 +1,10 @@
 """Network construction and routing.
 
 The :class:`Network` builder wires hosts (via their NICs) and routers
-into an arbitrary topology of full-duplex links, then computes static
-shortest-path routes (hop count) for every host destination — the
-simulated analogue of the testbed's statically configured LAN.
+into an arbitrary topology of full-duplex links, then installs the
+converged link-state routes (:mod:`repro.net.routing`'s SPF) for every
+host destination — the simulated analogue of the testbed's statically
+configured LAN.
 
 Queue disciplines are chosen *per link direction* at wiring time, which
 is how experiments flip a topology between best-effort, DiffServ, and
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.sim.kernel import Kernel
@@ -121,43 +121,46 @@ class Network:
         return link
 
     def compute_routes(self) -> None:
-        """(Re)build every router's routing table by hop-count BFS.
+        """(Re)install every device's table: the converged SPF routes.
 
-        Tables are cleared first: a destination that became unreachable
-        after a topology change must lose its entry (and its packets be
-        counted unroutable) rather than keep a stale egress into a dead
-        link.  Links that are down do not carry routes.
+        Each router gets the table
+        :class:`~repro.net.routing.LinkStateRouting` installs on a
+        converged network.  Each host reaches a destination host over a
+        direct link, else through the attached router with the least
+        SPF cost to it (ties by router name); a host never carries
+        transit.  Links that are down carry no routes, and every table
+        is rebuilt whole: a destination that became unreachable loses
+        its entry (and its packets are counted unroutable) rather than
+        keep a stale egress into a dead link.
         """
-        for device in self._devices.values():
-            device.routes.clear()
-        for host_name in self._hosts:
-            self._route_toward(host_name)
+        from repro.net.routing import (  # local import: cycle
+            router_lsa, spf_routes, spf_search, two_way_adjacency)
 
-    def _route_toward(self, destination: str) -> None:
-        visited = {destination}
-        frontier = deque([destination])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor, iface in self._adjacency[current]:
-                if neighbor in visited:
+        routers = self.routers
+        graph = two_way_adjacency(
+            {router.name: router_lsa(self, router.name, 1)
+             for router in routers})
+        tables = {}
+        for router in routers:
+            tables[router.name] = table = spf_search(graph, router.name)
+            router.routes = spf_routes(self, router.name, table)
+        for name in self._hosts:
+            best: Dict[str, Tuple[Tuple[float, str], Interface]] = {}
+            for peer, iface in self._adjacency[name]:
+                if iface.link is None or not iface.link.up:
                     continue
-                if iface.link is not None and not iface.link.up:
-                    continue
-                visited.add(neighbor)
-                device = self._devices[neighbor]
-                egress = self._interface_toward(neighbor, current)
-                device.set_route(destination, egress)
-                # Hosts never forward transit traffic, so the search
-                # may not continue *through* a NIC — only routers (and
-                # the destination itself) extend the frontier.
-                if isinstance(device, Router):
-                    frontier.append(neighbor)
-
-    def _interface_toward(self, device_name: str, neighbor: str) -> Interface:
-        for name, interface in self._adjacency[device_name]:
-            if name == neighbor:
-                return interface
-        raise KeyError(f"no link {device_name} -> {neighbor}")
+                if peer in self._hosts:
+                    offers = [(peer, 0.0)]
+                else:
+                    offers = [(dst, cost)
+                              for dst, (cost, _) in tables[peer].items()
+                              if dst in self._hosts]
+                for dst, cost in offers:
+                    key = (cost + 1.0, peer)
+                    if dst != name and (dst not in best or key < best[dst][0]):
+                        best[dst] = (key, iface)
+            self._devices[name].routes = {dst: best[dst][1]
+                                          for dst in sorted(best)}
 
     def enable_intserv(
         self,

@@ -66,7 +66,7 @@ from typing import Any, Dict, List, Optional
 from repro.sim.kernel import Kernel
 from repro.net.packet import HEADER_BYTES
 from repro.core.policies import QosPolicy as CorePolicy
-from repro.experiments.arm import Arm, ArmResult, Claim
+from repro.experiments.arm import Arm, ArmResult, Claim, sweep_lookup
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.quo.contract import Contract, Region
@@ -712,11 +712,7 @@ FLOOR_FPS = TOPIC_RATE_HZ / ADAPT_LADDER[-1]
 _OVERSUBSCRIBED = (1024, 2048)
 
 
-def _at(sweeps: "Dict[str, List[PubSubResult]]", arm: str,
-        subscribers: int) -> PubSubResult:
-    """Arm ``arm``'s point at ``subscribers`` in a fig 12 sweep."""
-    return next(result for result in sweeps[arm]
-                if result.subscribers == subscribers)
+_at = sweep_lookup("subscribers")
 
 
 def _adapted_above_the_floor(runs: "Dict[str, List[PubSubResult]]",

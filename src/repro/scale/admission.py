@@ -7,10 +7,10 @@ The :class:`AdmissionController` answers it by reading the network it
 admits onto, so it applies exactly what the enforcing layers will:
 
 - the route is the walk of the installed forwarding tables
-  (``device.routes[dst]`` hop by hop), whichever of
-  :meth:`~repro.net.topology.Network.compute_routes` or
-  :func:`~repro.net.routing.install_spf_routes` filled them, so a grant
-  books the egresses the RSVP PATH actually crosses;
+  (``device.routes[dst]`` hop by hop, as
+  :meth:`~repro.net.topology.Network.compute_routes` or the live
+  routing engine filled them), so a grant books the egresses the RSVP
+  PATH actually crosses;
 - an egress's budget is its link's as-built rate times the owning
   device's :class:`~repro.net.intserv.RsvpAgent` utilization bound;
 - a host's CPU bound is its

@@ -50,7 +50,7 @@ from repro.net.diffserv import Dscp
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
-from repro.experiments.arm import Arm, ArmResult, Claim
+from repro.experiments.arm import Arm, ArmResult, Claim, sweep_lookup
 from repro.experiments.testbed import Testbed
 from repro.scale.admission import AdmissionController
 
@@ -432,11 +432,7 @@ def render_fig9_capacity(
 SATURATION_ADMITTED = int(10e6 * UTILIZATION_BOUND / RESERVE_BPS)
 
 
-def _at(sweeps: "Dict[str, List[CapacityResult]]", arm: str,
-        streams: int) -> CapacityResult:
-    """Arm ``arm``'s point at ``streams`` in a fig 9 sweep."""
-    return next(result for result in sweeps[arm]
-                if result.streams == streams)
+_at = sweep_lookup("streams")
 
 
 def _rejected_sent(result: CapacityResult) -> int:

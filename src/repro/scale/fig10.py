@@ -62,7 +62,7 @@ from repro.net.packet import HEADER_BYTES
 from repro.avstreams.endpoints import FRAGMENT_BYTES
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
-from repro.experiments.arm import Arm, ArmResult, Claim
+from repro.experiments.arm import Arm, ArmResult, Claim, sweep_lookup
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.scale.admission import AdmissionController
@@ -536,11 +536,7 @@ SATURATION_ADMITTED = PER_TENANT_CAP * SCALE_TENANTS
 _ADMITTING_ARMS = ("reserves", "adaptive", "overload")
 
 
-def _at(sweeps: "Dict[str, List[ScaleResult]]", arm: str,
-        streams: int) -> ScaleResult:
-    """Arm ``arm``'s point at ``streams`` in a fig 10 sweep."""
-    return next(result for result in sweeps[arm]
-                if result.streams == streams)
+_at = sweep_lookup("streams")
 
 
 def _books_within_budget(point: ScaleResult) -> bool:

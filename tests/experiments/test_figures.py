@@ -23,6 +23,7 @@ from repro.experiments.priority_exp import PriorityArm
 from repro.experiments.reservation_cpu_exp import CpuArm
 from repro.experiments.reservation_net_exp import NetworkArm
 from repro.experiments.route_exp import RouteArm
+from repro.experiments import runner as runner_mod
 from repro.experiments.runner import registered_scenarios, scenario_function
 from repro.experiments.scenario_registry import FIGURES, figure_specs
 from repro.pubsub.fig12 import PubSubArm
@@ -186,6 +187,28 @@ def test_verify_runs_every_arm_under_the_suite(jobs, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert ("FAIL ablation_reserve_policy\n  invariant violated: [refuses] "
             "planted teardown failure") in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_red_arm_fails_only_its_own_figure(jobs, capsys, monkeypatch):
+    """Both figures' arms run in one pass; the planted violation in
+    ablation_phb comes back as that arm's payload, not as an exception
+    that would take ablation_ecn down with it."""
+    phb = scenario_function("ablation_phb")
+
+    def planted(checks=None, **kwargs):
+        checks.checkers.append(_Refuses())
+        return phb(checks=checks, **kwargs)
+
+    monkeypatch.setitem(runner_mod._SCENARIOS, "ablation_phb", planted)
+    monkeypatch.chdir(ROOT)
+    assert main(["--jobs", jobs, "verify", "ablation_phb",
+                 "ablation_ecn"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL ablation_phb\n  invariant violated: [refuses] "
+            "planted teardown failure") in out
+    assert "ok   ablation_ecn: 2 run(s)" in out
+    assert out.endswith("verify FAILED: 1/2 figure(s)\n")
 
 
 def test_cli_table1_single_arm(capsys):

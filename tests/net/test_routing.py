@@ -12,7 +12,7 @@ from repro.net import (
     Lsa,
     Network,
     ReservationResignaler,
-    install_spf_routes,
+    generate_topology,
     predict_path,
     spf_first_hops,
 )
@@ -25,6 +25,7 @@ from repro.check import (
     default_suite,
 )
 from repro.obs.trace import TraceRecord
+from tests.net.test_topology import forwarding_path
 
 
 def grq(kernel):
@@ -89,19 +90,92 @@ def test_spf_ignores_one_way_adjacencies():
     assert spf_first_hops(lsdb, "a")["d"] == (2.0, "c")
 
 
-def test_start_matches_the_static_snapshot_helper():
+def generated(kind, routers):
+    """A generated graph with one host hanging off every router."""
+    def build(kernel):
+        net = Network(kernel, default_bandwidth_bps=10e6)
+        names = generate_topology(net, kind, routers, seed=1).routers
+        for name in names:
+            net.attach_host(Host(kernel, f"h-{name}"))
+            net.link(f"h-{name}", name)
+        return net
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    diamond,
+    generated("waxman", 56),
+    generated("fattree", 20),
+    generated("wan", 16),
+], ids=["diamond", "waxman56", "fattree", "wan"])
+def test_start_matches_the_static_snapshot_helper(build):
     kernel = Kernel()
-    net = diamond(kernel)
-    install_spf_routes(net)
-    static_tables = {
-        r.name: dict(r.routes) for r in net.routers
-    }
+    net = build(kernel)
+    net.compute_routes()
+    static_tables = {r.name: dict(r.routes) for r in net.routers}
+    assert all(static_tables.values())
     LinkStateRouting(kernel, net).start()
     live_tables = {r.name: dict(r.routes) for r in net.routers}
     assert live_tables == static_tables
-    # And the predicted path agrees with the installed first hops.
+
+
+def test_predicted_path_follows_the_installed_first_hops():
+    kernel = Kernel()
+    net = diamond(kernel)
+    net.compute_routes()
     assert predict_path(net, "src", "dst") == [
         "src", "r1", "r2", "r4", "dst"]
+    assert forwarding_path(net, "src", "dst") == [
+        "src", "r1", "r2", "r4", "dst"]
+
+
+# ----------------------------------------------------------------------
+# Host tables
+# ----------------------------------------------------------------------
+def hosts_and_routers(kernel, hosts, routers, links):
+    net = Network(kernel, default_bandwidth_bps=10e6)
+    for name in hosts:
+        net.attach_host(Host(kernel, name))
+    for name in routers:
+        net.add_router(name)
+    for a, b in links:
+        net.link(a, b)
+    net.compute_routes()
+    return net
+
+
+def test_multihomed_host_at_equal_cost_leaves_by_the_lower_router_name():
+    kernel = Kernel()
+    # m's first interface faces rb, but ra reaches d at the same cost.
+    net = hosts_and_routers(
+        kernel, ["m", "d"], ["ra", "rb", "rc"],
+        [("m", "rb"), ("m", "ra"), ("ra", "rc"), ("rb", "rc"), ("rc", "d")])
+    nic = net.nic_of("m")
+    assert nic.interfaces[0].name == "m->rb"
+    assert nic.egress_for("d").name == "m->ra"
+    assert forwarding_path(net, "m", "d") == ["m", "ra", "rc", "d"]
+
+
+def test_a_direct_host_link_beats_the_router_path():
+    kernel = Kernel()
+    # The table 2 shape, plus a router both hosts also reach.
+    net = hosts_and_routers(
+        kernel, ["a", "b"], ["r"], [("a", "r"), ("b", "r"), ("a", "b")])
+    assert net.nic_of("a").egress_for("b").name == "a->b"
+    assert net.nic_of("b").egress_for("a").name == "b->a"
+    assert net.device("r").egress_for("b").name == "r->b"
+
+
+def test_a_failed_link_clears_host_and_router_entries():
+    kernel = Kernel()
+    net = hosts_and_routers(
+        kernel, ["a", "b"], ["r"], [("a", "r"), ("r", "b")])
+    assert net.nic_of("a").egress_for("b").name == "a->r"
+    net.link_between("a", "r").fail()
+    net.compute_routes()
+    assert net.nic_of("a").routes == {}
+    assert net.nic_of("b").routes == {}
+    assert net.device("r").routes == {"b": net.device("r").interfaces["r->b"]}
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +342,7 @@ def test_resignal_on_an_unchanged_path_never_unseats_the_reservation():
     installation when old and new paths share an egress."""
     kernel = Kernel()
     net = diamond(kernel, reserved=True)
-    install_spf_routes(net)
+    net.compute_routes()
     net.enable_intserv()
     reservation = establish(kernel, net)
     sender_agent = net.nic_of("src").rsvp_agent
@@ -294,7 +368,7 @@ def rec(kind, **fields):
 def test_routing_checker_rejects_a_route_onto_a_dead_link():
     kernel = Kernel()
     net = diamond(kernel)
-    install_spf_routes(net)
+    net.compute_routes()
     checker = RoutingChecker()
     checker.attach(World(kernel, network=net))
     checker.on_event(rec("spf.install", router="r1"))  # healthy: passes
@@ -320,6 +394,45 @@ def test_routing_checker_detects_a_forwarding_loop():
     checker.attach(World(kernel, network=net))
     with pytest.raises(InvariantViolation, match="loop"):
         checker.final_check()
+
+
+def checked_diamond():
+    kernel, net, routing = started_diamond()
+    suite = default_suite()
+    suite.install(World(kernel, network=net, routing=routing))
+    return kernel, net, routing, suite
+
+
+def test_routing_checker_sees_a_table_the_engine_did_not_install():
+    """The LSDB-consistency law: after a cut has converged the suite is
+    green, and a router still holding its pre-cut table is drift."""
+    kernel, net, routing, suite = checked_diamond()
+    r1 = net.device("r1")
+    before = dict(r1.routes)
+    kernel.schedule(1.0, net.link_between("r1", "r2").fail)
+    kernel.run(until=2.0)
+    suite.final_check()
+    assert r1.routes != before
+    r1.routes = before
+    with pytest.raises(InvariantViolation, match="drifted"):
+        suite.final_check()
+    suite.uninstall()
+
+
+def test_installer_keeps_a_route_off_a_link_the_lsdb_still_advertises():
+    """r1 runs SPF over an LSDB that has not heard of r1's own cut: the
+    table still picks r2, and only the installer's link check keeps the
+    route off the dead link (the checker rejects it at spf.install)."""
+    kernel, net, routing, suite = checked_diamond()
+    node = routing.nodes["r1"]
+    stale = dict(node.lsdb)
+    net.link_between("r1", "r2").fail()
+    node.lsdb = stale
+    assert spf_first_hops(stale, "r1")["dst"] == (3.0, "r2")
+    routing._run_spf(node, notify=False)
+    r1 = net.device("r1")
+    assert r1.routes == {"src": r1.interfaces["r1->src"]}
+    suite.uninstall()
 
 
 def test_transient_window_drops_are_conserved_under_the_checkers():
@@ -584,7 +697,7 @@ def test_smoke_arm_post_cut_flood_shares_the_adjacency(monkeypatch):
     # 12 runs at start() and 12 after the cut, none skipped.
     assert dynamic.spf_runs == 24
     # Before the cut every LSA is at seq 1: one build each for
-    # install_spf_routes, the two predict_path walks and start().
+    # compute_routes, the two predict_path walks and start().
     post_cut = [lsdb for lsdb in builds
                 if any(entry.seq > 1 for entry in lsdb.values())]
     assert len(builds) - len(post_cut) == 4

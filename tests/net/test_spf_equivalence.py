@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import Kernel
 from repro.net import Lsa, Network, generate_topology
 from repro.net.routing import (
-    _global_lsdb,
+    router_lsa,
     spf_first_hops,
     spf_search,
     two_way_adjacency,
@@ -145,7 +145,7 @@ def test_fig11_graph_with_a_half_learned_cut():
     kernel = Kernel()
     net = Network(kernel, default_bandwidth_bps=10e6)
     generated = generate_topology(net, "waxman", 56, seed=1)
-    lsdb = _global_lsdb(net)
+    lsdb = {name: router_lsa(net, name, 1) for name in generated.routers}
     names = sorted(lsdb)
     assert_same_tables(lsdb, names)
     # One endpoint of a backbone link has re-originated, the other's
