@@ -23,7 +23,9 @@ unchecked one.
 
 Two rules keep a checked run affordable (DESIGN §12):
 
-* a checker *declares* the record kinds it acts on (``kinds``); the
+* a checker *declares* the record kinds it acts on (``kinds``): exactly
+  those after which the state its law reads can differ, since a law
+  re-evaluated over state that has not moved checks nothing new; the
   tracer's one table routes by ``(layer, kind)`` straight to
   ``on_event``, which never re-tests the kind and is never called for
   a record it would ignore;
@@ -34,6 +36,7 @@ Two rules keep a checked run affordable (DESIGN §12):
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sim.quantize import EPSILON
@@ -100,7 +103,8 @@ class InvariantChecker:
         Trace layers this checker wants (``None`` = every layer).
     kinds:
         Record kinds within those layers that :meth:`on_event` acts on
-        (``None`` = every kind).  This is the only place interest is
+        (``None`` = every kind): the kinds after which the state the
+        law reads can differ.  This is the only place interest is
         stated: the tracer never hands over any other record, so
         ``on_event`` bodies do not test ``record.kind`` to bail out.
     """
@@ -177,6 +181,9 @@ class CheckSuite:
         self._tally_at_install: Dict[Tuple[str, str], int] = {}
         #: (layer, kind) -> records routed up to the last ``uninstall``.
         self._routed_before: Dict[Tuple[str, str], int] = {}
+        #: A weak reference to the kernel of the last install (``None``
+        #: before any): what the retention law looks for after a run.
+        self.watched: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------
     # Installation
@@ -184,6 +191,7 @@ class CheckSuite:
     def install(self, world: World, tracer: Optional[Tracer] = None) -> "CheckSuite":
         """Attach every checker to ``world`` and start watching traces."""
         self.world = world
+        self.watched = weakref.ref(world.kernel)
         for checker in self.checkers:
             checker.attach(world)
         if tracer is None:
@@ -277,10 +285,19 @@ class CheckSuite:
 # Individual monitors
 # ----------------------------------------------------------------------
 class TimeMonotonicityChecker(InvariantChecker):
-    """Trace (and hence kernel event) times never run backwards."""
+    """Trace (and hence kernel event) times never run backwards.
+
+    Every record is stamped with ``kernel.now``, and the clock moves only
+    at an event dispatch or forward to ``run(until)``'s horizon, so the
+    dispatch records carry every time a record can show; ``final_check``
+    covers the horizon.
+    """
 
     name = "time-monotonic"
-    layers = None  # every layer
+    #: Every layer, not ``("sim",)``: a ``sim`` subscriber would make
+    #: every ``sim`` record count in ``events_dispatched``.
+    layers = None
+    kinds = frozenset(("event.dispatch",))
 
     def __init__(self) -> None:
         super().__init__()
@@ -324,9 +341,11 @@ class QdiscAccountingChecker(InvariantChecker):
 
     name = "qdisc-accounting"
     layers = ("net",)
-    #: Every ``hop.*`` kind an :class:`~repro.net.link.Interface` emits.
-    kinds = frozenset(("hop.enqueue", "hop.drop", "hop.dequeue",
-                       "hop.loss", "hop.rx"))
+    #: The ``hop.*`` kinds an :class:`~repro.net.link.Interface` emits
+    #: after moving its egress books: ``enqueue`` / ``dequeue`` are only
+    #: called from ``link.py``, each followed by one of these records.
+    #: A ``hop.rx`` or ``hop.loss`` names a port whose books did not move.
+    kinds = frozenset(("hop.enqueue", "hop.drop", "hop.dequeue"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -359,14 +378,16 @@ class QdiscAccountingChecker(InvariantChecker):
                 enqueued=qdisc.enqueued, dequeued=qdisc.dequeued,
                 dropped=qdisc.dropped,
             )
+
+    def _check_drops_booked(self, label: str, qdisc) -> None:
+        """The drop laws: only a drop moves ``dropped`` and the per-flow
+        ledger, so they run at ``hop.drop`` and at teardown."""
         flow_drops = sum(qdisc.drops_by_flow.values())
         if not flow_drops == qdisc.dropped:
             self.fail(
                 "per-flow drop ledger disagrees with the drop counter",
                 qdisc=label, dropped=qdisc.dropped, by_flow=flow_drops,
             )
-
-    def _check_drops_booked(self, label: str, qdisc) -> None:
         if not qdisc.dropped == self._drops_expected[label]:
             self.fail(
                 "drop not booked", qdisc=label, dropped=qdisc.dropped,
@@ -402,7 +423,10 @@ class TokenBucketChecker(InvariantChecker):
 
     name = "token-bucket"
     layers = ("net",)
-    kinds = frozenset(("hop.enqueue",))
+    #: ``GuaranteedRateQueue.enqueue`` is the only caller of
+    #: ``try_consume``, and either record follows it: a conforming
+    #: packet can still be dropped on reserved-lane overflow.
+    kinds = frozenset(("hop.enqueue", "hop.drop"))
 
     def __init__(self) -> None:
         super().__init__()
@@ -419,25 +443,28 @@ class TokenBucketChecker(InvariantChecker):
         super().detach()
         self._grqs = {}
 
-    def _check_one(self, label: str, qdisc) -> None:
-        for flow_id, bucket in qdisc._buckets.items():
-            tokens = bucket._tokens
-            if not 0.0 <= tokens <= bucket.depth_bytes:
-                self.fail(
-                    "token count escaped [0, depth]",
-                    qdisc=label, flow=flow_id, tokens=tokens,
-                    depth=bucket.depth_bytes,
-                )
+    def _check_bucket(self, label: str, flow_id: str, bucket) -> None:
+        tokens = bucket._tokens
+        if not 0.0 <= tokens <= bucket.depth_bytes:
+            self.fail(
+                "token count escaped [0, depth]",
+                qdisc=label, flow=flow_id, tokens=tokens,
+                depth=bucket.depth_bytes,
+            )
 
     def on_event(self, record: TraceRecord) -> None:
-        fields = record.fields or {}
-        qdisc = self._grqs.get(fields.get("iface"))
+        """Only the record's flow's bucket was charged."""
+        label = (record.fields or {}).get("iface")
+        qdisc = self._grqs.get(label)
         if qdisc is not None:
-            self._check_one(fields["iface"], qdisc)
+            bucket = qdisc._buckets.get(record.flow)
+            if bucket is not None:
+                self._check_bucket(label, record.flow, bucket)
 
     def final_check(self) -> None:
         for label, qdisc in self._grqs.items():
-            self._check_one(label, qdisc)
+            for flow_id, bucket in qdisc._buckets.items():
+                self._check_bucket(label, flow_id, bucket)
 
 
 class ReserveLedgerChecker(InvariantChecker):

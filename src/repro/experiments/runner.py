@@ -354,6 +354,14 @@ def _execute(spec_fields: Tuple[str, Dict[str, Any], Optional[int]]
     return payload, _events_of(payload), wall
 
 
+def outlives_collection(ref: Callable[[], Any]) -> bool:
+    """Whether the weakly referenced object survives a full collection:
+    the retention law's test, asked by the ``checked`` scenario while it
+    still holds the arm's payload and suite."""
+    gc.collect()
+    return ref() is not None
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------

@@ -56,7 +56,12 @@ from repro.experiments.route_exp import (
     route_arms,
     run_route_experiment,
 )
-from repro.experiments.runner import RunSpec, scenario, scenario_function
+from repro.experiments.runner import (
+    RunSpec,
+    outlives_collection,
+    scenario,
+    scenario_function,
+)
 from repro.pubsub.fig12 import (
     FIG12_CLAIMS,
     PubSubArm,
@@ -136,14 +141,29 @@ def _checked(scenario: str, params: Dict[str, Any],
     """One run of ``scenario`` under its own ``default_suite()``, built
     where it runs.  A violation comes back as the payload, not raised,
     so in a pool of many figures' arms it fails only its own figure
-    (:class:`~repro.check.InvariantViolation` pickles)."""
+    (:class:`~repro.check.InvariantViolation` pickles).
+
+    The retention law is checked here too: with the payload and the
+    uninstalled suite still held, a collection must free the kernel the
+    suite watched (a result is plain data, and an uninstalled suite
+    lets go of its world)."""
     from repro.check import InvariantViolation, default_suite
 
-    spec = RunSpec(scenario, {**params, "checks": default_suite()}, seed)
+    suite = default_suite()
+    spec = RunSpec(scenario, {**params, "checks": suite}, seed)
     try:
-        return scenario_function(scenario)(**spec.call_kwargs())
+        payload = scenario_function(scenario)(**spec.call_kwargs())
     except InvariantViolation as violation:
         return violation
+    if suite.watched is None:
+        return InvariantViolation(
+            "retention", "the suite never watched a kernel",
+            {"scenario": scenario})
+    if outlives_collection(suite.watched):
+        return InvariantViolation(
+            "retention", "the run's kernel outlived it with its payload "
+            "and suite held", {"scenario": scenario})
+    return payload
 
 
 def _seedless_scenario(run: Callable[..., Any]) -> Callable[..., Any]:

@@ -27,6 +27,7 @@ from repro.check import (
     InvariantChecker,
     InvariantViolation,
     QdiscAccountingChecker,
+    TokenBucketChecker,
     World,
     default_suite,
 )
@@ -107,22 +108,40 @@ def rebooked(world, records):
     replay leaves the world as it found it.
     """
     qdiscs = world.qdiscs()
-
-    def book(record, by):
-        if record.layer == "net" and record.kind == "hop.drop":
-            qdisc = qdiscs[record.fields["iface"]]
-            qdisc.dropped += by
-            qdisc.drops_by_flow[record.flow] += by
-
     for record in records:
-        book(record, -1)
+        book_drop(qdiscs, record, -1)
 
     def replay():
         for record in records:
-            book(record, +1)
+            book_drop(qdiscs, record, +1)
             yield record
 
     return replay()
+
+
+def book_drop(qdiscs, record, by):
+    """Move a ``hop.drop`` record's queue books by ``by`` drops."""
+    if record.layer == "net" and record.kind == "hop.drop":
+        qdisc = qdiscs[record.fields["iface"]]
+        qdisc.dropped += by
+        qdisc.drops_by_flow[record.flow] = (
+            qdisc.drops_by_flow.get(record.flow, 0) + by)
+
+
+class BookedOnReplay(list):
+    """A canary's records, each drop booked just before its record is
+    handed over, as the queue books it just before the interface emits
+    ``hop.drop``.  Booked when the world is built, it would be on the
+    books before the dispatcher attaches and read as "not booked"."""
+
+    def __init__(self, world, records):
+        super().__init__(records)
+        self.qdiscs = world.qdiscs()
+
+    def __iter__(self):
+        for record in super().__iter__():
+            book_drop(self.qdiscs, record, +1)
+            yield record
 
 
 #: Per-checker state that on_event builds up (absent on most monitors).
@@ -245,7 +264,8 @@ def test_recorded_capacity_arm_replays_identically(capacity_trace):
     assert state_of(new_checkers) == state_of(ref_checkers)
     assert new_dispatched == ref_dispatched > 0
     assert new_seen == ref_seen
-    assert new_seen["time-monotonic"] == len(records)
+    assert new_seen["time-monotonic"] == sum(
+        (r.layer, r.kind) == ("sim", "event.dispatch") for r in records) > 0
     state = state_of(new_checkers)
     assert state["packet-conservation"]["tracked"] > 0
     assert state["contract"]["_last_region"]
@@ -288,26 +308,38 @@ def test_a_live_run_hands_each_checker_what_the_reference_derives(
     assert handed["recorder"] == records
 
 
+#: The ``hop.*`` kinds emitted after an interface moved its egress
+#: books (a queue's counters, and a policing bucket on ``enqueue``).
+BOOK_MOVING = frozenset(("hop.enqueue", "hop.drop", "hop.dequeue"))
+#: The ``hop.*`` kinds that name a port whose egress books did not move.
+BOOKS_STILL = frozenset(("hop.rx", "hop.loss"))
+
+
 def test_every_hop_record_names_a_known_qdisc(capacity_trace):
     """``QdiscAccountingChecker`` and ``TokenBucketChecker`` skip a
     record whose ``iface`` they cannot look up; the trace sites and
-    ``World.qdiscs()`` must therefore agree on the label, and the
-    checker must have declared every ``hop.*`` kind there is."""
+    ``World.qdiscs()`` must therefore agree on the label.  Every
+    ``hop.*`` kind there is must be sorted into book-moving (declared by
+    the qdisc law) or not, so a new kind fails here until it is."""
     records, world = capacity_trace
     hops = [r for r in records
             if r.layer == "net" and r.kind.startswith("hop.")]
     assert len(hops) > 1000
     known = world.qdiscs()
     assert {r.fields["iface"] for r in hops} <= set(known)
-    assert {r.kind for r in hops} <= QdiscAccountingChecker.kinds
+    assert {r.kind for r in hops} <= BOOK_MOVING | BOOKS_STILL
+    assert BOOK_MOVING <= {r.kind for r in hops}
+    assert QdiscAccountingChecker.kinds == BOOK_MOVING
+    assert TokenBucketChecker.kinds == {"hop.enqueue", "hop.drop"}
 
 
 # ----------------------------------------------------------------------
 # Hand-corrupted canaries (the record-driven ones of test_invariants)
 # ----------------------------------------------------------------------
 def _time_backwards():
-    return bare_world(), [rec(1.0, "net", "hop.enqueue"),
-                          rec(0.5, "net", "hop.drop")]
+    return bare_world(), [
+        rec(1.0, "sim", "event.dispatch", callback="f", seq=0),
+        rec(0.5, "sim", "event.dispatch", callback="g", seq=1)]
 
 
 def _corrupt_length_books():
@@ -333,6 +365,18 @@ def _token_bucket_overflow():
     qdisc._buckets["a:1->b:2"]._tokens = 1064.0
     return world, [rec(0.0, "net", "hop.enqueue", flow="a:1->b:2",
                        iface=label, packet=1)]
+
+
+def _token_bucket_overflow_on_drop():
+    # A conforming packet charges its bucket and is then dropped on
+    # reserved-lane overflow: the bucket moved at a ``hop.drop``.
+    _, _, world = grq_world()
+    label, qdisc = next(iter(world.qdiscs().items()))
+    qdisc.install_reservation("a:1->b:2", rate_bps=1e5, depth_bytes=1000)
+    qdisc._buckets["a:1->b:2"]._tokens = -64.0
+    return world, BookedOnReplay(world, [
+        rec(0.0, "net", "hop.drop", flow="a:1->b:2", iface=label,
+            packet=1)])
 
 
 def _reserve_world():
@@ -409,6 +453,7 @@ CANARIES = [
     (_corrupt_length_books, "qdisc-accounting", "length disagrees"),
     (_unbooked_drop, "qdisc-accounting", "drop not booked"),
     (_token_bucket_overflow, "token-bucket", "escaped"),
+    (_token_bucket_overflow_on_drop, "token-bucket", "escaped"),
     (_budget_escape, "reserve-ledger", "escaped [0, C]"),
     (_non_positive_rsvp_rate, "reserve-ledger", "non-positive"),
     (_dequeue_of_unqueued_packet, "packet-conservation", "illegal packet"),
@@ -493,7 +538,7 @@ LAYERS = ("sim", "os", "net", "quo", "fluid", "pubsub", "orb", "av")
 DECLARED = sorted(set().union(*(
     checker.kinds for checker in default_suite().checkers
     if checker.kinds is not None)))
-UNDECLARED = ["event.dispatch", "hop.tx", "work", "cpu.preempt", "epoch.end"]
+UNDECLARED = ["frame", "hop.tx", "work", "cpu.preempt", "epoch.end"]
 KINDS = DECLARED + UNDECLARED
 
 spy_declarations = st.lists(

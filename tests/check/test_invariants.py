@@ -530,7 +530,9 @@ def test_suite_hands_a_checker_only_the_kinds_it_declared():
     suite = CheckSuite([PubSubChecker(), TimeMonotonicityChecker()])
     suite.install(bare_world())
     suite.emit(rec(0.0, "pubsub", "sample.unmatched", reader="r"))
-    # Dispatched (the layer has a subscriber) but not the checker's kind.
+    suite.emit(rec(0.0, "sim", "event.dispatch", callback="f", seq=0))
+    # Dispatched (the layer has a subscriber) but not the checker's
+    # kind; the every-layer checker takes its one kind and no other.
     assert suite.events_dispatched == 1
     assert suite.summary() == {"pubsub": 0, "time-monotonic": 1}
 
@@ -538,9 +540,9 @@ def test_suite_hands_a_checker_only_the_kinds_it_declared():
 def test_suite_propagates_violations_fail_fast():
     world = bare_world()
     suite = CheckSuite([TimeMonotonicityChecker()]).install(world)
-    suite.emit(rec(1.0, "net", "hop.enqueue"))
+    suite.emit(rec(1.0, "sim", "event.dispatch", callback="f", seq=0))
     with pytest.raises(InvariantViolation):
-        suite.emit(rec(0.0, "net", "hop.drop"))
+        suite.emit(rec(0.0, "sim", "event.dispatch", callback="g", seq=1))
 
 
 def test_counters_survive_uninstall_and_add_up_over_installs():
@@ -552,14 +554,18 @@ def test_counters_survive_uninstall_and_add_up_over_installs():
         suite.install(world)
         tracer.instant("pubsub", "liveliness.lost",
                        fields={"writer": f"w{run}"})
-        tracer.instant("net", "hop.rx")
+        tracer.instant("sim", "event.dispatch",
+                       fields={"callback": "f", "seq": 2 * run})
+        tracer.instant("sim", "event.dispatch",
+                       fields={"callback": "f", "seq": 2 * run + 1})
+        tracer.instant("net", "hop.rx")  # no checker's kind
         suite.uninstall()
         tracer.instant("pubsub", "liveliness.lost",
                        fields={"writer": f"w{run}"})  # unwatched
         tracer.detach()
     assert suite.summary() == {"pubsub": 2, "time-monotonic": 4}
     assert suite.events_dispatched == 2
-    assert tracer.records_emitted == 6
+    assert tracer.records_emitted == 10
 
 
 def test_uninstall_lets_go_of_the_world_and_reinstall_reattaches():
@@ -575,12 +581,14 @@ def test_uninstall_lets_go_of_the_world_and_reinstall_reattaches():
                         if isinstance(c, QdiscAccountingChecker)]
     assert qdisc_checker._qdiscs
     suite.emit(rec(0.0, "net", "hop.rx"))
+    suite.emit(rec(0.0, "sim", "event.dispatch", callback="f", seq=0))
     suite.uninstall()
     assert suite.world is None
     assert all(checker.world is None for checker in suite.checkers)
     assert qdisc_checker._qdiscs == {}
     counted = suite.summary()
     assert counted["time-monotonic"] == 1 and suite.events_dispatched == 1
+    assert counted["packet-conservation"] == 1
     assert qdisc_checker._drops_expected  # per-record books stay
     dead = weakref.ref(kernel)
     del kernel, net, world
