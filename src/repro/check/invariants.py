@@ -21,7 +21,7 @@ Checkers never mutate simulation state and never consume random
 numbers, so a checked run produces bit-identical results to an
 unchecked one.
 
-Two rules keep a checked run affordable (DESIGN §12):
+Three rules keep a checked run affordable (DESIGN §12):
 
 * a checker *declares* the record kinds it acts on (``kinds``): exactly
   those after which the state its law reads can differ, since a law
@@ -31,7 +31,11 @@ Two rules keep a checked run affordable (DESIGN §12):
   a record it would ignore;
 * a law evaluated per record is written ``if <violated>: self.fail(...)``
   so its context is only built when it is about to be raised;
-  :meth:`InvariantChecker.require` is for ``final_check`` paths.
+  :meth:`InvariantChecker.require` is for ``final_check`` paths;
+* a law over state that moves in one loop is evaluated in that loop:
+  the clock moves only in the kernel's dispatch loop, so the kernel
+  compares there and reports a backward move as one ``clock.regress``
+  record, and no record is built per event for the time law.
 """
 
 from __future__ import annotations
@@ -122,11 +126,15 @@ class InvariantChecker:
                 and (self.kinds is None or kind in self.kinds))
 
     def attach(self, world: World) -> None:
+        """Start watching ``world``.  A checker with per-run law state
+        (what its records built up) starts it afresh here, so a suite
+        installed for a second run does not judge it by the first."""
         self.world = world
 
     def detach(self) -> None:
         """Undo :meth:`attach`: drop every reference into the world.
-        Public counters and what records built up stay readable."""
+        Public counters and what records built up stay readable until
+        the next :meth:`attach`."""
         self.world = None
 
     def on_event(self, record: TraceRecord) -> None:  # pragma: no cover
@@ -285,46 +293,42 @@ class CheckSuite:
 # Individual monitors
 # ----------------------------------------------------------------------
 class TimeMonotonicityChecker(InvariantChecker):
-    """Trace (and hence kernel event) times never run backwards.
+    """The kernel clock, and so every record's time, never runs backwards.
 
-    Every record is stamped with ``kernel.now``, and the clock moves only
-    at an event dispatch or forward to ``run(until)``'s horizon, so the
-    dispatch records carry every time a record can show; ``final_check``
-    covers the horizon.
+    Every record is stamped with ``kernel.now``, and only the kernel
+    writes ``now``: at a dispatch, or forward to ``run(until)``'s
+    horizon.  The law is evaluated where the clock moves (DESIGN §12):
+    the kernel's traced dispatch loop compares each entry's time with
+    ``now`` before moving the clock, and reports a backward move as a
+    ``sim`` ``clock.regress`` record, this checker's one kind.
+    ``final_check`` covers the horizon: the clock must not end before
+    where the last traced dispatch loop left it
+    (``Kernel.traced_clock``); one that does went back at the horizon.
     """
 
     name = "time-monotonic"
     #: Every layer, not ``("sim",)``: a ``sim`` subscriber would make
     #: every ``sim`` record count in ``events_dispatched``.
     layers = None
-    kinds = frozenset(("event.dispatch",))
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._last = float("-inf")
-        self._last_record: Optional[TraceRecord] = None
+    kinds = frozenset(("clock.regress",))
 
     def on_event(self, record: TraceRecord) -> None:
-        if record.time < self._last:
-            previous = self._last_record
-            self.fail(
-                "event time ran backwards",
-                event=f"{record.layer}.{record.kind}",
-                event_time=record.time, previous_time=self._last,
-                previous_event=(None if previous is None
-                                else f"{previous.layer}.{previous.kind}"),
-            )
-        self._last = record.time
-        self._last_record = record
+        fields = record.fields
+        self.fail(
+            "event time ran backwards",
+            event=fields["callback"], event_time=fields["due"],
+            previous_time=record.time, previous_event=fields["after"],
+        )
 
     def final_check(self) -> None:
-        if self._last == float("-inf"):
+        kernel = self.world.kernel
+        last = kernel.traced_clock
+        if last == float("-inf"):
             return
-        now = self.world.kernel.now
         self.require(
-            now + EPSILON >= self._last,
+            kernel.now + EPSILON >= last,
             "kernel clock ended before the last trace record",
-            kernel_now=now, last_record=self._last,
+            kernel_now=kernel.now, last_record=last,
         )
 
 
@@ -599,8 +603,9 @@ class PacketConservationChecker(InvariantChecker):
 
     kinds = frozenset(_TRANSITIONS) | {"route.forward"}
 
-    def __init__(self) -> None:
-        super().__init__()
+    def attach(self, world: World) -> None:
+        # Per run: packet ids restart at 1 on every kernel.
+        super().attach(world)
         self._state: Dict[int, str] = {}
         self._flow: Dict[int, str] = {}
         self.tracked = 0
@@ -688,8 +693,8 @@ class ContractChecker(InvariantChecker):
     layers = ("quo",)
     kinds = frozenset(("region.transition",))
 
-    def __init__(self) -> None:
-        super().__init__()
+    def attach(self, world: World) -> None:
+        super().attach(world)
         self._last_region: Dict[str, Optional[str]] = {}
 
     def on_event(self, record: TraceRecord) -> None:
@@ -1081,8 +1086,8 @@ class PubSubChecker(InvariantChecker):
     kinds = frozenset(("liveliness.lost", "liveliness.revived",
                        "ownership.failover"))
 
-    def __init__(self) -> None:
-        super().__init__()
+    def attach(self, world: World) -> None:
+        super().attach(world)
         self._last_liveliness: Dict[str, str] = {}
 
     def _broker(self):

@@ -290,8 +290,23 @@ class Tracer:
         return entry
 
     def _rebuild(self) -> None:
+        # In place: a caller holding a row (``row``) sees the new handlers.
         for (layer, kind), entry in self._table.items():
             entry[1] = self._handlers(layer, kind)
+
+    def row(self, layer: str, kind: str) -> list:
+        """The live ``[records emitted, handlers]`` row of ``(layer, kind)``.
+
+        For a site that emits one pair at a high rate (the kernel's
+        dispatch loop): it reads the row once, builds a record through
+        :meth:`record` only while ``row[1]`` is non-empty, and otherwise
+        bumps ``row[0]`` itself, so the counts stay exact.  Sinks added
+        or removed later rewrite the same row.
+        """
+        try:
+            return self._table[layer, kind]
+        except KeyError:
+            return self._entry(layer, kind)
 
     def tally(self) -> Dict[Tuple[str, str], int]:
         """(layer, kind) -> records emitted, from every layer."""

@@ -43,7 +43,9 @@ what ``rearm()`` does, minus the frame and the checks:
   (``delay >= 0``) and ``event`` is the handle itself; set
   ``event.args`` to the callback's argument tuple (a handle whose
   arguments never change keeps them) and ``event._kernel`` to the
-  kernel.  The handle keeps its ``callback``.
+  kernel.  The handle keeps its ``callback``.  A negative delay is
+  caught only on a traced run, whose dispatch loop reports the clock
+  moving back (``clock.regress``, :meth:`Kernel.run`).
 - **Seq rule.**  Draw ``seq = kernel._seq`` and store ``seq + 1`` back,
   once per push, at the exact point where a ``schedule()`` or
   ``rearm()`` call would have drawn it; so the dispatch order is that
@@ -100,6 +102,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 class SimulationError(RuntimeError):
     """Raised for invalid kernel operations (e.g. scheduling in the past)."""
+
+
+def _callback_name(callback: Callable[..., None]) -> str:
+    """What a trace record calls a dispatched callback."""
+    try:
+        return callback.__qualname__
+    except AttributeError:
+        return type(callback).__name__
 
 
 class ScheduledEvent:
@@ -204,6 +214,10 @@ class Kernel:
         #: Attached :class:`repro.obs.trace.Tracer`, or ``None`` (the
         #: default: tracing off, zero overhead beyond this None check).
         self.tracer = None
+        #: The clock where the last traced ``run()`` left its dispatch
+        #: loop, before any advance to ``until`` (``-inf`` before one):
+        #: what the teardown time law holds the final clock to.
+        self.traced_clock = -inf
         #: Entity kind -> this kernel's id source (see :meth:`ids`).
         self._ids: Dict[str, Callable[[], int]] = {}
 
@@ -309,6 +323,17 @@ class Kernel:
         heappush(self._heap, (time, seq, fresh))
         return fresh
 
+    def _clock_regress(self, time: float, seq: int,
+                       callback: Callable[..., None],
+                       previous: Optional[Callable[..., None]]) -> None:
+        """Report an entry due at ``time`` < ``now`` as a ``sim``
+        ``clock.regress`` record, stamped before the clock moves back:
+        the time law's one input (``TimeMonotonicityChecker``).
+        ``previous`` is the callback the loop dispatched last, if any."""
+        self.tracer.instant("sim", "clock.regress", fields={
+            "callback": _callback_name(callback), "seq": seq, "due": time,
+            "after": None if previous is None else _callback_name(previous)})
+
     def _note_cancel(self) -> None:
         """Tombstone accounting + compaction policy (from ``cancel()``)."""
         heap = self._heap
@@ -344,23 +369,27 @@ class Kernel:
         """Execute the next pending event.
 
         Returns ``True`` if an event ran, ``False`` if none is pending.
+        Traced, it checks the time law and builds or counts the dispatch
+        record as :meth:`run`'s traced loop does.
         """
         if self.peek() is None:
             return False
         time, seq, event = heappop(self._heap)
         event._kernel = None
+        callback = event.callback
+        tracer = self.tracer
+        if tracer is not None and time < self.now:
+            self._clock_regress(time, seq, callback, None)
         self.now = time
         self.events_executed += 1
-        tracer = self.tracer
         if tracer is not None:
-            callback = event.callback
-            try:
-                name = callback.__qualname__
-            except AttributeError:
-                name = type(callback).__name__
-            tracer.instant("sim", "event.dispatch",
-                           fields={"callback": name, "seq": seq})
-        event.callback(*event.args)
+            dispatch = tracer.row("sim", "event.dispatch")
+            if dispatch[1]:
+                tracer.instant("sim", "event.dispatch", fields={
+                    "callback": _callback_name(callback), "seq": seq})
+            else:
+                dispatch[0] += 1
+        callback(*event.args)
         return True
 
     def run(self, until: Optional[float] = None) -> None:
@@ -384,6 +413,16 @@ class Kernel:
         sampled once when ``run()`` begins: attach tracers before
         running (every call site does; per-event re-checks would tax
         the untraced hot path that the figures depend on).
+
+        The traced loop is where the time law is checked, since the
+        kernel alone writes the clock: each entry's time is compared
+        with ``now`` before the clock moves, and one that would move it
+        back is reported as a ``sim`` ``clock.regress`` record.  It
+        builds the ``sim`` ``event.dispatch`` record only when the
+        tracer's row for it has a handler (a plain sink admitting
+        ``sim``, or a checker that declared the kind); otherwise it
+        only counts the dispatch in that row.  It leaves
+        :attr:`traced_clock` at the clock its loop ended on.
         """
         if self._running:
             raise SimulationError("kernel is already running (reentrant run())")
@@ -414,6 +453,11 @@ class Kernel:
                     executed += 1
                     event.callback(*event.args)
             else:
+                # The live row: its handlers are rewritten in place when
+                # a sink comes or goes, so this one read per run() sees
+                # a sink added by an event.
+                dispatch = tracer.row("sim", "event.dispatch")
+                callback = None
                 while heap and not self._stopped:
                     time, seq, event = heappop(heap)
                     if event._skip:
@@ -429,16 +473,20 @@ class Kernel:
                         heappush(heap, (time, seq, event))
                         break
                     event._kernel = None
+                    if time < self.now:
+                        self._clock_regress(time, seq, event.callback,
+                                            callback)
                     self.now = time
                     executed += 1
                     callback = event.callback
-                    try:
-                        name = callback.__qualname__
-                    except AttributeError:
-                        name = type(callback).__name__
-                    tracer.instant("sim", "event.dispatch",
-                                   fields={"callback": name, "seq": seq})
+                    if dispatch[1]:
+                        tracer.instant("sim", "event.dispatch", fields={
+                            "callback": _callback_name(callback),
+                            "seq": seq})
+                    else:
+                        dispatch[0] += 1
                     callback(*event.args)
+                self.traced_clock = self.now
             if until is not None and not self._stopped and until > self.now:
                 self.now = until
         finally:

@@ -14,7 +14,9 @@ one of:
 A process's ``return`` value is kept in :attr:`Process.result`.  An
 exception escaping the generator stops the run with a
 :class:`ProcessError`: no caller waits on a process, so there is no one
-else to hand it to.
+else to hand it to.  A failed check, an :class:`AssertionError` such as
+an invariant checker's violation, stops it as itself: whoever catches
+the check's failure must still see it, whatever body it was raised in.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class Process:
         self.alive = False
         self.result = result
         self.error = error
+        if isinstance(error, AssertionError):
+            raise error
         if error is not None:
             raise ProcessError(
                 f"process {self.name!r} died: {error!r}"

@@ -1,14 +1,18 @@
 """A checker is handed every record after which its law's state can move.
 
-``TimeMonotonicityChecker``, ``QdiscAccountingChecker`` and
-``TokenBucketChecker`` declare only the record kinds after which the
-state their laws read can differ (DESIGN §12).  That narrowing is safe
-only if the state really moves nowhere else, so a spy (every layer,
-every kind) is installed beside ``default_suite()`` on live arms and
-compares the state with what it was at the previous record:
+``QdiscAccountingChecker`` and ``TokenBucketChecker`` declare only the
+record kinds after which the state their laws read can differ, and the
+time law is evaluated inside the kernel's traced dispatch loop, where
+the clock moves (DESIGN §12).  Both are safe only if the state really
+moves nowhere else, so a spy (every layer, every kind) is installed
+beside ``default_suite()`` on live arms and compares the state with
+what it was at the previous record:
 
-* the kernel clock moves only at a ``sim`` ``event.dispatch``, or
-  forward between runs (``run(until)`` advancing to its horizon);
+* the kernel clock moves only at a ``sim`` ``event.dispatch`` (the
+  loop's comparison sits right before it, and ``TimeMonotonicityChecker``
+  takes only the ``clock.regress`` that comparison reports), or forward
+  between runs (``run(until)`` advancing to its horizon, which the
+  teardown law covers); at a dispatch it never moves back;
 * a port's ``enqueued`` / ``dequeued`` / ``dropped`` / ``drops_by_flow``
   move only at a kind the qdisc law declares, naming that port;
 * a policing bucket's ``_tokens`` move only at a kind the token-bucket
@@ -89,6 +93,9 @@ class StateSpy(InvariantChecker):
                     or (not self._kernel._running and now > self._now)):
                 self.fail("clock moved at an undeclared record",
                           event=kind, before=self._now, after=now)
+            if not now > self._now:
+                self.fail("clock moved back at a dispatch",
+                          event=kind, before=self._now, after=now)
             self._moved("clock", record)
             self._now = now
 
@@ -155,6 +162,7 @@ def test_state_moves_only_where_a_narrowed_checker_looks(spied):
     # (on the reserved arms) the buckets all moved, and the records
     # the narrowed checkers no longer take were in the stream.
     assert moves["clock", "sim.event.dispatch"] > 100
+    assert ("sim", "clock.regress") not in spy.kinds_seen
     for kind in QdiscAccountingChecker.kinds:
         assert moves["books", f"net.{kind}"] > 0, kind
     assert ("net", "hop.rx") in spy.kinds_seen

@@ -10,10 +10,12 @@ to the unchecked baseline).
 import io
 import json
 import pickle
+from heapq import heappush
 
 import pytest
 
 from repro.sim import Kernel
+from repro.sim.kernel import ScheduledEvent
 from repro.oskernel import Host, SimThread, ThreadState
 from repro.net import (
     Dscp,
@@ -70,16 +72,71 @@ class Bag:
 
 
 # ----------------------------------------------------------------------
-# Time monotonicity
+# Time monotonicity: checked in the kernel's traced dispatch loop
 # ----------------------------------------------------------------------
+def watched_kernel():
+    """A kernel under a suite of the time law alone (private tracer)."""
+    kernel = Kernel()
+    return kernel, CheckSuite([TimeMonotonicityChecker()]).install(
+        World(kernel))
+
+
+def push_into_the_past(kernel, delay, callback):
+    """What an in-place re-arm site pushes, with its delay negated."""
+    event = ScheduledEvent(callback, (), kernel.now - delay)
+    event._kernel = kernel
+    seq = kernel._seq
+    kernel._seq = seq + 1
+    heappush(kernel._heap, (kernel.now - delay, seq, event))
+
+
+def late():
+    pass
+
+
 def test_time_monotonicity_catches_backwards_time():
-    checker = TimeMonotonicityChecker()
-    checker.attach(bare_world())
-    checker.on_event(rec(1.0, "net", "hop.enqueue"))
+    kernel, suite = watched_kernel()
+
+    def early():
+        push_into_the_past(kernel, 0.5, late)
+
+    kernel.schedule(1.0, early)
     with pytest.raises(InvariantViolation) as err:
-        checker.on_event(rec(0.5, "net", "hop.drop"))
+        kernel.run(until=2.0)
     assert err.value.checker == "time-monotonic"
+    assert err.value.message == "event time ran backwards"
+    assert err.value.context == {
+        "event": "late", "event_time": 0.5, "previous_time": 1.0,
+        "previous_event": early.__qualname__, "time": 1.0}
+    assert suite.summary() == {"time-monotonic": 1}
+
+
+def test_time_monotonicity_catches_backwards_time_through_step():
+    kernel, _ = watched_kernel()
+    kernel.schedule(1.0, lambda: push_into_the_past(kernel, 0.25, late))
+    assert kernel.step()
+    with pytest.raises(InvariantViolation, match="ran backwards") as err:
+        kernel.step()
+    assert err.value.context["event_time"] == 0.75
     assert err.value.context["previous_time"] == 1.0
+
+
+def test_a_checked_kernel_counts_dispatches_it_builds_no_record_for():
+    """No handler on the dispatch row: the kernel only counts; a plain
+    sink added by an event gets every later dispatch record."""
+    from repro.obs import RingBufferSink
+
+    kernel, suite = watched_kernel()
+    tracer = kernel.tracer
+    sink = RingBufferSink()
+    for t in (1.0, 2.0, 3.0):
+        kernel.schedule(t, late)
+    kernel.schedule(1.5, tracer.add_sink, sink)
+    kernel.run()
+    assert tracer.tally()["sim", "event.dispatch"] == kernel.events_executed == 4
+    assert [(r.time, r.fields["callback"]) for r in sink.records] == [
+        (2.0, "late"), (3.0, "late")]
+    assert suite.summary() == {"time-monotonic": 0}
 
 
 def test_violation_survives_a_pickle_round_trip():
@@ -95,19 +152,26 @@ def test_violation_survives_a_pickle_round_trip():
 
 
 def test_time_monotonicity_final_check_against_kernel_clock():
-    checker = TimeMonotonicityChecker()
-    checker.attach(bare_world())  # kernel.now stays 0.0
-    checker.on_event(rec(5.0, "os", "cpu.dispatch"))
-    with pytest.raises(InvariantViolation, match="kernel clock ended"):
-        checker.final_check()
+    kernel, suite = watched_kernel()
+    kernel.schedule(5.0, late)
+    kernel.run()
+    assert kernel.traced_clock == 5.0
+    suite.final_check()
+    kernel.now = 0.0  # what an unguarded horizon advance would leave
+    with pytest.raises(InvariantViolation, match="kernel clock ended") as err:
+        suite.final_check()
+    assert err.value.context["last_record"] == 5.0
 
 
 def test_time_monotonicity_accepts_equal_times():
-    checker = TimeMonotonicityChecker()
-    checker.attach(bare_world())
-    checker.on_event(rec(0.0, "net", "hop.enqueue"))
-    checker.on_event(rec(0.0, "net", "hop.dequeue"))
-    checker.final_check()
+    kernel, suite = watched_kernel()
+    kernel.schedule(0.0, late)
+    kernel.schedule(0.0, lambda: kernel.schedule(0.0, late))
+    kernel.run(until=1.0)
+    kernel.run(until=0.5)  # a horizon behind the clock leaves it
+    suite.final_check()
+    assert kernel.now == 1.0 and kernel.traced_clock == 1.0
+    assert suite.summary() == {"time-monotonic": 0}
 
 
 # ----------------------------------------------------------------------
@@ -526,13 +590,24 @@ def test_suite_counts_a_pubsub_record_once():
     assert suite.events_dispatched == 2
 
 
+def regress(time, previous=1.0):
+    """The kernel's report of an entry due at ``time`` < ``previous``."""
+    return rec(previous, "sim", "clock.regress", callback="g", seq=1,
+               due=time, after="f")
+
+
 def test_suite_hands_a_checker_only_the_kinds_it_declared():
     suite = CheckSuite([PubSubChecker(), TimeMonotonicityChecker()])
     suite.install(bare_world())
     suite.emit(rec(0.0, "pubsub", "sample.unmatched", reader="r"))
     suite.emit(rec(0.0, "sim", "event.dispatch", callback="f", seq=0))
     # Dispatched (the layer has a subscriber) but not the checker's
-    # kind; the every-layer checker takes its one kind and no other.
+    # kind; the every-layer checker takes its one kind, from a layer
+    # nobody subscribes to, and no other.
+    assert suite.events_dispatched == 1
+    assert suite.summary() == {"pubsub": 0, "time-monotonic": 0}
+    with pytest.raises(InvariantViolation, match="ran backwards"):
+        suite.emit(regress(0.5))
     assert suite.events_dispatched == 1
     assert suite.summary() == {"pubsub": 0, "time-monotonic": 1}
 
@@ -541,31 +616,37 @@ def test_suite_propagates_violations_fail_fast():
     world = bare_world()
     suite = CheckSuite([TimeMonotonicityChecker()]).install(world)
     suite.emit(rec(1.0, "sim", "event.dispatch", callback="f", seq=0))
-    with pytest.raises(InvariantViolation):
-        suite.emit(rec(0.0, "sim", "event.dispatch", callback="g", seq=1))
+    with pytest.raises(InvariantViolation) as err:
+        suite.emit(regress(0.0))
+    assert err.value.context["event_time"] == 0.0
+    assert err.value.context["previous_time"] == 1.0
 
 
 def test_counters_survive_uninstall_and_add_up_over_installs():
-    suite = CheckSuite([PubSubChecker(), TimeMonotonicityChecker()])
+    """Each install watches its own run: the same writer and contract
+    start afresh (their law state is per run), the counters add up."""
+    suite = CheckSuite([PubSubChecker(), ContractChecker(),
+                        TimeMonotonicityChecker()])
     tracer = Tracer(sinks=[])
     for run in range(2):
         world = bare_world()
         tracer.attach(world.kernel)
         suite.install(world)
-        tracer.instant("pubsub", "liveliness.lost",
-                       fields={"writer": f"w{run}"})
+        tracer.instant("pubsub", "liveliness.lost", fields={"writer": "w"})
+        for start, end in ((None, "a"), ("a", "b")):
+            tracer.instant("quo", "region.transition", fields={
+                "contract": "c", "from_region": start, "to_region": end})
         tracer.instant("sim", "event.dispatch",
-                       fields={"callback": "f", "seq": 2 * run})
-        tracer.instant("sim", "event.dispatch",
-                       fields={"callback": "f", "seq": 2 * run + 1})
+                       fields={"callback": "f", "seq": run})  # nobody's
         tracer.instant("net", "hop.rx")  # no checker's kind
         suite.uninstall()
         tracer.instant("pubsub", "liveliness.lost",
-                       fields={"writer": f"w{run}"})  # unwatched
+                       fields={"writer": "w"})  # unwatched
         tracer.detach()
-    assert suite.summary() == {"pubsub": 2, "time-monotonic": 4}
-    assert suite.events_dispatched == 2
-    assert tracer.records_emitted == 10
+    assert suite.summary() == {"pubsub": 2, "contract": 4,
+                               "time-monotonic": 0}
+    assert suite.events_dispatched == 6
+    assert tracer.records_emitted == 12
 
 
 def test_uninstall_lets_go_of_the_world_and_reinstall_reattaches():
@@ -581,7 +662,8 @@ def test_uninstall_lets_go_of_the_world_and_reinstall_reattaches():
                         if isinstance(c, QdiscAccountingChecker)]
     assert qdisc_checker._qdiscs
     suite.emit(rec(0.0, "net", "hop.rx"))
-    suite.emit(rec(0.0, "sim", "event.dispatch", callback="f", seq=0))
+    with pytest.raises(InvariantViolation, match="ran backwards"):
+        suite.emit(regress(-1.0, previous=0.0))
     suite.uninstall()
     assert suite.world is None
     assert all(checker.world is None for checker in suite.checkers)
@@ -667,13 +749,13 @@ def test_a_tracer_allow_list_filters_sinks_not_checkers():
     # (Packet ids are numbered per process, so fates compare as a list.)
     def built(suite):
         checkers = {c.name: c for c in suite.checkers}
-        return (sorted(checkers["packet-conservation"]._state.values()),
-                checkers["qdisc-accounting"]._drops_expected,
-                checkers["time-monotonic"]._last)
+        conservation = checkers["packet-conservation"]
+        return (sorted(conservation._state.values()), conservation.tracked,
+                checkers["qdisc-accounting"]._drops_expected)
 
-    fates, _, last = built(filtered)
+    fates, tracked, _ = built(filtered)
     assert built(filtered) == built(full)
-    assert fates and last > 0.0
+    assert fates and tracked > 0
 
 
 def test_faulted_run_still_satisfies_every_invariant():

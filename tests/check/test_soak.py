@@ -12,7 +12,11 @@ import pytest
 
 from repro.net.queues import GuaranteedRateQueue
 from repro.pubsub.history import HistoryCache
+import repro.check.soak as soak_module
 from repro.check import (
+    CheckSuite,
+    InvariantChecker,
+    default_suite,
     generate_case,
     generate_cases,
     replay_command,
@@ -125,6 +129,32 @@ def test_reintroduced_drop_bug_is_caught(monkeypatch):
     assert verdict["failure"] == "invariant"
     assert verdict["checker"] == "qdisc-accounting"
     assert "drop not booked" in verdict["message"]
+
+
+class _RefusesEnqueue(InvariantChecker):
+    """Fails at the first ``hop.enqueue``: the first send of the fig 9
+    ``capacity-driver``, made inside that sim ``Process``."""
+
+    name = "refuses-enqueue"
+    layers = ("net",)
+    kinds = frozenset(("hop.enqueue",))
+
+    def on_event(self, record):
+        self.fail("planted per-record failure")
+
+
+def test_a_violation_under_a_process_is_an_invariant_verdict(monkeypatch):
+    """A violation raised inside a sim ``Process`` once reached the soak
+    harness wrapped in ``ProcessError``: a "crash" naming no checker."""
+    monkeypatch.setattr(soak_module, "default_suite", lambda: CheckSuite(
+        default_suite().checkers + [_RefusesEnqueue()]))
+    case = generate_case(1, 2, duration=1.0, max_streams=3)
+    assert case["family"] == "capacity"
+    verdict = run_soak_case(case)
+    assert not verdict["ok"]
+    assert verdict["failure"] == "invariant"
+    assert verdict["checker"] == "refuses-enqueue"
+    assert "planted per-record failure" in verdict["message"]
 
 
 def test_shrink_reduces_the_failing_case(monkeypatch):

@@ -171,22 +171,42 @@ class _Refuses(InvariantChecker):
         self.fail("planted teardown failure")
 
 
+class _RefusesWork(InvariantChecker):
+    """Fails at the first ``os`` ``work`` record.  Only ``CPU.submit``
+    emits one, and the ECN ablation's first submit is made by an ORB
+    worker, the body of a sim ``Process``: the violation is raised
+    inside it."""
+
+    name = "refuses-work"
+    layers = ("os",)
+    kinds = frozenset(("work",))
+
+    def on_event(self, record):
+        self.fail("planted per-record failure")
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_runs_every_arm_under_the_suite(jobs, capsys, monkeypatch):
+    """A violation at teardown, and one raised under a process (which
+    once reached the checked scenario wrapped in ``ProcessError`` and
+    aborted ``verify``), each fail the figure."""
     suite = repro.check.default_suite
-
-    def planted():
-        checks = suite()
-        checks.checkers.append(_Refuses())
-        return checks
-
-    monkeypatch.setattr(repro.check, "default_suite", planted)
     monkeypatch.chdir(ROOT)
-    # Two arms: at --jobs 2 the violation crosses back from a worker.
-    assert main(["--jobs", jobs, "verify", "ablation_reserve_policy"]) == 1
-    out = capsys.readouterr().out
-    assert ("FAIL ablation_reserve_policy\n  invariant violated: [refuses] "
-            "planted teardown failure") in out
+    for checker, figure, message in (
+            (_Refuses, "ablation_reserve_policy",
+             "[refuses] planted teardown failure"),
+            (_RefusesWork, "ablation_ecn",
+             "[refuses-work] planted per-record failure")):
+        def planted(checker=checker):
+            checks = suite()
+            checks.checkers.append(checker())
+            return checks
+
+        monkeypatch.setattr(repro.check, "default_suite", planted)
+        # Two arms: at --jobs 2 the violation crosses back from a worker.
+        assert main(["--jobs", jobs, "verify", figure]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {figure}\n  invariant violated: {message}" in out
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -17,7 +17,7 @@ import weakref
 
 import pytest
 
-from repro.check import default_suite
+from repro.check import PacketConservationChecker, default_suite
 from repro.cli import select
 from repro.experiments.runner import registered_scenarios, scenario_function
 from repro.experiments.scenario_registry import FIGURES
@@ -209,9 +209,28 @@ def test_a_reused_tracer_carries_no_suite_into_the_next_run():
     first, second = suites
     assert second.summary() == first.summary()
     assert second.events_dispatched == first.events_dispatched > 0
-    # Each suite watched its whole run: every dispatch of both runs.
-    assert tracer.counts["sim", "event.dispatch"] == (
-        2 * first.summary()["time-monotonic"])
+    # Each suite watched its whole run: every packet record of both runs.
+    packets = sum(count for (layer, kind), count in tracer.counts.items()
+                  if layer == "net" and kind in PacketConservationChecker.kinds)
+    assert packets == 2 * first.summary()["packet-conservation"] > 0
+
+
+def test_one_suite_judges_each_run_by_its_own_records():
+    """A suite installed for a second run once kept the first run's law
+    state: the second run raised a false ``time-monotonic`` and, with
+    that law left out, a false ``packet-conservation`` "resurrected"
+    (packet ids restart at 1 on every kernel).  The counters add up."""
+    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    arm = next(a for a in all_arms() if a.name == "adaptive")
+    suite = default_suite()
+    run_capacity_experiment(arm, streams=4, duration=1.0, seed=7,
+                            checks=suite)
+    once = suite.summary()
+    run_capacity_experiment(arm, streams=4, duration=1.0, seed=7,
+                            checks=suite)
+    assert once["packet-conservation"] > 0
+    assert suite.summary() == {name: 2 * count
+                               for name, count in once.items()}
 
 
 def test_the_example_builders_stand_on_the_same_testbed():

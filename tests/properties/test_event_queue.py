@@ -209,11 +209,18 @@ class _Side:
 
 class _CountingTracer:
     """Just enough tracer to send run() and step() down the traced path;
-    keeps the ``seq`` of the latest dispatch."""
+    keeps the ``seq`` of the latest dispatch.  Its dispatch row has a
+    handler, so the kernel builds every dispatch record; any other
+    record (a ``clock.regress``: the clock ran backwards) fails."""
 
     def __init__(self):
         self.dispatches = 0
         self.seq = None
+        self._row = [0, (self.instant,)]
+
+    def row(self, layer, kind):
+        assert (layer, kind) == ("sim", "event.dispatch")
+        return self._row
 
     def instant(self, layer, kind, fields=None):
         assert (layer, kind) == ("sim", "event.dispatch")
