@@ -1,13 +1,18 @@
-"""Randomized soak harness: invariant checkers x random configurations.
+"""Randomized soak harness: invariant checkers x random figure points.
 
 The unit and property suites check behaviours someone thought of; the
 soak harness searches for the ones nobody did.  From a single root
-seed it derives a stream of random capacity-farm configurations —
-arm x stream count x link capacities x fault plan — and runs each
-under the full :mod:`repro.check.invariants` suite.  Any violated
-invariant is shrunk to a minimal reproducer (drop faults wholesale,
-then halves, then one-by-one; then halve the stream count) and
-reported with a ready-to-paste replay command.
+seed it derives a stream of random cases, each one arm of a figure
+whose scenario takes faults (an ``ARM_SCENARIOS`` entry) at one of its
+sweep points, on a shortened timeline, under a random fault plan whose
+targets are indexes into the links and nodes that arm's network
+builds.  A case runs as the figure's own spec through
+the ``checked`` scenario, under the full
+:mod:`repro.check.invariants` suite and the retention law, as in
+``repro verify``.  Any violation or crash is shrunk to a minimal
+reproducer (drop faults wholesale, then halves, then one-by-one; then
+halve the sweep point down to the figure's smallest) and reported with
+a ready-to-paste replay command.
 
 Every case is a pure function of ``(root_seed, index)``, and cases
 fan out through the :class:`~repro.experiments.runner.ExperimentRunner`
@@ -19,107 +24,56 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check.invariants import InvariantViolation, default_suite
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.runner import RunSpec
+    from repro.experiments.scenario_registry import Figure
 
 __all__ = [
     "generate_case",
     "generate_cases",
+    "case_spec",
     "run_soak_case",
     "shrink_case",
     "replay_command",
     "run_soak",
 ]
 
-#: The four fig 9 mechanism arms, all soak-eligible.
-ARMS = ("best-effort", "priority", "reserves", "adaptive")
-#: Bottleneck capacities to sample (below/at/above the fig 9 nominal).
-BOTTLENECKS_BPS = (6e6, 10e6, 14e6)
-#: Cross-traffic intensities to sample.
-CROSS_BPS = (0.0, 2e6, 4e6)
-#: Links faults may target, as (device, device) name pairs.
-FAULT_LINKS = (("src", "router"), ("load", "router"), ("router", "dst"))
 _FAULT_KINDS = ("link_flap", "loss_burst", "link_degrade", "node_crash")
-
-#: The fig 12 QoS arms, all soak-eligible under the pub-sub family.
-PUBSUB_ARMS = ("best-effort", "reliable", "adaptive", "ownership",
-               "durable", "filtered", "partition")
-#: Fan-out bottlenecks to sample (under/at/over the fig 12 nominal).
-PUBSUB_BOTTLENECKS_BPS = (30e6, 60e6, 120e6)
-#: Pub-sub topology targets for random faults.
-PUBSUB_FAULT_LINKS = (("pub0", "router"), ("pub1", "router"),
-                      ("brk", "router"), ("router", "sub"))
-PUBSUB_FAULT_NODES = ("pub0", "pub1", "pub2", "pub3", "brk")
-#: Smallest legal pub-sub population (the measured cohort itself).
-PUBSUB_MIN_SUBSCRIBERS = 16
+#: Fault targets are drawn below this; the injector takes them modulo
+#: the built network's link or node count.
+_TARGETS = 1 << 16
 
 #: Large odd multiplier decorrelating per-case seeds from the root.
 _SEED_STRIDE = 1_000_003
-
-
-class Family(NamedTuple):
-    """How one scenario family runs a case dict: a row per family."""
-
-    #: The figure whose scenario and arms the family draws from.
-    figure: str
-    #: Case dict -> the scenario's own parameters (beyond arm, seed,
-    #: duration, fault plan and suite, which every family passes).
-    params: Callable[[Dict], Dict[str, Any]]
-    #: Result payload -> (frames or samples delivered, sent).
-    totals: Callable[[Any], Tuple[int, int]]
-    #: The case key shrinking halves, and its smallest legal value.
-    load_key: str
-    load_floor: int
-
-
-FAMILIES: Dict[str, Family] = {
-    "capacity": Family(
-        "fig9_capacity",
-        lambda case: {
-            "streams": int(case["streams"]),
-            "bottleneck_bps": float(case["bottleneck_bps"]),
-            "cross_traffic_bps": float(case["cross_traffic_bps"])},
-        lambda result: (result.total("delivered"), result.total("sent")),
-        "streams", 1),
-    "pubsub": Family(
-        "fig12_pubsub",
-        lambda case: {
-            "subscribers": int(case["subscribers"]),
-            "bottleneck_bps": float(case["bottleneck_bps"])},
-        lambda result: (sum(row.delivered for row in result.reader_rows),
-                        sum(row.sent_to for row in result.reader_rows)),
-        "subscribers", PUBSUB_MIN_SUBSCRIBERS),
-}
-
-
-def _family(case: Dict) -> Family:
-    """The :data:`FAMILIES` row ``case`` runs through (``"capacity"``
-    for pre-family replay dicts)."""
-    name = case.get("family", "capacity")
-    if name not in FAMILIES:
-        raise ValueError(f"unknown soak family {name!r} "
-                         f"(have {sorted(FAMILIES)})")
-    return FAMILIES[name]
 
 
 def case_seed(root_seed: int, index: int) -> int:
     return root_seed * _SEED_STRIDE + index
 
 
+def _figures() -> Dict[str, "Figure"]:
+    """The figures soak draws from: those whose arms take faults."""
+    from repro.experiments.scenario_registry import ARM_SCENARIOS, FIGURES
+    return {name: figure for name, figure in FIGURES.items()
+            if figure.scenario in ARM_SCENARIOS}
+
+
 # ----------------------------------------------------------------------
 # Configuration generation
 # ----------------------------------------------------------------------
-def _random_fault(rng: random.Random, duration: float,
-                  links=FAULT_LINKS, nodes=("router",)) -> Dict:
+def _random_fault(rng: random.Random, duration: float) -> Dict:
     kind = rng.choice(_FAULT_KINDS)
     at = round(rng.uniform(0.5, max(0.6, duration - 0.5)), 3)
     window = round(rng.uniform(0.3, 1.5), 3)
+    target = rng.randrange(_TARGETS)
     if kind == "node_crash":
-        return {"kind": kind, "node": rng.choice(nodes), "at": at,
+        return {"kind": kind, "node": target, "at": at,
                 "duration": window, "lose_state": rng.random() < 0.5}
-    link = list(rng.choice(links))
-    fault = {"kind": kind, "link": link, "at": at, "duration": window}
+    fault = {"kind": kind, "link": target, "at": at, "duration": window}
     if kind == "loss_burst":
         fault["loss"] = round(rng.uniform(0.05, 0.9), 3)
     elif kind == "link_degrade":
@@ -127,92 +81,98 @@ def _random_fault(rng: random.Random, duration: float,
     return fault
 
 
-def generate_case(root_seed: int, index: int, duration: float = 6.0,
-                  max_streams: int = 8) -> Dict:
+def generate_case(root_seed: int, index: int, duration: float = 6.0) -> Dict:
     """The fully random configuration for soak run ``index``.
 
     Pure in ``(root_seed, index)``: the same pair always produces the
     same JSON-able case dict, which is what makes shrinking and replay
-    exact.  Two families alternate under one seed stream: the fig 9
-    capacity farm and the fig 12 pub-sub fan-out.
+    exact.  ``arm`` is what ``repro run --arm`` matches; ``point`` is
+    present when the figure sweeps.
     """
     seed = case_seed(root_seed, index)
     rng = random.Random(seed)
-    n_faults = rng.randint(0, 4)
-    if rng.random() < 0.5:
-        return {
-            "index": int(index),
-            "seed": int(seed),
-            "family": "capacity",
-            "arm": rng.choice(ARMS),
-            "streams": rng.randint(1, max(1, int(max_streams))),
-            "duration": float(duration),
-            "bottleneck_bps": rng.choice(BOTTLENECKS_BPS),
-            "cross_traffic_bps": rng.choice(CROSS_BPS),
-            "faults": [_random_fault(rng, duration)
-                       for _ in range(n_faults)],
-        }
-    return {
+    figure = rng.choice(list(_figures().values()))
+    case: Dict[str, Any] = {
         "index": int(index),
         "seed": int(seed),
-        "family": "pubsub",
-        "arm": rng.choice(PUBSUB_ARMS),
-        "subscribers": rng.choice((16, 32, 128, 512)),
-        "duration": float(duration),
-        "bottleneck_bps": rng.choice(PUBSUB_BOTTLENECKS_BPS),
-        "faults": [
-            _random_fault(rng, duration, links=PUBSUB_FAULT_LINKS,
-                          nodes=PUBSUB_FAULT_NODES)
-            for _ in range(n_faults)
-        ],
+        "figure": figure.name,
+        "arm": rng.choice(figure.arm_names()),
     }
+    if figure.sweep is not None:
+        case["point"] = rng.choice(figure.points)
+    case["duration"] = float(duration)
+    case["faults"] = [_random_fault(rng, duration)
+                      for _ in range(rng.randint(0, 4))]
+    return case
 
 
-def generate_cases(root_seed: int, runs: int, duration: float = 6.0,
-                   max_streams: int = 8) -> List[Dict]:
-    return [generate_case(root_seed, index, duration, max_streams)
+def generate_cases(root_seed: int, runs: int,
+                   duration: float = 6.0) -> List[Dict]:
+    return [generate_case(root_seed, index, duration)
             for index in range(int(runs))]
+
+
+def case_spec(case: Dict) -> "RunSpec":
+    """The figure's own run for ``case``: its arm at its point, with the
+    case's duration, seed and fault plan.
+
+    A figure's float params are its timeline (the duration and any load
+    phase in it), so a shortened run scales them all alike and a phase
+    still falls inside the run."""
+    figure = _figures().get(case["figure"])
+    if figure is None:
+        raise ValueError(f"no soak figure {case['figure']!r}; choose from: "
+                         f"{', '.join(_figures())}")
+    names = figure.arm_names()
+    if case["arm"] not in names:
+        raise ValueError(f"unknown arm {case['arm']!r} for {figure.name}; "
+                         f"choose from: {', '.join(names)}")
+    duration = float(case["duration"])
+    scale = duration / figure.params["duration"]
+    params = {key: value * scale if type(value) is float else value
+              for key, value in figure.params.items()}
+    params.update(duration=duration, fault_plan=list(case["faults"]))
+    (spec,) = figure._replace(
+        arms=(figure.arms[names.index(case["arm"])],),
+        points=(case["point"],) if figure.sweep else (),
+        params=params, seed=int(case["seed"])).specs()
+    return spec
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def run_soak_case(case: Dict) -> Dict:
-    """Run one case under the full checker suite; picklable verdict.
-
-    ``ok`` is True when the run completed and every invariant (runtime
-    and teardown) held.  Violations carry the checker name and message;
-    any other exception is reported as a crash — a soak failure either
-    way.  ``case["family"]`` names the :data:`FAMILIES` row the case
-    runs through.
-    """
-    from repro.experiments.runner import scenario_function
-    from repro.experiments.scenario_registry import FIGURES
-
-    suite = default_suite()
+def _verdict(case: Dict, payload: Any) -> Dict:
+    """What a ``checked`` payload says about ``case``: ``ok``, or the
+    failure (``"invariant"`` naming its checker, or ``"crash"``)."""
     verdict = {"ok": True, "case": dict(case), "checker": None,
                "message": None, "failure": None, "events": 0}
-    try:
-        family = _family(case)
-        figure = FIGURES[family.figure]
-        arms = dict(figure.arms)
-        if case["arm"] not in arms:
-            raise ValueError(f"unknown {figure.scenario} soak arm "
-                             f"{case['arm']!r} (have {sorted(arms)})")
-        result = scenario_function(figure.scenario)(
-            **arms[case["arm"]], **family.params(case),
-            duration=float(case["duration"]), seed=int(case["seed"]),
-            fault_plan=case.get("faults") or [], checks=suite)
-    except InvariantViolation as violation:
+    if not isinstance(payload, InvariantViolation):
+        verdict["events"] = payload.events_executed
+    elif payload.checker == "crash":
+        verdict.update(ok=False, failure="crash", message=payload.message)
+    else:
         verdict.update(ok=False, failure="invariant",
-                       checker=violation.checker, message=str(violation))
-        return verdict
-    except Exception as exc:  # noqa: BLE001 - soak reports, never raises
-        verdict.update(ok=False, failure="crash",
-                       message=f"{type(exc).__name__}: {exc}")
-        return verdict
-    verdict["delivered"], verdict["sent"] = family.totals(result)
-    verdict["events"] = result.events_executed
+                       checker=payload.checker, message=str(payload))
+    return verdict
+
+
+def run_soak_case(case: Dict) -> Dict:
+    """Run one case in this process under the ``checked`` scenario, as
+    :func:`run_soak` runs it in a worker; picklable verdict.
+
+    ``ok`` is True when the run completed and every invariant (runtime,
+    teardown and retention) held.  An exception the arm raises is a
+    ``"crash"`` verdict, not a raise; a case that names no soak figure
+    or arm raises ``ValueError``.  ``checked`` is the count of records
+    the suite checked.
+    """
+    from repro.experiments.runner import scenario_function
+
+    spec = case_spec(case)
+    suite = default_suite()
+    verdict = _verdict(case, scenario_function("checked")(
+        spec.scenario, spec.params, spec.seed, checks=suite))
     verdict["checked"] = suite.events_dispatched
     return verdict
 
@@ -227,8 +187,9 @@ def shrink_case(case: Dict, budget: int = 20,
 
     Delta-debugging lite, bounded by ``budget`` extra runs: drop the
     fault plan wholesale, then by halves, then one event at a time;
-    finally halve the stream count.  Returns the smallest failing case
-    found and the number of reduction runs spent.
+    finally halve the sweep point, down to the figure's smallest.
+    Returns the smallest failing case found and the number of reduction
+    runs spent.
     """
     trials = [0]
 
@@ -259,15 +220,14 @@ def shrink_case(case: Dict, budget: int = 20,
             else:
                 index += 1
     best = {**best, "faults": faults}
-    family = _family(best)
-    load_key, floor = family.load_key, family.load_floor
-    while best[load_key] > floor:
-        candidate = {**best,
-                     load_key: max(floor, best[load_key] // 2)}
-        if fails(candidate):
-            best = candidate
-        else:
-            break
+    if "point" in best:
+        floor = min(_figures()[best["figure"]].points)
+        while best["point"] > floor:
+            candidate = {**best, "point": max(floor, best["point"] // 2)}
+            if fails(candidate):
+                best = candidate
+            else:
+                break
     return best, trials[0]
 
 
@@ -280,8 +240,8 @@ def replay_command(case: Dict) -> str:
 # The driver
 # ----------------------------------------------------------------------
 def run_soak(root_seed: int, runs: int, duration: float = 6.0,
-             max_streams: int = 8, jobs: Optional[int] = None,
-             shrink: bool = True, shrink_budget: int = 20,
+             jobs: Optional[int] = None, shrink: bool = True,
+             shrink_budget: int = 20,
              emit: Optional[Callable[[str], None]] = None) -> Dict:
     """Run ``runs`` random cases; shrink and report every failure.
 
@@ -296,20 +256,21 @@ def run_soak(root_seed: int, runs: int, duration: float = 6.0,
         if emit is not None:
             emit(message)
 
-    cases = generate_cases(root_seed, runs, duration, max_streams)
+    cases = generate_cases(root_seed, runs, duration)
     runner = ExperimentRunner(jobs=jobs, cache=False)
     say(f"soak: {len(cases)} cases from root seed {root_seed} "
         f"({runner.jobs} jobs)")
-    specs = [RunSpec("soak_case", {"case": case}) for case in cases]
-    verdicts = runner.payloads(specs)
+    payloads = runner.payloads([
+        RunSpec("checked", {"scenario": spec.scenario, "params": spec.params},
+                spec.seed) for spec in map(case_spec, cases)])
 
     failures = []
     total_events = 0
-    for verdict in verdicts:
-        total_events += verdict.get("events", 0) or 0
+    for case, payload in zip(cases, payloads):
+        verdict = _verdict(case, payload)
+        total_events += verdict["events"]
         if verdict["ok"]:
             continue
-        case = verdict["case"]
         say(f"soak: case {case['index']} FAILED "
             f"({verdict['failure']}: {verdict['message']})")
         entry = {
@@ -325,10 +286,11 @@ def run_soak(root_seed: int, runs: int, duration: float = 6.0,
             entry["shrunk"] = shrunk
             entry["shrink_runs"] = spent
             if spent:
-                load_key = _family(case).load_key
+                sweep = _figures()[case["figure"]].sweep
+                point = (f", {sweep}={shrunk['point']}" if sweep else "")
                 say(f"soak: shrunk case {case['index']} to "
-                    f"{len(shrunk['faults'])} fault(s), "
-                    f"{shrunk[load_key]} {load_key} in {spent} runs")
+                    f"{len(shrunk['faults'])} fault(s){point} "
+                    f"in {spent} runs")
         entry["replay"] = replay_command(entry["shrunk"])
         say(f"soak: replay with: {entry['replay']}")
         failures.append(entry)

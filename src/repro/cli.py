@@ -33,7 +33,7 @@ import inspect
 import json
 import pathlib
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.experiments.runner import (ExperimentRunner, RunSpec,
                                       scenario_function)
@@ -58,11 +58,6 @@ def resolve_figure(word: str) -> Figure:
                      f"{', '.join(matches or FIGURES)}")
 
 
-def _arm_name(label: str, params: Dict[str, Any]) -> str:
-    """What ``--arm`` matches: the arm's own name, else its label."""
-    return params["arm"]["name"] if "arm" in params else label
-
-
 def select(figure: Figure, arms: List[str], settings: List[str], seed: int,
            function: Optional[Callable[..., Any]] = None) -> Figure:
     """``figure`` narrowed to ``--arm`` names, with ``--set`` applied.
@@ -70,13 +65,13 @@ def select(figure: Figure, arms: List[str], settings: List[str], seed: int,
     ``function`` is what every arm calls when that is not a registered
     scenario (the example builders ``trace`` also runs)."""
     if arms:
-        names = [_arm_name(*entry) for entry in figure.arms]
+        names = figure.arm_names()
         for name in arms:
             if name not in names:
                 raise SystemExit(f"unknown arm {name!r} for {figure.name}; "
                                  f"choose from: {', '.join(names)}")
         figure = figure._replace(arms=tuple(
-            entry for entry in figure.arms if _arm_name(*entry) in arms))
+            entry for entry, name in zip(figure.arms, names) if name in arms))
     # What the scenario function accepts, less what tells arms apart.
     accepted = inspect.signature(
         function or scenario_function(figure.scenario)).parameters
@@ -266,7 +261,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                         renderer=None, seed=1 if "seed" in accepted else None)
     specs = select(figure, args.arm, args.set, args.seed, function).specs()
     if len(specs) != 1:
-        names = ", ".join(_arm_name(*entry) for entry in figure.arms)
+        names = ", ".join(figure.arm_names())
         point = (f" and --set {figure.sweep}=N" if figure.sweep else "")
         raise SystemExit(
             f"trace runs one arm but this selects {len(specs)} of "
@@ -325,7 +320,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    """Randomized invariant soak: random configs under the checkers."""
+    """Randomized invariant soak: random figure points under the
+    checkers."""
     from repro.check.soak import run_soak, run_soak_case
 
     if args.replay is not None:
@@ -335,11 +331,15 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             raise SystemExit(f"bad --replay JSON: {exc}")
         print(f"replaying case {case.get('index', '?')} "
               f"(seed {case.get('seed', '?')}) ...", file=sys.stderr)
-        verdict = run_soak_case(case)
+        try:
+            verdict = run_soak_case(case)
+        except KeyError as exc:
+            raise SystemExit(f"bad --replay case: no {exc} key") from None
+        except ValueError as exc:
+            raise SystemExit(f"bad --replay case: {exc}") from None
         if verdict["ok"]:
             print(f"replay clean: {verdict['events']} events, "
-                  f"{verdict['delivered']}/{verdict['sent']} frames "
-                  f"delivered, {verdict['checked']} records checked")
+                  f"{verdict['checked']} records checked")
             return 0
         print(f"replay FAILED ({verdict['failure']}): "
               f"{verdict['message']}")
@@ -347,8 +347,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     report = run_soak(
         root_seed=args.seed, runs=args.runs, duration=args.duration,
-        max_streams=args.max_streams, jobs=args.jobs,
-        shrink=not args.no_shrink,
+        jobs=args.jobs, shrink=not args.no_shrink,
         emit=lambda line: print(line, file=sys.stderr))
     for entry in report["failures"]:
         print()
@@ -420,15 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "soak",
-        help="randomized invariant soak: run random scenario x fault x "
-             "capacity configs under the runtime checkers",
+        help="randomized invariant soak: run random figure x arm x sweep "
+             "point x fault configs under the runtime checkers",
     )
     p.add_argument("--runs", type=int, default=20,
                    help="number of random cases to run (default 20)")
     p.add_argument("--duration", type=float, default=6.0,
                    help="simulated seconds per case (default 6)")
-    p.add_argument("--max-streams", type=int, default=8,
-                   help="upper bound on streams per case (default 8)")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip minimizing failing cases")
     p.add_argument("--replay", default=None, metavar="JSON",

@@ -123,25 +123,15 @@ for _name, (_arm_type, _run) in ARM_SCENARIOS.items():
     scenario(_name)(_arm_scenario(_arm_type, _run))
 
 
-@scenario("soak_case")
-def _soak_case(case: Dict[str, Any], seed: Optional[int] = None):
-    """One randomized soak run under the invariant-checker suite.
-
-    The case dict already carries its derived seed; the engine-level
-    ``seed`` is unused and accepted only for uniformity.
-    """
-    del seed
-    from repro.check.soak import run_soak_case
-    return run_soak_case(case)
-
-
 @scenario("checked")
 def _checked(scenario: str, params: Dict[str, Any],
-             seed: Optional[int] = None):
-    """One run of ``scenario`` under its own ``default_suite()``, built
-    where it runs.  A violation comes back as the payload, not raised,
-    so in a pool of many figures' arms it fails only its own figure
-    (:class:`~repro.check.InvariantViolation` pickles).
+             seed: Optional[int] = None, checks=None):
+    """One run of ``scenario`` under ``checks`` (default: its own
+    ``default_suite()``, built where it runs).  A violation comes back
+    as the payload, not raised, so in a pool of many figures' arms it
+    fails only its own figure (:class:`~repro.check.InvariantViolation`
+    pickles); so does any other exception the arm raises, as a
+    ``crash`` violation naming its type.
 
     The retention law is checked here too: with the payload and the
     uninstalled suite still held, a collection must free the kernel the
@@ -149,12 +139,15 @@ def _checked(scenario: str, params: Dict[str, Any],
     lets go of its world)."""
     from repro.check import InvariantViolation, default_suite
 
-    suite = default_suite()
+    suite = default_suite() if checks is None else checks
     spec = RunSpec(scenario, {**params, "checks": suite}, seed)
     try:
         payload = scenario_function(scenario)(**spec.call_kwargs())
     except InvariantViolation as violation:
         return violation
+    except Exception as exc:  # noqa: BLE001 - a crash fails its own run
+        return InvariantViolation("crash", f"{type(exc).__name__}: {exc}",
+                                  {"scenario": scenario})
     if suite.watched is None:
         return InvariantViolation(
             "retention", "the suite never watched a kernel",
@@ -223,6 +216,12 @@ class Figure(NamedTuple):
                     seed=self.seed)
             for _, arm in self.arms for point in sweep
         ]
+
+    def arm_names(self) -> List[str]:
+        """What ``repro run --arm`` matches, in arm order: each arm's own
+        name, else its label."""
+        return [params["arm"]["name"] if "arm" in params else label
+                for label, params in self.arms]
 
     def runs(self, payloads: List[Any]) -> Dict[str, Any]:
         """``payloads`` (in :meth:`specs` order) as the renderer and the

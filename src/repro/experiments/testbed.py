@@ -200,7 +200,8 @@ class Testbed:
     def inject(self, fault_plan: Optional[Sequence[Dict[str, Any]]],
                canonical: Sequence[Dict[str, Any]] = (),
                reporter=None, stream: str = "fault-injector") -> FaultPlan:
-        """Install the run's faults *now*; returns the plan installed.
+        """Install the run's faults *now*; returns the plan installed,
+        index targets resolved to names.
 
         One meaning of ``fault_plan`` everywhere: ``None`` is the
         scenario's ``canonical`` plan, a list *replaces* it, ``[]`` is a
@@ -211,11 +212,10 @@ class Testbed:
         ``"faults"`` and the rest from ``"fault-injector"``, and
         renaming either moves a results file.
         """
-        plan = FaultPlan.from_dicts(
-            canonical if fault_plan is None else fault_plan)
-        FaultInjector(self.kernel, self.network, reporter=reporter,
-                      rng=self.rng.stream(stream)).install(plan)
-        return plan
+        return FaultInjector(
+            self.kernel, self.network, reporter=reporter,
+            rng=self.rng.stream(stream)).install(FaultPlan.from_dicts(
+                canonical if fault_plan is None else fault_plan))
 
     def run(self, until: Optional[float] = None) -> int:
         """Run the watched world to ``until``; returns events executed.

@@ -3,7 +3,9 @@
 The :class:`FaultInjector` resolves each event's symbolic targets
 (link ends, node names, flow ids) against a live
 :class:`~repro.net.topology.Network` (a target the topology lacks is a
-:class:`~repro.faults.plan.FaultPlanError` at install), schedules the
+:class:`~repro.faults.plan.FaultPlanError` at install; an index target
+names the link or node at that position, modulo the count, in the
+sorted lists that error shows), schedules the
 begin/end edges on the kernel, and emits every lifecycle transition on
 the ``fault`` trace layer.  An optional
 :class:`~repro.quo.syscond.FaultReporterSC` is notified at every edge
@@ -67,9 +69,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def install(self, plan: FaultPlan) -> None:
-        """Schedule every event in ``plan`` (relative to *now*)."""
+    def install(self, plan: FaultPlan) -> FaultPlan:
+        """Schedule every event in ``plan`` (relative to *now*); returns
+        the plan as installed, each index target resolved to its name."""
+        events = []
         for index, event in enumerate(plan):
+            event = self._resolved(event)
+            events.append(event)
             begin, end = self._edges_for(event)
             span = f"fault:{index}:{event.label()}"
             self.kernel.schedule(event.at, self._begin, event, span, begin)
@@ -79,6 +85,28 @@ class FaultInjector:
             self.injected.append((
                 event.label(), event.at,
                 event.until if event.until is not None else event.at))
+        return FaultPlan(events)
+
+    def _links(self) -> List[List[str]]:
+        """Every link's ``[a, b]`` device names, sorted as ``"a-b"``."""
+        return sorted(([link.a.owner.name, link.b.owner.name]
+                       for link in self.network.links), key="-".join)
+
+    def _nodes(self) -> List[str]:
+        return sorted([host.name for host in self.network.hosts]
+                      + [router.name for router in self.network.routers])
+
+    def _resolved(self, event: FaultEvent) -> FaultEvent:
+        """``event`` with an index ``link`` / ``node`` replaced by the
+        name at that position, modulo the count, of :meth:`_links` /
+        :meth:`_nodes`; a named target is returned as it is."""
+        for key, choices in (("link", self._links), ("node", self._nodes)):
+            target = event.fields.get(key)
+            if type(target) is int:
+                names = choices()
+                return FaultEvent(event.kind, **{
+                    **event.fields, key: names[target % len(names)]})
+        return event
 
     # ------------------------------------------------------------------
     def _begin(self, event: FaultEvent, span: str,
@@ -124,11 +152,9 @@ class FaultInjector:
         try:
             return self.network.link_between(*event.fields["link"])
         except KeyError:
-            links = sorted(f"{link.a.owner.name}-{link.b.owner.name}"
-                           for link in self.network.links)
             raise FaultPlanError(
                 f"fault {event.label()}: no such link; choose from: "
-                f"{', '.join(links)}") from None
+                f"{', '.join(map('-'.join, self._links()))}") from None
 
     def _compile_link_flap(self, event):
         link = self._link_for(event)
@@ -172,11 +198,9 @@ class FaultInjector:
         try:
             device = self.network.device(event.fields["node"])
         except KeyError:
-            nodes = sorted([host.name for host in self.network.hosts]
-                           + [router.name for router in self.network.routers])
             raise FaultPlanError(
                 f"fault {event.label()}: no such node; choose from: "
-                f"{', '.join(nodes)}") from None
+                f"{', '.join(self._nodes())}") from None
         interfaces = device.interfaces
         if isinstance(interfaces, dict):
             interfaces = list(interfaces.values())

@@ -36,6 +36,11 @@ Supported event kinds
     any signaling.  Models lost router state; with no soft-state
     refresh, only a re-signal by the sender re-installs it.
 
+A ``link`` or ``node`` target is a name (a ``[device, device]`` pair,
+a device name) or an int index: the injector takes it modulo the count
+of the built network's links or nodes, in the sorted order its error
+message lists them, so a plan of indexes holds on any topology.
+
 A plan that names an unknown kind or field, a bad value, or (at
 install) a link or node the topology lacks raises
 :class:`FaultPlanError`, whose message names the event and the valid
@@ -108,9 +113,13 @@ class FaultEvent:
             raise bad("'factor' must be in (0, 1)")
         if "link" in merged:
             link = merged["link"]
-            if not (isinstance(link, (list, tuple)) and len(link) == 2):
-                raise bad("'link' must be a [device, device] pair")
-            merged["link"] = [str(link[0]), str(link[1])]
+            if isinstance(link, (list, tuple)) and len(link) == 2:
+                merged["link"] = [str(link[0]), str(link[1])]
+            elif type(link) is not int:
+                raise bad("'link' must be a [device, device] pair or an "
+                          "index")
+        if "node" in merged and type(merged["node"]) not in (str, int):
+            raise bad("'node' must be a device name or an index")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "fields", merged)
 

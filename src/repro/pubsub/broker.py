@@ -366,6 +366,15 @@ class Broker:
             if pid == home:
                 self.owners[topic_name] = new_owner
             self.partition_owners[(topic_name, pid)] = new_owner
+            # Every reader follows its partition's owner, changed or
+            # not: one whose partition rejoined the broker's still holds
+            # the owner it was cut off with.
+            for reader in self.readers.values():
+                if (reader.topic.name == topic_name
+                        and reader.qos.ownership is OwnershipKind.EXCLUSIVE
+                        and (parts.get(reader.host_name)
+                             if parts is not None else None) == pid):
+                    reader.owner = new_owner
             if new_owner == old_owner:
                 continue
             if pid == home:
@@ -377,12 +386,6 @@ class Broker:
                 tracer.instant("pubsub", "ownership.failover",
                                fields={"topic": topic_name, "old": old_owner,
                                        "new": new_owner, "partition": pid})
-            for reader in self.readers.values():
-                if (reader.topic.name == topic_name
-                        and reader.qos.ownership is OwnershipKind.EXCLUSIVE
-                        and (parts.get(reader.host_name)
-                             if parts is not None else None) == pid):
-                    reader.owner = new_owner
 
     # ------------------------------------------------------------------
     # Adaptation plumbing

@@ -1,7 +1,8 @@
 """Tests for the randomized soak harness.
 
 The load-bearing properties: case generation is a pure function of
-``(root_seed, index)``; verdicts are identical at any worker count; a
+``(root_seed, index)`` and reaches every fault-taking scenario through
+the figure table; verdicts are identical at any worker count; a
 deliberately re-introduced accounting bug is caught, shrunk to a
 smaller reproducer, and reported with a working replay command.
 """
@@ -24,7 +25,19 @@ from repro.check import (
     run_soak_case,
     shrink_case,
 )
-from repro.check.soak import ARMS, PUBSUB_ARMS, PUBSUB_MIN_SUBSCRIBERS
+from repro.check.soak import case_spec
+from repro.experiments.scenario_registry import ARM_SCENARIOS, FIGURES
+
+
+def _case(figure, arm, point=None, duration=2.0, faults=()):
+    """A soak case dict for one figure point, seeded like case 0 of
+    root seed 5."""
+    case = {**generate_case(5, 0), "figure": figure, "arm": arm,
+            "duration": duration, "faults": list(faults)}
+    case.pop("point", None)
+    if point is not None:
+        case["point"] = point
+    return case
 
 
 # ----------------------------------------------------------------------
@@ -37,24 +50,20 @@ def test_case_generation_is_pure_in_seed_and_index():
 
 
 def test_cases_are_json_able_and_well_formed():
-    families = set()
-    for case in generate_cases(7, 16, duration=2.0, max_streams=4):
+    for case in generate_cases(7, 16, duration=2.0):
         assert case == json.loads(json.dumps(case))
-        families.add(case["family"])
-        if case["family"] == "capacity":
-            assert case["arm"] in ARMS
-            assert 1 <= case["streams"] <= 4
-        else:
-            assert case["family"] == "pubsub"
-            assert case["arm"] in PUBSUB_ARMS
-            assert case["subscribers"] >= PUBSUB_MIN_SUBSCRIBERS
+        figure = FIGURES[case["figure"]]
+        assert figure.scenario in ARM_SCENARIOS
+        assert case["arm"] in figure.arm_names()
+        assert ("point" in case) == (figure.sweep is not None)
+        if figure.sweep is not None:
+            assert case["point"] in figure.points
         assert case["duration"] == 2.0
         for fault in case["faults"]:
             assert fault["kind"] in ("link_flap", "loss_burst",
                                      "link_degrade", "node_crash")
+            assert type(fault.get("link", fault.get("node"))) is int
             assert fault["at"] >= 0.5
-    # Both scenario families appear under one root seed.
-    assert families == {"capacity", "pubsub"}
 
 
 def test_generate_cases_indexes_sequentially():
@@ -62,38 +71,66 @@ def test_generate_cases_indexes_sequentially():
     assert [case["index"] for case in cases] == list(range(5))
 
 
+def test_soak_reaches_every_arm_scenario():
+    scenarios = {FIGURES[case["figure"]].scenario
+                 for case in generate_cases(1, 32)}
+    assert scenarios == set(ARM_SCENARIOS)
+
+
+@pytest.mark.parametrize("root_seed", [1, 9])
+def test_a_shorter_campaign_is_a_prefix(root_seed):
+    assert generate_cases(root_seed, 4) == generate_cases(root_seed, 8)[:4]
+
+
+def test_a_case_runs_the_figures_own_spec():
+    """The arm, point and timeline are the figure's; a load phase scales
+    with the shortened run, and the faults replace the canonical plan."""
+    faults = [{"kind": "link_flap", "link": 2, "at": 1.0, "duration": 0.5}]
+    spec = case_spec(_case("table1_network_reservation", "3-full",
+                           duration=30.0, faults=faults))
+    (arm,) = [params for label, params
+              in FIGURES["table1_network_reservation"].arms
+              if params["arm"]["name"] == "3-full"]
+    assert spec.scenario == "reservation_net"
+    assert spec.params == {**arm, "duration": 30.0, "load_start": 6.0,
+                           "load_end": 12.0, "fault_plan": faults}
+    assert spec.seed == generate_case(5, 0)["seed"]
+    spec = case_spec(_case("fig12_pubsub", "ownership", point=1024))
+    assert spec.params["subscribers"] == 1024
+
+
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 def test_clean_case_verdict_is_ok_and_informative():
-    case = generate_case(1, 0, duration=1.0, max_streams=3)
+    case = generate_case(1, 0, duration=1.0)
     verdict = run_soak_case(case)
     assert verdict["ok"], verdict
     assert verdict["events"] > 0
     assert verdict["checked"] > 0
-    assert verdict["sent"] >= verdict["delivered"] >= 0
     assert verdict["case"] == case
 
 
 def test_crash_is_reported_not_raised():
-    case = generate_case(1, 0, duration=1.0, max_streams=3)
-    verdict = run_soak_case({**case, "arm": "no-such-arm"})
+    case = _case("fig9_capacity", "reserves", point=2, duration=1.0, faults=[
+        {"kind": "link_flap", "link": ["no", "such"], "at": 0.5,
+         "duration": 0.2}])
+    verdict = run_soak_case(case)
     assert not verdict["ok"]
     assert verdict["failure"] == "crash"
     assert verdict["checker"] is None
+    assert verdict["message"].startswith("FaultPlanError: ")
 
 
-def test_unknown_family_is_a_crash_verdict_not_a_raise():
-    case = generate_case(1, 0, duration=1.0, max_streams=3)
-    verdict = run_soak_case({**case, "family": "no-such-family"})
-    assert not verdict["ok"]
-    assert verdict["failure"] == "crash"
-    assert "unknown soak family 'no-such-family'" in verdict["message"]
+def test_a_case_naming_no_soak_figure_or_arm_is_refused():
+    with pytest.raises(ValueError, match="no soak figure 'ablation_ecn'"):
+        run_soak_case(_case("ablation_ecn", "RED + ECN"))
+    with pytest.raises(ValueError, match="unknown arm 'no-such-arm'"):
+        run_soak_case(_case("fig9_capacity", "no-such-arm", point=2))
 
 
 def test_soak_report_is_independent_of_jobs():
-    kwargs = dict(root_seed=11, runs=4, duration=1.0, max_streams=3,
-                  shrink=False)
+    kwargs = dict(root_seed=11, runs=4, duration=1.0, shrink=False)
     serial = run_soak(jobs=1, **kwargs)
     parallel = run_soak(jobs=4, **kwargs)
     assert serial == parallel
@@ -105,12 +142,13 @@ def test_soak_report_is_independent_of_jobs():
 # ----------------------------------------------------------------------
 # The acceptance gate: a re-introduced accounting bug must be caught
 # ----------------------------------------------------------------------
+#: Where fig 9's congestion drops: the bottleneck's egress queue.
+_BOTTLENECK = "qdisc='router.router->dst'"
+
+
 def _congested_case(faults=()):
-    """A case that exercises demotion-then-overflow in the bottleneck."""
-    case = generate_case(5, 0, duration=2.0, max_streams=8)
-    case.update(arm="best-effort", streams=6, bottleneck_bps=6e6,
-                cross_traffic_bps=4e6, faults=list(faults))
-    return case
+    """A fig 9 case whose bottleneck overflows: demotion, then drops."""
+    return _case("fig9_capacity", "best-effort", point=16, faults=faults)
 
 
 def _reintroduce_drop_bug(monkeypatch):
@@ -129,6 +167,7 @@ def test_reintroduced_drop_bug_is_caught(monkeypatch):
     assert verdict["failure"] == "invariant"
     assert verdict["checker"] == "qdisc-accounting"
     assert "drop not booked" in verdict["message"]
+    assert _BOTTLENECK in verdict["message"]
 
 
 class _RefusesEnqueue(InvariantChecker):
@@ -148,9 +187,8 @@ def test_a_violation_under_a_process_is_an_invariant_verdict(monkeypatch):
     harness wrapped in ``ProcessError``: a "crash" naming no checker."""
     monkeypatch.setattr(soak_module, "default_suite", lambda: CheckSuite(
         default_suite().checkers + [_RefusesEnqueue()]))
-    case = generate_case(1, 2, duration=1.0, max_streams=3)
-    assert case["family"] == "capacity"
-    verdict = run_soak_case(case)
+    verdict = run_soak_case(_case("fig9_capacity", "adaptive", point=2,
+                                  duration=1.0))
     assert not verdict["ok"]
     assert verdict["failure"] == "invariant"
     assert verdict["checker"] == "refuses-enqueue"
@@ -169,12 +207,14 @@ def test_shrink_reduces_the_failing_case(monkeypatch):
     assert 0 < spent <= 12
     # The faults are irrelevant to this bug, so shrinking sheds them.
     assert shrunk["faults"] == []
-    assert shrunk["streams"] <= case["streams"]
-    assert not run_soak_case(shrunk)["ok"]  # still a reproducer
+    assert shrunk["point"] < case["point"]
+    verdict = run_soak_case(shrunk)
+    assert not verdict["ok"]  # still a reproducer
+    assert _BOTTLENECK in verdict["message"]
 
 
 def test_shrink_keeps_the_original_when_nothing_smaller_fails():
-    case = generate_case(1, 0, duration=1.0, max_streams=2)
+    case = generate_case(1, 0, duration=1.0)
     calls = []
 
     def always_passes(candidate):
@@ -186,38 +226,48 @@ def test_shrink_keeps_the_original_when_nothing_smaller_fails():
     assert spent == len(calls) <= 5
 
 
+@pytest.mark.parametrize("needed", [(3,), (1, 3)])
+def test_shrink_keeps_exactly_the_faults_a_failure_needs(needed):
+    """The halving and one-at-a-time phases, which the canaries never
+    reach (their bugs need no fault at all)."""
+    faults = [{"kind": "link_flap", "link": index, "at": 1.0 + index,
+               "duration": 0.5} for index in range(5)]
+    case = _case("fig8_fault_adaptation", "static", faults=faults)
+
+    def fails_with_needed(candidate):
+        return {"ok": not all(faults[index] in candidate["faults"]
+                              for index in needed)}
+
+    shrunk, _ = shrink_case(case, run=fails_with_needed)
+    assert shrunk["faults"] == [faults[index] for index in needed]
+
+
 def test_soak_driver_reports_shrunk_failure_with_replay(monkeypatch):
     _reintroduce_drop_bug(monkeypatch)
     failing = _congested_case()
-
-    def one_bad_case(root_seed, runs, duration, max_streams):
-        return [failing]
-
-    monkeypatch.setattr("repro.check.soak.generate_cases", one_bad_case)
+    monkeypatch.setattr("repro.check.soak.generate_cases",
+                        lambda *args: [failing])
     lines = []
     report = run_soak(root_seed=5, runs=1, jobs=1, shrink_budget=8,
                       emit=lines.append)
     assert not report["ok"]
     (entry,) = report["failures"]
     assert entry["checker"] == "qdisc-accounting"
-    assert entry["shrunk"]["streams"] <= failing["streams"]
+    assert _BOTTLENECK in entry["message"]
+    assert entry["shrunk"]["point"] < failing["point"]
     assert entry["replay"] == replay_command(entry["shrunk"])
     assert any("FAILED" in line for line in lines)
+    assert any("streams=8 in" in line for line in lines)
     assert any("replay with:" in line for line in lines)
 
 
 # ----------------------------------------------------------------------
-# The pub-sub family's canary: a re-introduced history leak
+# The pub-sub canary: a re-introduced history leak
 # ----------------------------------------------------------------------
-def _pubsub_case(faults=(), subscribers=64):
-    """A fig 12 fan-out case in the soak dict shape."""
-    case = generate_case(5, 0, duration=2.0)
-    return {
-        "index": case["index"], "seed": case["seed"],
-        "family": "pubsub", "arm": "best-effort",
-        "subscribers": subscribers, "duration": 2.0,
-        "bottleneck_bps": 60e6, "faults": list(faults),
-    }
+def _pubsub_case(faults=(), subscribers=128):
+    """A fig 12 fan-out case."""
+    return _case("fig12_pubsub", "best-effort", point=subscribers,
+                 faults=faults)
 
 
 def _reintroduce_history_leak(monkeypatch):
@@ -246,22 +296,21 @@ def test_reintroduced_history_leak_is_caught(monkeypatch):
 
 def test_shrink_reduces_the_pubsub_case(monkeypatch):
     _reintroduce_history_leak(monkeypatch)
-    case = _pubsub_case(subscribers=128, faults=[
+    case = _pubsub_case(subscribers=1024, faults=[
         {"kind": "link_flap", "link": ["pub0", "router"],
          "at": 0.6, "duration": 0.4},
     ])
     shrunk, spent = shrink_case(case, budget=12)
     assert 0 < spent <= 12
     assert shrunk["faults"] == []  # irrelevant to the leak: shed
-    assert PUBSUB_MIN_SUBSCRIBERS <= shrunk["subscribers"] < 128
+    assert shrunk["point"] == 128  # halved down to the figure's smallest
     assert not run_soak_case(shrunk)["ok"]  # still a reproducer
 
 
 def test_soak_driver_reports_a_shrunk_pubsub_failure(monkeypatch):
-    """The shrink report names the family's own load axis (a pub-sub
-    case has no ``streams``)."""
+    """The shrink report names the figure's own sweep axis."""
     _reintroduce_history_leak(monkeypatch)
-    failing = _pubsub_case(subscribers=64)
+    failing = _pubsub_case(subscribers=1024)
     monkeypatch.setattr("repro.check.soak.generate_cases",
                         lambda *args: [failing])
     lines = []
@@ -269,8 +318,8 @@ def test_soak_driver_reports_a_shrunk_pubsub_failure(monkeypatch):
                       emit=lines.append)
     (entry,) = report["failures"]
     assert entry["checker"] == "pubsub"
-    assert entry["shrunk"]["subscribers"] < failing["subscribers"]
-    assert any("subscribers in" in line for line in lines)
+    assert entry["shrunk"]["point"] < failing["point"]
+    assert any("subscribers=" in line for line in lines)
 
 
 def test_replayed_pubsub_case_reproduces_the_verdict(monkeypatch):
@@ -300,3 +349,15 @@ def test_replayed_case_reproduces_the_verdict(monkeypatch):
     verdict = run_soak_case(json.loads(payload))
     assert not verdict["ok"]
     assert verdict["checker"] == "qdisc-accounting"
+    assert _BOTTLENECK in verdict["message"]
+
+
+def test_fig11_plans_install_on_each_cases_own_graph():
+    """Index targets resolve against the Waxman graph the case's own
+    seed builds, so no drawn plan names a link that graph lacks."""
+    cases = [case for case in generate_cases(3, 64, duration=1.0)
+             if case["figure"] == "fig11_route" and case["faults"]]
+    assert len(cases) == 2  # at two seeds, so on two different graphs
+    for case in cases:
+        verdict = run_soak_case(case)
+        assert verdict["ok"], verdict

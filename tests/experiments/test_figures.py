@@ -231,6 +231,29 @@ def test_a_red_arm_fails_only_its_own_figure(jobs, capsys, monkeypatch):
     assert out.endswith("verify FAILED: 1/2 figure(s)\n")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_crashing_arm_fails_only_its_own_figure(jobs, capsys, monkeypatch):
+    """An arm that raises something other than a violation comes back as
+    a ``crash`` violation, so the pool pass still reports the other
+    figure."""
+    phb = scenario_function("ablation_phb")
+
+    def crashing(diffserv, **kwargs):
+        if diffserv:
+            raise RuntimeError("planted crash")
+        return phb(diffserv=diffserv, **kwargs)
+
+    monkeypatch.setitem(runner_mod._SCENARIOS, "ablation_phb", crashing)
+    monkeypatch.chdir(ROOT)
+    assert main(["--jobs", jobs, "verify", "ablation_phb",
+                 "ablation_ecn"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL ablation_phb\n  invariant violated: [crash] "
+            "RuntimeError: planted crash") in out
+    assert "ok   ablation_ecn: 2 run(s)" in out
+    assert out.endswith("verify FAILED: 1/2 figure(s)\n")
+
+
 def test_cli_table1_single_arm(capsys):
     assert main([
         "--no-cache", "run", "table1", "--arm", "3-full",

@@ -259,7 +259,7 @@ def test_the_example_builders_stand_on_the_same_testbed():
 
 def test_every_scenario_takes_checks_and_tracer_and_arms_take_faults():
     for name in registered_scenarios():
-        if name in ("soak_case", "checked"):  # wrap the others, own suite
+        if name == "checked":  # wraps the others, own suite
             continue
         accepted = inspect.signature(scenario_function(name)).parameters
         assert {"checks", "tracer"} <= set(accepted), name

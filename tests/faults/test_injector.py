@@ -10,6 +10,9 @@ from repro.oskernel import Host
 from repro.net import DatagramSocket, FlowSpec, GuaranteedRateQueue, Network
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, FaultPlanError
 from repro.quo.syscond import FaultReporterSC
+from repro.experiments.runner import scenario_function
+from repro.experiments.scenario_registry import FIGURES
+from repro.obs import RingBufferSink, Tracer
 
 
 def rig(kernel):
@@ -254,3 +257,59 @@ def test_injected_log_records_every_event():
         FaultEvent("link_flap", link=["r1", "dst"], at=1.0, duration=2.0)))
     assert injector.injected == [("link_flap:r1-dst", 1.0, 3.0),
                                  ("resv_loss:video", 3.0, 3.0)]
+
+
+# ----------------------------------------------------------------------
+# Index targets, on the fig 9 star the capacity scenario builds
+# ----------------------------------------------------------------------
+def _fig9(fault, tracer=None):
+    (_, arm), *_ = FIGURES["fig9_capacity"].arms
+    return scenario_function("capacity")(
+        **arm, streams=1, duration=1.0, fault_plan=[fault], tracer=tracer)
+
+
+def _choices(fault):
+    """The injector's sorted target list, as its error message shows it."""
+    with pytest.raises(FaultPlanError) as info:
+        _fig9(fault)
+    return str(info.value).split("choose from: ", 1)[1].split(", ")
+
+
+def _resolved(fault):
+    """The target the fault's trace records name."""
+    sink = RingBufferSink(capacity=64)
+    _fig9(fault, Tracer(sinks=[sink], layers=["fault"]))
+    (begin, end) = sink.records
+    assert begin.fields == end.fields
+    return begin.fields["link" if "link" in fault else "node"]
+
+
+def test_an_index_link_is_that_position_of_the_sorted_links():
+    window = {"kind": "link_flap", "at": 0.5, "duration": 0.2}
+    links = _choices({**window, "link": ["no", "such"]})
+    assert len(links) >= 3
+    for index in range(len(links) + 2):
+        assert _resolved({**window, "link": index}) == \
+            links[index % len(links)]
+
+
+def test_an_index_node_is_that_position_of_the_sorted_nodes():
+    window = {"kind": "node_crash", "at": 0.5, "duration": 0.2}
+    nodes = _choices({**window, "node": "nowhere"})
+    assert "router" in nodes
+    for index in range(len(nodes) + 2):
+        assert _resolved({**window, "node": index}) == \
+            nodes[index % len(nodes)]
+
+
+def test_an_installed_plan_names_its_resolved_targets():
+    kernel = Kernel()
+    net, _ = rig(kernel)
+    injector = FaultInjector(kernel, net)
+    installed = injector.install(plan_of(
+        FaultEvent("link_flap", link=1, at=1.0, duration=1.0),
+        FaultEvent("node_crash", node=0, at=2.0, duration=1.0)))
+    assert [event.label() for event in installed] == [
+        "link_flap:src-r1", "node_crash:dst"]
+    assert [label for label, _, _ in injector.injected] == [
+        "link_flap:src-r1", "node_crash:dst"]

@@ -54,6 +54,17 @@ def test_link_must_be_a_pair():
         FaultEvent("link_flap", link="a-b", at=1.0, duration=1.0)
 
 
+def test_targets_may_be_indexes():
+    event = FaultEvent("link_flap", link=7, at=1.0, duration=1.0)
+    assert event.link == 7 and event.label() == "link_flap:7"
+    assert FaultEvent("node_crash", node=3, at=1.0,
+                      duration=1.0).label() == "node_crash:3"
+    with pytest.raises(ValueError, match="or an index"):
+        FaultEvent("link_flap", link=True, at=1.0, duration=1.0)
+    with pytest.raises(ValueError, match="device name or an index"):
+        FaultEvent("node_crash", node=1.5, at=1.0, duration=1.0)
+
+
 def test_events_are_immutable():
     event = FaultEvent("resv_loss", flow="video", at=3.0)
     with pytest.raises(AttributeError):

@@ -132,6 +132,23 @@ def test_heal_re_arbitrates_within_two_leases():
     assert len(set(parts.values())) == 1
 
 
+def test_a_reader_that_rejoins_follows_the_unchanged_owner():
+    """Cut the reader off for less than a lease: its partition elects
+    no owner, the broker's own keeps ``wp`` throughout, and at the heal
+    the reader must take ``wp`` back although no owner changed."""
+    kernel, net, broker, primary, backup, reader = _build()
+    link = net.link_between("sub", "router")
+    kernel.schedule_at(1.0, link.fail)
+    kernel.schedule_at(1.0 + LEASE / 2, link.restore)
+
+    views = []
+    for at in (1.0 + LEASE / 4, 1.0 + LEASE):
+        kernel.schedule_at(at, lambda: views.append(
+            (reader.owner, broker.owners["t"])))
+    kernel.run(until=2.0)
+    assert views == [(None, "wp"), ("wp", "wp")]
+
+
 def test_local_mode_broker_has_no_partition_view():
     kernel = Kernel()
     broker = Broker(kernel)

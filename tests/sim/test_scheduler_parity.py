@@ -46,12 +46,13 @@ from repro.experiments.route_exp import RouteArm, route_arms
 from repro.scale.capacity_exp import CapacityArm
 from repro.scale.fig10 import ScaleArm
 from repro.pubsub.fig12 import PubSubArm, pubsub_arms
-from repro.check.soak import generate_case
+from repro.check.soak import case_spec, generate_case
 from repro.sim import Kernel, TickCoalescer
 
 
 def _parity_specs():
     """One scaled-down spec per registered scenario family."""
+    soaked = case_spec(generate_case(1, 0, duration=3.0))
     return {
         "priority": RunSpec(
             "priority",
@@ -88,9 +89,11 @@ def _parity_specs():
             {"arm": PubSubArm("ownership", ownership=True,
                               faults=True).params(),
              "subscribers": 64, "duration": 4.0}, seed=1),
-        "soak_case": RunSpec(
-            "soak_case",
-            {"case": generate_case(1, 0, duration=3.0, max_streams=4)}),
+        # A drawn soak case: a faulted fig 12 point under the suite.
+        "checked": RunSpec(
+            "checked",
+            {"scenario": soaked.scenario, "params": soaked.params},
+            soaked.seed),
         "ablation_ecn": RunSpec("ablation_ecn", {"use_red": True}),
         "ablation_phb": RunSpec("ablation_phb", {"diffserv": True}),
         "ablation_reserve_policy": RunSpec(
