@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Tuple
 from repro.sim.kernel import Kernel
 from repro.net.diffserv import Dscp
 from repro.net.nic import Nic
-from repro.net.packet import MTU_BYTES, Packet
+from repro.net.packet import MTU_BYTES, UDP, Packet
 from repro.net.transport import DatagramSocket
 
 #: Media payload bytes per fragment (MTU minus the 40 B header).
@@ -32,16 +32,10 @@ def flow_id_for(flow_name: str) -> str:
     return f"avflow:{flow_name}"
 
 
-class _Fragment:
-    """One wire fragment of a frame."""
-
-    __slots__ = ("frame", "key", "index", "count")
-
-    def __init__(self, frame: Any, key: Any, index: int, count: int) -> None:
-        self.frame = frame
-        self.key = key
-        self.index = index
-        self.count = count
+#: One wire fragment of a frame, as its datagram's payload:
+#: ``(frame, key, index, count)``, with ``key`` the frame's
+#: ``(flow id, frame counter)`` and ``count`` its fragments.
+Fragment = Tuple[Any, Tuple[str, int], int, int]
 
 
 class FlowProducer:
@@ -67,7 +61,11 @@ class FlowProducer:
         self.peer_host = peer_host
         self.peer_port = peer_port
         self.dscp = dscp
+        # Holds the flow's source port; fragments bypass its send_to.
         self._socket = DatagramSocket(kernel, nic)
+        self._nic = nic
+        self._src = nic.host.name
+        self._packet_id = kernel.ids("packet")
         self._frame_counter = 0
         self.frames_sent = 0
         self.fragments_sent = 0
@@ -97,17 +95,29 @@ class FlowProducer:
                         "frame_type": getattr(frame_type, "value",
                                               frame_type)},
             )
+        socket = self._socket
+        if socket._closed:
+            raise RuntimeError("socket is closed")
+        # Each fragment is the datagram ``socket.send_to`` would build,
+        # built here and handed to the NIC: one frame per fragment less.
+        send = self._nic.send
+        packet_id = self._packet_id
+        src, port = self._src, socket.port
+        dst, dst_port = self.peer_host, self.peer_port
+        dscp, flow_id = self.dscp, self.flow_id
+        now = self.kernel.now
         all_accepted = True
         remaining = nbytes
         for index in range(count):
-            chunk = min(FRAGMENT_BYTES, remaining)
+            chunk = FRAGMENT_BYTES if remaining > FRAGMENT_BYTES else remaining
             remaining -= chunk
-            self.fragments_sent += 1
-            accepted = self._socket.send_to(
-                self.peer_host, self.peer_port,
-                _Fragment(frame, key, index, count), chunk, self.dscp,
-                self.flow_id)
+            accepted = send(Packet(
+                src, dst, port, dst_port, UDP,
+                (frame, key, index, count), chunk, dscp, flow_id,
+                now, packet_id()))
             all_accepted = all_accepted and accepted
+        self.fragments_sent += count
+        socket.sent += count
         return all_accepted
 
     def close(self) -> None:
@@ -146,8 +156,8 @@ class FlowConsumer:
         self._socket = DatagramSocket(
             kernel, nic, port=port, on_receive=self._deliver
         )
-        # key -> (set of fragment indexes, fragment count)
-        self._partial: "OrderedDict[Any, Tuple[set, int]]" = OrderedDict()
+        # frame key -> indexes of its fragments received so far
+        self._partial: "OrderedDict[Tuple[str, int], set]" = OrderedDict()
         self.frames_received = 0
         self.fragments_received = 0
         self.frames_incomplete = 0
@@ -157,33 +167,33 @@ class FlowConsumer:
     def port(self) -> int:
         return self._socket.port
 
-    def _deliver(self, fragment: _Fragment, packet: Packet) -> None:
+    def _deliver(self, fragment: Fragment, packet: Packet) -> None:
+        frame, key, index, count = fragment
         self.fragments_received += 1
         self.bytes_received += packet.payload_bytes
-        have, count = self._partial.get(fragment.key, (None, 0))
+        partial = self._partial
+        have = partial.get(key)
         if have is None:
-            have = set()
-            self._partial[fragment.key] = (have, fragment.count)
-            count = fragment.count
-            if len(self._partial) > self.REASSEMBLY_SLOTS:
-                self._partial.popitem(last=False)
+            have = partial[key] = set()
+            if len(partial) > self.REASSEMBLY_SLOTS:
+                partial.popitem(last=False)
                 self.frames_incomplete += 1
-        have.add(fragment.index)
+        have.add(index)
         if len(have) < count:
             return
-        del self._partial[fragment.key]
+        del partial[key]
         self.frames_received += 1
-        tracer = self.kernel.tracer
+        kernel = self.kernel
+        tracer = kernel.tracer
         if tracer is not None:
-            flow_id, counter = fragment.key
+            flow_id, counter = key
             tracer.end(
                 "av", "frame", span=f"frame:{flow_id}:{counter}",
                 flow=self.flow_id,
-                fields={"latency": self.kernel.now - packet.created_at},
+                fields={"latency": kernel.now - packet.created_at},
             )
         if self.on_frame is not None:
-            latency = self.kernel.now - packet.created_at
-            self.on_frame(fragment.frame, latency)
+            self.on_frame(frame, kernel.now - packet.created_at)
 
     def close(self) -> None:
         self._socket.close()

@@ -177,6 +177,10 @@ class AvVideoSender:
         self.qosket = qosket
         self.thread = thread
         self.encode_cost = float(encode_cost)
+        #: The encode thread's live request queue, or ``None`` when
+        #: frames are not encoded (no thread, or a zero cost).
+        self._encodes = (None if thread is None or self.encode_cost == 0.0
+                         else thread.cpu.backlog(thread))
         self.delivery = DeliveryRecorder(stream.name)
         if qosket is not None:
             qosket.loss.recorder = self.delivery
@@ -212,16 +216,17 @@ class AvVideoSender:
         if self.frame_filter is not None and not self.frame_filter.accept(
                 frame):
             return
-        if self.thread is None or self.encode_cost == 0.0:
+        encodes = self._encodes
+        if encodes is None:
             self._send(frame)
             return
-        cpu = self.thread.cpu
-        if cpu.queue_depth(self.thread) > self.MAX_ENCODE_BACKLOG:
+        if len(encodes) > self.MAX_ENCODE_BACKLOG:
             # The encoder is drowning: drop at the source rather than
             # queue stale video behind it.
             self.frames_skipped += 1
             return
-        request = cpu.submit(self.thread, self.encode_cost)
+        thread = self.thread
+        request = thread.cpu.submit(thread, self.encode_cost)
         request.done.wait(lambda _value, frame=frame: self._send(frame))
 
     def _send(self, frame: Frame) -> None:

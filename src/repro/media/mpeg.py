@@ -156,6 +156,20 @@ class MpegStream:
         bytes_per_second = self.bitrate_bps / 8.0
         bytes_per_gop = bytes_per_second * self.gop.size / self.fps
         self._base_bytes = bytes_per_gop / weight_sum
+        #: ``(type, mean bytes)`` of each GOP position: what
+        #: :meth:`next_frame` reads instead of asking the GOP each frame.
+        #: Positions of one type share one pair.
+        pairs = {frame_type: (frame_type, self.mean_frame_bytes(frame_type))
+                 for frame_type in FrameType}
+        self._positions = tuple(pairs[frame_type]
+                                for frame_type in self.gop.pattern())
+        self._gop_size = self.gop.size
+        # ``random.uniform(-j, j)``'s own expression, ``a + (b-a) *
+        # random()``, with its two constants taken once: the same
+        # draws and the same floats.
+        self._jitter_low = -self.size_jitter
+        self._jitter_span = self.size_jitter - -self.size_jitter
+        self._random = self.rng.random
 
     @property
     def frame_interval(self) -> float:
@@ -168,21 +182,16 @@ class MpegStream:
 
     def next_frame(self, now: float) -> Frame:
         """Produce the next frame, stamped with simulated time ``now``."""
-        position = self._sequence % self.gop.size
-        frame_type = self.gop.frame_type(position)
-        mean = self.mean_frame_bytes(frame_type)
-        jitter = 1.0 + self.rng.uniform(-self.size_jitter, self.size_jitter)
-        frame = Frame(
-            stream_id=self.name,
-            sequence=self._sequence,
-            frame_type=frame_type,
-            size_bytes=max(64, int(mean * jitter)),
-            timestamp=now,
-            gop_index=self._sequence // self.gop.size,
-            gop_position=position,
-        )
-        self._sequence += 1
-        return frame
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        size = self._gop_size
+        position = sequence % size
+        frame_type, mean = self._positions[position]
+        jitter = 1.0 + (self._jitter_low
+                        + self._jitter_span * self._random())
+        return Frame(self.name, sequence, frame_type,
+                     max(64, int(mean * jitter)), now, sequence // size,
+                     position)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

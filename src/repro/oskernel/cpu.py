@@ -10,8 +10,8 @@ has zero context-switch cost, and no option adds one.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
@@ -83,7 +83,7 @@ class CPU:
     """
 
     __slots__ = ("kernel", "name", "speed", "_threads", "_queues",
-                 "_current", "_run_start", "_completion_event",
+                 "_current", "_run_start", "_slice",
                  "_ready_seq", "_ready_order", "busy_time",
                  "context_switches", "_last_dispatched",
                  "_ready_heap", "_reserved_threads", "_entry_seq", "_work_id")
@@ -103,7 +103,10 @@ class CPU:
         self._queues: Dict[int, List[WorkRequest]] = {}
         self._current: Optional[SimThread] = None
         self._run_start = 0.0
-        self._completion_event: Optional[ScheduledEvent] = None
+        #: The slice-end handle: pending while a slice runs, fired (and
+        #: re-armed in place by the next dispatch) once it ended one,
+        #: ``None`` after a preemption tombstoned it.
+        self._slice: Optional[ScheduledEvent] = None
         self._ready_seq = itertools.count(1)
         self._ready_order: Dict[int, int] = {}
         #: Total busy CPU seconds (observability).
@@ -161,7 +164,7 @@ class CPU:
         order = next(self._ready_seq)
         self._ready_order[thread.tid] = order
         if thread.reserve is None:
-            heapq.heappush(
+            heappush(
                 self._ready_heap,
                 (-thread.priority, order, next(self._entry_seq), thread),
             )
@@ -175,7 +178,7 @@ class CPU:
         """
         order = self._ready_order.get(thread.tid)
         if thread.reserve is None and order is not None:
-            heapq.heappush(
+            heappush(
                 self._ready_heap,
                 (-thread.priority, order, next(self._entry_seq), thread),
             )
@@ -198,7 +201,7 @@ class CPU:
             return
         if thread is self._current:
             # Settle the books for the partial slice and cancel the
-            # armed completion event before tearing the thread down.
+            # armed slice-end event before tearing the thread down.
             self._charge_current()
         queue = self._queues[thread.tid]
         abandoned = len(queue)
@@ -225,7 +228,7 @@ class CPU:
             pass
         order = self._ready_order.get(thread.tid)
         if order is not None and self._queues[thread.tid]:
-            heapq.heappush(
+            heappush(
                 self._ready_heap,
                 (-thread.priority, order, next(self._entry_seq), thread),
             )
@@ -248,9 +251,11 @@ class CPU:
             return
         now = self.kernel.now
         elapsed = max(0.0, now - self._run_start)
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
+        if self._slice._kernel is not None:
+            # Preempted: the slice-end event is still queued.  Tombstone
+            # it; the next dispatch arms a fresh handle.
+            self._slice.cancel()
+            self._slice = None
         self._current = None
         queue = self._queues[thread.tid]
         request = queue[0] if queue else None
@@ -306,46 +311,67 @@ class CPU:
             self._ready_order.pop(thread.tid, None)
 
     def _dispatch(self) -> None:
+        """Run the highest-priority ready thread until its next
+        scheduling point: its request done, its budget spent or its
+        period boundary reached.
+
+        A reserved thread's key is read once per decision, through
+        :meth:`~repro.oskernel.reserve.Reserve.boost_deadline`: the
+        boost band ranks budgeted reserves earliest deadline first, and
+        the winner's deadline also bounds its slice.
+        """
         now = self.kernel.now
         candidate: Optional[SimThread] = None
-        best_key = None
+        best_priority = 0.0
+        best_order = 0
+        deadline: Optional[float] = None
         queues = self._queues
         ready_order = self._ready_order
-        eligible = (READY, RUNNING)
         for thread in self._reserved_threads:
-            if thread.state not in eligible:
+            state = thread.state
+            if state is not READY and state is not RUNNING:
                 continue
             if not queues[thread.tid]:
                 continue
-            key = (
-                thread.effective_priority(now),
-                -ready_order.get(thread.tid, 0),
-            )
-            if best_key is None or key > best_key:
-                best_key = key
+            reserve = thread.reserve
+            due = reserve.boost_deadline(now)
+            if due is None:
+                # Spent: a soft reserve's thread competes natively.
+                priority = float(thread._priority)
+            else:
+                priority = 2.0 * reserve.boost_band - due
+            order = -ready_order.get(thread.tid, 0)
+            if (candidate is None or priority > best_priority
+                    or (priority == best_priority and order > best_order)):
                 candidate = thread
+                best_priority = priority
+                best_order = order
+                deadline = due
         heap = self._ready_heap
         while heap:
             neg_priority, order, _seq, thread = heap[0]
+            state = thread.state
             if (
                 thread.reserve is not None
                 or ready_order.get(thread.tid) != order
-                or thread.priority != -neg_priority
+                or thread._priority != -neg_priority
                 or not queues[thread.tid]
-                or thread.state not in eligible
+                or (state is not READY and state is not RUNNING)
             ):
-                heapq.heappop(heap)  # stale entry: episode or key moved on
+                heappop(heap)  # stale entry: episode or key moved on
                 continue
             # Valid top: the best unreserved contender.  It stays in the
             # heap (its key is unchanged while it keeps pending work).
-            key = (float(-neg_priority), -order)
-            if best_key is None or key > best_key:
-                best_key = key
+            priority = float(-neg_priority)
+            if (candidate is None or priority > best_priority
+                    or (priority == best_priority and -order > best_order)):
                 candidate = thread
+                best_priority = priority
+                deadline = None
             break
         if candidate is None:
             return
-        request = self._queues[candidate.tid][0]
+        request = queues[candidate.tid][0]
         candidate.state = RUNNING
         self._current = candidate
         self._run_start = now
@@ -357,30 +383,42 @@ class CPU:
                 tracer.instant("os", "cpu.dispatch",
                                fields={"cpu": self.name,
                                        "thread": candidate.name,
-                                       "priority": best_key[0]})
+                                       "priority": best_priority})
         slice_work = request.remaining
-        reserve = candidate.reserve
-        if reserve is not None and reserve.has_budget:
+        if deadline is not None:
             # Run at most until the budget is exhausted or the period
             # boundary replenishes it, then re-evaluate — a slice must
             # never straddle a boundary, or the charge would deplete a
             # budget that was refilled mid-slice.
-            to_boundary = (
-                reserve.next_boundary_time() - now
-            ) * self.speed
             slice_work = min(
                 slice_work,
-                reserve.budget_remaining,
-                max(_EPSILON, to_boundary),
+                candidate.reserve.budget_remaining,
+                max(_EPSILON, (deadline - now) * self.speed),
             )
-        duration = slice_work / self.speed
-        self._completion_event = self.kernel.schedule(duration, self.reschedule)
+        kernel = self.kernel
+        event = self._slice
+        if event is None:
+            self._slice = kernel.schedule(slice_work / self.speed,
+                                          self.reschedule)
+            return
+        # The handle ended the last slice and has not been armed since
+        # (``_charge_current`` drops a preempted one): re-arm it in
+        # place (``sim/kernel.py``, "Re-arming in place").
+        seq = kernel._seq
+        kernel._seq = seq + 1
+        event._kernel = kernel
+        heappush(kernel._heap, (now + slice_work / self.speed, seq, event))
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def queue_depth(self, thread: SimThread) -> int:
-        return len(self._queues[thread.tid])
+    def backlog(self, thread: SimThread) -> List[WorkRequest]:
+        """``thread``'s pending requests, oldest (running or next) first.
+
+        The live list, never rebound for the thread's life, so a caller
+        may hold it and read its length; it must not change it.
+        """
+        return self._queues[thread.tid]
 
     def utilization(self) -> float:
         """Fraction of simulated time the CPU has been busy so far."""

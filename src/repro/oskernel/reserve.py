@@ -22,7 +22,8 @@ reserve only if the summed utilization ``sum(C_i / T_i)`` stays within
 the configured bound.
 
 Replenishment is *lazy*: the budget is topped up whenever the scheduler
-observes that a period boundary has passed (``sync``), and a wake-up
+observes that a period boundary has passed (``boost_deadline`` at each
+dispatch decision, ``sync`` at a wake-up), and a wake-up
 event is armed only while a depleted reserve has work waiting.  An idle
 reserve therefore schedules no events at all — important so that
 simulations terminate when all real work drains.
@@ -108,42 +109,52 @@ class Reserve:
     def utilization(self) -> float:
         return self.compute / self.period
 
-    @property
-    def has_budget(self) -> bool:
-        """True if the synced budget allows boosted execution now."""
-        self.sync()
-        return self.budget_remaining > self.budget_epsilon
+    def boost_deadline(self, now: float) -> Optional[float]:
+        """The deadline the thread runs to in the boost band at ``now``
+        (the kernel's clock), or ``None`` once the budget is spent.
 
-    def boost_priority(self) -> float:
-        """Effective priority while budget remains.
-
-        Budgeted reserves are scheduled **earliest deadline first**
-        within the boost band (the deadline being the next period
-        boundary, when the budget must have been deliverable) — the
+        Syncs first, so a passed period boundary replenishes the budget.
+        The deadline is the next period boundary, when the budget must
+        have been deliverable.  Budgeted reserves are scheduled
+        **earliest deadline first** within the boost band — the
         resource-kernel discipline for which the admission test
-        ``sum(C/T) <= bound`` is provably sufficient.  Encoded as
-        ``2*band - deadline`` so that any budgeted reserve outranks
-        every normal thread and earlier deadlines rank higher; a
-        fixed-priority-within-band scheme (FIFO or even RM) can leave
-        an admitted short-period reserve short in its first period.
+        ``sum(C/T) <= bound`` is provably sufficient.  The CPU ranks a
+        budgeted thread at ``2*boost_band - deadline``, so any budgeted
+        reserve outranks every normal thread and earlier deadlines rank
+        higher; a fixed-priority-within-band scheme (FIFO or even RM)
+        can leave an admitted short-period reserve short in its first
+        period.  A spent soft reserve's thread competes at its native
+        priority; a spent hard one is suspended by the CPU.
+
+        The one budget read per scheduling decision: the period index
+        is computed once for the sync and the deadline alike.
         """
-        return 2.0 * self.boost_band - self.next_boundary_time()
+        boundary = math.floor((now - self._start) / self.period + 1e-9)
+        if boundary > self._last_boundary and self.active:
+            self._replenish(boundary)
+        if self.budget_remaining > self.budget_epsilon:
+            return max(now, self._start + (boundary + 1) * self.period)
+        return None
 
     # ------------------------------------------------------------------
     # Budget lifecycle
     # ------------------------------------------------------------------
-    def sync(self) -> bool:
+    def sync(self) -> None:
         """Top up the budget if one or more period boundaries passed.
 
-        Returns ``True`` if a replenishment happened.  Idempotent and
-        cheap; called by the scheduler at every decision point, so the
+        Idempotent and cheap.  A dispatch decision syncs through
+        :meth:`boost_deadline`; this is the wake-up's path, so the
         budget is always current without needing periodic events.
         """
         if not self.active:
-            return False
+            return
         boundary = self._boundary_index(self._kernel.now)
-        if boundary <= self._last_boundary:
-            return False
+        if boundary > self._last_boundary:
+            self._replenish(boundary)
+
+    def _replenish(self, boundary: int) -> None:
+        """Refill the budget for period ``boundary`` (one or more
+        boundaries after the last one seen)."""
         delta = boundary - self._last_boundary
         self.replenishments += delta
         self._last_boundary = boundary
@@ -156,7 +167,6 @@ class Reserve:
                            fields={"reserve": self.reserve_id,
                                    "thread": self.thread.name,
                                    "periods": delta, "budget": self.compute})
-        return True
 
     def consume(self, cpu_seconds: float) -> bool:
         """Charge ``cpu_seconds`` against the budget.
@@ -218,6 +228,7 @@ class Reserve:
     def _boundary_index(self, now: float) -> int:
         # The 1e-9 guard absorbs float error in the division so that a
         # wake-up firing exactly at a boundary lands in the new period.
+        # ``boost_deadline`` inlines the same expression.
         return math.floor((now - self._start) / self.period + 1e-9)
 
     def _on_wakeup(self) -> None:

@@ -90,21 +90,6 @@ class SimThread:
             return
         self.cpu.on_thread_killed(self)
 
-    def effective_priority(self, now: float) -> float:
-        """Priority used by the scheduler at simulated time ``now``.
-
-        Threads running on an active reserve with remaining budget are
-        boosted above every normal thread (the resource kernel schedules
-        reserved capacity ahead of ordinary timesharing/RT activity),
-        and rank earliest-deadline-first among themselves.  A depleted
-        *soft* reserve falls back to the native priority; a depleted
-        *hard* reserve makes the thread ineligible (handled in the CPU
-        via :class:`ThreadState.SUSPENDED`).
-        """
-        if self.reserve is not None and self.reserve.has_budget:
-            return self.reserve.boost_priority()
-        return float(self._priority)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<SimThread {self.name!r} prio={self._priority} "

@@ -2,12 +2,13 @@
 
 The kernel alone writes its clock, and its traced dispatch loop checks
 the time law there: each entry's time is compared with the clock before
-the clock moves (DESIGN §12).  Three packet-path handles push their own
-heap entries (``sim/kernel.py``, "Re-arming in place"), past every
-check of ``schedule`` / ``rearm``, so that comparison is all that
-stands between a wrong delay at one of those sites and a clock that
-runs backwards.  Each canary re-breaks one site in process, its first
-entry due a millisecond before the clock, runs a real fig 9 arm under
+the clock moves (DESIGN §12).  Four hot handles push their own heap
+entries (``sim/kernel.py``, "Re-arming in place"): three on the packet
+path and the CPU's slice-end handle.  Those pushes pass no check of
+``schedule`` / ``rearm``, so that comparison is all that stands between
+a wrong delay at one of those sites and a clock that runs backwards.
+Each canary re-breaks one site in process, its first in-place entry due
+a millisecond before the clock, runs a real fig 9 arm under
 ``default_suite()`` and requires "ran backwards" at that handle's
 dispatch.  The last one re-breaks ``run(until)``'s horizon guard and
 requires the teardown law.
@@ -19,40 +20,46 @@ import pytest
 
 import repro.net.link as link_module
 import repro.net.traffic as traffic_module
+import repro.oskernel.cpu as cpu_module
 from repro.check import InvariantViolation, World, default_suite
 from repro.net.link import Interface
 from repro.net.traffic import CbrTrafficSource
+from repro.oskernel.cpu import CPU
 from repro.sim import Kernel
 
 
 def backdating(target):
     """``heappush``, except that the first entry for a handle of
-    ``target`` (a function) is due a millisecond before the clock."""
+    ``target`` (a function) is due a millisecond before the clock.
+    Entries that hold no handle (the CPU's ready heap) pass through."""
     done = []
 
     def push(heap, entry):
-        time, seq, event = entry
-        if not done and getattr(event.callback, "__func__", None) is target:
+        event = entry[-1]
+        callback = getattr(event, "callback", None)
+        if not done and getattr(callback, "__func__", None) is target:
             done.append(entry)
-            entry = (event._kernel.now - 1e-3, seq, event)
+            entry = (event._kernel.now - 1e-3,) + entry[1:]
         heappush(heap, entry)
 
     return push
 
 
+#: site -> (module whose ``heappush`` it uses, callback, fig 9 arm).
 SITES = {
-    "transmitter": (link_module, Interface._transmit_done),
-    "rx-ring": (link_module, Interface._deliver),
-    "cbr-emitter": (traffic_module, CbrTrafficSource._emit),
+    "transmitter": (link_module, Interface._transmit_done, "adaptive"),
+    "rx-ring": (link_module, Interface._deliver, "adaptive"),
+    "cbr-emitter": (traffic_module, CbrTrafficSource._emit, "adaptive"),
+    "cpu-slice": (cpu_module, CPU.reschedule, "reserves"),
 }
 
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_a_handle_re_armed_into_the_past_stops_the_run(site, monkeypatch):
     from repro.scale.capacity_exp import all_arms, run_capacity_experiment
-    module, target = SITES[site]
+    module, target, arm_name = SITES[site]
     monkeypatch.setattr(module, "heappush", backdating(target))
-    arm = next(a for a in all_arms() if a.name == "adaptive")
+    arm = next(a for a in all_arms() if a.name == arm_name)
     with pytest.raises(InvariantViolation) as err:
         run_capacity_experiment(arm, streams=4, duration=1.0, seed=7,
                                 checks=default_suite())

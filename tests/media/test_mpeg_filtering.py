@@ -82,6 +82,23 @@ def test_streams_with_same_seed_are_identical():
 # ----------------------------------------------------------------------
 # Filtering
 # ----------------------------------------------------------------------
+def test_frame_sizes_are_the_streams_uniform_jitter_draws():
+    """Each size is its type's mean times ``1 + uniform(-j, j)`` drawn
+    from the stream's RNG, frame by frame, on a non-default GOP."""
+    gop = GopStructure(12, 4)
+    stream = MpegStream("s", gop=gop, size_jitter=0.2, rng=random.Random(5))
+    oracle = random.Random(5)
+    for sequence in range(3 * gop.size):
+        frame = stream.next_frame(sequence / 30.0)
+        frame_type = gop.frame_type(sequence)
+        assert frame.frame_type is frame_type
+        assert frame.sequence == sequence
+        assert (frame.gop_index, frame.gop_position) == divmod(sequence, 12)
+        assert frame.size_bytes == max(64, int(
+            stream.mean_frame_bytes(frame_type)
+            * (1 + oracle.uniform(-0.2, 0.2))))
+
+
 def test_filter_levels_map_to_paper_frame_rates():
     assert frames_per_second(FilterLevel.FULL) == pytest.approx(30.0)
     assert frames_per_second(FilterLevel.MEDIUM) == pytest.approx(10.0)

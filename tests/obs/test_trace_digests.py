@@ -14,9 +14,12 @@ The families, and what their records cover:
 * fig 8 ``adaptive``: fault windows and QuO region transitions;
 * fig 11 ``dynamic-resignal``: LSA flooding, SPF and RSVP re-signal;
 * fig 12 ``ownership``: pub-sub matching, liveliness and failover;
-* fig 10 ``adaptive``: the hybrid model's fluid epochs.
+* fig 10 ``adaptive``: the hybrid model's fluid epochs;
 * table 2 ``load``: GIOP over the stream transport: ACK clocking,
-  thousands of RTO restarts and one fired retransmission timeout.
+  thousands of RTO restarts and one fired retransmission timeout;
+* table 2 ``load+reserve``: a CPU reserve's budget depleted and
+  replenished (``os.reserve.deplete`` / ``replenish``); no other arm
+  here spends a budget.
 
 Ids (packets, requests, work, threads, ...) are numbered per kernel
 (DESIGN §8, "Ids"), so an arm's bytes do not depend on what its process
@@ -55,6 +58,8 @@ ARMS = [
      "901368cb72e23a2327dc133d6585a6b11f2d24c43579eb13eed599026ddcbdd5"),
     ("table2", "load", ["duration=2"], 12364,
      "8774e103627fdc6999175437dd8f8abaa2776255afb4c785483691cb277c95ac"),
+    ("table2", "load+reserve", ["duration=2"], 14858,
+     "6fbe275e2066fbd062b42bf77c9014f4eee0bb37b5d56ca812886b29d4df56b1"),
 ]
 
 
@@ -78,7 +83,7 @@ def test_trace_digest_is_pinned(figure, arm, settings, records, digest):
 
 
 def test_trace_digests_hold_back_to_back_in_workers():
-    """Seven arms over two workers: each worker runs several in a row."""
+    """Eight arms over two workers: each worker runs several in a row."""
     with multiprocessing.get_context("fork").Pool(2) as pool:
         got = pool.starmap(trace_one_arm,
                            [(figure, arm, settings)

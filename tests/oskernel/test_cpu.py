@@ -63,6 +63,50 @@ def test_preempted_work_is_charged_exactly():
     assert low.cpu_time == pytest.approx(0.5)
 
 
+def test_back_to_back_work_uses_one_slice_handle():
+    """A slice that ends by firing leaves its handle to the next
+    dispatch, which re-arms it in place: unpreempted work keeps the
+    CPU's first slice handle for the CPU's life."""
+    kernel, cpu = make_cpu()
+    thread = SimThread(cpu, priority=5, name="t")
+    done, handles = [], []
+
+    def chain(request):
+        done.append(request.completed_at)
+        if len(done) < 4:
+            cpu.submit(thread, 0.5).done.wait(chain)
+            handles.append(cpu._slice)
+
+    cpu.submit(thread, 0.5).done.wait(chain)
+    first = cpu._slice
+    kernel.run()
+    assert done == [0.5, 1.0, 1.5, 2.0]
+    assert len(handles) == 3 and all(h is first for h in handles)
+    assert cpu._slice is first
+    assert kernel._stale == 0
+
+
+def test_a_preemption_tombstones_the_pending_slice_once():
+    kernel, cpu = make_cpu()
+    low = SimThread(cpu, priority=1, name="low")
+    high = SimThread(cpu, priority=10, name="high")
+    r_low = cpu.submit(low, 2.0)
+    preempted = cpu._slice
+    holder = {}
+    kernel.schedule(0.5, lambda: holder.setdefault("r", cpu.submit(high, 1.0)))
+    kernel.run(until=0.75)
+    assert kernel._stale == 1
+    assert preempted.cancelled and cpu._slice is not preempted
+    # Due at 2.0; were it dispatched (or re-armed), this would record.
+    fired = []
+    preempted.callback = lambda: fired.append(kernel.now)
+    kernel.run()
+    assert fired == []
+    assert kernel._stale == 0
+    assert holder["r"].completed_at == 1.5
+    assert r_low.completed_at == 3.0
+
+
 def test_equal_priority_is_fifo():
     kernel, cpu = make_cpu()
     a = SimThread(cpu, priority=5, name="a")
@@ -181,7 +225,7 @@ def test_kill_enqueued_thread_never_runs():
     assert victim.state == ThreadState.DEAD
     assert victim.cpu_time == 0.0  # never dispatched
     assert request.completed_at is None
-    assert cpu.queue_depth(victim) == 0
+    assert cpu.backlog(victim) == []
     assert kernel.now == pytest.approx(1.0)  # only the runner's work ran
 
 

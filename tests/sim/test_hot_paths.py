@@ -40,12 +40,16 @@ HOT = {
     "repro.oskernel.cpu": ["CPU.submit", "CPU._make_ready",
                            "CPU._charge_current", "CPU._complete",
                            "CPU._dispatch"],
-    "repro.oskernel.reserve": ["Reserve.sync", "Reserve.consume",
+    "repro.oskernel.reserve": ["Reserve.boost_deadline", "Reserve.sync",
+                               "Reserve.consume",
                                "Reserve.next_boundary_time",
                                "Reserve._boundary_index"],
     "repro.media.mpeg": ["GopStructure.frame_type", "MpegStream.next_frame"],
     "repro.media.filtering": ["FrameFilter.accept"],
-    "repro.experiments.actors": ["AvVideoReceiver._on_frame"],
+    "repro.avstreams.endpoints": ["FlowProducer.send_frame",
+                                  "FlowConsumer._deliver"],
+    "repro.experiments.actors": ["AvVideoSender.on_tick",
+                                 "AvVideoReceiver._on_frame"],
     "repro.pubsub.core": ["DataReader._receive"],
     "repro.pubsub.history": ["HistoryCache.add"],
     "repro.sim.kernel": ["Kernel.run"],
