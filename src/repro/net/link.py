@@ -89,8 +89,8 @@ class Interface:
         return accepted
 
     def _kick(self) -> None:
-        if self._busy:
-            return
+        # The transmitter is idle: ``send`` and ``_transmit_done`` call
+        # here only then, and ``Link.restore`` tests ``_busy`` itself.
         link = self.link
         assert link is not None
         if not link.up:
@@ -99,6 +99,7 @@ class Interface:
             return
         packet = self.qdisc.dequeue()
         if packet is None:
+            # Only ``Link.restore`` kicks without knowing a frame waits.
             return
         self._busy = True
         if self.fluid is not None:
@@ -161,7 +162,11 @@ class Interface:
                     ring.insert(i, kernel.schedule(
                         link.delay, self.peer._deliver, self._wire))
                     self._rx_next = i + 1
-        self._kick()
+        # Wake the transmitter only if its books hold a frame (they
+        # equal ``len(qdisc)``; QdiscAccountingChecker holds them so).
+        qdisc = self.qdisc
+        if qdisc.enqueued != qdisc.dequeued:
+            self._kick()
 
     def _lost_on_wire(self, link: "Link", packet: Packet) -> bool:
         """The rare ends of a transmission: the link died under the
@@ -297,8 +302,9 @@ class Link:
             self.a.fluid.on_link_state(True)
         if self.b.fluid is not None:
             self.b.fluid.on_link_state(True)
-        self.a._kick()
-        self.b._kick()
+        for iface in (self.a, self.b):
+            if not iface._busy:
+                iface._kick()
         for callback in self.listeners:
             callback(self, True)
 

@@ -20,7 +20,14 @@ Three disciplines cover the paper's experiments:
 
 A packet is classified once per enqueue, by one lookup in the shared
 codepoint table of :mod:`repro.net.diffserv` (the one classifier).  Each
-queue keeps one set of books, and a rejection is booked exactly once.
+queue keeps one set of books, and a rejection is booked exactly once;
+``enqueued != dequeued`` is how a transmitter that has just finished a
+frame knows another waits (``Interface._transmit_done``), so a
+discipline's books must move with its deques.
+
+A lane (a DiffServ band, the reserved lane) is built on its first
+arrival, and ``dequeue`` scans only the lanes built so far, kept in
+service order whatever order they were built in.
 """
 
 from __future__ import annotations
@@ -166,24 +173,33 @@ class DiffServQueue(QueueDiscipline):
         capacities: Optional[Dict[PhbClass, int]] = None,
     ) -> None:
         super().__init__(name=name)
-        # Both indexed by PhbClass (an IntEnum counting from 0).  A band
-        # is ``None`` until its first arrival builds its deque: most
-        # ports of a generated WAN never carry a packet.
+        # Both indexed by PhbClass (an IntEnum counting from 0, most
+        # preferred first).  A band is ``None`` until its first arrival
+        # builds its deque: most ports of a generated WAN never carry a
+        # packet.
         self._bands: List[Optional[deque]] = [None] * len(PhbClass)
         self._capacities = [(capacities or {}).get(phb, band_capacity)
                             for phb in PhbClass]
-        #: Every lane in service order, most-preferred first; an unbuilt
-        #: one is ``None``, which ``dequeue`` skips as it skips an empty
-        #: deque.  Here the same list as ``_bands``.
-        self._band_order: List[Optional[deque]] = self._bands
-        #: The built deques, which ``__len__`` sums.
+        #: The built deques in service order, most-preferred first:
+        #: what ``dequeue`` scans and ``__len__`` sums.
         self._built: List[deque] = []
+
+    #: The lane served ahead of every band: only a
+    #: :class:`GuaranteedRateQueue` builds one, on its first conforming
+    #: arrival.
+    _reserved: Optional[deque] = None
 
     def _build_band(self, band: int) -> deque:
         """Build ``band``'s deque on its first arrival."""
         queue = self._bands[band] = deque()
-        self._built.append(queue)
+        self._order_lanes()
         return queue
+
+    def _order_lanes(self) -> None:
+        """Re-derive ``_built`` from the lane slots, in service order
+        (once per lane built, never per packet)."""
+        self._built = [queue for queue in (self._reserved, *self._bands)
+                       if queue is not None]
 
     def enqueue(self, packet: Packet) -> bool:
         dscp = packet.dscp
@@ -201,7 +217,7 @@ class DiffServQueue(QueueDiscipline):
         return True
 
     def dequeue(self) -> Optional[Packet]:
-        for queue in self._band_order:
+        for queue in self._built:
             if queue:
                 self.dequeued += 1
                 return queue.popleft()
@@ -248,11 +264,7 @@ class GuaranteedRateQueue(DiffServQueue):
     ) -> None:
         super().__init__(band_capacity=band_capacity, name=name)
         self._kernel = kernel
-        #: The reserved lane, built on the first conforming arrival.
-        self._reserved: Optional[deque] = None
         self.reserved_capacity = int(reserved_capacity)
-        # Slot 0 is the reserved lane, slot ``band + 1`` a DiffServ band.
-        self._band_order = [None] + self._bands
         self._buckets: Dict[str, TokenBucket] = {}
         #: Packets that conformed to a reservation (observability).
         self.conformed = 0
@@ -279,14 +291,10 @@ class GuaranteedRateQueue(DiffServQueue):
         return dict(self._buckets)
 
     # -- discipline -------------------------------------------------------
-    def _build_band(self, band: int) -> deque:
-        queue = super()._build_band(band)
-        self._band_order[band + 1] = queue
-        return queue
-
     def _build_reserved(self) -> deque:
-        queue = self._reserved = self._band_order[0] = deque()
-        self._built.append(queue)
+        """Build the reserved lane on the first conforming arrival."""
+        queue = self._reserved = deque()
+        self._order_lanes()
         return queue
 
     def enqueue(self, packet: Packet) -> bool:

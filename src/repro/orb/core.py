@@ -199,7 +199,7 @@ class Orb:
             priority=send_priority,
         )
         effective_dscp = self._effective_dscp(objref, priority, dscp)
-        done = Signal(self.kernel, name=f"reply-{request_id}")
+        done = Signal(self.kernel)
         pending: Optional[_PendingRequest] = None
         if response_expected:
             pending = _PendingRequest(done, sent_at=self.kernel.now)

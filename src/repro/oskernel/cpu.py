@@ -50,7 +50,7 @@ class WorkRequest:
         self.thread = thread
         self.amount = float(amount)
         self.remaining = float(amount)
-        self.done = Signal(kernel, name=f"work-{self.rid}.done")
+        self.done = Signal(kernel)
         self.submitted_at = kernel.now
         self.completed_at: Optional[float] = None
 

@@ -13,17 +13,37 @@ import pytest
 
 from repro.sim import Kernel
 from repro.oskernel import Host
-from repro.net import DatagramSocket, Network, Nic, Packet, Protocol
+from repro.experiments import testbed  # not the class: pytest collects Test*
+from repro.experiments.reservation_net_exp import (
+    NetworkArm,
+    run_network_reservation_experiment,
+)
+from repro.net import (
+    DatagramSocket,
+    FifoQueue,
+    GuaranteedRateQueue,
+    Link,
+    Network,
+    Nic,
+    Packet,
+    Protocol,
+)
 from repro.obs import RingBufferSink, Tracer
 
 
-def two_hop_rig(kernel, bandwidth_bps=1e6):
+def two_hop_rig(kernel, bandwidth_bps=1e6, qdisc=None):
+    """``a - r - b``; ``qdisc()``, if given, builds every egress queue."""
     net = Network(kernel, default_bandwidth_bps=bandwidth_bps)
     for name in ("a", "b"):
         net.attach_host(Host(kernel, name))
     router = net.add_router("r")
-    link_a = net.link("a", router)
-    link_b = net.link(router, "b")
+
+    def queues():
+        return {} if qdisc is None else {"qdisc_a": qdisc(),
+                                         "qdisc_b": qdisc()}
+
+    link_a = net.link("a", router, **queues())
+    link_b = net.link(router, "b", **queues())
     net.compute_routes()
     return net, router, link_a, link_b
 
@@ -96,14 +116,15 @@ def test_restore_does_not_disturb_a_transmission_in_flight():
 # ----------------------------------------------------------------------
 # Fault gauntlet against the parent's recorded run
 # ----------------------------------------------------------------------
-def run_fault_gauntlet():
+def run_fault_gauntlet(qdisc=None):
     """16 datagrams at 3 ms spacing over two 1 Mbps hops (4.32 ms per
     frame, so a queue stands at ``a``), through: a cut of the first link
     mid-transmission, its restore with a standing queue, a loss burst
     on both links drawing from one shared RNG, and a cut + restore of
-    the second link mid-transmission."""
+    the second link mid-transmission.  ``qdisc`` as for
+    ``two_hop_rig``."""
     kernel = Kernel()
-    net, _, link_a, link_b = two_hop_rig(kernel)
+    net, _, link_a, link_b = two_hop_rig(kernel, qdisc=qdisc)
     sink = RingBufferSink(capacity=None)
     Tracer(sinks=[sink], layers=["net"]).attach(kernel)
     DatagramSocket(kernel, net.nic_of("b"), port=7)
@@ -232,6 +253,78 @@ def test_fault_gauntlet_hop_sequence_matches_recorded_parent_run():
     assert " burst" in sequence                      # injected loss
     assert any(line.split()[1] == "hop.loss" and len(line.split()) == 4
                for line in sequence.splitlines())    # link-down loss
+
+
+# ----------------------------------------------------------------------
+# The transmitter wakes only for a frame it can send
+# ----------------------------------------------------------------------
+def counting(base):
+    """``base`` with a record of the ``dequeue`` calls that found it
+    empty: ``True`` for one made inside ``Link.restore``."""
+    class Counting(base):
+        restoring = False
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.empty_dequeues = []
+
+        def dequeue(self):
+            packet = super().dequeue()
+            if packet is None:
+                self.empty_dequeues.append(Counting.restoring)
+            return packet
+
+    return Counting
+
+
+def test_fault_gauntlet_dequeues_an_empty_queue_only_on_restore(
+        monkeypatch):
+    """The same gauntlet through counting queues: the ``hop.*``
+    sequence is the recorded one, and the only dequeue calls that come
+    back empty are ``Link.restore``'s kicks of idle transmitters."""
+    queues = []
+    queue_class = counting(FifoQueue)
+
+    def make():
+        queues.append(queue_class())
+        return queues[-1]
+
+    restore = Link.restore
+
+    def flagged_restore(link):
+        queue_class.restoring = True
+        try:
+            restore(link)
+        finally:
+            queue_class.restoring = False
+
+    monkeypatch.setattr(Link, "restore", flagged_restore)
+    sequence, lost = run_fault_gauntlet(qdisc=make)
+    assert (sequence, lost) == (PARENT_GAUNTLET, PARENT_LOST)
+    empty = [flag for queue in queues for flag in queue.empty_dequeues]
+    assert empty and all(empty)  # restores found idle, empty ports
+
+
+def test_congested_bottleneck_never_dequeues_an_empty_queue(monkeypatch):
+    """A table 1 arm (RSVP reservation, 43.8 Mbps load burst) with every
+    egress a counting guaranteed-rate queue: no ``dequeue`` call finds
+    its queue empty, on the congested bottleneck or anywhere else."""
+    queues = {}
+    queue_class = counting(GuaranteedRateQueue)
+
+    def queue(bed, name="intserv", band_capacity=200):
+        queues[name] = queue_class(bed.kernel, band_capacity, name=name)
+        return queues[name]
+
+    monkeypatch.setattr(testbed.Testbed, "queue", queue)
+    run_network_reservation_experiment(
+        NetworkArm("5-partial-filtering", "partial", True),
+        duration=20, load_start=5, load_end=12)
+    bottleneck = queues["bottleneck"]
+    assert bottleneck.dropped > 0 and bottleneck.conformed > 0
+    assert bottleneck.dequeued > 5_000
+    assert {name: q.empty_dequeues for name, q in queues.items()
+            if q.empty_dequeues} == {}
 
 
 # ----------------------------------------------------------------------

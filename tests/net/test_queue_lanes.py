@@ -88,6 +88,24 @@ def test_lanes_keep_service_order_whatever_order_they_are_built_in():
     assert len(queue) == 0
 
 
+def test_every_lane_built_in_reverse_order_still_serves_in_preference():
+    """Best effort first, EF last of the bands, the reserved lane after
+    them all: ``dequeue`` scans only built lanes, yet in preference
+    order, and ``__len__`` counts every built deque."""
+    queue = GuaranteedRateQueue(Kernel())
+    queue.install_reservation("video", rate_bps=1e6, depth_bytes=4000)
+    by_preference = [make_packet(Dscp.BE, "video")] + [
+        make_packet(dscp, dscp.name)
+        for dscp in (Dscp.EF, Dscp.AF41, Dscp.AF31, Dscp.AF21, Dscp.AF11,
+                     Dscp.BE)]
+    for built, packet in enumerate(reversed(by_preference), start=1):
+        assert queue.enqueue(packet)
+        assert len(queue._built) == built and len(queue) == built
+    assert queue.conformed == 1
+    assert [queue.dequeue() for _ in range(8)] == by_preference + [None]
+    assert len(queue) == 0 and queue.dequeued == 7
+
+
 def test_fig11_200_router_network_build_stays_affordable():
     """Build, not run, the 200-router Waxman graph of fig 11.
 
