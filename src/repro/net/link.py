@@ -21,11 +21,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Interface:
-    """A device port: egress qdisc + transmitter onto one link direction."""
+    """A device port: egress qdisc + transmitter onto one link direction.
+
+    It keeps no traffic books: its ``hop.dequeue`` / ``hop.rx`` records
+    say what it sent and received (DESIGN §13).  Only ``Network.link``
+    builds one, and links both ends before it returns.
+    """
 
     __slots__ = ("kernel", "owner", "name", "label", "qdisc", "link",
-                 "peer", "_busy", "bits_sent", "packets_received",
-                 "_tx_event", "_rx_ring", "_rx_next", "_wire", "fluid")
+                 "peer", "_busy", "_tx_event", "_rx_ring", "_rx_next",
+                 "_wire", "fluid")
 
     def __init__(
         self,
@@ -58,10 +63,6 @@ class Interface:
         #: The frames on the wire, oldest first: every delivery event's
         #: one argument, so a fired handle holds no frame.
         self._wire = None
-        #: Bits pushed onto the wire (observability).
-        self.bits_sent = 0
-        #: Packets fully received from the wire.
-        self.packets_received = 0
         #: Hybrid-mode coupling: a :class:`repro.fluid.engine.FluidLink`
         #: whose aggregate consumes part of this egress; when set, the
         #: transmitter serializes at the fluid residual rate instead of
@@ -72,8 +73,6 @@ class Interface:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission; False if tail-dropped."""
-        if self.link is None:
-            raise RuntimeError(f"interface {self.name!r} is not linked")
         accepted = self.qdisc.enqueue(packet)
         tracer = self.kernel.tracer
         if tracer is not None:
@@ -92,7 +91,6 @@ class Interface:
         # The transmitter is idle: ``send`` and ``_transmit_done`` call
         # here only then, and ``Link.restore`` tests ``_busy`` itself.
         link = self.link
-        assert link is not None
         if not link.up:
             # The transmitter idles while the link is down; restore()
             # kicks it again.  Queued packets survive the outage.
@@ -131,11 +129,9 @@ class Interface:
     def _transmit_done(self, packet: Packet) -> None:
         self._busy = False
         link = self.link
-        assert link is not None and self.peer is not None
         # Common case first: link up, no injected loss.
-        faulty = not link.up or link.loss_probability > 0.0
-        if not (faulty and self._lost_on_wire(link, packet)):
-            self.bits_sent += packet.size_bits
+        if ((link.up and not link.loss_probability)
+                or not self._lost_on_wire(link, packet)):
             kernel = self.kernel
             ring = self._rx_ring
             if ring is None:
@@ -193,7 +189,6 @@ class Interface:
     def _deliver(self, wire: list) -> None:
         # The peer's oldest frame on the wire is the one arriving now.
         packet = wire.pop(0)
-        self.packets_received += 1
         packet.hops += 1
         tracer = self.kernel.tracer
         if tracer is not None:

@@ -99,7 +99,7 @@ class Nic:
 
     def receive(self, packet: Packet, ingress: Interface) -> None:
         tracer = self.kernel.tracer
-        if packet.dst != self.host.name:
+        if packet.dst != self.name:
             # Hosts do not forward.
             self.undeliverable += 1
             if tracer is not None:
@@ -132,7 +132,7 @@ class Nic:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Push ``packet`` toward the network; False if dropped locally."""
-        if packet.dst == self.host.name:
+        if packet.dst == self.name:
             # Loopback: deliver on the next tick, no wire involved.
             self.kernel.schedule(0.0, self.receive, packet, None)
             return True

@@ -36,7 +36,6 @@ from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.kernel import Kernel
-from repro.sim.quantize import clamp
 from repro.net.diffserv import BAND_OF, PhbClass, band_of
 from repro.net.packet import Packet
 
@@ -49,9 +48,10 @@ class TokenBucket:
     least its size.
 
     The stored token count satisfies ``0 <= _tokens <= depth_bytes`` at
-    all times (the :mod:`repro.sim.quantize` policy): refill and
-    consumption both clamp, so float accumulation across millions of
-    refills can never drift the bucket outside its documented range.
+    all times (the :mod:`repro.sim.quantize` policy; ``TokenBucketChecker``
+    checks it).  Refill clamps inline, as ``quantize.clamp`` would.  A
+    consumption subtracts ``nbytes`` only once ``_tokens >= nbytes`` held,
+    and a rounded ``x - y`` with ``0 <= y <= x`` lies in ``[0, x]``: no clamp.
     """
 
     def __init__(self, kernel: Kernel, rate_bps: float, depth_bytes: int) -> None:
@@ -69,10 +69,12 @@ class TokenBucket:
         now = self._kernel.now
         elapsed = now - self._last_update
         if elapsed > 0:
-            self._tokens = clamp(
-                self._tokens + elapsed * self.rate_bps / 8.0,
-                0.0, self.depth_bytes,
-            )
+            tokens = self._tokens + elapsed * self.rate_bps / 8.0
+            if tokens < 0.0:
+                tokens = 0.0
+            elif tokens > self.depth_bytes:
+                tokens = self.depth_bytes
+            self._tokens = tokens
             self._last_update = now
 
     @property
@@ -84,7 +86,7 @@ class TokenBucket:
         """Consume ``nbytes`` tokens if available; returns conformance."""
         self._refill()
         if self._tokens >= nbytes:
-            self._tokens = clamp(self._tokens - nbytes, 0.0, self.depth_bytes)
+            self._tokens -= nbytes
             return True
         return False
 
@@ -298,8 +300,8 @@ class GuaranteedRateQueue(DiffServQueue):
         return queue
 
     def enqueue(self, packet: Packet) -> bool:
-        bucket = self._buckets.get(packet.flow_id)
-        if bucket is not None:
+        buckets = self._buckets  # most ports police no flow: no lookup
+        if buckets and (bucket := buckets.get(packet.flow_id)) is not None:
             if bucket.try_consume(packet.size_bytes):
                 reserved = self._reserved
                 if reserved is None:

@@ -42,8 +42,6 @@ class Router:
         self.name = name
         self.interfaces: Dict[str, Interface] = {}
         self.routes: Dict[str, Interface] = {}
-        #: Packets forwarded (observability).
-        self.forwarded = 0
         #: Packets dropped for lack of a route.
         self.unroutable = 0
         #: Drop book, shaped like the qdisc one so conservation
@@ -77,7 +75,6 @@ class Router:
         if egress is None:
             self._drop(packet, "unroutable")
             return
-        self.forwarded += 1
         tracer = self.kernel.tracer
         if tracer is not None:
             tracer.instant("net", "route.forward", flow=packet.flow_id,

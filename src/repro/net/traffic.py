@@ -57,7 +57,6 @@ class CbrTrafficSource:
         self._src_name = nic.host.name
         self._packet_id = kernel.ids("packet")
         self.packets_sent = 0
-        self.bytes_sent = 0
         self._running = False
         self._next_emit: Optional[ScheduledEvent] = None
         #: Seconds between emissions (40 header bytes ride on each packet).
@@ -94,7 +93,6 @@ class CbrTrafficSource:
             self._flow_id, kernel.now, self._packet_id(),
         )
         self.packets_sent += 1
-        self.bytes_sent += packet.size_bytes
         self.nic.send(packet)
         if self._next_emit is event:
             # Re-armed in place (sim/kernel.py, "Re-arming in place").

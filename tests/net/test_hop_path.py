@@ -52,6 +52,13 @@ def datagram(dst="b", nbytes=500):
     return Packet("a", dst, 1, 7, Protocol.UDP, payload_bytes=nbytes)
 
 
+def kinds_at(sink, kind, key, value):
+    """How many ``kind`` records in ``sink`` carry ``value`` in field
+    ``key``."""
+    return sum(1 for record in sink.records
+               if record.kind == kind and record.fields[key] == value)
+
+
 def heap_entries(kernel, event):
     """``(time, seq)`` of every heap entry holding ``event``: exactly one
     while it is armed, and a re-arm would change it."""
@@ -89,7 +96,8 @@ def test_send_on_busy_interface_neither_restarts_nor_rearms():
     # One handle carried all four transmissions, one after the other.
     assert iface._tx_event is event and not iface._busy
     assert iface.qdisc.dequeued == 4 and len(iface.qdisc) == 0
-    assert net.nic_of("b").interface.packets_received == 4
+    assert kinds_at(sink, "hop.rx", "iface",
+                    net.nic_of("b").interface.label) == 4
 
 
 def test_restore_does_not_disturb_a_transmission_in_flight():
@@ -97,6 +105,7 @@ def test_restore_does_not_disturb_a_transmission_in_flight():
     still busy when restore() kicks it, and must not start another."""
     kernel = Kernel()
     net, _, link_a, _ = two_hop_rig(kernel)
+    bound = DatagramSocket(kernel, net.nic_of("b"), port=7)
     iface = net.nic_of("a").interface
     iface.send(datagram())
     iface.send(datagram())
@@ -109,7 +118,7 @@ def test_restore_does_not_disturb_a_transmission_in_flight():
     assert heap_entries(kernel, event) == armed
     assert kernel.pending() == 1 and len(iface.qdisc) == 1
     kernel.run()
-    assert net.nic_of("b").interface.packets_received == 2
+    assert bound.received == 2
     assert link_a.packets_lost == 0
 
 
@@ -550,7 +559,7 @@ def test_delivery_ring_holds_one_handle_per_frame_in_flight():
     net.link("a", "b", delay=0.010)
     net.compute_routes()
     iface = net.nic_of("a").interface
-    received = net.nic_of("b").interface
+    bound = DatagramSocket(kernel, net.nic_of("b"), port=7)
 
     def burst(count, nbytes):
         for _ in range(count):
@@ -566,7 +575,7 @@ def test_delivery_ring_holds_one_handle_per_frame_in_flight():
     ring = burst(20, 200)
     assert len(ring) == 6
     assert burst(20, 200) == ring  # the same six handles, reused
-    assert received.packets_received == 51
+    assert bound.received == 51
 
 
 # ----------------------------------------------------------------------
@@ -584,6 +593,8 @@ def test_unattached_nic_send_raises():
 def test_unroutable_packet_is_booked_and_reported_once():
     kernel = Kernel()
     net, router, _, _ = two_hop_rig(kernel)
+    sink = RingBufferSink(capacity=None)
+    Tracer(sinks=[sink], layers=["net"]).attach(kernel)
     seen = []
     router.on_drop = lambda packet, reason: seen.append((packet, reason))
     packet = datagram(dst="nowhere")
@@ -593,7 +604,7 @@ def test_unroutable_packet_is_booked_and_reported_once():
     assert router.drops_by_reason == {"unroutable": 1}
     assert router.drops_by_flow == {packet.flow_id: 1}
     assert router.dropped == router.unroutable == 1
-    assert router.forwarded == 0
+    assert kinds_at(sink, "route.forward", "router", "r") == 0
 
 
 def test_forward_skips_rsvp_interception_and_receive_does_not():
@@ -601,7 +612,12 @@ def test_forward_skips_rsvp_interception_and_receive_does_not():
     path: it must not hand the packet to the agent again."""
     kernel = Kernel()
     net, router, _, _ = two_hop_rig(kernel)
+    sink = RingBufferSink(capacity=None)
+    Tracer(sinks=[sink], layers=["net"]).attach(kernel)
     handed = []
+
+    def forwarded():
+        return kinds_at(sink, "route.forward", "router", "r")
 
     class Agent:
         def handle_transit(self, packet, ingress):
@@ -611,8 +627,8 @@ def test_forward_skips_rsvp_interception_and_receive_does_not():
     signaling = Packet("a", "b", 0, 0, Protocol.RSVP, payload_bytes=64)
     ingress = router.routes["a"]
     router.receive(signaling, ingress)
-    assert handed == [(signaling, ingress)] and router.forwarded == 0
+    assert handed == [(signaling, ingress)] and forwarded() == 0
     router.forward(signaling)
-    assert len(handed) == 1 and router.forwarded == 1
+    assert len(handed) == 1 and forwarded() == 1
     router.receive(datagram(), ingress)  # data is never intercepted
-    assert len(handed) == 1 and router.forwarded == 2
+    assert len(handed) == 1 and forwarded() == 2

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import Kernel
 from repro.oskernel import Host
 from repro.net import DatagramSocket, Dscp, FifoQueue, Network, Packet, Protocol
+from repro.obs import RingBufferSink, Tracer
 
 
 def forwarding_path(net, src, dst):
@@ -17,6 +18,20 @@ def forwarding_path(net, src, dst):
             raise KeyError(f"no path {src} -> {dst}")
         hops.append(egress.peer.owner.name)
     return hops
+
+
+def net_records(kernel):
+    """A sink holding every ``net`` record of ``kernel``'s run."""
+    sink = RingBufferSink(capacity=None)
+    Tracer(sinks=[sink], layers=["net"]).attach(kernel)
+    return sink
+
+
+def dequeued_at(sink, iface):
+    """``hop.dequeue`` records (transmissions started) on ``iface``."""
+    return [record for record in sink.records
+            if record.kind == "hop.dequeue"
+            and record.fields["iface"] == iface.label]
 
 
 def star_network(kernel, host_names, bandwidth=10e6, delay=50e-6):
@@ -73,6 +88,7 @@ def test_multi_hop_routing_through_router_chain():
     net.link(r1, r2)
     net.link(r2, b)
     net.compute_routes()
+    sink = net_records(kernel)
     received = []
     DatagramSocket(kernel, net.nic_of("b"), port=7,
                    on_receive=lambda payload, pkt: received.append(pkt))
@@ -80,8 +96,8 @@ def test_multi_hop_routing_through_router_chain():
     kernel.run()
     assert len(received) == 1
     assert received[0].hops == 3
-    assert r1.forwarded == 1
-    assert r2.forwarded == 1
+    assert [record.fields["router"] for record in sink.records
+            if record.kind == "route.forward"] == ["r1", "r2"]
 
 
 def test_path_query():
@@ -130,6 +146,7 @@ def test_recompute_after_partition_clears_stale_routes():
 
     # The stale route is gone — not pointing at the cut link.
     assert r1.egress_for("b") is None
+    sink = net_records(kernel)
     enqueued_before = dead.a.qdisc.enqueued
     DatagramSocket(kernel, net.nic_of("a")).send_to("b", 7, payload_bytes=10)
     kernel.run()
@@ -139,7 +156,8 @@ def test_recompute_after_partition_clears_stale_routes():
     assert r1.drops_by_reason == {"unroutable": 1}
     assert r1.dropped == 1
     assert dead.a.qdisc.enqueued == enqueued_before
-    assert dead.a.bits_sent == 0
+    assert dequeued_at(sink, dead.a) == []
+    assert len(dequeued_at(sink, net.nic_of("a").interface)) == 1
 
 
 def test_packet_to_unbound_port_counted():
@@ -153,13 +171,15 @@ def test_packet_to_unbound_port_counted():
 def test_loopback_delivery_without_wire():
     kernel = Kernel()
     net, hosts, _ = star_network(kernel, ["a", "b"])
+    sink = net_records(kernel)
     received = []
     DatagramSocket(kernel, net.nic_of("a"), port=5000,
                    on_receive=lambda payload, pkt: received.append(payload))
     DatagramSocket(kernel, net.nic_of("a")).send_to("a", 5000, payload="self")
     kernel.run()
     assert received == ["self"]
-    assert net.nic_of("a").interface.bits_sent == 0
+    assert dequeued_at(sink, net.nic_of("a").interface) == []
+    assert [record.kind for record in sink.records] == ["nic.deliver"]
 
 
 def test_duplicate_device_names_rejected():

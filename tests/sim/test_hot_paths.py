@@ -1,4 +1,4 @@
-"""A hot path looks up no enum (DESIGN §13).
+"""A hot path looks up no enum and keeps no book nobody reads (DESIGN §13).
 
 On CPython 3.10 and 3.11 ``EnumMeta`` defines ``__getattr__``, so a
 member load through its class (``Protocol.RSVP``) costs about ten
@@ -8,6 +8,13 @@ scheduling decision, per frame or per sample: their bodies read enum
 members through names bound once in the enum's own module
 (``net.packet.RSVP``, ``oskernel.thread.READY``, ...).  A plain ``Enum``
 used as a dict key or set member on such a path hashes by identity.
+
+A counter bumped on the packet path costs every packet, so each
+``self.<x> += ...`` in a hot ``repro.net`` function must name an
+attribute that some code under ``src/repro`` or ``perf/`` loads (its
+own augmented writes store, they do not load), or be in
+``UNREAD_BOOKS`` with its reason.  The check goes by attribute name, so
+a read of a same-named attribute of another class satisfies it.
 """
 
 import ast
@@ -16,6 +23,7 @@ import importlib
 import inspect
 import pkgutil
 import textwrap
+from pathlib import Path
 
 import repro
 from repro.net.packet import Protocol
@@ -26,7 +34,9 @@ HOT = {
                        "Interface._transmit_done", "Interface._deliver"],
     "repro.net.queues": ["FifoQueue.enqueue", "FifoQueue.dequeue",
                          "DiffServQueue.enqueue", "DiffServQueue.dequeue",
-                         "GuaranteedRateQueue.enqueue"],
+                         "GuaranteedRateQueue.enqueue",
+                         "TokenBucket.try_consume", "TokenBucket._refill",
+                         "QueueDiscipline._drop"],
     "repro.net.router": ["Router.receive"],
     "repro.net.nic": ["Nic.send", "Nic.receive"],
     "repro.net.packet": ["Packet.__init__"],
@@ -60,6 +70,24 @@ HOT = {
                        "Orb._on_server_message"],
     "repro.orb.poa": ["Poa._serve"],
 }
+
+#: Books a hot ``repro.net`` function bumps although nothing under
+#: ``src/repro`` or ``perf/`` loads them: name -> why each stays.
+UNREAD_BOOKS = {
+    "conformed": "no record says which lane a policed packet joined; "
+                 "the reserved-lane bound oracle and tests read it",
+    "demoted": "the other lane of that split, read by tests",
+    "packets_sent": "tests stop a CBR source on it",
+    "undeliverable": "a rare path: a packet no endpoint takes",
+    "segments_sent": "a stream's books, which the transport equivalence "
+                     "oracle compares",
+    "retransmissions": "the same, and per segment lost, not per packet; "
+                       "ROADMAP 8(a)'s registry is where it goes",
+}
+
+#: Where a book's readers may live.
+READER_ROOTS = (Path(repro.__file__).parent,
+                Path(__file__).resolve().parents[2] / "perf")
 
 #: Plain (non-int) enums whose members key a dict or set on a hot path.
 IDENTITY_HASHED = [
@@ -95,16 +123,22 @@ def _resolve(node, namespace):
     return None
 
 
-def member_loads(module_name, qualname, enums):
-    """``Enum.MEMBER`` loads in the body of ``module_name.qualname``
-    (argument defaults are evaluated once and do not count)."""
+def definition_of(module_name, qualname):
+    """(module, AST of ``module_name.qualname``'s definition, its first
+    source line)."""
     module = importlib.import_module(module_name)
     function = module
     for part in qualname.split("."):
         function = getattr(function, part)
     function = inspect.unwrap(getattr(function, "fget", function))
     lines, first = inspect.getsourcelines(function)
-    definition = ast.parse(textwrap.dedent("".join(lines))).body[0]
+    return module, ast.parse(textwrap.dedent("".join(lines))).body[0], first
+
+
+def member_loads(module_name, qualname, enums):
+    """``Enum.MEMBER`` loads in the body of ``module_name.qualname``
+    (argument defaults are evaluated once and do not count)."""
+    module, definition, first = definition_of(module_name, qualname)
     loads = []
     for statement in definition.body:
         for node in ast.walk(statement):
@@ -119,8 +153,37 @@ def member_loads(module_name, qualname, enums):
     return loads
 
 
+def books_bumped(module_name, qualname):
+    """Attributes the body of ``module_name.qualname`` updates in place
+    through ``self`` (``self.<x> += ...``, any operator)."""
+    _, definition, _ = definition_of(module_name, qualname)
+    return {node.target.attr for node in ast.walk(definition)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and isinstance(node.target.value, ast.Name)
+            and node.target.value.id == "self"}
+
+
+def attribute_loads(roots):
+    """Every attribute name loaded (``<expr>.<name>`` read) in the
+    Python sources under ``roots``."""
+    names = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+    return names
+
+
 def _reads_a_member_through_its_class(packet):
     return packet.protocol is Protocol.RSVP
+
+
+class _KeepsABookNobodyReads:
+    def bump(self, packet):
+        self.book_nobody_reads += packet.size_bytes
 
 
 def test_the_scan_finds_enums_and_member_loads():
@@ -152,3 +215,41 @@ def test_hot_dict_key_enums_hash_by_identity():
         for member in cls:
             assert type(member).__hash__ is object.__hash__, member
             assert {member: 1}[member] == 1
+
+
+def hot_net_books():
+    """book name -> the hot ``repro.net`` functions that bump it."""
+    bumped = {}
+    for module_name, qualnames in HOT.items():
+        if module_name.startswith("repro.net."):
+            for qualname in qualnames:
+                for book in books_bumped(module_name, qualname):
+                    bumped.setdefault(book, []).append(
+                        f"{module_name}.{qualname}")
+    return bumped
+
+
+def test_the_book_scan_finds_bumps_and_loads():
+    """The scan sees an in-place bump, and the reader scan sees loads but
+    not stores, so an empty result below means something."""
+    assert books_bumped(__name__, "_KeepsABookNobodyReads.bump") == {
+        "book_nobody_reads"}
+    loads = attribute_loads(READER_ROOTS)
+    assert {"enqueued", "dequeued", "dropped"} <= loads
+    assert "book_nobody_reads" not in loads
+    assert "_tokens" in hot_net_books()
+
+
+def test_every_book_a_hot_net_function_bumps_is_read():
+    loads = attribute_loads(READER_ROOTS)
+    unread = {book: where for book, where in hot_net_books().items()
+              if book not in loads and book not in UNREAD_BOOKS}
+    assert unread == {}
+
+
+def test_the_unread_books_are_bumped_and_unread():
+    """An entry whose book gained a reader, or left the hot path, goes."""
+    loads = attribute_loads(READER_ROOTS)
+    bumped = hot_net_books()
+    assert {book for book in UNREAD_BOOKS
+            if book in loads or book not in bumped} == set()
