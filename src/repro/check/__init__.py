@@ -1,10 +1,11 @@
-"""Runtime invariant checking and randomized soak testing.
+"""Runtime invariant checking.
 
 ``repro.check`` watches a running simulation for violated conservation
 laws — packet accounting, ledger bounds, scheduler sanity — through
-the same zero-cost trace layer the observability stack uses, and
-drives randomized soak campaigns that hunt for configurations under
-which one of those laws breaks.
+the same zero-cost trace layer the observability stack uses.  The
+randomized soak campaign that hunts for configurations under which one
+of those laws breaks drives figures, so it lives above them, in
+:mod:`repro.experiments.soak`.
 
 Public surface:
 
@@ -15,7 +16,6 @@ Public surface:
   installable as one trace sink.
 * :class:`~repro.check.invariants.InvariantViolation` — raised
   fail-fast at the first broken invariant.
-* :func:`~repro.check.soak.run_soak` — the ``repro soak`` driver.
 """
 
 from repro.check.world import World
@@ -33,14 +33,6 @@ from repro.check.invariants import (
     TokenBucketChecker,
     default_suite,
 )
-from repro.check.soak import (
-    generate_case,
-    generate_cases,
-    replay_command,
-    run_soak,
-    run_soak_case,
-    shrink_case,
-)
 
 __all__ = [
     "World",
@@ -56,10 +48,4 @@ __all__ = [
     "RoutingChecker",
     "ThreadStateChecker",
     "default_suite",
-    "generate_case",
-    "generate_cases",
-    "run_soak_case",
-    "shrink_case",
-    "replay_command",
-    "run_soak",
 ]

@@ -47,6 +47,10 @@ from repro.sim.quantize import EPSILON
 from repro.obs.trace import TraceRecord, Tracer
 from repro.check.world import World
 from repro.oskernel.thread import DEAD, RUNNING
+from repro.net.router import Router
+from repro.net.routing import spf_routes, spf_search, two_way_adjacency
+from repro.pubsub.dedup import DEDUP_WINDOW
+from repro.pubsub.policies import OwnershipKind
 
 __all__ = [
     "InvariantViolation",
@@ -978,8 +982,6 @@ class RoutingChecker(InvariantChecker):
         return True
 
     def _walk_tables(self, network) -> None:
-        from repro.net.router import Router
-
         limit = len(network.routers) + 2
         for router in network.routers:
             for dst, egress in router.routes.items():
@@ -1007,9 +1009,6 @@ class RoutingChecker(InvariantChecker):
                                   dst=dst, start=router.name)
 
     def _check_lsdb_consistency(self, network, routing) -> None:
-        from repro.net.routing import (
-            spf_routes, spf_search, two_way_adjacency)
-
         # Converged LSDBs hold the same LSA objects: one graph serves
         # every node (keyed by content, so a node that differs despite
         # equal seqs is still checked against its own).
@@ -1139,8 +1138,6 @@ class PubSubChecker(InvariantChecker):
         broker = self._broker()
         if broker is None:
             return
-        from repro.pubsub.policies import OwnershipKind
-
         for reader in broker.readers.values():
             history = reader.history
             self.require(
@@ -1176,7 +1173,6 @@ class PubSubChecker(InvariantChecker):
                     )
             for writer_name, ledger in reader._seen.items():
                 if ledger.trims > 0:
-                    from repro.pubsub.dedup import DEDUP_WINDOW
                     self.require(
                         len(ledger) <= 2 * DEDUP_WINDOW,
                         "dedup tail grew past the trimmed window bound",

@@ -35,6 +35,8 @@ import pathlib
 import sys
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro import obs
+from repro.check import InvariantViolation
 from repro.experiments.runner import (ExperimentRunner, RunSpec,
                                       scenario_function)
 from repro.experiments.scenario_registry import FIGURES, Figure
@@ -156,8 +158,6 @@ def _first_difference(rendered: str, committed: str) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Run each figure once under the invariant suite; check its
     rendering against ``results/`` and its claims."""
-    from repro.check import InvariantViolation
-
     figures = ([resolve_figure(word) for word in args.figures]
                or list(FIGURES.values()))
     # Every figure's arms in one pool pass, so the pool never drains
@@ -235,17 +235,15 @@ def _reconciliations(result: Any, breakdown) -> List[Tuple[str, float, float]]:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one arm with tracing on; write JSONL and a breakdown."""
     from repro.experiments.scenarios import EXAMPLES
-    from repro.obs import (LAYERS, JsonlSink, LatencyBreakdown,
-                           RingBufferSink, Tracer)
 
     layers = None
     if args.layers is not None:
         layers = [layer.strip() for layer in args.layers.split(",")
                   if layer.strip()]
-        unknown = [layer for layer in layers if layer not in LAYERS]
+        unknown = [layer for layer in layers if layer not in obs.LAYERS]
         if unknown:
             print(f"repro trace: error: unknown layer(s) "
-                  f"{', '.join(unknown)}; choose from: {','.join(LAYERS)}",
+                  f"{', '.join(unknown)}; choose from: {','.join(obs.LAYERS)}",
                   file=sys.stderr)
             return 2
 
@@ -270,19 +268,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if "verbose" in accepted:
         kwargs["verbose"] = not args.quiet
 
-    breakdown = LatencyBreakdown()
+    breakdown = obs.LatencyBreakdown()
     sinks = [breakdown]
-    jsonl: Optional[JsonlSink] = None
+    jsonl: Optional[obs.JsonlSink] = None
     try:
         if args.output is not None:
-            jsonl = JsonlSink(args.output)
+            jsonl = obs.JsonlSink(args.output)
             sinks.append(jsonl)
         else:
-            sinks.append(RingBufferSink(capacity=args.buffer))
+            sinks.append(obs.RingBufferSink(capacity=args.buffer))
     except (OSError, ValueError) as exc:
         print(f"repro trace: error: {exc}", file=sys.stderr)
         return 2
-    tracer = Tracer(sinks=sinks, layers=layers)
+    tracer = obs.Tracer(sinks=sinks, layers=layers)
 
     print(f"tracing {figure.name} ...", file=sys.stderr)
     try:
@@ -322,7 +320,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     """Randomized invariant soak: random figure points under the
     checkers."""
-    from repro.check.soak import run_soak, run_soak_case
+    from repro.experiments.soak import run_soak, run_soak_case
 
     if args.replay is not None:
         try:
@@ -378,8 +376,6 @@ def _add_selection_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.obs import LAYERS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's experiments from the command line.",
@@ -458,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 65536)")
     p.add_argument("--layers", default=None,
                    help="comma-separated layer allow-list "
-                        f"({','.join(LAYERS)}); default: all")
+                        f"({','.join(obs.LAYERS)}); default: all")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the scenario's own narrative output")
     p.set_defaults(func=_cmd_trace)

@@ -18,7 +18,8 @@ as the paper does, through one vocabulary and one applier:
 
 ``adaptation``
     The contract-driven frame-filtering qosket: the application-level
-    adaptation the paper couples with reservations in Fig 7/Table 1.
+    adaptation the paper couples with reservations in Fig 7/Table 1;
+    and its pub-sub twin, the reader-side pacing qosket.
 
 ``metrics``
     Latency/jitter/delivery recorders producing exactly the statistics
@@ -31,7 +32,6 @@ from repro.core.manager import EndToEndQoSManager
 from repro.core.metrics import (
     DeliveryRecorder,
     LatencyRecorder,
-    SeriesStats,
     TimeSeries,
 )
 from repro.core.policies import QosPolicy, QosPolicyError
@@ -44,6 +44,5 @@ __all__ = [
     "PropagationHop",
     "QosPolicy",
     "QosPolicyError",
-    "SeriesStats",
     "TimeSeries",
 ]

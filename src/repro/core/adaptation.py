@@ -30,17 +30,28 @@ instead of steady 3-second oscillation; a successful probe resets it.
 
 *Staged recovery* — upgrades go LOW -> MEDIUM -> FULL one step at a
 time, mirroring the downgrade ladder.
+
+:class:`PacingQosket` is the same ladder on the pub-sub side (fig 12's
+``adaptive`` arm): a reader's deadline checks step the send divisor it
+requests from the writers along :data:`ADAPT_LADDER`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.kernel import Kernel
 from repro.media.filtering import FilterLevel, FrameFilter
 from repro.quo.contract import Contract, Region
 from repro.quo.qosket import Qosket
-from repro.quo.syscond import LossRateSC
+from repro.quo.syscond import LossRateSC, ValueSC
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pubsub.core import DataReader
+
+#: The pub-sub pacing ladder's send divisors: 30 -> 10 -> 2 fps on a
+#: 30 Hz topic.
+ADAPT_LADDER = (1, 3, 15)
 
 
 class FrameFilteringQosket(Qosket):
@@ -265,3 +276,63 @@ class FrameFilteringQosket(Qosket):
             self._patience = self.base_patience
             self._last_upgrade = None
         self.contract.evaluate()
+
+
+class PacingQosket:
+    """Reader-side QuO contract driving the pub-sub pacing ladder.
+
+    The reader's deadline monitor feeds a pacing *level* system
+    condition; the contract's regions (full / degraded / severe) apply
+    the matching send divisor at the writer through the broker.  The
+    level goes up after two consecutive paced misses and comes back
+    down only after ``PATIENCE`` consecutive clean checks, so the
+    ladder cannot flap — and "clean" is judged against the *paced*
+    inter-arrival expectation, not the raw deadline, so a reader
+    parked at 2 fps can still observe that congestion cleared.
+    """
+
+    MISS_STREAK = 2
+    PATIENCE = 10
+    #: Clean means an arrival within this many paced periods.
+    PACE_SLACK = 2.5
+
+    def __init__(self, kernel: Kernel, reader: DataReader) -> None:
+        self.kernel = kernel
+        self.reader = reader
+        self.level = 0
+        self._ok_streak = 0
+        self._miss_streak = 0
+        self.level_sc = ValueSC(kernel, f"{reader.name}.pace", initial=0.0)
+        self.contract = Contract(kernel, f"pace:{reader.name}", regions=[
+            Region("severe", lambda s: s[f"{reader.name}.pace"] >= 2,
+                   on_enter=self._apply),
+            Region("degraded", lambda s: s[f"{reader.name}.pace"] >= 1,
+                   on_enter=self._apply),
+            Region("full", on_enter=self._apply),
+        ])
+        self.contract.attach(self.level_sc)
+        self.contract.evaluate()
+        reader.on_deadline_check = self._on_check
+
+    def _apply(self, contract: Contract) -> None:
+        self.reader.request_divisor(ADAPT_LADDER[self.level])
+
+    def _on_check(self, reader: DataReader, missed: bool) -> None:
+        period = ADAPT_LADDER[self.level] / reader.topic.rate_hz
+        threshold = max(reader.qos.deadline or 0.0, self.PACE_SLACK * period)
+        stale = (reader.last_arrival is None
+                 or self.kernel.now - reader.last_arrival > threshold)
+        if stale:
+            self._ok_streak = 0
+            self._miss_streak += 1
+            if self._miss_streak >= self.MISS_STREAK and self.level < 2:
+                self.level += 1
+                self._miss_streak = 0
+                self.level_sc.set(float(self.level))
+        else:
+            self._miss_streak = 0
+            self._ok_streak += 1
+            if self._ok_streak >= self.PATIENCE and self.level > 0:
+                self.level -= 1
+                self._ok_streak = 0
+                self.level_sc.set(float(self.level))

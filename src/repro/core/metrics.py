@@ -9,55 +9,9 @@ standard deviation.  These recorders produce exactly those outputs.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-
-class SeriesStats:
-    """Summary statistics of one numeric series."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        self.count = len(values)
-        if self.count == 0:
-            self.mean = 0.0
-            self.std = 0.0
-            self.minimum = 0.0
-            self.maximum = 0.0
-            self.p50 = 0.0
-            self.p90 = 0.0
-            self.p95 = 0.0
-            self.p99 = 0.0
-            return
-        self.mean = sum(values) / self.count
-        variance = sum((v - self.mean) ** 2 for v in values) / self.count
-        self.std = math.sqrt(variance)
-        ordered = sorted(values)
-        self.minimum = ordered[0]
-        self.maximum = ordered[-1]
-        self.p50 = _percentile(ordered, 0.50)
-        self.p90 = _percentile(ordered, 0.90)
-        self.p95 = _percentile(ordered, 0.95)
-        self.p99 = _percentile(ordered, 0.99)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"SeriesStats(n={self.count}, mean={self.mean:.6f}, "
-            f"std={self.std:.6f})"
-        )
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    # Clamp so a caller-supplied quantile outside [0, 1] cannot index
-    # past either end of the series.
-    q = min(1.0, max(0.0, q))
-    index = q * (len(ordered) - 1)
-    low = int(math.floor(index))
-    high = int(math.ceil(index))
-    if low == high:
-        return ordered[low]
-    fraction = index - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+from repro.obs.breakdown import SeriesStats
 
 
 class TimeSeries:

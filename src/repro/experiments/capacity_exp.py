@@ -51,6 +51,7 @@ from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
 from repro.experiments.actors import AvVideoReceiver, AvVideoSender
 from repro.experiments.arm import Arm, ArmResult, Claim, sweep_lookup
+from repro.experiments.reporting import render_table
 from repro.experiments.testbed import Testbed
 from repro.scale.admission import AdmissionController
 
@@ -372,8 +373,6 @@ def render_fig9_capacity(
 
     ``sweeps`` maps arm name to its results ordered by stream count.
     """
-    from repro.experiments.reporting import render_table
-
     def fmt(value: float) -> str:
         return f"{value:.2f}"
 

@@ -63,14 +63,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.sim.kernel import Kernel
 from repro.net.packet import HEADER_BYTES
+from repro.core.adaptation import ADAPT_LADDER, PacingQosket
 from repro.core.policies import QosPolicy as CorePolicy
 from repro.experiments.arm import Arm, ArmResult, Claim, sweep_lookup
+from repro.experiments.reporting import render_table
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
-from repro.quo.contract import Contract, Region
-from repro.quo.syscond import ValueSC
 from repro.scale.admission import AdmissionController
 from repro.pubsub.broker import Broker, RESERVE_HEADROOM
 from repro.pubsub.core import DataReader, DataWriter, Topic
@@ -115,8 +114,6 @@ OFFERED_BUDGET = 0.02
 REQUESTED_BUDGET = 0.03
 #: KEEP_ALL resource bound: generous enough for a full run's samples.
 KEEP_ALL_DEPTH = 4096
-#: The 30 -> 10 -> 2 fps pacing ladder (send divisors).
-ADAPT_LADDER = (1, 3, 15)
 #: Publishers stop this long before the horizon so reliable
 #: retransmissions drain and "delivered == sent" is exact.
 DRAIN_GRACE = 0.5
@@ -213,66 +210,6 @@ ReaderRow = namedtuple("ReaderRow", [
     "stale",              # dropped below a writer's dedup trim floor
     "joined_at",          # registration time (0.0 for the initial cohort)
 ])
-
-
-class PacingQosket:
-    """Reader-side QuO contract driving the 30 -> 10 -> 2 fps ladder.
-
-    The reader's deadline monitor feeds a pacing *level* system
-    condition; the contract's regions (full / degraded / severe) apply
-    the matching send divisor at the writer through the broker.  The
-    level goes up after two consecutive paced misses and comes back
-    down only after ``PATIENCE`` consecutive clean checks, so the
-    ladder cannot flap — and "clean" is judged against the *paced*
-    inter-arrival expectation, not the raw deadline, so a reader
-    parked at 2 fps can still observe that congestion cleared.
-    """
-
-    MISS_STREAK = 2
-    PATIENCE = 10
-    #: Clean means an arrival within this many paced periods.
-    PACE_SLACK = 2.5
-
-    def __init__(self, kernel: Kernel, reader: DataReader) -> None:
-        self.kernel = kernel
-        self.reader = reader
-        self.level = 0
-        self._ok_streak = 0
-        self._miss_streak = 0
-        self.level_sc = ValueSC(kernel, f"{reader.name}.pace", initial=0.0)
-        self.contract = Contract(kernel, f"pace:{reader.name}", regions=[
-            Region("severe", lambda s: s[f"{reader.name}.pace"] >= 2,
-                   on_enter=self._apply),
-            Region("degraded", lambda s: s[f"{reader.name}.pace"] >= 1,
-                   on_enter=self._apply),
-            Region("full", on_enter=self._apply),
-        ])
-        self.contract.attach(self.level_sc)
-        self.contract.evaluate()
-        reader.on_deadline_check = self._on_check
-
-    def _apply(self, contract: Contract) -> None:
-        self.reader.request_divisor(ADAPT_LADDER[self.level])
-
-    def _on_check(self, reader: DataReader, missed: bool) -> None:
-        period = ADAPT_LADDER[self.level] / TOPIC_RATE_HZ
-        threshold = max(reader.qos.deadline or 0.0, self.PACE_SLACK * period)
-        stale = (reader.last_arrival is None
-                 or self.kernel.now - reader.last_arrival > threshold)
-        if stale:
-            self._ok_streak = 0
-            self._miss_streak += 1
-            if self._miss_streak >= self.MISS_STREAK and self.level < 2:
-                self.level += 1
-                self._miss_streak = 0
-                self.level_sc.set(float(self.level))
-        else:
-            self._miss_streak = 0
-            self._ok_streak += 1
-            if self._ok_streak >= self.PATIENCE and self.level > 0:
-                self.level -= 1
-                self._ok_streak = 0
-                self.level_sc.set(float(self.level))
 
 
 class PubSubResult(ArmResult):
@@ -612,8 +549,6 @@ def run_pubsub_experiment(
 # ----------------------------------------------------------------------
 def render_fig12_pubsub(sweeps: "Dict[str, List[PubSubResult]]") -> str:
     """One table per arm over the subscriber sweep + failover recap."""
-    from repro.experiments.reporting import render_table
-
     sections = []
     ownership_results: List[PubSubResult] = []
     durable_results: List[PubSubResult] = []

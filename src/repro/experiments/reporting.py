@@ -20,7 +20,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.core.binding import PropagationHop
-from repro.core.metrics import SeriesStats
+from repro.obs.breakdown import SeriesStats
 from repro.experiments.ablations import (
     PRIORITY_DRIVEN_TASKS,
     RESERVE_POLICY_CPU,

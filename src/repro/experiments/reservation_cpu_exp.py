@@ -29,7 +29,7 @@ from repro.oskernel.reserve import EnforcementPolicy
 from repro.orb.cdr import OpaquePayload
 from repro.orb.core import Orb, raise_if_error
 from repro.orb.rt import ThreadPool
-from repro.core.metrics import SeriesStats
+from repro.obs.breakdown import SeriesStats
 from repro.core.policies import QosPolicy
 from repro.experiments.actors import ATR, AtrServant
 from repro.experiments.arm import Arm, ArmResult

@@ -28,10 +28,11 @@ from typing import Dict, Optional
 
 from repro.sim.process import Process
 from repro.net.traffic import CbrTrafficSource
-from repro.core.metrics import DeliveryRecorder, SeriesStats
+from repro.core.metrics import DeliveryRecorder
 from repro.core.policies import QosPolicy
 from repro.experiments.arm import Arm, StreamResult
 from repro.experiments.testbed import Testbed
+from repro.obs.breakdown import SeriesStats
 
 #: The paper's reservation levels.
 FULL_RESERVATION_BPS = 1.3e6  # "1.2 Mbps, enough to support 30 fps"

@@ -113,8 +113,8 @@ def scenario_function(name: str) -> Callable[..., Any]:
 def _ensure_builtin_scenarios() -> None:
     """Import the modules whose import registers the built-in scenarios.
 
-    Kept lazy so ``runner`` itself stays import-cheap and free of
-    circular imports (the experiment modules never import ``runner``).
+    Kept lazy: the figure table imports ``runner`` to register its
+    scenarios, and importing ``runner`` alone loads no figure.
     """
     from repro.experiments import scenario_registry  # noqa: F401
 

@@ -63,10 +63,11 @@ from repro.avstreams.endpoints import FRAGMENT_BYTES
 from repro.net.traffic import CbrTrafficSource
 from repro.core.policies import QosPolicy
 from repro.experiments.arm import Arm, ArmResult, Claim, sweep_lookup
+from repro.experiments.reporting import render_table
 from repro.experiments.testbed import Testbed
 from repro.fluid.engine import FluidEngine
 from repro.scale.admission import AdmissionController
-from repro.scale.capacity_exp import (
+from repro.experiments.capacity_exp import (
     BASE_CORBA_PRIORITY,
     DEADLINE,
     LANE_STEP,
@@ -481,8 +482,6 @@ def run_scale_experiment(
 # ----------------------------------------------------------------------
 def render_fig10_scale(sweeps: "Dict[str, List[ScaleResult]]") -> str:
     """The fig 10 text figure: one table per arm + tenant isolation recap."""
-    from repro.experiments.reporting import render_table
-
     def fps(stats: Optional[ScaleClassStats]) -> str:
         return f"{stats.mean_fps:.2f}" if stats else "-"
 

@@ -29,8 +29,17 @@ from typing import (
     Tuple,
 )
 
+from repro import check
 from repro.experiments import ablations, reporting
 from repro.experiments.arm import Arm, Claim
+from repro.experiments.capacity_exp import (
+    FIG9_CLAIMS,
+    CapacityArm,
+    all_arms as capacity_arms,
+    fig9_stream_counts,
+    render_fig9_capacity,
+    run_capacity_experiment,
+)
 from repro.experiments.fault_exp import (
     FaultArm,
     all_arms as fault_arms,
@@ -40,6 +49,14 @@ from repro.experiments.priority_exp import (
     PriorityArm,
     run_priority_experiment,
     run_priority_propagation,
+)
+from repro.experiments.pubsub_exp import (
+    FIG12_CLAIMS,
+    PubSubArm,
+    fig12_subscriber_counts,
+    pubsub_arms,
+    render_fig12_pubsub,
+    run_pubsub_experiment,
 )
 from repro.experiments.reservation_cpu_exp import (
     CpuArm,
@@ -62,23 +79,7 @@ from repro.experiments.runner import (
     scenario,
     scenario_function,
 )
-from repro.pubsub.fig12 import (
-    FIG12_CLAIMS,
-    PubSubArm,
-    fig12_subscriber_counts,
-    pubsub_arms,
-    render_fig12_pubsub,
-    run_pubsub_experiment,
-)
-from repro.scale.capacity_exp import (
-    FIG9_CLAIMS,
-    CapacityArm,
-    all_arms as capacity_arms,
-    fig9_stream_counts,
-    render_fig9_capacity,
-    run_capacity_experiment,
-)
-from repro.scale.fig10 import (
+from repro.experiments.scale_exp import (
     FIG10_CLAIMS,
     ScaleArm,
     fig10_stream_counts,
@@ -137,23 +138,21 @@ def _checked(scenario: str, params: Dict[str, Any],
     uninstalled suite still held, a collection must free the kernel the
     suite watched (a result is plain data, and an uninstalled suite
     lets go of its world)."""
-    from repro.check import InvariantViolation, default_suite
-
-    suite = default_suite() if checks is None else checks
+    suite = check.default_suite() if checks is None else checks
     spec = RunSpec(scenario, {**params, "checks": suite}, seed)
     try:
         payload = scenario_function(scenario)(**spec.call_kwargs())
-    except InvariantViolation as violation:
+    except check.InvariantViolation as violation:
         return violation
     except Exception as exc:  # noqa: BLE001 - a crash fails its own run
-        return InvariantViolation("crash", f"{type(exc).__name__}: {exc}",
-                                  {"scenario": scenario})
+        return check.InvariantViolation(
+            "crash", f"{type(exc).__name__}: {exc}", {"scenario": scenario})
     if suite.watched is None:
-        return InvariantViolation(
+        return check.InvariantViolation(
             "retention", "the suite never watched a kernel",
             {"scenario": scenario})
     if outlives_collection(suite.watched):
-        return InvariantViolation(
+        return check.InvariantViolation(
             "retention", "the run's kernel outlived it with its payload "
             "and suite held", {"scenario": scenario})
     return payload

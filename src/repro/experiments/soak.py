@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import json
 import random
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check.invariants import InvariantViolation, default_suite
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.runner import RunSpec
-    from repro.experiments.scenario_registry import Figure
+from repro.experiments.runner import (ExperimentRunner, RunSpec,
+                                      scenario_function)
+from repro.experiments.scenario_registry import (ARM_SCENARIOS, FIGURES,
+                                                 Figure)
 
 __all__ = [
     "generate_case",
@@ -55,9 +55,8 @@ def case_seed(root_seed: int, index: int) -> int:
     return root_seed * _SEED_STRIDE + index
 
 
-def _figures() -> Dict[str, "Figure"]:
+def _figures() -> Dict[str, Figure]:
     """The figures soak draws from: those whose arms take faults."""
-    from repro.experiments.scenario_registry import ARM_SCENARIOS, FIGURES
     return {name: figure for name, figure in FIGURES.items()
             if figure.scenario in ARM_SCENARIOS}
 
@@ -112,7 +111,7 @@ def generate_cases(root_seed: int, runs: int,
             for index in range(int(runs))]
 
 
-def case_spec(case: Dict) -> "RunSpec":
+def case_spec(case: Dict) -> RunSpec:
     """The figure's own run for ``case``: its arm at its point, with the
     case's duration, seed and fault plan.
 
@@ -167,8 +166,6 @@ def run_soak_case(case: Dict) -> Dict:
     or arm raises ``ValueError``.  ``checked`` is the count of records
     the suite checked.
     """
-    from repro.experiments.runner import scenario_function
-
     spec = case_spec(case)
     suite = default_suite()
     verdict = _verdict(case, scenario_function("checked")(
@@ -250,8 +247,6 @@ def run_soak(root_seed: int, runs: int, duration: float = 6.0,
     entry.  Results merge in case order, so the report is identical at
     any ``jobs``.
     """
-    from repro.experiments.runner import ExperimentRunner, RunSpec
-
     def say(message: str) -> None:
         if emit is not None:
             emit(message)

@@ -59,6 +59,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.sim.coalesce import TickCoalescer
 from repro.sim.kernel import Kernel
 from repro.sim.quantize import EPSILON, add_repeated, clamp
+from repro.net.diffserv import PhbClass
+from repro.net.queues import DiffServQueue
 
 __all__ = ["FluidFlow", "FluidLink", "FluidEngine"]
 
@@ -237,8 +239,6 @@ class FluidLink:
         iface = self.iface
         if iface is None:
             return
-        from repro.net.diffserv import PhbClass
-        from repro.net.queues import DiffServQueue
         qdisc = iface.qdisc
         if not isinstance(qdisc, DiffServQueue):
             return  # plain FIFO etc.: no band budget to share

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.media.mpeg import Frame, FrameType, GopStructure
+from repro.media.mpeg import _TYPE_WEIGHTS, Frame, FrameType, GopStructure
 
 
 class FilterLevel(enum.IntEnum):
@@ -48,8 +48,6 @@ def bitrate_fraction(level: FilterLevel, gop: GopStructure = None) -> float:
     Uses the same I:P:B size weights as :class:`MpegStream`, so an
     adaptation policy can predict the post-filter bandwidth.
     """
-    from repro.media.mpeg import _TYPE_WEIGHTS
-
     gop = gop or GopStructure()
     counts = gop.counts()
     accepted = _ACCEPTED_TYPES[FilterLevel(level)]

@@ -58,12 +58,15 @@ keyed by content, so the V runs that follow one flood share a build.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
+                    Tuple)
 
 from repro.sim.kernel import Kernel
 from repro.net.link import Interface, Link
 from repro.net.router import Router
-from repro.net.topology import Network
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.topology import Network
 
 __all__ = [
     "Lsa",

@@ -19,10 +19,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.sim.kernel import Kernel
 from repro.oskernel.host import Host
+from repro.net.intserv import RsvpAgent
 from repro.net.link import Interface, Link
 from repro.net.nic import Nic
 from repro.net.queues import QueueDiscipline
 from repro.net.router import Router
+from repro.net import routing
 
 #: Anything that terminates a link.
 Device = Union[Nic, Router]
@@ -133,17 +135,15 @@ class Network:
         its entry (and its packets are counted unroutable) rather than
         keep a stale egress into a dead link.
         """
-        from repro.net.routing import (  # local import: cycle
-            router_lsa, spf_routes, spf_search, two_way_adjacency)
-
         routers = self.routers
-        graph = two_way_adjacency(
-            {router.name: router_lsa(self, router.name, 1)
+        graph = routing.two_way_adjacency(
+            {router.name: routing.router_lsa(self, router.name, 1)
              for router in routers})
         tables = {}
         for router in routers:
-            tables[router.name] = table = spf_search(graph, router.name)
-            router.routes = spf_routes(self, router.name, table)
+            tables[router.name] = table = routing.spf_search(graph,
+                                                             router.name)
+            router.routes = routing.spf_routes(self, router.name, table)
         for name in self._hosts:
             best: Dict[str, Tuple[Tuple[float, str], Interface]] = {}
             for peer, iface in self._adjacency[name]:
@@ -173,8 +173,6 @@ class Network:
         still traverses everything else.  Installed state is hard: no
         timers refresh or expire it (see :mod:`repro.net.intserv`).
         """
-        from repro.net.intserv import RsvpAgent  # local import: cycle
-
         for device in self._devices.values():
             if getattr(device, "rsvp_agent", None) is None:
                 RsvpAgent(self.kernel, device,

@@ -16,7 +16,7 @@ Tracing is opt-in and free when off; with it on, simulation results
 are unchanged (the tracer only observes).
 """
 
-from repro.obs.breakdown import REQUEST_STAGES, LatencyBreakdown
+from repro.obs.breakdown import REQUEST_STAGES, LatencyBreakdown, SeriesStats
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink, read_jsonl
 from repro.obs.trace import (
     LAYERS,
@@ -36,6 +36,7 @@ __all__ = [
     "PHASE_INSTANT",
     "REQUEST_STAGES",
     "RingBufferSink",
+    "SeriesStats",
     "TraceRecord",
     "TraceSink",
     "Tracer",

@@ -32,10 +32,11 @@ from repro.oskernel.thread import SimThread
 from repro.net.diffserv import BE, Dscp
 from repro.net.topology import Network
 from repro.net.transport import MessageMeta, StreamConnection, StreamListener
-from repro.orb.cdr import OpaquePayload
+from repro.orb.cdr import CdrInputStream, CdrOutputStream, OpaquePayload
 from repro.orb.giop import (NO_EXCEPTION, REPLY, REQUEST, SYSTEM_EXCEPTION,
                             GiopMessage, ReplyStatus)
 from repro.orb.ior import SERVER_DECLARED, ObjectReference
+from repro.orb.poa import Poa
 from repro.orb.rt import PriorityMappingManager, ThreadPool
 
 
@@ -140,9 +141,7 @@ class Orb:
     # ------------------------------------------------------------------
     # POA management
     # ------------------------------------------------------------------
-    def create_poa(self, name: str, **kwargs) -> "Poa":
-        from repro.orb.poa import Poa  # deferred: cycle
-
+    def create_poa(self, name: str, **kwargs) -> Poa:
         if name in self._poas:
             raise OrbError(f"POA {name!r} already exists")
         poa = Poa(self, name, **kwargs)
@@ -450,8 +449,6 @@ class Orb:
     ) -> None:
         if not request.response_expected:
             return
-        from repro.orb.cdr import CdrOutputStream
-
         out = CdrOutputStream()
         out.write_string(reason)
         self.send_reply(
@@ -473,8 +470,6 @@ class Orb:
 
 
 def _decode_error(message: GiopMessage) -> str:
-    from repro.orb.cdr import CdrInputStream
-
     try:
         return CdrInputStream(message.body).read_string()
     except Exception:  # noqa: BLE001 - diagnostic path

@@ -23,9 +23,11 @@ simulation stack:
   :class:`DataReader` over the datagram/stream transports;
 * :mod:`repro.pubsub.broker` — the discovery/matching broker with
   deterministic ownership-strength failover and admission-controller
-  integration;
-* :mod:`repro.pubsub.fig12` — the fan-out gauntlet experiment
-  (K publishers x M topics x thousands of subscribers).
+  integration.
+
+The fan-out gauntlet built on it (fig 12) is
+:mod:`repro.experiments.pubsub_exp`; the reader-side pacing qosket its
+adaptive arm runs is :class:`repro.core.adaptation.PacingQosket`.
 """
 
 from repro.pubsub.policies import (

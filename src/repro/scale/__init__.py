@@ -1,32 +1,22 @@
-"""Multi-stream capacity subsystem: the stream farm behind admission.
+"""Admission control: the gate in front of a multi-stream farm.
 
-The paper's evaluation runs a *single* video stream against cross
-traffic; this package scales that workload out.  A
-:class:`~repro.scale.capacity_exp.CapacityArm` stands up N concurrent
-MPEG sender/receiver pairs on a shared DiffServ/IntServ topology, with
-per-stream RT-CORBA priority lanes and per-stream QuO contracts, behind
-an :class:`~repro.scale.admission.AdmissionController` that accepts or
-rejects each stream's CPU reserve and RSVP bandwidth request.  Rejected
-streams fall back to best-effort (and, in the adaptive arm, shed load
-through their frame-filtering contract instead of drowning the links).
+:class:`~repro.scale.admission.AdmissionController` accepts or rejects
+each stream's CPU reserve (utilization-bound test) and RSVP bandwidth
+request (link-budget test along the forwarding route) before anything
+is installed, so a rejected stream never touches the books.  The
+figures that drive it — fig 9's capacity farm and fig 10's hybrid
+scale sweep — are :mod:`repro.experiments.capacity_exp` and
+:mod:`repro.experiments.scale_exp`; fig 12's broker books its reliable
+matches through it too.
 
-The streams are the experiments' own
-:class:`~repro.experiments.actors.AvVideoSender` /
-:class:`~repro.experiments.actors.AvVideoReceiver` pair, and scheduling
-is batched: the farm hands every sender one shared
-:class:`~repro.sim.coalesce.PeriodicTicker`, so one kernel event per
-frame interval drives them all and the event count stays O(ticks)
-rather than O(streams x ticks) — what keeps N=64 tractable.
+The package holds one module and belongs beside the manager in
+:mod:`repro.core`.  It stays a package because the benchmark's
+profiler books self time by package (``perf/layers.py``, whose package
+set ``perf/selftest.py`` pins), so folding it into ``core`` waits on
+that map changing (ROADMAP item 1(b)).
 """
 
 from repro.scale.admission import (  # noqa: F401
     AdmissionController,
     AdmissionDecision,
-)
-from repro.scale.capacity_exp import (  # noqa: F401
-    CapacityArm,
-    CapacityResult,
-    all_arms,
-    fig9_stream_counts,
-    run_capacity_experiment,
 )

@@ -56,7 +56,7 @@ SITES = {
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_a_handle_re_armed_into_the_past_stops_the_run(site, monkeypatch):
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     module, target, arm_name = SITES[site]
     monkeypatch.setattr(module, "heappush", backdating(target))
     arm = next(a for a in all_arms() if a.name == arm_name)

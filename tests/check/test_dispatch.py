@@ -223,7 +223,7 @@ class RecordSink:
 @pytest.fixture(scope="module")
 def capacity_run():
     """The checked fig 9 N=8 ``adaptive`` arm, watched live."""
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
     return watched_live(lambda checks, tracer: run_capacity_experiment(
         arm, streams=8, duration=2.0, seed=7, checks=checks, tracer=tracer))
@@ -234,7 +234,7 @@ def pubsub_run():
     """The fig 12 ``ownership`` smoke arm (leases expire and ownership
     fails over, so every pub-sub kind the checker declares is in the
     stream), watched live."""
-    from repro.pubsub.fig12 import PubSubArm, run_pubsub_experiment
+    from repro.experiments.pubsub_exp import PubSubArm, run_pubsub_experiment
     return watched_live(lambda checks, tracer: run_pubsub_experiment(
         PubSubArm("ownership", ownership=True, faults=True),
         subscribers=64, duration=3.0, seed=3, checks=checks, tracer=tracer))

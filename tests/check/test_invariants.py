@@ -701,7 +701,7 @@ def test_default_suite_has_every_monitor():
 # Integration: a real run under the full suite
 # ----------------------------------------------------------------------
 def small_capacity_run(checks=None, fault_plan=None):
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
     return run_capacity_experiment(arm, streams=3, duration=2.0, seed=7,
                                    fault_plan=fault_plan, checks=checks)
@@ -722,7 +722,7 @@ def test_a_tracer_allow_list_filters_sinks_not_checkers():
     dispatched.  Checkers get what they declared; the plain sink still
     gets only ``av``, byte for byte what it gets with no suite."""
     from repro.obs import JsonlSink
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
 
     def run(layers, checks):

@@ -13,11 +13,10 @@ import pytest
 
 from repro.net.queues import GuaranteedRateQueue
 from repro.pubsub.history import HistoryCache
-import repro.check.soak as soak_module
-from repro.check import (
-    CheckSuite,
-    InvariantChecker,
-    default_suite,
+import repro.experiments.soak as soak_module
+from repro.check import CheckSuite, InvariantChecker, default_suite
+from repro.experiments.soak import (
+    case_spec,
     generate_case,
     generate_cases,
     replay_command,
@@ -25,7 +24,6 @@ from repro.check import (
     run_soak_case,
     shrink_case,
 )
-from repro.check.soak import case_spec
 from repro.experiments.scenario_registry import ARM_SCENARIOS, FIGURES
 
 
@@ -245,7 +243,7 @@ def test_shrink_keeps_exactly_the_faults_a_failure_needs(needed):
 def test_soak_driver_reports_shrunk_failure_with_replay(monkeypatch):
     _reintroduce_drop_bug(monkeypatch)
     failing = _congested_case()
-    monkeypatch.setattr("repro.check.soak.generate_cases",
+    monkeypatch.setattr("repro.experiments.soak.generate_cases",
                         lambda *args: [failing])
     lines = []
     report = run_soak(root_seed=5, runs=1, jobs=1, shrink_budget=8,
@@ -311,7 +309,7 @@ def test_soak_driver_reports_a_shrunk_pubsub_failure(monkeypatch):
     """The shrink report names the figure's own sweep axis."""
     _reintroduce_history_leak(monkeypatch)
     failing = _pubsub_case(subscribers=1024)
-    monkeypatch.setattr("repro.check.soak.generate_cases",
+    monkeypatch.setattr("repro.experiments.soak.generate_cases",
                         lambda *args: [failing])
     lines = []
     report = run_soak(root_seed=5, runs=1, jobs=1, shrink_budget=4,

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import DeliveryRecorder, LatencyRecorder, SeriesStats, TimeSeries
+from repro.core import DeliveryRecorder, LatencyRecorder, TimeSeries
+from repro.obs import SeriesStats
 
 
 def test_series_stats_basic():

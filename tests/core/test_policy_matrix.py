@@ -16,8 +16,8 @@ from repro.experiments.reservation_cpu_exp import CpuArm
 from repro.experiments.reservation_net_exp import NetworkArm
 from repro.experiments.scenario_registry import ARM_SCENARIOS, FIGURES
 from repro.oskernel.reserve import EnforcementPolicy
-from repro.scale.capacity_exp import BASE_CORBA_PRIORITY, CapacityArm
-from repro.scale.fig10 import ScaleArm
+from repro.experiments.capacity_exp import BASE_CORBA_PRIORITY, CapacityArm
+from repro.experiments.scale_exp import ScaleArm
 
 #: The per-stream inputs an arm class's ``policy`` takes: a sender's
 #: CORBA priority, or a farm stream's lane and admission verdict.

@@ -26,9 +26,9 @@ from repro.experiments.route_exp import RouteArm
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import registered_scenarios, scenario_function
 from repro.experiments.scenario_registry import FIGURES, figure_specs
-from repro.pubsub.fig12 import PubSubArm
-from repro.scale.capacity_exp import CapacityArm
-from repro.scale.fig10 import ScaleArm
+from repro.experiments.pubsub_exp import PubSubArm
+from repro.experiments.capacity_exp import CapacityArm
+from repro.experiments.scale_exp import ScaleArm
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 

@@ -1,6 +1,6 @@
 """Tests for paper-style report rendering."""
 
-from repro.core.metrics import SeriesStats
+from repro.obs import SeriesStats
 from repro.experiments.reporting import (
     render_cumulative_delivery,
     render_figure2,

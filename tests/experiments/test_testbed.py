@@ -177,7 +177,7 @@ def test_a_finished_arm_frees_its_kernel(scenario, runs):
 def test_held_fig9_payloads_cost_kilobytes():
     """Four fig 9 ``adaptive`` payloads, N = 8 .. 64: a payload holding
     its world cost about 2.4 MB here, the measurements alone ~50 kB."""
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
     run_capacity_experiment(arm, streams=2, duration=0.5)  # warm imports
     tracemalloc.start()
@@ -198,7 +198,7 @@ def test_a_reused_tracer_carries_no_suite_into_the_next_run():
     """``Testbed.run`` once left the suite on the caller's tracer, so a
     second run over it raised a false ``time-monotonic``: the first
     run's checkers were watching the second run's records."""
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
     tracer = Tracer(sinks=[])
     suites = [default_suite(), default_suite()]
@@ -220,7 +220,7 @@ def test_one_suite_judges_each_run_by_its_own_records():
     state: the second run raised a false ``time-monotonic`` and, with
     that law left out, a false ``packet-conservation`` "resurrected"
     (packet ids restart at 1 on every kernel).  The counters add up."""
-    from repro.scale.capacity_exp import all_arms, run_capacity_experiment
+    from repro.experiments.capacity_exp import all_arms, run_capacity_experiment
     arm = next(a for a in all_arms() if a.name == "adaptive")
     suite = default_suite()
     run_capacity_experiment(arm, streams=4, duration=1.0, seed=7,

@@ -11,7 +11,7 @@ the benchmark gauntlet.
 import pytest
 
 from repro.check import default_suite
-from repro.pubsub.fig12 import (
+from repro.experiments.pubsub_exp import (
     PubSubArm,
     TOPICS,
     MEASURED_PER_TOPIC,

@@ -8,7 +8,7 @@ from repro.net import FlowSpec, Network
 from repro.net.topology import fat_tree_topology, wan_topology, waxman_topology
 from repro.oskernel import Host
 from repro.scale.admission import AdmissionController
-from repro.scale.capacity_exp import (
+from repro.experiments.capacity_exp import (
     ACCESS_BPS,
     BOTTLENECK_BPS,
     LOAD_LINK_BPS,

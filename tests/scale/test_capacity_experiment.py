@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.scale.capacity_exp import (
+from repro.experiments.capacity_exp import (
     CapacityArm,
     all_arms,
     fig9_stream_counts,

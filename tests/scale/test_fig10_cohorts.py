@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check import default_suite
-from repro.scale.capacity_exp import RESERVE_BPS
-from repro.scale.fig10 import (
+from repro.experiments.capacity_exp import RESERVE_BPS
+from repro.experiments.scale_exp import (
     ScaleArm,
     _admit_population,
     _class_runs,

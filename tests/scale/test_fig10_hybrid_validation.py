@@ -29,7 +29,7 @@ file costs one packet + one hybrid run per arm.
 
 import pytest
 
-from repro.scale.fig10 import run_scale_experiment, scale_arms
+from repro.experiments.scale_exp import run_scale_experiment, scale_arms
 
 #: Sweep point: a 10 Mbps bottleneck loaded by 32 offered streams puts
 #: both classes in their interesting regimes (reserves saturated,

@@ -2,7 +2,7 @@
 
 Every capacity-farm stream draws frame jitter from its own named RNG
 stream (``video:<name>`` via
-:func:`repro.scale.capacity_exp.stream_rng`).
+:func:`repro.experiments.capacity_exp.stream_rng`).
 The whole fig 9 determinism story rests on two properties checked
 here: derived seeds never collide across stream names, and the draw
 sequence one stream sees is invariant to which *other* streams exist
@@ -12,7 +12,7 @@ or how much they draw.
 import hashlib
 
 from repro.sim.rng import RngRegistry
-from repro.scale.capacity_exp import stream_rng
+from repro.experiments.capacity_exp import stream_rng
 
 
 def derived_seed(root_seed, name):

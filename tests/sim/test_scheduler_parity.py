@@ -43,10 +43,10 @@ from repro.experiments.reservation_cpu_exp import CpuArm
 from repro.experiments.reservation_net_exp import NetworkArm
 from repro.experiments.fault_exp import FaultArm
 from repro.experiments.route_exp import RouteArm, route_arms
-from repro.scale.capacity_exp import CapacityArm
-from repro.scale.fig10 import ScaleArm
-from repro.pubsub.fig12 import PubSubArm, pubsub_arms
-from repro.check.soak import case_spec, generate_case
+from repro.experiments.capacity_exp import CapacityArm
+from repro.experiments.scale_exp import ScaleArm
+from repro.experiments.pubsub_exp import PubSubArm, pubsub_arms
+from repro.experiments.soak import case_spec, generate_case
 from repro.sim import Kernel, TickCoalescer
 
 
