@@ -78,6 +78,8 @@ class FlowProducer:
         (the frame is then already doomed).
         """
         nbytes = size_bytes if size_bytes is not None else frame.size_bytes
+        if nbytes < 0:
+            raise ValueError(f"frame size must not be negative, got {nbytes}")
         self._frame_counter += 1
         key = (self.flow_id, self._frame_counter)
         count = max(1, -(-nbytes // FRAGMENT_BYTES))  # ceil division

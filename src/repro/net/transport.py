@@ -20,7 +20,7 @@ properties use to mark traffic (paper section 3.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.net.diffserv import Dscp
@@ -69,6 +69,9 @@ class DatagramSocket:
         """Fire-and-forget one datagram; False if dropped at first hop."""
         if self._closed:
             raise RuntimeError("socket is closed")
+        if payload_bytes < 0:
+            raise ValueError(
+                f"payload size must not be negative, got {payload_bytes}")
         if not flow_id:
             key = (dst, dst_port)
             flow_id = self._flow_ids.get(key)
@@ -111,18 +114,18 @@ class MessageMeta:
 
 
 class _Segment:
-    """One stream fragment in flight."""
+    """One stream data fragment in flight."""
 
     __slots__ = (
-        "seq", "kind", "message_id", "chunk_index", "chunk_count",
-        "data", "nbytes", "sent_at", "last_tx", "retransmitted",
-        "ecn_echo",
+        "seq", "message_id", "chunk_index", "chunk_count", "data",
+        "nbytes", "sent_at", "last_tx", "retransmitted",
     )
+
+    kind = "data"
 
     def __init__(
         self,
         seq: int,
-        kind: str,
         message_id: int = 0,
         chunk_index: int = 0,
         chunk_count: int = 0,
@@ -131,7 +134,6 @@ class _Segment:
         sent_at: float = 0.0,
     ) -> None:
         self.seq = seq
-        self.kind = kind  # "data" | "ack"
         self.message_id = message_id
         self.chunk_index = chunk_index
         self.chunk_count = chunk_count
@@ -140,8 +142,19 @@ class _Segment:
         self.sent_at = sent_at
         self.last_tx = sent_at
         self.retransmitted = False
-        #: On ACK segments: the receiver saw an ECN congestion mark.
-        self.ecn_echo = False
+
+
+class _Ack:
+    """A cumulative acknowledgement: the next seq the receiver expects."""
+
+    __slots__ = ("seq", "ecn_echo")
+
+    kind = "ack"
+
+    def __init__(self, seq: int, ecn_echo: bool) -> None:
+        self.seq = seq
+        #: The receiver saw an ECN congestion mark.
+        self.ecn_echo = ecn_echo
 
 
 class StreamConnection:
@@ -223,12 +236,10 @@ class StreamConnection:
         # --- receiver state ---
         self._expected_seq = 0
         self._out_of_order: Dict[int, _Segment] = {}
-        #: Multi-chunk message id -> [chunks seen, bytes, first sent_at].
-        self._partial: Dict[int, List[Any]] = {}
         # --- stats ---
         self.messages_sent = 0
         self.messages_delivered = 0
-        self.segments_sent = 0
+        #: Segments sent again (RTO, fast retransmit, NewReno hole).
         self.retransmissions = 0
         self.closed = False
         #: Invoked exactly once when the connection closes (give-up or
@@ -268,23 +279,24 @@ class StreamConnection:
         """Queue one application message; returns its message id."""
         if self.closed:
             raise RuntimeError("connection is closed")
+        if payload_bytes < 0:
+            raise ValueError(
+                f"payload size must not be negative, got {payload_bytes}")
         message_id = self._message_id()
         now = self.kernel.now
-        chunk_count = max(1, -(-payload_bytes // MTU_BYTES))  # ceil div
+        chunk_count = -(-payload_bytes // MTU_BYTES) or 1  # ceil div
         last = chunk_count - 1
-        remaining = payload_bytes
         seq = self._next_seq
-        backlog = self._backlog
-        for index in range(chunk_count):
-            nbytes = min(MTU_BYTES, remaining) if payload_bytes else 0
-            remaining -= nbytes
-            # Only the last chunk carries the payload object; the rest
-            # carry placeholder weight.
-            backlog.append(_Segment(
-                seq, "data", message_id, index, chunk_count,
-                payload if index == last else None, nbytes, now))
-            seq += 1
-        self._next_seq = seq
+        append = self._backlog.append
+        # Every chunk but the last is a full MTU of placeholder weight;
+        # the last carries the remainder and the payload object.
+        for index in range(last):
+            append(_Segment(seq + index, message_id, index, chunk_count,
+                            None, MTU_BYTES, now))
+        seq += last
+        append(_Segment(seq, message_id, last, chunk_count, payload,
+                        payload_bytes - last * MTU_BYTES, now))
+        self._next_seq = seq + 1
         self.messages_sent += 1
         self._pump()
         if self._in_flight and self._rto_event is None:
@@ -298,14 +310,24 @@ class StreamConnection:
             in_flight = self._in_flight
             # Nothing _transmit does reaches back into this connection,
             # so the window is the same on every iteration.
-            window = min(self.window, max(self.INITIAL_CWND, int(self._cwnd)))
+            window = int(self._cwnd)
+            if window < self.INITIAL_CWND:
+                window = self.INITIAL_CWND
+            if window > self.window:
+                window = self.window
             while backlog and len(in_flight) < window:
                 segment = backlog.popleft()
                 in_flight[segment.seq] = segment
                 self._transmit(segment)
 
+    @property
+    def segments_sent(self) -> int:
+        """Data segments put on the wire, retransmissions included:
+        ``_pump`` sends each backlog segment once, and every retransmit
+        site bumps ``retransmissions`` before its ``_transmit``."""
+        return self._next_seq - len(self._backlog) + self.retransmissions
+
     def _transmit(self, segment: _Segment) -> None:
-        self.segments_sent += 1
         now = self.kernel.now
         segment.last_tx = now
         self.nic.send(Packet(
@@ -362,7 +384,7 @@ class StreamConnection:
     # Receiving
     # ------------------------------------------------------------------
     def _deliver(self, packet: Packet) -> None:
-        segment: _Segment = packet.payload
+        segment = packet.payload
         if segment.kind == "ack":
             if segment.ecn_echo:
                 self._on_ecn_echo()
@@ -370,25 +392,15 @@ class StreamConnection:
         else:
             self._handle_data(segment, packet.ecn)
 
-    def _update_rtt(self, sample: float) -> None:
-        """RFC 6298 smoothed RTT / variance update."""
-        if self._srtt is None:
-            self._srtt = sample
-            self._rttvar = sample / 2
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
-            self._srtt = 0.875 * self._srtt + 0.125 * sample
-        self._rto = min(
-            self.MAX_RTO, max(self.MIN_RTO, self._srtt + 4 * self._rttvar)
-        )
-
     def _handle_ack(self, ack_seq: int) -> None:
         if ack_seq > self._snd_una:
+            now = self.kernel.now
             # One walk over the acked span: release each segment, note
             # the newest one released and whether any was retransmitted,
             # and grow the congestion window per acked segment (slow
             # start below ssthresh, linear AIMD above it).
-            pop = self._in_flight.pop
+            in_flight = self._in_flight
+            pop = in_flight.pop
             newest = None
             clean = True
             cwnd = self._cwnd
@@ -404,19 +416,31 @@ class StreamConnection:
                 else:
                     cwnd += 1.0 / cwnd
             self._cwnd = cwnd
+            srtt = self._srtt
             if newest is not None and clean:
                 # Karn's algorithm, range form: a cumulative ack whose
                 # span includes any retransmission is ambiguous — and
                 # so is one that releases segments merely *buffered*
                 # behind a retransmitted hole.  Only a clean advance
-                # gives a sample, measured on its newest segment.
-                self._update_rtt(self.kernel.now - newest.last_tx)
-            elif self._srtt is not None:
-                # Recovery made progress: shed any RTO backoff.
-                self._rto = min(
-                    self.MAX_RTO,
-                    max(self.MIN_RTO, self._srtt + 4 * self._rttvar),
-                )
+                # gives a sample, measured on its newest segment: the
+                # RFC 6298 smoothed RTT / variance update.
+                sample = now - newest.last_tx
+                if srtt is None:
+                    srtt = sample
+                    self._rttvar = sample / 2
+                else:
+                    error = srtt - sample  # |error| below, as abs() would
+                    self._rttvar = 0.75 * self._rttvar + 0.25 * (
+                        error if error >= 0 else -error)
+                    srtt = 0.875 * srtt + 0.125 * sample
+                self._srtt = srtt
+            if srtt is not None:
+                # The RTO from the estimate, which also sheds any
+                # backoff once recovery makes progress:
+                # min(MAX_RTO, max(MIN_RTO, rto)), operand for operand.
+                rto = srtt + 4 * self._rttvar
+                self._rto = ((rto if rto < self.MAX_RTO else self.MAX_RTO)
+                             if rto > self.MIN_RTO else self.MIN_RTO)
             else:
                 # No RTT sample ever completed (every ack so far was
                 # ambiguous under Karn) — without this the connection
@@ -432,7 +456,7 @@ class StreamConnection:
             # restart moves the pending handle (sim/kernel.py,
             # "Restarting a pending timer").
             event = self._rto_event
-            if not self._in_flight:
+            if not in_flight:
                 self._cancel_rto()
             elif event is None:
                 self._arm_rto()
@@ -441,12 +465,11 @@ class StreamConnection:
             # NewReno-style recovery: a partial ack exposing a stale
             # hole means that hole was lost too — retransmit it now
             # rather than after another full RTO.
-            hole = self._in_flight.get(self._snd_una)
+            hole = in_flight.get(ack_seq)
             if (
                 hole is not None
-                and self._srtt is not None
-                and self.kernel.now - hole.last_tx
-                    > self._srtt + 2 * self._rttvar
+                and srtt is not None
+                and now - hole.last_tx > srtt + 2 * self._rttvar
             ):
                 self.retransmissions += 1
                 hole.retransmitted = True
@@ -469,9 +492,7 @@ class StreamConnection:
                     self._trace_retransmit(base_segment, "fast-retransmit")
                     self._transmit(base_segment)
 
-    def _handle_data(
-        self, segment: _Segment, congestion_marked: bool = False
-    ) -> None:
+    def _handle_data(self, segment: _Segment, congestion_marked: bool) -> None:
         seq = segment.seq
         expected = self._expected_seq
         out_of_order = self._out_of_order
@@ -485,27 +506,23 @@ class StreamConnection:
                 ready = out_of_order.pop(self._expected_seq)
                 self._expected_seq += 1
                 self._assemble(ready)
-        self._send_ack(self._expected_seq, congestion_marked)
+        # Acknowledge cumulatively, echoing any ECN mark.
+        self.nic.send(Packet(
+            self._src, self.remote_host, self.local_port, self.remote_port,
+            TCP, _Ack(self._expected_seq, congestion_marked), 0, self.dscp,
+            self._flow_id, self.kernel.now, self._packet_id()))
 
     def _assemble(self, segment: _Segment) -> None:
+        # Chunks arrive here in seq order with no gaps, every chunk of a
+        # message carries its send time, and every chunk but the last is
+        # a full MTU: the last chunk completes the message and carries
+        # the payload object.
+        count = segment.chunk_count
+        if segment.chunk_index != count - 1:
+            return
         mid = segment.message_id
-        if segment.chunk_count == 1:
-            size_bytes = segment.nbytes
-            sent_at = segment.sent_at
-        else:
-            partial = self._partial.get(mid)
-            if partial is None:
-                self._partial[mid] = [1, segment.nbytes, segment.sent_at]
-                return
-            partial[0] += 1
-            partial[1] += segment.nbytes
-            if partial[0] < segment.chunk_count:
-                return
-            del self._partial[mid]
-            _, size_bytes, sent_at = partial
-        # Chunks assemble in seq order, so the completing chunk is the
-        # last one: the one carrying the payload object.
-        meta = MessageMeta(mid, sent_at, self.kernel.now, size_bytes)
+        meta = MessageMeta(mid, segment.sent_at, self.kernel.now,
+                           (count - 1) * MTU_BYTES + segment.nbytes)
         self.messages_delivered += 1
         tracer = self.kernel.tracer
         if tracer is not None:
@@ -516,14 +533,6 @@ class StreamConnection:
             )
         if self.on_message is not None:
             self.on_message(segment.data, meta)
-
-    def _send_ack(self, ack_seq: int, ecn_echo: bool = False) -> None:
-        ack = _Segment(ack_seq, "ack")
-        ack.ecn_echo = ecn_echo
-        self.nic.send(Packet(
-            self._src, self.remote_host, self.local_port, self.remote_port,
-            TCP, ack, 0, self.dscp, self._flow_id, self.kernel.now,
-            self._packet_id()))
 
     def _on_ecn_echo(self) -> None:
         """React to explicit congestion: halve the window, at most once

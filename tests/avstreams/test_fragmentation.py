@@ -41,6 +41,22 @@ def test_small_frame_is_single_fragment():
     assert [f.sequence for f in got] == [1]
 
 
+def test_negative_frame_size_is_refused_and_zero_still_sends():
+    kernel = Kernel()
+    net = rig(kernel)
+    got = []
+    consumer = FlowConsumer(kernel, net.nic_of("b"), "f",
+                            on_frame=lambda frame, lat: got.append(frame))
+    producer = FlowProducer(kernel, net.nic_of("a"), "f", "b", consumer.port)
+    with pytest.raises(ValueError):
+        producer.send_frame(FakeFrame(1, -900))
+    assert producer.frames_sent == 0 and producer.fragments_sent == 0
+    producer.send_frame(FakeFrame(2, 0))
+    kernel.run()
+    assert producer.fragments_sent == 1
+    assert [f.sequence for f in got] == [2]
+
+
 def test_large_frame_fragments_and_reassembles():
     kernel = Kernel()
     net = rig(kernel)

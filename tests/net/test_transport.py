@@ -175,6 +175,44 @@ def test_stream_send_after_close_rejected():
         conn.send_message("x", payload_bytes=10)
 
 
+def test_datagram_refuses_a_negative_size_and_sends_a_zero_one():
+    """A negative size would serialize in negative time: queued behind
+    two 1 000-byte datagrams it moved the clock backwards and let the
+    second datagram arrive before it had finished transmitting."""
+    kernel = Kernel()
+    net, _ = star(kernel, ["client", "server"])
+    got = []
+    DatagramSocket(kernel, net.nic_of("server"), port=7,
+                   on_receive=lambda payload, pkt: got.append(payload))
+    sender = DatagramSocket(kernel, net.nic_of("client"))
+    sender.send_to("server", 7, "a", 1000)
+    sender.send_to("server", 7, "b", 1000)
+    with pytest.raises(ValueError):
+        sender.send_to("server", 7, "c", -900)
+    assert sender.send_to("server", 7, "d", 0)
+    kernel.run()
+    assert sender.sent == 3
+    assert got == ["a", "b", "d"]
+
+
+def test_stream_refuses_a_negative_size_and_sends_a_zero_one():
+    kernel = Kernel()
+    net, _ = star(kernel, ["client", "server"])
+    got = []
+    StreamListener(kernel, net.nic_of("server"), port=2809,
+                   on_message=lambda payload, meta: got.append(
+                       (payload, meta.size_bytes)))
+    conn = StreamConnection.connect(
+        kernel, net.nic_of("client"), "server", 2809)
+    with pytest.raises(ValueError):
+        conn.send_message("x", payload_bytes=-900)
+    assert conn.messages_sent == 0 and conn.send_depth == 0
+    conn.send_message("empty", payload_bytes=0)
+    kernel.run()
+    assert got == [("empty", 0)]
+    assert conn.segments_sent == 1
+
+
 def test_datagram_no_delivery_guarantee_under_congestion():
     kernel = Kernel()
     qdiscs = {"server": FifoQueue(capacity=3)}

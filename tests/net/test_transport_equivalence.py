@@ -8,8 +8,11 @@ growth, read its window through a property on every ``_pump``
 iteration, drained a list backlog with ``pop(0)``, and sent even the
 next in-order segment through the out-of-order buffer.  It now builds
 each connection's header once, constructs packets positionally and
-walks those paths in one pass.  The old classes are kept here, verbatim
-in behaviour, as the oracle: over drawn message sizes, send times,
+walks those paths in one pass.  An ACK is now its own two-field type,
+a message completes on its last chunk with no per-message books, and
+the segment count is derived from the sequence numbers.  The old
+classes and their eleven-slot ``_Segment`` are kept here, verbatim in
+behaviour, as the oracle: over drawn message sizes, send times,
 windows, give-up thresholds, loss bursts and a RED/ECN or drop-tail
 bottleneck, both must execute the same kernel events, deliver the same
 messages at the same instants, keep the same books, put the same
@@ -29,7 +32,7 @@ from repro.net import FifoQueue, Network
 from repro.net.aqm import RedQueue
 from repro.net.diffserv import Dscp
 from repro.net.packet import MTU_BYTES, Packet, Protocol
-from repro.net.transport import MessageMeta, _Segment
+from repro.net.transport import MessageMeta
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.obs.sinks import JsonlSink
 from repro.obs.trace import Tracer
@@ -41,6 +44,28 @@ from repro.obs.trace import Tracer
 # callback by ``__qualname__``; the classes under test are reached as
 # ``transport.*``.
 # ----------------------------------------------------------------------
+class _Segment:
+    __slots__ = (
+        "seq", "kind", "message_id", "chunk_index", "chunk_count",
+        "data", "nbytes", "sent_at", "last_tx", "retransmitted",
+        "ecn_echo",
+    )
+
+    def __init__(self, seq, kind, message_id=0, chunk_index=0,
+                 chunk_count=0, data=None, nbytes=0, sent_at=0.0):
+        self.seq = seq
+        self.kind = kind
+        self.message_id = message_id
+        self.chunk_index = chunk_index
+        self.chunk_count = chunk_count
+        self.data = data
+        self.nbytes = nbytes
+        self.sent_at = sent_at
+        self.last_tx = sent_at
+        self.retransmitted = False
+        self.ecn_echo = False
+
+
 class DatagramSocket:
     def __init__(self, kernel, nic, port=None, on_receive=None):
         self.kernel = kernel
@@ -545,10 +570,24 @@ LOSSY = dict(
     bottleneck="red",
 )
 
+#: A world whose loss burst takes a middle chunk (the fifth of six) of
+#: c0's request while the last one gets through: the last chunk waits
+#: out of order and completes its message from the drain once the hole
+#: is retransmitted, the case a last-chunk completion rule must get
+#: right.
+MIDDLE_CHUNK = dict(
+    messages=[(0, 0.0, 9000, 3000), (1, 0.02, 4500, None)],
+    datagrams=[(0.01, 200, None)],
+    windows=(None, None), max_rtos=(None, None),
+    bursts=[(["r", "s"], 0.015, 0.05, 0.5)],
+    bottleneck="fifo",
+)
+
 
 @settings(max_examples=120, deadline=None)
 @given(**WORLDS)
 @example(**LOSSY)
+@example(**MIDDLE_CHUNK)
 def test_transport_equals_the_per_packet_oracle(**world):
     expected, actual = both(**world)
     assert actual["events"] == expected["events"]
@@ -571,3 +610,33 @@ def test_the_lossy_world_exercises_recovery():
     assert books["c0"][BOOKS.index("messages_sent")] == 3
     assert len(actual["delivered"]["c0"]) == 2
     assert '"stream.retransmit"' in actual["trace"]
+
+
+def test_the_middle_chunk_world_completes_a_message_from_the_drain(
+        monkeypatch):
+    """In the pinned world a multi-chunk message's last chunk is
+    assembled out of the out-of-order buffer, not as the segment that
+    just arrived."""
+    connection = transport.StreamConnection
+    handle_data, assemble = connection._handle_data, connection._assemble
+    arriving = []
+    drained_last_chunks = []
+
+    def spy_handle_data(self, segment, congestion_marked):
+        arriving.append(segment)
+        handle_data(self, segment, congestion_marked)
+
+    def spy_assemble(self, segment):
+        if (segment.chunk_count > 1
+                and segment.chunk_index == segment.chunk_count - 1
+                and segment is not arriving[-1]):
+            drained_last_chunks.append(segment.message_id)
+        assemble(self, segment)
+
+    monkeypatch.setattr(connection, "_handle_data", spy_handle_data)
+    monkeypatch.setattr(connection, "_assemble", spy_assemble)
+    expected, actual = both(**MIDDLE_CHUNK)
+    assert actual == expected
+    assert drained_last_chunks
+    assert len(actual["delivered"]["s"]) == 2
+    assert len(actual["delivered"]["c0"]) == 1

@@ -97,7 +97,7 @@ def test_rto_resets_dup_ack_count():
 def test_duplicate_ack_resets_consecutive_rtos():
     kernel = Kernel()
     net, conn, _ = rig(kernel)
-    conn._in_flight[0] = _Segment(seq=0, kind="data", nbytes=10)
+    conn._in_flight[0] = _Segment(seq=0, nbytes=10)
     conn._consecutive_rtos = 7
     conn._handle_ack(0)  # duplicate: proves the peer is alive
     assert conn._consecutive_rtos == 0
@@ -109,7 +109,7 @@ def test_advancing_ack_without_rtt_sample_restores_initial_rto():
     first advance must fall back to INITIAL_RTO, not keep MAX_RTO."""
     kernel = Kernel()
     net, conn, _ = rig(kernel)
-    segment = _Segment(seq=0, kind="data", nbytes=10)
+    segment = _Segment(seq=0, nbytes=10)
     segment.retransmitted = True
     conn._in_flight[0] = segment
     conn._rto = StreamConnection.MAX_RTO  # fully backed off
@@ -122,7 +122,7 @@ def test_advancing_ack_with_history_restores_estimated_rto():
     kernel = Kernel()
     net, conn, _ = rig(kernel)
     conn._srtt, conn._rttvar = 0.05, 0.01  # estimate above MIN_RTO
-    segment = _Segment(seq=0, kind="data", nbytes=10)
+    segment = _Segment(seq=0, nbytes=10)
     segment.retransmitted = True
     conn._in_flight[0] = segment
     conn._rto = StreamConnection.MAX_RTO
@@ -134,7 +134,7 @@ def test_give_up_requires_consecutive_silence():
     """MAX_CONSECUTIVE_RTOS only trips when *nothing* answers."""
     kernel = Kernel()
     net, conn, _ = rig(kernel)
-    conn._in_flight[0] = _Segment(seq=0, kind="data", nbytes=10)
+    conn._in_flight[0] = _Segment(seq=0, nbytes=10)
     for _ in range(StreamConnection.MAX_CONSECUTIVE_RTOS):
         conn._on_rto()
         assert not conn.closed

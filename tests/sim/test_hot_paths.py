@@ -42,11 +42,14 @@ HOT = {
     "repro.net.packet": ["Packet.__init__"],
     "repro.net.traffic": ["CbrTrafficSource._emit"],
     "repro.net.transport": ["DatagramSocket.send_to",
+                            "StreamConnection.send_message",
+                            "StreamConnection._pump",
                             "StreamConnection._transmit",
-                            "StreamConnection._send_ack",
                             "StreamConnection._deliver",
                             "StreamConnection._handle_ack",
-                            "StreamConnection._handle_data"],
+                            "StreamConnection._handle_data",
+                            "StreamConnection._assemble",
+                            "StreamListener._deliver"],
     "repro.oskernel.cpu": ["CPU.submit", "CPU._make_ready",
                            "CPU._charge_current", "CPU._complete",
                            "CPU._dispatch"],
@@ -79,10 +82,10 @@ UNREAD_BOOKS = {
     "demoted": "the other lane of that split, read by tests",
     "packets_sent": "tests stop a CBR source on it",
     "undeliverable": "a rare path: a packet no endpoint takes",
-    "segments_sent": "a stream's books, which the transport equivalence "
-                     "oracle compares",
-    "retransmissions": "the same, and per segment lost, not per packet; "
-                       "ROADMAP 8(a)'s registry is where it goes",
+    "messages_sent": "a stream's books, bumped per message, not per "
+                     "segment; tests and the transport equivalence "
+                     "oracle read them",
+    "messages_delivered": "the same, on the receiving side",
 }
 
 #: Where a book's readers may live.
