@@ -453,21 +453,21 @@ def run_pubsub_experiment(
     # --- faults: after the fluid flows, before the publishers ---------
     bed.inject(fault_plan, _fault_plan(arm, duration))
 
-    # --- publish loops: staggered rearm timers, stopped DRAIN_GRACE
-    # before the horizon so in-flight retransmissions drain.
+    # --- publish loops: staggered timers, each re-arming its own
+    # handle, stopped DRAIN_GRACE before the horizon so in-flight
+    # retransmissions drain.
     publish_until = duration - DRAIN_GRACE
 
-    def make_publisher(writer: DataWriter):
+    def make_publisher(writer: DataWriter, delay: float) -> None:
         def tick() -> None:
             if kernel.now > publish_until:
                 return
             writer.write(writer.seq)
-            kernel.schedule(interval, tick)
-        return tick
+            kernel.rearm(handle, interval)
+        handle = kernel.schedule(delay, tick)
 
     for k, writer in enumerate(writers):
-        kernel.schedule(k * interval / max(1, len(writers)),
-                        make_publisher(writer))
+        make_publisher(writer, k * interval / max(1, len(writers)))
 
     def stop_monitors() -> None:
         # Publishing is over: freeze the deadline monitors (and with

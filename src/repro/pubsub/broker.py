@@ -80,6 +80,7 @@ class Broker:
     ) -> None:
         self.kernel = kernel
         self.nic = nic
+        self.host_name = nic.host.name if nic is not None else "broker"
         self.admission = admission
         #: With a Network the broker watches link state and runs
         #: per-partition ownership arbitration.  Links must exist
@@ -115,10 +116,6 @@ class Broker:
         if network is not None:
             for link in network.links:
                 link.add_listener(self._on_link_state)
-
-    @property
-    def host_name(self) -> str:
-        return self.nic.host.name if self.nic is not None else "broker"
 
     # ------------------------------------------------------------------
     # Registration

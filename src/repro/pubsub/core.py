@@ -150,17 +150,17 @@ class DataWriter:
         self.qos = qos
         self.name = name
         self.nic = nic
+        #: The host this writer publishes from (its own name when local).
+        self.host_name = nic.host.name if nic is not None else name
         self.broker: Optional["Broker"] = None
         self.matches: Dict[str, Match] = {}
+        #: The last seq published: also the number of samples written.
         self.seq = 0
-        self.samples_written = 0
         self.samples_sent = 0
         #: Sends skipped by a reader's rate divisor (adaptation ledger).
         self.sends_suppressed = 0
         #: Sends skipped by a reader's content filter.
         self.sends_filtered = 0
-        #: Datagrams refused at the first hop (local link down).
-        self.send_failures = 0
         self.heartbeats_sent = 0
         #: TRANSIENT_LOCAL: everything published, bounded by the
         #: offered history policy, replayed to late-joining readers.
@@ -173,18 +173,14 @@ class DataWriter:
         self._conns: Dict[str, StreamConnection] = {}
         self._hb_event: Optional[ScheduledEvent] = None
 
-    @property
-    def host_name(self) -> str:
-        return self.nic.host.name if self.nic is not None else self.name
-
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     def write(self, data: Any = None) -> Sample:
         """Publish one sample to every matched reader."""
-        self.seq += 1
-        self.samples_written += 1
-        sample = Sample(self.topic.name, self.name, self.seq, data,
+        seq = self.seq + 1
+        self.seq = seq
+        sample = Sample(self.topic.name, self.name, seq, data,
                         self.kernel.now)
         if self.durable_cache is not None:
             self.durable_cache.add(sample)
@@ -195,7 +191,7 @@ class DataWriter:
             if match.filter is not None and not match.filter.matches(sample):
                 self.sends_filtered += 1
                 continue
-            if match.divisor > 1 and self.seq % match.divisor != 0:
+            if match.divisor > 1 and seq % match.divisor != 0:
                 self.sends_suppressed += 1
                 continue
             self._send(match, sample)
@@ -241,11 +237,10 @@ class DataWriter:
                 self._conns[reader.name] = conn
             conn.send_message(sample, payload_bytes=self.topic.sample_bytes)
         else:
-            ok = self._udp.send_to(
-                reader.host_name, reader.datagram_port, payload=sample,
-                payload_bytes=self.topic.sample_bytes, dscp=match.dscp)
-            if not ok:
-                self.send_failures += 1
+            # A datagram refused at the first hop (local link down) is
+            # lost like one dropped on the way.
+            self._udp.send_to(reader.host_name, reader.datagram_port,
+                              sample, self.topic.sample_bytes, match.dscp)
 
     # ------------------------------------------------------------------
     # Liveliness heartbeats (driven while a lease is offered)
@@ -263,7 +258,8 @@ class DataWriter:
         self._hb_event = self.kernel.schedule(0.0, self._do_heartbeat)
 
     def _do_heartbeat(self) -> None:
-        self._hb_event = None
+        # The first beat's handle carries on as the periodic one.
+        self._hb_event.callback = self._send_heartbeat
         self._send_heartbeat()
 
     def stop_heartbeats(self) -> None:
@@ -274,7 +270,9 @@ class DataWriter:
     def _send_heartbeat(self) -> None:
         broker = self.broker
         if broker is None:
+            self._hb_event = None
             return
+        event = self._hb_event  # the handle firing now
         self.heartbeats_sent += 1
         # Heartbeats carry the writer's current seq so the broker can
         # fan dedup-window trims out to matched readers.
@@ -286,8 +284,11 @@ class DataWriter:
             self._udp.send_to(broker.host_name, BROKER_PORT,
                               payload=("hb", self.name, self.seq),
                               payload_bytes=HEARTBEAT_BYTES)
-        interval = self.qos.lease / 3.0
-        self._hb_event = self.kernel.schedule(interval, self._send_heartbeat)
+        if self._hb_event is event:
+            self.kernel.rearm(event, self.qos.lease / 3.0)
+        # Otherwise stop_heartbeats() ran inside this beat (and
+        # start_heartbeats() may have armed a fresh handle): this chain
+        # ends here.
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<DataWriter {self.name} topic={self.topic.name} "
@@ -314,6 +315,8 @@ class DataReader:
         self.qos = qos
         self.name = name
         self.nic = nic
+        #: The host this reader listens on (its own name when local).
+        self.host_name = nic.host.name if nic is not None else name
         self.broker: Optional["Broker"] = None
         self.on_sample = on_sample
         #: Content filter (installed writer-side on every match).
@@ -325,6 +328,9 @@ class DataReader:
         self.on_deadline_check = on_deadline_check
         self.history = HistoryCache(qos.history, qos.depth)
         self.matched: Dict[str, Match] = {}
+        #: Whether only the owner's samples are delivered (a QosPolicy
+        #: is immutable, so this is resolved once).
+        self._exclusive = qos.ownership is EXCLUSIVE
         #: Current EXCLUSIVE owner (broker-pushed); None = no owner yet.
         self.owner: Optional[str] = None
         # --- delivery ledgers ---
@@ -371,10 +377,6 @@ class DataReader:
                     on_message=self._on_stream)
 
     @property
-    def host_name(self) -> str:
-        return self.nic.host.name if self.nic is not None else self.name
-
-    @property
     def mean_latency(self) -> float:
         return self.latency_sum / self.delivered if self.delivered else 0.0
 
@@ -389,35 +391,36 @@ class DataReader:
 
     def _receive(self, sample: Sample, latency: float) -> None:
         self.samples_received += 1
-        match = self.matched.get(sample.writer)
+        writer = sample.writer
+        match = self.matched.get(writer)
         if match is None:
             self.from_unmatched += 1
             tracer = self.kernel.tracer
             if tracer is not None:
                 tracer.instant("pubsub", "sample.unmatched",
                                fields={"reader": self.name,
-                                       "writer": sample.writer,
+                                       "writer": writer,
                                        "topic": sample.topic})
             return
-        if (self.qos.ownership is EXCLUSIVE
-                and sample.writer != self.owner):
+        if self._exclusive and writer != self.owner:
             self.ownership_filtered += 1
             return
-        if self.pace_divisor > 1 and sample.seq % self.pace_divisor != 0:
+        seq = sample.seq
+        if self.pace_divisor > 1 and seq % self.pace_divisor != 0:
             # The writer has not caught up with our requested divisor
             # yet — enforce it locally so the paced cadence starts the
             # instant the reader decided to shed load.
             self.downsampled += 1
             return
-        ledger = self._seen.get(sample.writer)
+        ledger = self._seen.get(writer)
         if ledger is None:
-            ledger = self._seen[sample.writer] = DedupLedger()
-        verdict = ledger.observe(sample.seq)
-        if verdict == "duplicate":
-            self.duplicates += 1
-            return
-        if verdict == "stale":
-            self.stale_drops += 1
+            ledger = self._seen[writer] = DedupLedger()
+        verdict = ledger.observe(seq)
+        if verdict != "new":
+            if verdict == "duplicate":
+                self.duplicates += 1
+            else:
+                self.stale_drops += 1
             return
         now = self.kernel.now
         if self.last_arrival is not None:
@@ -428,7 +431,7 @@ class DataReader:
         budget = match.result.effective_budget
         if budget > 0.0 and latency > budget:
             self.budget_violations += 1
-        self.history.add((sample.writer, sample.seq, round(latency, 9)))
+        self.history.add((writer, seq, round(latency, 9)))
         self.delivered += 1
         self.latency_sum += latency
         if latency > self.latency_max:
@@ -453,6 +456,7 @@ class DataReader:
             self._deadline_event = None
 
     def _deadline_check(self) -> None:
+        event = self._deadline_event  # the handle firing now
         period = self.qos.deadline
         since = (self.kernel.now - self.last_arrival
                  if self.last_arrival is not None
@@ -481,8 +485,10 @@ class DataReader:
             self.miss_streak = 0
         if self.on_deadline_check is not None:
             self.on_deadline_check(self, missed)
-        self._deadline_event = self.kernel.schedule(
-            period, self._deadline_check)
+        if self._deadline_event is event:
+            self.kernel.rearm(event, period)
+        # Otherwise the callback stopped the monitor (and may have
+        # started a fresh one): this chain ends here.
 
     # ------------------------------------------------------------------
     # Adaptation

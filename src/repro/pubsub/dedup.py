@@ -68,15 +68,24 @@ class DedupLedger:
             # this seq was seen; fail safe by dropping it as stale.
             self.stale_drops += 1
             return "stale"
-        if seq <= self.low or seq in self._tail:
+        low = self.low
+        tail = self._tail
+        if seq == low + 1 and not tail:
+            # In order with no gap behind it, the common case: the seq
+            # would join the tail and collapse into ``low`` at once.
+            self.low = seq
+            self.delivered += 1
+            return "new"
+        if seq <= low or seq in tail:
             self.duplicate_drops += 1
             return "duplicate"
-        self._tail.add(seq)
-        while (self.low + 1) in self._tail:
-            self.low += 1
-            self._tail.remove(self.low)
-        if len(self._tail) > self.max_tail:
-            self.max_tail = len(self._tail)
+        tail.add(seq)
+        while (low + 1) in tail:
+            low += 1
+            tail.remove(low)
+        self.low = low
+        if len(tail) > self.max_tail:
+            self.max_tail = len(tail)
         self.delivered += 1
         return "new"
 

@@ -8,12 +8,13 @@ consume the match's EF reserve, and never count against the match's
 ``sent`` ledger; they show up only in the writer's ``sends_filtered``
 counter (mirroring how divisor suppression is accounted).
 
-The expression language is deliberately tiny and is interpreted over
-the AST — ``eval`` is never called, and anything outside the
-whitelist (calls, attributes, subscripts, comprehensions, lambdas,
-names that are not sample fields) is rejected at *construction* time
-with ``ValueError`` so a bad filter fails loudly at declaration, not
-silently per sample:
+The expression language is deliberately tiny.  Its AST is compiled
+once, at *construction*, into one closure per node, so a sample costs
+a few closure calls and no tree walk.  ``eval`` is never called, and
+anything outside the whitelist (calls, attributes, subscripts,
+comprehensions, lambdas, names that are not sample fields) is rejected
+while compiling with ``ValueError`` so a bad filter fails loudly at
+declaration, not silently per sample:
 
 * boolean ops        ``and`` / ``or``
 * comparisons        ``== != < <= > >= is is-not`` (chained allowed)
@@ -29,7 +30,8 @@ filter can drop traffic but never crash the writer's publish path.
 from __future__ import annotations
 
 import ast
-from typing import Any, FrozenSet
+import operator
+from typing import Any, Callable, FrozenSet
 
 __all__ = ["ContentFilter", "SAMPLE_FIELDS"]
 
@@ -37,58 +39,103 @@ __all__ = ["ContentFilter", "SAMPLE_FIELDS"]
 SAMPLE_FIELDS: FrozenSet[str] = frozenset(
     ("topic", "writer", "seq", "data", "sent_at"))
 
-_BOOL_OPS = (ast.And, ast.Or)
-_CMP_OPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
-            ast.Is, ast.IsNot)
-_BIN_OPS = (ast.Mod,)
+#: The comparison operators, each as the C function that applies it.
+_CMP_OPS = {ast.Eq: operator.eq, ast.NotEq: operator.ne,
+            ast.Lt: operator.lt, ast.LtE: operator.le,
+            ast.Gt: operator.gt, ast.GtE: operator.ge,
+            ast.Is: operator.is_, ast.IsNot: operator.is_not}
 
 
-def _validate(node: ast.AST, expression: str) -> None:
-    """Reject any AST node outside the whitelist (recursive)."""
+def _compile(node: ast.AST, expression: str) -> Callable[[Any], Any]:
+    """Validate ``node`` against the whitelist and compile it into a
+    closure ``sample -> value`` (recursive: one closure per node)."""
     if isinstance(node, ast.Expression):
-        _validate(node.body, expression)
-    elif isinstance(node, ast.BoolOp):
-        if not isinstance(node.op, _BOOL_OPS):
+        return _compile(node.body, expression)
+    if isinstance(node, ast.BoolOp):
+        if not isinstance(node.op, (ast.And, ast.Or)):
             raise ValueError(f"unsupported boolean op in {expression!r}")
-        for value in node.values:
-            _validate(value, expression)
-    elif isinstance(node, ast.Compare):
-        if not all(isinstance(op, _CMP_OPS) for op in node.ops):
-            raise ValueError(f"unsupported comparison in {expression!r}")
-        _validate(node.left, expression)
-        for comparator in node.comparators:
-            _validate(comparator, expression)
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _BIN_OPS):
+        parts = [_compile(value, expression) for value in node.values]
+        # ``a and b and c`` is ``a and (b and c)``: fold from the right,
+        # so each closure is one short-circuit returning an operand.
+        fn = parts.pop()
+        for first in reversed(parts):
+            if isinstance(node.op, ast.And):
+                fn = _and(first, fn)
+            else:
+                fn = _or(first, fn)
+        return fn
+    if isinstance(node, ast.Compare):
+        ops = []
+        for op in node.ops:
+            fn = _CMP_OPS.get(type(op))
+            if fn is None:
+                raise ValueError(f"unsupported comparison in {expression!r}")
+            ops.append(fn)
+        left = _compile(node.left, expression)
+        rights = [_compile(comparator, expression)
+                  for comparator in node.comparators]
+        return _chain(left, tuple(zip(ops, rights)))
+    if isinstance(node, ast.BinOp):
+        if not isinstance(node.op, ast.Mod):
             raise ValueError(f"unsupported operator in {expression!r}")
-        _validate(node.left, expression)
-        _validate(node.right, expression)
-    elif isinstance(node, ast.Name):
+        return _mod(_compile(node.left, expression),
+                    _compile(node.right, expression))
+    if isinstance(node, ast.Name):
         if node.id not in SAMPLE_FIELDS:
             raise ValueError(
                 f"unknown field {node.id!r} in {expression!r} "
                 f"(allowed: {', '.join(sorted(SAMPLE_FIELDS))})")
-    elif isinstance(node, ast.Constant):
+        return operator.attrgetter(node.id)
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float, str, bool, type(None))):
             raise ValueError(f"unsupported literal in {expression!r}")
-    else:
-        raise ValueError(
-            f"unsupported syntax ({type(node).__name__}) in {expression!r}")
+        return _constant(node.value)
+    raise ValueError(
+        f"unsupported syntax ({type(node).__name__}) in {expression!r}")
+
+
+def _and(first: Callable, rest: Callable) -> Callable:
+    return lambda sample: first(sample) and rest(sample)
+
+
+def _or(first: Callable, rest: Callable) -> Callable:
+    return lambda sample: first(sample) or rest(sample)
+
+
+def _chain(left: Callable, links: tuple) -> Callable:
+    """A comparison, chained or not: each operand read once, stopping
+    at the first false link."""
+    def chain(sample: Any) -> bool:
+        value = left(sample)
+        for op, right in links:
+            other = right(sample)
+            if not op(value, other):
+                return False
+            value = other
+        return True
+    return chain
+
+
+def _mod(left: Callable, right: Callable) -> Callable:
+    return lambda sample: left(sample) % right(sample)
+
+
+def _constant(value: Any) -> Callable:
+    return lambda sample: value
 
 
 class ContentFilter:
     """A compiled, validated content-filter expression (value object)."""
 
-    __slots__ = ("expression", "_tree", "evaluated", "accepted", "errors")
+    __slots__ = ("expression", "_test", "evaluated", "accepted", "errors")
 
     def __init__(self, expression: str) -> None:
         try:
             tree = ast.parse(expression, mode="eval")
         except SyntaxError as exc:
             raise ValueError(f"bad filter expression {expression!r}: {exc}")
-        _validate(tree, expression)
         self.expression = expression
-        self._tree = tree
+        self._test = _compile(tree, expression)
         self.evaluated = 0
         self.accepted = 0
         self.errors = 0
@@ -110,64 +157,11 @@ class ContentFilter:
     def __repr__(self) -> str:  # pragma: no cover
         return f"ContentFilter({self.expression!r})"
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def _eval(self, node: ast.AST, sample: Any) -> Any:
-        if isinstance(node, ast.Expression):
-            return self._eval(node.body, sample)
-        if isinstance(node, ast.BoolOp):
-            if isinstance(node.op, ast.And):
-                result: Any = True
-                for value in node.values:
-                    result = self._eval(value, sample)
-                    if not result:
-                        return result
-                return result
-            result = False
-            for value in node.values:
-                result = self._eval(value, sample)
-                if result:
-                    return result
-            return result
-        if isinstance(node, ast.Compare):
-            left = self._eval(node.left, sample)
-            for op, comparator in zip(node.ops, node.comparators):
-                right = self._eval(comparator, sample)
-                if isinstance(op, ast.Eq):
-                    ok = left == right
-                elif isinstance(op, ast.NotEq):
-                    ok = left != right
-                elif isinstance(op, ast.Is):
-                    ok = left is right
-                elif isinstance(op, ast.IsNot):
-                    ok = left is not right
-                elif isinstance(op, ast.Lt):
-                    ok = left < right
-                elif isinstance(op, ast.LtE):
-                    ok = left <= right
-                elif isinstance(op, ast.Gt):
-                    ok = left > right
-                else:
-                    ok = left >= right
-                if not ok:
-                    return False
-                left = right
-            return True
-        if isinstance(node, ast.BinOp):  # ``%``, the one operator
-            left = self._eval(node.left, sample)
-            return left % self._eval(node.right, sample)
-        if isinstance(node, ast.Name):
-            return getattr(sample, node.id)
-        # _validate guarantees the only remaining node kind:
-        assert isinstance(node, ast.Constant)
-        return node.value
-
     def matches(self, sample: Any) -> bool:
         """True when the sample passes the filter (errors fail closed)."""
         self.evaluated += 1
         try:
-            ok = bool(self._eval(self._tree, sample))
+            ok = bool(self._test(sample))
         except Exception:
             self.errors += 1
             return False

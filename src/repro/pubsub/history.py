@@ -45,15 +45,18 @@ class HistoryCache:
 
     def add(self, sample: Any) -> bool:
         """Store ``sample``; False if the resource bound refused it."""
-        if len(self._samples) >= self.depth:
+        samples = self._samples
+        held = len(samples)
+        if held >= self.depth:
             if self.kind is KEEP_ALL:
                 self.rejected += 1
                 return False
-            self._samples.popleft()
+            samples.popleft()
             self.replaced += 1
-        self._samples.append(sample)
+        else:
+            held += 1
+        samples.append(sample)
         self.accepted += 1
-        held = len(self._samples)
         if held > self.max_held:
             self.max_held = held
         return True

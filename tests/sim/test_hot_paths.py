@@ -9,8 +9,9 @@ members through names bound once in the enum's own module
 (``net.packet.RSVP``, ``oskernel.thread.READY``, ...).  A plain ``Enum``
 used as a dict key or set member on such a path hashes by identity.
 
-A counter bumped on the packet path costs every packet, so each
-``self.<x> += ...`` in a hot ``repro.net`` function must name an
+A counter bumped on the packet path costs every packet, and one on
+the pub-sub data plane costs every sample, so each ``self.<x> += ...``
+in a hot ``repro.net`` or ``repro.pubsub`` function must name an
 attribute that some code under ``src/repro`` or ``perf/`` loads (its
 own augmented writes store, they do not load), or be in
 ``UNREAD_BOOKS`` with its reason.  The check goes by attribute name, so
@@ -63,7 +64,11 @@ HOT = {
                                   "FlowConsumer._deliver"],
     "repro.experiments.actors": ["AvVideoSender.on_tick",
                                  "AvVideoReceiver._on_frame"],
-    "repro.pubsub.core": ["DataReader._receive"],
+    "repro.pubsub.core": ["DataWriter.write", "DataWriter._send",
+                          "DataReader._receive",
+                          "DataReader._deadline_check"],
+    "repro.pubsub.dedup": ["DedupLedger.observe"],
+    "repro.pubsub.filters": ["ContentFilter.matches"],
     "repro.pubsub.history": ["HistoryCache.add"],
     "repro.sim.kernel": ["Kernel.run"],
     "repro.orb.giop": ["GiopMessage.encode"],
@@ -74,8 +79,9 @@ HOT = {
     "repro.orb.poa": ["Poa._serve"],
 }
 
-#: Books a hot ``repro.net`` function bumps although nothing under
-#: ``src/repro`` or ``perf/`` loads them: name -> why each stays.
+#: Books a hot ``repro.net`` or ``repro.pubsub`` function bumps
+#: although nothing under ``src/repro`` or ``perf/`` loads them:
+#: name -> why each stays.
 UNREAD_BOOKS = {
     "conformed": "no record says which lane a policed packet joined; "
                  "the reserved-lane bound oracle and tests read it",
@@ -86,7 +92,24 @@ UNREAD_BOOKS = {
                      "segment; tests and the transport equivalence "
                      "oracle read them",
     "messages_delivered": "the same, on the receiving side",
+    "samples_sent": "a writer's sends over all its matches, one per "
+                    "sample and reader; tests read it",
+    "sends_suppressed": "the writer side of a divisor grant, which tests "
+                        "check landed; the figures read the reader's "
+                        "books",
+    "duplicate_drops": "a ledger's own duplicate count, beside the "
+                       "reader's ``duplicates``; tests and the dedup "
+                       "oracle read it",
+    "evaluated": "a content filter's evaluations, read by tests and the "
+                 "filter oracle",
+    "accepted": "the samples a content filter passed and those a "
+                "history cache stored: tests and the filter oracle "
+                "read them",
+    "replaced": "KEEP_LAST evictions, read by tests",
 }
+
+#: The packages whose hot functions the unread-book scan covers.
+BOOK_SCAN = ("repro.net.", "repro.pubsub.")
 
 #: Where a book's readers may live.
 READER_ROOTS = (Path(repro.__file__).parent,
@@ -220,11 +243,12 @@ def test_hot_dict_key_enums_hash_by_identity():
             assert {member: 1}[member] == 1
 
 
-def hot_net_books():
-    """book name -> the hot ``repro.net`` functions that bump it."""
+def hot_books():
+    """book name -> the hot ``repro.net`` and ``repro.pubsub`` functions
+    that bump it."""
     bumped = {}
     for module_name, qualnames in HOT.items():
-        if module_name.startswith("repro.net."):
+        if module_name.startswith(BOOK_SCAN):
             for qualname in qualnames:
                 for book in books_bumped(module_name, qualname):
                     bumped.setdefault(book, []).append(
@@ -240,12 +264,12 @@ def test_the_book_scan_finds_bumps_and_loads():
     loads = attribute_loads(READER_ROOTS)
     assert {"enqueued", "dequeued", "dropped"} <= loads
     assert "book_nobody_reads" not in loads
-    assert "_tokens" in hot_net_books()
+    assert "_tokens" in hot_books()
 
 
 def test_every_book_a_hot_net_function_bumps_is_read():
     loads = attribute_loads(READER_ROOTS)
-    unread = {book: where for book, where in hot_net_books().items()
+    unread = {book: where for book, where in hot_books().items()
               if book not in loads and book not in UNREAD_BOOKS}
     assert unread == {}
 
@@ -253,6 +277,6 @@ def test_every_book_a_hot_net_function_bumps_is_read():
 def test_the_unread_books_are_bumped_and_unread():
     """An entry whose book gained a reader, or left the hot path, goes."""
     loads = attribute_loads(READER_ROOTS)
-    bumped = hot_net_books()
+    bumped = hot_books()
     assert {book for book in UNREAD_BOOKS
             if book in loads or book not in bumped} == set()
