@@ -13,8 +13,7 @@ as the paper does, through one vocabulary and one applier:
 ``manager``
     :class:`EndToEndQoSManager`, the only place a mechanism is applied:
     thread and stub priorities, DSCPs, CPU reserves, A/V stream
-    reservations, the section 6 priority-driven reserve allocation and
-    Fig 2's propagation chain (rows: ``binding.PropagationHop``).
+    reservations and the section 6 priority-driven reserve allocation.
 
 ``adaptation``
     The contract-driven frame-filtering qosket: the application-level
@@ -27,7 +26,6 @@ as the paper does, through one vocabulary and one applier:
 """
 
 from repro.core.adaptation import FrameFilteringQosket
-from repro.core.binding import PropagationHop
 from repro.core.manager import EndToEndQoSManager
 from repro.core.metrics import (
     DeliveryRecorder,
@@ -41,7 +39,6 @@ __all__ = [
     "EndToEndQoSManager",
     "FrameFilteringQosket",
     "LatencyRecorder",
-    "PropagationHop",
     "QosPolicy",
     "QosPolicyError",
     "TimeSeries",

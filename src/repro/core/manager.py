@@ -16,19 +16,17 @@ hands it here; it never wires a mechanism itself:
   its DSCP and RSVP reservation, handed to the A/V service at bind;
 * :meth:`EndToEndQoSManager.allocate_reservations` — the section 6
   research direction: reserved capacity handed out in priority order
-  until it runs out;
-* :meth:`EndToEndQoSManager.describe` — Fig 2's propagation chain.
+  until it runs out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from repro.oskernel.host import Host
 from repro.oskernel.reserve import AdmissionError, Reserve
 from repro.oskernel.thread import SimThread
 from repro.net.diffserv import Dscp
-from repro.core.binding import PropagationHop
 from repro.core.policies import QosPolicy
 
 
@@ -120,19 +118,3 @@ class EndToEndQoSManager:
             except AdmissionError:
                 results[thread] = None
         return results
-
-    def describe(self, policy: QosPolicy, orb,
-                 server_hosts: Sequence[Host]) -> List[PropagationHop]:
-        """The propagation chain of ``policy``'s priority, Fig 2 style.
-
-        The client is ``orb``'s host; ``server_hosts`` are the hosts the
-        request visits (middle tiers and final servers), each re-mapping
-        the same CORBA priority into its own native range."""
-        dscp = self.dscp(policy, orb)
-        chain = [(orb.host, "client")]
-        chain += [(host, "server") for host in server_hosts]
-        return [
-            PropagationHop(host.name, host.os_type, role, policy.priority,
-                           self.native_priority(policy, host, orb), dscp)
-            for host, role in chain
-        ]

@@ -24,14 +24,16 @@ Fig 6     yes                yes     yes        yes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.priorities import OsType
 from repro.net.diffserv import Dscp
 from repro.net.queues import DiffServQueue
 from repro.net.traffic import CbrTrafficSource
-from repro.orb.core import Orb
+from repro.sim.process import Process
+from repro.orb.core import Orb, raise_if_error
+from repro.orb.idl import compile_idl
 from repro.orb.rt import (
     DscpMapping,
     PriorityBand,
@@ -40,7 +42,6 @@ from repro.orb.rt import (
     ThreadPool,
 )
 from repro.media.mpeg import MpegStream
-from repro.core.binding import PropagationHop
 from repro.core.metrics import LatencyRecorder
 from repro.core.policies import QosPolicy
 from repro.experiments.actors import GiopVideoSender, VideoReceiverServant
@@ -275,13 +276,37 @@ class Figure2Mapping:
         return self.tables[os_type].to_native(corba_priority, os_type)
 
 
-def run_priority_propagation(checks=None, tracer=None) -> List[PropagationHop]:
-    """The Fig 2 chain: RT-CORBA priority 100 on a QNX client, a LynxOS
-    middle tier and a Solaris server, every segment marked DSCP EF.
+#: The chain's two servers: a relay that calls on, and a sink.
+_FIG2_IDL = compile_idl("""
+module Fig2 {
+    interface Relay { long process(in long value); };
+    interface Sink  { long compute(in long value); };
+};
+""")
+RELAY, SINK = _FIG2_IDL["Fig2::Relay"], _FIG2_IDL["Fig2::Sink"]
 
-    Built on the testbed like every scenario, but the chain is read off
-    the mappings: the kernel never runs, so a suite or tracer sees
-    nothing."""
+
+class PropagationHop(NamedTuple):
+    """One row of the Fig 2 chain: what one tier observed of the call."""
+
+    host: str
+    os_type: OsType
+    role: str
+    corba_priority: int
+    native_priority: int
+    dscp: Dscp
+
+
+def run_priority_propagation(checks=None, tracer=None) -> Dict[str, Any]:
+    """The Fig 2 chain, run: one call at RT-CORBA priority 100 from a
+    QNX client through a LynxOS relay to a Solaris sink.
+
+    Each tier's row is what the call did there: the CORBA priority it
+    was dispatched at (the client's: its stub's), the native priority
+    its thread had meanwhile, and the DSCP of the connection the call
+    arrived on (the client's: the one it left on), which a server side
+    mirrors from its peer's segments.  Returns ``{"hops": rows,
+    "events": events executed}``."""
     bed = Testbed(checks=checks, tracer=tracer)
     net = bed.build_network()
     client = bed.host("client", os_type=OsType.QNX)
@@ -294,12 +319,55 @@ def run_priority_propagation(checks=None, tracer=None) -> List[PropagationHop]:
     net.link(router2, server)
     net.compute_routes()
     bed.watch()
-    orb = Orb(bed.kernel, client, net)
-    orb.mapping_manager.install_native_mapping(Figure2Mapping())
-    orb.mapping_manager.install_dscp_mapping(
-        DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])
-    )
-    hops = bed.qos.describe(QosPolicy(100, dscp=True), orb, [middle, server])
-    if checks is not None:  # no ``bed.run`` to uninstall it
-        checks.uninstall()
-    return hops
+    orbs = {}
+    for host in (client, middle, server):
+        orb = orbs[host.name] = Orb(bed.kernel, host, net)
+        orb.mapping_manager.install_native_mapping(Figure2Mapping())
+        orb.mapping_manager.install_dscp_mapping(DscpMapping(
+            [PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)]))
+        orb.map_priority_to_dscp = True
+    # host -> (CORBA priority, native priority) during the call.
+    observed: Dict[str, Tuple[int, int]] = {}
+
+    def dispatched(orb: Orb) -> Optional[int]:
+        observed[orb.host.name] = (orb.current_priority,
+                                   orb.current_dispatch_thread.priority)
+        return orb.current_priority
+
+    class SinkServant(SINK.skeleton_class):
+        def compute(self, value):
+            dispatched(orbs["server"])
+            return value * 2
+
+    sink = orbs["server"].create_poa("sink").activate_object(SinkServant())
+
+    class RelayServant(RELAY.skeleton_class):
+        """Calls on at the priority it was dispatched at."""
+
+        def process(self, value):
+            orb = orbs["middle-tier"]
+            stub = SINK.stub_class(orb, sink, priority=dispatched(orb))
+            return raise_if_error((yield stub.compute(value + 1)))
+
+    relay = orbs["middle-tier"].create_poa("relay").activate_object(
+        RelayServant())
+    thread = client.spawn_thread("app")
+    stub = RELAY.stub_class(orbs["client"], relay, thread=thread)
+    bed.qos.apply(QosPolicy(100, dscp=True), client, thread=thread,
+                  orb=orbs["client"], stub=stub)
+
+    def app():
+        observed["client"] = (stub.priority, thread.priority)
+        raise_if_error((yield stub.process(20)))
+
+    Process(bed.kernel, app(), name="fig2-app")
+    events = bed.run()
+    hops = []
+    for host, role, peer in ((client, "client", middle),
+                             (middle, "server", client),
+                             (server, "server", middle)):
+        dscp = next(c.dscp for c in orbs[host.name].connections()
+                    if c.remote_host == peer.name)
+        hops.append(PropagationHop(host.name, host.os_type, role,
+                                   *observed[host.name], dscp))
+    return {"hops": hops, "events": events}

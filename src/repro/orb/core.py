@@ -23,7 +23,7 @@ demarshal/dispatch CPU cost, runs the servant, and sends the reply.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.process import Signal
@@ -131,6 +131,9 @@ class Orb:
         #: a servant body (valid only during servant code; see
         #: :meth:`repro.orb.poa.Servant.compute`).
         self.current_dispatch_thread: Optional[SimThread] = None
+        #: ``RTCORBA::Current::the_priority``: the CORBA priority that
+        #: body was dispatched at (valid only during servant code).
+        self.current_priority: Optional[int] = None
         # Stats
         self.requests_sent = 0
         self.replies_received = 0
@@ -457,6 +460,12 @@ class Orb:
             out.getvalue(),
             reply_status=SYSTEM_EXCEPTION,
         )
+
+    def connections(self) -> List[StreamConnection]:
+        """Every connection this ORB holds: the ones it opened to send
+        requests, then the ones its listener accepted."""
+        return [*self._connections.values(),
+                *self._listener.connections.values()]
 
     def shutdown(self) -> None:
         """Close the acceptor and all cached connections."""

@@ -223,8 +223,11 @@ class DataWriter:
         match.sent += 1
         if self.nic is None or reader.nic is None:
             # Local mode: a zero-delay event keeps delivery ordered
-            # with everything else queued at this instant.
-            self.kernel.schedule(0.0, reader._receive, sample, 0.0)
+            # with everything else queued at this instant.  Delivery
+            # takes no time, so the latency at receipt is the age now
+            # (a replayed sample's is how long it waited in the cache).
+            self.kernel.schedule(0.0, reader._receive, sample,
+                                 self.kernel.now - sample.sent_at)
             return
         if match.reliable:
             conn = self._conns.get(reader.name)

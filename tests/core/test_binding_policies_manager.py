@@ -7,8 +7,8 @@ from repro.oskernel import EnforcementPolicy, Host, OsType
 from repro.oskernel.reserve import AdmissionError
 from repro.net import Dscp, Network
 from repro.orb import Orb
-from repro.orb.rt import DscpMapping, PriorityBand, TablePriorityMapping
 from repro.core import EndToEndQoSManager, QosPolicy, QosPolicyError
+from repro.experiments.priority_exp import run_priority_propagation
 
 
 def rig(kernel):
@@ -35,27 +35,11 @@ class FakeStub:
 
 
 def test_binding_reproduces_figure2_chain():
-    """CORBA priority 100 with custom mappings: QNX 16, LynxOS 128,
-    Solaris 136, DSCP EF on the wire (the paper's Figure 2)."""
-    kernel = Kernel()
-    net, hosts, orb = rig(kernel)
-
-    class Figure2Mapping:
-        tables = {
-            OsType.QNX: TablePriorityMapping([(0, 0), (100, 16)]),
-            OsType.LYNXOS: TablePriorityMapping([(0, 0), (100, 128)]),
-            OsType.SOLARIS: TablePriorityMapping([(0, 100), (100, 136)]),
-        }
-
-        def to_native(self, corba_priority, os_type):
-            return self.tables[os_type].to_native(corba_priority, os_type)
-
-    orb.mapping_manager.install_native_mapping(Figure2Mapping())
-    orb.mapping_manager.install_dscp_mapping(
-        DscpMapping([PriorityBand(0, Dscp.BE), PriorityBand(100, Dscp.EF)])
-    )
-    hops = EndToEndQoSManager().describe(
-        QosPolicy(100, dscp=True), orb, [hosts["middle"], hosts["server"]])
+    """CORBA priority 100 with custom mappings, applied by the manager
+    and carried by a real two-hop call: QNX 16, LynxOS 128, Solaris 136,
+    DSCP EF on the wire (the paper's Figure 2)."""
+    hops = run_priority_propagation()["hops"]
+    assert [h.host for h in hops] == ["client", "middle-tier", "server"]
     assert [h.native_priority for h in hops] == [16, 128, 136]
     assert [h.role for h in hops] == ["client", "server", "server"]
     assert all(h.dscp == Dscp.EF for h in hops)

@@ -10,7 +10,7 @@ from repro.experiments.reporting import (
     render_table1,
     render_table2,
 )
-from repro.core.binding import PropagationHop
+from repro.experiments.priority_exp import PropagationHop
 from repro.oskernel import OsType
 from repro.net import Dscp
 

@@ -41,8 +41,6 @@ SHORT = {
 #: Scenarios whose figures pick an arm, and so take a ``fault_plan``.
 ARM_SCENARIOS = {figure.scenario for figure in FIGURES.values()
                  if "arm" in figure.arms[0][1]}
-#: Fig 2 reads its chain off the priority mappings: no kernel run.
-NEVER_RUNS = {"priority_propagation"}
 
 
 def _short_params(scenario: str, arm: int = -1) -> dict:
@@ -62,8 +60,7 @@ def _events(payload) -> int:
     return payload["events"] if events is None else events
 
 
-KERNEL_RUNNING = sorted({figure.scenario for figure in FIGURES.values()}
-                        - NEVER_RUNS)
+KERNEL_RUNNING = sorted({figure.scenario for figure in FIGURES.values()})
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,10 @@ The families, and what their records cover:
   thousands of RTO restarts and one fired retransmission timeout;
 * table 2 ``load+reserve``: a CPU reserve's budget depleted and
   replenished (``os.reserve.deplete`` / ``replenish``); no other arm
-  here spends a budget.
+  here spends a budget;
+* fig 2 ``corba-100``: one two-hop GIOP call across three operating
+  systems, its priority carried in the request's service context and
+  its DSCP on every segment.
 
 Ids (packets, requests, work, threads, ...) are numbered per kernel
 (DESIGN §8, "Ids"), so an arm's bytes do not depend on what its process
@@ -27,7 +30,7 @@ ran before: each arm runs here in process, after whatever the session
 ran first, and once more in a two-worker ``fork`` pool where each worker
 runs several arms back to back.  The pins were taken with ``repro trace
 --scenario FIGURE --arm ARM --set ...`` and hold under CPython 3.10,
-3.11 and 3.12.
+3.11 and 3.12 (fig 2's was taken under 3.11 only).
 """
 
 import hashlib
@@ -60,6 +63,8 @@ ARMS = [
      "8774e103627fdc6999175437dd8f8abaa2776255afb4c785483691cb277c95ac"),
     ("table2", "load+reserve", ["duration=2"], 14858,
      "6fbe275e2066fbd062b42bf77c9014f4eee0bb37b5d56ca812886b29d4df56b1"),
+    ("fig2", "corba-100", [], 188,
+     "97d706b07af4e1bbb79e30da81703e5b209c6ac36d9719e80e051318d8ed6cab"),
 ]
 
 
@@ -83,7 +88,7 @@ def test_trace_digest_is_pinned(figure, arm, settings, records, digest):
 
 
 def test_trace_digests_hold_back_to_back_in_workers():
-    """Eight arms over two workers: each worker runs several in a row."""
+    """Nine arms over two workers: each worker runs several in a row."""
     with multiprocessing.get_context("fork").Pool(2) as pool:
         got = pool.starmap(trace_one_arm,
                            [(figure, arm, settings)

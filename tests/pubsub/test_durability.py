@@ -136,3 +136,26 @@ def test_replay_respects_the_content_filter():
     assert reader.delivered == 4  # seq 2, 4, 6, 8
     assert writer.sends_filtered == 4
     assert broker.replays == 4
+
+
+def test_a_local_replay_counts_the_time_a_sample_waited_in_the_cache():
+    """A local reader that joins at t=2 s receives samples written at
+    t=0-0.4 s: each arrives as old as it is, as over the network, and a
+    latency budget sees that age."""
+    for budget, violations in ((0.0, 0), (1.0, 5)):
+        kernel = Kernel()
+        broker = Broker(kernel)
+        topic = Topic("t", sample_bytes=100, rate_hz=10.0)
+        writer = DataWriter(kernel, topic, QosPolicy(
+            durability=Durability.TRANSIENT_LOCAL, depth=8), "w")
+        broker.register_writer(writer)
+        reader = DataReader(kernel, topic, QosPolicy(
+            durability=Durability.TRANSIENT_LOCAL, latency_budget=budget),
+            "r")
+        for index in range(5):
+            kernel.schedule(index * 0.1, writer.write)
+        kernel.schedule(2.0, broker.register_reader, reader)
+        kernel.run(until=3.0)
+        assert reader.delivered == 5
+        assert reader.latency_max >= 1.6
+        assert reader.budget_violations == violations
