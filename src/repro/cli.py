@@ -33,19 +33,18 @@ import inspect
 import json
 import pathlib
 import sys
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro import obs
 from repro.check import InvariantViolation
-from repro.experiments.runner import (ExperimentRunner, RunSpec,
-                                      scenario_function)
+from repro.experiments.runner import (
+    ExperimentRunner, RunSpec, registered_scenarios, scenario_function)
 from repro.experiments.scenario_registry import FIGURES, Figure
 from repro.faults.plan import FaultPlanError
+from repro.obs import LAYERS, JsonlSink, LatencyBreakdown, Tracer
 
-#: Scenario parameters ``--set`` may not touch: the global ``--seed``,
-#: the two that carry live objects, not JSON values, and the example
-#: builders' narration switch (``trace --quiet``).
-_NOT_SETTABLE = ("seed", "checks", "tracer", "verbose")
+#: Scenario parameters ``--set`` may not touch: the global ``--seed``
+#: and the two that carry live objects, not JSON values.
+_NOT_SETTABLE = ("seed", "checks", "tracer")
 
 
 def resolve_figure(word: str) -> Figure:
@@ -60,12 +59,23 @@ def resolve_figure(word: str) -> Figure:
                      f"{', '.join(matches or FIGURES)}")
 
 
-def select(figure: Figure, arms: List[str], settings: List[str], seed: int,
-           function: Optional[Callable[..., Any]] = None) -> Figure:
-    """``figure`` narrowed to ``--arm`` names, with ``--set`` applied.
+def resolve_traceable(word: str) -> Figure:
+    """What ``trace --scenario`` names: a figure, else a registered
+    scenario that runs on its defaults, as a one-arm figure (seeded, by
+    ``--seed``, if it takes one)."""
+    if (not any(name.startswith(word) for name in FIGURES)
+            and word in registered_scenarios()):
+        accepted = inspect.signature(scenario_function(word)).parameters
+        if all(param.default is not param.empty
+               for param in accepted.values()):
+            return Figure(word, word, ((word, {}),), renderer=None,
+                          seed=1 if "seed" in accepted else None)
+    return resolve_figure(word)
 
-    ``function`` is what every arm calls when that is not a registered
-    scenario (the example builders ``trace`` also runs)."""
+
+def select(figure: Figure, arms: List[str], settings: List[str],
+           seed: int) -> Figure:
+    """``figure`` narrowed to ``--arm`` names, with ``--set`` applied."""
     if arms:
         names = figure.arm_names()
         for name in arms:
@@ -76,7 +86,7 @@ def select(figure: Figure, arms: List[str], settings: List[str], seed: int,
             entry for entry, name in zip(figure.arms, names) if name in arms))
     # What the scenario function accepts, less what tells arms apart.
     accepted = inspect.signature(
-        function or scenario_function(figure.scenario)).parameters
+        scenario_function(figure.scenario)).parameters
     settable = [key for key in accepted if key not in _NOT_SETTABLE
                 and not any(key in arm for _, arm in figure.arms)]
     params = dict(figure.params)
@@ -206,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _reconciliations(result: Any, breakdown) -> List[Tuple[str, float, float]]:
     """``(what, trace mean, endpoint mean)`` rows, chosen by what the
     payload is: a GIOP latency result reconciles the ``to_servant`` stage
-    with its per-sender stats, a one-stream result or an example's A/V
+    with its per-sender stats, a one-stream result or the UAV pipeline's
     receivers the per-flow frame latency with the delivery recorder."""
     rows = []
     if hasattr(result, "latency") and hasattr(result, "stats"):
@@ -218,75 +228,60 @@ def _reconciliations(result: Any, breakdown) -> List[Tuple[str, float, float]]:
                              result.stats(sender).mean))
         return rows
     if isinstance(result, dict):
-        flows = [(getattr(getattr(actor, "consumer", None), "flow_id", None),
-                  getattr(actor, "delivery", None))
-                 for actor in result.get("actors", {}).values()]
+        flows = [(receiver["flow"], receiver["latency"])
+                 for receiver in result.get("receivers", {}).values()]
     else:
-        flows = [(getattr(result, "flow_id", None),
-                  getattr(result, "sender_delivery", None))]
+        delivery = getattr(result, "sender_delivery", None)
+        flows = ([] if delivery is None
+                 else [(result.flow_id, delivery.latency.stats())])
     frame_stats = breakdown.frame_stats()
-    for flow, delivery in flows:
-        if flow in frame_stats and delivery is not None:
-            rows.append((flow, frame_stats[flow].mean,
-                         delivery.latency.stats().mean))
+    for flow, endpoint in flows:
+        if flow in frame_stats:
+            rows.append((flow, frame_stats[flow].mean, endpoint.mean))
     return rows
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one arm with tracing on; write JSONL and a breakdown."""
-    from repro.experiments.scenarios import EXAMPLES
-
     layers = None
     if args.layers is not None:
         layers = [layer.strip() for layer in args.layers.split(",")
                   if layer.strip()]
-        unknown = [layer for layer in layers if layer not in obs.LAYERS]
+        unknown = [layer for layer in layers if layer not in LAYERS]
         if unknown:
             print(f"repro trace: error: unknown layer(s) "
-                  f"{', '.join(unknown)}; choose from: {','.join(obs.LAYERS)}",
+                  f"{', '.join(unknown)}; choose from: {','.join(LAYERS)}",
                   file=sys.stderr)
             return 2
 
     # One run, in this process: a live tracer does not cross the
     # runner's process boundary.
-    function = EXAMPLES.get(args.scenario)
-    if function is None:
-        figure = resolve_figure(args.scenario)
-        function = scenario_function(figure.scenario)
-    accepted = inspect.signature(function).parameters
-    if args.scenario in EXAMPLES:  # one unnamed arm, seeded if it draws
-        figure = Figure(args.scenario, args.scenario, ((args.scenario, {}),),
-                        renderer=None, seed=1 if "seed" in accepted else None)
-    specs = select(figure, args.arm, args.set, args.seed, function).specs()
+    figure = resolve_traceable(args.scenario)
+    specs = select(figure, args.arm, args.set, args.seed).specs()
     if len(specs) != 1:
         names = ", ".join(figure.arm_names())
         point = (f" and --set {figure.sweep}=N" if figure.sweep else "")
         raise SystemExit(
             f"trace runs one arm but this selects {len(specs)} of "
             f"{figure.name}; narrow it with --arm NAME{point}; arms: {names}")
-    kwargs = specs[0].call_kwargs()
-    if "verbose" in accepted:
-        kwargs["verbose"] = not args.quiet
-
-    breakdown = obs.LatencyBreakdown()
+    breakdown = LatencyBreakdown()
     sinks = [breakdown]
-    jsonl: Optional[obs.JsonlSink] = None
-    try:
-        if args.output is not None:
-            jsonl = obs.JsonlSink(args.output)
-            sinks.append(jsonl)
-        else:
-            sinks.append(obs.RingBufferSink(capacity=args.buffer))
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: error: {exc}", file=sys.stderr)
-        return 2
-    tracer = obs.Tracer(sinks=sinks, layers=layers)
+    jsonl: Optional[JsonlSink] = None
+    if args.output is not None:
+        try:
+            jsonl = JsonlSink(args.output)
+        except (OSError, ValueError) as exc:
+            print(f"repro trace: error: {exc}", file=sys.stderr)
+            return 2
+        sinks.append(jsonl)
+    tracer = Tracer(sinks=sinks, layers=layers)
 
     print(f"tracing {figure.name} ...", file=sys.stderr)
     try:
         # A run that raises part-way still leaves every record emitted
         # before the raise in a flushed, closed file.
-        result = function(**kwargs, tracer=tracer)
+        result = scenario_function(figure.scenario)(
+            **specs[0].call_kwargs(), tracer=tracer)
     except FaultPlanError as exc:
         raise SystemExit(f"bad fault_plan: {exc}") from None
     finally:
@@ -443,20 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="figures: " + ", ".join(FIGURES),
     )
     p.add_argument("--scenario", default="quickstart", metavar="NAME",
-                   help="quickstart (default), uav, or a figure as `run` "
-                        "names it; --arm / --set must narrow a figure to "
-                        "one run")
+                   help="a figure as `run` names it, else a registered "
+                        "scenario (quickstart, the default; uav); --arm / "
+                        "--set must narrow a figure to one run")
     _add_selection_options(p)
     p.add_argument("-o", "--output", default=None,
-                   help="write the trace as JSON Lines to this path")
-    p.add_argument("--buffer", type=int, default=65536,
-                   help="ring-buffer capacity when not writing JSONL "
-                        "(default 65536)")
+                   help="write the trace as JSON Lines to this path; "
+                        "without it only the breakdown sees the records")
     p.add_argument("--layers", default=None,
                    help="comma-separated layer allow-list "
-                        f"({','.join(obs.LAYERS)}); default: all")
+                        f"({','.join(LAYERS)}); default: all")
     p.add_argument("--quiet", action="store_true",
-                   help="suppress the scenario's own narrative output")
+                   help="suppress the reconciliation lines")
     p.set_defaults(func=_cmd_trace)
     return parser
 

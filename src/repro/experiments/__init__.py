@@ -39,6 +39,6 @@ What they share and what runs them:
     The parallel, cached run engine, and the randomized soak campaign
     over the figures under the invariant checkers.
 ``scenarios``
-    The runnable example scenarios behind ``examples/`` and
-    ``repro trace``.
+    The example scenarios (``quickstart``, ``uav``), registered in the
+    figure table's registry and run by ``examples/``.
 """

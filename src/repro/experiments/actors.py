@@ -294,7 +294,6 @@ class VideoDistributor:
         self.consumer = consumer
         self.outputs: List[tuple] = []  # (producer, filter or None)
         self.frames_in = 0
-        self.frames_out = 0
         consumer.on_frame = self._forward
         for producer in outputs or []:
             self.add_output(producer)
@@ -309,7 +308,6 @@ class VideoDistributor:
         for producer, frame_filter in self.outputs:
             if frame_filter is None or frame_filter.accept(frame):
                 producer.send_frame(frame)
-                self.frames_out += 1
 
 
 class AtrServant(ATR.skeleton_class):

@@ -1,7 +1,8 @@
 """The figure table: every scenario and every figure, declared once.
 
-Importing this module registers each paper experiment and ablation
-with :mod:`repro.experiments.runner` under a stable name, and builds
+Importing this module registers each paper experiment, ablation and
+example scenario (``quickstart``, ``uav``) with
+:mod:`repro.experiments.runner` under a stable name, and builds
 :data:`FIGURES`: one :class:`Figure` per ``results/<name>.txt``, holding
 the arms it runs, its timeline, its seed, its renderer and the claims
 its runs must show.  ``repro run``, ``repro verify`` and
@@ -9,8 +10,8 @@ its runs must show.  ``repro run``, ``repro verify`` and
 arm list.
 
 Scenario functions take only JSON-able parameters (arms travel as
-their constructor kwargs, ``arm.params()``) and return the experiment's
-picklable result payload, so any arm x seed x parameter point can be
+their constructor kwargs, ``arm.params()``) and return a picklable
+payload of plain data, so any arm x seed x parameter point can be
 described by a :class:`~repro.experiments.runner.RunSpec` and executed
 in a worker process.
 """
@@ -29,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro import check
+from repro.check import InvariantViolation, default_suite
 from repro.experiments import ablations, reporting
 from repro.experiments.arm import Arm, Claim
 from repro.experiments.capacity_exp import (
@@ -87,6 +88,7 @@ from repro.experiments.scale_exp import (
     run_scale_experiment,
     scale_arms,
 )
+from repro.experiments.scenarios import run_quickstart, run_uav_pipeline
 
 
 # ----------------------------------------------------------------------
@@ -138,45 +140,39 @@ def _checked(scenario: str, params: Dict[str, Any],
     uninstalled suite still held, a collection must free the kernel the
     suite watched (a result is plain data, and an uninstalled suite
     lets go of its world)."""
-    suite = check.default_suite() if checks is None else checks
+    suite = default_suite() if checks is None else checks
     spec = RunSpec(scenario, {**params, "checks": suite}, seed)
     try:
         payload = scenario_function(scenario)(**spec.call_kwargs())
-    except check.InvariantViolation as violation:
+    except InvariantViolation as violation:
         return violation
     except Exception as exc:  # noqa: BLE001 - a crash fails its own run
-        return check.InvariantViolation(
+        return InvariantViolation(
             "crash", f"{type(exc).__name__}: {exc}", {"scenario": scenario})
     if suite.watched is None:
-        return check.InvariantViolation(
+        return InvariantViolation(
             "retention", "the suite never watched a kernel",
             {"scenario": scenario})
     if outlives_collection(suite.watched):
-        return check.InvariantViolation(
+        return InvariantViolation(
             "retention", "the run's kernel outlived it with its payload "
             "and suite held", {"scenario": scenario})
     return payload
 
 
-def _seedless_scenario(run: Callable[..., Any]) -> Callable[..., Any]:
-    """``run`` as a scenario that accepts, and ignores, the engine seed:
-    fig 2 draws nothing and the ablation arms fix their own RNG seeds."""
-
-    @functools.wraps(run)
-    def call(seed: Optional[int] = None, **kwargs: Any):
-        return run(**kwargs)
-
-    return call
-
-
+# Registered as they are.  Fig 2 and the ablations take no seed (fig 2
+# draws nothing, the ablation arms fix their own) and their figures
+# carry none.
 for _name, _run in (
     ("priority_propagation", run_priority_propagation),
     ("ablation_ecn", ablations.run_ecn_arm),
     ("ablation_phb", ablations.run_phb_arm),
     ("ablation_reserve_policy", ablations.run_reserve_policy_arm),
     ("ablation_priority_driven", ablations.run_priority_driven_arm),
+    ("quickstart", run_quickstart),
+    ("uav", run_uav_pipeline),
 ):
-    scenario(_name)(_seedless_scenario(_run))
+    scenario(_name)(_run)
 
 
 # ----------------------------------------------------------------------

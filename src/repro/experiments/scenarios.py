@@ -1,23 +1,19 @@
-"""Runnable example scenarios, importable by the CLI and tests.
-
-The ``examples/`` scripts are thin wrappers around these builders so
-that ``repro trace`` (and the test-suite) can run the same scenarios
-with a tracer attached and inspect the results programmatically.
+"""The example scenarios: the quickstart call path and the UAV pipeline.
 
 Each builder stands on the :class:`~repro.experiments.testbed.Testbed`
-like the figure scenarios and accepts:
-
-``checks`` / ``tracer``
-    Optional :class:`~repro.check.invariants.CheckSuite` and
-    :class:`repro.obs.Tracer`, with the testbed's meaning.
-``verbose``
-    When True, print the narrative output the example scripts show.
+like the figure scenarios, takes the testbed's optional ``checks`` /
+``tracer``, and is registered beside them in
+:mod:`repro.experiments.scenario_registry` (as ``quickstart`` and
+``uav``), so ``repro trace``, the runner and the ``checked`` scenario
+run it like any figure arm.  Like every figure arm it returns plain
+data: the ``examples/`` scripts print their narration and check their
+claims from that payload.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 from repro.sim import Process
 from repro.net import Dscp
@@ -53,13 +49,19 @@ class _RangeFinderServant(_RANGE_FINDER.skeleton_class):
         return 1000.0 + 10.0 * bearing
 
 
-def run_quickstart(
-    checks=None, tracer=None, verbose: bool = True
-) -> Dict[str, Any]:
+def _transitions(*contracts: Contract) -> List[Tuple[float, str, str]]:
+    """The region changes of ``contracts`` as ``(time, from, to)`` (a
+    contract's first ``from`` is None)."""
+    return [(transition.time, transition.from_region, transition.to_region)
+            for contract in contracts for transition in contract.transitions]
+
+
+def run_quickstart(checks=None, tracer=None) -> Dict[str, Any]:
     """Two hosts, one router, one servant; a contract flips the DSCP.
 
-    Returns a dict with the kernel, the contract, and the recorded
-    ``calls``: (bearing, result, rtt_seconds, dscp_name) tuples.
+    Returns the servant's ``objref`` (corbaloc), the ``calls`` as
+    ``(completed_at, bearing, distance, rtt_seconds, dscp_name)``, the
+    contract's region ``transitions``, ``now`` and ``events``.
     """
     bed = Testbed(checks=checks, tracer=tracer)
     kernel = bed.kernel
@@ -75,9 +77,6 @@ def run_quickstart(
     server_orb = Orb(kernel, server_host, net)
     poa = server_orb.create_poa("sensors")
     objref = poa.activate_object(_RangeFinderServant())
-    if verbose:
-        print(f"activated: {objref.corbaloc()}")
-
     stub = _RANGE_FINDER.stub_class(client_orb, objref)
 
     loss = ValueSC(kernel, "loss", initial=0.0)
@@ -105,26 +104,18 @@ def run_quickstart(
             raise_if_error(result)
             rtt = kernel.now - started
             dscp_name = stub.dscp.name if stub.dscp else "BE"
-            calls.append((bearing, result, rtt, dscp_name))
-            if verbose:
-                print(f"t={kernel.now * 1e3:7.3f}ms  "
-                      f"distance({bearing:5.1f}) = {result:7.1f}  "
-                      f"(rtt {rtt * 1e3:.3f} ms, dscp={dscp_name})")
-            if bearing == 45.0:
-                if verbose:
-                    print("-- congestion detected; contract re-marks "
-                          "traffic --")
+            calls.append((kernel.now, bearing, result, rtt, dscp_name))
+            if bearing == 45.0:  # congestion: the contract re-marks
                 loss.set(0.2)
 
     Process(kernel, app(), name="quickstart-app")
-    bed.run()
-    if verbose:
-        print(f"done at simulated t={kernel.now * 1e3:.3f} ms; "
-              f"contract region: {contract.current_region}")
+    events = bed.run()
     return {
-        "kernel": kernel,
-        "contract": contract,
+        "objref": objref.corbaloc(),
         "calls": calls,
+        "transitions": _transitions(contract),
+        "now": kernel.now,
+        "events": events,
     }
 
 
@@ -156,19 +147,36 @@ def _build_uav_network(bed: Testbed):
     return net
 
 
+def _receiver(receiver: AvVideoReceiver, sender: AvVideoSender
+              ) -> Dict[str, Any]:
+    """One stream's books: its ``flow`` id, the frames ``generated``,
+    ``sent`` and ``delivered``, the delivered ``frame_types`` counted and
+    the ``latency`` :class:`~repro.obs.breakdown.SeriesStats`."""
+    delivery = receiver.delivery
+    return {
+        "flow": receiver.consumer.flow_id,
+        "generated": sender.frames_generated,
+        "sent": delivery.sent_count(),
+        "delivered": delivery.received_count(),
+        "frame_types": dict(Counter(receiver.frame_types)),
+        "latency": delivery.latency.stats(),
+    }
+
+
 def run_uav_pipeline(
     duration: float = 60.0,
     seed: int = 42,
     checks=None,
     tracer=None,
-    verbose: bool = True,
     burst_start: float = 20.0,
     burst_stop: float = 40.0,
 ) -> Dict[str, Any]:
     """Two UAV streams through a distributor; one reserved, one adaptive.
 
-    Returns a dict with the kernel and the data-plane ``actors``
-    (senders, distributors, receivers, the filtering qosket).
+    Returns the ``receivers`` (``receiver1`` reserved, ``receiver2``
+    filtered; see :func:`_receiver`), the filtering contract's region
+    ``transitions`` (both empty when the run ends before the streams
+    are bound), ``now`` and ``events``.
     """
     bed = Testbed(seed, checks, tracer)
     kernel, rng = bed.kernel, bed.rng
@@ -178,7 +186,8 @@ def run_uav_pipeline(
     bed.watch()
 
     ctrl = StreamCtrl(kernel, bed.orbs["distributor"])
-    actors: Dict[str, Any] = {}
+    streams: Dict[str, Tuple[AvVideoReceiver, AvVideoSender]] = {}
+    contracts: List[Contract] = []
 
     reserved = QosPolicy(reservation=QosPolicy.flow(1.4e6))
 
@@ -206,12 +215,11 @@ def run_uav_pipeline(
             kernel, devices["uav2"].producer("uav2-in"), stream2,
             frame_filter=filter2, qosket=qosket2)
 
-        dist1 = VideoDistributor(
-            kernel, devices["distributor"].consumer("uav1-in"),
-            outputs=[devices["distributor"].producer("uav1-out")])
-        dist2 = VideoDistributor(
-            kernel, devices["distributor"].consumer("uav2-in"),
-            outputs=[devices["distributor"].producer("uav2-out")])
+        for inbound, outbound in (("uav1-in", "uav1-out"),
+                                  ("uav2-in", "uav2-out")):
+            VideoDistributor(
+                kernel, devices["distributor"].consumer(inbound),
+                outputs=[devices["distributor"].producer(outbound)])
 
         receiver1 = AvVideoReceiver(
             kernel, devices["display1"].consumer("uav1-out"), sender1)
@@ -220,9 +228,9 @@ def run_uav_pipeline(
 
         sender1.start()
         sender2.start()
-        actors.update(sender1=sender1, sender2=sender2, dist1=dist1,
-                      dist2=dist2, receiver1=receiver1, receiver2=receiver2,
-                      qosket2=qosket2)
+        streams.update(receiver1=(receiver1, sender1),
+                       receiver2=(receiver2, sender2))
+        contracts.append(qosket2.contract)
 
     Process(kernel, setup(), name="setup")
 
@@ -232,36 +240,12 @@ def run_uav_pipeline(
     kernel.schedule(burst_start, burst.start)
     kernel.schedule(burst_stop, burst.stop)
 
-    if verbose:
-        print(f"running {duration:.0f} s of simulated mission time ...")
-    bed.run(until=duration)
-
-    if verbose:
-        print("\n--- stream 1 (reserved end-to-end) ---")
-        r1 = actors["receiver1"]
-        print(f"frames delivered: {r1.delivery.received_count()} "
-              f"of {r1.delivery.sent_count()} sent")
-        stats = r1.delivery.latency.stats()
-        print(f"latency: mean {stats.mean * 1e3:.1f} ms, "
-              f"std {stats.std * 1e3:.1f} ms")
-
-        print("\n--- stream 2 (best effort + QuO frame filtering) ---")
-        r2 = actors["receiver2"]
-        s2 = actors["sender2"]
-        print(f"frames generated: {s2.frames_generated}, "
-              f"sent after filtering: {r2.delivery.sent_count()}, "
-              f"delivered: {r2.delivery.received_count()}")
-        print(f"received by type: {dict(Counter(r2.frame_types))}")
-        print("contract transitions:")
-        for transition in actors["qosket2"].contract.transitions:
-            print(f"  t={transition.time:6.2f}s  "
-                  f"{transition.from_region} -> {transition.to_region}")
+    events = bed.run(until=duration)
     return {
-        "kernel": kernel,
-        "net": net,
-        "actors": actors,
+        "receivers": {name: _receiver(*pair)
+                      for name, pair in streams.items()},
+        "transitions": _transitions(*contracts),
+        "now": kernel.now,
+        "events": events,
     }
 
-
-#: The example builders, by the name ``repro trace --scenario`` takes.
-EXAMPLES = {"quickstart": run_quickstart, "uav": run_uav_pipeline}

@@ -24,7 +24,8 @@ from repro.net.link import Interface, Link
 from repro.net.nic import Nic
 from repro.net.queues import QueueDiscipline
 from repro.net.router import Router
-from repro.net import routing
+from repro.net.routing import (router_lsa, spf_routes, spf_search,
+                                two_way_adjacency)
 
 #: Anything that terminates a link.
 Device = Union[Nic, Router]
@@ -136,14 +137,13 @@ class Network:
         keep a stale egress into a dead link.
         """
         routers = self.routers
-        graph = routing.two_way_adjacency(
-            {router.name: routing.router_lsa(self, router.name, 1)
+        graph = two_way_adjacency(
+            {router.name: router_lsa(self, router.name, 1)
              for router in routers})
         tables = {}
         for router in routers:
-            tables[router.name] = table = routing.spf_search(graph,
-                                                             router.name)
-            router.routes = routing.spf_routes(self, router.name, table)
+            tables[router.name] = table = spf_search(graph, router.name)
+            router.routes = spf_routes(self, router.name, table)
         for name in self._hosts:
             best: Dict[str, Tuple[Tuple[float, str], Interface]] = {}
             for peer, iface in self._adjacency[name]:

@@ -14,8 +14,7 @@ import shutil
 
 import pytest
 
-import repro.check
-from repro.check import InvariantChecker
+from repro.check import InvariantChecker, default_suite
 from repro.cli import build_parser, main, resolve_figure, select
 from repro.experiments.arm import Arm
 from repro.experiments.fault_exp import FaultArm
@@ -23,7 +22,7 @@ from repro.experiments.priority_exp import PriorityArm
 from repro.experiments.reservation_cpu_exp import CpuArm
 from repro.experiments.reservation_net_exp import NetworkArm
 from repro.experiments.route_exp import RouteArm
-from repro.experiments import runner as runner_mod
+from repro.experiments import runner as runner_mod, scenario_registry
 from repro.experiments.runner import registered_scenarios, scenario_function
 from repro.experiments.scenario_registry import FIGURES, figure_specs
 from repro.experiments.pubsub_exp import PubSubArm
@@ -190,7 +189,6 @@ def test_verify_runs_every_arm_under_the_suite(jobs, capsys, monkeypatch):
     """A violation at teardown, and one raised under a process (which
     once reached the checked scenario wrapped in ``ProcessError`` and
     aborted ``verify``), each fail the figure."""
-    suite = repro.check.default_suite
     monkeypatch.chdir(ROOT)
     for checker, figure, message in (
             (_Refuses, "ablation_reserve_policy",
@@ -198,11 +196,11 @@ def test_verify_runs_every_arm_under_the_suite(jobs, capsys, monkeypatch):
             (_RefusesWork, "ablation_ecn",
              "[refuses-work] planted per-record failure")):
         def planted(checker=checker):
-            checks = suite()
+            checks = default_suite()
             checks.checkers.append(checker())
             return checks
 
-        monkeypatch.setattr(repro.check, "default_suite", planted)
+        monkeypatch.setattr(scenario_registry, "default_suite", planted)
         # Two arms: at --jobs 2 the violation crosses back from a worker.
         assert main(["--jobs", jobs, "verify", figure]) == 1
         out = capsys.readouterr().out

@@ -183,11 +183,11 @@ def test_cached_payload_survives_figures(tmp_path):
 
 @pytest.mark.parametrize("change", ["param", "seed", "source"])
 def test_cache_invalidation(tmp_path, change):
-    base = RunSpec("ablation_reserve_policy", {"policy": "HARD"}, seed=1)
+    base = RunSpec("uav", {"duration": 1.0}, seed=1)  # a seeded scenario
     _runner(tmp_path).run_one(base)
 
     if change == "param":
-        probe, digest = RunSpec(base.scenario, {"policy": "SOFT"},
+        probe, digest = RunSpec(base.scenario, {"duration": 2.0},
                                 seed=1), "test-digest"
     elif change == "seed":
         probe, digest = RunSpec(base.scenario, base.params, seed=2), \

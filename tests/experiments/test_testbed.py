@@ -17,7 +17,8 @@ import weakref
 
 import pytest
 
-from repro.check import PacketConservationChecker, default_suite
+from repro.check import (InvariantViolation, PacketConservationChecker,
+                         default_suite)
 from repro.cli import select
 from repro.experiments.runner import registered_scenarios, scenario_function
 from repro.experiments.scenario_registry import FIGURES
@@ -234,7 +235,7 @@ def test_the_example_builders_stand_on_the_same_testbed():
     from repro.experiments.scenarios import run_quickstart, run_uav_pipeline
 
     suite = default_suite()
-    run_quickstart(checks=suite, verbose=False)
+    run_quickstart(checks=suite)
     assert suite.events_dispatched > 0
     suite = default_suite()
     watched = []  # the World handed to install (uninstall lets go of it)
@@ -246,12 +247,26 @@ def test_the_example_builders_stand_on_the_same_testbed():
 
     suite.install = recording
     run_uav_pipeline(duration=6.0, burst_start=2.0, burst_stop=4.0,
-                     checks=suite, verbose=False)
+                     checks=suite)
     assert suite.events_dispatched > 0
     # The UAV builder wires its own qosket; its contract is watched too.
     (world,) = watched
     assert [c.name for c in world.contracts] == ["frame-filtering"]
     assert suite.world is None
+
+
+@pytest.mark.parametrize("scenario, params, seed", [
+    ("quickstart", {}, None),
+    ("uav", {"duration": 6.0, "burst_start": 2.0, "burst_stop": 4.0}, 1),
+], ids=["quickstart", "uav"])
+def test_the_example_builders_return_data_under_the_checked_scenario(
+        scenario, params, seed):
+    """Registered beside the figures, the examples keep the retention
+    law: with the payload and the suite held, their kernel is freed."""
+    payload = scenario_function("checked")(scenario, params, seed)
+    assert not isinstance(payload, InvariantViolation), payload
+    assert payload["events"] > 0
+    assert not _reaches_a_kernel(payload)
 
 
 def test_every_scenario_takes_checks_and_tracer_and_arms_take_faults():

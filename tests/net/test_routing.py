@@ -17,6 +17,7 @@ from repro.net import (
     spf_first_hops,
 )
 from repro.net import routing as routing_module
+from repro.net import topology as topology_module
 from repro.net.routing import two_way_adjacency
 from repro.check import (
     InvariantViolation,
@@ -602,6 +603,7 @@ def count_adjacency_builds(monkeypatch):
         return two_way_adjacency(lsdb)
 
     monkeypatch.setattr(routing_module, "two_way_adjacency", counting)
+    monkeypatch.setattr(topology_module, "two_way_adjacency", counting)
     return builds
 
 

@@ -36,11 +36,14 @@ def test_trace_layer_filter(tmp_path):
     assert rows and all(row["layer"] == "orb" for row in rows)
 
 
-def test_trace_ring_buffer_mode(capsys):
-    assert main(["trace", "--scenario", "quickstart", "--quiet",
-                 "--buffer", "128"]) == 0
+def test_trace_ring_buffer_mode(tmp_path, capsys, monkeypatch):
+    """Without ``-o`` the breakdown is the only sink: it prints, and
+    nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "--scenario", "quickstart", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert "per-stage request latency" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -58,6 +61,20 @@ def test_trace_a_figure_arm_and_reconcile_with_its_recorders(tmp_path, capsys):
     assert "(|diff| 0.00e+00 s)" in out
 
 
+def test_trace_a_registered_example_and_reconcile_with_its_payload(capsys):
+    """``uav`` is traced as its own one arm; its receivers' latency stats
+    come from the plain payload, and a run that ends before the streams
+    are bound still returns one."""
+    assert main(["trace", "--scenario", "uav", "--set", "duration=6",
+                 "--set", "burst_start=2", "--set", "burst_stop=4"]) == 0
+    out = capsys.readouterr().out
+    for flow in ("avflow:uav1-out", "avflow:uav2-out"):
+        assert f"reconcile {flow}: " in out
+    assert out.count("(|diff| 0.00e+00 s)") == 2
+    assert main(["trace", "--scenario", "uav", "--set", "duration=0.001",
+                 "--quiet"]) == 0
+
+
 def test_trace_must_be_narrowed_to_one_run():
     with pytest.raises(SystemExit, match="selects 7 of fig9_capacity.*"
                                          "--set streams=N; arms: best-effort"):
@@ -66,6 +83,9 @@ def test_trace_must_be_narrowed_to_one_run():
         main(["trace", "--scenario", "table1", "--arm", "nonsense"])
     with pytest.raises(SystemExit, match="unknown --set key.*one of: duration"):
         main(["trace", "--scenario", "uav", "--set", "routers=3"])
+    # A registered scenario that needs an arm is traced through a figure.
+    with pytest.raises(SystemExit, match="unknown figure 'priority'"):
+        main(["trace", "--scenario", "priority"])
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +123,7 @@ def test_trace_is_flushed_and_closed_when_the_run_raises(tmp_path,
         self.kernel.run(until=1.0)
         raise RuntimeError("stream setup failed (patched in)")
 
-    monkeypatch.setattr("repro.obs.JsonlSink", RecordingSink)
+    monkeypatch.setattr("repro.cli.JsonlSink", RecordingSink)
     monkeypatch.setattr(testbed.Testbed, "run", run_then_raise)
     path = tmp_path / "partial.jsonl"
     with pytest.raises(RuntimeError, match="stream setup failed"):

@@ -22,15 +22,19 @@ The families, and what their records cover:
   here spends a budget;
 * fig 2 ``corba-100``: one two-hop GIOP call across three operating
   systems, its priority carried in the request's service context and
-  its DSCP on every segment.
+  its DSCP on every segment;
+* the ``quickstart`` and ``uav`` example scenarios: a QuO contract
+  re-marking a stub's DSCP, and the Figure 3 pipeline's reserved and
+  frame-filtered A/V streams through the distributor.
 
 Ids (packets, requests, work, threads, ...) are numbered per kernel
 (DESIGN §8, "Ids"), so an arm's bytes do not depend on what its process
 ran before: each arm runs here in process, after whatever the session
 ran first, and once more in a two-worker ``fork`` pool where each worker
 runs several arms back to back.  The pins were taken with ``repro trace
---scenario FIGURE --arm ARM --set ...`` and hold under CPython 3.10,
-3.11 and 3.12 (fig 2's was taken under 3.11 only).
+--scenario FIGURE --arm ARM --set ...`` (an example scenario is its own
+one arm) and hold under CPython 3.10, 3.11 and 3.12 (fig 2's and the
+examples' were taken under 3.11 only).
 """
 
 import hashlib
@@ -39,7 +43,7 @@ import multiprocessing
 
 import pytest
 
-from repro.cli import resolve_figure, select
+from repro.cli import resolve_traceable, select
 from repro.experiments.runner import scenario_function
 from repro.obs import JsonlSink, Tracer
 
@@ -65,13 +69,17 @@ ARMS = [
      "6fbe275e2066fbd062b42bf77c9014f4eee0bb37b5d56ca812886b29d4df56b1"),
     ("fig2", "corba-100", [], 188,
      "97d706b07af4e1bbb79e30da81703e5b209c6ac36d9719e80e051318d8ed6cab"),
+    ("quickstart", "quickstart", [], 233,
+     "89dacf77af314ebee95c01a10b48e3ccdc9bfc8884da3cf94a9a155e7ea5d56f"),
+    ("uav", "uav", ["duration=6", "burst_start=2", "burst_stop=4"], 77792,
+     "6780ee8ba203b9640b81eaf2d955fdf9612ba5aaa4039274e9ba13611befa80d"),
 ]
 
 
 def trace_one_arm(figure, arm, settings):
     """``[records, sha256]`` of one arm's JSONL trace, as ``repro trace``
     writes it."""
-    selected = select(resolve_figure(figure), [arm], settings, 1)
+    selected = select(resolve_traceable(figure), [arm], settings, 1)
     (spec,) = selected.specs()
     out = io.StringIO()
     tracer = Tracer(sinks=[JsonlSink(out)])
@@ -88,7 +96,7 @@ def test_trace_digest_is_pinned(figure, arm, settings, records, digest):
 
 
 def test_trace_digests_hold_back_to_back_in_workers():
-    """Nine arms over two workers: each worker runs several in a row."""
+    """Eleven arms over two workers: each worker runs several in a row."""
     with multiprocessing.get_context("fork").Pool(2) as pool:
         got = pool.starmap(trace_one_arm,
                            [(figure, arm, settings)

@@ -125,7 +125,7 @@ def test_quickstart_trace_stream_parity():
     streams = []
     for _ in range(2):
         tracer = Tracer()
-        run_quickstart(tracer=tracer, verbose=False)
+        run_quickstart(tracer=tracer)
         streams.append([
             (r.time, r.layer, r.kind, r.phase, r.span, r.flow,
              r.request, r.fields)

@@ -24,9 +24,6 @@ RANK = {name: rank for rank, (name, _) in enumerate(repro.PACKAGE_ORDER)}
 
 #: ``(module, function)`` -> why that function imports from ``repro``.
 ALLOWED = {
-    ("repro.cli", "_cmd_trace"):
-        "only `repro trace` runs the example scenarios; the other verbs "
-        "start without building them",
     ("repro.cli", "_cmd_soak"):
         "only `repro soak` runs the soak campaign; `run` and `verify` "
         "never import it",
