@@ -459,6 +459,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     return args.func(args)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

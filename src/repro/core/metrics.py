@@ -51,7 +51,7 @@ class TimeSeries:
     ) -> List[Tuple[float, float]]:
         """Aggregate into (bin_start, reduced value) pairs.
 
-        ``reducer``: "mean", "max", "count", or "sum".
+        ``reducer``: "mean" or "count".
         """
         if bin_width <= 0:
             raise ValueError(f"bin width must be positive, got {bin_width}")
@@ -64,12 +64,8 @@ class TimeSeries:
             values = bins[key]
             if reducer == "mean":
                 reduced = sum(values) / len(values)
-            elif reducer == "max":
-                reduced = max(values)
             elif reducer == "count":
                 reduced = float(len(values))
-            elif reducer == "sum":
-                reduced = float(sum(values))
             else:
                 raise ValueError(f"unknown reducer {reducer!r}")
             result.append((key * bin_width, reduced))

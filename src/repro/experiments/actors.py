@@ -292,22 +292,17 @@ class VideoDistributor:
     ) -> None:
         self.kernel = kernel
         self.consumer = consumer
-        self.outputs: List[tuple] = []  # (producer, filter or None)
-        self.frames_in = 0
+        self.outputs: List[FlowProducer] = []
         consumer.on_frame = self._forward
         for producer in outputs or []:
             self.add_output(producer)
 
-    def add_output(
-        self, producer: FlowProducer, frame_filter: Optional[FrameFilter] = None
-    ) -> None:
-        self.outputs.append((producer, frame_filter))
+    def add_output(self, producer: FlowProducer) -> None:
+        self.outputs.append(producer)
 
     def _forward(self, frame: Frame, _latency: float) -> None:
-        self.frames_in += 1
-        for producer, frame_filter in self.outputs:
-            if frame_filter is None or frame_filter.accept(frame):
-                producer.send_frame(frame)
+        for producer in self.outputs:
+            producer.send_frame(frame)
 
 
 class AtrServant(ATR.skeleton_class):

@@ -24,7 +24,7 @@ Fig 6     yes                yes     yes        yes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.oskernel.loadgen import CpuLoadGenerator
 from repro.oskernel.priorities import OsType
@@ -246,16 +246,6 @@ def run_priority_experiment(
         result.latency[name] = servant.latency
         result.frames_sent[name] = senders[name].frames_sent
     return result
-
-
-def all_arms() -> List[PriorityArm]:
-    return [
-        PriorityArm.figure4a(),
-        PriorityArm.figure4b(),
-        PriorityArm.figure5a(),
-        PriorityArm.figure5b(),
-        PriorityArm.figure6(),
-    ]
 
 
 # ----------------------------------------------------------------------

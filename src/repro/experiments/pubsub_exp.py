@@ -84,7 +84,6 @@ from repro.pubsub.policies import (
 __all__ = [
     "PubSubArm", "pubsub_arms", "fig12_subscriber_counts", "ReaderRow",
     "PubSubResult", "run_pubsub_experiment", "render_fig12_pubsub",
-    "expected_matches",
 ]
 
 #: One sample's payload (single datagram, no fragmentation) and rate.
@@ -160,20 +159,6 @@ def pubsub_arms() -> List[PubSubArm]:
         PubSubArm("filtered", reliable=True, filtered=True),
         PubSubArm("partition", ownership=True, partition=True, faults=True),
     ]
-
-
-def expected_matches(arm: PubSubArm) -> int:
-    """Matches the broker must form for one run of ``arm``.
-
-    Every measured reader matches every writer on its topic (two for
-    the ownership arms); the durable arm's late-joiner wave adds one
-    more reader per topic.
-    """
-    per_reader = 2 if arm.ownership else 1
-    reader_count = TOPICS * MEASURED_PER_TOPIC
-    if arm.durable:
-        reader_count += TOPICS * LATE_PER_TOPIC
-    return reader_count * per_reader
 
 
 def fig12_subscriber_counts() -> List[int]:

@@ -127,12 +127,6 @@ class FaultEvent:
         raise AttributeError("FaultEvent is immutable")
 
     # -- field access ---------------------------------------------------
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
     @property
     def at(self) -> float:
         return float(self.fields["at"])
@@ -202,15 +196,6 @@ class FaultPlan:
         get a zero-width window."""
         return [(e.label(), e.at, e.until if e.until is not None else e.at)
                 for e in self.events]
-
-    @property
-    def horizon(self) -> float:
-        """Time by which every fault has begun and ended."""
-        return max((e.until if e.until is not None else e.at
-                    for e in self.events), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def __iter__(self):
         return iter(self.events)

@@ -24,7 +24,7 @@ Kirsch, Prewitt and Sobel edge detectors over PPM images.
 
 from importlib import import_module
 
-from repro.media.filtering import FrameFilter, frames_per_second
+from repro.media.filtering import FrameFilter
 from repro.media.mpeg import Frame, FrameType, GopStructure, MpegStream
 
 #: ``edge`` and ``ppm`` are the only numpy importers under ``src/`` and
@@ -62,7 +62,6 @@ __all__ = [
     "MpegStream",
     "decode_ppm",
     "encode_ppm",
-    "frames_per_second",
     "kirsch",
     "prewitt",
     "relative_costs",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.media.mpeg import _TYPE_WEIGHTS, Frame, FrameType, GopStructure
+from repro.media.mpeg import Frame, FrameType
 
 
 class FilterLevel(enum.IntEnum):
@@ -29,33 +29,6 @@ _ACCEPTED_TYPES = {
     FilterLevel.MEDIUM: {FrameType.I, FrameType.P},
     FilterLevel.LOW: {FrameType.I},
 }
-
-
-def frames_per_second(
-    level: FilterLevel, base_fps: float = 30.0, gop: GopStructure = None
-) -> float:
-    """Output frame rate after filtering a ``base_fps`` stream."""
-    gop = gop or GopStructure()
-    counts = gop.counts()
-    kept = _ACCEPTED_TYPES[FilterLevel(level)]
-    accepted = sum(counts[t] for t in FrameType if t in kept)
-    return base_fps * accepted / gop.size
-
-
-def bitrate_fraction(level: FilterLevel, gop: GopStructure = None) -> float:
-    """Fraction of stream bytes that survive filtering at ``level``.
-
-    Uses the same I:P:B size weights as :class:`MpegStream`, so an
-    adaptation policy can predict the post-filter bandwidth.
-    """
-    gop = gop or GopStructure()
-    counts = gop.counts()
-    accepted = _ACCEPTED_TYPES[FilterLevel(level)]
-    total = sum(_TYPE_WEIGHTS[t] * counts[t] for t in FrameType)
-    kept = sum(
-        _TYPE_WEIGHTS[t] * counts[t] for t in FrameType if t in accepted
-    )
-    return kept / total
 
 
 class FrameFilter:

@@ -17,7 +17,7 @@ are unchanged (the tracer only observes).
 """
 
 from repro.obs.breakdown import REQUEST_STAGES, LatencyBreakdown, SeriesStats
-from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink, read_jsonl
+from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
 from repro.obs.trace import (
     LAYERS,
     PHASE_BEGIN,
@@ -40,5 +40,4 @@ __all__ = [
     "TraceRecord",
     "TraceSink",
     "Tracer",
-    "read_jsonl",
 ]

@@ -24,9 +24,8 @@ A/V frames (datagram path)
     duration is the frame's end-to-end latency (no marshal or compute
     stage exists on this path).
 
-The aggregator is itself a trace sink, so it can be fed live by a
-:class:`~repro.obs.trace.Tracer` without buffering the whole trace,
-or after the fact via :meth:`LatencyBreakdown.from_records`.  Each
+The aggregator is itself a trace sink, fed live by a
+:class:`~repro.obs.trace.Tracer` without buffering the whole trace.  Each
 stage is summarised as a :class:`SeriesStats`, the one summary type
 the recorders in :mod:`repro.core.metrics` and the figures share.
 """
@@ -34,7 +33,7 @@ the recorders in :mod:`repro.core.metrics` and the figures share.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.sinks import TraceSink
 
@@ -159,13 +158,6 @@ class LatencyBreakdown(TraceSink):
                     record.time - started
                 )
 
-    @classmethod
-    def from_records(cls, records: Iterable) -> "LatencyBreakdown":
-        breakdown = cls()
-        for record in records:
-            breakdown.emit(record)
-        return breakdown
-
     # ------------------------------------------------------------------
     # Request attribution
     # ------------------------------------------------------------------
@@ -249,11 +241,6 @@ class LatencyBreakdown(TraceSink):
     # ------------------------------------------------------------------
     # Frame attribution
     # ------------------------------------------------------------------
-    def frame_durations(self) -> Dict[str, List[float]]:
-        """Flow id -> end-to-end latency of each completed frame."""
-        return {flow: list(values)
-                for flow, values in self._frame_durations.items()}
-
     def frame_stats(self) -> Dict[str, SeriesStats]:
         return {flow: SeriesStats(values)
                 for flow, values in self._frame_durations.items()}

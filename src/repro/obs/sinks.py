@@ -85,14 +85,3 @@ class JsonlSink(TraceSink):
         self._file.flush()
         if self._owns_file:
             self._file.close()
-
-
-def read_jsonl(path: str) -> List[dict]:
-    """Load a JSONL trace back into a list of dicts (tooling helper)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows

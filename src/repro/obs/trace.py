@@ -324,16 +324,5 @@ class Tracer:
         """Records emitted from the admitted layers."""
         return sum(self.counts.values())
 
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Records held by the first ring-buffer sink (test helper)."""
-        for sink in self.sinks:
-            if isinstance(sink, RingBufferSink):
-                return sink.records
-        return []
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Tracer emitted={self.records_emitted} sinks={len(self.sinks)}>"

@@ -77,11 +77,6 @@ class CdrOutputStream:
         if remainder:
             self._append(b"\x00" * (boundary - remainder))
 
-    @property
-    def length(self) -> int:
-        """Bytes written so far, including opaque payload weight."""
-        return self._length + sum(o.nbytes for o in self._opaques)
-
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 

@@ -89,13 +89,6 @@ class ObjectReference:
             return CLIENT_PROPAGATED
         return PriorityModelValue(component.data["model"])
 
-    def server_priority(self) -> Optional[int]:
-        """CORBA priority for SERVER_DECLARED objects, else None."""
-        component = self.find_component(PRIORITY_MODEL)
-        if component is None:
-            return None
-        return component.data.get("priority")
-
     def protocol_dscp(self) -> Optional[Dscp]:
         """Server-requested DSCP from protocol properties, if any."""
         component = self.find_component(PROTOCOL_PROPERTIES)

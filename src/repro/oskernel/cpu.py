@@ -420,16 +420,6 @@ class CPU:
         """
         return self._queues[thread.tid]
 
-    def utilization(self) -> float:
-        """Fraction of simulated time the CPU has been busy so far."""
-        if self.kernel.now <= 0:
-            return 0.0
-        # Include the in-flight slice so the figure is current.
-        in_flight = 0.0
-        if self._current is not None:
-            in_flight = self.kernel.now - self._run_start
-        return (self.busy_time + in_flight) / self.kernel.now
-
     def __repr__(self) -> str:  # pragma: no cover
         running = self._current.name if self._current else None
         return f"<CPU {self.name!r} running={running!r}>"

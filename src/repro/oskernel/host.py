@@ -52,7 +52,6 @@ class Host:
             kernel, self.cpu, utilization_bound=reserve_bound
         )
         self._nics: Dict[str, "Nic"] = {}
-        self._threads: Dict[str, SimThread] = {}
 
     # ------------------------------------------------------------------
     # Threads
@@ -64,12 +63,7 @@ class Host:
         """
         if priority is None:
             priority = native_priority_range(self.os_type)[0]
-        thread = SimThread(self.cpu, priority, name=f"{self.name}.{name}")
-        self._threads[name] = thread
-        return thread
-
-    def thread(self, name: str) -> SimThread:
-        return self._threads[name]
+        return SimThread(self.cpu, priority, name=f"{self.name}.{name}")
 
     @property
     def priority_range(self) -> tuple:

@@ -52,8 +52,6 @@ def _compile(node: ast.AST, expression: str) -> Callable[[Any], Any]:
     if isinstance(node, ast.Expression):
         return _compile(node.body, expression)
     if isinstance(node, ast.BoolOp):
-        if not isinstance(node.op, (ast.And, ast.Or)):
-            raise ValueError(f"unsupported boolean op in {expression!r}")
         parts = [_compile(value, expression) for value in node.values]
         # ``a and b and c`` is ``a and (b and c)``: fold from the right,
         # so each closure is one short-circuit returning an operand.

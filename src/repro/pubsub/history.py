@@ -61,12 +61,6 @@ class HistoryCache:
             self.max_held = held
         return True
 
-    def take(self) -> List[Any]:
-        """Drain and return the stored samples, oldest first."""
-        out = list(self._samples)
-        self._samples.clear()
-        return out
-
     def snapshot(self) -> List[Any]:
         """The stored samples, oldest first, without draining.
 

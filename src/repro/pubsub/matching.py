@@ -48,7 +48,6 @@ __all__ = [
     "DURABILITY_COMPAT",
     "OWNERSHIP_COMPAT",
     "rxo_check",
-    "enum_matrix",
 ]
 
 #: (offered, requested) -> compatible.  Offered must dominate: a
@@ -127,32 +126,3 @@ def rxo_check(offered: QosPolicy, requested: QosPolicy) -> MatchResult:
         effective_budget=offered.latency_budget + requested.latency_budget,
     )
 
-
-def enum_matrix() -> Dict[Tuple[int, int, int, int, int, int], bool]:
-    """The full pure-enum cross-product as a flat pinned table.
-
-    Keys are ``(offered_reliability, requested_reliability,
-    offered_durability, requested_durability, offered_ownership,
-    requested_ownership)`` as ints; values are the match verdict with
-    every numeric policy left at defaults.  The exhaustive table test
-    compares this against a literal so any edit to the compatibility
-    rules is a visible diff.
-    """
-    out: Dict[Tuple[int, int, int, int, int, int], bool] = {}
-    for rel_o in Reliability:
-        for rel_r in Reliability:
-            for dur_o in Durability:
-                for dur_r in Durability:
-                    for own_o in OwnershipKind:
-                        for own_r in OwnershipKind:
-                            offered = QosPolicy(reliability=rel_o,
-                                                ownership=own_o,
-                                                durability=dur_o)
-                            requested = QosPolicy(reliability=rel_r,
-                                                  ownership=own_r,
-                                                  durability=dur_r)
-                            key = (int(rel_o), int(rel_r), int(dur_o),
-                                   int(dur_r), int(own_o), int(own_r))
-                            out[key] = rxo_check(offered,
-                                                 requested).compatible
-    return out

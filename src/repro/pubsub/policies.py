@@ -21,17 +21,14 @@ endpoint *offers* (writers) or *requests* (readers):
   published and replay it to late-joining readers at match time.
 
 ``None`` for ``deadline`` or ``lease`` means *infinite* (unmonitored),
-matching the DDS defaults.  Policies travel through
-:class:`~repro.experiments.runner.RunSpec` params as plain dicts
-(:meth:`QosPolicy.to_params` / :meth:`QosPolicy.from_params`) and
-pickle via a constructor call so payload bytes are identical at any
-worker count.
+matching the DDS defaults.  Policies pickle via a constructor call so
+payload bytes are identical at any worker count.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 __all__ = ["Reliability", "HistoryKind", "OwnershipKind", "Durability",
            "QosPolicy"]
@@ -136,32 +133,7 @@ class QosPolicy:
                 f"{self.ownership.name}(strength={self.strength}), "
                 f"{self.durability.name})")
 
-    # ------------------------------------------------------------------
-    # RunSpec travel
-    # ------------------------------------------------------------------
-    def to_params(self) -> Dict[str, Any]:
-        """JSON-able constructor kwargs (for RunSpec params)."""
-        return {
-            "reliability": int(self.reliability),
-            "history": int(self.history),
-            "depth": self.depth,
-            "deadline": self.deadline,
-            "latency_budget": self.latency_budget,
-            "lease": self.lease,
-            "ownership": int(self.ownership),
-            "strength": self.strength,
-            "durability": int(self.durability),
-        }
-
-    @classmethod
-    def from_params(cls, params: Dict[str, Any]) -> "QosPolicy":
-        return cls(**params)
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
     def replace(self, **changes: Any) -> "QosPolicy":
         """A copy with the given fields replaced."""
-        params = self.to_params()
-        params.update(changes)
-        return QosPolicy.from_params(params)
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return QosPolicy(**{**fields, **changes})

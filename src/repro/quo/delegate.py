@@ -38,13 +38,12 @@ class Delegate:
         contract: Contract,
         behaviors: Optional[Dict[str, Behavior]] = None,
     ) -> None:
-        # Avoid __setattr__ recursion by writing through __dict__.
-        self.__dict__["_stub"] = stub
-        self.__dict__["_contract"] = contract
-        self.__dict__["_behaviors"] = dict(behaviors or {})
-        self.__dict__["calls_passed"] = 0
-        self.__dict__["calls_adapted"] = 0
-        self.__dict__["calls_dropped"] = 0
+        self._stub = stub
+        self._contract = contract
+        self._behaviors = dict(behaviors or {})
+        self.calls_passed = 0
+        self.calls_adapted = 0
+        self.calls_dropped = 0
 
     # ------------------------------------------------------------------
     @property
@@ -65,17 +64,13 @@ class Delegate:
         adapted.__name__ = name
         return adapted
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        # QoS knobs and other attributes flow through to the stub.
-        setattr(self._stub, name, value)
-
     def _dispatch(self, operation: str, target: Callable, args: tuple) -> Any:
         region = self._contract.current_region
         if region is None:
             region = self._contract.evaluate()
         behavior = self._behaviors.get(region)
         if behavior is None:
-            self.__dict__["calls_passed"] += 1
+            self.calls_passed += 1
             return target(*args)
 
         proceeded = {"flag": False}
@@ -86,9 +81,9 @@ class Delegate:
 
         result = behavior(self, operation, args, proceed)
         if proceeded["flag"]:
-            self.__dict__["calls_adapted"] += 1
+            self.calls_adapted += 1
         else:
-            self.__dict__["calls_dropped"] += 1
+            self.calls_dropped += 1
         return result
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -53,9 +53,6 @@ class Qosket:
             if condition.name not in contract.conditions:
                 contract.attach(condition)
 
-    def condition(self, name: str) -> SystemCondition:
-        return self.contract.conditions[name]
-
     def start(self) -> None:
         """Start every periodic condition and settle the contract."""
         for condition in self.contract.conditions.values():

@@ -127,7 +127,7 @@ class FaultReporterSC(SystemCondition):
     """The set of currently-active injected (or detected) faults.
 
     ``value`` is the number of active faults, so contracts can use
-    plain threshold predicates; :attr:`active_faults` names them.  The
+    plain threshold predicates.  The
     fault layer (:class:`repro.faults.injector.FaultInjector`) calls
     :meth:`fault_started` / :meth:`fault_cleared` on every windowed
     fault edge, standing in for the out-of-band resource-status
@@ -141,10 +141,6 @@ class FaultReporterSC(SystemCondition):
         self._active: List[str] = []
         #: Total fault windows ever reported (observability).
         self.faults_seen = 0
-
-    @property
-    def active_faults(self) -> tuple:
-        return tuple(self._active)
 
     def fault_started(self, label: str) -> None:
         if label not in self._active:

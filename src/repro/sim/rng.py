@@ -61,7 +61,3 @@ class RngRegistry:
         stream = random.Random(_derived_seed(f"{self.seed}:{name}"))
         self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per experiment arm)."""
-        return RngRegistry(seed=_derived_seed(f"{self.seed}/{name}"))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Kernel
 from repro.media import FrameFilter, MpegStream
-from repro.media.filtering import FilterLevel, frames_per_second
+from repro.media.filtering import FilterLevel
 from repro.core import DeliveryRecorder, FrameFilteringQosket
 
 
@@ -194,5 +194,8 @@ def test_filter_actually_reduces_sent_frames():
 
 
 def test_levels_match_paper_rates():
-    assert frames_per_second(FilterLevel.MEDIUM) == pytest.approx(10.0)
-    assert frames_per_second(FilterLevel.LOW) == pytest.approx(2.0)
+    for level, per_second in ((FilterLevel.MEDIUM, 10), (FilterLevel.LOW, 2)):
+        stream, frame_filter = MpegStream("s"), FrameFilter(level)
+        accepted = sum(frame_filter.accept(stream.next_frame(i / 30.0))
+                       for i in range(150))
+        assert accepted == 5 * per_second

@@ -56,7 +56,7 @@ def test_link_must_be_a_pair():
 
 def test_targets_may_be_indexes():
     event = FaultEvent("link_flap", link=7, at=1.0, duration=1.0)
-    assert event.link == 7 and event.label() == "link_flap:7"
+    assert event.fields["link"] == 7 and event.label() == "link_flap:7"
     assert FaultEvent("node_crash", node=3, at=1.0,
                       duration=1.0).label() == "node_crash:3"
     with pytest.raises(ValueError, match="or an index"):
@@ -76,7 +76,7 @@ def test_events_are_immutable():
 # ----------------------------------------------------------------------
 def test_node_crash_loses_state_by_default():
     event = FaultEvent("node_crash", node="r1", at=1.0, duration=2.0)
-    assert event.lose_state is True
+    assert event.fields["lose_state"] is True
     assert event.until == pytest.approx(3.0)
 
 
@@ -96,8 +96,7 @@ def test_plan_windows_and_horizon():
     ])
     assert plan.windows() == [("resv_loss:video", 1.0, 1.0),
                               ("link_flap:a-b", 2.0, 5.0)]
-    assert plan.horizon == pytest.approx(5.0)
-    assert FaultPlan().horizon == 0.0
+    assert FaultPlan().windows() == []
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_plan_sorts_by_onset_keeping_authoring_order_on_ties():
     tie_b = FaultEvent("resv_loss", flow="b", at=5.0)
     plan = FaultPlan([tie_a, tie_b, early])
     assert list(plan) == [early, tie_a, tie_b]
-    assert len(plan) == 3
+    assert len(plan.events) == 3
 
 
 def test_dict_round_trip_preserves_plan():

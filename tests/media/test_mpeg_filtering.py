@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.media import Frame, FrameFilter, FrameType, GopStructure, MpegStream
-from repro.media.filtering import FilterLevel, bitrate_fraction, frames_per_second
+from repro.media.filtering import FilterLevel
+
+
+def filtered(level, seconds=5):
+    """The frames a ``level`` filter passes from ``seconds`` of a 30 fps
+    stream, and that stream."""
+    stream = MpegStream("s")
+    frames = [stream.next_frame(i / 30.0) for i in range(30 * seconds)]
+    video_filter = FrameFilter(level)
+    return [f for f in frames if video_filter.accept(f)], frames
 
 
 def test_gop_pattern_is_ibbpbb():
@@ -100,16 +109,21 @@ def test_frame_sizes_are_the_streams_uniform_jitter_draws():
 
 
 def test_filter_levels_map_to_paper_frame_rates():
-    assert frames_per_second(FilterLevel.FULL) == pytest.approx(30.0)
-    assert frames_per_second(FilterLevel.MEDIUM) == pytest.approx(10.0)
-    assert frames_per_second(FilterLevel.LOW) == pytest.approx(2.0)
+    rates = [len(filtered(level)[0]) / 5 for level in
+             (FilterLevel.FULL, FilterLevel.MEDIUM, FilterLevel.LOW)]
+    assert rates == [30.0, 10.0, 2.0]
 
 
 def test_bitrate_fraction_ordering():
-    full = bitrate_fraction(FilterLevel.FULL)
-    medium = bitrate_fraction(FilterLevel.MEDIUM)
-    low = bitrate_fraction(FilterLevel.LOW)
-    assert full == pytest.approx(1.0)
+    def fraction(level):
+        kept, frames = filtered(level)
+        return (sum(f.size_bytes for f in kept)
+                / sum(f.size_bytes for f in frames))
+
+    full = fraction(FilterLevel.FULL)
+    medium = fraction(FilterLevel.MEDIUM)
+    low = fraction(FilterLevel.LOW)
+    assert full == 1.0
     assert full > medium > low > 0
 
 
@@ -166,4 +180,4 @@ def test_prop_every_gop_position_has_a_type(size, p_spacing):
 
 @given(st.sampled_from(list(FilterLevel)))
 def test_prop_filtered_rate_never_exceeds_base(level):
-    assert frames_per_second(level) <= 30.0
+    assert len(filtered(level, seconds=1)[0]) <= 30

@@ -69,8 +69,8 @@ def test_helpers_equal_emit_field_for_field(layers):
 
     recorded = traced(layers, by_record)
     for other in (traced(layers, by_helper), traced(layers, by_emit)):
-        assert ([as_tuple(r) for r in other.records]
-                == [as_tuple(r) for r in recorded.records])
+        assert ([as_tuple(r) for r in other.sinks[0].records]
+                == [as_tuple(r) for r in recorded.sinks[0].records])
         assert other.records_emitted == recorded.records_emitted
         assert other.counts == recorded.counts
     # Every sink got every record, and only allowed layers got through.
@@ -78,8 +78,8 @@ def test_helpers_equal_emit_field_for_field(layers):
                for sink in recorded.sinks)
     wanted = [c for c in CALLS if layers is None or c[2][0] in layers]
     assert recorded.records_emitted == len(wanted)
-    assert [r.phase for r in recorded.records] == [c[1] for c in wanted]
-    assert all(r.time == 1.5 for r in recorded.records)
+    assert [r.phase for r in recorded.sinks[0].records] == [c[1] for c in wanted]
+    assert all(r.time == 1.5 for r in recorded.sinks[0].records)
 
 
 def test_empty_fields_are_none_and_field_order_is_call_order():
@@ -91,7 +91,7 @@ def test_empty_fields_are_none_and_field_order_is_call_order():
                    fields={"packet": 7, "iface": "a.b", "hops": 1})
     tracer.emit("net", "hop.rx", packet=7, flow="f", iface="a.b", hops=1)
     tracer.emit("os", "tick")
-    bare, begun, ended, hop, emitted, emitted_bare = tracer.records
+    bare, begun, ended, hop, emitted, emitted_bare = tracer.sinks[0].records
     assert bare.fields is None and begun.fields is None
     assert ended.fields is None and ended.flow == "f"
     assert emitted_bare.fields is None

@@ -11,7 +11,6 @@ from repro.obs import (
     RingBufferSink,
     TraceRecord,
     Tracer,
-    read_jsonl,
 )
 
 
@@ -39,7 +38,7 @@ def test_records_carry_sim_time():
     tracer = Tracer().attach(kernel)
     kernel.schedule(2.5, lambda: tracer.instant("sim", "tick"))
     kernel.run()
-    ticks = [r for r in tracer.records if r.kind == "tick"]
+    ticks = [r for r in tracer.sinks[0].records if r.kind == "tick"]
     assert [r.time for r in ticks] == [2.5]
 
 
@@ -48,7 +47,7 @@ def test_begin_end_instant_phases():
     tracer.begin("orb", "request", span="req:1", request=1)
     tracer.instant("net", "hop.rx", fields={"packet": 7})
     tracer.end("orb", "request", span="req:1", request=1)
-    phases = [(r.kind, r.phase) for r in tracer.records]
+    phases = [(r.kind, r.phase) for r in tracer.sinks[0].records]
     assert phases == [("request", "B"), ("hop.rx", "I"), ("request", "E")]
 
 
@@ -56,7 +55,7 @@ def test_layer_filter_discards_other_layers():
     tracer = Tracer(layers=["orb"])
     tracer.instant("net", "hop.rx")
     tracer.instant("orb", "dispatch")
-    assert [r.layer for r in tracer.records] == ["orb"]
+    assert [r.layer for r in tracer.sinks[0].records] == ["orb"]
     assert tracer.records_emitted == 1
 
 
@@ -102,7 +101,8 @@ def test_jsonl_round_trip(tmp_path):
         fields={"dscp": "EF", "bytes": 128}))
     kernel.run()
     tracer.close()
-    rows = read_jsonl(path)
+    with open(path, encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle]
     assert rows == [{
         "t": 1.0, "layer": "orb", "kind": "request", "ph": "B",
         "span": "req:1", "req": 1, "dscp": "EF", "bytes": 128,

@@ -103,7 +103,7 @@ def test_wire_size_reflects_operation_and_key_length():
 def test_objref_defaults_to_client_propagated():
     ref = ObjectReference("IDL:X:1.0", "hostA", 2809, "poa/oid")
     assert ref.priority_model() == PriorityModelValue.CLIENT_PROPAGATED
-    assert ref.server_priority() is None
+    assert ref.find_component(ComponentTag.PRIORITY_MODEL) is None
     assert ref.protocol_dscp() is None
 
 
@@ -116,7 +116,8 @@ def test_objref_server_declared_component():
         )],
     )
     assert ref.priority_model() == PriorityModelValue.SERVER_DECLARED
-    assert ref.server_priority() == 9000
+    assert ref.find_component(
+        ComponentTag.PRIORITY_MODEL).data["priority"] == 9000
 
 
 def test_objref_protocol_properties_dscp():

@@ -185,7 +185,7 @@ def test_utilization_accounting():
     t = SimThread(cpu, priority=5)
     cpu.submit(t, 1.0)
     kernel.run(until=4.0)
-    assert cpu.utilization() == pytest.approx(0.25)
+    assert cpu.busy_time == pytest.approx(1.0)
 
 
 def test_busy_cpu_serializes_total_work():

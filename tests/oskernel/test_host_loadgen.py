@@ -12,7 +12,6 @@ def test_host_spawn_thread_defaults_to_bottom_of_range():
     host = Host(kernel, "alpha", os_type=OsType.QNX)
     thread = host.spawn_thread("worker")
     assert thread.priority == native_priority_range(OsType.QNX)[0]
-    assert host.thread("worker") is thread
     assert thread.name == "alpha.worker"
 
 

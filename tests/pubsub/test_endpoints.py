@@ -31,7 +31,7 @@ def test_keep_last_evicts_oldest():
     cache = HistoryCache(HistoryKind.KEEP_LAST, depth=3)
     for k in range(5):
         assert cache.add(k)
-    assert cache.take() == [2, 3, 4]
+    assert cache.snapshot() == [2, 3, 4]
     assert cache.replaced == 2
     assert cache.accepted == 5
     assert cache.max_held == 3
@@ -42,8 +42,7 @@ def test_keep_all_rejects_at_the_resource_bound():
     assert all(cache.add(k) for k in range(3))
     assert not cache.add(99)
     assert cache.rejected == 1
-    assert cache.take() == [0, 1, 2]
-    assert len(cache) == 0  # take() drains
+    assert cache.snapshot() == [0, 1, 2]
     assert cache.max_held == 3
 
 

@@ -12,16 +12,30 @@ import pytest
 
 from repro.check import default_suite
 from repro.experiments.pubsub_exp import (
+    LATE_PER_TOPIC,
     PubSubArm,
     TOPICS,
     MEASURED_PER_TOPIC,
-    expected_matches,
     pubsub_arms,
     run_pubsub_experiment,
 )
 
 SUBS = 64
 DURATION = 3.0
+
+
+def expected_matches(arm):
+    """Matches the broker must form for one run of ``arm``.
+
+    Every measured reader matches every writer on its topic (two for
+    the ownership arms); the durable arm's late-joiner wave adds one
+    more reader per topic.
+    """
+    per_reader = 2 if arm.ownership else 1
+    reader_count = TOPICS * MEASURED_PER_TOPIC
+    if arm.durable:
+        reader_count += TOPICS * LATE_PER_TOPIC
+    return reader_count * per_reader
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,14 @@ The enum cross-product is additionally pinned as a literal table:
 editing the compatibility rules must show up as a diff here.
 """
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.matching import (
     DURABILITY_COMPAT,
     OWNERSHIP_COMPAT,
     RELIABILITY_COMPAT,
-    enum_matrix,
     rxo_check,
 )
 from repro.pubsub.policies import (
@@ -258,6 +259,26 @@ PINNED_MATRIX = {
     (1, 1, 1, 1, 1, 0): False,
     (1, 1, 1, 1, 1, 1): True,
 }
+
+
+def enum_matrix():
+    """The full pure-enum cross-product as a flat table: keys are
+    ``(offered_reliability, requested_reliability, offered_durability,
+    requested_durability, offered_ownership, requested_ownership)`` as
+    ints, values the match verdict with every numeric policy left at
+    its default."""
+    out = {}
+    for rel_o, rel_r, dur_o, dur_r, own_o, own_r in itertools.product(
+            Reliability, Reliability, Durability, Durability,
+            OwnershipKind, OwnershipKind):
+        offered = QosPolicy(reliability=rel_o, ownership=own_o,
+                            durability=dur_o)
+        requested = QosPolicy(reliability=rel_r, ownership=own_r,
+                              durability=dur_r)
+        key = (int(rel_o), int(rel_r), int(dur_o), int(dur_r),
+               int(own_o), int(own_r))
+        out[key] = rxo_check(offered, requested).compatible
+    return out
 
 
 def test_enum_matrix_matches_pinned_table():

@@ -44,16 +44,14 @@ def test_adding_stream_does_not_perturb_existing():
 
 
 def test_fork_is_deterministic_and_distinct():
-    parent = RngRegistry(seed=9)
-    child1 = parent.fork("arm-1")
-    child2 = RngRegistry(seed=9).fork("arm-1")
-    other = parent.fork("arm-2")
-    assert child1.stream("x").random() == child2.stream("x").random()
-    assert child1.seed != other.seed
-    assert child1.seed != parent.seed
+    """A run forks streams, not registries: one name draws the same in
+    two registries of one seed, and another name draws otherwise."""
+    first, second = RngRegistry(seed=9), RngRegistry(seed=9)
+    assert first.stream("arm-1").random() == second.stream("arm-1").random()
+    assert first.stream("arm-2").random() != second.stream("arm-1").random()
 
 
-#: ``(seed, name)`` pairs whose first draws and fork seeds the two
+#: ``(seed, name)`` pairs whose first draws the two
 #: SHA-256 sources must agree on (negative seeds and non-ASCII names
 #: included: the material is UTF-8 text).
 PAIRS = [(0, "cross-traffic"), (1, "video:cap03"), (42, "cpu-load"),
@@ -67,21 +65,19 @@ from repro.sim import RngRegistry, rng
 assert rng.sha256 is hashlib.sha256, "the fallback branch did not run"
 pairs = json.loads(sys.argv[1])
 print(json.dumps([
-    [[RngRegistry(seed).stream(name).random() for _ in range(3)],
-     RngRegistry(seed).fork(name).seed]
+    [RngRegistry(seed).stream(name).random() for _ in range(3)]
     for seed, name in pairs]))
 """
 
 
 def test_hashlib_fallback_derives_the_same_streams_and_forks():
     """With neither built-in module importable, ``sim/rng.py`` falls back
-    to ``hashlib``; draws and fork seeds match the built-in's exactly."""
+    to ``hashlib``; draws match the built-in's exactly."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     done = subprocess.run(
         [sys.executable, "-c", FALLBACK, json.dumps(PAIRS)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60, check=True)
-    builtin = [[[RngRegistry(seed).stream(name).random() for _ in range(3)],
-                RngRegistry(seed).fork(name).seed]
+    builtin = [[RngRegistry(seed).stream(name).random() for _ in range(3)]
                for seed, name in PAIRS]
     assert json.loads(done.stdout) == builtin

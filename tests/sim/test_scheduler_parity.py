@@ -129,7 +129,7 @@ def test_quickstart_trace_stream_parity():
         streams.append([
             (r.time, r.layer, r.kind, r.phase, r.span, r.flow,
              r.request, r.fields)
-            for r in tracer.records
+            for r in tracer.sinks[0].records
         ])
     assert streams[0], "quickstart produced no trace records"
     assert streams[1] == streams[0]
